@@ -13,32 +13,28 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import DataError
-from .encoder import Vocabulary
+from .encoder import ConfigError, Vocabulary
+from .runio import canonical_json
 from .window import Model, ModelConfig
 
 MAGIC = b"LSACHKPT"
 VERSION = 1
+HEADER = struct.Struct("<8sIQ")  # magic, version, manifest length
 
 
 def checkpoint_bytes(model: Model) -> bytes:
     params = model.named_parameters()
-    config = asdict(model.config)
-    if config["frozen_eta"] is not None:
-        config["frozen_eta"] = list(config["frozen_eta"])
     manifest = {
         "version": VERSION,
         "params": [{"name": n, "shape": list(t.shape)} for n, t in params.items()],
         "vocab": model.vocab.id_to_token,
-        "config": config,
+        "config": asdict(model.config),
     }
-    manifest_bytes = json.dumps(
-        manifest, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    manifest_bytes = canonical_json(manifest).encode("utf-8")
     payload = b"".join(
         np.ascontiguousarray(t.values, dtype="<f8").tobytes() for t in params.values()
     )
-    header = MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(manifest_bytes))
-    return header + manifest_bytes + payload
+    return HEADER.pack(MAGIC, VERSION, len(manifest_bytes)) + manifest_bytes + payload
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -49,38 +45,34 @@ def load_checkpoint(path) -> Model:
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
-    offset = len(MAGIC)
-    (version,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    if len(blob) < HEADER.size:
+        raise DataError(f"{path}: truncated checkpoint header")
+    _, version, manifest_len = HEADER.unpack_from(blob)
+    offset = HEADER.size
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (manifest_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
     try:
         manifest = json.loads(blob[offset : offset + manifest_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint manifest: {e}")
     offset += manifest_len
 
-    config = dict(manifest["config"])
-    if config.get("frozen_eta") is not None:
-        config["frozen_eta"] = tuple(float(x) for x in config["frozen_eta"])
-    model = Model(
-        ModelConfig(**config),
-        Vocabulary(list(manifest["vocab"])),
-        np.random.Generator(np.random.PCG64(0)),
-    )
+    try:
+        model = Model(
+            ModelConfig(**manifest["config"]),
+            Vocabulary(list(manifest["vocab"])),
+            np.random.Generator(np.random.PCG64(0)),
+        )
+        listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
+        raise DataError(f"{path}: malformed checkpoint manifest: {e!r}")
     params = model.named_parameters()
-    listed = [entry["name"] for entry in manifest["params"]]
-    if listed != list(params):
+    if [name for name, _ in listed] != list(params):
         raise DataError(f"{path}: checkpoint parameters do not match the model")
-    for entry in manifest["params"]:
-        t = params[entry["name"]]
-        shape = tuple(entry["shape"])
+    for name, shape in listed:
+        t = params[name]
         if shape != t.shape:
-            raise DataError(
-                f"{path}: shape {shape} for {entry['name']} does not match {t.shape}"
-            )
+            raise DataError(f"{path}: shape {shape} for {name} does not match {t.shape}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
         if end > len(blob):

@@ -1,5 +1,10 @@
 """Command-line surface: dataset analysis, synthetic generation, training,
-evaluation, sweeps, and trajectory export.
+evaluation, sweeps, trajectory export, and replay.
+
+Each command in ``COMMANDS`` takes the args dict its run manifest records,
+writes its artifacts under an output directory and returns the files it
+read.  ``main`` builds that dict from the flags, ``replay`` reads it back
+from a manifest, and ``run_command`` writes the manifest for both.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Stdout stays human-readable; machine-readable artifacts go to files under
@@ -12,7 +17,7 @@ import argparse
 import os
 import shutil
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -30,8 +35,8 @@ from .runio import build_manifest, load_manifest, verify_manifest_hashes, write_
 from .training import (
     NumericError,
     TrainConfig,
-    _coerce_config_values,
     evaluate,
+    field_parser,
     seed_sweep,
     static_eta_sweep,
     train,
@@ -57,97 +62,103 @@ def _out_dir(args, default_name: str) -> Path:
     return out
 
 
-_CONFIG_FLAG_TYPES = {"int": int, "float": float, "str": str}
-
-
 def _add_config_flags(parser) -> None:
+    """One flag per TrainConfig field; a flag that is not given leaves no
+    attribute, so the config file's value stands."""
     for f in fields(TrainConfig):
         flag = "--" + f.name.replace("_", "-")
         if f.type == "bool":
-            parser.add_argument(flag, action="store_true", default=None)
-        elif f.name == "frozen_eta":
-            parser.add_argument(flag, default=None, metavar="L,R")
+            parser.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
         else:
-            base = f.type.split(" ")[0]
+            metavar = "L,R" if f.name == "frozen_eta" else None
             parser.add_argument(
-                flag, type=_CONFIG_FLAG_TYPES.get(base, str), default=None
+                flag, type=field_parser(f), default=argparse.SUPPRESS, metavar=metavar
             )
 
 
 def _config_from_args(args) -> TrainConfig:
     """Config file values, overridden by any explicitly passed flags."""
-    if args.config:
-        config = TrainConfig.from_file(args.config)
-    else:
-        config = TrainConfig()
-    overrides = {}
-    for f in fields(TrainConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
-            continue
-        overrides[f.name] = str(value)
-    merged = config.to_dict()
-    merged.update(_coerce_config_values(overrides))
-    return TrainConfig.from_dict(merged)
+    config = TrainConfig.from_file(args.config) if args.config else TrainConfig()
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
+    return replace(config, **given)
+
+
+def _command_args(args) -> dict:
+    """The args dict the manifest of ``args.command`` records."""
+    if args.command in ("train", "sweep-eta", "sweep-seeds"):
+        config = asdict(_config_from_args(args))
+        if args.command == "train":
+            return config
+        key = "grid" if args.command == "sweep-eta" else "seeds"
+        return {"config": config, key: getattr(args, key)}
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+
+
+def _config_inputs(config: TrainConfig) -> list:
+    return [config.train_path, config.valid_path, config.test_path, config.parse_path]
+
+
+def _parse_grid(spec: str) -> list[float]:
+    try:
+        start, stop, step = (float(p) for p in spec.split(":"))
+    except ValueError:
+        raise UsageError(f"grid must be start:stop:step, got {spec!r}")
+    if step <= 0 or stop < start:
+        raise UsageError("grid must have positive step and stop >= start")
+    count = int(round((stop - start) / step)) + 1
+    return [start + i * step for i in range(count)]
+
+
+def _parse_seeds(spec: str) -> list[int]:
+    try:
+        return [int(s) for s in spec.split(",") if s.strip() != ""]
+    except ValueError:
+        raise UsageError(f"seeds must be comma-separated integers, got {spec!r}")
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (shared by direct invocation and replay)
+# Commands: (args dict, output directory) -> the files the command read
 
 
-def run_analyze_clusters(dataset_path, format, out_dir) -> None:
-    dataset = load_dataset(dataset_path, format)
+def run_analyze_clusters(args: dict, out_dir: Path) -> list:
+    dataset = load_dataset(args["dataset"], args["format"])
     hist = cluster_histogram(dataset)
-    print(f"{dataset_path}: {len(dataset.examples)} examples, "
+    print(f"{args['dataset']}: {len(dataset.examples)} examples, "
           f"{dataset.aspect_count()} aspects")
-    for size in (1, 2, 3, 4, 5):
-        label = "5+" if size == 5 else str(size)
-        print(f"  cluster size {label:>2}: {hist.counts[size]} aspects")
+    for label, n in hist.labelled():
+        print(f"  cluster size {label:>2}: {n} aspects")
     print(f"  total: {hist.total}")
-    csv_path = Path(out_dir) / "clusters.csv"
+    csv_path = out_dir / "clusters.csv"
     csv_path.write_text(hist.as_csv(), encoding="utf-8")
-    manifest = build_manifest(
-        "analyze-clusters",
-        {"dataset": str(dataset_path), "format": format},
-        [str(dataset_path)],
-    )
-    write_manifest(manifest, out_dir)
     print(f"wrote {csv_path}")
+    return [args["dataset"]]
 
 
-def run_synth(spec_path, seed, out_dir) -> None:
-    spec = SynthSpec.from_file(spec_path)
-    datasets = generate_synthetic_corpus(spec, seed)
+def run_synth(args: dict, out_dir: Path) -> list:
+    spec = SynthSpec.from_file(args["spec"])
+    datasets = generate_synthetic_corpus(spec, args["seed"])
     for split, dataset in sorted(datasets.items()):
-        path = Path(out_dir) / f"{split}.json"
+        path = out_dir / f"{split}.json"
         path.write_text(dataset_to_json(dataset), encoding="utf-8")
         print(f"wrote {path} ({len(dataset.examples)} examples, "
               f"{dataset.aspect_count()} aspects)")
-    manifest = build_manifest(
-        "synth", {"spec": str(spec_path), "seed": seed}, [str(spec_path)]
-    )
-    write_manifest(manifest, out_dir)
+    return [args["spec"]]
 
 
-def run_train(config: TrainConfig, out_dir) -> None:
+def run_train(args: dict, out_dir: Path) -> list:
+    config = TrainConfig.from_dict(args)
     result = train(config)
     write_csv(
-        Path(out_dir) / "metrics.csv",
+        out_dir / "metrics.csv",
         ["epoch", "split", "acc", "macro_f1"],
         result.metrics_rows,
     )
     write_csv(
-        Path(out_dir) / "eta_trajectory.csv",
+        out_dir / "eta_trajectory.csv",
         ["step", "eta_l", "eta_r"],
         result.trajectory,
     )
-    save_checkpoint(result.model, Path(out_dir) / "checkpoint.bin")
-    manifest = build_manifest(
-        "train",
-        config.to_dict(),
-        [config.train_path, config.valid_path, config.test_path, config.parse_path],
-    )
-    write_manifest(manifest, out_dir)
+    save_checkpoint(result.model, out_dir / "checkpoint.bin")
     print(f"trained {config.variant} for {config.epochs} epochs "
           f"(best epoch {result.best_epoch})")
     if result.final_metrics:
@@ -155,81 +166,70 @@ def run_train(config: TrainConfig, out_dir) -> None:
         print(f"final: acc {m.accuracy:.4f}, macro-F1 {m.macro_f1:.4f} "
               f"({m.n_examples} pairs)")
     print(f"artifacts in {out_dir}")
+    return _config_inputs(config)
 
 
-def run_eval(checkpoint, dataset_path, format, slice_, parses, out_dir) -> None:
-    model = load_checkpoint(checkpoint)
-    dataset = load_dataset(dataset_path, format)
-    trees = load_parses(parses) if parses else None
-    metrics = evaluate(model, dataset, trees, slice_)
-    label = slice_ or "all"
-    print(f"{dataset_path} [{label}]: acc {metrics.accuracy:.4f}, "
+def run_eval(args: dict, out_dir: Path) -> list:
+    model = load_checkpoint(args["checkpoint"])
+    dataset = load_dataset(args["dataset"], args["format"])
+    trees = load_parses(args["parses"]) if args["parses"] else None
+    metrics = evaluate(model, dataset, trees, args["slice"])
+    label = args["slice"] or "all"
+    print(f"{args['dataset']} [{label}]: acc {metrics.accuracy:.4f}, "
           f"macro-F1 {metrics.macro_f1:.4f} over {metrics.n_examples} pairs")
     for pol, cs in zip(("positive", "negative", "neutral"), metrics.per_class):
         print(f"  {pol:>8}: precision {cs.precision:.4f}, recall {cs.recall:.4f}, "
               f"F1 {cs.f1:.4f}")
     write_csv(
-        Path(out_dir) / "eval.csv",
+        out_dir / "eval.csv",
         ["slice", "acc", "macro_f1", "n"],
         [(label, metrics.accuracy, metrics.macro_f1, metrics.n_examples)],
     )
-    manifest = build_manifest(
-        "eval",
-        {
-            "checkpoint": str(checkpoint),
-            "dataset": str(dataset_path),
-            "format": format,
-            "slice": slice_,
-            "parses": str(parses) if parses else None,
-        },
-        [str(dataset_path)],
-    )
-    write_manifest(manifest, out_dir)
+    return [args["checkpoint"], args["dataset"], args["parses"]]
 
 
-def _parse_grid(spec: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError("grid must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
-        raise UsageError("grid must have positive step and stop >= start")
-    count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(count)]
-
-
-def run_sweep_eta(config: TrainConfig, grid: str, out_dir) -> None:
-    rows = static_eta_sweep(config, _parse_grid(grid))
+def run_sweep_eta(args: dict, out_dir: Path) -> list:
+    config = TrainConfig.from_dict(args["config"])
+    rows = static_eta_sweep(config, _parse_grid(args["grid"]))
     write_csv(
-        Path(out_dir) / "sweep_eta.csv",
+        out_dir / "sweep_eta.csv",
         ["eta_l", "eta_r", "acc", "macro_f1"],
         rows,
     )
-    manifest = build_manifest(
-        "sweep-eta",
-        {"config": config.to_dict(), "grid": grid},
-        [config.train_path, config.valid_path, config.test_path],
-    )
-    write_manifest(manifest, out_dir)
     for eta_l, eta_r, acc, f1 in rows:
         print(f"eta_l {eta_l:.2f} eta_r {eta_r:.2f}: acc {acc:.4f}, macro-F1 {f1:.4f}")
+    return _config_inputs(config)
 
 
-def run_sweep_seeds(config: TrainConfig, seeds: str, out_dir) -> None:
-    seed_list = [int(s) for s in seeds.split(",") if s.strip() != ""]
-    summary = seed_sweep(config, seed_list)
+def run_sweep_seeds(args: dict, out_dir: Path) -> list:
+    config = TrainConfig.from_dict(args["config"])
+    summary = seed_sweep(config, _parse_seeds(args["seeds"]))
     rows = [(str(s), acc, f1) for s, acc, f1 in summary.rows]
     rows.append(("median", summary.median_acc, summary.median_f1))
     rows.append(("iqr", summary.iqr_acc, summary.iqr_f1))
-    write_csv(Path(out_dir) / "sweep_seeds.csv", ["seed", "acc", "macro_f1"], rows)
-    manifest = build_manifest(
-        "sweep-seeds",
-        {"config": config.to_dict(), "seeds": seeds},
-        [config.train_path, config.valid_path, config.test_path],
-    )
-    write_manifest(manifest, out_dir)
+    write_csv(out_dir / "sweep_seeds.csv", ["seed", "acc", "macro_f1"], rows)
     print(f"median acc {summary.median_acc:.4f} (IQR {summary.iqr_acc:.4f}), "
           f"median macro-F1 {summary.median_f1:.4f} (IQR {summary.iqr_f1:.4f})")
+    return _config_inputs(config)
+
+
+# name -> (command, default output directory under the output root)
+COMMANDS = {
+    "analyze-clusters": (run_analyze_clusters, "clusters"),
+    "synth": (run_synth, "synth"),
+    "train": (run_train, "train"),
+    "eval": (run_eval, "eval"),
+    "sweep-eta": (run_sweep_eta, "sweep-eta"),
+    "sweep-seeds": (run_sweep_seeds, "sweep-seeds"),
+}
+
+
+def run_command(name: str, args: dict, out_dir: Path) -> None:
+    """Run a command and write its manifest next to its artifacts."""
+    if name not in COMMANDS:
+        raise DataError(f"manifest command {name!r} cannot be replayed")
+    inputs = COMMANDS[name][0](args, out_dir)
+    write_manifest(build_manifest(name, args, inputs), out_dir)
 
 
 def run_export_trajectory(run_dir, out_file) -> None:
@@ -243,28 +243,11 @@ def run_export_trajectory(run_dir, out_file) -> None:
     print(f"exported {src} -> {out_file}")
 
 
-def run_replay(manifest_path, out_dir) -> None:
+def run_replay(manifest_path, out_dir: Path) -> None:
     manifest = load_manifest(manifest_path)
     verify_manifest_hashes(manifest)
-    command, args = manifest["command"], manifest["args"]
-    print(f"replaying {command} from {manifest_path}")
-    if command == "train":
-        run_train(TrainConfig.from_dict(args), out_dir)
-    elif command == "analyze-clusters":
-        run_analyze_clusters(args["dataset"], args["format"], out_dir)
-    elif command == "synth":
-        run_synth(args["spec"], args["seed"], out_dir)
-    elif command == "eval":
-        run_eval(
-            args["checkpoint"], args["dataset"], args["format"],
-            args["slice"], args["parses"], out_dir,
-        )
-    elif command == "sweep-eta":
-        run_sweep_eta(TrainConfig.from_dict(args["config"]), args["grid"], out_dir)
-    elif command == "sweep-seeds":
-        run_sweep_seeds(TrainConfig.from_dict(args["config"]), args["seeds"], out_dir)
-    else:
-        raise DataError(f"manifest command {command!r} cannot be replayed")
+    print(f"replaying {manifest['command']} from {manifest_path}")
+    run_command(manifest["command"], manifest["args"], out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +300,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "analyze-clusters":
-            run_analyze_clusters(args.dataset, args.format, _out_dir(args, "clusters"))
-        elif args.command == "synth":
-            run_synth(args.spec, args.seed, _out_dir(args, "synth"))
-        elif args.command == "train":
-            run_train(_config_from_args(args), _out_dir(args, "train"))
-        elif args.command == "eval":
-            run_eval(
-                args.checkpoint, args.dataset, args.format, args.slice,
-                args.parses, _out_dir(args, "eval"),
-            )
-        elif args.command == "sweep-eta":
-            run_sweep_eta(_config_from_args(args), args.grid, _out_dir(args, "sweep-eta"))
-        elif args.command == "sweep-seeds":
-            run_sweep_seeds(
-                _config_from_args(args), args.seeds, _out_dir(args, "sweep-seeds")
-            )
-        elif args.command == "export-trajectory":
+        if args.command == "export-trajectory":
             run_export_trajectory(args.run, args.out)
         elif args.command == "replay":
             run_replay(args.manifest, _out_dir(args, "replay"))
+        else:
+            run_command(
+                args.command, _command_args(args), _out_dir(args, COMMANDS[args.command][1])
+            )
     except (UsageError, ConfigError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -103,14 +104,6 @@ class Example:
 class Dataset:
     examples: list[Example]
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """All (example index, aspect index) classification pairs."""
-        return [
-            (i, j)
-            for i, ex in enumerate(self.examples)
-            for j in range(len(ex.aspects))
-        ]
-
     def aspect_count(self) -> int:
         return sum(len(ex.aspects) for ex in self.examples)
 
@@ -125,12 +118,12 @@ class ClusterHistogram:
     def total(self) -> int:
         return sum(self.counts.values())
 
+    def labelled(self) -> list[tuple[str, int]]:
+        """(size label, aspect count) per bucket; the last label is "5+"."""
+        return [("5+" if b == 5 else str(b), self.counts[b]) for b in CLUSTER_BUCKETS]
+
     def as_csv(self) -> str:
-        lines = ["size,count"]
-        for b in CLUSTER_BUCKETS:
-            label = "5+" if b == 5 else str(b)
-            lines.append(f"{label},{self.counts[b]}")
-        return "\n".join(lines) + "\n"
+        return "size,count\n" + "".join(f"{label},{n}\n" for label, n in self.labelled())
 
 
 # ---------------------------------------------------------------------------
@@ -314,38 +307,42 @@ def save_dataset(dataset: Dataset, path) -> None:
     Path(path).write_text(dataset_to_json(dataset), encoding="utf-8")
 
 
+def read_key_values(path, error: type[Exception]) -> dict[str, str]:
+    """The ``key=value`` lines of a spec or config file.  Blank lines and
+    ``#`` comments are skipped; a line without ``=`` raises ``error``."""
+    pairs = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected key=value")
+        key, value = (s.strip() for s in line.split("=", 1))
+        pairs[key] = value
+    return pairs
+
+
 # ---------------------------------------------------------------------------
-# Adjacency and clusters
+# Clusters
 
 
-def adjacent_aspects(example: Example, target_index: int, k: int = 1):
-    """The ≤k aspects before the target (nearest last) and after it
-    (nearest first), in the example's sorted aspect order."""
-    n = len(example.aspects)
-    if not (0 <= target_index < n):
-        raise IndexError(f"aspect index {target_index} out of range for {n} aspects")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    left = example.aspects[max(0, target_index - k) : target_index]
-    right = example.aspects[target_index + 1 : target_index + 1 + k]
-    return left, right
+def cluster_sizes(example: Example) -> list[int]:
+    """For each aspect, in order, the size of the maximal same-polarity run
+    of adjacent aspects it belongs to."""
+    sizes: list[int] = []
+    for _, run in groupby(example.aspects, key=lambda a: a.polarity):
+        n = len(list(run))
+        sizes.extend([n] * n)
+    return sizes
 
 
 def cluster_histogram(dataset: Dataset) -> ClusterHistogram:
     """Bucket every aspect by the size of its maximal same-polarity run."""
     hist = ClusterHistogram()
     for ex in dataset.examples:
-        i = 0
-        aspects = ex.aspects
-        while i < len(aspects):
-            j = i
-            while j + 1 < len(aspects) and aspects[j + 1].polarity == aspects[i].polarity:
-                j += 1
-            run = j - i + 1
-            hist.counts[min(run, 5)] += run
-            i = j + 1
+        for size in cluster_sizes(ex):
+            hist.counts[min(size, 5)] += 1
     return hist
-
 
 
 # ---------------------------------------------------------------------------
@@ -421,34 +418,22 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
-        fields_ = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            fields_[key] = value
         spec = cls()
         splits = {}
-        for key, value in fields_.items():
-            if key == "vocab_size":
-                spec.vocab_size = int(value)
-            elif key == "rho":
-                spec.rho = float(value)
-            elif key == "implicit_fraction":
-                spec.implicit_fraction = float(value)
-            elif key == "aspects":
-                dist = {}
-                for part in value.split(","):
-                    c, w = part.split(":")
-                    dist[int(c)] = float(w)
-                spec.aspects_dist = dist
-            elif key in ("train", "test", "valid"):
-                splits[key] = int(value)
-            else:
-                raise DataError(f"{path}: unknown synth spec key {key!r}")
+        scalars = {"vocab_size": int, "rho": float, "implicit_fraction": float}
+        for key, value in read_key_values(path, DataError).items():
+            try:
+                if key in scalars:
+                    setattr(spec, key, scalars[key](value))
+                elif key == "aspects":
+                    pairs = (part.split(":") for part in value.split(","))
+                    spec.aspects_dist = {int(c): float(w) for c, w in pairs}
+                elif key in ("train", "test", "valid"):
+                    splits[key] = int(value)
+                else:
+                    raise DataError(f"{path}: unknown synth spec key {key!r}")
+            except ValueError as e:
+                raise DataError(f"{path}: bad value for {key}: {e}")
         if splits:
             spec.splits = splits
         spec.validate()

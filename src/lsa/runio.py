@@ -37,11 +37,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def build_manifest(command: str, args: dict, dataset_paths: list[str]) -> dict:
-    hashes = {}
-    for p in dataset_paths:
-        if p:
-            hashes[str(p)] = file_sha256(p)
+def build_manifest(command: str, args: dict, inputs: list) -> dict:
+    """A command's manifest: its args and the hash of every file in
+    ``inputs`` (the files it read; None entries are skipped)."""
+    hashes = {str(p): file_sha256(p) for p in inputs if p}
     return {
         "command": command,
         "args": args,
@@ -72,10 +71,10 @@ def load_manifest(path) -> dict:
 def verify_manifest_hashes(manifest: dict) -> None:
     for path, expected in manifest["dataset_hashes"].items():
         if not Path(path).exists():
-            raise DataError(f"manifest references missing dataset {path}")
+            raise DataError(f"manifest references missing input {path}")
         actual = file_sha256(path)
         if actual != expected:
             raise DataError(
-                f"dataset {path} changed since the manifest was written "
+                f"input {path} changed since the manifest was written "
                 f"({actual[:12]} != {expected[:12]})"
             )

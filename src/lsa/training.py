@@ -1,17 +1,16 @@
-"""Loss assembly, the training loop with a two-group optimizer, metrics,
-and the two sweep drivers (static side-weight grid, multi-seed)."""
+"""Training config, loss, the training loop with a two-group optimizer,
+metrics, and the two sweeps (static side-weight grid, multi-seed)."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import Field, dataclass, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import NUM_CLASSES, DataError, Dataset, Polarity, load_dataset
+from .corpus import NUM_CLASSES, DataError, Dataset, cluster_sizes, load_dataset, read_key_values
 from .distance import load_parses
 from .encoder import ConfigError, Vocabulary
 from .optim import AdamW, ParamGroup
@@ -24,12 +23,35 @@ class NumericError(Exception):
     """Non-finite loss or other numeric failure during training."""
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def field_parser(f: Field):
+    """The function that reads a value of config field ``f`` from its text
+    in a config file or on the command line; it raises ValueError on a
+    malformed value."""
+    kind = f.type  # a string: annotations are postponed
+
+    def parse(text: str):
+        if text == "" and kind.endswith("| None"):
+            return None
+        if kind.startswith("tuple"):
+            return tuple(float(x) for x in text.split(","))
+        if kind == "bool":
+            if text.lower() not in _BOOLS:
+                raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}")
+            return _BOOLS[text.lower()]
+        return {"int": int, "float": float}.get(kind.split(" ")[0], str)(text)
+
+    parse.__name__ = f.name  # argparse names it in "invalid <name> value"
+    return parse
+
+
 @dataclass
-class TrainConfig:
-    variant: str = "lsa_t"
-    k: int = 1
-    alpha: float = 3.0
-    max_len: int = 80
+class TrainConfig(ModelConfig):
+    """The model's settings (inherited from ``ModelConfig``) plus those of
+    the optimizer, the schedule and the data."""
+
     batch: int = 16
     encoder_lr: float = 1e-3
     eta_lr: float = 0.01
@@ -37,15 +59,6 @@ class TrainConfig:
     lambda_eta: float = 1e-5
     epochs: int = 20
     seed: int = 0
-    d_model: int = 64
-    layers: int = 2
-    heads: int = 4
-    ffn_mult: int = 4
-    no_dwa: bool = False
-    la_only: bool = False
-    ra_only: bool = False
-    backbone_only: bool = False
-    frozen_eta: tuple[float, float] | None = None
     train_path: str = ""
     valid_path: str | None = None
     test_path: str | None = None
@@ -66,84 +79,28 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if not (0.0 < self.holdout_fraction < 1.0):
             raise ConfigError("holdout_fraction must be in (0, 1)")
-        self.model_config().validate()
+        super().validate()
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            variant=self.variant,
-            k=self.k,
-            alpha=self.alpha,
-            max_len=self.max_len,
-            d_model=self.d_model,
-            layers=self.layers,
-            heads=self.heads,
-            ffn_mult=self.ffn_mult,
-            no_dwa=self.no_dwa,
-            la_only=self.la_only,
-            ra_only=self.ra_only,
-            backbone_only=self.backbone_only,
-            frozen_eta=self.frozen_eta,
-        )
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "frozen_eta" and value is not None:
-                value = list(value)
-            out[f.name] = value
-        return out
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            value = d[f.name]
-            if f.name == "frozen_eta" and value is not None:
-                value = tuple(float(x) for x in value)
-            kwargs[f.name] = value
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**d)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        raw = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            raw[key] = value
-        return cls.from_dict(_coerce_config_values(raw))
-
-
-def _coerce_config_values(raw: dict[str, str]) -> dict:
-    """Coerce flat key=value strings onto TrainConfig field types."""
-    typed: dict = {}
-    kinds = {f.name: f.type for f in fields(TrainConfig)}
-    for key, value in raw.items():
-        if key not in kinds:
-            raise ConfigError(f"unknown config key {key!r}")
-        kind = kinds[key]
-        if value == "":
-            typed[key] = None
-        elif key == "frozen_eta":
-            typed[key] = [float(x) for x in value.split(",")]
-        elif kind == "int":
-            typed[key] = int(value)
-        elif kind == "float":
-            typed[key] = float(value)
-        elif kind == "bool":
-            typed[key] = value.lower() in ("1", "true", "yes")
-        else:
-            typed[key] = value
-    return typed
+        known = {f.name: f for f in fields(cls)}
+        typed = {}
+        for key, value in read_key_values(path, ConfigError).items():
+            try:
+                typed[key] = field_parser(known[key])(value) if key in known else value
+            except ValueError as e:
+                raise ConfigError(f"{path}: bad value for {key}: {e}")
+        return cls.from_dict(typed)
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +181,6 @@ def total_loss(
 # Evaluation slices
 
 
-def _cluster_sizes(example) -> list[int]:
-    sizes = [0] * len(example.aspects)
-    i = 0
-    while i < len(example.aspects):
-        j = i
-        while (
-            j + 1 < len(example.aspects)
-            and example.aspects[j + 1].polarity == example.aspects[i].polarity
-        ):
-            j += 1
-        for t in range(i, j + 1):
-            sizes[t] = j - i + 1
-        i = j + 1
-    return sizes
-
-
 def _pair_in_slice(example, aspect_idx, slice_: str | None) -> bool:
     if slice_ is None:
         return True
@@ -251,10 +192,10 @@ def _pair_in_slice(example, aspect_idx, slice_: str | None) -> bool:
         return len(example.aspects) == 1
     if slice_.startswith("cluster"):
         label = slice_[len("cluster") :]
-        size = _cluster_sizes(example)[aspect_idx]
         if label == "5+":
-            return size >= 5
-        return size == int(label)
+            return cluster_sizes(example)[aspect_idx] >= 5
+        if label.isdecimal():
+            return cluster_sizes(example)[aspect_idx] == int(label)
     raise ConfigError(f"unknown slice {slice_!r}")
 
 
@@ -386,12 +327,8 @@ def train(config: TrainConfig) -> TrainResult:
         epoch_losses.append(loss_sum / max(1, pair_count))
         train_metrics = compute_metrics(epoch_golds, epoch_preds)
         valid_metrics = evaluate(model, valid_set, trees)
-        metrics_rows.append(
-            (epoch, "train", train_metrics.accuracy, train_metrics.macro_f1)
-        )
-        metrics_rows.append(
-            (epoch, "valid", valid_metrics.accuracy, valid_metrics.macro_f1)
-        )
+        for split, m in (("train", train_metrics), ("valid", valid_metrics)):
+            metrics_rows.append((epoch, split, m.accuracy, m.macro_f1))
         logger.info(
             "epoch %d: loss %.4f, valid acc %.4f", epoch, epoch_losses[-1],
             valid_metrics.accuracy,
@@ -433,14 +370,12 @@ def static_eta_sweep(config: TrainConfig, grid) -> list[tuple[float, float, floa
     grid = list(grid)
     if not grid:
         raise ConfigError("empty eta grid")
+    if config.epochs < 1:
+        raise ConfigError("eta sweep needs at least one epoch")
     rows = []
     for eta_l in grid:
         eta_l = float(eta_l)
-        run_cfg = replace(config, no_dwa=True, frozen_eta=(eta_l, 1.0 - eta_l))
-        result = train(run_cfg)
-        m = result.final_metrics
-        if m is None:
-            raise ConfigError("eta sweep needs at least one epoch")
+        m = train(replace(config, no_dwa=True, frozen_eta=(eta_l, 1.0 - eta_l))).final_metrics
         rows.append((eta_l, 1.0 - eta_l, m.accuracy, m.macro_f1))
     return rows
 
@@ -458,12 +393,11 @@ def seed_sweep(config: TrainConfig, seeds) -> SweepSummary:
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ConfigError("seed sweep needs at least two seeds")
+    if config.epochs < 1:
+        raise ConfigError("seed sweep needs at least one epoch")
     rows = []
     for seed in seeds:
-        result = train(replace(config, seed=int(seed)))
-        m = result.final_metrics
-        if m is None:
-            raise ConfigError("seed sweep needs at least one epoch")
+        m = train(replace(config, seed=int(seed))).final_metrics
         rows.append((int(seed), m.accuracy, m.macro_f1))
     accs = np.array([r[1] for r in rows])
     f1s = np.array([r[2] for r in rows])

@@ -53,22 +53,13 @@ def position_weights(distances, alpha: float, n: int) -> np.ndarray:
 
 
 @dataclass
-class AspectFeature:
-    vector: Tensor  # (1, d)
-    variant: str
-
-
-@dataclass
 class AggregationWindow:
-    left: list[AspectFeature]
-    target: AspectFeature
-    right: list[AspectFeature]
-    left_padded: list[bool]
-    right_padded: list[bool]
+    """Aspect features, each a (1, d) row: the k left neighbours (farthest
+    first), the target, and the k right neighbours (nearest first)."""
 
-    @property
-    def slots(self) -> int:
-        return len(self.left) + 1 + len(self.right)
+    left: list[Tensor]
+    target: Tensor
+    right: list[Tensor]
 
 
 @dataclass
@@ -114,8 +105,7 @@ def aspect_feature_local(
     n: int,
     sa: BlockParams,
     heads: int,
-    variant: str,
-) -> AspectFeature:
+) -> Tensor:
     """Position-weight the hidden states, activate, and head-pool to (1, d).
 
     ``distances`` covers every row of ``hc`` (markers included); the
@@ -128,36 +118,24 @@ def aspect_feature_local(
     weights = Tensor(position_weights(distances, alpha, n))
     weighted = ad.mul(hc, weights)
     activated = self_attention_block(weighted, sa, heads)
-    return AspectFeature(ad.slice_rows(activated, 0, 1), variant)
+    return ad.slice_rows(activated, 0, 1)
 
 
-def build_window(
-    features: list[AspectFeature], target_index: int, k: int
-) -> AggregationWindow:
+def build_window(features: list[Tensor], target_index: int, k: int) -> AggregationWindow:
     """Fill left/right slots from adjacent aspects, padding missing
     neighbors with the target's own feature."""
     if not (0 <= target_index < len(features)):
         raise IndexError(f"target {target_index} out of range")
     target = features[target_index]
-    left, left_padded = [], []
-    for j in range(k, 0, -1):
-        idx = target_index - j
-        if idx < 0:
-            left.append(target)
-            left_padded.append(True)
-        else:
-            left.append(features[idx])
-            left_padded.append(False)
-    right, right_padded = [], []
-    for j in range(1, k + 1):
-        idx = target_index + j
-        if idx >= len(features):
-            right.append(target)
-            right_padded.append(True)
-        else:
-            right.append(features[idx])
-            right_padded.append(False)
-    return AggregationWindow(left, target, right, left_padded, right_padded)
+
+    def at(i: int) -> Tensor:
+        return features[i] if 0 <= i < len(features) else target
+
+    return AggregationWindow(
+        [at(target_index - j) for j in range(k, 0, -1)],
+        target,
+        [at(target_index + j) for j in range(1, k + 1)],
+    )
 
 
 def apply_dwa(
@@ -171,18 +149,18 @@ def apply_dwa(
     with no gradient.  ``sides`` restricts to a simplified window
     ("left"/"right" keep only that neighbor slot plus the target)."""
 
-    def scaled(feature: AspectFeature, which: str) -> Tensor:
+    def scaled(feature: Tensor, which: str) -> Tensor:
         if frozen_eta is not None:
-            return ad.smul(feature.vector, frozen_eta[0 if which == "l" else 1])
+            return ad.smul(feature, frozen_eta[0 if which == "l" else 1])
         if dwa is None:
-            return feature.vector
+            return feature
         eta = dwa.eta_l if which == "l" else dwa.eta_r
-        return ad.scale(feature.vector, eta)
+        return ad.scale(feature, eta)
 
     parts: list[Tensor] = []
     if sides in ("both", "left"):
         parts.extend(scaled(f, "l") for f in window.left)
-    parts.append(window.target.vector)
+    parts.append(window.target)
     if sides in ("both", "right"):
         parts.extend(scaled(f, "r") for f in window.right)
     return ad.concat(parts, axis=1)
@@ -222,6 +200,10 @@ class ModelConfig:
     backbone_only: bool = False
     frozen_eta: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        if self.frozen_eta is not None:
+            self.frozen_eta = tuple(float(x) for x in self.frozen_eta)
+
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
@@ -236,8 +218,11 @@ class ModelConfig:
         exclusive = [self.la_only, self.ra_only, self.backbone_only]
         if sum(exclusive) > 1:
             raise ConfigError("la_only, ra_only, backbone_only are mutually exclusive")
-        if self.frozen_eta is not None and not self.no_dwa:
-            raise ConfigError("frozen_eta requires no_dwa")
+        if self.frozen_eta is not None:
+            if not self.no_dwa:
+                raise ConfigError("frozen_eta requires no_dwa")
+            if len(self.frozen_eta) != 2:
+                raise ConfigError("frozen_eta takes two values, eta_l,eta_r")
 
     @property
     def window_slots(self) -> int:
@@ -328,14 +313,14 @@ class Model:
             relative_token_distance(i, positions) for i in range(n)
         ]
 
-    def _feature(self, example, aspect_idx, tokens, hc, trees) -> AspectFeature:
+    def _feature(self, example, aspect_idx, tokens, hc, trees) -> Tensor:
         cfg = self.config
         if cfg.variant == "lsa_p":
             aspect = example.aspects[aspect_idx]
             ids = build_spc_input(tokens, list(aspect.term), self.vocab, cfg.max_len)
             h = encode(ids, self.encoder)
             act = self_attention_block(h, self.head.sa, cfg.heads)
-            return AspectFeature(ad.slice_rows(act, 0, 1), cfg.variant)
+            return ad.slice_rows(act, 0, 1)
         return aspect_feature_local(
             hc,
             self._distances(example, aspect_idx, tokens, trees),
@@ -343,23 +328,12 @@ class Model:
             len(tokens),
             self.head.sa,
             cfg.heads,
-            cfg.variant,
         )
 
     def global_context(self, example: Example) -> Tensor:
         tokens = self._context_tokens(example)
         ids = np.concatenate([[self.vocab.cls_id], self.vocab.encode(tokens)])
         return encode(ids.astype(np.int64), self.encoder)
-
-    def aspect_features(self, example: Example, trees=None) -> list[AspectFeature]:
-        """One feature per aspect; the global pass is shared across aspects
-        for the context-weighted variants."""
-        tokens = self._context_tokens(example)
-        hc = None if self.config.variant == "lsa_p" else self.global_context(example)
-        return [
-            self._feature(example, i, tokens, hc, trees)
-            for i in range(len(example.aspects))
-        ]
 
     def forward_example(self, example: Example, trees=None) -> list[Tensor]:
         """Probability rows, one per aspect of the example."""
@@ -373,19 +347,14 @@ class Model:
             pooled = ad.slice_rows(
                 self_attention_block(hc, self.head.sa, cfg.heads), 0, 1
             )
-        if cfg.backbone_only:
-            features = None  # each target uses only its own feature
-        else:
-            features = [
-                self._feature(example, i, tokens, hc, trees)
-                for i in range(len(example.aspects))
-            ]
+        features = [] if cfg.backbone_only else [
+            self._feature(example, i, tokens, hc, trees) for i in range(len(example.aspects))
+        ]
         dwa = None if cfg.no_dwa else self.dwa
         probs = []
         for t in range(len(example.aspects)):
-            if cfg.backbone_only:
-                only = self._feature(example, t, tokens, hc, trees)
-                window = build_window([only], 0, cfg.k)
+            if cfg.backbone_only:  # each target sees only its own feature
+                window = build_window([self._feature(example, t, tokens, hc, trees)], 0, cfg.k)
             else:
                 window = build_window(features, t, cfg.k)
             h_aw = apply_dwa(window, dwa, cfg.frozen_eta, sides=cfg.sides)

@@ -152,6 +152,35 @@ def test_eval_command_and_slices(corpus, tmp_path, capsys):
     assert body[1].startswith("implicit,")
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["frozen-eta-one-value", "config-int", "seeds", "slice", "config-bool"],
+)
+def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    if case == "frozen-eta-one-value":
+        argv = train_args(corpus, out, extra=["--no-dwa", "--frozen-eta", "0.5"])
+    elif case == "config-int":
+        cfg.write_text(f"train_path={corpus['train']}\nepochs=abc\n")
+        argv = ["train", "--config", cfg, "--out", out]
+    elif case == "seeds":
+        argv = sweep_args("sweep-seeds", corpus, out, ["--seeds", "1,x"])
+    elif case == "slice":
+        argv = [
+            "eval",
+            "--checkpoint", FIXTURES / "mini_checkpoint.bin",
+            "--dataset", FIXTURES / "mini.json",
+            "--slice", "clusterx",
+            "--out", out,
+        ]
+    else:
+        cfg.write_text(f"train_path={corpus['train']}\nno_dwa=ture\n")
+        argv = ["train", "--config", cfg, "--out", out]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error")
+
+
 def test_eval_bad_checkpoint_is_data_error(corpus, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"junk")
@@ -162,18 +191,22 @@ def test_eval_bad_checkpoint_is_data_error(corpus, tmp_path):
 # sweeps
 
 
-def test_sweep_eta_grid_rows(corpus, tmp_path):
-    out = tmp_path / "sweep"
-    args = [
-        "sweep-eta",
-        "--train-path", corpus["train"],
-        "--test-path", corpus["test"],
+def sweep_args(command, paths, out, extra):
+    return [
+        command,
+        "--train-path", paths["train"],
+        "--test-path", paths["test"],
         "--epochs", "1", "--seed", "0",
         "--d-model", "16", "--layers", "1", "--heads", "1", "--ffn-mult", "2",
-        "--grid", "0:1:0.5",
         "--out", out,
+        *extra,
     ]
-    assert run(args) == 0
+
+
+
+def test_sweep_eta_grid_rows(corpus, tmp_path):
+    out = tmp_path / "sweep"
+    assert run(sweep_args("sweep-eta", corpus, out, ["--grid", "0:1:0.5"])) == 0
     rows = (out / "sweep_eta.csv").read_text().splitlines()
     assert rows[0] == "eta_l,eta_r,acc,macro_f1"
     assert len(rows) == 4  # header + {0, 0.5, 1}
@@ -190,16 +223,7 @@ def test_sweep_eta_eleven_point_grid_parses():
 
 def test_sweep_seeds_rows_and_summary(corpus, tmp_path):
     out = tmp_path / "seeds"
-    args = [
-        "sweep-seeds",
-        "--train-path", corpus["train"],
-        "--test-path", corpus["test"],
-        "--epochs", "1", "--seed", "0",
-        "--d-model", "16", "--layers", "1", "--heads", "1", "--ffn-mult", "2",
-        "--seeds", "0,1,2",
-        "--out", out,
-    ]
-    assert run(args) == 0
+    assert run(sweep_args("sweep-seeds", corpus, out, ["--seeds", "0,1,2"])) == 0
     rows = (out / "sweep_seeds.csv").read_text().splitlines()
     assert rows[0] == "seed,acc,macro_f1"
     assert len(rows) == 6  # 3 seeds + median + iqr
@@ -219,13 +243,51 @@ def test_export_trajectory(corpus, tmp_path):
     assert out_file.read_bytes() == (run_dir / "eta_trajectory.csv").read_bytes()
 
 
-def test_replay_reproduces_outputs_byte_identical(corpus, tmp_path):
+def replay_case(command, paths, tmp_path):
+    """The argv of one run of ``command`` into tmp_path/orig, and the
+    artifacts that run writes there."""
+    out = tmp_path / "orig"
+    if command == "analyze-clusters":
+        return ["analyze-clusters", paths["train"], "--out", out], ["clusters.csv"]
+    if command == "synth":
+        spec = synth_spec_file(tmp_path)
+        argv = ["synth", "--spec", spec, "--seed", "5", "--out", out]
+        return argv, ["train.json", "test.json"]
+    if command == "train":
+        return train_args(paths, out), ["metrics.csv", "eta_trajectory.csv", "checkpoint.bin"]
+    if command == "eval":
+        assert run(train_args(paths, tmp_path / "run")) == 0
+        argv = [
+            "eval",
+            "--checkpoint", tmp_path / "run" / "checkpoint.bin",
+            "--dataset", paths["test"],
+            "--slice", "implicit",
+            "--out", out,
+        ]
+        return argv, ["eval.csv"]
+    if command == "sweep-eta":
+        return sweep_args(command, paths, out, ["--grid", "0:1:0.5"]), ["sweep_eta.csv"]
+    if command == "sweep-seeds":
+        return sweep_args(command, paths, out, ["--seeds", "0,1"]), ["sweep_seeds.csv"]
+    raise AssertionError(command)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["analyze-clusters", "synth", "train", "eval", "sweep-eta", "sweep-seeds"],
+)
+def test_replay_reproduces_outputs_byte_identical(command, corpus, tmp_path):
+    argv, outputs = replay_case(command, corpus, tmp_path)
     original = tmp_path / "orig"
-    assert run(train_args(corpus, original)) == 0
+    assert run(argv) == 0
     replayed = tmp_path / "replayed"
     assert run(["replay", original / "manifest.json", "--out", replayed]) == 0
-    for name in ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin"):
+    for name in outputs:
         assert (original / name).read_bytes() == (replayed / name).read_bytes()
+    first, second = (json.loads((d / "manifest.json").read_text()) for d in (original, replayed))
+    assert second["command"] == first["command"] == command
+    assert second["args"] == first["args"]
+    assert second["dataset_hashes"] == first["dataset_hashes"]
 
 
 def test_replay_detects_changed_dataset(corpus, tmp_path):
@@ -234,6 +296,37 @@ def test_replay_detects_changed_dataset(corpus, tmp_path):
     assert run(["synth", "--spec", spec, "--seed", "5", "--out", original]) == 0
     spec.write_text(spec.read_text() + "# changed\n")
     assert run(["replay", original / "manifest.json", "--out", tmp_path / "r"]) == 2
+
+
+def test_replay_detects_changed_checkpoint(tmp_path):
+    checkpoint = tmp_path / "model.bin"
+    checkpoint.write_bytes((FIXTURES / "mini_checkpoint.bin").read_bytes())
+    original = tmp_path / "orig"
+    argv = [
+        "eval",
+        "--checkpoint", checkpoint,
+        "--dataset", FIXTURES / "mini.json",
+        "--parses", FIXTURES / "mini.conllu",
+        "--out", original,
+    ]
+    assert run(argv) == 0
+    hashed = json.loads((original / "manifest.json").read_text())["dataset_hashes"]
+    read = [checkpoint, FIXTURES / "mini.json", FIXTURES / "mini.conllu"]
+    assert set(hashed) == {str(p) for p in read}
+    checkpoint.write_bytes(checkpoint.read_bytes()[:-8] + bytes(8))
+    assert run(["replay", original / "manifest.json", "--out", tmp_path / "r"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("sweep-eta", ["--grid", "0:1:1"]), ("sweep-seeds", ["--seeds", "0,1"])],
+)
+def test_sweep_manifest_hashes_parse_file(command, extra, corpus, tmp_path):
+    out = tmp_path / "out"
+    parses = FIXTURES / "mini.conllu"
+    assert run(sweep_args(command, corpus, out, ["--parse-path", parses, *extra])) == 0
+    hashed = json.loads((out / "manifest.json").read_text())["dataset_hashes"]
+    assert set(hashed) == {corpus["train"], corpus["test"], str(parses)}
 
 
 def test_manifest_is_hash_stable(corpus, tmp_path):

@@ -1,4 +1,5 @@
-"""Data model, loaders, adjacency, cluster statistics, synthetic corpora."""
+"""Data model, loaders, the window over adjacent aspects, cluster statistics,
+synthetic corpora."""
 
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsa.autodiff as ad
 from lsa.corpus import (
     AspectAnnotation,
     DataError,
@@ -14,12 +16,13 @@ from lsa.corpus import (
     Example,
     Polarity,
     SynthSpec,
-    adjacent_aspects,
     cluster_histogram,
+    cluster_sizes,
     dataset_to_json,
     generate_synthetic_corpus,
     load_dataset,
 )
+from lsa.window import build_window
 
 from util import FIXTURES
 
@@ -44,7 +47,7 @@ def make_example(polarities, tokens_per_aspect=2):
 def test_mini_fixture_loads_to_twenty_pairs():
     ds = load_dataset(FIXTURES / "mini.json")
     assert len(ds.examples) == 12
-    assert len(ds.pairs()) == 20
+    assert ds.aspect_count() == 20
 
 
 def test_aspects_are_sorted_on_load(tmp_path):
@@ -74,7 +77,7 @@ def test_empty_aspect_list_is_accepted(tmp_path):
     }
     path = tmp_path / "ds.json"
     path.write_text(json.dumps(obj))
-    assert load_dataset(path).pairs() == []
+    assert load_dataset(path).aspect_count() == 0
 
 
 def test_schema_violation_reports_field(tmp_path):
@@ -142,35 +145,50 @@ def test_canonical_serialization_is_fixed_point(tmp_path):
 # adjacency
 
 
+def aspect_window(ex, target, k=1):
+    """The aggregation window of aspect ``target``, over features that
+    record each aspect's start token."""
+    feats = [ad.tensor([[float(a.start)]]) for a in ex.aspects]
+    window = build_window(feats, target, k)
+    return (
+        [f.values[0, 0] for f in window.left],
+        window.target.values[0, 0],
+        [f.values[0, 0] for f in window.right],
+    )
+
+
 def test_adjacent_aspects_middle_target():
     ex = make_example(["positive", "negative", "neutral"])
-    left, right = adjacent_aspects(ex, 1, k=1)
-    assert left == [ex.aspects[0]]
-    assert right == [ex.aspects[2]]
+    left, target, right = aspect_window(ex, 1)
+    assert left == [ex.aspects[0].start]
+    assert target == ex.aspects[1].start
+    assert right == [ex.aspects[2].start]
 
 
 def test_adjacent_aspects_single_aspect():
     ex = make_example(["positive"])
-    assert adjacent_aspects(ex, 0, k=1) == ([], [])
+    # a missing neighbour is padded with the target's own feature
+    assert aspect_window(ex, 0) == ([1.0], 1.0, [1.0])
 
 
 def test_adjacent_aspects_first_of_many():
     ex = make_example(["positive"] * 4)
-    left, right = adjacent_aspects(ex, 0, k=1)
-    assert left == []
-    assert right == [ex.aspects[1]]
+    left, target, right = aspect_window(ex, 0, k=2)
+    assert left == [target, target]
+    assert right == [ex.aspects[1].start, ex.aspects[2].start]
 
 
 def test_adjacent_aspects_respects_sort_order():
     ex = make_example(["positive", "negative", "neutral"])
-    left, right = adjacent_aspects(ex, 1, k=1)
-    assert left[0].start < ex.aspects[1].start < right[0].start
+    shuffled = Example(ex.text, ex.tokens, [ex.aspects[2], ex.aspects[0], ex.aspects[1]])
+    left, target, right = aspect_window(shuffled, 1)
+    assert left[0] < target < right[0]
 
 
 def test_adjacent_aspects_invalid_index():
     ex = make_example(["positive"])
     with pytest.raises(IndexError):
-        adjacent_aspects(ex, 3, k=1)
+        aspect_window(ex, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +199,12 @@ def test_cluster_histogram_run_of_two():
     ds = Dataset([make_example(["positive", "positive", "negative"])])
     hist = cluster_histogram(ds)
     assert hist.counts == {1: 1, 2: 2, 3: 0, 4: 0, 5: 0}
+
+
+def test_cluster_sizes_per_aspect():
+    ex = make_example(["positive", "positive", "negative", "neutral", "neutral", "neutral"])
+    assert cluster_sizes(ex) == [2, 2, 1, 3, 3, 3]
+    assert cluster_sizes(make_example([])) == []
 
 
 def test_cluster_histogram_alternating():

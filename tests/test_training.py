@@ -1,5 +1,6 @@
 """Loss value, metrics, the training loop contracts, sweeps, checkpoints."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import lsa.autodiff as ad
-from lsa.checkpoint import checkpoint_bytes, load_checkpoint, save_checkpoint
-from lsa.corpus import DataError, load_dataset
+from lsa.checkpoint import HEADER, MAGIC, checkpoint_bytes, load_checkpoint, save_checkpoint
+from lsa.corpus import DataError, cluster_histogram, load_dataset
 from lsa.encoder import ConfigError
 from lsa.training import (
     TrainConfig,
@@ -20,7 +21,7 @@ from lsa.training import (
     train,
 )
 
-from util import tiny_model, write_synth_corpus
+from util import FIXTURES, tiny_model, write_synth_corpus
 
 
 def small_config(paths, **overrides):
@@ -161,6 +162,17 @@ def test_evaluate_unknown_slice(corpus):
         evaluate(result.model, datasets["test"], slice_="bogus")
 
 
+def test_evaluate_cluster_slices_match_histogram():
+    model = load_checkpoint(FIXTURES / "mini_checkpoint.bin")
+    dataset = load_dataset(FIXTURES / "mini.json")
+    for label, count in cluster_histogram(dataset).labelled():
+        if count:
+            assert evaluate(model, dataset, slice_=f"cluster{label}").n_examples == count
+        else:
+            with pytest.raises(DataError):
+                evaluate(model, dataset, slice_=f"cluster{label}")
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -297,6 +309,50 @@ def test_checkpoint_predictions_survive_roundtrip(corpus, tmp_path):
 def test_checkpoint_rejects_corrupt_file(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a checkpoint")
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_committed_checkpoint_still_loads():
+    """mini_checkpoint.bin was written by format version 1 (lsa_t, d=16,
+    one layer, vocab of mini.json, frozen_eta (0.3, 0.7)); the CSV holds
+    the probabilities it gave on mini.json when it was written."""
+    path = FIXTURES / "mini_checkpoint.bin"
+    model = load_checkpoint(path)
+    assert checkpoint_bytes(model) == path.read_bytes()
+    assert model.config.frozen_eta == (0.3, 0.7)
+    dataset = load_dataset(FIXTURES / "mini.json")
+    rows = (FIXTURES / "mini_checkpoint_probs.csv").read_text().splitlines()[1:]
+    assert len(rows) == dataset.aspect_count()
+    for row in rows:
+        i, j, *expected = row.split(",")
+        got = model.forward_example(dataset.examples[int(i)])[int(j)].values[0]
+        np.testing.assert_allclose(got, [float(x) for x in expected], rtol=0, atol=1e-12)
+
+
+def rewrite_manifest(blob: bytes, edit) -> bytes:
+    """A checkpoint whose JSON manifest is passed through ``edit``."""
+    _, version, length = HEADER.unpack_from(blob)
+    manifest = json.loads(blob[HEADER.size:HEADER.size + length])
+    edit(manifest)
+    body = json.dumps(manifest).encode()
+    return HEADER.pack(MAGIC, version, len(body)) + body + blob[HEADER.size + length:]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["short-header", "no-config", "no-vocab", "no-params", "unknown-config-key"],
+)
+def test_malformed_checkpoint_is_data_error(case, tmp_path):
+    blob = (FIXTURES / "mini_checkpoint.bin").read_bytes()
+    if case == "short-header":
+        blob = blob[:10]
+    elif case == "unknown-config-key":
+        blob = rewrite_manifest(blob, lambda m: m["config"].update(width=3))
+    else:
+        blob = rewrite_manifest(blob, lambda m: m.pop(case.removeprefix("no-")))
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
     with pytest.raises(DataError):
         load_checkpoint(path)
 

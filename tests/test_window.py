@@ -10,7 +10,6 @@ import lsa.autodiff as ad
 from lsa.corpus import AspectAnnotation, Example, Polarity
 from lsa.encoder import ConfigError
 from lsa.window import (
-    AspectFeature,
     DwaParams,
     ModelConfig,
     apply_dwa,
@@ -27,7 +26,7 @@ ad.set_debug_checks(True)
 
 
 def feature(values):
-    return AspectFeature(ad.tensor(np.atleast_2d(values)), "lsa_t")
+    return ad.tensor(np.atleast_2d(values))
 
 
 def coherent_example(n_aspects, polarity="positive", implicit=None):
@@ -98,7 +97,7 @@ def test_aspect_feature_length_mismatch():
     model = tiny_model()
     hc = ad.tensor(np.zeros((4, 16)))
     with pytest.raises(ConfigError):
-        aspect_feature_local(hc, [0.0] * 3, 3.0, 4, model.head.sa, 2, "lsa_t")
+        aspect_feature_local(hc, [0.0] * 3, 3.0, 4, model.head.sa, 2)
 
 
 def test_position_weights_carry_no_gradient():
@@ -123,14 +122,13 @@ def test_single_aspect_window_triples_target():
     target = feature([1.0, 2.0])
     window = build_window([target], 0, k=1)
     assert window.left == [target] and window.right == [target]
-    assert window.left_padded == [True] and window.right_padded == [True]
 
 
 def test_leftmost_of_two_pads_left_slot():
     a, b = feature([1.0]), feature([2.0])
     window = build_window([a, b], 0, k=1)
-    assert window.left == [a] and window.left_padded == [True]
-    assert window.right == [b] and window.right_padded == [False]
+    assert window.left == [a]
+    assert window.right == [b]
 
 
 def test_middle_of_three_no_padding():
@@ -138,7 +136,6 @@ def test_middle_of_three_no_padding():
     window = build_window(feats, 1, k=1)
     assert window.left == [feats[0]]
     assert window.right == [feats[2]]
-    assert window.left_padded == [False] and window.right_padded == [False]
 
 
 def test_window_consumes_neighbors_once_no_symmetrization():
@@ -183,7 +180,7 @@ def test_dwa_gradient_scales_linearly_in_eta():
     right = feature(rng.normal(size=(1, d)))
 
     def grad_at(eta_value):
-        left = AspectFeature(ad.parameter(np.zeros((1, d))), "lsa_t")
+        left = ad.parameter(np.zeros((1, d)))
         dwa = DwaParams()
         dwa.eta_l.values[0] = eta_value
         window = build_window([left, target, right], 1, k=1)
@@ -193,7 +190,7 @@ def test_dwa_gradient_scales_linearly_in_eta():
             probs = ad.softmax(ad.matmul(h, w_out))
             loss = ad.cross_entropy(probs, 0)
         tape.backward(loss)
-        return left.vector.grad.copy()
+        return left.grad.copy()
 
     g_half = grad_at(0.5)
     g_one = grad_at(1.0)
@@ -283,11 +280,14 @@ def test_mono_aspect_output_equals_reference_path_bitwise():
     probs = model.forward_example(ex)[0]
 
     # reference path: construct the tripled window directly
-    feats = model.aspect_features(ex)
-    window = build_window(feats, 0, k=1)
+    hc = model.global_context(ex)
+    dists = model._distances(ex, 0, ex.tokens, None)
+    feat = aspect_feature_local(
+        hc, dists, model.config.alpha, len(ex.tokens), model.head.sa, model.config.heads
+    )
+    window = build_window([feat], 0, k=1)
     h_aw = apply_dwa(window, model.dwa)
     h_o = project_window(h_aw, model.head)
-    hc = model.global_context(ex)
     pooled = ad.slice_rows(
         self_attention_block(hc, model.head.sa, model.config.heads), 0, 1
     )
@@ -315,8 +315,10 @@ def test_variant_lsa_p_drops_global_feature():
 
 
 def test_lsa_p_feature_differs_when_aspect_differs():
+    # backbone_only: each aspect's window holds only its own feature
     model = tiny_model(
-        variant="lsa_p", vocab_tokens=["w0", "w1", "screen", "battery"]
+        variant="lsa_p", backbone_only=True,
+        vocab_tokens=["w0", "w1", "screen", "battery"],
     )
     tokens = ["w0", "screen", "w1", "battery"]
     ex = Example(
@@ -327,8 +329,8 @@ def test_lsa_p_feature_differs_when_aspect_differs():
             AspectAnnotation(3, 4, ("battery",), Polarity.POSITIVE),
         ],
     )
-    feats = model.aspect_features(ex)
-    assert not np.allclose(feats[0].vector.values, feats[1].vector.values)
+    probs = model.forward_example(ex)
+    assert not np.allclose(probs[0].values, probs[1].values)
 
 
 def test_lsa_s_uses_tree_and_falls_back_without_parse():

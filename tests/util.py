@@ -41,10 +41,9 @@ def grad_check(build, params, eps=1e-6):
 
 def tiny_model(seed=0, variant="lsa_t", vocab_tokens=None, **overrides) -> Model:
     config = ModelConfig(
-        variant=variant, d_model=16, layers=1, heads=2, ffn_mult=2, max_len=32
+        variant=variant, d_model=16, layers=1, heads=2, ffn_mult=2, max_len=32,
+        **overrides,
     )
-    for key, value in overrides.items():
-        setattr(config, key, value)
     tokens = vocab_tokens or [f"w{i}" for i in range(12)]
     vocab = Vocabulary.build([tokens])
     return Model(config, vocab, np.random.Generator(np.random.PCG64(seed)))
