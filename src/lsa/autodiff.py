@@ -26,15 +26,15 @@ __all__ = [
     "mul",
     "smul",
     "matmul",
-    "transpose",
     "concat",
     "slice_rows",
-    "slice_cols",
     "gather_rows",
     "scale",
     "tanh",
     "softmax",
     "layer_norm",
+    "attention_weights",
+    "attention",
     "sum_all",
     "cross_entropy",
     "finite_difference_gradient",
@@ -203,6 +203,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Merge every axis but the last: (..., k) -> (N, k)."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may broadcast against ``a`` (bias rows)."""
     try:
@@ -244,28 +249,18 @@ def smul(t: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """(..., n, k) @ (k, m): leading axes of ``a`` are a batch."""
+    if a.values.ndim < 2 or b.values.ndim != 2:
+        raise ShapeError(f"matmul needs (..., n, k) and (k, m), got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     out = Tensor(a.values @ b.values)
     av, bv = a.values, b.values
 
     def backward(g):
-        return g @ bv.T, av.T @ g
+        return g @ bv.T, _flat(av).T @ _flat(g)
 
     return _record(out, (a, b), backward)
-
-
-def transpose(t: Tensor) -> Tensor:
-    if t.values.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {t.shape}")
-    out = Tensor(t.values.T.copy())
-
-    def backward(g):
-        return (g.T,)
-
-    return _record(out, (t,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -294,45 +289,31 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
-    if t.values.ndim != 2:
-        raise ShapeError(f"slice_rows needs a 2-d tensor, got {t.shape}")
-    if not (0 <= start < stop <= t.shape[0]):
+    """Rows [start, stop) of the last two axes: (..., n, d) -> (..., stop - start, d)."""
+    if t.values.ndim < 2:
+        raise ShapeError(f"slice_rows needs a tensor of 2 or more axes, got {t.shape}")
+    if not (0 <= start < stop <= t.shape[-2]):
         raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {t.shape}")
-    out = Tensor(t.values[start:stop].copy())
+    out = Tensor(t.values[..., start:stop, :].copy())
     shape = t.shape
 
     def backward(g):
         full = np.zeros(shape)
-        full[start:stop] = g
-        return (full,)
-
-    return _record(out, (t,), backward)
-
-
-def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:
-    if t.values.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-d tensor, got {t.shape}")
-    if not (0 <= start < stop <= t.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for {t.shape}")
-    out = Tensor(t.values[:, start:stop].copy())
-    shape = t.shape
-
-    def backward(g):
-        full = np.zeros(shape)
-        full[:, start:stop] = g
+        full[..., start:stop, :] = g
         return (full,)
 
     return _record(out, (t,), backward)
 
 
 def gather_rows(t: Tensor, indices) -> Tensor:
-    """Row lookup (embedding gather); backward scatter-adds into the table."""
+    """Lookup along axis 0: embedding rows for an index array, one entry
+    of a stack for an integer.  Backward scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.int64)
-    if t.values.ndim != 2:
-        raise ShapeError(f"gather_rows needs a 2-d table, got {t.shape}")
+    if t.values.ndim < 2:
+        raise ShapeError(f"gather_rows needs a table of 2 or more axes, got {t.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for table {t.shape}")
-    out = Tensor(t.values[idx])
+    out = Tensor(np.take(t.values, idx, axis=0))
     shape = t.shape
 
     def backward(g):
@@ -368,7 +349,7 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def softmax(t: Tensor) -> Tensor:
-    """Max-stabilized softmax along the last axis (1-d or 2-d input)."""
+    """Max-stabilized softmax along the last axis."""
     v = t.values
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -383,33 +364,109 @@ def softmax(t: Tensor) -> Tensor:
 
 
 def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization: normalize each row, then gain/bias."""
-    if t.values.ndim != 2:
-        raise ShapeError(f"layer_norm needs a 2-d tensor, got {t.shape}")
-    d = t.shape[1]
+    """Layer normalization over the last axis, then gain/bias."""
+    if t.values.ndim < 2:
+        raise ShapeError(f"layer_norm needs a tensor of 2 or more axes, got {t.shape}")
+    d = t.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must have shape (d,)")
     v = t.values
-    mean = v.mean(axis=1, keepdims=True)
-    var = v.var(axis=1, keepdims=True)
+    mean = v.mean(axis=-1, keepdims=True)
+    var = v.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (v - mean) * inv
     out = Tensor(xhat * gain.values + bias.values)
     gv = gain.values
 
     def backward(g):
-        g_bias = g.sum(axis=0)
-        g_gain = (g * xhat).sum(axis=0)
+        g_bias = _flat(g).sum(axis=0)
+        g_gain = _flat(g * xhat).sum(axis=0)
         g_xhat = g * gv
         # d/dx of (x - mean) * inv, with mean and var both functions of x
         g_x = inv * (
             g_xhat
-            - g_xhat.mean(axis=1, keepdims=True)
-            - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True)
+            - g_xhat.mean(axis=-1, keepdims=True)
+            - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
         )
         return g_x, g_gain, g_bias
 
     return _record(out, (t, gain, bias), backward)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, d) -> (..., heads, n, d / heads)."""
+    *lead, n, d = a.shape
+    return a.reshape(*lead, n, heads, d // heads).swapaxes(-2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., heads, n, dh) -> (..., n, heads * dh)."""
+    *lead, heads, n, dh = a.shape
+    return a.swapaxes(-2, -3).reshape(*lead, n, heads * dh)
+
+
+def _attention_probs(x: Tensor, wq, bq, wk, bk, heads, mask, query_rows):
+    """The query rows of ``x``, queries and keys split by head, and the
+    softmax attention weights (..., heads, query_rows, n)."""
+    if x.values.ndim < 2 or x.shape[-1] % heads != 0:
+        raise ShapeError(f"attention: {heads} heads do not split a tensor of shape {x.shape}")
+    if query_rows is not None and not (1 <= query_rows <= x.shape[-2]):
+        raise ShapeError(f"attention: {query_rows} query rows for {x.shape}")
+    xv = x.values
+    xq = xv if query_rows is None else xv[..., :query_rows, :]
+    q = _split_heads(xq @ wq.values + bq.values, heads)
+    k = _split_heads(xv @ wk.values + bk.values, heads)
+    scores = (q @ k.swapaxes(-1, -2)) * q.shape[-1] ** -0.5
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return xq, q, k, e / e.sum(axis=-1, keepdims=True)
+
+
+def attention_weights(x, wq, bq, wk, bk, heads, mask=None, query_rows=None) -> np.ndarray:
+    """The weights ``attention`` mixes values with, (..., heads,
+    query_rows, n).  They are not recorded on the tape."""
+    return _attention_probs(x, wq, bq, wk, bk, heads, mask, query_rows)[3]
+
+
+def attention(
+    x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+    wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
+    heads: int, mask=None, query_rows: int | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product self-attention with its input and
+    output projections, as one node with a hand-written backward.
+
+    ``x`` is (..., n, d); leading axes are a batch.  Every row is a key and
+    a value; the first ``query_rows`` rows (all when None) are queries, so
+    the output is (..., query_rows, d).  ``mask`` is a constant added to the
+    scores and broadcast against (..., heads, query_rows, n).
+    """
+    xq, q, k, p = _attention_probs(x, wq, bq, wk, bk, heads, mask, query_rows)
+    xv = x.values
+    v = _split_heads(xv @ wv.values + bv.values, heads)
+    merged = _merge_heads(p @ v)
+    out = Tensor(merged @ wo.values + bo.values)
+    score_scale = q.shape[-1] ** -0.5
+
+    def backward(g):
+        g_o = _split_heads(g @ wo.values.T, heads)
+        g_p = g_o @ v.swapaxes(-1, -2)
+        g_s = (g_p - np.sum(g_p * p, axis=-1, keepdims=True)) * p * score_scale
+        g_q = _merge_heads(g_s @ k)
+        g_k = _merge_heads(g_s.swapaxes(-1, -2) @ q)
+        g_v = _merge_heads(p.swapaxes(-1, -2) @ g_o)
+        g_x = g_k @ wk.values.T + g_v @ wv.values.T
+        g_x[..., : xq.shape[-2], :] += g_q @ wq.values.T
+        return (
+            g_x,
+            _flat(xq).T @ _flat(g_q), _flat(g_q).sum(axis=0),
+            _flat(xv).T @ _flat(g_k), _flat(g_k).sum(axis=0),
+            _flat(xv).T @ _flat(g_v), _flat(g_v).sum(axis=0),
+            _flat(merged).T @ _flat(g), _flat(g).sum(axis=0),
+        )
+
+    return _record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
 def sum_all(t: Tensor) -> Tensor:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError
+from .corpus import DataError, read_existing
 from .encoder import ConfigError, Vocabulary
 from .runio import canonical_json
 from .window import Model, ModelConfig
@@ -42,7 +42,7 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    blob = Path(path).read_bytes()
+    blob = read_existing(path)
     if blob[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     if len(blob) < HEADER.size:

@@ -267,6 +267,14 @@ def load_semeval_xml(path) -> Dataset:
     return Dataset(examples)
 
 
+def read_existing(path) -> bytes:
+    """The bytes of the file at ``path``; DataError if there is none."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}")
+
+
 def load_dataset(path, format: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
@@ -309,9 +317,10 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def read_key_values(path, error: type[Exception]) -> dict[str, str]:
     """The ``key=value`` lines of a spec or config file.  Blank lines and
-    ``#`` comments are skipped; a line without ``=`` raises ``error``."""
+    ``#`` comments are skipped; a line without ``=`` raises ``error``, and
+    a missing file ``DataError``."""
     pairs = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_existing(path).decode().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -168,49 +168,31 @@ class EncoderParams:
             yield from blk.named(f"encoder.block{i}")
 
 
-def _attention(x: Tensor, p: BlockParams, heads: int, n_valid: int | None):
-    n, d = x.shape
-    dh = d // heads
-    q = ad.add(ad.matmul(x, p.wq), p.bq)
-    k = ad.add(ad.matmul(x, p.wk), p.bk)
-    v = ad.add(ad.matmul(x, p.wv), p.bv)
-    mask = None
-    if n_valid is not None and n_valid < n:
-        m = np.zeros((n, n))
-        m[:, n_valid:] = -1e30
-        mask = Tensor(m)
-    outs, weights = [], []
-    for h in range(heads):
-        if heads == 1:
-            qh, kh, vh = q, k, v
-        else:
-            qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
-            kh = ad.slice_cols(k, h * dh, (h + 1) * dh)
-            vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
-        scores = ad.smul(ad.matmul(qh, ad.transpose(kh)), dh**-0.5)
-        if mask is not None:
-            scores = ad.add(scores, mask)
-        att = ad.softmax(scores)
-        weights.append(att)
-        outs.append(ad.matmul(att, vh))
-    merged = outs[0] if heads == 1 else ad.concat(outs, axis=1)
-    return ad.add(ad.matmul(merged, p.wo), p.bo), weights
-
-
 def self_attention_block(
     x: Tensor,
     p: BlockParams,
     heads: int,
     n_valid: int | None = None,
     return_attention: bool = False,
+    query_rows: int | None = None,
 ):
-    """Multi-head attention + residual + feed-forward, post-norm."""
-    attn, weights = _attention(x, p, heads, n_valid)
-    h = ad.layer_norm(ad.add(x, attn), p.ln1_g, p.ln1_b)
+    """Multi-head attention + residual + feed-forward, post-norm, over
+    (..., n, d).  With ``query_rows`` only the first that many rows are
+    computed (every row still serves as a key and a value), so the output
+    is (..., query_rows, d)."""
+    mask = None
+    if n_valid is not None and n_valid < x.shape[-2]:
+        mask = np.zeros(x.shape[-2])
+        mask[n_valid:] = -1e30
+    qkv = (x, p.wq, p.bq, p.wk, p.bk)
+    attn = ad.attention(*qkv, p.wv, p.bv, p.wo, p.bo, heads, mask, query_rows)
+    xq = x if query_rows is None else ad.slice_rows(x, 0, query_rows)
+    h = ad.layer_norm(ad.add(xq, attn), p.ln1_g, p.ln1_b)
     f = ad.add(ad.matmul(ad.tanh(ad.add(ad.matmul(h, p.w1), p.b1)), p.w2), p.b2)
     out = ad.layer_norm(ad.add(h, f), p.ln2_g, p.ln2_b)
     if return_attention:
-        return out, weights
+        weights = ad.attention_weights(*qkv, heads, mask, query_rows)
+        return out, [Tensor(weights[..., i, :, :]) for i in range(heads)]
     return out
 
 

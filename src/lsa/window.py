@@ -2,7 +2,10 @@
 
 An aspect's feature is a d-vector summary of its local sentiment: hidden
 states are scaled by position weights derived from token-aspect distances,
-passed through a shared pre-head attention block, and head-pooled.  The
+passed through a shared pre-head attention block (``head.sa``), and
+head-pooled to row 0.  Only row 0 is computed; the other rows serve as keys
+and values.  In ``lsa_t``/``lsa_s`` one batched ``head.sa`` call gives the
+features of all of an example's aspects and its pooled global feature.  The
 window concatenates the k nearest left features, the target feature, and
 the k nearest right ones; missing neighbors are padded with copies of the
 target feature, never zeros.  Two learnable scalars re-weight the side
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -98,27 +102,18 @@ class OutputHead:
         yield "head.b_dec", self.b_dec
 
 
-def aspect_feature_local(
-    hc: Tensor,
-    distances,
-    alpha: float,
-    n: int,
-    sa: BlockParams,
-    heads: int,
-) -> Tensor:
-    """Position-weight the hidden states, activate, and head-pool to (1, d).
+def aspect_feature_local(hc: Tensor, weights: np.ndarray, sa: BlockParams, heads: int) -> Tensor:
+    """Row 0 of ``head.sa`` over the hidden states ``hc`` (n, d) scaled by
+    each column of position weights ``weights`` (A, n, 1): (A, 1, d).
 
-    ``distances`` covers every row of ``hc`` (markers included); the
-    weights are functions of integer positions only and carry no gradient.
+    The weights are functions of integer positions only and carry no
+    gradient.
     """
-    if len(distances) != hc.shape[0]:
+    if weights.ndim != 3 or weights.shape[1:] != (hc.shape[0], 1):
         raise ConfigError(
-            f"{len(distances)} distances for {hc.shape[0]} hidden rows"
+            f"position weights of shape {weights.shape} for {hc.shape[0]} hidden rows"
         )
-    weights = Tensor(position_weights(distances, alpha, n))
-    weighted = ad.mul(hc, weights)
-    activated = self_attention_block(weighted, sa, heads)
-    return ad.slice_rows(activated, 0, 1)
+    return self_attention_block(ad.mul(hc, Tensor(weights)), sa, heads, query_rows=1)
 
 
 def build_window(features: list[Tensor], target_index: int, k: int) -> AggregationWindow:
@@ -267,9 +262,11 @@ class Model:
         return {k: v for k, v in self.named_parameters().items() if not k.startswith("dwa.")}
 
     def eta_parameters(self) -> dict[str, Tensor]:
+        """The side weights the window uses (one in a one-sided window)."""
         if self.config.no_dwa:
             return {}
-        return dict(self.dwa.named())
+        unused = {"left": "dwa.eta_r", "right": "dwa.eta_l"}.get(self.config.sides)
+        return {name: t for name, t in self.dwa.named() if name != unused}
 
     def eta_values(self) -> tuple[float, float]:
         if self.config.frozen_eta is not None:
@@ -288,47 +285,32 @@ class Model:
             )
         return tokens
 
-    def _distances(self, example: Example, aspect_idx, tokens, trees) -> list[float]:
-        """One distance per context token, by variant; the leading marker
-        receives the maximal distance n and is excluded from the window."""
-        aspect = example.aspects[aspect_idx]
+    def _position_weights(self, example: Example, tokens, trees) -> np.ndarray:
+        """(A + 1, n + 1, 1): a column of position weights per aspect, from
+        the variant's token-aspect distances, then an all-ones column for
+        the pooled global feature.  The leading marker receives the maximal
+        distance n."""
         n = len(tokens)
-        positions = range(aspect.start, aspect.end)
+        distance = relative_token_distance
         if self.config.variant == "lsa_s":
             tree = (trees or {}).get(example.parse_ref)
             if tree is None:
                 self.syntax_fallbacks += 1
                 if self.syntax_fallbacks == 1:
                     logger.warning(
-                        "no parse for %r; falling back to positional distance",
-                        example.parse_ref,
+                        "no parse for example %r; falling back to positional distance",
+                        example.text[:40],
                     )
             else:
-                alignment = align_tokens_to_words(tokens, tree.forms)
-                return [float(n)] + [
-                    syntactic_distance(tree, alignment, i, positions)
-                    for i in range(n)
-                ]
-        return [float(n)] + [
-            relative_token_distance(i, positions) for i in range(n)
+                distance = partial(
+                    syntactic_distance, tree, align_tokens_to_words(tokens, tree.forms)
+                )
+        columns = [
+            position_weights([float(n)] + [distance(i, range(a.start, a.end)) for i in range(n)],
+                             self.config.alpha, n)
+            for a in example.aspects
         ]
-
-    def _feature(self, example, aspect_idx, tokens, hc, trees) -> Tensor:
-        cfg = self.config
-        if cfg.variant == "lsa_p":
-            aspect = example.aspects[aspect_idx]
-            ids = build_spc_input(tokens, list(aspect.term), self.vocab, cfg.max_len)
-            h = encode(ids, self.encoder)
-            act = self_attention_block(h, self.head.sa, cfg.heads)
-            return ad.slice_rows(act, 0, 1)
-        return aspect_feature_local(
-            hc,
-            self._distances(example, aspect_idx, tokens, trees),
-            cfg.alpha,
-            len(tokens),
-            self.head.sa,
-            cfg.heads,
-        )
+        return np.stack(columns + [np.ones((n + 1, 1))])
 
     def global_context(self, example: Example) -> Tensor:
         tokens = self._context_tokens(example)
@@ -341,20 +323,26 @@ class Model:
         if not example.aspects:
             return []
         tokens = self._context_tokens(example)
-        hc = pooled = None
-        if cfg.variant != "lsa_p":
+        if cfg.variant == "lsa_p":
+            pooled = None
+            spc = [build_spc_input(tokens, list(a.term), self.vocab, cfg.max_len)
+                   for a in example.aspects]
+            features = [
+                self_attention_block(encode(ids, self.encoder), self.head.sa, cfg.heads,
+                                     query_rows=1)
+                for ids in spc
+            ]
+        else:
             hc = self.global_context(example)
-            pooled = ad.slice_rows(
-                self_attention_block(hc, self.head.sa, cfg.heads), 0, 1
-            )
-        features = [] if cfg.backbone_only else [
-            self._feature(example, i, tokens, hc, trees) for i in range(len(example.aspects))
-        ]
+            weights = self._position_weights(example, tokens, trees)
+            stacked = aspect_feature_local(hc, weights, self.head.sa, cfg.heads)
+            features = [ad.gather_rows(stacked, i) for i in range(len(example.aspects) + 1)]
+            pooled = features.pop()
         dwa = None if cfg.no_dwa else self.dwa
         probs = []
         for t in range(len(example.aspects)):
             if cfg.backbone_only:  # each target sees only its own feature
-                window = build_window([self._feature(example, t, tokens, hc, trees)], 0, cfg.k)
+                window = build_window([features[t]], 0, cfg.k)
             else:
                 window = build_window(features, t, cfg.k)
             h_aw = apply_dwa(window, dwa, cfg.frozen_eta, sides=cfg.sides)

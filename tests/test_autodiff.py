@@ -304,14 +304,14 @@ def test_mul_broadcast_gradients():
     assert grad_check(lambda: ad.sum_all(ad.mul(h, w)), {"h": h, "w": w}) <= 1e-6
 
 
-def test_smul_and_transpose_gradients():
+def test_smul_gradients():
     rng = np.random.default_rng(7)
     x = ad.parameter(randn(rng, 3, 2))
-    build = lambda: ad.sum_all(ad.matmul(ad.transpose(x), ad.smul(x, 2.5)))
+    build = lambda: ad.sum_all(ad.mul(x, ad.smul(x, 2.5)))
     assert grad_check(build, {"x": x}) <= 1e-6
 
 
-def test_slice_rows_and_cols_route_gradients():
+def test_slice_rows_routes_gradients():
     rng = np.random.default_rng(8)
     x = ad.parameter(randn(rng, 4, 4))
     tape = ad.Tape()
@@ -322,17 +322,23 @@ def test_slice_rows_and_cols_route_gradients():
     expected[1:3] = 1.0
     assert np.array_equal(x.grad, expected)
 
-    x.grad = None
-    tape = ad.Tape()
-    with tape:
-        loss = ad.sum_all(ad.slice_cols(x, 0, 2))
-    tape.backward(loss)
-    expected = np.zeros((4, 4))
-    expected[:, 0:2] = 1.0
-    assert np.array_equal(x.grad, expected)
-
     with pytest.raises(ShapeError):
         ad.slice_rows(x, 3, 99)
+
+
+def test_slice_rows_slices_the_second_to_last_axis():
+    x = ad.parameter(np.arange(24.0).reshape(2, 3, 4))
+    tape = ad.Tape()
+    with tape:
+        out = ad.slice_rows(x, 0, 1)
+        loss = ad.sum_all(out)
+    tape.backward(loss)
+    assert np.array_equal(out.values, x.values[:, :1, :])
+    expected = np.zeros((2, 3, 4))
+    expected[:, 0, :] = 1.0
+    assert np.array_equal(x.grad, expected)
+    with pytest.raises(ShapeError):
+        ad.slice_rows(x, 0, 4)
 
 
 def test_gather_rows_accumulates_duplicate_indices():
@@ -344,6 +350,20 @@ def test_gather_rows_accumulates_duplicate_indices():
     assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
     with pytest.raises(ShapeError):
         ad.gather_rows(table, [5])
+
+
+def test_gather_rows_integer_takes_one_entry_of_a_stack():
+    stack = ad.parameter(np.arange(12.0).reshape(3, 1, 4))
+    tape = ad.Tape()
+    with tape:
+        out = ad.gather_rows(stack, 1)
+        loss = ad.sum_all(out)
+    tape.backward(loss)
+    assert out.shape == (1, 4)
+    assert np.array_equal(out.values, stack.values[1])
+    expected = np.zeros((3, 1, 4))
+    expected[1] = 1.0
+    assert np.array_equal(stack.grad, expected)
 
 
 def test_tanh_gradient():
@@ -379,6 +399,162 @@ def test_sum_all_gradient_is_ones():
 
 
 # ---------------------------------------------------------------------------
+# leading batch axes
+
+
+def test_matmul_leading_axis_gradients():
+    rng = np.random.default_rng(12)
+    a = ad.parameter(randn(rng, 2, 3, 4))
+    b = ad.parameter(randn(rng, 4, 2))
+    r = ad.tensor(randn(rng, 2, 3, 2))
+    build = lambda: ad.sum_all(ad.mul(ad.matmul(a, b), r))
+    assert grad_check(build, {"a": a, "b": b}) <= 1e-6
+
+
+def test_matmul_leading_axis_equals_per_slice():
+    rng = np.random.default_rng(13)
+    a = ad.tensor(randn(rng, 3, 2, 4))
+    b = ad.tensor(randn(rng, 4, 5))
+    out = ad.matmul(a, b)
+    for i in range(3):
+        assert np.array_equal(out.values[i], ad.matmul(ad.tensor(a.values[i]), b).values)
+    with pytest.raises(ShapeError):
+        ad.matmul(b, a)
+
+
+def test_layer_norm_leading_axis_gradients():
+    rng = np.random.default_rng(14)
+    x = ad.parameter(randn(rng, 2, 3, 5))
+    g = ad.parameter(np.ones(5) + 0.1 * randn(rng, 5))
+    b = ad.parameter(0.1 * randn(rng, 5))
+    build = lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), x))
+    assert grad_check(build, {"x": x, "g": g, "b": b}) <= 1e-5
+
+
+def test_slice_rows_leading_axis_gradients():
+    rng = np.random.default_rng(15)
+    x = ad.parameter(randn(rng, 2, 4, 3))
+    r = ad.tensor(randn(rng, 2, 2, 3))
+    build = lambda: ad.sum_all(ad.mul(ad.slice_rows(x, 1, 3), r))
+    assert grad_check(build, {"x": x}) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+ATTENTION_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def attention_params(rng, d):
+    return {
+        name: ad.parameter(randn(rng, d, d) if name[0] == "w" else 0.3 * randn(rng, d))
+        for name in ATTENTION_PARAMS
+    }
+
+
+def reference_attention(x, params, heads, mask=None, query_rows=None):
+    """One head at a time, on a single (n, d) input."""
+    v = {name: t.values for name, t in params.items()}
+    n, d = x.shape
+    dh = d // heads
+    rows = n if query_rows is None else query_rows
+    q = x[:rows] @ v["wq"] + v["bq"]
+    k = x @ v["wk"] + v["bk"]
+    val = x @ v["wv"] + v["bv"]
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append((e / e.sum(axis=1, keepdims=True)) @ val[:, cols])
+    return np.concatenate(outs, axis=1) @ v["wo"] + v["bo"]
+
+
+def padding_mask(n, n_valid):
+    mask = np.zeros(n)
+    mask[n_valid:] = -1e30
+    return mask
+
+
+ATTENTION_CASES = {
+    "full_rows": dict(shape=(4, 8), heads=2),
+    "query_rows_1": dict(shape=(4, 8), heads=2, query_rows=1),
+    "n_valid_mask": dict(shape=(5, 8), heads=2, n_valid=3),
+    "leading_axis": dict(shape=(3, 4, 8), heads=2, query_rows=1),
+    "heads_1": dict(shape=(4, 8), heads=1),
+    "heads_4": dict(shape=(2, 4, 8), heads=4),
+}
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention_gradients_match_fd(case):
+    spec = ATTENTION_CASES[case]
+    rng = np.random.default_rng(16)
+    x = ad.parameter(randn(rng, *spec["shape"]))
+    params = attention_params(rng, spec["shape"][-1])
+    mask = padding_mask(spec["shape"][-2], spec["n_valid"]) if "n_valid" in spec else None
+    query_rows = spec.get("query_rows")
+    rows = spec["shape"][-2] if query_rows is None else query_rows
+    readout = ad.tensor(randn(rng, *spec["shape"][:-2], rows, spec["shape"][-1]))
+
+    def build():
+        out = ad.attention(
+            x, *params.values(), spec["heads"], mask=mask, query_rows=query_rows
+        )
+        return ad.sum_all(ad.mul(out, readout))
+
+    assert grad_check(build, {"x": x, **params}) <= 1e-6
+
+
+@pytest.mark.parametrize("case", list(ATTENTION_CASES))
+def test_attention_matches_per_head_reference(case):
+    spec = ATTENTION_CASES[case]
+    rng = np.random.default_rng(17)
+    x = randn(rng, *spec["shape"])
+    params = attention_params(rng, spec["shape"][-1])
+    mask = padding_mask(spec["shape"][-2], spec["n_valid"]) if "n_valid" in spec else None
+    query_rows = spec.get("query_rows")
+    out = ad.attention(
+        ad.tensor(x), *params.values(), spec["heads"], mask=mask, query_rows=query_rows
+    ).values
+    for index in np.ndindex(*spec["shape"][:-2]):
+        expected = reference_attention(x[index], params, spec["heads"], mask, query_rows)
+        assert np.max(np.abs(out[index] - expected)) <= 1e-12
+
+
+def test_attention_query_rows_are_rows_of_the_full_output():
+    rng = np.random.default_rng(18)
+    x = ad.tensor(randn(rng, 5, 8))
+    params = attention_params(rng, 8).values()
+    full = ad.attention(x, *params, 2)
+    first = ad.attention(x, *params, 2, query_rows=2)
+    assert first.shape == (2, 8)
+    assert np.max(np.abs(first.values - full.values[:2])) <= 1e-12
+
+
+def test_attention_is_one_tape_node():
+    rng = np.random.default_rng(19)
+    x = ad.tensor(randn(rng, 3, 5, 8))
+    params = attention_params(rng, 8).values()
+    tape = ad.Tape()
+    with tape:
+        ad.attention(x, *params, 4)
+    assert len(tape) == 1
+
+
+def test_attention_shape_errors():
+    rng = np.random.default_rng(20)
+    params = attention_params(rng, 8).values()
+    with pytest.raises(ShapeError):
+        ad.attention(ad.tensor(randn(rng, 4, 8)), *params, 3)
+    with pytest.raises(ShapeError):
+        ad.attention(ad.tensor(randn(rng, 4, 8)), *params, 2, query_rows=5)
+
+
+# ---------------------------------------------------------------------------
 # finite differences oracle
 
 
@@ -410,11 +586,17 @@ def test_operations_do_not_mutate_inputs(seed):
     ad.matmul(a, b)
     ad.softmax(a)
     ad.tanh(a)
-    ad.transpose(a)
     ad.concat([a, b], axis=0)
     ad.slice_rows(a, 0, 2)
+    bias = ad.tensor(randn(rng, 3))
+    snap_bias = bias.values.copy()
+    tape = ad.Tape()
+    with tape:  # the backward pass must not write into its inputs either
+        loss = ad.sum_all(ad.attention(a, b, bias, b, bias, b, bias, b, bias, 3, query_rows=2))
+    tape.backward(loss)
     assert np.array_equal(a.values, snap_a)
     assert np.array_equal(b.values, snap_b)
+    assert np.array_equal(bias.values, snap_bias)
 
 
 def test_debug_checks_catch_nonfinite_output():

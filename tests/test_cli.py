@@ -134,6 +134,16 @@ def test_train_flag_routing_no_dwa(corpus, tmp_path):
     assert manifest["args"]["no_dwa"] is True
 
 
+@pytest.mark.parametrize("flag, unused", [("--la-only", 2), ("--ra-only", 1)])
+def test_one_sided_window_trains_and_leaves_the_other_eta_at_one(flag, unused, corpus, tmp_path):
+    out = tmp_path / "onesided"
+    assert run(train_args(corpus, out, extra=[flag])) == 0
+    rows = [r.split(",") for r in (out / "eta_trajectory.csv").read_text().splitlines()[1:]]
+    assert len(rows) > 1
+    assert all(r[unused] == "1.0" for r in rows)
+    assert rows[-1][3 - unused] != "1.0"
+
+
 def test_eval_command_and_slices(corpus, tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert run(train_args(corpus, run_dir)) == 0
@@ -179,6 +189,20 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
         argv = ["train", "--config", cfg, "--out", out]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("usage error")
+
+
+@pytest.mark.parametrize("case", ["config", "spec", "manifest", "checkpoint"])
+def test_missing_file_is_data_error(case, corpus, tmp_path, capsys):
+    missing = tmp_path / "nope"
+    out = tmp_path / "out"
+    argv = {
+        "config": ["train", "--config", missing, "--out", out],
+        "spec": ["synth", "--spec", missing, "--seed", "1", "--out", out],
+        "manifest": ["replay", missing, "--out", out],
+        "checkpoint": ["eval", "--checkpoint", missing, "--dataset", corpus["test"]],
+    }[case]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("data error")
 
 
 def test_eval_bad_checkpoint_is_data_error(corpus, tmp_path):

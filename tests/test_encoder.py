@@ -160,7 +160,9 @@ def test_attention_rows_sum_to_one():
     _, weights = self_attention_block(
         x, params.blocks[0], params.heads, return_attention=True
     )
+    assert len(weights) == params.heads
     for att in weights:
+        assert att.shape == (5, 5)
         sums = att.values.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
@@ -171,6 +173,7 @@ def test_single_position_attention_is_identity_mixing():
     _, weights = self_attention_block(
         x, params.blocks[0], params.heads, return_attention=True
     )
+    assert len(weights) == params.heads
     for att in weights:
         assert att.values.tolist() == [[1.0]]
 
@@ -184,6 +187,18 @@ def test_block_commutes_with_position_permutation():
     out = self_attention_block(ad.tensor(x), params.blocks[0], params.heads)
     out_perm = self_attention_block(ad.tensor(x[perm]), params.blocks[0], params.heads)
     assert np.max(np.abs(out.values[perm] - out_perm.values)) <= 1e-12
+
+
+def test_query_rows_compute_leading_rows_of_the_block():
+    params = make_encoder()
+    x = ad.tensor(np.random.default_rng(6).normal(size=(2, 5, 16)))
+    full = self_attention_block(x, params.blocks[0], params.heads)
+    row0, weights = self_attention_block(
+        x, params.blocks[0], params.heads, return_attention=True, query_rows=1
+    )
+    assert row0.shape == (2, 1, 16)
+    assert np.max(np.abs(row0.values - full.values[:, :1])) <= 1e-12
+    assert [att.shape for att in weights] == [(2, 1, 5)] * params.heads
 
 
 def test_padding_mask_shields_prefix_outputs():

@@ -97,7 +97,7 @@ def test_aspect_feature_length_mismatch():
     model = tiny_model()
     hc = ad.tensor(np.zeros((4, 16)))
     with pytest.raises(ConfigError):
-        aspect_feature_local(hc, [0.0] * 3, 3.0, 4, model.head.sa, 2)
+        aspect_feature_local(hc, np.ones((2, 3, 1)), model.head.sa, 2)
 
 
 def test_position_weights_carry_no_gradient():
@@ -274,25 +274,62 @@ def test_argmax_invariant_under_logit_shift():
 
 def test_mono_aspect_output_equals_reference_path_bitwise():
     from lsa.encoder import self_attention_block
+    from lsa.window import position_weights
 
     model = tiny_model()
     ex = coherent_example(1)
     probs = model.forward_example(ex)[0]
 
-    # reference path: construct the tripled window directly
+    # reference path: one unbatched head.sa call for the aspect feature and
+    # one for the pooled feature, then the tripled window built directly
+    sa, heads = model.head.sa, model.config.heads
     hc = model.global_context(ex)
-    dists = model._distances(ex, 0, ex.tokens, None)
-    feat = aspect_feature_local(
-        hc, dists, model.config.alpha, len(ex.tokens), model.head.sa, model.config.heads
-    )
+    n = len(ex.tokens)
+    dists = [float(n)] + [float(abs(i - ex.aspects[0].start)) for i in range(n)]
+    weighted = ad.mul(hc, ad.tensor(position_weights(dists, model.config.alpha, n)))
+    feat = self_attention_block(weighted, sa, heads, query_rows=1)
     window = build_window([feat], 0, k=1)
     h_aw = apply_dwa(window, model.dwa)
     h_o = project_window(h_aw, model.head)
-    pooled = ad.slice_rows(
-        self_attention_block(hc, model.head.sa, model.config.heads), 0, 1
-    )
+    pooled = self_attention_block(hc, sa, heads, query_rows=1)
     ref = classify(h_o, pooled, model.head)
     assert np.array_equal(probs.values, ref.values)
+
+
+def test_stacked_features_equal_one_head_sa_call_per_column():
+    from lsa.encoder import self_attention_block
+
+    model = tiny_model()
+    ex = coherent_example(3)
+    hc = model.global_context(ex)
+    weights = model._position_weights(ex, ex.tokens, None)
+    assert weights.shape == (4, len(ex.tokens) + 1, 1)
+    assert np.array_equal(weights[-1], np.ones((len(ex.tokens) + 1, 1)))
+    stacked = aspect_feature_local(hc, weights, model.head.sa, model.config.heads)
+    assert stacked.shape == (4, 1, model.config.d_model)
+    for a in range(4):
+        single = self_attention_block(
+            ad.mul(hc, ad.tensor(weights[a])), model.head.sa, model.config.heads,
+            query_rows=1,
+        )
+        assert np.array_equal(stacked.values[a], single.values)
+
+
+def test_one_head_sa_call_per_example(monkeypatch):
+    import lsa.window
+
+    calls = []
+    original = lsa.window.self_attention_block
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lsa.window, "self_attention_block", counted)
+    model = tiny_model()
+    probs = model.forward_example(coherent_example(3))
+    assert len(probs) == 3
+    assert len(calls) == 1 and calls[0][0] == 4  # three aspects + pooled
 
 
 def test_backbone_only_is_mono_aspect_path_for_every_example():
@@ -352,6 +389,50 @@ def test_lsa_s_uses_tree_and_falls_back_without_parse():
     assert with_tree[0].shape == without[0].shape
 
 
+def test_lsa_s_aligns_once_per_example(monkeypatch):
+    import lsa.window
+    from lsa.distance import DependencyTree
+
+    calls = []
+    original = lsa.window.align_tokens_to_words
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lsa.window, "align_tokens_to_words", counted)
+    model = tiny_model(variant="lsa_s")
+    ex = coherent_example(3)
+    tree = DependencyTree(tuple(ex.tokens), (0,) + (1,) * (len(ex.tokens) - 1))
+    ex.parse_ref = "p1"
+    assert len(model.forward_example(ex, {"p1": tree})) == 3
+    assert len(calls) == 1
+    assert model.syntax_fallbacks == 0
+
+
+def test_lsa_s_fallback_warning_names_the_example(caplog):
+    model = tiny_model(variant="lsa_s")
+    ex = coherent_example(2)
+    with caplog.at_level("WARNING", logger="lsa.window"):
+        model.forward_example(ex, None)
+    assert model.syntax_fallbacks == 1
+    assert "None" not in caplog.text
+    assert repr(ex.text[:40]) in caplog.text
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ({}, ["dwa.eta_l", "dwa.eta_r"]),
+        ({"la_only": True}, ["dwa.eta_l"]),
+        ({"ra_only": True}, ["dwa.eta_r"]),
+        ({"no_dwa": True}, []),
+    ],
+)
+def test_eta_parameters_are_the_sides_the_window_uses(flags, expected):
+    assert sorted(tiny_model(**flags).eta_parameters()) == expected
+
+
 def test_model_config_rejects_contradictory_ablations():
     with pytest.raises(ConfigError):
         ModelConfig(la_only=True, ra_only=True).validate()
@@ -365,12 +446,8 @@ def test_position_weight_never_increases_row_norm():
     model = tiny_model()
     ex = coherent_example(2)
     hc = model.global_context(ex)
-    tokens = ex.tokens
-    dists = model._distances(ex, 0, tokens, None)
-    from lsa.window import position_weights
-
-    w = position_weights(dists, model.config.alpha, len(tokens))
+    w = model._position_weights(ex, ex.tokens, None)
     weighted = hc.values * w
-    norms_before = np.linalg.norm(hc.values, axis=1)
-    norms_after = np.linalg.norm(weighted, axis=1)
+    norms_before = np.linalg.norm(hc.values, axis=-1)
+    norms_after = np.linalg.norm(weighted, axis=-1)
     assert np.all(norms_after <= norms_before + 1e-15)
