@@ -8,7 +8,6 @@ finite-difference estimator is included as the gradient oracle.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ __all__ = [
     "concat",
     "slice_rows",
     "gather_rows",
-    "scale",
+    "reshape",
     "tanh",
     "softmax",
     "layer_norm",
@@ -248,19 +247,27 @@ def smul(t: Tensor, c: float) -> Tensor:
     return _record(out, (t,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., n, k) @ (k, m): leading axes of ``a`` are a batch."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """(..., n, k) @ (k, m), plus a (m,) ``bias`` row if given: leading
+    axes of ``a`` are a batch.  The bias is part of the one node, so an
+    affine map stores one output array, not two."""
     if a.values.ndim < 2 or b.values.ndim != 2:
         raise ShapeError(f"matmul needs (..., n, k) and (k, m), got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    out = Tensor(a.values @ b.values)
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ShapeError(f"matmul: bias {bias.shape} for output width {b.shape[1]}")
+    out_values = a.values @ b.values
+    if bias is not None:
+        out_values += bias.values
+    out = Tensor(out_values)
     av, bv = a.values, b.values
 
     def backward(g):
-        return g @ bv.T, _flat(av).T @ _flat(g)
+        grads = (g @ bv.T, _flat(av).T @ _flat(g))
+        return grads if bias is None else (*grads, _flat(g).sum(axis=0))
 
-    return _record(out, (a, b), backward)
+    return _record(out, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -306,8 +313,9 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(t: Tensor, indices) -> Tensor:
-    """Lookup along axis 0: embedding rows for an index array, one entry
-    of a stack for an integer.  Backward scatter-adds into the table."""
+    """Lookup along axis 0: (*indices.shape, *t.shape[1:]) for an index
+    array of any shape, one entry of a stack for an integer.  Backward
+    scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.int64)
     if t.values.ndim < 2:
         raise ShapeError(f"gather_rows needs a table of 2 or more axes, got {t.shape}")
@@ -324,18 +332,18 @@ def gather_rows(t: Tensor, indices) -> Tensor:
     return _record(out, (t,), backward)
 
 
-def scale(t: Tensor, s: Tensor) -> Tensor:
-    """Scale every element of ``t`` by the scalar tensor ``s`` (shape [1])."""
-    if s.values.shape != (1,):
-        raise ShapeError(f"scale expects a [1]-shaped scalar, got {s.shape}")
-    sv = s.values[0]
-    out = Tensor(t.values * sv)
-    tv = t.values
+def reshape(t: Tensor, shape) -> Tensor:
+    """The same values in another shape (numpy ``reshape`` rules)."""
+    try:
+        out = Tensor(t.values.reshape(shape))
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {t.shape} to {shape}")
+    in_shape = t.shape
 
     def backward(g):
-        return g * sv, np.array([float(np.sum(g * tv))])
+        return (g.reshape(in_shape),)
 
-    return _record(out, (t, s), backward)
+    return _record(out, (t,), backward)
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -479,19 +487,30 @@ def sum_all(t: Tensor) -> Tensor:
     return _record(out, (t,), backward)
 
 
-def cross_entropy(probs: Tensor, gold: int) -> Tensor:
-    """Negative log-likelihood of class ``gold``; probabilities clamped at 1e-12."""
-    p = probs.values.reshape(-1)
-    if not (0 <= gold < p.size):
-        raise ShapeError(f"gold class {gold} out of range [0, {p.size})")
-    clamped = max(p[gold], LOG_CLAMP)
-    out = Tensor(np.array([-math.log(clamped)]))
+def cross_entropy(probs: Tensor, gold) -> Tensor:
+    """Summed negative log-likelihood of the gold classes, shape [1].
+
+    ``probs`` is (..., C); ``gold`` holds one class index per row of it (an
+    int for a single row).  Probabilities are clamped at 1e-12, and a row
+    whose gold probability is clamped passes no gradient.
+    """
+    c = probs.shape[-1]
+    p = probs.values.reshape(-1, c)
+    gold = np.asarray(gold, dtype=np.int64).reshape(-1)
+    if gold.size != p.shape[0]:
+        raise ShapeError(f"{gold.size} gold classes for {p.shape[0]} probability rows")
+    bad = (gold < 0) | (gold >= c)
+    if bad.any():
+        raise ShapeError(f"gold class {gold[bad][0]} out of range [0, {c})")
+    rows = np.arange(gold.size)
+    picked = p[rows, gold]
+    clamped = np.maximum(picked, LOG_CLAMP)
+    out = Tensor(np.array([-np.log(clamped).sum()]))
     shape = probs.shape
 
     def backward(g):
-        full = np.zeros(p.size)
-        if p[gold] >= LOG_CLAMP:
-            full[gold] = -g[0] / clamped
+        full = np.zeros_like(p)
+        full[rows, gold] = np.where(picked >= LOG_CLAMP, -g[0] / clamped, 0.0)
         return (full.reshape(shape),)
 
     return _record(out, (probs,), backward)

@@ -1,11 +1,18 @@
 """Token-aspect distances: positional (mean absolute offset) and
 dependency-tree shortest path, plus CoNLL-U ingestion and token/word
-alignment.  All functions are pure; parsing itself is out of scope."""
+alignment.  All functions are pure; parsing itself is out of scope.
+
+Both distances take one token position or an array of them, so that a
+whole sentence's distances to an aspect come from one call.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import DataError
 
@@ -52,6 +59,25 @@ class DependencyTree:
             chain.append(self.heads[chain[-1]] - 1)
         return chain
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(W, W) edges on the tree path between every two words, computed
+        once per tree: depth(i) + depth(j) - 2 depth(lowest common ancestor)."""
+        n = self.word_count
+        parent = np.array(self.heads) - 1
+        parent[parent < 0] = np.flatnonzero(parent < 0)  # the root is its own parent
+        ancestors = np.eye(n)  # [i, j]: 1 where j is i or above i
+        rows, node = np.arange(n), np.arange(n)
+        while True:  # every word climbs one level per step
+            above = parent[node]
+            if np.array_equal(above, node):
+                break
+            ancestors[rows, above] = 1.0
+            node = above
+        depth = ancestors.sum(axis=1) - 1
+        common_depth = ancestors @ ancestors.T - 1  # exact: small integers
+        return (depth[:, None] + depth[None, :] - 2 * common_depth).astype(np.int64)
+
 
 def tree_shortest_distance(tree: DependencyTree, word_i: int, word_j: int) -> int:
     """Edges on the unique tree path between two words (0-based indices)."""
@@ -68,13 +94,14 @@ def tree_shortest_distance(tree: DependencyTree, word_i: int, word_j: int) -> in
     raise DataError("disconnected tree")  # unreachable on a validated tree
 
 
-def relative_token_distance(token_pos: int, aspect_positions) -> float:
-    """Mean absolute offset between a token position and the aspect's
-    token positions."""
-    positions = list(aspect_positions)
-    if not positions:
+def relative_token_distance(token_pos, aspect_positions):
+    """Mean absolute offset between a token position (or each of an array
+    of them) and the aspect's token positions."""
+    positions = np.asarray(list(aspect_positions), dtype=np.int64)
+    if not positions.size:
         raise ValueError("aspect has no positions")
-    return sum(abs(token_pos - p) for p in positions) / len(positions)
+    offsets = np.subtract.outer(np.asarray(token_pos, dtype=np.int64), positions)
+    return np.abs(offsets).sum(axis=-1) / positions.size
 
 
 @dataclass(frozen=True)
@@ -83,13 +110,16 @@ class TokenAlignment:
 
     token_to_word: tuple[int, ...]
 
-    def word_of(self, token_index: int) -> int:
-        if not (0 <= token_index < len(self.token_to_word)):
+    def word_of(self, token_index):
+        """The word of a token, or of each of an array of tokens."""
+        index = np.asarray(token_index, dtype=np.int64)
+        uncovered = (index < 0) | (index >= len(self.token_to_word))
+        if uncovered.any():
             raise DataError(
-                f"token {token_index} is not covered by the alignment "
+                f"token {index[uncovered].flat[0]} is not covered by the alignment "
                 f"({len(self.token_to_word)} tokens mapped)"
             )
-        return self.token_to_word[token_index]
+        return np.asarray(self.token_to_word, dtype=np.int64)[index]
 
 
 def align_tokens_to_words(tokens, words) -> TokenAlignment:
@@ -117,18 +147,17 @@ def align_tokens_to_words(tokens, words) -> TokenAlignment:
 def syntactic_distance(
     tree: DependencyTree,
     alignment: TokenAlignment,
-    token_i: int,
+    token_i,
     aspect_tokens,
-) -> float:
-    """Mean tree distance between a token's word and each aspect token's word."""
+):
+    """Mean tree distance between a token's word (or that of each of an
+    array of tokens) and each aspect token's word."""
     aspect_tokens = list(aspect_tokens)
     if not aspect_tokens:
         raise ValueError("aspect has no tokens")
-    wi = alignment.word_of(token_i)
-    total = sum(
-        tree_shortest_distance(tree, wi, alignment.word_of(tj)) for tj in aspect_tokens
-    )
-    return total / len(aspect_tokens)
+    words = alignment.word_of(token_i)
+    aspect_words = alignment.word_of(aspect_tokens)
+    return tree.distances[words[..., None], aspect_words].sum(axis=-1) / len(aspect_tokens)
 
 
 def load_parses(path) -> dict[str, DependencyTree]:

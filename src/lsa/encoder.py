@@ -3,6 +3,12 @@
 The encoder is deliberately tiny: token + learned positional embeddings
 through a stack of post-norm attention blocks.  It stands in for a large
 pretrained model so that end-to-end gradient checks stay exhaustive.
+
+A batch of sequences of different lengths is encoded in one call: the ids
+are padded to the longest sequence, and a per-row key mask keeps each
+row's attention on its own real positions.  A row's real hidden states are
+then those it gets when encoded alone, and as long as no caller reads the
+padded positions, no gradient reaches them.
 """
 
 from __future__ import annotations
@@ -172,23 +178,24 @@ def self_attention_block(
     x: Tensor,
     p: BlockParams,
     heads: int,
-    n_valid: int | None = None,
+    valid: np.ndarray | None = None,
     return_attention: bool = False,
     query_rows: int | None = None,
 ):
     """Multi-head attention + residual + feed-forward, post-norm, over
-    (..., n, d).  With ``query_rows`` only the first that many rows are
-    computed (every row still serves as a key and a value), so the output
-    is (..., query_rows, d)."""
+    (..., n, d).  ``valid`` is a (..., n) boolean key mask: a row attends
+    only to the positions it marks True, so padding neither changes the
+    other rows nor receives a gradient through attention.  With
+    ``query_rows`` only the first that many rows are computed (every row
+    still serves as a key and a value), so the output is (..., query_rows, d)."""
     mask = None
-    if n_valid is not None and n_valid < x.shape[-2]:
-        mask = np.zeros(x.shape[-2])
-        mask[n_valid:] = -1e30
+    if valid is not None and not valid.all():
+        mask = np.where(valid, 0.0, -1e30)[..., None, None, :]
     qkv = (x, p.wq, p.bq, p.wk, p.bk)
     attn = ad.attention(*qkv, p.wv, p.bv, p.wo, p.bo, heads, mask, query_rows)
     xq = x if query_rows is None else ad.slice_rows(x, 0, query_rows)
     h = ad.layer_norm(ad.add(xq, attn), p.ln1_g, p.ln1_b)
-    f = ad.add(ad.matmul(ad.tanh(ad.add(ad.matmul(h, p.w1), p.b1)), p.w2), p.b2)
+    f = ad.matmul(ad.tanh(ad.matmul(h, p.w1, p.b1)), p.w2, p.b2)
     out = ad.layer_norm(ad.add(h, f), p.ln2_g, p.ln2_b)
     if return_attention:
         weights = ad.attention_weights(*qkv, heads, mask, query_rows)
@@ -196,10 +203,12 @@ def self_attention_block(
     return out
 
 
-def encode(ids, params: EncoderParams, n_valid: int | None = None) -> Tensor:
-    """Hidden states (len(ids), d) for a token id sequence."""
+def encode(ids, params: EncoderParams, valid: np.ndarray | None = None) -> Tensor:
+    """Hidden states (..., n, d) of token id sequences (..., n).  In a
+    padded batch, ``valid`` (..., n) marks each row's real positions; the
+    hidden states at padded positions are meaningless."""
     ids = np.asarray(ids, dtype=np.int64)
-    n = len(ids)
+    n = ids.shape[-1] if ids.ndim else 0
     if n == 0:
         raise ConfigError("cannot encode an empty sequence")
     if n > params.max_len:
@@ -209,7 +218,7 @@ def encode(ids, params: EncoderParams, n_valid: int | None = None) -> Tensor:
         ad.slice_rows(params.positional, 0, n),
     )
     for blk in params.blocks:
-        x = self_attention_block(x, blk, params.heads, n_valid=n_valid)
+        x = self_attention_block(x, blk, params.heads, valid=valid)
     return x
 
 

@@ -47,12 +47,15 @@ def field_parser(f: Field):
     return parse
 
 
+BATCH_PAIRS = 16  # the default training batch, and evaluate()'s forward group
+
+
 @dataclass
 class TrainConfig(ModelConfig):
     """The model's settings (inherited from ``ModelConfig``) plus those of
     the optimizer, the schedule and the data."""
 
-    batch: int = 16
+    batch: int = BATCH_PAIRS
     encoder_lr: float = 1e-3
     eta_lr: float = 0.01
     lambda_reg: float = 1e-5
@@ -152,29 +155,42 @@ def compute_metrics(golds, preds) -> Metrics:
 
 
 def total_loss(
-    probs: list[Tensor],
-    golds: list[int],
+    probs: Tensor,
+    golds,
     main_params: dict[str, Tensor],
     eta_values: tuple[float, float],
     lambda_reg: float,
     lambda_eta: float,
 ) -> Tensor:
-    """Cross-entropy summed over the batch plus both L2 terms.
+    """Cross-entropy summed over the batch's probability rows (pairs, C)
+    and gold classes (pairs,), plus both L2 terms.
 
     The regularizers enter the reported value (recomputed from current
     parameter values every step); their gradient path is the optimizer's
     decoupled weight decay, so only the cross-entropy part backpropagates.
     """
-    if not probs:
+    if not len(golds):
         raise ValueError("empty batch")
-    total = ad.cross_entropy(probs[0], golds[0])
-    for p, g in zip(probs[1:], golds[1:]):
-        total = ad.add(total, ad.cross_entropy(p, g))
+    total = ad.cross_entropy(probs, golds)
     reg = lambda_reg * sum(
         float(np.sum(t.values * t.values)) for t in main_params.values()
     )
     reg += lambda_eta * (eta_values[0] ** 2 + eta_values[1] ** 2)
     return ad.add(total, Tensor(np.array([reg])))
+
+
+def pair_batches(examples, pairs: int):
+    """Consecutive groups of whole examples, each closed as soon as it
+    holds at least ``pairs`` (example, aspect) pairs."""
+    group, n_pairs = [], 0
+    for example in examples:
+        group.append(example)
+        n_pairs += len(example.aspects)
+        if n_pairs >= pairs:
+            yield group
+            group, n_pairs = [], 0
+    if group:
+        yield group
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +218,23 @@ def _pair_in_slice(example, aspect_idx, slice_: str | None) -> bool:
 def evaluate(
     model: Model, dataset: Dataset, trees=None, slice_: str | None = None
 ) -> Metrics:
-    """Metrics over (example, aspect) pairs, optionally filtered to a slice."""
-    golds, preds = [], []
-    for example in dataset.examples:
-        wanted = [
-            j
-            for j in range(len(example.aspects))
-            if _pair_in_slice(example, j, slice_)
-        ]
-        if not wanted:
-            continue
-        probs = model.forward_example(example, trees)
-        for j in wanted:
-            golds.append(example.aspects[j].polarity.index)
-            preds.append(int(np.argmax(probs[j].values)))
-    if not golds:
+    """Metrics over (example, aspect) pairs, optionally filtered to a slice.
+    The examples with a pair in the slice are forwarded in groups of
+    ``BATCH_PAIRS`` pairs."""
+    wanted = [
+        [_pair_in_slice(example, j, slice_) for j in range(len(example.aspects))]
+        for example in dataset.examples
+    ]
+    examples = [ex for ex, keep in zip(dataset.examples, wanted) if any(keep)]
+    keep = np.array([k for mask in wanted if any(mask) for k in mask], dtype=bool)
+    if not keep.any():
         raise DataError(f"slice {slice_!r} selects no pairs")
-    return compute_metrics(golds, preds)
+    preds = np.concatenate([
+        np.argmax(model.forward(group, trees).values, axis=1)
+        for group in pair_batches(examples, BATCH_PAIRS)
+    ])
+    golds = [a.polarity.index for ex in examples for a in ex.aspects]
+    return compute_metrics(np.array(golds)[keep].tolist(), preds[keep].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +305,11 @@ def train(config: TrainConfig) -> TrainResult:
         perm = rng.permutation(len(train_examples))
         epoch_golds, epoch_preds = [], []
         loss_sum, pair_count = 0.0, 0
-        cursor = 0
-        while cursor < len(perm):
-            group, n_pairs = [], 0
-            while cursor < len(perm) and n_pairs < config.batch:
-                ex = train_examples[perm[cursor]]
-                group.append(ex)
-                n_pairs += len(ex.aspects)
-                cursor += 1
+        for group in pair_batches([train_examples[i] for i in perm], config.batch):
+            golds = np.array([a.polarity.index for ex in group for a in ex.aspects])
             tape = ad.Tape()
             with tape:
-                probs, golds = [], []
-                for ex in group:
-                    for j, p in enumerate(model.forward_example(ex, trees)):
-                        probs.append(p)
-                        golds.append(ex.aspects[j].polarity.index)
-                        epoch_golds.append(golds[-1])
-                        epoch_preds.append(int(np.argmax(p.values)))
+                probs = model.forward(group, trees)
                 loss = total_loss(
                     probs,
                     golds,
@@ -323,6 +327,8 @@ def train(config: TrainConfig) -> TrainResult:
             trajectory.append((step, *model.eta_values()))
             loss_sum += float(loss.values[0])
             pair_count += len(golds)
+            epoch_golds.extend(golds.tolist())
+            epoch_preds.extend(np.argmax(probs.values, axis=1).tolist())
 
         epoch_losses.append(loss_sum / max(1, pair_count))
         train_metrics = compute_metrics(epoch_golds, epoch_preds)

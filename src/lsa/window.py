@@ -4,12 +4,21 @@ An aspect's feature is a d-vector summary of its local sentiment: hidden
 states are scaled by position weights derived from token-aspect distances,
 passed through a shared pre-head attention block (``head.sa``), and
 head-pooled to row 0.  Only row 0 is computed; the other rows serve as keys
-and values.  In ``lsa_t``/``lsa_s`` one batched ``head.sa`` call gives the
-features of all of an example's aspects and its pooled global feature.  The
-window concatenates the k nearest left features, the target feature, and
-the k nearest right ones; missing neighbors are padded with copies of the
-target feature, never zeros.  Two learnable scalars re-weight the side
-slots and are optimized by gradient descent from an initial value of 1.
+and values.  The window sets the k nearest left features, the target
+feature and the k nearest right ones side by side; missing neighbors are
+padded with copies of the target feature, never zeros.  Two learnable
+scalars re-weight the side slots and are optimized by gradient descent
+from an initial value of 1.
+
+``Model.forward`` runs a whole batch as one tensor forward.  The host work
+of each example (token ids, SPC inputs, position weights, parse alignment)
+is done once per example by ``Model.forward_example``.  Then one padded
+encoder call covers every sequence of the batch, and one ``head.sa`` call
+gives every feature row: in ``lsa_t``/``lsa_s`` one row per aspect plus one
+pooled row per example, in ``lsa_p`` one per SPC input.  ``build_window``
+turns the rows into a (pairs, slots) index array that never leaves an
+example, and the DWA scaling, the projection, the classifier and the loss
+each run once over all pairs.
 """
 
 from __future__ import annotations
@@ -44,26 +53,20 @@ VARIANTS = ("lsa_p", "lsa_t", "lsa_s")
 FIXED_ALPHA = 3.0
 
 
-def position_weight(d_i: float, alpha: float, n: int) -> float:
-    """Weight in (0, 1]: 1 inside the distance threshold, then a linear
-    decay with slope 1/n, floored at 0."""
-    if d_i <= alpha:
-        return 1.0
-    return max(0.0, 1.0 - (d_i - alpha) / n)
-
-
-def position_weights(distances, alpha: float, n: int) -> np.ndarray:
-    return np.array([[position_weight(d, alpha, n)] for d in distances])
+def position_weight(d_i, alpha: float, n: int) -> np.ndarray:
+    """Weight in [0, 1], elementwise over an array of distances: 1 inside
+    the distance threshold, then a linear decay with slope 1/n, floored at 0."""
+    d_i = np.asarray(d_i, dtype=np.float64)
+    return np.where(d_i <= alpha, 1.0, np.maximum(0.0, 1.0 - (d_i - alpha) / n))
 
 
 @dataclass
-class AggregationWindow:
-    """Aspect features, each a (1, d) row: the k left neighbours (farthest
-    first), the target, and the k right neighbours (nearest first)."""
+class ExampleInputs:
+    """The host-side inputs of one example's forward."""
 
-    left: list[Tensor]
-    target: Tensor
-    right: list[Tensor]
+    aspects: int
+    sequences: list[np.ndarray]  # token ids: the context, or one SPC input per aspect (lsa_p)
+    weights: np.ndarray | None  # (aspects + 1, n + 1, 1) position weights; None for lsa_p
 
 
 @dataclass
@@ -102,81 +105,105 @@ class OutputHead:
         yield "head.b_dec", self.b_dec
 
 
-def aspect_feature_local(hc: Tensor, weights: np.ndarray, sa: BlockParams, heads: int) -> Tensor:
-    """Row 0 of ``head.sa`` over the hidden states ``hc`` (n, d) scaled by
-    each column of position weights ``weights`` (A, n, 1): (A, 1, d).
+def aspect_feature_local(
+    hidden: Tensor, valid: np.ndarray, weights: list[np.ndarray] | None,
+    sa: BlockParams, heads: int,
+) -> Tensor:
+    """Row 0 of ``head.sa`` for every feature row of a batch: (rows, d).
 
-    The weights are functions of integer positions only and carry no
-    gradient.
+    ``hidden`` (S, L, d) holds the batch's encoded sequences and ``valid``
+    (S, L) their real positions.  With ``weights`` None each sequence gives
+    one row.  Otherwise ``weights[s]`` (rows_s, n_s, 1) gives sequence ``s``
+    rows_s rows, each from the sequence scaled by one column of position
+    weights.  The weights are functions of integer positions only and carry
+    no gradient.
     """
-    if weights.ndim != 3 or weights.shape[1:] != (hc.shape[0], 1):
-        raise ConfigError(
-            f"position weights of shape {weights.shape} for {hc.shape[0]} hidden rows"
-        )
-    return self_attention_block(ad.mul(hc, Tensor(weights)), sa, heads, query_rows=1)
+    x = hidden
+    if weights is not None:
+        lengths = valid.sum(axis=1)
+        if len(weights) != len(lengths) or any(
+            w.ndim != 3 or w.shape[1:] != (n, 1) for w, n in zip(weights, lengths)
+        ):
+            raise ConfigError(
+                f"position weights of shapes {[w.shape for w in weights]} for "
+                f"sequences of lengths {lengths.tolist()}"
+            )
+        sequence = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
+        scale = np.zeros((len(sequence), valid.shape[1], 1))
+        row = 0
+        for w in weights:
+            scale[row:row + len(w), :w.shape[1]] = w
+            row += len(w)
+        x = ad.mul(ad.gather_rows(hidden, sequence), Tensor(scale))
+        valid = valid[sequence]
+    out = self_attention_block(x, sa, heads, valid=valid, query_rows=1)
+    return ad.reshape(out, (out.shape[0], out.shape[-1]))
 
 
-def build_window(features: list[Tensor], target_index: int, k: int) -> AggregationWindow:
-    """Fill left/right slots from adjacent aspects, padding missing
-    neighbors with the target's own feature."""
-    if not (0 <= target_index < len(features)):
-        raise IndexError(f"target {target_index} out of range")
-    target = features[target_index]
+def build_window(
+    starts, counts, k: int, sides: str = "both", backbone_only: bool = False
+) -> np.ndarray:
+    """The feature rows of every (example, aspect) pair's window, as a
+    (pairs, slots) index array, pairs in order.
 
-    def at(i: int) -> Tensor:
-        return features[i] if 0 <= i < len(features) else target
-
-    return AggregationWindow(
-        [at(target_index - j) for j in range(k, 0, -1)],
-        target,
-        [at(target_index + j) for j in range(1, k + 1)],
-    )
+    Example ``e`` owns the ``counts[e]`` rows from ``starts[e]``, one per
+    aspect.  A window holds the k left neighbours (farthest first), the
+    target and the k right neighbours (nearest first); ``sides`` "left" or
+    "right" keeps only that side and the target.  A neighbour missing in
+    the example is padded with the target's own row, so no index leaves
+    its example.  With ``backbone_only`` every slot holds the target.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    first = np.repeat(np.asarray(starts, dtype=np.int64), counts)
+    last = first + np.repeat(counts, counts) - 1
+    target = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    left = 0 if sides == "right" else k
+    right = 0 if sides == "left" else k
+    index = target[:, None] + np.arange(-left, right + 1)
+    missing = (index < first[:, None]) | (index > last[:, None]) | backbone_only
+    return np.where(missing, target[:, None], index)
 
 
 def apply_dwa(
-    window: AggregationWindow,
+    features: Tensor,
+    window: np.ndarray,
     dwa: DwaParams | None,
     frozen_eta: tuple[float, float] | None = None,
     sides: str = "both",
 ) -> Tensor:
-    """Concatenate the window row-wise, scaling side slots by the
-    aggregation weights.  ``dwa=None`` means the weights are the constant 1
-    with no gradient.  ``sides`` restricts to a simplified window
-    ("left"/"right" keep only that neighbor slot plus the target)."""
-
-    def scaled(feature: Tensor, which: str) -> Tensor:
-        if frozen_eta is not None:
-            return ad.smul(feature, frozen_eta[0 if which == "l" else 1])
-        if dwa is None:
-            return feature
-        eta = dwa.eta_l if which == "l" else dwa.eta_r
-        return ad.scale(feature, eta)
-
-    parts: list[Tensor] = []
-    if sides in ("both", "left"):
-        parts.extend(scaled(f, "l") for f in window.left)
-    parts.append(window.target)
-    if sides in ("both", "right"):
-        parts.extend(scaled(f, "r") for f in window.right)
-    return ad.concat(parts, axis=1)
+    """The window's feature rows side by side, (pairs, slots * d): the rows
+    of ``features`` (R, d) that ``window`` (pairs, slots) indexes, the side
+    slots scaled by the aggregation weights.  ``dwa=None`` means the
+    weights are the constant 1 with no gradient.  ``sides`` names the
+    window's side slots, as in ``build_window``."""
+    h = ad.gather_rows(features, window)
+    slots = window.shape[1]
+    n_left = {"both": (slots - 1) // 2, "left": slots - 1, "right": 0}[sides]
+    n_right = slots - 1 - n_left
+    if frozen_eta is not None:
+        side = [frozen_eta[0]] * n_left + [1.0] + [frozen_eta[1]] * n_right
+        h = ad.mul(h, Tensor(np.array(side)[:, None]))
+    elif dwa is not None:
+        parts = [dwa.eta_l] * n_left + [Tensor(np.ones(1))] + [dwa.eta_r] * n_right
+        h = ad.mul(h, ad.reshape(ad.concat(parts), (slots, 1)))
+    return ad.reshape(h, (h.shape[0], slots * h.shape[-1]))
 
 
 def project_window(h_window: Tensor, head: OutputHead) -> Tensor:
-    """Affine map of the concatenated window down to d."""
+    """Affine map of the concatenated windows (pairs, slots * d) down to d."""
     if h_window.shape[1] != head.w_out.shape[0]:
         raise ConfigError(
             f"window width {h_window.shape[1]} does not match projection "
             f"{head.w_out.shape}"
         )
-    return ad.add(ad.matmul(h_window, head.w_out), head.b_out)
+    return ad.matmul(h_window, head.w_out, head.b_out)
 
 
 def classify(h_o: Tensor, pooled_global: Tensor | None, head: OutputHead) -> Tensor:
-    """Probability row (1, C).  The pair-encoded variant drops the global
-    feature and classifies from the window projection alone."""
+    """Probability rows (pairs, C).  The pair-encoded variant drops the
+    global feature and classifies from the window projection alone."""
     z = h_o if pooled_global is None else ad.concat([h_o, pooled_global], axis=1)
-    logits = ad.add(ad.matmul(z, head.w_dec), head.b_dec)
-    return ad.softmax(logits)
+    return ad.softmax(ad.matmul(z, head.w_dec, head.b_dec))
 
 
 @dataclass
@@ -291,7 +318,7 @@ class Model:
         the pooled global feature.  The leading marker receives the maximal
         distance n."""
         n = len(tokens)
-        distance = relative_token_distance
+        distance = partial(relative_token_distance, np.arange(n))
         if self.config.variant == "lsa_s":
             tree = (trees or {}).get(example.parse_ref)
             if tree is None:
@@ -302,50 +329,62 @@ class Model:
                         example.text[:40],
                     )
             else:
-                distance = partial(
-                    syntactic_distance, tree, align_tokens_to_words(tokens, tree.forms)
-                )
+                alignment = align_tokens_to_words(tokens, tree.forms)
+                distance = partial(syntactic_distance, tree, alignment, np.arange(n))
         columns = [
-            position_weights([float(n)] + [distance(i, range(a.start, a.end)) for i in range(n)],
-                             self.config.alpha, n)
+            position_weight(
+                np.concatenate([[float(n)], distance(range(a.start, a.end))]),
+                self.config.alpha, n,
+            )
             for a in example.aspects
         ]
-        return np.stack(columns + [np.ones((n + 1, 1))])
+        return np.stack(columns + [np.ones(n + 1)])[..., None]
 
-    def global_context(self, example: Example) -> Tensor:
+    def forward_example(self, example: Example, trees=None) -> ExampleInputs:
+        """The host-side inputs of one example's forward: token ids, and
+        position weights (``lsa_t``/``lsa_s``) or one SPC input per aspect
+        (``lsa_p``)."""
         tokens = self._context_tokens(example)
-        ids = np.concatenate([[self.vocab.cls_id], self.vocab.encode(tokens)])
-        return encode(ids.astype(np.int64), self.encoder)
-
-    def forward_example(self, example: Example, trees=None) -> list[Tensor]:
-        """Probability rows, one per aspect of the example."""
-        cfg = self.config
-        if not example.aspects:
-            return []
-        tokens = self._context_tokens(example)
-        if cfg.variant == "lsa_p":
-            pooled = None
-            spc = [build_spc_input(tokens, list(a.term), self.vocab, cfg.max_len)
+        aspects = len(example.aspects)
+        if self.config.variant == "lsa_p":
+            spc = [build_spc_input(tokens, list(a.term), self.vocab, self.config.max_len)
                    for a in example.aspects]
-            features = [
-                self_attention_block(encode(ids, self.encoder), self.head.sa, cfg.heads,
-                                     query_rows=1)
-                for ids in spc
-            ]
+            return ExampleInputs(aspects, spc, None)
+        ids = np.concatenate([[self.vocab.cls_id], self.vocab.encode(tokens)])
+        weights = self._position_weights(example, tokens, trees)
+        return ExampleInputs(aspects, [ids.astype(np.int64)], weights)
+
+    def global_context(self, inputs: list[ExampleInputs]) -> tuple[Tensor, np.ndarray]:
+        """One encoder call over every sequence of a batch, padded to the
+        longest: hidden states (S, L, d) and the (S, L) mask of real
+        positions."""
+        sequences = [ids for x in inputs for ids in x.sequences]
+        length = max(map(len, sequences))
+        ids = np.full((len(sequences), length), self.vocab.pad_id, dtype=np.int64)
+        valid = np.zeros((len(sequences), length), dtype=bool)
+        for row, seq in enumerate(sequences):
+            ids[row, :len(seq)] = seq
+            valid[row, :len(seq)] = True
+        return encode(ids, self.encoder, valid), valid
+
+    def forward(self, examples: list[Example], trees=None) -> Tensor:
+        """Probability rows (pairs, C) of every (example, aspect) pair of
+        ``examples``, in order, from one tensor forward over the batch."""
+        cfg = self.config
+        inputs = [self.forward_example(ex, trees) for ex in examples if ex.aspects]
+        if not inputs:
+            raise ValueError("no (example, aspect) pair to forward")
+        hidden, valid = self.global_context(inputs)
+        counts = np.array([x.aspects for x in inputs])
+        if cfg.variant == "lsa_p":
+            features = aspect_feature_local(hidden, valid, None, self.head.sa, cfg.heads)
+            starts, pooled = np.cumsum(counts) - counts, None
         else:
-            hc = self.global_context(example)
-            weights = self._position_weights(example, tokens, trees)
-            stacked = aspect_feature_local(hc, weights, self.head.sa, cfg.heads)
-            features = [ad.gather_rows(stacked, i) for i in range(len(example.aspects) + 1)]
-            pooled = features.pop()
-        dwa = None if cfg.no_dwa else self.dwa
-        probs = []
-        for t in range(len(example.aspects)):
-            if cfg.backbone_only:  # each target sees only its own feature
-                window = build_window([features[t]], 0, cfg.k)
-            else:
-                window = build_window(features, t, cfg.k)
-            h_aw = apply_dwa(window, dwa, cfg.frozen_eta, sides=cfg.sides)
-            h_o = project_window(h_aw, self.head)
-            probs.append(classify(h_o, pooled, self.head))
-        return probs
+            weights = [x.weights for x in inputs]
+            features = aspect_feature_local(hidden, valid, weights, self.head.sa, cfg.heads)
+            starts = np.cumsum(counts + 1) - counts - 1  # each example's pooled row follows its aspects
+            pooled = ad.gather_rows(features, np.repeat(starts + counts, counts))
+        window = build_window(starts, counts, cfg.k, cfg.sides, cfg.backbone_only)
+        h_aw = apply_dwa(features, window, None if cfg.no_dwa else self.dwa, cfg.frozen_eta,
+                         cfg.sides)
+        return classify(project_window(h_aw, self.head), pooled, self.head)

@@ -48,28 +48,31 @@ def oracle_model(overrides: dict) -> Model:
     return model
 
 
-def compute(overrides: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def compute(overrides: dict, batch: int | None = None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Probability rows of every (example, aspect) pair of mini.json, and
     the gradient of their summed cross-entropy for every parameter that
-    receives one."""
+    receives one.  The examples are forwarded ``batch`` at a time, all at
+    once when None."""
     model = oracle_model(overrides)
-    dataset = load_dataset(FIXTURES / "mini.json")
+    examples = [ex for ex in load_dataset(FIXTURES / "mini.json").examples if ex.aspects]
     trees = load_parses(FIXTURES / "mini.conllu")
-    rows, total = [], None
-    tape = ad.Tape()
-    with tape:
-        for ex in dataset.examples:
-            for j, p in enumerate(model.forward_example(ex, trees)):
-                rows.append(p.values[0])
-                ce = ad.cross_entropy(p, ex.aspects[j].polarity.index)
-                total = ce if total is None else ad.add(total, ce)
-    tape.backward(total)
+    size = batch or len(examples)
+    rows = []
+    for i in range(0, len(examples), size):
+        group = examples[i:i + size]
+        tape = ad.Tape()
+        with tape:
+            probs = model.forward(group, trees)
+            golds = [a.polarity.index for ex in group for a in ex.aspects]
+            total = ad.cross_entropy(probs, golds)
+        tape.backward(total)  # gradients add up over the groups
+        rows.append(probs.values)
     grads = {
         name: t.grad.copy()
         for name, t in model.named_parameters().items()
         if t.grad is not None
     }
-    return np.array(rows), grads
+    return np.concatenate(rows), grads
 
 
 def main() -> int:

@@ -82,36 +82,6 @@ def test_concat_errors():
 
 
 # ---------------------------------------------------------------------------
-# scale
-
-
-def test_scale_zero_and_identity():
-    t = ad.tensor([1.0, 2.0, 3.0])
-    assert ad.scale(t, ad.tensor([0.0])).values.tolist() == [0.0, 0.0, 0.0]
-    out = ad.scale(t, ad.tensor([1.0]))
-    assert np.array_equal(out.values, t.values)
-
-
-def test_scale_grad_wrt_scalar():
-    t = ad.tensor([1.0, 2.0])
-    s = ad.parameter([1.0])
-    tape = ad.Tape()
-    with tape:
-        out = ad.sum_all(ad.scale(t, s))  # upstream grads are all ones
-    tape.backward(out)
-    assert s.grad.tolist() == [3.0]
-    fd = ad.finite_difference_gradient(
-        lambda: float(np.sum(s.values[0] * t.values)), s
-    )
-    assert rel_err(s.grad, fd) <= 1e-6
-
-
-def test_scale_rejects_non_scalar():
-    with pytest.raises(ShapeError):
-        ad.scale(ad.tensor([1.0]), ad.tensor([1.0, 2.0]))
-
-
-# ---------------------------------------------------------------------------
 # softmax
 
 
@@ -188,6 +158,34 @@ def test_cross_entropy_clamps_at_zero_probability():
 def test_cross_entropy_gold_out_of_range():
     with pytest.raises(ShapeError):
         ad.cross_entropy(ad.tensor([0.5, 0.5]), 2)
+    with pytest.raises(ShapeError):
+        ad.cross_entropy(ad.tensor(np.full((2, 2), 0.5)), [0])
+
+
+def test_cross_entropy_over_gold_array_gradients():
+    rng = np.random.default_rng(22)
+    raw = rng.random((4, 3)) + 0.1
+    probs = ad.parameter(raw / raw.sum(axis=1, keepdims=True))
+    gold = np.array([0, 2, 1, 2])
+    out = ad.cross_entropy(probs, gold)
+    assert out.shape == (1,)
+    expected = -sum(math.log(probs.values[i, g]) for i, g in enumerate(gold))
+    assert out.item() == pytest.approx(expected, rel=1e-12)
+    assert grad_check(lambda: ad.cross_entropy(probs, gold), {"probs": probs}) <= 1e-6
+
+
+def test_cross_entropy_clamped_row_passes_no_gradient():
+    live = ad.parameter(np.array([[0.2, 0.5, 0.3]]))
+    clamped = ad.parameter(np.array([[0.0, 0.6, 0.4]]))
+
+    def build():
+        return ad.cross_entropy(ad.concat([live, clamped], axis=0), [1, 0])
+
+    assert build().item() == pytest.approx(-math.log(0.5) - math.log(ad.LOG_CLAMP))
+    assert grad_check(build, {"live": live}) <= 1e-6
+    # steps that stay under the clamp: the clamped row is constant
+    assert grad_check(build, {"clamped": clamped}, eps=1e-14) == 0.0
+    assert np.array_equal(clamped.grad, np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +364,29 @@ def test_gather_rows_integer_takes_one_entry_of_a_stack():
     assert np.array_equal(stack.grad, expected)
 
 
+def test_gather_rows_two_dimensional_index_gradients():
+    rng = np.random.default_rng(21)
+    table = ad.parameter(randn(rng, 5, 3))
+    index = np.array([[0, 2, 2], [4, 1, 0]])
+    out = ad.gather_rows(table, index)
+    assert out.shape == (2, 3, 3)
+    assert np.array_equal(out.values, table.values[index])
+    readout = ad.tensor(randn(rng, 2, 3, 3))
+    build = lambda: ad.sum_all(ad.mul(ad.gather_rows(table, index), readout))
+    assert grad_check(build, {"table": table}) <= 1e-6
+
+
+def test_reshape_values_and_gradients():
+    rng = np.random.default_rng(23)
+    x = ad.parameter(randn(rng, 2, 3, 4))
+    assert np.array_equal(ad.reshape(x, (2, 12)).values, x.values.reshape(2, 12))
+    readout = ad.tensor(randn(rng, 6, 4))
+    build = lambda: ad.sum_all(ad.mul(ad.reshape(x, (6, 4)), readout))
+    assert grad_check(build, {"x": x}) <= 1e-6
+    with pytest.raises(ShapeError):
+        ad.reshape(x, (5, 5))
+
+
 def test_tanh_gradient():
     rng = np.random.default_rng(9)
     x = ad.parameter(randn(rng, 3, 3))
@@ -409,6 +430,20 @@ def test_matmul_leading_axis_gradients():
     r = ad.tensor(randn(rng, 2, 3, 2))
     build = lambda: ad.sum_all(ad.mul(ad.matmul(a, b), r))
     assert grad_check(build, {"a": a, "b": b}) <= 1e-6
+
+
+def test_matmul_bias_gradients_and_values():
+    rng = np.random.default_rng(24)
+    a = ad.parameter(randn(rng, 2, 3, 4))
+    b = ad.parameter(randn(rng, 4, 2))
+    bias = ad.parameter(randn(rng, 2))
+    out = ad.matmul(a, b, bias)
+    assert np.array_equal(out.values, ad.add(ad.matmul(a, b), bias).values)
+    r = ad.tensor(randn(rng, 2, 3, 2))
+    build = lambda: ad.sum_all(ad.mul(ad.matmul(a, b, bias), r))
+    assert grad_check(build, {"a": a, "b": b, "bias": bias}) <= 1e-6
+    with pytest.raises(ShapeError):
+        ad.matmul(a, b, ad.tensor(np.zeros(3)))
 
 
 def test_matmul_leading_axis_equals_per_slice():
@@ -473,16 +508,26 @@ def reference_attention(x, params, heads, mask=None, query_rows=None):
     return np.concatenate(outs, axis=1) @ v["wo"] + v["bo"]
 
 
-def padding_mask(n, n_valid):
-    mask = np.zeros(n)
-    mask[n_valid:] = -1e30
-    return mask
+def padding_mask(spec):
+    """The additive key mask of ``n_valid`` real positions: (n,) for an
+    int, (*leading, n) for one count per leading index; None without one."""
+    if "n_valid" not in spec:
+        return None
+    n_valid = np.asarray(spec["n_valid"])[..., None]
+    return np.where(np.arange(spec["shape"][-2]) < n_valid, 0.0, -1e30)
+
+
+def op_mask(mask):
+    """A padding mask broadcast against the (..., heads, query_rows, n) scores."""
+    return None if mask is None else mask[..., None, None, :]
 
 
 ATTENTION_CASES = {
     "full_rows": dict(shape=(4, 8), heads=2),
     "query_rows_1": dict(shape=(4, 8), heads=2, query_rows=1),
     "n_valid_mask": dict(shape=(5, 8), heads=2, n_valid=3),
+    "per_row_key_mask": dict(shape=(3, 5, 8), heads=2, n_valid=[5, 3, 1]),
+    "per_row_key_mask_query_rows_1": dict(shape=(3, 5, 8), heads=2, n_valid=[2, 5, 1], query_rows=1),
     "leading_axis": dict(shape=(3, 4, 8), heads=2, query_rows=1),
     "heads_1": dict(shape=(4, 8), heads=1),
     "heads_4": dict(shape=(2, 4, 8), heads=4),
@@ -495,7 +540,7 @@ def test_attention_gradients_match_fd(case):
     rng = np.random.default_rng(16)
     x = ad.parameter(randn(rng, *spec["shape"]))
     params = attention_params(rng, spec["shape"][-1])
-    mask = padding_mask(spec["shape"][-2], spec["n_valid"]) if "n_valid" in spec else None
+    mask = op_mask(padding_mask(spec))
     query_rows = spec.get("query_rows")
     rows = spec["shape"][-2] if query_rows is None else query_rows
     readout = ad.tensor(randn(rng, *spec["shape"][:-2], rows, spec["shape"][-1]))
@@ -515,13 +560,14 @@ def test_attention_matches_per_head_reference(case):
     rng = np.random.default_rng(17)
     x = randn(rng, *spec["shape"])
     params = attention_params(rng, spec["shape"][-1])
-    mask = padding_mask(spec["shape"][-2], spec["n_valid"]) if "n_valid" in spec else None
+    mask = padding_mask(spec)
     query_rows = spec.get("query_rows")
     out = ad.attention(
-        ad.tensor(x), *params.values(), spec["heads"], mask=mask, query_rows=query_rows
+        ad.tensor(x), *params.values(), spec["heads"], mask=op_mask(mask), query_rows=query_rows
     ).values
     for index in np.ndindex(*spec["shape"][:-2]):
-        expected = reference_attention(x[index], params, spec["heads"], mask, query_rows)
+        row_mask = None if mask is None else mask[index]
+        expected = reference_attention(x[index], params, spec["heads"], row_mask, query_rows)
         assert np.max(np.abs(out[index] - expected)) <= 1e-12
 
 

@@ -1,6 +1,6 @@
 """Every function the benchmark wraps by name must stay defined where the
-benchmark looks for it: a rename or an inlining fails here rather than in
-the benchmark run."""
+benchmark looks for it, and a traced run must keep working: a rename, an
+inlining or a signature change fails here rather than in the benchmark run."""
 
 import sys
 from pathlib import Path
@@ -11,6 +11,13 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 import spans  # noqa: E402
 
+import lsa.training as training  # noqa: E402
+from lsa.corpus import load_dataset  # noqa: E402
+from lsa.distance import load_parses  # noqa: E402
+from lsa.window import VARIANTS  # noqa: E402
+
+from util import FIXTURES  # noqa: E402
+
 
 @pytest.mark.parametrize(
     "owner, attr, span",
@@ -19,3 +26,31 @@ import spans  # noqa: E402
 )
 def test_span_site_is_defined_on_its_owner(owner, attr, span):
     assert attr in owner.__dict__, f"{span}: {owner.__name__} has no {attr!r}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
+    """A tiny train() plus evaluate() under the benchmark's span wrappers:
+    every pair forwarded is counted once, and the span self times add up
+    to the wall time of the calls made with no span open."""
+    config = training.TrainConfig(
+        variant=variant, d_model=16, layers=1, heads=2, ffn_mult=2, max_len=32,
+        epochs=1, batch=8, seed=1,
+        train_path=str(FIXTURES / "mini.json"),
+        valid_path=str(FIXTURES / "mini.json"),
+        parse_path=str(FIXTURES / "mini.conllu"),
+    )
+    dataset = load_dataset(FIXTURES / "mini.json")
+    trees = load_parses(FIXTURES / "mini.conllu")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        result = training.train(config)
+        metrics = training.evaluate(result.model, dataset, trees)
+    pairs = dataset.aspect_count()
+    # one epoch of training, validation after it and at the end, then evaluate()
+    assert tracer.pairs_forwarded == pairs + 2 * pairs + metrics.n_examples
+    assert metrics.n_examples == pairs
+    root_wall = sum(r.wall_s for r in tracer.roots)
+    self_sum = sum(s.self_s for s in tracer.stats.values())
+    assert abs(self_sum - root_wall) <= 1e-6 * max(1.0, root_wall)
+    assert tracer.stats["window.head_sa"].calls > 0

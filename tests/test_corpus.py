@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lsa.autodiff as ad
 from lsa.corpus import (
     AspectAnnotation,
     DataError,
@@ -148,13 +147,9 @@ def test_canonical_serialization_is_fixed_point(tmp_path):
 def aspect_window(ex, target, k=1):
     """The aggregation window of aspect ``target``, over features that
     record each aspect's start token."""
-    feats = [ad.tensor([[float(a.start)]]) for a in ex.aspects]
-    window = build_window(feats, target, k)
-    return (
-        [f.values[0, 0] for f in window.left],
-        window.target.values[0, 0],
-        [f.values[0, 0] for f in window.right],
-    )
+    feats = np.array([float(a.start) for a in ex.aspects])
+    window = feats[build_window([0], [len(ex.aspects)], k)[target]].tolist()
+    return window[:k], window[k], window[k + 1:]
 
 
 def test_adjacent_aspects_middle_target():

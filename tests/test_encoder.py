@@ -202,12 +202,32 @@ def test_query_rows_compute_leading_rows_of_the_block():
 
 
 def test_padding_mask_shields_prefix_outputs():
-    params = make_encoder()
-    rng = np.random.default_rng(5)
-    ids = [1, 2, 3]
-    plain = encode(ids, params)
-    padded = encode(ids + [0, 0, 0], params, n_valid=3)
-    assert np.max(np.abs(plain.values - padded.values[:3])) <= 1e-12
+    params = make_encoder(layers=2)
+    sequences = [[1, 2, 3], [4, 5, 6, 7, 8, 9], [2]]
+    ids = np.zeros((3, 6), dtype=np.int64)  # padded with id 0, [PAD]
+    valid = np.zeros((3, 6), dtype=bool)
+    for row, seq in enumerate(sequences):
+        ids[row, :len(seq)] = seq
+        valid[row, :len(seq)] = True
+    padded = encode(ids, params, valid)
+    for row, seq in enumerate(sequences):
+        plain = encode(seq, params)
+        assert np.max(np.abs(plain.values - padded.values[row, :len(seq)])) <= 1e-12
+
+
+def test_padded_batch_encode_gradients_match_fd():
+    params = make_encoder(d=8, heads=2, vocab_size=6)
+    ids = np.array([[1, 4, 2], [3, 0, 0]])  # the second row is padded with id 0
+    valid = ids != 0
+    readout = ad.tensor(np.random.default_rng(2).normal(size=(2, 3, 8)) * valid[..., None])
+
+    def build():
+        return ad.sum_all(ad.mul(encode(ids, params, valid), readout))
+
+    worst = grad_check(
+        build, {"emb": params.embedding, "pos": params.positional}, eps=1e-6
+    )
+    assert worst <= 1e-5
 
 
 def test_all_parameters_receive_gradient_on_synthetic_batch():
@@ -221,11 +241,8 @@ def test_all_parameters_receive_gradient_on_synthetic_batch():
     model = tiny_model(vocab_tokens=tokens)
     tape = ad.Tape()
     with tape:
-        total = None
-        for ex in examples[:4]:
-            for j, p in enumerate(model.forward_example(ex)):
-                ce = ad.cross_entropy(p, ex.aspects[j].polarity.index)
-                total = ce if total is None else ad.add(total, ce)
+        probs = model.forward(examples[:4])
+        total = ad.cross_entropy(probs, [a.polarity.index for ex in examples[:4] for a in ex.aspects])
     tape.backward(total)
     for name, param in model.named_parameters().items():
         assert param.grad is not None, f"{name} got no gradient"

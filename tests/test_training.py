@@ -53,13 +53,13 @@ def corpus(tmp_path_factory):
 
 
 def test_total_loss_zero_for_perfect_prediction():
-    probs = [ad.tensor(np.array([[1.0, 0.0, 0.0]]))]
+    probs = ad.tensor(np.array([[1.0, 0.0, 0.0]]))
     loss = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 0.0)
     assert loss.item() == 0.0
 
 
 def test_total_loss_eta_regularizer_value():
-    probs = [ad.tensor(np.array([[1.0, 0.0, 0.0]]))]
+    probs = ad.tensor(np.array([[1.0, 0.0, 0.0]]))
     loss = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 1e-5)
     assert loss.item() == pytest.approx(2e-5, rel=1e-12)
 
@@ -73,8 +73,7 @@ def test_total_loss_matches_scalar_recomputation():
         raw = rng.random((3, 3)) + 1e-3
         probs_np = raw / raw.sum(axis=1, keepdims=True)
         golds = [int(g) for g in rng.integers(0, 3, size=3)]
-        probs = [ad.tensor(probs_np[i : i + 1]) for i in range(3)]
-        loss = total_loss(probs, golds, params, (0.9, 1.1), lam, lam_eta)
+        loss = total_loss(ad.tensor(probs_np), golds, params, (0.9, 1.1), lam, lam_eta)
         expected = sum(-math.log(probs_np[i][golds[i]]) for i in range(3))
         expected += lam * sum(float((t.values ** 2).sum()) for t in params.values())
         expected += lam_eta * (0.9**2 + 1.1**2)
@@ -89,7 +88,7 @@ def test_total_loss_backward_excludes_regularizer():
     tape = ad.Tape()
     with tape:
         loss = total_loss(
-            [ad.tensor(probs_np)], [1], model.main_parameters(), (1.0, 1.0), 1.0, 1.0
+            ad.tensor(probs_np), [1], model.main_parameters(), (1.0, 1.0), 1.0, 1.0
         )
     tape.backward(loss)
     assert w.grad is None  # w never entered the traced computation
@@ -324,9 +323,11 @@ def test_committed_checkpoint_still_loads():
     dataset = load_dataset(FIXTURES / "mini.json")
     rows = (FIXTURES / "mini_checkpoint_probs.csv").read_text().splitlines()[1:]
     assert len(rows) == dataset.aspect_count()
+    probs = model.forward(dataset.examples).values
+    pairs = [(i, j) for i, ex in enumerate(dataset.examples) for j in range(len(ex.aspects))]
     for row in rows:
         i, j, *expected = row.split(",")
-        got = model.forward_example(dataset.examples[int(i)])[int(j)].values[0]
+        got = probs[pairs.index((int(i), int(j)))]
         np.testing.assert_allclose(got, [float(x) for x in expected], rtol=0, atol=1e-12)
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsa.autodiff as ad
-from lsa.corpus import AspectAnnotation, Example, Polarity
+from lsa.corpus import AspectAnnotation, Example, Polarity, load_dataset
+from lsa.distance import DependencyTree, load_parses, tree_shortest_distance
 from lsa.encoder import ConfigError
 from lsa.window import (
+    VARIANTS,
     DwaParams,
     ModelConfig,
     apply_dwa,
@@ -20,13 +22,17 @@ from lsa.window import (
     project_window,
 )
 
-from util import tiny_model
+from util import FIXTURES, tiny_model
 
 ad.set_debug_checks(True)
 
 
-def feature(values):
-    return ad.tensor(np.atleast_2d(values))
+def features(*rows):
+    """A (rows, d) feature tensor, one row per argument."""
+    return ad.tensor(np.array(rows, dtype=float))
+
+
+MIDDLE_OF_THREE = build_window([0], [3], k=1)[1:2]  # the window of aspect 1 of 3
 
 
 def coherent_example(n_aspects, polarity="positive", implicit=None):
@@ -72,6 +78,51 @@ def test_position_weight_bounded(d, n):
     assert 0.0 <= w <= 1.0
 
 
+def reference_weight(d, alpha, n):
+    return 1.0 if d <= alpha else max(0.0, 1.0 - (d - alpha) / n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_position_weights_equal_the_scalar_reference(data):
+    """Each column equals the per-token scalar formula on the positional
+    or the tree distance, bitwise."""
+    n = data.draw(st.integers(1, 16))
+    tokens = [f"t{i}" for i in range(n)]
+    points = sorted(data.draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
+    spans = list(zip(points[0::2], points[1::2]))
+    aspects = [AspectAnnotation(a, b, tuple(tokens[a:b]), Polarity.POSITIVE) for a, b in spans]
+    # words are runs of tokens; the tree hangs each word below an earlier one
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)))) - {n})
+    bounds = [0, *cuts, n]
+    words = ["".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
+    order = data.draw(st.permutations(range(len(words))))
+    heads = [0] * len(words)
+    for rank, word in enumerate(order[1:], 1):
+        heads[word] = order[data.draw(st.integers(0, rank - 1))] + 1
+    tree = DependencyTree(tuple(words), tuple(heads))
+    token_word = [w for w, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
+    alpha = data.draw(st.sampled_from([0.0, 1.0, 3.0, 4.5]))
+
+    example = Example(" ".join(tokens), tokens, aspects, parse_ref="p")
+    for variant in ("lsa_t", "lsa_s"):
+        model = tiny_model(variant=variant, alpha=alpha)
+        got = model._position_weights(example, tokens, {"p": tree})
+        assert model.syntax_fallbacks == 0
+        for column, (a, b) in zip(got, spans):
+            if variant == "lsa_s":
+                dist = [
+                    sum(tree_shortest_distance(tree, token_word[i], token_word[t])
+                        for t in range(a, b)) / (b - a)
+                    for i in range(n)
+                ]
+            else:
+                dist = [sum(abs(i - t) for t in range(a, b)) / (b - a) for i in range(n)]
+            expected = [reference_weight(d, alpha, n) for d in [float(n)] + dist]
+            assert np.array_equal(column[:, 0], expected)
+        assert np.array_equal(got[-1], np.ones((n + 1, 1)))
+
+
 # ---------------------------------------------------------------------------
 # aspect features
 
@@ -95,9 +146,10 @@ def test_far_row_scaled_others_unchanged():
 
 def test_aspect_feature_length_mismatch():
     model = tiny_model()
-    hc = ad.tensor(np.zeros((4, 16)))
+    hc = ad.tensor(np.zeros((1, 4, 16)))
+    valid = np.ones((1, 4), dtype=bool)
     with pytest.raises(ConfigError):
-        aspect_feature_local(hc, np.ones((2, 3, 1)), model.head.sa, 2)
+        aspect_feature_local(hc, valid, [np.ones((2, 3, 1))], model.head.sa, 2)
 
 
 def test_position_weights_carry_no_gradient():
@@ -106,8 +158,8 @@ def test_position_weights_carry_no_gradient():
     ex = coherent_example(2)
     tape = ad.Tape()
     with tape:
-        probs = model.forward_example(ex)
-        loss = ad.cross_entropy(probs[0], 0)
+        probs = model.forward([ex])
+        loss = ad.cross_entropy(probs, [0, 0])
     tape.backward(loss)
     # perturbing any parameter leaves distances/weights untouched; verified
     # by the full-path finite-difference agreement in the acceptance suite.
@@ -119,33 +171,59 @@ def test_position_weights_carry_no_gradient():
 
 
 def test_single_aspect_window_triples_target():
-    target = feature([1.0, 2.0])
-    window = build_window([target], 0, k=1)
-    assert window.left == [target] and window.right == [target]
+    assert build_window([0], [1], k=1).tolist() == [[0, 0, 0]]
 
 
 def test_leftmost_of_two_pads_left_slot():
-    a, b = feature([1.0]), feature([2.0])
-    window = build_window([a, b], 0, k=1)
-    assert window.left == [a]
-    assert window.right == [b]
+    window = build_window([0], [2], k=1)
+    assert window[0].tolist() == [0, 0, 1]
 
 
 def test_middle_of_three_no_padding():
-    feats = [feature([float(i)]) for i in range(3)]
-    window = build_window(feats, 1, k=1)
-    assert window.left == [feats[0]]
-    assert window.right == [feats[2]]
+    assert MIDDLE_OF_THREE.tolist() == [[0, 1, 2]]
 
 
 def test_window_consumes_neighbors_once_no_symmetrization():
-    feats = [feature([1.0]), feature([2.0]), feature([3.0])]
-    window = build_window(feats, 1, k=1)
-    h = apply_dwa(window, None)
+    feats = features([1.0], [2.0], [3.0])
+    h = apply_dwa(feats, MIDDLE_OF_THREE, None)
     assert h.values.tolist() == [[1.0, 2.0, 3.0]]
-    swapped = [feats[2], feats[1], feats[0]]
-    h2 = apply_dwa(build_window(swapped, 1, k=1), None)
+    swapped = features([3.0], [2.0], [1.0])
+    h2 = apply_dwa(swapped, MIDDLE_OF_THREE, None)
     assert h2.values.tolist() == [[3.0, 2.0, 1.0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.sampled_from(["both", "left", "right"]),
+    st.booleans(),
+)
+def test_window_index_properties(examples, k, sides, backbone_only):
+    """``examples`` holds each example's aspect count and the rows between
+    it and the next example (the pooled row of lsa_t is one such row)."""
+    counts = [c for c, _ in examples]
+    starts = np.cumsum([0] + [c + gap for c, gap in examples])[:-1]
+    window = build_window(starts, counts, k, sides, backbone_only)
+    left = 0 if sides == "right" else k
+    right = 0 if sides == "left" else k
+    assert window.shape == (sum(counts), left + 1 + right)
+    pair = 0
+    for start, count in zip(starts, counts):
+        for j in range(count):
+            target = start + j
+            row = window[pair].tolist()
+            pair += 1
+            assert row[left] == target
+            if backbone_only:
+                assert row == [target] * len(row)
+                continue
+            # the k nearest on each side, farthest left first, nearest right first
+            want_left = [target - d if j - d >= 0 else target for d in range(left, 0, -1)]
+            want_right = [target + d if j + d < count else target for d in range(1, right + 1)]
+            assert row[:left] == want_left
+            assert row[left + 1:] == want_right
+            assert all(start <= i < start + count for i in row)
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +231,17 @@ def test_window_consumes_neighbors_once_no_symmetrization():
 
 
 def test_dwa_at_one_equals_plain_concat_bitwise():
-    feats = [feature([1.3, -2.0]), feature([0.5, 4.0]), feature([9.0, 1.0])]
-    window = build_window(feats, 1, k=1)
-    plain = apply_dwa(window, None)
-    dwa = apply_dwa(window, DwaParams())
+    feats = features([1.3, -2.0], [0.5, 4.0], [9.0, 1.0])
+    plain = apply_dwa(feats, MIDDLE_OF_THREE, None)
+    dwa = apply_dwa(feats, MIDDLE_OF_THREE, DwaParams())
     assert np.array_equal(plain.values, dwa.values)
 
 
 def test_dwa_zero_left_gives_zero_third():
-    feats = [feature([1.0, 2.0]), feature([3.0, 4.0]), feature([5.0, 6.0])]
-    window = build_window(feats, 1, k=1)
+    feats = features([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
     dwa = DwaParams()
     dwa.eta_l.values[0] = 0.0
-    out = apply_dwa(window, dwa)
+    out = apply_dwa(feats, MIDDLE_OF_THREE, dwa)
     assert out.values[0, :2].tolist() == [0.0, 0.0]
     assert out.values[0, 2:].tolist() == [3.0, 4.0, 5.0, 6.0]
 
@@ -176,17 +252,17 @@ def test_dwa_gradient_scales_linearly_in_eta():
     rng = np.random.default_rng(1)
     d = 4
     w_out = ad.tensor(rng.normal(size=(3 * d, 3)))
-    target = feature(rng.normal(size=(1, d)))
-    right = feature(rng.normal(size=(1, d)))
+    target = features(*rng.normal(size=(1, d)))
+    right = features(*rng.normal(size=(1, d)))
 
     def grad_at(eta_value):
         left = ad.parameter(np.zeros((1, d)))
         dwa = DwaParams()
         dwa.eta_l.values[0] = eta_value
-        window = build_window([left, target, right], 1, k=1)
         tape = ad.Tape()
         with tape:
-            h = apply_dwa(window, dwa)
+            feats = ad.concat([left, target, right], axis=0)
+            h = apply_dwa(feats, MIDDLE_OF_THREE, dwa)
             probs = ad.softmax(ad.matmul(h, w_out))
             loss = ad.cross_entropy(probs, 0)
         tape.backward(loss)
@@ -198,17 +274,17 @@ def test_dwa_gradient_scales_linearly_in_eta():
 
 
 def test_frozen_eta_uses_constants():
-    feats = [feature([2.0]), feature([3.0]), feature([4.0])]
-    window = build_window(feats, 1, k=1)
-    out = apply_dwa(window, None, frozen_eta=(0.5, 0.25))
+    feats = features([2.0], [3.0], [4.0])
+    out = apply_dwa(feats, MIDDLE_OF_THREE, None, frozen_eta=(0.5, 0.25))
     assert out.values.tolist() == [[1.0, 3.0, 1.0]]
 
 
 def test_simplified_windows_keep_one_side():
-    feats = [feature([1.0]), feature([2.0]), feature([3.0])]
-    window = build_window(feats, 1, k=1)
-    assert apply_dwa(window, None, sides="left").values.tolist() == [[1.0, 2.0]]
-    assert apply_dwa(window, None, sides="right").values.tolist() == [[2.0, 3.0]]
+    feats = features([1.0], [2.0], [3.0])
+    left = build_window([0], [3], k=1, sides="left")[1:2]
+    right = build_window([0], [3], k=1, sides="right")[1:2]
+    assert apply_dwa(feats, left, None, sides="left").values.tolist() == [[1.0, 2.0]]
+    assert apply_dwa(feats, right, None, sides="right").values.tolist() == [[2.0, 3.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +329,10 @@ def test_project_window_shape_error():
 def test_classify_output_on_simplex():
     model = tiny_model()
     ex = coherent_example(2)
-    probs = model.forward_example(ex)
-    assert len(probs) == 2
-    for p in probs:
-        assert p.shape == (1, 3)
-        assert abs(p.values.sum() - 1.0) <= 1e-12
+    probs = model.forward([ex])
+    assert probs.shape == (2, 3)
+    for p in probs.values:
+        assert abs(p.sum() - 1.0) <= 1e-12
 
 
 def test_argmax_invariant_under_logit_shift():
@@ -274,22 +349,23 @@ def test_argmax_invariant_under_logit_shift():
 
 def test_mono_aspect_output_equals_reference_path_bitwise():
     from lsa.encoder import self_attention_block
-    from lsa.window import position_weights
 
     model = tiny_model()
     ex = coherent_example(1)
-    probs = model.forward_example(ex)[0]
+    probs = model.forward([ex])
 
     # reference path: one unbatched head.sa call for the aspect feature and
     # one for the pooled feature, then the tripled window built directly
     sa, heads = model.head.sa, model.config.heads
-    hc = model.global_context(ex)
+    hidden, _ = model.global_context([model.forward_example(ex)])
+    hc = ad.tensor(hidden.values[0])
     n = len(ex.tokens)
     dists = [float(n)] + [float(abs(i - ex.aspects[0].start)) for i in range(n)]
-    weighted = ad.mul(hc, ad.tensor(position_weights(dists, model.config.alpha, n)))
+    weights = position_weight(np.array(dists), model.config.alpha, n)[:, None]
+    weighted = ad.mul(hc, ad.tensor(weights))
     feat = self_attention_block(weighted, sa, heads, query_rows=1)
-    window = build_window([feat], 0, k=1)
-    h_aw = apply_dwa(window, model.dwa)
+    eta_l, eta_r = model.dwa.eta_l, model.dwa.eta_r
+    h_aw = ad.concat([ad.mul(feat, eta_l), feat, ad.mul(feat, eta_r)], axis=1)
     h_o = project_window(h_aw, model.head)
     pooled = self_attention_block(hc, sa, heads, query_rows=1)
     ref = classify(h_o, pooled, model.head)
@@ -301,21 +377,22 @@ def test_stacked_features_equal_one_head_sa_call_per_column():
 
     model = tiny_model()
     ex = coherent_example(3)
-    hc = model.global_context(ex)
+    hidden, valid = model.global_context([model.forward_example(ex)])
+    hc = ad.tensor(hidden.values[0])
     weights = model._position_weights(ex, ex.tokens, None)
     assert weights.shape == (4, len(ex.tokens) + 1, 1)
     assert np.array_equal(weights[-1], np.ones((len(ex.tokens) + 1, 1)))
-    stacked = aspect_feature_local(hc, weights, model.head.sa, model.config.heads)
-    assert stacked.shape == (4, 1, model.config.d_model)
+    stacked = aspect_feature_local(hidden, valid, [weights], model.head.sa, model.config.heads)
+    assert stacked.shape == (4, model.config.d_model)
     for a in range(4):
         single = self_attention_block(
             ad.mul(hc, ad.tensor(weights[a])), model.head.sa, model.config.heads,
             query_rows=1,
         )
-        assert np.array_equal(stacked.values[a], single.values)
+        assert np.array_equal(stacked.values[a:a + 1], single.values)
 
 
-def test_one_head_sa_call_per_example(monkeypatch):
+def test_one_head_sa_call_per_batch(monkeypatch):
     import lsa.window
 
     calls = []
@@ -327,28 +404,30 @@ def test_one_head_sa_call_per_example(monkeypatch):
 
     monkeypatch.setattr(lsa.window, "self_attention_block", counted)
     model = tiny_model()
-    probs = model.forward_example(coherent_example(3))
-    assert len(probs) == 3
-    assert len(calls) == 1 and calls[0][0] == 4  # three aspects + pooled
+    probs = model.forward([coherent_example(3), coherent_example(2)])
+    assert probs.shape == (5, 3)
+    assert len(calls) == 1 and calls[0][0] == 7  # 3 + 2 aspects, one pooled row each
 
 
 def test_backbone_only_is_mono_aspect_path_for_every_example():
     model = tiny_model(backbone_only=True)
     ex = coherent_example(3)
-    probs = model.forward_example(ex)
+    probs = model.forward([ex])
 
+    # one batch of three mono-aspect examples, so every matmul has the same
+    # number of rows as above and the comparison can stay bitwise
+    monos = [Example(ex.text, ex.tokens, [ex.aspects[j]]) for j in range(3)]
+    ref = model.forward(monos)
     for j in range(3):
-        mono = Example(ex.text, ex.tokens, [ex.aspects[j]])
-        ref = model.forward_example(mono)[0]
-        assert np.array_equal(probs[j].values, ref.values)
+        assert np.array_equal(probs.values[j:j + 1], ref.values[j:j + 1])
 
 
 def test_variant_lsa_p_drops_global_feature():
     model = tiny_model(variant="lsa_p")
     assert model.head.w_dec.shape[0] == model.config.d_model
     ex = coherent_example(2)
-    probs = model.forward_example(ex)
-    assert all(abs(p.values.sum() - 1.0) <= 1e-12 for p in probs)
+    probs = model.forward([ex])
+    assert all(abs(p.sum() - 1.0) <= 1e-12 for p in probs.values)
 
 
 def test_lsa_p_feature_differs_when_aspect_differs():
@@ -366,8 +445,8 @@ def test_lsa_p_feature_differs_when_aspect_differs():
             AspectAnnotation(3, 4, ("battery",), Polarity.POSITIVE),
         ],
     )
-    probs = model.forward_example(ex)
-    assert not np.allclose(probs[0].values, probs[1].values)
+    probs = model.forward([ex])
+    assert not np.allclose(probs.values[0], probs.values[1])
 
 
 def test_lsa_s_uses_tree_and_falls_back_without_parse():
@@ -382,11 +461,11 @@ def test_lsa_s_uses_tree_and_falls_back_without_parse():
         parse_ref="p1",
     )
     tree = DependencyTree(tuple(tokens), (2, 0, 2, 3))
-    with_tree = model.forward_example(ex, {"p1": tree})
+    with_tree = model.forward([ex], {"p1": tree})
     assert model.syntax_fallbacks == 0
-    without = model.forward_example(ex, None)
+    without = model.forward([ex], None)
     assert model.syntax_fallbacks == 1
-    assert with_tree[0].shape == without[0].shape
+    assert with_tree.shape == without.shape
 
 
 def test_lsa_s_aligns_once_per_example(monkeypatch):
@@ -405,7 +484,7 @@ def test_lsa_s_aligns_once_per_example(monkeypatch):
     ex = coherent_example(3)
     tree = DependencyTree(tuple(ex.tokens), (0,) + (1,) * (len(ex.tokens) - 1))
     ex.parse_ref = "p1"
-    assert len(model.forward_example(ex, {"p1": tree})) == 3
+    assert model.forward([ex], {"p1": tree}).shape[0] == 3
     assert len(calls) == 1
     assert model.syntax_fallbacks == 0
 
@@ -445,9 +524,88 @@ def test_model_config_rejects_contradictory_ablations():
 def test_position_weight_never_increases_row_norm():
     model = tiny_model()
     ex = coherent_example(2)
-    hc = model.global_context(ex)
+    hc, _ = model.global_context([model.forward_example(ex)])
     w = model._position_weights(ex, ex.tokens, None)
     weighted = hc.values * w
     norms_before = np.linalg.norm(hc.values, axis=-1)
     norms_after = np.linalg.norm(weighted, axis=-1)
     assert np.all(norms_after <= norms_before + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# batched forward
+
+
+def mini_model(variant):
+    dataset = load_dataset(FIXTURES / "mini.json")
+    tokens = sorted({t for ex in dataset.examples for t in ex.tokens})
+    model = tiny_model(seed=5, variant=variant, vocab_tokens=tokens)
+    model.dwa.eta_l.values[0] = 0.8  # side weights away from 1
+    model.dwa.eta_r.values[0] = 1.3
+    return model, [ex for ex in dataset.examples if ex.aspects]
+
+
+def forward_in_groups(variant, groups):
+    """Each pair's probabilities, in example order, and the gradient of the
+    summed cross-entropy, forwarding the examples of each group together."""
+    model, examples = mini_model(variant)
+    trees = load_parses(FIXTURES / "mini.conllu")
+    rows = {}
+    for group in groups:
+        batch = [examples[i] for i in group]
+        tape = ad.Tape()
+        with tape:
+            probs = model.forward(batch, trees)
+            golds = [a.polarity.index for ex in batch for a in ex.aspects]
+            loss = ad.cross_entropy(probs, golds)
+        tape.backward(loss)
+        ends = np.cumsum([len(ex.aspects) for ex in batch])
+        for i, part in zip(group, np.split(probs.values, ends[:-1])):
+            rows[i] = part
+    grads = {name: t.grad for name, t in model.named_parameters().items()}
+    return np.concatenate([rows[i] for i in sorted(rows)]), grads
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batching_changes_no_probability_and_no_gradient(variant):
+    _, examples = mini_model(variant)
+    n = len(examples)
+    order = np.random.default_rng(3).permutation(n).tolist()
+    groupings = {
+        "one per batch": [[i] for i in range(n)],
+        "one batch": [list(range(n))],
+        "shuffled groups": [order[0:1], order[1:4], order[4:6], order[6:]],
+    }
+    reference, ref_grads = forward_in_groups(variant, groupings.pop("one per batch"))
+    for name, groups in groupings.items():
+        probs, grads = forward_in_groups(variant, groups)
+        np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12, err_msg=name)
+        for param, g in grads.items():
+            if ref_grads[param] is None:
+                assert g is None, (name, param)
+            else:
+                np.testing.assert_allclose(
+                    g, ref_grads[param], rtol=0, atol=1e-12, err_msg=f"{name}: {param}"
+                )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_padding_gets_no_gradient_and_changes_nothing(variant):
+    model = tiny_model(variant=variant, vocab_tokens=["w0", "w1", "w2", "w3", "screen"])
+    batch = [coherent_example(1), coherent_example(4), coherent_example(2)]
+    pad = model.vocab.pad_id
+    inputs = [model.forward_example(ex) for ex in batch]
+    longest = max(len(ids) for x in inputs for ids in x.sequences)
+    assert min(len(ids) for x in inputs for ids in x.sequences) < longest
+    golds = [a.polarity.index for ex in batch for a in ex.aspects]
+    tape = ad.Tape()
+    with tape:
+        probs = model.forward(batch)
+        loss = ad.cross_entropy(probs, golds)
+    tape.backward(loss)
+    assert np.array_equal(model.encoder.embedding.grad[pad], np.zeros(model.config.d_model))
+    assert np.array_equal(model.encoder.positional.grad[longest:], np.zeros_like(
+        model.encoder.positional.values[longest:]))
+    # the padding's embedding never reaches an output
+    model.encoder.embedding.values[pad] += 100.0
+    assert np.array_equal(model.forward(batch).values, probs.values)
