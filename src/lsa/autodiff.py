@@ -413,34 +413,108 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-2, -3).reshape(*lead, n, heads * dh)
 
 
-def _attention_probs(x: Tensor, wq, bq, wk, bk, heads, mask, query_rows):
-    """The query rows of ``x``, queries and keys split by head, and the
-    softmax attention weights (..., heads, query_rows, n)."""
-    if x.values.ndim < 2 or x.shape[-1] % heads != 0:
-        raise ShapeError(f"attention: {heads} heads do not split a tensor of shape {x.shape}")
-    if query_rows is not None and not (1 <= query_rows <= x.shape[-2]):
-        raise ShapeError(f"attention: {query_rows} query rows for {x.shape}")
-    xv = x.values
-    xq = xv if query_rows is None else xv[..., :query_rows, :]
-    q = _split_heads(xq @ wq.values + bq.values, heads)
-    k = _split_heads(xv @ wk.values + bk.values, heads)
+class _QueryRows:
+    """Where the query rows of ``attention`` come from, and how they sit
+    beside the keys.
+
+    Without ``source``, each (n, d) entry of ``x`` gives its first ``count``
+    rows, and ``group``/``ungroup`` are the identity.  With it, ``x`` is
+    (S, L, d) and row block r is ``scale[r, :, None] * x[source[r]]``, of
+    which the first ``count`` rows are queries.  The blocks of one sequence
+    are contiguous; ``group`` sets their query rows side by side per
+    sequence, (S, slots * count, ·), zero-padded to the most blocks of a
+    sequence, so that one batched matmul per sequence and head meets them
+    all with that sequence's keys.
+    """
+
+    def __init__(self, xv: np.ndarray, heads: int, query_rows, source, scale):
+        if xv.ndim < 2 or xv.shape[-1] % heads != 0:
+            raise ShapeError(f"attention: {heads} heads do not split a tensor of shape {xv.shape}")
+        if query_rows is not None and not (1 <= query_rows <= xv.shape[-2]):
+            raise ShapeError(f"attention: {query_rows} query rows for {xv.shape}")
+        self.count = xv.shape[-2] if query_rows is None else query_rows
+        self.source = source
+        self.key_scale = None  # (S, 1, slots * count, L), or None for all ones
+        if source is None:
+            self.xq = xv[..., :self.count, :]
+            return
+        source = self.source = np.asarray(source, dtype=np.int64)
+        scale = np.asarray(scale, dtype=np.float64)
+        if (xv.ndim != 3 or source.ndim != 1 or source.size == 0
+                or scale.shape != (source.size, xv.shape[1])
+                or source[0] < 0 or source[-1] >= len(xv) or np.any(np.diff(source) < 0)):
+            raise ShapeError(
+                f"attention: source {source.shape} must hold sorted indices of the "
+                f"sequences of {xv.shape}, with one scale row each, got {scale.shape}"
+            )
+        self.sequences = len(xv)
+        counts = np.bincount(source, minlength=len(xv))
+        starts = np.cumsum(counts) - counts
+        self.slot = np.arange(source.size) - starts[source]
+        self.slots = int(counts.max())
+        self.present, self.starts = counts > 0, starts[counts > 0]
+        self.query_scale = scale[:, :self.count, None]
+        self.xq = self.query_scale * xv[source, :self.count]
+        rows = np.broadcast_to(scale[:, None], (source.size, self.count, scale.shape[1]))
+        self.key_scale = self.group(rows)[:, None]
+
+    def group(self, a: np.ndarray) -> np.ndarray:
+        """(rows, count, ·) -> (S, slots * count, ·)."""
+        if self.source is None:
+            return a
+        out = np.zeros((self.sequences, self.slots) + a.shape[1:])
+        out[self.source, self.slot] = a
+        return out.reshape(self.sequences, -1, *a.shape[2:])
+
+    def ungroup(self, a: np.ndarray) -> np.ndarray:
+        """(S, slots * count, ·) -> (rows, count, ·)."""
+        if self.source is None:
+            return a
+        blocks = a.reshape(self.sequences, self.slots, self.count, *a.shape[2:])
+        return blocks[self.source, self.slot]
+
+    def add_query_grad(self, g_x: np.ndarray, g_xq: np.ndarray) -> None:
+        """Add the gradient of the query rows into that of ``x``: with a
+        ``source``, each sequence gets the sum over its contiguous blocks."""
+        if self.source is None:
+            g_x[..., :self.count, :] += g_xq
+        else:
+            g_x[self.present, :self.count] += np.add.reduceat(
+                self.query_scale * g_xq, self.starts, axis=0
+            )
+
+
+def _attention_probs(xv: np.ndarray, rows: _QueryRows, wq, bq, wk, heads, mask):
+    """Queries and keys split by head, and the softmax attention weights
+    (S or ..., heads, queries, n), queries in ``rows.group`` layout.
+
+    The key bias adds q·bk to every score of a query, a shift that softmax
+    ignores, so it is left out."""
+    q = _split_heads(rows.group(rows.xq @ wq.values + bq.values), heads)
+    k = _split_heads(xv @ wk.values, heads)
     scores = (q @ k.swapaxes(-1, -2)) * q.shape[-1] ** -0.5
+    if rows.key_scale is not None:
+        scores *= rows.key_scale
     if mask is not None:
         scores = scores + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return xq, q, k, e / e.sum(axis=-1, keepdims=True)
+    return q, k, e / e.sum(axis=-1, keepdims=True)
 
 
-def attention_weights(x, wq, bq, wk, bk, heads, mask=None, query_rows=None) -> np.ndarray:
-    """The weights ``attention`` mixes values with, (..., heads,
+def attention_weights(
+    x, wq, bq, wk, heads, mask=None, query_rows=None, source=None, scale=None
+) -> np.ndarray:
+    """The weights ``attention`` mixes values with, (rows or ..., heads,
     query_rows, n).  They are not recorded on the tape."""
-    return _attention_probs(x, wq, bq, wk, bk, heads, mask, query_rows)[3]
+    rows = _QueryRows(x.values, heads, query_rows, source, scale)
+    p = _attention_probs(x.values, rows, wq, bq, wk, heads, mask)[2]
+    return rows.ungroup(p.swapaxes(-2, -3)).swapaxes(-2, -3)
 
 
 def attention(
     x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-    heads: int, mask=None, query_rows: int | None = None,
+    heads: int, mask=None, query_rows: int | None = None, source=None, scale=None,
 ) -> Tensor:
     """Multi-head scaled dot-product self-attention with its input and
     output projections, as one node with a hand-written backward.
@@ -449,28 +523,44 @@ def attention(
     a value; the first ``query_rows`` rows (all when None) are queries, so
     the output is (..., query_rows, d).  ``mask`` is a constant added to the
     scores and broadcast against (..., heads, query_rows, n).
+
+    With a ``source`` (rows,) and a ``scale`` (rows, n), ``x`` is (S, n, d)
+    and the output (rows, query_rows, d) is that of the input whose entry r
+    is ``scale[r, :, None] * x[source[r]]``, without forming it.  Keys and
+    values are linear in the input, so they are projected once per
+    sequence and scaled per row; the value bias passes through the
+    weights, which sum to 1.  ``source`` must be sorted.  ``mask`` masks
+    the keys of each sequence: it broadcasts against (S, heads, 1, n).
     """
-    xq, q, k, p = _attention_probs(x, wq, bq, wk, bk, heads, mask, query_rows)
     xv = x.values
-    v = _split_heads(xv @ wv.values + bv.values, heads)
-    merged = _merge_heads(p @ v)
+    rows = _QueryRows(xv, heads, query_rows, source, scale)
+    q, k, p = _attention_probs(xv, rows, wq, bq, wk, heads, mask)
+    s = rows.key_scale
+    w = p if s is None else p * s
+    v = _split_heads(xv @ wv.values, heads)
+    merged = rows.ungroup(_merge_heads(w @ v)) + bv.values
     out = Tensor(merged @ wo.values + bo.values)
     score_scale = q.shape[-1] ** -0.5
 
     def backward(g):
-        g_o = _split_heads(g @ wo.values.T, heads)
+        g_merged = g @ wo.values.T
+        g_o = _split_heads(rows.group(g_merged), heads)
         g_p = g_o @ v.swapaxes(-1, -2)
+        if s is not None:
+            g_p *= s
         g_s = (g_p - np.sum(g_p * p, axis=-1, keepdims=True)) * p * score_scale
-        g_q = _merge_heads(g_s @ k)
+        if s is not None:
+            g_s *= s
+        g_q = rows.ungroup(_merge_heads(g_s @ k))
         g_k = _merge_heads(g_s.swapaxes(-1, -2) @ q)
-        g_v = _merge_heads(p.swapaxes(-1, -2) @ g_o)
+        g_v = _merge_heads(w.swapaxes(-1, -2) @ g_o)
         g_x = g_k @ wk.values.T + g_v @ wv.values.T
-        g_x[..., : xq.shape[-2], :] += g_q @ wq.values.T
+        rows.add_query_grad(g_x, g_q @ wq.values.T)
         return (
             g_x,
-            _flat(xq).T @ _flat(g_q), _flat(g_q).sum(axis=0),
-            _flat(xv).T @ _flat(g_k), _flat(g_k).sum(axis=0),
-            _flat(xv).T @ _flat(g_v), _flat(g_v).sum(axis=0),
+            _flat(rows.xq).T @ _flat(g_q), _flat(g_q).sum(axis=0),
+            _flat(xv).T @ _flat(g_k), np.zeros_like(bk.values),
+            _flat(xv).T @ _flat(g_v), _flat(g_merged).sum(axis=0),
             _flat(merged).T @ _flat(g), _flat(g).sum(axis=0),
         )
 

@@ -181,24 +181,36 @@ def self_attention_block(
     valid: np.ndarray | None = None,
     return_attention: bool = False,
     query_rows: int | None = None,
+    source: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
 ):
     """Multi-head attention + residual + feed-forward, post-norm, over
     (..., n, d).  ``valid`` is a (..., n) boolean key mask: a row attends
     only to the positions it marks True, so padding neither changes the
     other rows nor receives a gradient through attention.  With
     ``query_rows`` only the first that many rows are computed (every row
-    still serves as a key and a value), so the output is (..., query_rows, d)."""
+    still serves as a key and a value), so the output is (..., query_rows, d).
+
+    With a sorted ``source`` (rows,) and a ``scale`` (rows, n), ``x`` is
+    (S, n, d) and the block runs on the input whose entry r is
+    ``scale[r, :, None] * x[source[r]]``, giving (rows, query_rows, d).
+    That input is never formed: attention projects keys and values once per
+    sequence (``ad.attention``), and the residual gathers only the query
+    rows.  ``valid`` still masks the S sequences."""
     mask = None
     if valid is not None and not valid.all():
         mask = np.where(valid, 0.0, -1e30)[..., None, None, :]
-    qkv = (x, p.wq, p.bq, p.wk, p.bk)
-    attn = ad.attention(*qkv, p.wv, p.bv, p.wo, p.bo, heads, mask, query_rows)
+    qkv = (x, p.wq, p.bq, p.wk)
+    attn = ad.attention(*qkv, p.bk, p.wv, p.bv, p.wo, p.bo, heads, mask, query_rows,
+                        source, scale)
     xq = x if query_rows is None else ad.slice_rows(x, 0, query_rows)
+    if source is not None:
+        xq = ad.mul(ad.gather_rows(xq, source), Tensor(scale[:, :xq.shape[-2], None]))
     h = ad.layer_norm(ad.add(xq, attn), p.ln1_g, p.ln1_b)
     f = ad.matmul(ad.tanh(ad.matmul(h, p.w1, p.b1)), p.w2, p.b2)
     out = ad.layer_norm(ad.add(h, f), p.ln2_g, p.ln2_b)
     if return_attention:
-        weights = ad.attention_weights(*qkv, heads, mask, query_rows)
+        weights = ad.attention_weights(*qkv, heads, mask, query_rows, source, scale)
         return out, [Tensor(weights[..., i, :, :]) for i in range(heads)]
     return out
 

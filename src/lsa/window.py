@@ -1,14 +1,18 @@
 """Aspect features, the sentiment aggregation window, and the output head.
 
-An aspect's feature is a d-vector summary of its local sentiment: hidden
-states are scaled by position weights derived from token-aspect distances,
-passed through a shared pre-head attention block (``head.sa``), and
-head-pooled to row 0.  Only row 0 is computed; the other rows serve as keys
-and values.  The window sets the k nearest left features, the target
-feature and the k nearest right ones side by side; missing neighbors are
-padded with copies of the target feature, never zeros.  Two learnable
-scalars re-weight the side slots and are optimized by gradient descent
-from an initial value of 1.
+An aspect's feature is a d-vector summary of its local sentiment: row 0
+of a shared pre-head attention block (``head.sa``) run on the hidden
+states scaled by position weights derived from token-aspect distances.
+Only row 0 is computed; the other rows serve as keys and values.  The
+scaled hidden states are never formed: keys and values are linear in
+them, so ``head.sa`` projects each sequence once and scales the projected
+keys and values by each aspect's weights.
+
+The window sets the k nearest left features, the target feature and the
+k nearest right ones side by side; missing neighbors are padded with
+copies of the target feature, never zeros.  Two learnable scalars
+re-weight the side slots and are optimized by gradient descent from an
+initial value of 1.
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
 of each example (token ids, SPC inputs, position weights, parse alignment)
@@ -66,7 +70,7 @@ class ExampleInputs:
 
     aspects: int
     sequences: list[np.ndarray]  # token ids: the context, or one SPC input per aspect (lsa_p)
-    weights: np.ndarray | None  # (aspects + 1, n + 1, 1) position weights; None for lsa_p
+    weights: np.ndarray | None  # (aspects + 1, n + 1) position weights; None for lsa_p
 
 
 @dataclass
@@ -113,30 +117,29 @@ def aspect_feature_local(
 
     ``hidden`` (S, L, d) holds the batch's encoded sequences and ``valid``
     (S, L) their real positions.  With ``weights`` None each sequence gives
-    one row.  Otherwise ``weights[s]`` (rows_s, n_s, 1) gives sequence ``s``
-    rows_s rows, each from the sequence scaled by one column of position
-    weights.  The weights are functions of integer positions only and carry
-    no gradient.
+    one row.  Otherwise ``weights[s]`` (rows_s, n_s) gives sequence ``s``
+    rows_s rows, each the feature of the sequence under one row of position
+    weights: ``head.sa`` sees the hidden states scaled by those weights.
+    The scaled copies are never formed; ``head.sa`` projects each
+    sequence's keys and values once and scales them per row.  The weights
+    are functions of integer positions only and carry no gradient.
     """
-    x = hidden
+    source = scale = None
     if weights is not None:
         lengths = valid.sum(axis=1)
         if len(weights) != len(lengths) or any(
-            w.ndim != 3 or w.shape[1:] != (n, 1) for w, n in zip(weights, lengths)
+            w.ndim != 2 or w.shape[1] != n for w, n in zip(weights, lengths)
         ):
             raise ConfigError(
                 f"position weights of shapes {[w.shape for w in weights]} for "
                 f"sequences of lengths {lengths.tolist()}"
             )
-        sequence = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
-        scale = np.zeros((len(sequence), valid.shape[1], 1))
-        row = 0
-        for w in weights:
-            scale[row:row + len(w), :w.shape[1]] = w
-            row += len(w)
-        x = ad.mul(ad.gather_rows(hidden, sequence), Tensor(scale))
-        valid = valid[sequence]
-    out = self_attention_block(x, sa, heads, valid=valid, query_rows=1)
+        source = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
+        real = valid[source]
+        scale = np.zeros(real.shape)
+        scale[real] = np.concatenate([w.ravel() for w in weights])
+    out = self_attention_block(hidden, sa, heads, valid=valid, query_rows=1,
+                               source=source, scale=scale)
     return ad.reshape(out, (out.shape[0], out.shape[-1]))
 
 
@@ -276,6 +279,7 @@ class Model:
         self.head = OutputHead.init(d, ffn, config.window_slots, dec_in, rng)
         self.dwa = DwaParams()
         self.syntax_fallbacks = 0
+        self._warned: set[str] = set()  # the fallback reasons already logged
 
     # -- parameters -------------------------------------------------------
 
@@ -313,32 +317,41 @@ class Model:
         return tokens
 
     def _position_weights(self, example: Example, tokens, trees) -> np.ndarray:
-        """(A + 1, n + 1, 1): a column of position weights per aspect, from
-        the variant's token-aspect distances, then an all-ones column for
-        the pooled global feature.  The leading marker receives the maximal
-        distance n."""
+        """(A + 1, n + 1): a row of position weights per aspect, from the
+        variant's token-aspect distances, then an all-ones row for the
+        pooled global feature.  The leading marker receives the maximal
+        distance n.  ``lsa_s`` falls back to positional distance, and
+        counts it in ``syntax_fallbacks``, when the example has no parse or
+        its tokens do not align with the parse's forms."""
         n = len(tokens)
         distance = partial(relative_token_distance, np.arange(n))
         if self.config.variant == "lsa_s":
             tree = (trees or {}).get(example.parse_ref)
-            if tree is None:
+            reason, detail = "no parse", ""
+            if tree is not None:
+                try:
+                    alignment = align_tokens_to_words(tokens, tree.forms)
+                except DataError as err:
+                    reason, detail = "tokens that do not align with the parse", f" ({err})"
+                else:
+                    distance = partial(syntactic_distance, tree, alignment, np.arange(n))
+                    reason = None
+            if reason is not None:
                 self.syntax_fallbacks += 1
-                if self.syntax_fallbacks == 1:
+                if reason not in self._warned:
+                    self._warned.add(reason)
                     logger.warning(
-                        "no parse for example %r; falling back to positional distance",
-                        example.text[:40],
+                        "%s for example %r%s; falling back to positional distance",
+                        reason, example.text[:40], detail,
                     )
-            else:
-                alignment = align_tokens_to_words(tokens, tree.forms)
-                distance = partial(syntactic_distance, tree, alignment, np.arange(n))
-        columns = [
+        rows = [
             position_weight(
                 np.concatenate([[float(n)], distance(range(a.start, a.end))]),
                 self.config.alpha, n,
             )
             for a in example.aspects
         ]
-        return np.stack(columns + [np.ones(n + 1)])[..., None]
+        return np.stack(rows + [np.ones(n + 1)])
 
     def forward_example(self, example: Example, trees=None) -> ExampleInputs:
         """The host-side inputs of one example's forward: token ids, and

@@ -600,6 +600,92 @@ def test_attention_shape_errors():
         ad.attention(ad.tensor(randn(rng, 4, 8)), *params, 2, query_rows=5)
 
 
+# Rows read from a source sequence and scaled per position: row r is the
+# input scale[r, :, None] * x[source[r]], never formed by the op.
+
+SOURCE_CASES = {
+    "unequal_rows": dict(shape=(3, 5, 8), heads=2, rows=[1, 3, 2]),
+    "sequence_without_rows": dict(shape=(3, 4, 8), heads=2, rows=[2, 0, 1]),
+    "key_mask": dict(shape=(3, 5, 8), heads=2, rows=[2, 1, 2], n_valid=[5, 3, 1]),
+    "zero_scales": dict(shape=(2, 5, 8), heads=2, rows=[2, 2], zeros=True),
+    "pooled_row": dict(shape=(2, 4, 8), heads=2, rows=[2, 1], pooled=True),
+    "heads_1": dict(shape=(2, 4, 8), heads=1, rows=[2, 3]),
+    "heads_4": dict(shape=(2, 4, 8), heads=4, rows=[3, 1], n_valid=[2, 4]),
+    "query_rows_2": dict(shape=(2, 4, 8), heads=2, rows=[1, 2], query_rows=2),
+}
+
+
+def source_inputs(spec, rng):
+    """The source index and per-row scale of a ``SOURCE_CASES`` entry."""
+    source = np.repeat(np.arange(spec["shape"][0]), spec["rows"])
+    scale = rng.uniform(0.0, 1.0, size=(len(source), spec["shape"][1]))
+    if spec.get("zeros"):
+        scale[rng.random(scale.shape) < 0.4] = 0.0
+    if spec.get("pooled"):
+        scale[-1] = 1.0
+    return source, scale
+
+
+@pytest.mark.parametrize("case", list(SOURCE_CASES))
+def test_attention_source_gradients_match_fd(case):
+    spec = SOURCE_CASES[case]
+    rng = np.random.default_rng(21)
+    x = ad.parameter(randn(rng, *spec["shape"]))
+    params = attention_params(rng, spec["shape"][-1])
+    source, scale = source_inputs(spec, rng)
+    mask = op_mask(padding_mask(spec))
+    query_rows = spec.get("query_rows", 1)
+    readout = ad.tensor(randn(rng, len(source), query_rows, spec["shape"][-1]))
+
+    def build():
+        out = ad.attention(x, *params.values(), spec["heads"], mask=mask,
+                           query_rows=query_rows, source=source, scale=scale)
+        return ad.sum_all(ad.mul(out, readout))
+
+    assert grad_check(build, {"x": x, **params}) <= 1e-6
+
+
+@pytest.mark.parametrize("case", list(SOURCE_CASES))
+def test_attention_source_equals_the_scaled_copies(case):
+    spec = SOURCE_CASES[case]
+    rng = np.random.default_rng(22)
+    x = randn(rng, *spec["shape"])
+    params = attention_params(rng, spec["shape"][-1])
+    source, scale = source_inputs(spec, rng)
+    mask = padding_mask(spec)
+    query_rows = spec.get("query_rows", 1)
+    out = ad.attention(ad.tensor(x), *params.values(), spec["heads"], mask=op_mask(mask),
+                       query_rows=query_rows, source=source, scale=scale)
+    copies = ad.attention(
+        ad.tensor(scale[:, :, None] * x[source]), *params.values(), spec["heads"],
+        mask=None if mask is None else op_mask(mask[source]), query_rows=query_rows,
+    )
+    assert out.shape == (len(source), query_rows, spec["shape"][-1])
+    assert np.max(np.abs(out.values - copies.values)) <= 1e-12
+    qk = [params[name] for name in ("wq", "bq", "wk")]
+    weights = ad.attention_weights(ad.tensor(x), *qk, spec["heads"], op_mask(mask), query_rows,
+                                   source, scale)
+    copy_weights = ad.attention_weights(
+        ad.tensor(scale[:, :, None] * x[source]), *qk, spec["heads"],
+        None if mask is None else op_mask(mask[source]), query_rows,
+    )
+    assert np.max(np.abs(weights - copy_weights)) <= 1e-12
+
+
+def test_attention_source_errors():
+    rng = np.random.default_rng(23)
+    params = attention_params(rng, 8).values()
+    x = ad.tensor(randn(rng, 2, 4, 8))
+    for source, scale in [
+        ([1, 0], np.ones((2, 4))),  # not sorted
+        ([0, 2], np.ones((2, 4))),  # out of range
+        ([0, 1], np.ones((2, 3))),  # scale rows of the wrong length
+        ([0, 1], None),
+    ]:
+        with pytest.raises(ShapeError):
+            ad.attention(x, *params, 2, query_rows=1, source=source, scale=scale)
+
+
 # ---------------------------------------------------------------------------
 # finite differences oracle
 

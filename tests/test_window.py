@@ -109,7 +109,7 @@ def test_position_weights_equal_the_scalar_reference(data):
         model = tiny_model(variant=variant, alpha=alpha)
         got = model._position_weights(example, tokens, {"p": tree})
         assert model.syntax_fallbacks == 0
-        for column, (a, b) in zip(got, spans):
+        for row, (a, b) in zip(got, spans):
             if variant == "lsa_s":
                 dist = [
                     sum(tree_shortest_distance(tree, token_word[i], token_word[t])
@@ -119,8 +119,8 @@ def test_position_weights_equal_the_scalar_reference(data):
             else:
                 dist = [sum(abs(i - t) for t in range(a, b)) / (b - a) for i in range(n)]
             expected = [reference_weight(d, alpha, n) for d in [float(n)] + dist]
-            assert np.array_equal(column[:, 0], expected)
-        assert np.array_equal(got[-1], np.ones((n + 1, 1)))
+            assert np.array_equal(row, expected)
+        assert np.array_equal(got[-1], np.ones(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def test_argmax_invariant_under_logit_shift():
 # model paths
 
 
-def test_mono_aspect_output_equals_reference_path_bitwise():
+def test_mono_aspect_output_equals_reference_path():
     from lsa.encoder import self_attention_block
 
     model = tiny_model()
@@ -355,21 +355,26 @@ def test_mono_aspect_output_equals_reference_path_bitwise():
     probs = model.forward([ex])
 
     # reference path: one unbatched head.sa call for the aspect feature and
-    # one for the pooled feature, then the tripled window built directly
+    # one for the pooled feature, then the tripled window built directly.
+    # head.sa's matmuls then have other shapes than in the batched call,
+    # so the comparison allows rounding.
     sa, heads = model.head.sa, model.config.heads
-    hidden, _ = model.global_context([model.forward_example(ex)])
-    hc = ad.tensor(hidden.values[0])
+    hidden, valid = model.global_context([model.forward_example(ex)])
     n = len(ex.tokens)
     dists = [float(n)] + [float(abs(i - ex.aspects[0].start)) for i in range(n)]
-    weights = position_weight(np.array(dists), model.config.alpha, n)[:, None]
-    weighted = ad.mul(hc, ad.tensor(weights))
-    feat = self_attention_block(weighted, sa, heads, query_rows=1)
+
+    def feature(weights):
+        out = self_attention_block(hidden, sa, heads, valid, query_rows=1,
+                                   source=[0], scale=weights[None])
+        return ad.reshape(out, (1, out.shape[-1]))
+
+    feat = feature(position_weight(np.array(dists), model.config.alpha, n))
     eta_l, eta_r = model.dwa.eta_l, model.dwa.eta_r
     h_aw = ad.concat([ad.mul(feat, eta_l), feat, ad.mul(feat, eta_r)], axis=1)
     h_o = project_window(h_aw, model.head)
-    pooled = self_attention_block(hc, sa, heads, query_rows=1)
+    pooled = feature(np.ones(n + 1))
     ref = classify(h_o, pooled, model.head)
-    assert np.array_equal(probs.values, ref.values)
+    np.testing.assert_allclose(probs.values, ref.values, rtol=0, atol=1e-12)
 
 
 def test_stacked_features_equal_one_head_sa_call_per_column():
@@ -378,18 +383,17 @@ def test_stacked_features_equal_one_head_sa_call_per_column():
     model = tiny_model()
     ex = coherent_example(3)
     hidden, valid = model.global_context([model.forward_example(ex)])
-    hc = ad.tensor(hidden.values[0])
     weights = model._position_weights(ex, ex.tokens, None)
-    assert weights.shape == (4, len(ex.tokens) + 1, 1)
-    assert np.array_equal(weights[-1], np.ones((len(ex.tokens) + 1, 1)))
+    assert weights.shape == (4, len(ex.tokens) + 1)
+    assert np.array_equal(weights[-1], np.ones(len(ex.tokens) + 1))
     stacked = aspect_feature_local(hidden, valid, [weights], model.head.sa, model.config.heads)
     assert stacked.shape == (4, model.config.d_model)
     for a in range(4):
         single = self_attention_block(
-            ad.mul(hc, ad.tensor(weights[a])), model.head.sa, model.config.heads,
-            query_rows=1,
+            hidden, model.head.sa, model.config.heads, valid, query_rows=1,
+            source=[0], scale=weights[a:a + 1],
         )
-        assert np.array_equal(stacked.values[a:a + 1], single.values)
+        np.testing.assert_allclose(stacked.values[a], single.values[0, 0], rtol=0, atol=1e-12)
 
 
 def test_one_head_sa_call_per_batch(monkeypatch):
@@ -399,8 +403,9 @@ def test_one_head_sa_call_per_batch(monkeypatch):
     original = lsa.window.self_attention_block
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        calls.append(out.shape)
+        return out
 
     monkeypatch.setattr(lsa.window, "self_attention_block", counted)
     model = tiny_model()
@@ -414,12 +419,12 @@ def test_backbone_only_is_mono_aspect_path_for_every_example():
     ex = coherent_example(3)
     probs = model.forward([ex])
 
-    # one batch of three mono-aspect examples, so every matmul has the same
-    # number of rows as above and the comparison can stay bitwise
+    # one batch of three mono-aspect examples: the window, projection and
+    # classifier see three pairs as above, but head.sa sees 6 rows of 3
+    # sequences instead of 4 rows of one, so the comparison allows rounding
     monos = [Example(ex.text, ex.tokens, [ex.aspects[j]]) for j in range(3)]
     ref = model.forward(monos)
-    for j in range(3):
-        assert np.array_equal(probs.values[j:j + 1], ref.values[j:j + 1])
+    np.testing.assert_allclose(probs.values, ref.values, rtol=0, atol=1e-12)
 
 
 def test_variant_lsa_p_drops_global_feature():
@@ -499,6 +504,23 @@ def test_lsa_s_fallback_warning_names_the_example(caplog):
     assert repr(ex.text[:40]) in caplog.text
 
 
+def test_lsa_s_falls_back_when_the_parse_does_not_align(caplog):
+    from lsa.distance import DependencyTree
+    from lsa.encoder import tokenize
+
+    text = "the food don't taste good"
+    tokens = tokenize(text)  # the food don ' t taste good
+    model = tiny_model(variant="lsa_s", vocab_tokens=tokens)
+    ex = Example(text, tokens, [AspectAnnotation(1, 2, ("food",), Polarity.POSITIVE)],
+                 parse_ref="p1")
+    tree = DependencyTree(("the", "food", "do", "n't", "taste", "good"), (2, 5, 5, 5, 0, 5))
+    with caplog.at_level("WARNING", logger="lsa.window"):
+        probs = model.forward([ex], {"p1": tree})
+    assert model.syntax_fallbacks == 1
+    assert repr(text[:40]) in caplog.text
+    assert np.array_equal(probs.values, model.forward([ex], None).values)  # positional
+
+
 @pytest.mark.parametrize(
     "flags, expected",
     [
@@ -526,7 +548,7 @@ def test_position_weight_never_increases_row_norm():
     ex = coherent_example(2)
     hc, _ = model.global_context([model.forward_example(ex)])
     w = model._position_weights(ex, ex.tokens, None)
-    weighted = hc.values * w
+    weighted = hc.values * w[..., None]
     norms_before = np.linalg.norm(hc.values, axis=-1)
     norms_after = np.linalg.norm(weighted, axis=-1)
     assert np.all(norms_after <= norms_before + 1e-15)
@@ -587,6 +609,22 @@ def test_batching_changes_no_probability_and_no_gradient(variant):
                 np.testing.assert_allclose(
                     g, ref_grads[param], rtol=0, atol=1e-12, err_msg=f"{name}: {param}"
                 )
+
+
+@pytest.mark.parametrize("variant", ["lsa_t", "lsa_s"])
+def test_head_sa_forms_no_scaled_copy_of_the_batch(variant):
+    """head.sa reads the (S, L, d) hidden states and scales keys and values
+    per feature row: no tape node holds a (feature rows, L, ·) array."""
+    model, examples = mini_model(variant)
+    trees = load_parses(FIXTURES / "mini.conllu")
+    _, valid = model.global_context([model.forward_example(ex, trees) for ex in examples])
+    rows = sum(len(ex.aspects) + 1 for ex in examples)
+    tape = ad.Tape()
+    with tape:
+        model.forward(examples, trees)
+    leading = [node.output.shape[:2] for node in tape._nodes]
+    assert valid.shape in leading  # the encoder's (S, L, ·) nodes
+    assert (rows, valid.shape[1]) not in leading
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
