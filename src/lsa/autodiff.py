@@ -23,7 +23,6 @@ __all__ = [
     "parameter",
     "add",
     "mul",
-    "smul",
     "matmul",
     "concat",
     "slice_rows",
@@ -236,17 +235,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def smul(t: Tensor, c: float) -> Tensor:
-    """Multiply by a python float constant (no gradient for the constant)."""
-    c = float(c)
-    out = Tensor(t.values * c)
-
-    def backward(g):
-        return (g * c,)
-
-    return _record(out, (t,), backward)
-
-
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """(..., n, k) @ (k, m), plus a (m,) ``bias`` row if given: leading
     axes of ``a`` are a batch.  The bias is part of the one node, so an
@@ -401,167 +389,165 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (t, gain, bias), backward)
 
 
-def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
-    """(..., n, d) -> (..., heads, n, d / heads)."""
-    *lead, n, d = a.shape
-    return a.reshape(*lead, n, heads, d // heads).swapaxes(-2, -3)
+def _heads(a: np.ndarray, index, shape, heads: int) -> np.ndarray:
+    """Rows (m, d) set at ``index`` of a zero (*shape, d) array, split by
+    head: (S, heads, n, d / heads)."""
+    out = np.zeros(shape + a.shape[1:])
+    out[index] = a
+    return out.reshape(*shape, heads, -1).swapaxes(1, 2)
 
 
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    """(..., heads, n, dh) -> (..., n, heads * dh)."""
-    *lead, heads, n, dh = a.shape
-    return a.swapaxes(-2, -3).reshape(*lead, n, heads * dh)
+def _rows(a: np.ndarray, index) -> np.ndarray:
+    """The inverse of ``_heads``: (S, heads, n, dh) -> (m, heads * dh)."""
+    picked = a.swapaxes(1, 2)[index]
+    return picked.reshape(len(picked), -1)
 
 
-class _QueryRows:
-    """Where the query rows of ``attention`` come from, and how they sit
-    beside the keys.
+class _Layout:
+    """Where the packed rows of ``attention`` and its queries sit in the
+    (S, heads, ·, ·) arrays of the scores.
 
-    Without ``source``, each (n, d) entry of ``x`` gives its first ``count``
-    rows, and ``group``/``ungroup`` are the identity.  With it, ``x`` is
-    (S, L, d) and row block r is ``scale[r, :, None] * x[source[r]]``, of
-    which the first ``count`` rows are queries.  The blocks of one sequence
-    are contiguous; ``group`` sets their query rows side by side per
-    sequence, (S, slots * count, ·), zero-padded to the most blocks of a
-    sequence, so that one batched matmul per sequence and head meets them
-    all with that sequence's keys.
+    ``x`` (N, d) holds the real rows of S sequences in order, and ``valid``
+    (S, L) marks their positions: keys and values are set there, zero at
+    the padding.  Without ``source`` every row is a query, laid out the
+    same way.  With it, query r is ``scale[r, 0]`` times the first row of
+    sequence ``source[r]``.  The queries of one sequence are contiguous;
+    they are set side by side, (S, slots), zero-padded to the most queries
+    of a sequence, so that one batched matmul per sequence and head meets
+    them all with that sequence's keys.
     """
 
-    def __init__(self, xv: np.ndarray, heads: int, query_rows, source, scale):
-        if xv.ndim < 2 or xv.shape[-1] % heads != 0:
-            raise ShapeError(f"attention: {heads} heads do not split a tensor of shape {xv.shape}")
-        if query_rows is not None and not (1 <= query_rows <= xv.shape[-2]):
-            raise ShapeError(f"attention: {query_rows} query rows for {xv.shape}")
-        self.count = xv.shape[-2] if query_rows is None else query_rows
-        self.source = source
-        self.key_scale = None  # (S, 1, slots * count, L), or None for all ones
+    def __init__(self, xv: np.ndarray, heads: int, valid, source, scale):
+        if xv.ndim != 2 or xv.shape[1] % heads != 0:
+            raise ShapeError(f"attention: {heads} heads do not split packed rows {xv.shape}")
+        valid = np.ones((1, len(xv)), dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+        if valid.ndim != 2 or valid.sum() != len(xv) or not valid[:, 0].all():
+            raise ShapeError(
+                f"attention: {len(xv)} packed rows for a layout {valid.shape} of "
+                f"{valid.sum()} real positions, each sequence starting with one"
+            )
+        self.heads, self.valid = heads, valid
+        self.index, self.shape = valid, valid.shape  # of the queries
+        self.mask = None if valid.all() else np.where(valid, 0.0, -1e30)[:, None, None, :]
+        self.xq, self.key_scale = xv, None  # key_scale (S, 1, slots, L), or None for all ones
         if source is None:
-            self.xq = xv[..., :self.count, :]
             return
-        source = self.source = np.asarray(source, dtype=np.int64)
+        source = np.asarray(source, dtype=np.int64)
         scale = np.asarray(scale, dtype=np.float64)
-        if (xv.ndim != 3 or source.ndim != 1 or source.size == 0
-                or scale.shape != (source.size, xv.shape[1])
-                or source[0] < 0 or source[-1] >= len(xv) or np.any(np.diff(source) < 0)):
+        if (source.ndim != 1 or source.size == 0 or scale.shape != (source.size, valid.shape[1])
+                or source[0] < 0 or source[-1] >= len(valid) or np.any(np.diff(source) < 0)):
             raise ShapeError(
                 f"attention: source {source.shape} must hold sorted indices of the "
-                f"sequences of {xv.shape}, with one scale row each, got {scale.shape}"
+                f"sequences of {valid.shape}, with one scale row each, got {scale.shape}"
             )
-        self.sequences = len(xv)
-        counts = np.bincount(source, minlength=len(xv))
-        starts = np.cumsum(counts) - counts
-        self.slot = np.arange(source.size) - starts[source]
-        self.slots = int(counts.max())
-        self.present, self.starts = counts > 0, starts[counts > 0]
-        self.query_scale = scale[:, :self.count, None]
-        self.xq = self.query_scale * xv[source, :self.count]
-        rows = np.broadcast_to(scale[:, None], (source.size, self.count, scale.shape[1]))
-        self.key_scale = self.group(rows)[:, None]
+        lengths, counts = valid.sum(axis=1), np.bincount(source, minlength=len(valid))
+        starts, first = np.cumsum(counts) - counts, np.cumsum(lengths) - lengths
+        self.index = (source, np.arange(source.size) - starts[source])
+        self.shape = (len(valid), int(counts.max()))
+        self.first, self.starts = first[counts > 0], starts[counts > 0]
+        self.query_scale = scale[:, :1]
+        self.xq = self.query_scale * xv[first[source]]
+        keys = np.zeros(self.shape + scale.shape[1:])
+        keys[self.index] = scale
+        self.key_scale = keys[:, None]
 
-    def group(self, a: np.ndarray) -> np.ndarray:
-        """(rows, count, ·) -> (S, slots * count, ·)."""
-        if self.source is None:
-            return a
-        out = np.zeros((self.sequences, self.slots) + a.shape[1:])
-        out[self.source, self.slot] = a
-        return out.reshape(self.sequences, -1, *a.shape[2:])
+    def keys(self, a: np.ndarray) -> np.ndarray:
+        """Packed rows (N, d) -> (S, heads, L, dh)."""
+        return _heads(a, self.valid, self.valid.shape, self.heads)
 
-    def ungroup(self, a: np.ndarray) -> np.ndarray:
-        """(S, slots * count, ·) -> (rows, count, ·)."""
-        if self.source is None:
-            return a
-        blocks = a.reshape(self.sequences, self.slots, self.count, *a.shape[2:])
-        return blocks[self.source, self.slot]
+    def queries(self, a: np.ndarray) -> np.ndarray:
+        """Query rows (queries, d) -> (S, heads, L or slots, dh)."""
+        return _heads(a, self.index, self.shape, self.heads)
 
     def add_query_grad(self, g_x: np.ndarray, g_xq: np.ndarray) -> None:
         """Add the gradient of the query rows into that of ``x``: with a
-        ``source``, each sequence gets the sum over its contiguous blocks."""
-        if self.source is None:
-            g_x[..., :self.count, :] += g_xq
+        ``source``, each sequence's first row gets the sum over its queries."""
+        if self.key_scale is None:
+            g_x += g_xq
         else:
-            g_x[self.present, :self.count] += np.add.reduceat(
-                self.query_scale * g_xq, self.starts, axis=0
-            )
+            g_x[self.first] += np.add.reduceat(self.query_scale * g_xq, self.starts, axis=0)
 
 
-def _attention_probs(xv: np.ndarray, rows: _QueryRows, wq, bq, wk, heads, mask):
+def _attention_probs(xv: np.ndarray, at: _Layout, wq, bq, wk):
     """Queries and keys split by head, and the softmax attention weights
-    (S or ..., heads, queries, n), queries in ``rows.group`` layout.
+    (S, heads, L or slots, L).
 
     The key bias adds q·bk to every score of a query, a shift that softmax
     ignores, so it is left out."""
-    q = _split_heads(rows.group(rows.xq @ wq.values + bq.values), heads)
-    k = _split_heads(xv @ wk.values, heads)
-    scores = (q @ k.swapaxes(-1, -2)) * q.shape[-1] ** -0.5
-    if rows.key_scale is not None:
-        scores *= rows.key_scale
-    if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return q, k, e / e.sum(axis=-1, keepdims=True)
+    q = at.queries(at.xq @ wq.values + bq.values)
+    k = at.keys(xv @ wk.values)
+    p = q @ k.swapaxes(-1, -2)
+    p *= q.shape[-1] ** -0.5
+    if at.key_scale is not None:
+        p *= at.key_scale
+    if at.mask is not None:
+        p += at.mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= (p @ np.ones(p.shape[-1]))[..., None]
+    return q, k, p
 
 
-def attention_weights(
-    x, wq, bq, wk, heads, mask=None, query_rows=None, source=None, scale=None
-) -> np.ndarray:
-    """The weights ``attention`` mixes values with, (rows or ..., heads,
-    query_rows, n).  They are not recorded on the tape."""
-    rows = _QueryRows(x.values, heads, query_rows, source, scale)
-    p = _attention_probs(x.values, rows, wq, bq, wk, heads, mask)[2]
-    return rows.ungroup(p.swapaxes(-2, -3)).swapaxes(-2, -3)
+def attention_weights(x, wq, bq, wk, heads, valid=None, source=None, scale=None) -> np.ndarray:
+    """The weights ``attention`` mixes values with, (queries, heads, L).
+    They are not recorded on the tape."""
+    at = _Layout(x.values, heads, valid, source, scale)
+    p = _attention_probs(x.values, at, wq, bq, wk)[2]
+    return _rows(p, at.index).reshape(-1, heads, p.shape[-1])
 
 
 def attention(
     x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-    heads: int, mask=None, query_rows: int | None = None, source=None, scale=None,
+    heads: int, valid=None, source=None, scale=None,
 ) -> Tensor:
     """Multi-head scaled dot-product self-attention with its input and
     output projections, as one node with a hand-written backward.
 
-    ``x`` is (..., n, d); leading axes are a batch.  Every row is a key and
-    a value; the first ``query_rows`` rows (all when None) are queries, so
-    the output is (..., query_rows, d).  ``mask`` is a constant added to the
-    scores and broadcast against (..., heads, query_rows, n).
+    ``x`` (N, d) packs the real rows of S sequences, in order, and
+    ``valid`` (S, L) marks their positions, the first of each sequence
+    real (one sequence of N rows when None).  Each row attends to the rows
+    of its own sequence.  The projections run on the packed rows; only the
+    scores, the softmax and the mixing of values see the (S, heads, L, ·)
+    layout, zero at the padding.  Every row is a query: the output is (N, d).
 
-    With a ``source`` (rows,) and a ``scale`` (rows, n), ``x`` is (S, n, d)
-    and the output (rows, query_rows, d) is that of the input whose entry r
-    is ``scale[r, :, None] * x[source[r]]``, without forming it.  Keys and
-    values are linear in the input, so they are projected once per
-    sequence and scaled per row; the value bias passes through the
-    weights, which sum to 1.  ``source`` must be sorted.  ``mask`` masks
-    the keys of each sequence: it broadcasts against (S, heads, 1, n).
+    With a sorted ``source`` (queries,) and a ``scale`` (queries, L), the
+    output (queries, d) holds in row r the first row of the output for
+    sequence ``source[r]`` with its rows scaled by ``scale[r]``, without
+    forming that input.  Keys and values are linear in the input, so they
+    are projected once per sequence and scaled per query; the value bias
+    passes through the weights, which sum to 1.
     """
     xv = x.values
-    rows = _QueryRows(xv, heads, query_rows, source, scale)
-    q, k, p = _attention_probs(xv, rows, wq, bq, wk, heads, mask)
-    s = rows.key_scale
+    at = _Layout(xv, heads, valid, source, scale)
+    q, k, p = _attention_probs(xv, at, wq, bq, wk)
+    s = at.key_scale
     w = p if s is None else p * s
-    v = _split_heads(xv @ wv.values, heads)
-    merged = rows.ungroup(_merge_heads(w @ v)) + bv.values
+    v = at.keys(xv @ wv.values)
+    merged = _rows(w @ v, at.index) + bv.values
     out = Tensor(merged @ wo.values + bo.values)
     score_scale = q.shape[-1] ** -0.5
 
     def backward(g):
         g_merged = g @ wo.values.T
-        g_o = _split_heads(rows.group(g_merged), heads)
-        g_p = g_o @ v.swapaxes(-1, -2)
-        if s is not None:
-            g_p *= s
-        g_s = (g_p - np.sum(g_p * p, axis=-1, keepdims=True)) * p * score_scale
+        g_o = at.queries(g_merged)
+        g_s = g_o @ v.swapaxes(-1, -2)  # that of w, turned in place into that of the scores
         if s is not None:
             g_s *= s
-        g_q = rows.ungroup(_merge_heads(g_s @ k))
-        g_k = _merge_heads(g_s.swapaxes(-1, -2) @ q)
-        g_v = _merge_heads(w.swapaxes(-1, -2) @ g_o)
+        g_s -= np.einsum("...i,...i->...", g_s, p)[..., None]
+        g_s *= p
+        g_s *= score_scale if s is None else score_scale * s
+        g_q = _rows(g_s @ k, at.index)
+        g_k = _rows(g_s.swapaxes(-1, -2) @ q, at.valid)
+        g_v = _rows(w.swapaxes(-1, -2) @ g_o, at.valid)
         g_x = g_k @ wk.values.T + g_v @ wv.values.T
-        rows.add_query_grad(g_x, g_q @ wq.values.T)
+        at.add_query_grad(g_x, g_q @ wq.values.T)
         return (
             g_x,
-            _flat(rows.xq).T @ _flat(g_q), _flat(g_q).sum(axis=0),
-            _flat(xv).T @ _flat(g_k), np.zeros_like(bk.values),
-            _flat(xv).T @ _flat(g_v), _flat(g_merged).sum(axis=0),
-            _flat(merged).T @ _flat(g), _flat(g).sum(axis=0),
+            at.xq.T @ g_q, g_q.sum(axis=0),
+            xv.T @ g_k, np.zeros_like(bk.values),
+            xv.T @ g_v, g_merged.sum(axis=0),
+            merged.T @ g, g.sum(axis=0),
         )
 
     return _record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)

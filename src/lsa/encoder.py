@@ -4,11 +4,14 @@ The encoder is deliberately tiny: token + learned positional embeddings
 through a stack of post-norm attention blocks.  It stands in for a large
 pretrained model so that end-to-end gradient checks stay exhaustive.
 
-A batch of sequences of different lengths is encoded in one call: the ids
-are padded to the longest sequence, and a per-row key mask keeps each
-row's attention on its own real positions.  A row's real hidden states are
-then those it gets when encoded alone, and as long as no caller reads the
-padded positions, no gradient reaches them.
+A batch of sequences of different lengths is encoded in one call, and no
+work is done on padding.  The hidden states of the batch are packed: one
+(N, d) row per real token, sequence after sequence.  The embedding, the
+residual adds, the layer norms, the feed-forward and the attention's
+projections all run on those N rows.  Only attention's scores, softmax
+and mixing of values set the rows of each sequence side by side in an
+(S, heads, L, ·) layout, with padded keys masked.  So each sequence's
+hidden states are those it gets when encoded alone.
 """
 
 from __future__ import annotations
@@ -179,58 +182,51 @@ def self_attention_block(
     p: BlockParams,
     heads: int,
     valid: np.ndarray | None = None,
-    return_attention: bool = False,
-    query_rows: int | None = None,
     source: np.ndarray | None = None,
     scale: np.ndarray | None = None,
-):
-    """Multi-head attention + residual + feed-forward, post-norm, over
-    (..., n, d).  ``valid`` is a (..., n) boolean key mask: a row attends
-    only to the positions it marks True, so padding neither changes the
-    other rows nor receives a gradient through attention.  With
-    ``query_rows`` only the first that many rows are computed (every row
-    still serves as a key and a value), so the output is (..., query_rows, d).
+) -> Tensor:
+    """Multi-head attention + residual + feed-forward, post-norm.  ``x``
+    (N, d) packs the real rows of the sequences whose positions ``valid``
+    (S, L) marks (one sequence when None), and each row attends only to
+    the rows of its own sequence.  Every op but the attention scores runs
+    on the N rows; the output is (N, d).
 
-    With a sorted ``source`` (rows,) and a ``scale`` (rows, n), ``x`` is
-    (S, n, d) and the block runs on the input whose entry r is
-    ``scale[r, :, None] * x[source[r]]``, giving (rows, query_rows, d).
-    That input is never formed: attention projects keys and values once per
-    sequence (``ad.attention``), and the residual gathers only the query
-    rows.  ``valid`` still masks the S sequences."""
-    mask = None
-    if valid is not None and not valid.all():
-        mask = np.where(valid, 0.0, -1e30)[..., None, None, :]
-    qkv = (x, p.wq, p.bq, p.wk)
-    attn = ad.attention(*qkv, p.bk, p.wv, p.bv, p.wo, p.bo, heads, mask, query_rows,
+    With a sorted ``source`` (rows,) and a ``scale`` (rows, L), row r of
+    the output (rows, d) is the first row of the block's output on
+    sequence ``source[r]`` with its rows scaled by ``scale[r]``.  That
+    input is never formed: attention projects keys and values once per
+    sequence (``ad.attention``), and the residual gathers only the first
+    rows.  ``valid`` is needed then."""
+    attn = ad.attention(x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, heads, valid,
                         source, scale)
-    xq = x if query_rows is None else ad.slice_rows(x, 0, query_rows)
     if source is not None:
-        xq = ad.mul(ad.gather_rows(xq, source), Tensor(scale[:, :xq.shape[-2], None]))
-    h = ad.layer_norm(ad.add(xq, attn), p.ln1_g, p.ln1_b)
+        lengths = valid.sum(axis=1)
+        first = (np.cumsum(lengths) - lengths)[source]
+        x = ad.mul(ad.gather_rows(x, first), Tensor(scale[:, :1]))
+    h = ad.layer_norm(ad.add(x, attn), p.ln1_g, p.ln1_b)
     f = ad.matmul(ad.tanh(ad.matmul(h, p.w1, p.b1)), p.w2, p.b2)
-    out = ad.layer_norm(ad.add(h, f), p.ln2_g, p.ln2_b)
-    if return_attention:
-        weights = ad.attention_weights(*qkv, heads, mask, query_rows, source, scale)
-        return out, [Tensor(weights[..., i, :, :]) for i in range(heads)]
-    return out
+    return ad.layer_norm(ad.add(h, f), p.ln2_g, p.ln2_b)
 
 
 def encode(ids, params: EncoderParams, valid: np.ndarray | None = None) -> Tensor:
-    """Hidden states (..., n, d) of token id sequences (..., n).  In a
-    padded batch, ``valid`` (..., n) marks each row's real positions; the
-    hidden states at padded positions are meaningless."""
+    """Hidden states (N, d) of the N real positions of token id sequences
+    (S, L), packed in order.  ``valid`` (S, L) marks each sequence's real
+    positions (all when None), which must include its first; nothing is
+    computed for the others.  One sequence (n,) gives (n, d)."""
     ids = np.asarray(ids, dtype=np.int64)
     n = ids.shape[-1] if ids.ndim else 0
     if n == 0:
         raise ConfigError("cannot encode an empty sequence")
     if n > params.max_len:
         raise ConfigError(f"sequence length {n} exceeds maximum {params.max_len}")
+    ids = ids.reshape(-1, n)
+    valid = np.ones(ids.shape, dtype=bool) if valid is None else valid
     x = ad.add(
-        ad.gather_rows(params.embedding, ids),
-        ad.slice_rows(params.positional, 0, n),
+        ad.gather_rows(params.embedding, ids[valid]),
+        ad.gather_rows(params.positional, np.nonzero(valid)[1]),
     )
     for blk in params.blocks:
-        x = self_attention_block(x, blk, params.heads, valid=valid)
+        x = self_attention_block(x, blk, params.heads, valid)
     return x
 
 

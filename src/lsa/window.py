@@ -1,12 +1,12 @@
 """Aspect features, the sentiment aggregation window, and the output head.
 
-An aspect's feature is a d-vector summary of its local sentiment: row 0
-of a shared pre-head attention block (``head.sa``) run on the hidden
-states scaled by position weights derived from token-aspect distances.
-Only row 0 is computed; the other rows serve as keys and values.  The
-scaled hidden states are never formed: keys and values are linear in
-them, so ``head.sa`` projects each sequence once and scales the projected
-keys and values by each aspect's weights.
+An aspect's feature is a d-vector summary of its local sentiment: the
+first row of a shared pre-head attention block (``head.sa``) run on the
+hidden states scaled by position weights derived from token-aspect
+distances.  Only that row is computed; the other rows serve as keys and
+values.  The scaled hidden states are never formed: keys and values are
+linear in them, so ``head.sa`` projects each sequence once and scales the
+projected keys and values by each aspect's weights.
 
 The window sets the k nearest left features, the target feature and the
 k nearest right ones side by side; missing neighbors are padded with
@@ -16,13 +16,15 @@ initial value of 1.
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
 of each example (token ids, SPC inputs, position weights, parse alignment)
-is done once per example by ``Model.forward_example``.  Then one padded
-encoder call covers every sequence of the batch, and one ``head.sa`` call
-gives every feature row: in ``lsa_t``/``lsa_s`` one row per aspect plus one
-pooled row per example, in ``lsa_p`` one per SPC input.  ``build_window``
-turns the rows into a (pairs, slots) index array that never leaves an
-example, and the DWA scaling, the projection, the classifier and the loss
-each run once over all pairs.
+is done once per example by ``Model.forward_example``.  Then one encoder
+call covers every sequence of the batch, on its real tokens only: the
+hidden states are packed, one row per token, and ``valid`` records where
+each sequence's tokens sit.  One ``head.sa`` call on those packed rows
+gives every feature row: in ``lsa_t``/``lsa_s`` one row per aspect plus
+one pooled row per example, in ``lsa_p`` one per SPC input.
+``build_window`` turns the rows into a (pairs, slots) index array that
+never leaves an example, and the DWA scaling, the projection, the
+classifier and the loss each run once over all pairs.
 """
 
 from __future__ import annotations
@@ -113,34 +115,32 @@ def aspect_feature_local(
     hidden: Tensor, valid: np.ndarray, weights: list[np.ndarray] | None,
     sa: BlockParams, heads: int,
 ) -> Tensor:
-    """Row 0 of ``head.sa`` for every feature row of a batch: (rows, d).
+    """The first row of ``head.sa`` for every feature row of a batch: (rows, d).
 
-    ``hidden`` (S, L, d) holds the batch's encoded sequences and ``valid``
-    (S, L) their real positions.  With ``weights`` None each sequence gives
-    one row.  Otherwise ``weights[s]`` (rows_s, n_s) gives sequence ``s``
-    rows_s rows, each the feature of the sequence under one row of position
-    weights: ``head.sa`` sees the hidden states scaled by those weights.
-    The scaled copies are never formed; ``head.sa`` projects each
+    ``hidden`` (N, d) packs the batch's encoded sequences and ``valid``
+    (S, L) marks their real positions.  With ``weights`` None each sequence
+    gives one row.  Otherwise ``weights[s]`` (rows_s, n_s) gives sequence
+    ``s`` rows_s rows, each the feature of the sequence under one row of
+    position weights: ``head.sa`` sees the hidden states scaled by those
+    weights.  The scaled copies are never formed; ``head.sa`` projects each
     sequence's keys and values once and scales them per row.  The weights
     are functions of integer positions only and carry no gradient.
     """
-    source = scale = None
-    if weights is not None:
-        lengths = valid.sum(axis=1)
-        if len(weights) != len(lengths) or any(
-            w.ndim != 2 or w.shape[1] != n for w, n in zip(weights, lengths)
-        ):
-            raise ConfigError(
-                f"position weights of shapes {[w.shape for w in weights]} for "
-                f"sequences of lengths {lengths.tolist()}"
-            )
-        source = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
-        real = valid[source]
-        scale = np.zeros(real.shape)
-        scale[real] = np.concatenate([w.ravel() for w in weights])
-    out = self_attention_block(hidden, sa, heads, valid=valid, query_rows=1,
-                               source=source, scale=scale)
-    return ad.reshape(out, (out.shape[0], out.shape[-1]))
+    if weights is None:
+        return self_attention_block(hidden, sa, heads, valid, np.arange(len(valid)),
+                                    valid.astype(np.float64))
+    lengths = valid.sum(axis=1)
+    if len(weights) != len(lengths) or any(
+        w.ndim != 2 or w.shape[1] != n for w, n in zip(weights, lengths)
+    ):
+        raise ConfigError(
+            f"position weights of shapes {[w.shape for w in weights]} for "
+            f"sequences of lengths {lengths.tolist()}"
+        )
+    source = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
+    scale = np.zeros((len(source), valid.shape[1]))
+    scale[valid[source]] = np.concatenate([w.ravel() for w in weights])
+    return self_attention_block(hidden, sa, heads, valid, source, scale)
 
 
 def build_window(
@@ -320,9 +320,10 @@ class Model:
         """(A + 1, n + 1): a row of position weights per aspect, from the
         variant's token-aspect distances, then an all-ones row for the
         pooled global feature.  The leading marker receives the maximal
-        distance n.  ``lsa_s`` falls back to positional distance, and
-        counts it in ``syntax_fallbacks``, when the example has no parse or
-        its tokens do not align with the parse's forms."""
+        distance n.  ``lsa_s`` aligns all of the example's tokens, also those
+        past the context, to the parse's forms.  It falls back to positional
+        distance, and counts it in ``syntax_fallbacks``, when the example has
+        no parse or its tokens do not align."""
         n = len(tokens)
         distance = partial(relative_token_distance, np.arange(n))
         if self.config.variant == "lsa_s":
@@ -330,7 +331,7 @@ class Model:
             reason, detail = "no parse", ""
             if tree is not None:
                 try:
-                    alignment = align_tokens_to_words(tokens, tree.forms)
+                    alignment = align_tokens_to_words(example.tokens, tree.forms)
                 except DataError as err:
                     reason, detail = "tokens that do not align with the parse", f" ({err})"
                 else:
@@ -368,16 +369,14 @@ class Model:
         return ExampleInputs(aspects, [ids.astype(np.int64)], weights)
 
     def global_context(self, inputs: list[ExampleInputs]) -> tuple[Tensor, np.ndarray]:
-        """One encoder call over every sequence of a batch, padded to the
-        longest: hidden states (S, L, d) and the (S, L) mask of real
-        positions."""
+        """One encoder call over every sequence of a batch: the hidden
+        states (N, d) of their N real tokens, packed in order, and the
+        (S, L) mask of those tokens, L the longest sequence."""
         sequences = [ids for x in inputs for ids in x.sequences]
-        length = max(map(len, sequences))
-        ids = np.full((len(sequences), length), self.vocab.pad_id, dtype=np.int64)
-        valid = np.zeros((len(sequences), length), dtype=bool)
-        for row, seq in enumerate(sequences):
-            ids[row, :len(seq)] = seq
-            valid[row, :len(seq)] = True
+        lengths = np.array([len(ids) for ids in sequences])
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        ids = np.full(valid.shape, self.vocab.pad_id, dtype=np.int64)
+        ids[valid] = np.concatenate(sequences)
         return encode(ids, self.encoder, valid), valid
 
     def forward(self, examples: list[Example], trees=None) -> Tensor:

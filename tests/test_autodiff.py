@@ -274,7 +274,7 @@ def test_backward_full_affine_chain_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# remaining primitives: add, mul, smul, transpose, slices, gather,
+# remaining primitives: add, mul, transpose, slices, gather,
 # tanh, layer_norm, sum_all
 
 
@@ -300,13 +300,6 @@ def test_mul_broadcast_gradients():
     h = ad.parameter(randn(rng, 4, 3))
     w = ad.parameter(randn(rng, 4, 1))
     assert grad_check(lambda: ad.sum_all(ad.mul(h, w)), {"h": h, "w": w}) <= 1e-6
-
-
-def test_smul_gradients():
-    rng = np.random.default_rng(7)
-    x = ad.parameter(randn(rng, 3, 2))
-    build = lambda: ad.sum_all(ad.mul(x, ad.smul(x, 2.5)))
-    assert grad_check(build, {"x": x}) <= 1e-6
 
 
 def test_slice_rows_routes_gradients():
@@ -488,67 +481,66 @@ def attention_params(rng, d):
     }
 
 
-def reference_attention(x, params, heads, mask=None, query_rows=None):
-    """One head at a time, on a single (n, d) input."""
+def reference_attention(x, params, heads, first_only=False):
+    """One head at a time, on the (n, d) rows of a single sequence."""
     v = {name: t.values for name, t in params.items()}
-    n, d = x.shape
-    dh = d // heads
-    rows = n if query_rows is None else query_rows
-    q = x[:rows] @ v["wq"] + v["bq"]
+    dh = x.shape[1] // heads
+    q = x[:1 if first_only else len(x)] @ v["wq"] + v["bq"]
     k = x @ v["wk"] + v["bk"]
     val = x @ v["wv"] + v["bv"]
     outs = []
     for h in range(heads):
         cols = slice(h * dh, (h + 1) * dh)
         scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
-        if mask is not None:
-            scores = scores + mask
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         outs.append((e / e.sum(axis=1, keepdims=True)) @ val[:, cols])
     return np.concatenate(outs, axis=1) @ v["wo"] + v["bo"]
 
 
-def padding_mask(spec):
-    """The additive key mask of ``n_valid`` real positions: (n,) for an
-    int, (*leading, n) for one count per leading index; None without one."""
-    if "n_valid" not in spec:
-        return None
-    n_valid = np.asarray(spec["n_valid"])[..., None]
-    return np.where(np.arange(spec["shape"][-2]) < n_valid, 0.0, -1e30)
+def layout(spec):
+    """The (S, L) ``valid`` layout of a case: ``n_valid`` real positions
+    per sequence (all of them without it) in a (S, L, d) ``shape``."""
+    s, width, _ = spec["shape"]
+    n_valid = np.broadcast_to(spec.get("n_valid", width), (s,))
+    return np.arange(width) < n_valid[:, None]
 
 
-def op_mask(mask):
-    """A padding mask broadcast against the (..., heads, query_rows, n) scores."""
-    return None if mask is None else mask[..., None, None, :]
+def first_rows(spec):
+    """``source``/``scale`` keyword arguments for the first row of each
+    sequence, unscaled, when the case asks for them."""
+    if not spec.get("first"):
+        return {}
+    s, width, _ = spec["shape"]
+    return dict(source=np.arange(s), scale=np.ones((s, width)))
 
 
+# Packed rows: x (N, d) holds the real rows of the sequences of ``layout``.
 ATTENTION_CASES = {
-    "full_rows": dict(shape=(4, 8), heads=2),
-    "query_rows_1": dict(shape=(4, 8), heads=2, query_rows=1),
-    "n_valid_mask": dict(shape=(5, 8), heads=2, n_valid=3),
+    "full_rows": dict(shape=(1, 4, 8), heads=2),
+    "query_rows_1": dict(shape=(1, 4, 8), heads=2, first=True),
+    "n_valid_mask": dict(shape=(1, 5, 8), heads=2, n_valid=3),
     "per_row_key_mask": dict(shape=(3, 5, 8), heads=2, n_valid=[5, 3, 1]),
-    "per_row_key_mask_query_rows_1": dict(shape=(3, 5, 8), heads=2, n_valid=[2, 5, 1], query_rows=1),
-    "leading_axis": dict(shape=(3, 4, 8), heads=2, query_rows=1),
-    "heads_1": dict(shape=(4, 8), heads=1),
-    "heads_4": dict(shape=(2, 4, 8), heads=4),
+    "per_row_key_mask_query_rows_1": dict(shape=(3, 5, 8), heads=2, n_valid=[2, 5, 1], first=True),
+    "leading_axis": dict(shape=(3, 4, 8), heads=2, first=True),
+    "heads_1": dict(shape=(1, 4, 8), heads=1),
+    "heads_4": dict(shape=(2, 4, 8), heads=4, n_valid=[1, 4]),
 }
 
 
 @pytest.mark.parametrize("case", list(ATTENTION_CASES))
 def test_attention_gradients_match_fd(case):
+    """Every parameter and the packed input, over ragged sequences (some of
+    one row), all rows or the first row of each as queries."""
     spec = ATTENTION_CASES[case]
     rng = np.random.default_rng(16)
-    x = ad.parameter(randn(rng, *spec["shape"]))
+    valid = layout(spec)
+    x = ad.parameter(randn(rng, valid.sum(), spec["shape"][-1]))
     params = attention_params(rng, spec["shape"][-1])
-    mask = op_mask(padding_mask(spec))
-    query_rows = spec.get("query_rows")
-    rows = spec["shape"][-2] if query_rows is None else query_rows
-    readout = ad.tensor(randn(rng, *spec["shape"][:-2], rows, spec["shape"][-1]))
+    queries = len(valid) if spec.get("first") else valid.sum()
+    readout = ad.tensor(randn(rng, queries, spec["shape"][-1]))
 
     def build():
-        out = ad.attention(
-            x, *params.values(), spec["heads"], mask=mask, query_rows=query_rows
-        )
+        out = ad.attention(x, *params.values(), spec["heads"], valid, **first_rows(spec))
         return ad.sum_all(ad.mul(out, readout))
 
     assert grad_check(build, {"x": x, **params}) <= 1e-6
@@ -558,50 +550,54 @@ def test_attention_gradients_match_fd(case):
 def test_attention_matches_per_head_reference(case):
     spec = ATTENTION_CASES[case]
     rng = np.random.default_rng(17)
-    x = randn(rng, *spec["shape"])
+    valid = layout(spec)
+    x = randn(rng, valid.sum(), spec["shape"][-1])
     params = attention_params(rng, spec["shape"][-1])
-    mask = padding_mask(spec)
-    query_rows = spec.get("query_rows")
-    out = ad.attention(
-        ad.tensor(x), *params.values(), spec["heads"], mask=op_mask(mask), query_rows=query_rows
-    ).values
-    for index in np.ndindex(*spec["shape"][:-2]):
-        row_mask = None if mask is None else mask[index]
-        expected = reference_attention(x[index], params, spec["heads"], row_mask, query_rows)
-        assert np.max(np.abs(out[index] - expected)) <= 1e-12
+    out = ad.attention(ad.tensor(x), *params.values(), spec["heads"], valid,
+                       **first_rows(spec)).values
+    ends = np.cumsum(valid.sum(axis=1))
+    rows = np.split(out, np.arange(1, len(valid))) if spec.get("first") else np.split(out, ends[:-1])
+    for seq, got in zip(np.split(x, ends[:-1]), rows):
+        expected = reference_attention(seq, params, spec["heads"], spec.get("first", False))
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
-def test_attention_query_rows_are_rows_of_the_full_output():
+def test_attention_first_rows_are_rows_of_the_full_output():
     rng = np.random.default_rng(18)
-    x = ad.tensor(randn(rng, 5, 8))
+    valid = np.arange(5) < np.array([[5], [1], [3]])
+    x = ad.tensor(randn(rng, valid.sum(), 8))
     params = attention_params(rng, 8).values()
-    full = ad.attention(x, *params, 2)
-    first = ad.attention(x, *params, 2, query_rows=2)
-    assert first.shape == (2, 8)
-    assert np.max(np.abs(first.values - full.values[:2])) <= 1e-12
+    full = ad.attention(x, *params, 2, valid)
+    first = ad.attention(x, *params, 2, valid, source=[0, 1, 2], scale=np.ones((3, 5)))
+    assert first.shape == (3, 8)
+    assert np.max(np.abs(first.values - full.values[[0, 5, 6]])) <= 1e-12
 
 
 def test_attention_is_one_tape_node():
     rng = np.random.default_rng(19)
-    x = ad.tensor(randn(rng, 3, 5, 8))
+    x = ad.tensor(randn(rng, 15, 8))
     params = attention_params(rng, 8).values()
     tape = ad.Tape()
     with tape:
-        ad.attention(x, *params, 4)
+        ad.attention(x, *params, 4, np.ones((3, 5), dtype=bool))
     assert len(tape) == 1
 
 
 def test_attention_shape_errors():
     rng = np.random.default_rng(20)
     params = attention_params(rng, 8).values()
+    x = ad.tensor(randn(rng, 4, 8))
     with pytest.raises(ShapeError):
-        ad.attention(ad.tensor(randn(rng, 4, 8)), *params, 3)
+        ad.attention(x, *params, 3)
     with pytest.raises(ShapeError):
-        ad.attention(ad.tensor(randn(rng, 4, 8)), *params, 2, query_rows=5)
+        ad.attention(x, *params, 2, np.ones((1, 5), dtype=bool))  # 5 positions, 4 rows
+    with pytest.raises(ShapeError):
+        ad.attention(x, *params, 2, np.array([[True, True], [False, True], [True, False]]))
 
 
-# Rows read from a source sequence and scaled per position: row r is the
-# input scale[r, :, None] * x[source[r]], never formed by the op.
+# Rows read from a source sequence and scaled per position: query r is the
+# first row of the input scale[r, :, None] * x[source[r]], never formed by
+# the op.
 
 SOURCE_CASES = {
     "unequal_rows": dict(shape=(3, 5, 8), heads=2, rows=[1, 3, 2]),
@@ -611,7 +607,6 @@ SOURCE_CASES = {
     "pooled_row": dict(shape=(2, 4, 8), heads=2, rows=[2, 1], pooled=True),
     "heads_1": dict(shape=(2, 4, 8), heads=1, rows=[2, 3]),
     "heads_4": dict(shape=(2, 4, 8), heads=4, rows=[3, 1], n_valid=[2, 4]),
-    "query_rows_2": dict(shape=(2, 4, 8), heads=2, rows=[1, 2], query_rows=2),
 }
 
 
@@ -630,16 +625,14 @@ def source_inputs(spec, rng):
 def test_attention_source_gradients_match_fd(case):
     spec = SOURCE_CASES[case]
     rng = np.random.default_rng(21)
-    x = ad.parameter(randn(rng, *spec["shape"]))
+    valid = layout(spec)
+    x = ad.parameter(randn(rng, valid.sum(), spec["shape"][-1]))
     params = attention_params(rng, spec["shape"][-1])
     source, scale = source_inputs(spec, rng)
-    mask = op_mask(padding_mask(spec))
-    query_rows = spec.get("query_rows", 1)
-    readout = ad.tensor(randn(rng, len(source), query_rows, spec["shape"][-1]))
+    readout = ad.tensor(randn(rng, len(source), spec["shape"][-1]))
 
     def build():
-        out = ad.attention(x, *params.values(), spec["heads"], mask=mask,
-                           query_rows=query_rows, source=source, scale=scale)
+        out = ad.attention(x, *params.values(), spec["heads"], valid, source, scale)
         return ad.sum_all(ad.mul(out, readout))
 
     assert grad_check(build, {"x": x, **params}) <= 1e-6
@@ -649,33 +642,29 @@ def test_attention_source_gradients_match_fd(case):
 def test_attention_source_equals_the_scaled_copies(case):
     spec = SOURCE_CASES[case]
     rng = np.random.default_rng(22)
-    x = randn(rng, *spec["shape"])
+    valid = layout(spec)
+    padded = randn(rng, *spec["shape"])
+    x = ad.tensor(padded[valid])
     params = attention_params(rng, spec["shape"][-1])
     source, scale = source_inputs(spec, rng)
-    mask = padding_mask(spec)
-    query_rows = spec.get("query_rows", 1)
-    out = ad.attention(ad.tensor(x), *params.values(), spec["heads"], mask=op_mask(mask),
-                       query_rows=query_rows, source=source, scale=scale)
-    copies = ad.attention(
-        ad.tensor(scale[:, :, None] * x[source]), *params.values(), spec["heads"],
-        mask=None if mask is None else op_mask(mask[source]), query_rows=query_rows,
-    )
-    assert out.shape == (len(source), query_rows, spec["shape"][-1])
-    assert np.max(np.abs(out.values - copies.values)) <= 1e-12
+    copies = ad.tensor((scale[:, :, None] * padded[source])[valid[source]])
+    lengths = valid[source].sum(axis=1)
+    firsts = np.cumsum(lengths) - lengths  # the first packed row of each copy
+    out = ad.attention(x, *params.values(), spec["heads"], valid, source, scale)
+    whole = ad.attention(copies, *params.values(), spec["heads"], valid[source])
+    assert out.shape == (len(source), spec["shape"][-1])
+    assert np.max(np.abs(out.values - whole.values[firsts])) <= 1e-12
     qk = [params[name] for name in ("wq", "bq", "wk")]
-    weights = ad.attention_weights(ad.tensor(x), *qk, spec["heads"], op_mask(mask), query_rows,
-                                   source, scale)
-    copy_weights = ad.attention_weights(
-        ad.tensor(scale[:, :, None] * x[source]), *qk, spec["heads"],
-        None if mask is None else op_mask(mask[source]), query_rows,
-    )
-    assert np.max(np.abs(weights - copy_weights)) <= 1e-12
+    weights = ad.attention_weights(x, *qk, spec["heads"], valid, source, scale)
+    copy_weights = ad.attention_weights(copies, *qk, spec["heads"], valid[source])
+    assert np.max(np.abs(weights - copy_weights[firsts])) <= 1e-12
 
 
 def test_attention_source_errors():
     rng = np.random.default_rng(23)
     params = attention_params(rng, 8).values()
-    x = ad.tensor(randn(rng, 2, 4, 8))
+    x = ad.tensor(randn(rng, 8, 8))
+    valid = np.ones((2, 4), dtype=bool)
     for source, scale in [
         ([1, 0], np.ones((2, 4))),  # not sorted
         ([0, 2], np.ones((2, 4))),  # out of range
@@ -683,7 +672,7 @@ def test_attention_source_errors():
         ([0, 1], None),
     ]:
         with pytest.raises(ShapeError):
-            ad.attention(x, *params, 2, query_rows=1, source=source, scale=scale)
+            ad.attention(x, *params, 2, valid, source, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +713,9 @@ def test_operations_do_not_mutate_inputs(seed):
     snap_bias = bias.values.copy()
     tape = ad.Tape()
     with tape:  # the backward pass must not write into its inputs either
-        loss = ad.sum_all(ad.attention(a, b, bias, b, bias, b, bias, b, bias, 3, query_rows=2))
+        params = (b, bias, b, bias, b, bias, b, bias)
+        loss = ad.add(ad.sum_all(ad.attention(a, *params, 3)), ad.sum_all(
+            ad.attention(a, *params, 3, np.ones((1, 3), dtype=bool), [0, 0], randn(rng, 2, 3))))
     tape.backward(loss)
     assert np.array_equal(a.values, snap_a)
     assert np.array_equal(b.values, snap_b)

@@ -31,10 +31,12 @@ def test_span_site_is_defined_on_its_owner(owner, attr, span):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     """A tiny train() plus evaluate() under the benchmark's span wrappers:
-    every pair forwarded is counted once, and the span self times add up
-    to the wall time of the calls made with no span open."""
+    every pair forwarded is counted once, the span self times add up to
+    the wall time of the calls made with no span open, and each encoder
+    block runs inside its own span, so its time is not booked on
+    ``encoder.encode``."""
     config = training.TrainConfig(
-        variant=variant, d_model=16, layers=1, heads=2, ffn_mult=2, max_len=32,
+        variant=variant, d_model=16, layers=2, heads=2, ffn_mult=2, max_len=32,
         epochs=1, batch=8, seed=1,
         train_path=str(FIXTURES / "mini.json"),
         valid_path=str(FIXTURES / "mini.json"),
@@ -54,3 +56,6 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     self_sum = sum(s.self_s for s in tracer.stats.values())
     assert abs(self_sum - root_wall) <= 1e-6 * max(1.0, root_wall)
     assert tracer.stats["window.head_sa"].calls > 0
+    encodes = tracer.stats["encoder.encode"].calls
+    assert encodes > 0
+    assert tracer.stats["encoder.self_attention_block"].calls == config.layers * encodes

@@ -154,28 +154,26 @@ def test_encode_embedding_gradient_matches_fd():
 # self-attention block
 
 
+def block_weights(x, params, **layout):
+    """The attention weights of the first block, (queries, heads, L)."""
+    blk = params.blocks[0]
+    return ad.attention_weights(x, blk.wq, blk.bq, blk.wk, params.heads, **layout)
+
+
 def test_attention_rows_sum_to_one():
     params = make_encoder()
-    x = ad.tensor(np.random.default_rng(2).normal(size=(5, 16)))
-    _, weights = self_attention_block(
-        x, params.blocks[0], params.heads, return_attention=True
-    )
-    assert len(weights) == params.heads
-    for att in weights:
-        assert att.shape == (5, 5)
-        sums = att.values.sum(axis=1)
-        assert np.max(np.abs(sums - 1.0)) <= 1e-12
+    x = ad.tensor(np.random.default_rng(2).normal(size=(8, 16)))
+    valid = np.arange(5) < np.array([[5], [3]])
+    weights = block_weights(x, params, valid=valid)
+    assert weights.shape == (8, params.heads, 5)
+    assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) <= 1e-12
+    assert np.all(weights[5:, :, 3:] == 0.0)  # no weight on the padding
 
 
 def test_single_position_attention_is_identity_mixing():
     params = make_encoder()
     x = ad.tensor(np.random.default_rng(3).normal(size=(1, 16)))
-    _, weights = self_attention_block(
-        x, params.blocks[0], params.heads, return_attention=True
-    )
-    assert len(weights) == params.heads
-    for att in weights:
-        assert att.values.tolist() == [[1.0]]
+    assert block_weights(x, params).tolist() == [[[1.0]] * params.heads]
 
 
 def test_block_commutes_with_position_permutation():
@@ -190,15 +188,17 @@ def test_block_commutes_with_position_permutation():
 
 
 def test_query_rows_compute_leading_rows_of_the_block():
+    """With ``source`` and unit scales, the block gives the first row of
+    each sequence's output."""
     params = make_encoder()
-    x = ad.tensor(np.random.default_rng(6).normal(size=(2, 5, 16)))
-    full = self_attention_block(x, params.blocks[0], params.heads)
-    row0, weights = self_attention_block(
-        x, params.blocks[0], params.heads, return_attention=True, query_rows=1
-    )
-    assert row0.shape == (2, 1, 16)
-    assert np.max(np.abs(row0.values - full.values[:, :1])) <= 1e-12
-    assert [att.shape for att in weights] == [(2, 1, 5)] * params.heads
+    x = ad.tensor(np.random.default_rng(6).normal(size=(7, 16)))
+    valid = np.arange(5) < np.array([[5], [2]])
+    full = self_attention_block(x, params.blocks[0], params.heads, valid)
+    first = dict(valid=valid, source=[0, 1], scale=np.ones((2, 5)))
+    row0 = self_attention_block(x, params.blocks[0], params.heads, **first)
+    assert row0.shape == (2, 16)
+    assert np.max(np.abs(row0.values - full.values[[0, 5]])) <= 1e-12
+    assert block_weights(x, params, **first).shape == (2, params.heads, 5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,12 +213,15 @@ def test_source_rows_equal_the_block_on_scaled_copies(data):
     heads = data.draw(st.sampled_from([1, 2, 4]))
     rng = np.random.default_rng(seed)
     block = make_encoder(heads=heads, seed=seed % 1000).blocks[0]
-    h = ad.parameter(rng.normal(size=(len(counts), length, 16)))
     valid = np.arange(length) < rng.integers(1, length + 1, size=(len(counts), 1))
+    h = ad.parameter(rng.normal(size=(valid.sum(), 16)))
     source = np.repeat(np.arange(len(counts)), counts)
     scale = rng.uniform(0.0, 1.0, size=(len(source), length))
     scale[rng.random(scale.shape) < 0.2] = 0.0
-    readout = rng.normal(size=(len(source), 1, 16))
+    readout = rng.normal(size=(len(source), 16))
+    # the packed rows of the scaled copies
+    lengths = valid.sum(axis=1)
+    rows = np.concatenate([np.arange(lengths[:s].sum(), lengths[:s + 1].sum()) for s in source])
     params = dict(block.named("sa"))
 
     def run(build):
@@ -232,34 +235,64 @@ def test_source_rows_equal_the_block_on_scaled_copies(data):
         return out.values, {name: t.grad.copy() for name, t in [("h", h), *params.items()]}
 
     factored, grads = run(lambda: self_attention_block(
-        h, block, heads, valid, query_rows=1, source=source, scale=scale))
+        h, block, heads, valid, source=source, scale=scale))
     copies, expected = run(lambda: self_attention_block(
-        ad.mul(ad.gather_rows(h, source), ad.tensor(scale[..., None])), block, heads,
-        valid[source], query_rows=1))
+        ad.mul(ad.gather_rows(h, rows), ad.tensor(scale[valid[source]][:, None])), block,
+        heads, valid[source], np.arange(len(source)), np.ones(scale.shape)))
     np.testing.assert_allclose(factored, copies, rtol=0, atol=1e-12)
-    for name, g in grads.items():
-        np.testing.assert_allclose(g, expected[name], rtol=0, atol=1e-12, err_msg=name)
+    for name, g in grads.items():  # gradients reach 1e5 where a row's scales are near 0
+        np.testing.assert_allclose(g, expected[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def ragged_batch(sequences):
+    """Token ids (S, L) padded with id 0, [PAD], and the mask of real ones."""
+    lengths = np.array([len(seq) for seq in sequences])
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.zeros(valid.shape, dtype=np.int64)
+    ids[valid] = np.concatenate(sequences)
+    return ids, valid
 
 
 def test_padding_mask_shields_prefix_outputs():
+    """Each sequence's packed rows are its hidden states encoded alone."""
     params = make_encoder(layers=2)
     sequences = [[1, 2, 3], [4, 5, 6, 7, 8, 9], [2]]
-    ids = np.zeros((3, 6), dtype=np.int64)  # padded with id 0, [PAD]
-    valid = np.zeros((3, 6), dtype=bool)
-    for row, seq in enumerate(sequences):
-        ids[row, :len(seq)] = seq
-        valid[row, :len(seq)] = True
-    padded = encode(ids, params, valid)
-    for row, seq in enumerate(sequences):
+    ids, valid = ragged_batch(sequences)
+    packed = encode(ids, params, valid)
+    assert packed.shape == (10, 16)
+    ends = np.cumsum([len(seq) for seq in sequences])
+    for seq, rows in zip(sequences, np.split(packed.values, ends[:-1])):
         plain = encode(seq, params)
-        assert np.max(np.abs(plain.values - padded.values[row, :len(seq)])) <= 1e-12
+        assert np.max(np.abs(plain.values - rows)) <= 1e-12
+
+
+def test_encode_runs_no_row_wise_op_on_padding(monkeypatch):
+    """Every op of a ragged batch's encoder pass takes and gives exactly
+    the batch's real rows."""
+    params = make_encoder(layers=2)
+    ids, valid = ragged_batch([[1, 2, 3], [4, 5, 6, 7, 8, 9], [2]])
+    seen = []
+
+    def counted(name, op):
+        def wrapper(t, *args, **kwargs):
+            out = op(t, *args, **kwargs)
+            seen.append((name, t.shape[0], out.shape[0]))
+            return out
+
+        return wrapper
+
+    for name in ("matmul", "layer_norm", "add", "tanh", "attention"):
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    encode(ids, params, valid)
+    assert {name for name, _, _ in seen} == {"matmul", "layer_norm", "add", "tanh", "attention"}
+    assert [rows for _, *rows in seen] == [[valid.sum()] * 2] * len(seen)
 
 
 def test_padded_batch_encode_gradients_match_fd():
     params = make_encoder(d=8, heads=2, vocab_size=6)
     ids = np.array([[1, 4, 2], [3, 0, 0]])  # the second row is padded with id 0
     valid = ids != 0
-    readout = ad.tensor(np.random.default_rng(2).normal(size=(2, 3, 8)) * valid[..., None])
+    readout = ad.tensor(np.random.default_rng(2).normal(size=(4, 8)))
 
     def build():
         return ad.sum_all(ad.mul(encode(ids, params, valid), readout))

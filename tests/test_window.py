@@ -146,7 +146,7 @@ def test_far_row_scaled_others_unchanged():
 
 def test_aspect_feature_length_mismatch():
     model = tiny_model()
-    hc = ad.tensor(np.zeros((1, 4, 16)))
+    hc = ad.tensor(np.zeros((4, 16)))
     valid = np.ones((1, 4), dtype=bool)
     with pytest.raises(ConfigError):
         aspect_feature_local(hc, valid, [np.ones((2, 3, 1))], model.head.sa, 2)
@@ -304,8 +304,8 @@ def test_project_window_affine_property():
     d = model.config.d_model
     x = ad.tensor(np.random.default_rng(2).normal(size=(1, 3 * d)))
     f = lambda t: project_window(t, model.head).values
-    lhs = f(ad.smul(x, 2.0)) - f(x)
-    rhs = f(x) - f(ad.smul(x, 0.0))
+    lhs = f(ad.mul(x, ad.tensor(2.0))) - f(x)
+    rhs = f(x) - f(ad.mul(x, ad.tensor(0.0)))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -364,9 +364,7 @@ def test_mono_aspect_output_equals_reference_path():
     dists = [float(n)] + [float(abs(i - ex.aspects[0].start)) for i in range(n)]
 
     def feature(weights):
-        out = self_attention_block(hidden, sa, heads, valid, query_rows=1,
-                                   source=[0], scale=weights[None])
-        return ad.reshape(out, (1, out.shape[-1]))
+        return self_attention_block(hidden, sa, heads, valid, source=[0], scale=weights[None])
 
     feat = feature(position_weight(np.array(dists), model.config.alpha, n))
     eta_l, eta_r = model.dwa.eta_l, model.dwa.eta_r
@@ -390,10 +388,9 @@ def test_stacked_features_equal_one_head_sa_call_per_column():
     assert stacked.shape == (4, model.config.d_model)
     for a in range(4):
         single = self_attention_block(
-            hidden, model.head.sa, model.config.heads, valid, query_rows=1,
-            source=[0], scale=weights[a:a + 1],
+            hidden, model.head.sa, model.config.heads, valid, source=[0], scale=weights[a:a + 1],
         )
-        np.testing.assert_allclose(stacked.values[a], single.values[0, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked.values[a], single.values[0], rtol=0, atol=1e-12)
 
 
 def test_one_head_sa_call_per_batch(monkeypatch):
@@ -521,6 +518,23 @@ def test_lsa_s_falls_back_when_the_parse_does_not_align(caplog):
     assert np.array_equal(probs.values, model.forward([ex], None).values)  # positional
 
 
+def test_lsa_s_keeps_syntax_past_the_context_limit():
+    """A sentence longer than the context keeps its tree distances: its
+    full token list is aligned to the parse, and the distances of the
+    tokens the context keeps are read."""
+    tokens = [f"w{i % 12}" for i in range(40)]
+    model = tiny_model(variant="lsa_s")  # max_len 32: the context keeps 31 tokens
+    ex = Example(" ".join(tokens), tokens,
+                 [AspectAnnotation(2, 3, ("w2",), Polarity.POSITIVE)], parse_ref="p1")
+    tree = DependencyTree(tuple(tokens), (0,) + (1,) * 39)  # every word under the first
+    weights = model.forward_example(ex, {"p1": tree}).weights
+    assert model.syntax_fallbacks == 0
+    n = model.config.max_len - 1
+    distances = np.concatenate([[n], tree.distances[:n, 2]])
+    expected = np.stack([position_weight(distances, model.config.alpha, n), np.ones(n + 1)])
+    np.testing.assert_array_equal(weights, expected)
+
+
 @pytest.mark.parametrize(
     "flags, expected",
     [
@@ -613,8 +627,9 @@ def test_batching_changes_no_probability_and_no_gradient(variant):
 
 @pytest.mark.parametrize("variant", ["lsa_t", "lsa_s"])
 def test_head_sa_forms_no_scaled_copy_of_the_batch(variant):
-    """head.sa reads the (S, L, d) hidden states and scales keys and values
-    per feature row: no tape node holds a (feature rows, L, ·) array."""
+    """head.sa reads the packed (N, d) hidden states and scales keys and
+    values per feature row: no tape node holds a (feature rows, L, ·) array,
+    nor a padded (S, L, ·) one."""
     model, examples = mini_model(variant)
     trees = load_parses(FIXTURES / "mini.conllu")
     _, valid = model.global_context([model.forward_example(ex, trees) for ex in examples])
@@ -623,7 +638,8 @@ def test_head_sa_forms_no_scaled_copy_of_the_batch(variant):
     with tape:
         model.forward(examples, trees)
     leading = [node.output.shape[:2] for node in tape._nodes]
-    assert valid.shape in leading  # the encoder's (S, L, ·) nodes
+    assert (valid.sum(), model.config.d_model) in leading  # the encoder's packed rows
+    assert valid.shape not in leading
     assert (rows, valid.shape[1]) not in leading
 
 
