@@ -2,13 +2,14 @@
 
 One tape is recorded per training step and consumed by a single backward
 pass.  Operations never mutate their inputs; gradients accumulate
-additively when a tensor is used more than once.  A central
-finite-difference estimator is included as the gradient oracle.
+additively when a tensor is used more than once.  The attention and the
+residual feed-forward half of a transformer block are each one node with
+a hand-written backward.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,20 +26,17 @@ __all__ = [
     "mul",
     "matmul",
     "concat",
-    "slice_rows",
     "gather_rows",
     "reshape",
-    "tanh",
     "softmax",
-    "layer_norm",
     "attention_weights",
     "attention",
-    "sum_all",
+    "residual_ffn",
     "cross_entropy",
-    "finite_difference_gradient",
 ]
 
 LOG_CLAMP = 1e-12
+LN_EPS = 1e-5  # added to each row's variance in a layer norm
 
 
 class AutodiffError(Exception):
@@ -283,23 +281,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), backward)
 
 
-def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) of the last two axes: (..., n, d) -> (..., stop - start, d)."""
-    if t.values.ndim < 2:
-        raise ShapeError(f"slice_rows needs a tensor of 2 or more axes, got {t.shape}")
-    if not (0 <= start < stop <= t.shape[-2]):
-        raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {t.shape}")
-    out = Tensor(t.values[..., start:stop, :].copy())
-    shape = t.shape
-
-    def backward(g):
-        full = np.zeros(shape)
-        full[..., start:stop, :] = g
-        return (full,)
-
-    return _record(out, (t,), backward)
-
-
 def gather_rows(t: Tensor, indices) -> Tensor:
     """Lookup along axis 0: (*indices.shape, *t.shape[1:]) for an index
     array of any shape, one entry of a stack for an integer.  Backward
@@ -334,16 +315,6 @@ def reshape(t: Tensor, shape) -> Tensor:
     return _record(out, (t,), backward)
 
 
-def tanh(t: Tensor) -> Tensor:
-    out_values = np.tanh(t.values)
-    out = Tensor(out_values)
-
-    def backward(g):
-        return (g * (1.0 - out_values * out_values),)
-
-    return _record(out, (t,), backward)
-
-
 def softmax(t: Tensor) -> Tensor:
     """Max-stabilized softmax along the last axis."""
     v = t.values
@@ -357,36 +328,6 @@ def softmax(t: Tensor) -> Tensor:
         return ((g - dot) * out_values,)
 
     return _record(out, (t,), backward)
-
-
-def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis, then gain/bias."""
-    if t.values.ndim < 2:
-        raise ShapeError(f"layer_norm needs a tensor of 2 or more axes, got {t.shape}")
-    d = t.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError("layer_norm: gain/bias must have shape (d,)")
-    v = t.values
-    mean = v.mean(axis=-1, keepdims=True)
-    var = v.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (v - mean) * inv
-    out = Tensor(xhat * gain.values + bias.values)
-    gv = gain.values
-
-    def backward(g):
-        g_bias = _flat(g).sum(axis=0)
-        g_gain = _flat(g * xhat).sum(axis=0)
-        g_xhat = g * gv
-        # d/dx of (x - mean) * inv, with mean and var both functions of x
-        g_x = inv * (
-            g_xhat
-            - g_xhat.mean(axis=-1, keepdims=True)
-            - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return g_x, g_gain, g_bias
-
-    return _record(out, (t, gain, bias), backward)
 
 
 def _heads(a: np.ndarray, index, shape, heads: int) -> np.ndarray:
@@ -553,14 +494,80 @@ def attention(
     return _record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
-def sum_all(t: Tensor) -> Tensor:
-    out = Tensor(np.array([t.values.sum()]))
-    shape = t.shape
+def _normalize(z: np.ndarray) -> np.ndarray:
+    """Centre and scale each row of ``z`` (N, d) in place to mean 0 and
+    variance 1; return the (N, 1) column of 1/σ."""
+    d = z.shape[1]
+    z -= (z @ np.full(d, 1.0 / d))[:, None]
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", z, z) / d + LN_EPS)[:, None]
+    z *= inv
+    return inv
+
+
+def _normalize_backward(g: np.ndarray, zhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gradient of ``_normalize``'s input from that of its output
+    ``zhat``, in place in ``g``.  ``zhat`` is overwritten."""
+    d = g.shape[1]
+    dot = np.einsum("ij,ij->i", g, zhat)[:, None] / d
+    g -= (g @ np.full(d, 1.0 / d))[:, None]
+    zhat *= dot
+    g -= zhat
+    g *= inv
+    return g
+
+
+def residual_ffn(
+    x: Tensor, a: Tensor, ln1_g: Tensor, ln1_b: Tensor,
+    w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+    ln2_g: Tensor, ln2_b: Tensor,
+) -> Tensor:
+    """``LN2(h + tanh(h W1 + b1) W2 + b2)`` with ``h = LN1(x + a)``: the
+    residual add, layer norm, feed-forward, residual add and layer norm
+    that follow attention in a post-norm block, as one node with a
+    hand-written backward.
+
+    ``x`` and ``a`` are (N, d) rows, each layer norm has a gain and a bias
+    (d,), and the feed-forward maps d -> ffn -> d.  The node keeps only
+    what its backward reads: both normalized inputs, their 1/σ, ``h`` and
+    the tanh output.  ``x`` and ``a`` get the same gradient."""
+    inputs = (x, a, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b)
+    n, d = x.shape if x.values.ndim == 2 else (0, -1)
+    ffn = w1.shape[-1]
+    if (a.shape != (n, d) or w1.shape != (d, ffn) or b1.shape != (ffn,) or w2.shape != (ffn, d)
+            or any(t.shape != (d,) for t in (ln1_g, ln1_b, b2, ln2_g, ln2_b))):
+        raise ShapeError(f"residual_ffn: shapes {[t.shape for t in inputs]} do not fit")
+    g1, g2, w1v, w2v = ln1_g.values, ln2_g.values, w1.values, w2.values
+    xhat = x.values + a.values
+    inv1 = _normalize(xhat)
+    h = xhat * g1
+    h += ln1_b.values
+    u = h @ w1v
+    u += b1.values
+    np.tanh(u, out=u)
+    zhat = u @ w2v
+    zhat += b2.values
+    zhat += h
+    inv2 = _normalize(zhat)
+    out = Tensor(zhat * g2 + ln2_b.values)
 
     def backward(g):
-        return (np.full(shape, g[0]),)
+        g_ln2_g, g_ln2_b = np.einsum("ij,ij->j", g, zhat), g.sum(axis=0)
+        g_z = _normalize_backward(g * g2, zhat, inv2)
+        g_w2 = u.T @ g_z
+        g_u = g_z @ w2v.T
+        # tanh' = 1 - u², formed in u (not read again) to allocate no (N, ffn) array
+        np.multiply(u, u, out=u)
+        np.subtract(1.0, u, out=u)
+        g_u *= u
+        g_h = g_u @ w1v.T
+        g_h += g_z
+        g_ln1_g, g_ln1_b = np.einsum("ij,ij->j", g_h, xhat), g_h.sum(axis=0)
+        g_h *= g1
+        g_s = _normalize_backward(g_h, xhat, inv1)
+        return (g_s, g_s, g_ln1_g, g_ln1_b, h.T @ g_u, g_u.sum(axis=0), g_w2, g_z.sum(axis=0),
+                g_ln2_g, g_ln2_b)
 
-    return _record(out, (t,), backward)
+    return _record(out, inputs, backward)
 
 
 def cross_entropy(probs: Tensor, gold) -> Tensor:
@@ -590,22 +597,3 @@ def cross_entropy(probs: Tensor, gold) -> Tensor:
         return (full.reshape(shape),)
 
     return _record(out, (probs,), backward)
-
-
-def finite_difference_gradient(
-    f: Callable[[], float], param: Tensor, eps: float = 1e-6
-) -> np.ndarray:
-    """Central-difference gradient estimate of ``f`` w.r.t. every coordinate
-    of ``param``.  ``f`` must be deterministic and must read ``param.values``.
-    """
-    flat = param.values.reshape(-1)
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + eps
-        f_plus = f()
-        flat[i] = saved - eps
-        f_minus = f()
-        flat[i] = saved
-        grad[i] = (f_plus - f_minus) / (2.0 * eps)
-    return grad.reshape(param.values.shape)

@@ -6,12 +6,13 @@ pretrained model so that end-to-end gradient checks stay exhaustive.
 
 A batch of sequences of different lengths is encoded in one call, and no
 work is done on padding.  The hidden states of the batch are packed: one
-(N, d) row per real token, sequence after sequence.  The embedding, the
-residual adds, the layer norms, the feed-forward and the attention's
-projections all run on those N rows.  Only attention's scores, softmax
-and mixing of values set the rows of each sequence side by side in an
-(S, heads, L, ·) layout, with padded keys masked.  So each sequence's
-hidden states are those it gets when encoded alone.
+(N, d) row per real token, sequence after sequence.  A block is two tape
+nodes on those N rows: ``ad.attention``, and ``ad.residual_ffn`` for the
+residual, layer norm, feed-forward, residual and layer norm after it.
+Only attention's scores, softmax and mixing of values set the rows of
+each sequence side by side in an (S, heads, L, ·) layout, with padded
+keys masked.  So each sequence's hidden states are those it gets when
+encoded alone.
 """
 
 from __future__ import annotations
@@ -203,9 +204,7 @@ def self_attention_block(
         lengths = valid.sum(axis=1)
         first = (np.cumsum(lengths) - lengths)[source]
         x = ad.mul(ad.gather_rows(x, first), Tensor(scale[:, :1]))
-    h = ad.layer_norm(ad.add(x, attn), p.ln1_g, p.ln1_b)
-    f = ad.matmul(ad.tanh(ad.matmul(h, p.w1, p.b1)), p.w2, p.b2)
-    return ad.layer_norm(ad.add(h, f), p.ln2_g, p.ln2_b)
+    return ad.residual_ffn(x, attn, p.ln1_g, p.ln1_b, p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b)
 
 
 def encode(ids, params: EncoderParams, valid: np.ndarray | None = None) -> Tensor:

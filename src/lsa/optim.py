@@ -35,6 +35,7 @@ class AdamW:
     step_count: int = 0
     _m: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _v: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _scratch: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def zero_grad(self) -> None:
         for group in self.groups:
@@ -42,11 +43,15 @@ class AdamW:
                 p.grad = None
 
     def step(self) -> None:
+        """Update every parameter in place, through one scratch array per
+        parameter: no step but the first allocates."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        root_bc2 = np.sqrt(1.0 - self.beta2**t)
         for group in self.groups:
+            decay = 1.0 - group.lr * group.weight_decay
+            step_size = group.lr / bc1
             for name, p in group.params.items():
                 if p.grad is None:
                     raise MissingGradError(f"parameter {name!r} has no gradient")
@@ -56,12 +61,19 @@ class AdamW:
                 if m is None:
                     m = self._m[key] = np.zeros_like(p.values)
                     self._v[key] = np.zeros_like(p.values)
-                v = self._v[key]
+                    self._scratch[key] = np.empty_like(p.values)
+                v, buf = self._v[key], self._scratch[key]
                 m *= self.beta1
-                m += (1.0 - self.beta1) * g
+                m += np.multiply(g, 1.0 - self.beta1, out=buf)
                 v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                np.multiply(g, 1.0 - self.beta2, out=buf)
+                v += np.multiply(buf, g, out=buf)
+                # (lr / bc1) m / (sqrt(v / bc2) + eps)
+                np.sqrt(v, out=buf)
+                buf /= root_bc2
+                buf += self.eps
+                np.divide(m, buf, out=buf)
+                buf *= step_size
                 if group.weight_decay:
-                    update = update + group.weight_decay * p.values
-                p.values -= group.lr * update
+                    p.values *= decay
+                p.values -= buf

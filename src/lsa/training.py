@@ -173,7 +173,7 @@ def total_loss(
         raise ValueError("empty batch")
     total = ad.cross_entropy(probs, golds)
     reg = lambda_reg * sum(
-        float(np.sum(t.values * t.values)) for t in main_params.values()
+        float(np.vdot(t.values, t.values)) for t in main_params.values()
     )
     reg += lambda_eta * (eta_values[0] ** 2 + eta_values[1] ** 2)
     return ad.add(total, Tensor(np.array([reg])))

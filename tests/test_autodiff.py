@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import lsa.autodiff as ad
 from lsa.autodiff import ShapeError, TapeError, Tensor
 
-from util import grad_check, rel_err
+from util import finite_difference_gradient, grad_check, rel_err, sum_all
 
 ad.set_debug_checks(True)
 
@@ -39,7 +39,7 @@ def test_matmul_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     a = ad.parameter(randn(rng, 4, 3))
     b = ad.parameter(randn(rng, 3, 2))
-    worst = grad_check(lambda: ad.sum_all(ad.matmul(a, b)), {"a": a, "b": b})
+    worst = grad_check(lambda: sum_all(ad.matmul(a, b)), {"a": a, "b": b})
     assert worst <= 1e-6
 
 
@@ -68,7 +68,7 @@ def test_concat_backward_routes_ones_to_each_part():
     parts = [ad.parameter([1.0, 2.0]), ad.parameter([3.0])]
     tape = ad.Tape()
     with tape:
-        out = ad.sum_all(ad.concat(parts, axis=0))
+        out = sum_all(ad.concat(parts, axis=0))
     tape.backward(out)
     assert parts[0].grad.tolist() == [1.0, 1.0]
     assert parts[1].grad.tolist() == [1.0]
@@ -105,7 +105,7 @@ def test_softmax_jacobian_matches_finite_differences():
         tape = ad.Tape()
         with tape:
             out = ad.softmax(v)
-            picked = ad.sum_all(ad.mul(out, ad.tensor(np.eye(5)[i])))
+            picked = sum_all(ad.mul(out, ad.tensor(np.eye(5)[i])))
         tape.backward(picked)
         analytic = v.grad.copy()
 
@@ -114,7 +114,7 @@ def test_softmax_jacobian_matches_finite_differences():
             e = np.exp(shifted)
             return float((e / e.sum())[i])
 
-        fd = ad.finite_difference_gradient(f, v, eps)
+        fd = finite_difference_gradient(f, v, eps)
         assert rel_err(analytic, fd) <= 1e-6
 
 
@@ -238,7 +238,7 @@ def test_backward_order_independence():
         a = ad.mul(x, x)
         b = ad.mul(y, y)
         c = ad.add(a, b)
-        return ad.sum_all(c)
+        return sum_all(c)
 
     tape = ad.Tape()
     with tape:
@@ -268,14 +268,14 @@ def test_backward_full_affine_chain_matches_fd():
     x = ad.tensor(randn(rng, 2, 4))
 
     def build():
-        return ad.sum_all(ad.tanh(ad.add(ad.matmul(x, w), b)))
+        y = ad.add(ad.matmul(x, w), b)
+        return sum_all(ad.mul(y, y))
 
     assert grad_check(build, {"w": w, "b": b}) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
-# remaining primitives: add, mul, transpose, slices, gather,
-# tanh, layer_norm, sum_all
+# remaining primitives: add, mul, gather, reshape, sum_all
 
 
 def test_add_broadcasts_bias_row():
@@ -285,7 +285,7 @@ def test_add_broadcasts_bias_row():
     assert out.values.tolist() == [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]]
     tape = ad.Tape()
     with tape:
-        loss = ad.sum_all(ad.add(m, b))
+        loss = sum_all(ad.add(m, b))
     tape.backward(loss)
     assert b.grad.tolist() == [2.0, 2.0, 2.0]
 
@@ -299,44 +299,14 @@ def test_mul_broadcast_gradients():
     rng = np.random.default_rng(6)
     h = ad.parameter(randn(rng, 4, 3))
     w = ad.parameter(randn(rng, 4, 1))
-    assert grad_check(lambda: ad.sum_all(ad.mul(h, w)), {"h": h, "w": w}) <= 1e-6
-
-
-def test_slice_rows_routes_gradients():
-    rng = np.random.default_rng(8)
-    x = ad.parameter(randn(rng, 4, 4))
-    tape = ad.Tape()
-    with tape:
-        loss = ad.sum_all(ad.slice_rows(x, 1, 3))
-    tape.backward(loss)
-    expected = np.zeros((4, 4))
-    expected[1:3] = 1.0
-    assert np.array_equal(x.grad, expected)
-
-    with pytest.raises(ShapeError):
-        ad.slice_rows(x, 3, 99)
-
-
-def test_slice_rows_slices_the_second_to_last_axis():
-    x = ad.parameter(np.arange(24.0).reshape(2, 3, 4))
-    tape = ad.Tape()
-    with tape:
-        out = ad.slice_rows(x, 0, 1)
-        loss = ad.sum_all(out)
-    tape.backward(loss)
-    assert np.array_equal(out.values, x.values[:, :1, :])
-    expected = np.zeros((2, 3, 4))
-    expected[:, 0, :] = 1.0
-    assert np.array_equal(x.grad, expected)
-    with pytest.raises(ShapeError):
-        ad.slice_rows(x, 0, 4)
+    assert grad_check(lambda: sum_all(ad.mul(h, w)), {"h": h, "w": w}) <= 1e-6
 
 
 def test_gather_rows_accumulates_duplicate_indices():
     table = ad.parameter(np.arange(6.0).reshape(3, 2))
     tape = ad.Tape()
     with tape:
-        loss = ad.sum_all(ad.gather_rows(table, [0, 0, 2]))
+        loss = sum_all(ad.gather_rows(table, [0, 0, 2]))
     tape.backward(loss)
     assert table.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
     with pytest.raises(ShapeError):
@@ -348,7 +318,7 @@ def test_gather_rows_integer_takes_one_entry_of_a_stack():
     tape = ad.Tape()
     with tape:
         out = ad.gather_rows(stack, 1)
-        loss = ad.sum_all(out)
+        loss = sum_all(out)
     tape.backward(loss)
     assert out.shape == (1, 4)
     assert np.array_equal(out.values, stack.values[1])
@@ -365,7 +335,7 @@ def test_gather_rows_two_dimensional_index_gradients():
     assert out.shape == (2, 3, 3)
     assert np.array_equal(out.values, table.values[index])
     readout = ad.tensor(randn(rng, 2, 3, 3))
-    build = lambda: ad.sum_all(ad.mul(ad.gather_rows(table, index), readout))
+    build = lambda: sum_all(ad.mul(ad.gather_rows(table, index), readout))
     assert grad_check(build, {"table": table}) <= 1e-6
 
 
@@ -374,40 +344,17 @@ def test_reshape_values_and_gradients():
     x = ad.parameter(randn(rng, 2, 3, 4))
     assert np.array_equal(ad.reshape(x, (2, 12)).values, x.values.reshape(2, 12))
     readout = ad.tensor(randn(rng, 6, 4))
-    build = lambda: ad.sum_all(ad.mul(ad.reshape(x, (6, 4)), readout))
+    build = lambda: sum_all(ad.mul(ad.reshape(x, (6, 4)), readout))
     assert grad_check(build, {"x": x}) <= 1e-6
     with pytest.raises(ShapeError):
         ad.reshape(x, (5, 5))
-
-
-def test_tanh_gradient():
-    rng = np.random.default_rng(9)
-    x = ad.parameter(randn(rng, 3, 3))
-    assert grad_check(lambda: ad.sum_all(ad.tanh(x)), {"x": x}) <= 1e-6
-
-
-def test_layer_norm_gradients_match_fd():
-    rng = np.random.default_rng(10)
-    x = ad.parameter(randn(rng, 3, 6))
-    g = ad.parameter(np.ones(6) + 0.1 * randn(rng, 6))
-    b = ad.parameter(0.1 * randn(rng, 6))
-    build = lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), x))
-    assert grad_check(build, {"x": x, "g": g, "b": b}) <= 1e-5
-
-
-def test_layer_norm_normalizes_rows():
-    rng = np.random.default_rng(11)
-    x = ad.tensor(randn(rng, 4, 8) * 3 + 2)
-    out = ad.layer_norm(x, ad.tensor(np.ones(8)), ad.tensor(np.zeros(8)))
-    assert np.allclose(out.values.mean(axis=1), 0.0, atol=1e-12)
-    assert np.allclose(out.values.var(axis=1), 1.0, atol=1e-4)
 
 
 def test_sum_all_gradient_is_ones():
     x = ad.parameter(np.zeros((2, 2)))
     tape = ad.Tape()
     with tape:
-        loss = ad.sum_all(x)
+        loss = sum_all(x)
     tape.backward(loss)
     assert np.array_equal(x.grad, np.ones((2, 2)))
 
@@ -421,7 +368,7 @@ def test_matmul_leading_axis_gradients():
     a = ad.parameter(randn(rng, 2, 3, 4))
     b = ad.parameter(randn(rng, 4, 2))
     r = ad.tensor(randn(rng, 2, 3, 2))
-    build = lambda: ad.sum_all(ad.mul(ad.matmul(a, b), r))
+    build = lambda: sum_all(ad.mul(ad.matmul(a, b), r))
     assert grad_check(build, {"a": a, "b": b}) <= 1e-6
 
 
@@ -433,7 +380,7 @@ def test_matmul_bias_gradients_and_values():
     out = ad.matmul(a, b, bias)
     assert np.array_equal(out.values, ad.add(ad.matmul(a, b), bias).values)
     r = ad.tensor(randn(rng, 2, 3, 2))
-    build = lambda: ad.sum_all(ad.mul(ad.matmul(a, b, bias), r))
+    build = lambda: sum_all(ad.mul(ad.matmul(a, b, bias), r))
     assert grad_check(build, {"a": a, "b": b, "bias": bias}) <= 1e-6
     with pytest.raises(ShapeError):
         ad.matmul(a, b, ad.tensor(np.zeros(3)))
@@ -448,23 +395,6 @@ def test_matmul_leading_axis_equals_per_slice():
         assert np.array_equal(out.values[i], ad.matmul(ad.tensor(a.values[i]), b).values)
     with pytest.raises(ShapeError):
         ad.matmul(b, a)
-
-
-def test_layer_norm_leading_axis_gradients():
-    rng = np.random.default_rng(14)
-    x = ad.parameter(randn(rng, 2, 3, 5))
-    g = ad.parameter(np.ones(5) + 0.1 * randn(rng, 5))
-    b = ad.parameter(0.1 * randn(rng, 5))
-    build = lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), x))
-    assert grad_check(build, {"x": x, "g": g, "b": b}) <= 1e-5
-
-
-def test_slice_rows_leading_axis_gradients():
-    rng = np.random.default_rng(15)
-    x = ad.parameter(randn(rng, 2, 4, 3))
-    r = ad.tensor(randn(rng, 2, 2, 3))
-    build = lambda: ad.sum_all(ad.mul(ad.slice_rows(x, 1, 3), r))
-    assert grad_check(build, {"x": x}) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +471,7 @@ def test_attention_gradients_match_fd(case):
 
     def build():
         out = ad.attention(x, *params.values(), spec["heads"], valid, **first_rows(spec))
-        return ad.sum_all(ad.mul(out, readout))
+        return sum_all(ad.mul(out, readout))
 
     assert grad_check(build, {"x": x, **params}) <= 1e-6
 
@@ -633,7 +563,7 @@ def test_attention_source_gradients_match_fd(case):
 
     def build():
         out = ad.attention(x, *params.values(), spec["heads"], valid, source, scale)
-        return ad.sum_all(ad.mul(out, readout))
+        return sum_all(ad.mul(out, readout))
 
     assert grad_check(build, {"x": x, **params}) <= 1e-6
 
@@ -676,18 +606,88 @@ def test_attention_source_errors():
 
 
 # ---------------------------------------------------------------------------
+# residual feed-forward: LN2(h + FFN(h)) with h = LN1(x + a)
+
+
+FFN_PARAMS = ("ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")
+
+
+def ffn_params(rng, d, ffn):
+    shapes = {"w1": (d, ffn), "b1": (ffn,), "w2": (ffn, d)}
+    params = {}
+    for name in FFN_PARAMS:
+        values = randn(rng, *shapes.get(name, (d,)))
+        if name.startswith("w"):
+            values *= values.shape[0] ** -0.5
+        elif name.endswith("_g"):
+            values = 1.0 + 0.3 * values
+        params[name] = ad.parameter(values)
+    return params
+
+
+@pytest.mark.parametrize("case", ["leaves", "after_attention"])
+def test_residual_ffn_gradients_match_fd(case):
+    """Every input, on the packed rows of sequences of lengths 3, 1 and 4.
+    After attention, ``x`` gets the op's one gradient array twice, once
+    directly and once through attention."""
+    rng = np.random.default_rng(25)
+    valid = np.arange(4) < np.array([[3], [1], [4]])
+    x = ad.parameter(randn(rng, valid.sum(), 8))
+    a = ad.parameter(randn(rng, valid.sum(), 8))
+    attn = attention_params(rng, 8)
+    params = ffn_params(rng, 8, 12)
+    readout = ad.tensor(randn(rng, valid.sum(), 8))
+
+    def build():
+        mixed = a if case == "leaves" else ad.attention(x, *attn.values(), 2, valid)
+        return sum_all(ad.mul(ad.residual_ffn(x, mixed, *params.values()), readout))
+
+    leaves = {"x": x, "a": a} if case == "leaves" else {"x": x}
+    assert grad_check(build, {**leaves, **params}) <= 1e-6
+
+
+def test_layer_norm_normalizes_rows():
+    """With unit gains and zero biases, every row ``residual_ffn`` gives
+    has mean 0 and variance 1."""
+    rng = np.random.default_rng(11)
+    params = ffn_params(rng, 8, 16)
+    for name in FFN_PARAMS:
+        if name.startswith("ln"):
+            params[name] = ad.tensor(np.ones(8) if name.endswith("_g") else np.zeros(8))
+    x, a = ad.tensor(randn(rng, 5, 8) * 3 + 2), ad.tensor(randn(rng, 5, 8))
+    out = ad.residual_ffn(x, a, *params.values())
+    assert np.allclose(out.values.mean(axis=1), 0.0, atol=1e-12)
+    assert np.allclose(out.values.var(axis=1), 1.0, atol=1e-4)
+
+
+def test_residual_ffn_is_one_tape_node_and_checks_shapes():
+    rng = np.random.default_rng(26)
+    params = list(ffn_params(rng, 8, 16).values())
+    x = ad.tensor(randn(rng, 5, 8))
+    tape = ad.Tape()
+    with tape:
+        ad.residual_ffn(x, x, *params)
+    assert len(tape) == 1
+    with pytest.raises(ShapeError):
+        ad.residual_ffn(x, ad.tensor(randn(rng, 4, 8)), *params)
+    with pytest.raises(ShapeError):
+        w1_w2_swapped = params[:2] + params[4:5] + params[3:4] + params[2:3] + params[5:]
+        ad.residual_ffn(x, x, *w1_w2_swapped)
+
+
+# ---------------------------------------------------------------------------
 # finite differences oracle
 
 
 def test_fd_square_function():
     x = ad.parameter([3.0])
-    fd = ad.finite_difference_gradient(lambda: float(x.values[0] ** 2), x)
+    fd = finite_difference_gradient(lambda: float(x.values[0] ** 2), x)
     assert abs(fd[0] - 6.0) <= 1e-6
 
 
 def test_fd_constant_function():
     x = ad.parameter([3.0, -1.0])
-    fd = ad.finite_difference_gradient(lambda: 42.0, x)
+    fd = finite_difference_gradient(lambda: 42.0, x)
     assert np.array_equal(fd, np.zeros(2))
 
 
@@ -706,16 +706,15 @@ def test_operations_do_not_mutate_inputs(seed):
     ad.mul(a, b)
     ad.matmul(a, b)
     ad.softmax(a)
-    ad.tanh(a)
     ad.concat([a, b], axis=0)
-    ad.slice_rows(a, 0, 2)
     bias = ad.tensor(randn(rng, 3))
     snap_bias = bias.values.copy()
     tape = ad.Tape()
     with tape:  # the backward pass must not write into its inputs either
         params = (b, bias, b, bias, b, bias, b, bias)
-        loss = ad.add(ad.sum_all(ad.attention(a, *params, 3)), ad.sum_all(
+        loss = ad.add(sum_all(ad.attention(a, *params, 3)), sum_all(
             ad.attention(a, *params, 3, np.ones((1, 3), dtype=bool), [0, 0], randn(rng, 2, 3))))
+        loss = ad.add(loss, sum_all(ad.residual_ffn(a, b, bias, bias, b, bias, b, bias, bias, bias)))
     tape.backward(loss)
     assert np.array_equal(a.values, snap_a)
     assert np.array_equal(b.values, snap_b)

@@ -11,6 +11,8 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 import spans  # noqa: E402
 
+import lsa.autodiff  # noqa: E402
+import lsa.encoder  # noqa: E402
 import lsa.training as training  # noqa: E402
 from lsa.corpus import load_dataset  # noqa: E402
 from lsa.distance import load_parses  # noqa: E402
@@ -34,7 +36,7 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     every pair forwarded is counted once, the span self times add up to
     the wall time of the calls made with no span open, and each encoder
     block runs inside its own span, so its time is not booked on
-    ``encoder.encode``."""
+    ``encoder.encode``.  Each block call under a tape records two nodes."""
     config = training.TrainConfig(
         variant=variant, d_model=16, layers=2, heads=2, ffn_mult=2, max_len=32,
         epochs=1, batch=8, seed=1,
@@ -45,9 +47,21 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     dataset = load_dataset(FIXTURES / "mini.json")
     trees = load_parses(FIXTURES / "mini.conllu")
     tracer = spans.Tracer()
+    taped = []  # one entry per encoder block call made under a tape
     with tracer.installed():
-        result = training.train(config)
-        metrics = training.evaluate(result.model, dataset, trees)
+        block = lsa.encoder.self_attention_block
+
+        def counted(*args, **kwargs):
+            if lsa.autodiff._ACTIVE_TAPE is not None:
+                taped.append(1)
+            return block(*args, **kwargs)
+
+        lsa.encoder.self_attention_block = counted
+        try:
+            result = training.train(config)
+            metrics = training.evaluate(result.model, dataset, trees)
+        finally:
+            lsa.encoder.self_attention_block = block
     pairs = dataset.aspect_count()
     # one epoch of training, validation after it and at the end, then evaluate()
     assert tracer.pairs_forwarded == pairs + 2 * pairs + metrics.n_examples
@@ -58,4 +72,7 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     assert tracer.stats["window.head_sa"].calls > 0
     encodes = tracer.stats["encoder.encode"].calls
     assert encodes > 0
-    assert tracer.stats["encoder.self_attention_block"].calls == config.layers * encodes
+    blocks = tracer.stats["encoder.self_attention_block"]
+    assert blocks.calls == config.layers * encodes
+    # attention and the residual feed-forward: one tape node each
+    assert len(taped) > 0 and blocks.tape_nodes == 2 * len(taped)

@@ -22,7 +22,7 @@ from lsa.encoder import (
     tokenize_with_offsets,
 )
 
-from util import FIXTURES, grad_check
+from util import FIXTURES, grad_check, sum_all
 
 ad.set_debug_checks(True)
 
@@ -142,7 +142,7 @@ def test_encode_embedding_gradient_matches_fd():
 
     def build():
         h = encode(ids, params)
-        return ad.sum_all(ad.matmul(h, readout))
+        return sum_all(ad.matmul(h, readout))
 
     worst = grad_check(
         build, {"emb": params.embedding, "pos": params.positional}, eps=1e-6
@@ -230,7 +230,7 @@ def test_source_rows_equal_the_block_on_scaled_copies(data):
         tape = ad.Tape()
         with tape:
             out = build()
-            loss = ad.sum_all(ad.mul(out, ad.tensor(readout)))
+            loss = sum_all(ad.mul(out, ad.tensor(readout)))
         tape.backward(loss)
         return out.values, {name: t.grad.copy() for name, t in [("h", h), *params.items()]}
 
@@ -242,6 +242,44 @@ def test_source_rows_equal_the_block_on_scaled_copies(data):
     np.testing.assert_allclose(factored, copies, rtol=0, atol=1e-12)
     for name, g in grads.items():  # gradients reach 1e5 where a row's scales are near 0
         np.testing.assert_allclose(g, expected[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def reference_block(x, attn, blk, eps=1e-5):
+    """The residual, layer norm, feed-forward, residual and layer norm that
+    follow attention, in numpy: ``x`` is the residual, ``attn`` the
+    attention output."""
+    v = {name: t.values for name, t in blk.named("")}
+
+    def norm(z, gain, bias):
+        centred = z - z.mean(axis=1, keepdims=True)
+        return centred / np.sqrt(z.var(axis=1, keepdims=True) + eps) * gain + bias
+
+    h = norm(x + attn, v[".ln1_g"], v[".ln1_b"])
+    f = np.tanh(h @ v[".w1"] + v[".b1"]) @ v[".w2"] + v[".b2"]
+    return norm(h + f, v[".ln2_g"], v[".ln2_b"])
+
+
+@pytest.mark.parametrize("form", ["all_rows", "head_sa"])
+def test_block_matches_numpy_reference(form):
+    """The block is ``ad.attention`` then the numpy chain, both on every
+    packed row and in ``head.sa``'s form, whose residual is the first row
+    of each source sequence times its scale."""
+    rng = np.random.default_rng(27)
+    blk = make_encoder(seed=3).blocks[0]
+    for _, t in blk.named(""):  # away from the initial unit gains and zero biases
+        t.values = t.values + 0.2 * rng.normal(size=t.shape)
+    valid = np.arange(5) < np.array([[5], [1], [3]])
+    x = rng.normal(size=(valid.sum(), 16))
+    layout = {}
+    residual = x
+    if form == "head_sa":
+        source = np.array([0, 0, 1, 2, 2])
+        layout = dict(source=source, scale=rng.uniform(0.0, 1.0, size=(5, 5)))
+        residual = layout["scale"][:, :1] * x[[0, 0, 5, 6, 6]]
+    attn = ad.attention(ad.tensor(x), blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, blk.wo,
+                        blk.bo, 2, valid, **layout)
+    out = self_attention_block(ad.tensor(x), blk, 2, valid, **layout)
+    assert np.max(np.abs(out.values - reference_block(residual, attn.values, blk))) <= 1e-12
 
 
 def ragged_batch(sequences):
@@ -268,7 +306,8 @@ def test_padding_mask_shields_prefix_outputs():
 
 def test_encode_runs_no_row_wise_op_on_padding(monkeypatch):
     """Every op of a ragged batch's encoder pass takes and gives exactly
-    the batch's real rows."""
+    the batch's real rows: the embedding sum, and each block's attention
+    and residual feed-forward."""
     params = make_encoder(layers=2)
     ids, valid = ragged_batch([[1, 2, 3], [4, 5, 6, 7, 8, 9], [2]])
     seen = []
@@ -281,10 +320,10 @@ def test_encode_runs_no_row_wise_op_on_padding(monkeypatch):
 
         return wrapper
 
-    for name in ("matmul", "layer_norm", "add", "tanh", "attention"):
+    for name in ("add", "attention", "residual_ffn"):
         monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
     encode(ids, params, valid)
-    assert {name for name, _, _ in seen} == {"matmul", "layer_norm", "add", "tanh", "attention"}
+    assert [name for name, _, _ in seen] == ["add"] + ["attention", "residual_ffn"] * 2
     assert [rows for _, *rows in seen] == [[valid.sum()] * 2] * len(seen)
 
 
@@ -295,7 +334,7 @@ def test_padded_batch_encode_gradients_match_fd():
     readout = ad.tensor(np.random.default_rng(2).normal(size=(4, 8)))
 
     def build():
-        return ad.sum_all(ad.mul(encode(ids, params, valid), readout))
+        return sum_all(ad.mul(encode(ids, params, valid), readout))
 
     worst = grad_check(
         build, {"emb": params.embedding, "pos": params.positional}, eps=1e-6

@@ -85,3 +85,33 @@ def test_zero_grad_clears_all_groups():
     opt = AdamW([ParamGroup({"a": a}, lr=0.1), ParamGroup({"b": b}, lr=0.2)])
     opt.zero_grad()
     assert a.grad is None and b.grad is None
+
+
+def test_step_matches_the_adamw_formula_over_many_steps():
+    """30 steps of two groups with weight decay against the update written
+    out: p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + decay * p)."""
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (3,), "eta": (1,)}
+    params = {name: make_param(rng.normal(size=shape)) for name, shape in shapes.items()}
+    opt = AdamW([
+        ParamGroup({"w": params["w"], "b": params["b"]}, lr=1e-2, weight_decay=0.05),
+        ParamGroup({"eta": params["eta"]}, lr=0.1, weight_decay=0.3),
+    ])
+    hyper = {"w": (1e-2, 0.05), "b": (1e-2, 0.05), "eta": (0.1, 0.3)}
+    ref = {name: p.values.copy() for name, p in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for t in range(1, 31):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        for name, p in params.items():
+            g = grads[name]
+            p.grad = g.copy()
+            lr, decay = hyper[name]
+            m[name] = 0.9 * m[name] + 0.1 * g
+            v[name] = 0.999 * v[name] + 0.001 * g * g
+            update = (m[name] / (1 - 0.9**t)) / (np.sqrt(v[name] / (1 - 0.999**t)) + 1e-8)
+            ref[name] = ref[name] - lr * (update + decay * ref[name])
+        opt.step()
+        for name, p in params.items():
+            np.testing.assert_allclose(p.values, ref[name], rtol=1e-12, atol=0, err_msg=name)
+            assert np.array_equal(p.grad, grads[name])  # the step leaves the gradient as it was

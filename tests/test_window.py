@@ -22,7 +22,7 @@ from lsa.window import (
     project_window,
 )
 
-from util import FIXTURES, tiny_model
+from util import FIXTURES, sum_all, tiny_model
 
 ad.set_debug_checks(True)
 
@@ -315,7 +315,7 @@ def test_project_window_gradients():
     model = tiny_model()
     d = model.config.d_model
     x = ad.tensor(np.random.default_rng(3).normal(size=(1, 3 * d)))
-    build = lambda: ad.sum_all(project_window(x, model.head))
+    build = lambda: sum_all(project_window(x, model.head))
     worst = grad_check(build, {"w": model.head.w_out, "b": model.head.b_out})
     assert worst <= 1e-6
 
