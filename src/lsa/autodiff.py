@@ -2,9 +2,11 @@
 
 One tape is recorded per training step and consumed by a single backward
 pass.  Operations never mutate their inputs; gradients accumulate
-additively when a tensor is used more than once.  The attention and the
-residual feed-forward half of a transformer block are each one node with
-a hand-written backward.
+additively when a tensor is used more than once.  A post-norm transformer
+block, ``LN(x + Sublayer(x))`` twice, is two nodes with hand-written
+backwards: ``attention`` gives the residual stream ``x + MHA(x)``, and
+``residual_ffn`` the layer norm, feed-forward sublayer, residual and
+layer norm after it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "gather_rows",
     "reshape",
     "softmax",
-    "attention_weights",
     "attention",
     "residual_ffn",
     "cross_entropy",
@@ -63,20 +64,15 @@ def set_debug_checks(enabled: bool) -> None:
 class Tensor:
     """A dense float64 array plus gradient buffer."""
 
-    __slots__ = ("values", "requires_grad", "grad")
+    __slots__ = ("values", "grad")
 
-    def __init__(self, values, requires_grad: bool = False):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self):
         return self.values.shape
-
-    @property
-    def size(self) -> int:
-        return self.values.size
 
     def item(self) -> float:
         if self.values.size != 1:
@@ -84,15 +80,14 @@ class Tensor:
         return float(self.values.reshape(-1)[0])
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    return Tensor(values, requires_grad=requires_grad)
+def tensor(values) -> Tensor:
+    return Tensor(values)
 
 
-def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
+parameter = tensor  # what is trained is up to the optimizer's groups
 
 
 class _Node:
@@ -137,35 +132,15 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def backward(self, root: Tensor, order: Optional[Sequence[int]] = None) -> None:
-        """Populate grads of everything reachable from the scalar ``root``.
-
-        ``order`` optionally gives an alternative topological order of the
-        recorded nodes (used to check order-independence of accumulation);
-        it must list every node index exactly once and respect dependencies.
-        """
+    def backward(self, root: Tensor) -> None:
+        """Populate grads of everything reachable from the scalar ``root``."""
         if self._consumed:
             raise TapeError("tape already consumed by a backward pass; re-record first")
         if root.values.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
         self._consumed = True
-
-        nodes = self._nodes
-        if order is not None:
-            if sorted(order) != list(range(len(nodes))):
-                raise TapeError("order must be a permutation of node indices")
-            produced = {}
-            for rank, idx in enumerate(order):
-                produced[id(nodes[idx].output)] = rank
-            for rank, idx in enumerate(order):
-                for inp in nodes[idx].inputs:
-                    pos = produced.get(id(inp))
-                    if pos is not None and pos >= rank:
-                        raise TapeError("order is not topological")
-            nodes = [self._nodes[i] for i in order]
-
         root.grad = np.ones_like(root.values)
-        for node in reversed(nodes):
+        for node in reversed(self._nodes):
             out_grad = node.output.grad
             if out_grad is None:
                 continue
@@ -181,7 +156,8 @@ class Tape:
 
 def _record(output: Tensor, inputs, backward_fn) -> Tensor:
     if _DEBUG_CHECKS and not np.all(np.isfinite(output.values)):
-        raise AutodiffError("non-finite values produced by a forward operation")
+        op = backward_fn.__qualname__.split(".")[0]
+        raise AutodiffError(f"non-finite values produced by {op}")
     if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE._nodes.append(_Node(output, inputs, backward_fn))
     return output
@@ -352,10 +328,11 @@ class _Layout:
     (S, L) marks their positions: keys and values are set there, zero at
     the padding.  Without ``source`` every row is a query, laid out the
     same way.  With it, query r is ``scale[r, 0]`` times the first row of
-    sequence ``source[r]``.  The queries of one sequence are contiguous;
-    they are set side by side, (S, slots), zero-padded to the most queries
-    of a sequence, so that one batched matmul per sequence and head meets
-    them all with that sequence's keys.
+    sequence ``source[r]``.  ``xq`` holds the query rows, which are also
+    the residual rows of the output.  The queries of one sequence are
+    contiguous; they are set side by side, (S, slots), zero-padded to the
+    most queries of a sequence, so that one batched matmul per sequence
+    and head meets them all with that sequence's keys.
     """
 
     def __init__(self, xv: np.ndarray, heads: int, valid, source, scale):
@@ -386,6 +363,7 @@ class _Layout:
         self.index = (source, np.arange(source.size) - starts[source])
         self.shape = (len(valid), int(counts.max()))
         self.first, self.starts = first[counts > 0], starts[counts > 0]
+        self.group = (np.cumsum(counts > 0) - 1)[source]  # each query's index in ``first``
         self.query_scale = scale[:, :1]
         self.xq = self.query_scale * xv[first[source]]
         keys = np.zeros(self.shape + scale.shape[1:])
@@ -400,41 +378,19 @@ class _Layout:
         """Query rows (queries, d) -> (S, heads, L or slots, dh)."""
         return _heads(a, self.index, self.shape, self.heads)
 
-    def add_query_grad(self, g_x: np.ndarray, g_xq: np.ndarray) -> None:
-        """Add the gradient of the query rows into that of ``x``: with a
-        ``source``, each sequence's first row gets the sum over its queries."""
+    def add_row_grads(self, g_x: np.ndarray, g_xq: np.ndarray, g: np.ndarray) -> None:
+        """Add the gradients of the query rows, ``g_xq``, then of the residual
+        rows, ``g``, into that of ``x``; another order changes the last bits.
+        With a ``source``, each sequence's first row gets each one's sum over
+        its queries, the residual's formed row by row in zeros (np.add.at)."""
         if self.key_scale is None:
             g_x += g_xq
+            g_x += g
         else:
             g_x[self.first] += np.add.reduceat(self.query_scale * g_xq, self.starts, axis=0)
-
-
-def _attention_probs(xv: np.ndarray, at: _Layout, wq, bq, wk):
-    """Queries and keys split by head, and the softmax attention weights
-    (S, heads, L or slots, L).
-
-    The key bias adds q·bk to every score of a query, a shift that softmax
-    ignores, so it is left out."""
-    q = at.queries(at.xq @ wq.values + bq.values)
-    k = at.keys(xv @ wk.values)
-    p = q @ k.swapaxes(-1, -2)
-    p *= q.shape[-1] ** -0.5
-    if at.key_scale is not None:
-        p *= at.key_scale
-    if at.mask is not None:
-        p += at.mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= (p @ np.ones(p.shape[-1]))[..., None]
-    return q, k, p
-
-
-def attention_weights(x, wq, bq, wk, heads, valid=None, source=None, scale=None) -> np.ndarray:
-    """The weights ``attention`` mixes values with, (queries, heads, L).
-    They are not recorded on the tape."""
-    at = _Layout(x.values, heads, valid, source, scale)
-    p = _attention_probs(x.values, at, wq, bq, wk)[2]
-    return _rows(p, at.index).reshape(-1, heads, p.shape[-1])
+            residual = np.zeros((len(self.first), g.shape[1]))
+            np.add.at(residual, self.group, self.query_scale * g)
+            g_x[self.first] += residual
 
 
 def attention(
@@ -442,8 +398,9 @@ def attention(
     wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
     heads: int, valid=None, source=None, scale=None,
 ) -> Tensor:
-    """Multi-head scaled dot-product self-attention with its input and
-    output projections, as one node with a hand-written backward.
+    """The residual stream ``x + MHA(x)`` of multi-head scaled dot-product
+    self-attention with its input and output projections, as one node
+    with a hand-written backward.
 
     ``x`` (N, d) packs the real rows of S sequences, in order, and
     ``valid`` (S, L) marks their positions, the first of each sequence
@@ -455,19 +412,34 @@ def attention(
     With a sorted ``source`` (queries,) and a ``scale`` (queries, L), the
     output (queries, d) holds in row r the first row of the output for
     sequence ``source[r]`` with its rows scaled by ``scale[r]``, without
-    forming that input.  Keys and values are linear in the input, so they
-    are projected once per sequence and scaled per query; the value bias
-    passes through the weights, which sum to 1.
+    forming that input; its residual row is that first row, scaled.  Keys
+    and values are linear in the input, so they are projected once per
+    sequence and scaled per query; the value bias passes through the
+    weights, which sum to 1.  The key bias adds q·bk to every score of a
+    query, a shift that softmax ignores, so it is left out.
     """
     xv = x.values
     at = _Layout(xv, heads, valid, source, scale)
-    q, k, p = _attention_probs(xv, at, wq, bq, wk)
+    q = at.queries(at.xq @ wq.values + bq.values)
+    k = at.keys(xv @ wk.values)
+    score_scale = q.shape[-1] ** -0.5
+    p = q @ k.swapaxes(-1, -2)  # the scores, then in place the softmax weights
+    p *= score_scale
     s = at.key_scale
+    if s is not None:
+        p *= s
+    if at.mask is not None:
+        p += at.mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= (p @ np.ones(p.shape[-1]))[..., None]
     w = p if s is None else p * s
     v = at.keys(xv @ wv.values)
     merged = _rows(w @ v, at.index) + bv.values
-    out = Tensor(merged @ wo.values + bo.values)
-    score_scale = q.shape[-1] ** -0.5
+    out_values = merged @ wo.values
+    out_values += bo.values
+    out_values += at.xq  # the residual, added last
+    out = Tensor(out_values)
 
     def backward(g):
         g_merged = g @ wo.values.T
@@ -482,7 +454,7 @@ def attention(
         g_k = _rows(g_s.swapaxes(-1, -2) @ q, at.valid)
         g_v = _rows(w.swapaxes(-1, -2) @ g_o, at.valid)
         g_x = g_k @ wk.values.T + g_v @ wv.values.T
-        at.add_query_grad(g_x, g_q @ wq.values.T)
+        at.add_row_grads(g_x, g_q @ wq.values.T, g)
         return (
             g_x,
             at.xq.T @ g_q, g_q.sum(axis=0),
@@ -494,13 +466,13 @@ def attention(
     return _record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
 
 
-def _normalize(z: np.ndarray) -> np.ndarray:
-    """Centre and scale each row of ``z`` (N, d) in place to mean 0 and
-    variance 1; return the (N, 1) column of 1/σ."""
+def _normalize(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Centre and scale each row of ``z`` (N, d) to mean 0 and variance 1
+    into ``out``, which may be ``z``; return the (N, 1) column of 1/σ."""
     d = z.shape[1]
-    z -= (z @ np.full(d, 1.0 / d))[:, None]
-    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", z, z) / d + LN_EPS)[:, None]
-    z *= inv
+    np.subtract(z, (z @ np.full(d, 1.0 / d))[:, None], out=out)
+    inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", out, out) / d + LN_EPS)[:, None]
+    out *= inv
     return inv
 
 
@@ -517,28 +489,28 @@ def _normalize_backward(g: np.ndarray, zhat: np.ndarray, inv: np.ndarray) -> np.
 
 
 def residual_ffn(
-    x: Tensor, a: Tensor, ln1_g: Tensor, ln1_b: Tensor,
+    x: Tensor, ln1_g: Tensor, ln1_b: Tensor,
     w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     ln2_g: Tensor, ln2_b: Tensor,
 ) -> Tensor:
-    """``LN2(h + tanh(h W1 + b1) W2 + b2)`` with ``h = LN1(x + a)``: the
-    residual add, layer norm, feed-forward, residual add and layer norm
-    that follow attention in a post-norm block, as one node with a
-    hand-written backward.
+    """``LN2(h + tanh(h W1 + b1) W2 + b2)`` with ``h = LN1(x)``: the layer
+    norm, feed-forward, residual add and layer norm that follow attention
+    in a post-norm block (``x`` is ``attention``'s residual stream), as
+    one node with a hand-written backward.
 
-    ``x`` and ``a`` are (N, d) rows, each layer norm has a gain and a bias
-    (d,), and the feed-forward maps d -> ffn -> d.  The node keeps only
-    what its backward reads: both normalized inputs, their 1/σ, ``h`` and
-    the tanh output.  ``x`` and ``a`` get the same gradient."""
-    inputs = (x, a, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b)
-    n, d = x.shape if x.values.ndim == 2 else (0, -1)
+    ``x`` is (N, d) rows, each layer norm has a gain and a bias (d,), and
+    the feed-forward maps d -> ffn -> d.  The node keeps only what its
+    backward reads: both normalized inputs, their 1/σ, ``h`` and the tanh
+    output."""
+    inputs = (x, ln1_g, ln1_b, w1, b1, w2, b2, ln2_g, ln2_b)
+    d = x.shape[1] if x.values.ndim == 2 else -1
     ffn = w1.shape[-1]
-    if (a.shape != (n, d) or w1.shape != (d, ffn) or b1.shape != (ffn,) or w2.shape != (ffn, d)
+    if (w1.shape != (d, ffn) or b1.shape != (ffn,) or w2.shape != (ffn, d)
             or any(t.shape != (d,) for t in (ln1_g, ln1_b, b2, ln2_g, ln2_b))):
         raise ShapeError(f"residual_ffn: shapes {[t.shape for t in inputs]} do not fit")
     g1, g2, w1v, w2v = ln1_g.values, ln2_g.values, w1.values, w2.values
-    xhat = x.values + a.values
-    inv1 = _normalize(xhat)
+    xhat = np.empty_like(x.values)
+    inv1 = _normalize(x.values, xhat)
     h = xhat * g1
     h += ln1_b.values
     u = h @ w1v
@@ -547,7 +519,7 @@ def residual_ffn(
     zhat = u @ w2v
     zhat += b2.values
     zhat += h
-    inv2 = _normalize(zhat)
+    inv2 = _normalize(zhat, zhat)
     out = Tensor(zhat * g2 + ln2_b.values)
 
     def backward(g):
@@ -564,7 +536,7 @@ def residual_ffn(
         g_ln1_g, g_ln1_b = np.einsum("ij,ij->j", g_h, xhat), g_h.sum(axis=0)
         g_h *= g1
         g_s = _normalize_backward(g_h, xhat, inv1)
-        return (g_s, g_s, g_ln1_g, g_ln1_b, h.T @ g_u, g_u.sum(axis=0), g_w2, g_z.sum(axis=0),
+        return (g_s, g_ln1_g, g_ln1_b, h.T @ g_u, g_u.sum(axis=0), g_w2, g_z.sum(axis=0),
                 g_ln2_g, g_ln2_b)
 
     return _record(out, inputs, backward)

@@ -7,8 +7,9 @@ pretrained model so that end-to-end gradient checks stay exhaustive.
 A batch of sequences of different lengths is encoded in one call, and no
 work is done on padding.  The hidden states of the batch are packed: one
 (N, d) row per real token, sequence after sequence.  A block is two tape
-nodes on those N rows: ``ad.attention``, and ``ad.residual_ffn`` for the
-residual, layer norm, feed-forward, residual and layer norm after it.
+nodes on those N rows: ``ad.attention``, which gives the residual stream
+``x + MHA(x)``, and ``ad.residual_ffn`` for the layer norm, feed-forward,
+residual and layer norm after it.
 Only attention's scores, softmax and mixing of values set the rows of
 each sequence side by side in an (S, heads, L, ·) layout, with padded
 keys masked.  So each sequence's hidden states are those it gets when
@@ -195,16 +196,11 @@ def self_attention_block(
     With a sorted ``source`` (rows,) and a ``scale`` (rows, L), row r of
     the output (rows, d) is the first row of the block's output on
     sequence ``source[r]`` with its rows scaled by ``scale[r]``.  That
-    input is never formed: attention projects keys and values once per
-    sequence (``ad.attention``), and the residual gathers only the first
-    rows.  ``valid`` is needed then."""
-    attn = ad.attention(x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, heads, valid,
-                        source, scale)
-    if source is not None:
-        lengths = valid.sum(axis=1)
-        first = (np.cumsum(lengths) - lengths)[source]
-        x = ad.mul(ad.gather_rows(x, first), Tensor(scale[:, :1]))
-    return ad.residual_ffn(x, attn, p.ln1_g, p.ln1_b, p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b)
+    input is never formed: ``ad.attention`` projects keys and values once
+    per sequence and adds the scaled first rows as the residual.  ``valid``
+    is needed then."""
+    h = ad.attention(x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, heads, valid, source, scale)
+    return ad.residual_ffn(h, p.ln1_g, p.ln1_b, p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b)
 
 
 def encode(ids, params: EncoderParams, valid: np.ndarray | None = None) -> Tensor:

@@ -228,6 +228,8 @@ def evaluate(
     examples = [ex for ex, keep in zip(dataset.examples, wanted) if any(keep)]
     keep = np.array([k for mask in wanted if any(mask) for k in mask], dtype=bool)
     if not keep.any():
+        if slice_ is None:
+            raise DataError("the dataset has no (example, aspect) pair")
         raise DataError(f"slice {slice_!r} selects no pairs")
     preds = np.concatenate([
         np.argmax(model.forward(group, trees).values, axis=1)
@@ -284,6 +286,9 @@ def train(config: TrainConfig) -> TrainResult:
         train_set = Dataset(
             [ex for i, ex in enumerate(train_set.examples) if i not in hold]
         )
+    for split, data in (("train", train_set), ("valid", valid_set), ("test", test_set)):
+        if data is not None and not any(ex.aspects for ex in data.examples):
+            raise DataError(f"the {split} split has no (example, aspect) pair")
 
     vocab = Vocabulary.build(ex.tokens for ex in train_set.examples)
     model = Model(config.model_config(), vocab, rng)

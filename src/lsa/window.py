@@ -6,7 +6,10 @@ hidden states scaled by position weights derived from token-aspect
 distances.  Only that row is computed; the other rows serve as keys and
 values.  The scaled hidden states are never formed: keys and values are
 linear in them, so ``head.sa`` projects each sequence once and scales the
-projected keys and values by each aspect's weights.
+projected keys and values by each aspect's weights.  The residual row is
+the sequence's first hidden row times its weight, which ``ad.attention``
+adds itself, so a ``head.sa`` call records two tape nodes, as an encoder
+block does.
 
 The window sets the k nearest left features, the target feature and the
 k nearest right ones side by side; missing neighbors are padded with

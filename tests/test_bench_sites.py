@@ -14,6 +14,7 @@ import spans  # noqa: E402
 import lsa.autodiff  # noqa: E402
 import lsa.encoder  # noqa: E402
 import lsa.training as training  # noqa: E402
+import lsa.window  # noqa: E402
 from lsa.corpus import load_dataset  # noqa: E402
 from lsa.distance import load_parses  # noqa: E402
 from lsa.window import VARIANTS  # noqa: E402
@@ -36,7 +37,8 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     every pair forwarded is counted once, the span self times add up to
     the wall time of the calls made with no span open, and each encoder
     block runs inside its own span, so its time is not booked on
-    ``encoder.encode``.  Each block call under a tape records two nodes."""
+    ``encoder.encode``.  Each block call under a tape, in the encoder or
+    as ``head.sa``, records two nodes."""
     config = training.TrainConfig(
         variant=variant, d_model=16, layers=2, heads=2, ffn_mult=2, max_len=32,
         epochs=1, batch=8, seed=1,
@@ -47,21 +49,25 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     dataset = load_dataset(FIXTURES / "mini.json")
     trees = load_parses(FIXTURES / "mini.conllu")
     tracer = spans.Tracer()
-    taped = []  # one entry per encoder block call made under a tape
+    taped = {lsa.encoder: 0, lsa.window: 0}  # block calls made under a tape, by caller
     with tracer.installed():
-        block = lsa.encoder.self_attention_block
+        originals = {owner: owner.self_attention_block for owner in taped}
 
-        def counted(*args, **kwargs):
-            if lsa.autodiff._ACTIVE_TAPE is not None:
-                taped.append(1)
-            return block(*args, **kwargs)
+        def counted(owner):
+            def call(*args, **kwargs):
+                taped[owner] += lsa.autodiff._ACTIVE_TAPE is not None
+                return originals[owner](*args, **kwargs)
 
-        lsa.encoder.self_attention_block = counted
+            return call
+
         try:
+            for owner in taped:
+                owner.self_attention_block = counted(owner)
             result = training.train(config)
             metrics = training.evaluate(result.model, dataset, trees)
         finally:
-            lsa.encoder.self_attention_block = block
+            for owner, block in originals.items():
+                owner.self_attention_block = block
     pairs = dataset.aspect_count()
     # one epoch of training, validation after it and at the end, then evaluate()
     assert tracer.pairs_forwarded == pairs + 2 * pairs + metrics.n_examples
@@ -75,4 +81,6 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     blocks = tracer.stats["encoder.self_attention_block"]
     assert blocks.calls == config.layers * encodes
     # attention and the residual feed-forward: one tape node each
-    assert len(taped) > 0 and blocks.tape_nodes == 2 * len(taped)
+    assert taped[lsa.encoder] > 0 and blocks.tape_nodes == 2 * taped[lsa.encoder]
+    head_sa = tracer.stats["window.head_sa"]
+    assert taped[lsa.window] > 0 and head_sa.tape_nodes == 2 * taped[lsa.window]

@@ -205,6 +205,43 @@ def test_missing_file_is_data_error(case, corpus, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error")
 
 
+def write_examples(path, aspects):
+    """A dataset of one two-token example per entry of ``aspects``."""
+    examples = [{"text": "a b", "tokens": ["a", "b"], "aspects": a} for a in aspects]
+    path.write_text(json.dumps({"version": 1, "examples": examples}))
+    return path
+
+
+ASPECT = {"span": [0, 1], "term": ["a"], "polarity": "positive", "implicit": False}
+
+
+@pytest.mark.parametrize("train, test, split", [
+    ([[]] * 5, None, "train"),  # no example has an aspect
+    ([[ASPECT]], None, "train"),  # the holdout takes the only one that has
+    ([[ASPECT]] * 5, [[]], "test"),
+], ids=["none", "holdout_takes_all", "test_split"])
+def test_split_without_pairs_is_data_error(train, test, split, tmp_path, capsys):
+    argv = ["train", "--train-path", write_examples(tmp_path / "train.json", train),
+            "--epochs", "1", "--out", tmp_path / "out"]
+    if test is not None:
+        argv += ["--test-path", write_examples(tmp_path / "test.json", test)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"data error: the {split} split has no (example, aspect) pair\n"
+
+
+@pytest.mark.parametrize("slice_, message", [
+    (None, "the dataset has no (example, aspect) pair"),
+    ("implicit", "slice 'implicit' selects no pairs"),
+], ids=["no_slice", "slice"])
+def test_eval_without_pairs_names_what_is_missing(slice_, message, tmp_path, capsys):
+    """The slice is named only when one was asked for."""
+    data = write_examples(tmp_path / "one.json", [[]] if slice_ is None else [[ASPECT]])
+    argv = ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin", "--dataset", data,
+            "--out", tmp_path / "out"]
+    assert run(argv + (["--slice", slice_] if slice_ else [])) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 def test_eval_bad_checkpoint_is_data_error(corpus, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"junk")

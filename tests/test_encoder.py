@@ -22,7 +22,7 @@ from lsa.encoder import (
     tokenize_with_offsets,
 )
 
-from util import FIXTURES, grad_check, sum_all
+from util import FIXTURES, grad_check, mixing_weights, reference_attention, sum_all
 
 ad.set_debug_checks(True)
 
@@ -155,9 +155,10 @@ def test_encode_embedding_gradient_matches_fd():
 
 
 def block_weights(x, params, **layout):
-    """The attention weights of the first block, (queries, heads, L)."""
+    """The attention weights of the first block, (queries, heads, L), read
+    from ``ad.attention``'s output."""
     blk = params.blocks[0]
-    return ad.attention_weights(x, blk.wq, blk.bq, blk.wk, params.heads, **layout)
+    return mixing_weights(x, blk.wq, blk.bq, blk.wk, params.heads, **layout)
 
 
 def test_attention_rows_sum_to_one():
@@ -247,7 +248,7 @@ def test_source_rows_equal_the_block_on_scaled_copies(data):
 def reference_block(x, attn, blk, eps=1e-5):
     """The residual, layer norm, feed-forward, residual and layer norm that
     follow attention, in numpy: ``x`` is the residual, ``attn`` the
-    attention output."""
+    attention output without it."""
     v = {name: t.values for name, t in blk.named("")}
 
     def norm(z, gain, bias):
@@ -261,25 +262,29 @@ def reference_block(x, attn, blk, eps=1e-5):
 
 @pytest.mark.parametrize("form", ["all_rows", "head_sa"])
 def test_block_matches_numpy_reference(form):
-    """The block is ``ad.attention`` then the numpy chain, both on every
-    packed row and in ``head.sa``'s form, whose residual is the first row
-    of each source sequence times its scale."""
+    """The block against numpy, both on every packed row and in
+    ``head.sa``'s form: per-head attention on each sequence (for
+    ``head.sa``, the rows of its source sequence times its scale), plus
+    the residual rows, then the layer norm/feed-forward chain."""
     rng = np.random.default_rng(27)
     blk = make_encoder(seed=3).blocks[0]
     for _, t in blk.named(""):  # away from the initial unit gains and zero biases
         t.values = t.values + 0.2 * rng.normal(size=t.shape)
     valid = np.arange(5) < np.array([[5], [1], [3]])
     x = rng.normal(size=(valid.sum(), 16))
+    sequences = np.split(x, np.cumsum(valid.sum(axis=1))[:-1])
     layout = {}
-    residual = x
-    if form == "head_sa":
+    first = form == "head_sa"
+    if first:
         source = np.array([0, 0, 1, 2, 2])
         layout = dict(source=source, scale=rng.uniform(0.0, 1.0, size=(5, 5)))
-        residual = layout["scale"][:, :1] * x[[0, 0, 5, 6, 6]]
-    attn = ad.attention(ad.tensor(x), blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, blk.wo,
-                        blk.bo, 2, valid, **layout)
+        sequences = [w[:len(sequences[i]), None] * sequences[i]
+                     for i, w in zip(source, layout["scale"])]
+    attn = {name: getattr(blk, name) for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+    mha = np.concatenate([reference_attention(seq, attn, 2, first) for seq in sequences])
+    residual = np.stack([seq[0] for seq in sequences]) if first else x
     out = self_attention_block(ad.tensor(x), blk, 2, valid, **layout)
-    assert np.max(np.abs(out.values - reference_block(residual, attn.values, blk))) <= 1e-12
+    assert np.max(np.abs(out.values - reference_block(residual, mha, blk))) <= 1e-12
 
 
 def ragged_batch(sequences):
