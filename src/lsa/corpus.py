@@ -145,6 +145,7 @@ def _example_from_json(obj, where: str) -> Example:
         and all(isinstance(t, str) for t in obj["tokens"]),
         f"{where}.tokens: must be a list of strings",
     )
+    _require(isinstance(obj["aspects"], list), f"{where}.aspects: must be a list")
     aspects = []
     for k, a in enumerate(obj["aspects"]):
         aw = f"{where}.aspects[{k}]"
@@ -182,7 +183,7 @@ def _example_from_json(obj, where: str) -> Example:
 def load_absa_json(path) -> Dataset:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
     _require(isinstance(data, dict), f"{path}: top level must be an object")
@@ -275,6 +276,15 @@ def read_existing(path) -> bytes:
         raise DataError(f"file not found: {path}")
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``; DataError if there is none
+    or it is not UTF-8."""
+    try:
+        return read_existing(path).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text (byte {e.start})")
+
+
 def load_dataset(path, format: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
@@ -320,7 +330,7 @@ def read_key_values(path, error: type[Exception]) -> dict[str, str]:
     ``#`` comments are skipped; a line without ``=`` raises ``error``, and
     a missing file ``DataError``."""
     pairs = {}
-    for lineno, line in enumerate(read_existing(path).decode().splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,20 +1,20 @@
-"""Token-aspect distances: positional (mean absolute offset) and
-dependency-tree shortest path, plus CoNLL-U ingestion and token/word
-alignment.  All functions are pure; parsing itself is out of scope.
+"""Token-aspect distances, CoNLL-U ingestion and token/word alignment.
+All functions are pure; parsing itself is out of scope.
 
-Both distances take one token position or an array of them, so that a
-whole sentence's distances to an aspect come from one call.
+An example's distances are one (n, n) integer table over its first n
+tokens: token distance |i - j| (LCF), or the dependency-tree distance
+between the tokens' words (LCFS-BERT).  ``aspect_distances`` turns the
+table into one row per aspect, the mean over the aspect's tokens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError
+from .corpus import DataError, read_text
 
 ROOT = 0  # head value marking the root word
 
@@ -53,12 +53,6 @@ class DependencyTree:
         if len(roots) != 1:
             raise DataError(f"expected exactly one root, found {len(roots)}")
 
-    def _ancestors(self, word: int) -> list[int]:
-        chain = [word]
-        while self.heads[chain[-1]] != ROOT:
-            chain.append(self.heads[chain[-1]] - 1)
-        return chain
-
     @cached_property
     def distances(self) -> np.ndarray:
         """(W, W) edges on the tree path between every two words, computed
@@ -79,52 +73,16 @@ class DependencyTree:
         return (depth[:, None] + depth[None, :] - 2 * common_depth).astype(np.int64)
 
 
-def tree_shortest_distance(tree: DependencyTree, word_i: int, word_j: int) -> int:
-    """Edges on the unique tree path between two words (0-based indices)."""
-    n = tree.word_count
-    if not (0 <= word_i < n and 0 <= word_j < n):
-        raise IndexError(f"word index out of range for {n}-word tree")
-    if word_i == word_j:
-        return 0
-    chain_i = tree._ancestors(word_i)
-    depth_j = {w: d for d, w in enumerate(tree._ancestors(word_j))}
-    for depth_i, w in enumerate(chain_i):
-        if w in depth_j:
-            return depth_i + depth_j[w]
-    raise DataError("disconnected tree")  # unreachable on a validated tree
+def relative_token_distance(n: int) -> np.ndarray:
+    """(n, n) token distances |i - j| between the first n tokens."""
+    positions = np.arange(n)
+    return np.abs(positions[:, None] - positions)
 
 
-def relative_token_distance(token_pos, aspect_positions):
-    """Mean absolute offset between a token position (or each of an array
-    of them) and the aspect's token positions."""
-    positions = np.asarray(list(aspect_positions), dtype=np.int64)
-    if not positions.size:
-        raise ValueError("aspect has no positions")
-    offsets = np.subtract.outer(np.asarray(token_pos, dtype=np.int64), positions)
-    return np.abs(offsets).sum(axis=-1) / positions.size
-
-
-@dataclass(frozen=True)
-class TokenAlignment:
-    """Model-token index -> source-word index; monotone non-decreasing."""
-
-    token_to_word: tuple[int, ...]
-
-    def word_of(self, token_index):
-        """The word of a token, or of each of an array of tokens."""
-        index = np.asarray(token_index, dtype=np.int64)
-        uncovered = (index < 0) | (index >= len(self.token_to_word))
-        if uncovered.any():
-            raise DataError(
-                f"token {index[uncovered].flat[0]} is not covered by the alignment "
-                f"({len(self.token_to_word)} tokens mapped)"
-            )
-        return np.asarray(self.token_to_word, dtype=np.int64)[index]
-
-
-def align_tokens_to_words(tokens, words) -> TokenAlignment:
-    """Greedy monotone alignment: each word is covered by the run of tokens
-    whose concatenated text equals it (subword tokens inherit the word)."""
+def align_tokens_to_words(tokens, words) -> np.ndarray:
+    """The word index of every token, int64: a greedy monotone alignment
+    in which each word is covered by the run of tokens whose concatenated
+    text equals it (subword tokens inherit the word)."""
     mapping = []
     ti = 0
     tokens = [t.lower() for t in tokens]
@@ -141,28 +99,26 @@ def align_tokens_to_words(tokens, words) -> TokenAlignment:
             ti += 1
     if ti != len(tokens):
         raise DataError(f"trailing tokens from index {ti} align to no word")
-    return TokenAlignment(tuple(mapping))
+    return np.array(mapping, dtype=np.int64)
 
 
-def syntactic_distance(
-    tree: DependencyTree,
-    alignment: TokenAlignment,
-    token_i,
-    aspect_tokens,
-):
-    """Mean tree distance between a token's word (or that of each of an
-    array of tokens) and each aspect token's word."""
-    aspect_tokens = list(aspect_tokens)
-    if not aspect_tokens:
-        raise ValueError("aspect has no tokens")
-    words = alignment.word_of(token_i)
-    aspect_words = alignment.word_of(aspect_tokens)
-    return tree.distances[words[..., None], aspect_words].sum(axis=-1) / len(aspect_tokens)
+def syntactic_distance(tree: DependencyTree, words: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) tree distances between the words of the first n tokens, given
+    ``words``, the word index of every token (n <= len(words))."""
+    return tree.distances[words[:n, None], words[:n]]
+
+
+def aspect_distances(table: np.ndarray, spans) -> np.ndarray:
+    """(A, n): for each token span [start, end), the mean of the (n, n)
+    integer ``table``'s rows over it, an exact integer sum divided once."""
+    starts, ends = np.asarray(spans, dtype=np.int64).T
+    prefix = np.zeros((len(table) + 1, table.shape[1]), dtype=np.int64)
+    np.cumsum(table, axis=0, out=prefix[1:])
+    return (prefix[ends] - prefix[starts]) / (ends - starts)[:, None]
 
 
 def load_parses(path) -> dict[str, DependencyTree]:
     """Read a CoNLL-U subset: ID/FORM/HEAD columns, '# sent_id =' comments."""
-    path = Path(path)
     trees: dict[str, DependencyTree] = {}
     sent_id = None
     forms: list[str] = []
@@ -180,11 +136,13 @@ def load_parses(path) -> dict[str, DependencyTree]:
             tree.validate()
         except DataError as e:
             raise DataError(f"{path}: sentence {sent_id!r}: {e}")
+        if sent_id in trees:
+            raise DataError(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
         trees[sent_id] = tree
         sent_id, forms, heads = None, [], []
 
     lineno = 0
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             flush(lineno)

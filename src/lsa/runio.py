@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .corpus import DataError, read_existing
+from .corpus import DataError, read_text
 
 
 def fmt(value) -> str:
@@ -59,7 +59,7 @@ def write_manifest(manifest: dict, out_dir) -> Path:
 
 def load_manifest(path) -> dict:
     try:
-        manifest = json.loads(read_existing(path).decode("utf-8"))
+        manifest = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid manifest JSON: {e.msg}")
     for key in ("command", "args", "dataset_hashes"):

@@ -161,22 +161,21 @@ def total_loss(
     eta_values: tuple[float, float],
     lambda_reg: float,
     lambda_eta: float,
-) -> Tensor:
-    """Cross-entropy summed over the batch's probability rows (pairs, C)
-    and gold classes (pairs,), plus both L2 terms.
+) -> tuple[Tensor, float]:
+    """The cross-entropy summed over the batch's probability rows (pairs, C)
+    and gold classes (pairs,), as a tensor, and both L2 terms, as a float.
 
-    The regularizers enter the reported value (recomputed from current
-    parameter values every step); their gradient path is the optimizer's
-    decoupled weight decay, so only the cross-entropy part backpropagates.
+    The regularizers are reported only (recomputed from current parameter
+    values every step); their gradient path is the optimizer's decoupled
+    weight decay, so only the cross-entropy backpropagates.
     """
     if not len(golds):
         raise ValueError("empty batch")
-    total = ad.cross_entropy(probs, golds)
     reg = lambda_reg * sum(
         float(np.vdot(t.values, t.values)) for t in main_params.values()
     )
     reg += lambda_eta * (eta_values[0] ** 2 + eta_values[1] ** 2)
-    return ad.add(total, Tensor(np.array([reg])))
+    return ad.cross_entropy(probs, golds), reg
 
 
 def pair_batches(examples, pairs: int):
@@ -315,7 +314,7 @@ def train(config: TrainConfig) -> TrainResult:
             tape = ad.Tape()
             with tape:
                 probs = model.forward(group, trees)
-                loss = total_loss(
+                ce, reg = total_loss(
                     probs,
                     golds,
                     model.main_parameters(),
@@ -323,14 +322,15 @@ def train(config: TrainConfig) -> TrainResult:
                     config.lambda_reg,
                     config.lambda_eta,
                 )
-            if not np.isfinite(loss.values[0]):
+            loss = float(ce.values[0]) + reg
+            if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step + 1}")
             optimizer.zero_grad()
-            tape.backward(loss)
+            tape.backward(ce)
             optimizer.step()
             step += 1
             trajectory.append((step, *model.eta_values()))
-            loss_sum += float(loss.values[0])
+            loss_sum += loss
             pair_count += len(golds)
             epoch_golds.extend(golds.tolist())
             epoch_preds.extend(np.argmax(probs.values, axis=1).tolist())

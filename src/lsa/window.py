@@ -18,8 +18,9 @@ re-weight the side slots and are optimized by gradient descent from an
 initial value of 1.
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
-of each example (token ids, SPC inputs, position weights, parse alignment)
-is done once per example by ``Model.forward_example``.  Then one encoder
+of each example (token ids, SPC inputs, parse alignment, position weights)
+is done once per example by ``Model.forward_example``, which reads every
+aspect's distances from one integer table of token or tree distances.  Then one encoder
 call covers every sequence of the batch, on its real tokens only: the
 hidden states are packed, one row per token, and ``valid`` records where
 each sequence's tokens sit.  One ``head.sa`` call on those packed rows
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .autodiff import Tensor
 from .corpus import NUM_CLASSES, DataError, Example
 from .distance import (
     align_tokens_to_words,
+    aspect_distances,
     relative_token_distance,
     syntactic_distance,
 )
@@ -321,26 +322,26 @@ class Model:
 
     def _position_weights(self, example: Example, tokens, trees) -> np.ndarray:
         """(A + 1, n + 1): a row of position weights per aspect, from the
-        variant's token-aspect distances, then an all-ones row for the
-        pooled global feature.  The leading marker receives the maximal
-        distance n.  ``lsa_s`` aligns all of the example's tokens, also those
-        past the context, to the parse's forms.  It falls back to positional
-        distance, and counts it in ``syntax_fallbacks``, when the example has
-        no parse or its tokens do not align."""
+        variant's (n, n) distance table averaged over the aspect's tokens,
+        then an all-ones row for the pooled global feature.  The leading
+        marker receives the maximal distance n.  ``lsa_s`` aligns all of
+        the example's tokens, also those past the context, to the parse's
+        forms.  It falls back to positional distance, and counts it in
+        ``syntax_fallbacks``, when the example has no parse or its tokens do
+        not align."""
         n = len(tokens)
-        distance = partial(relative_token_distance, np.arange(n))
+        table = None
         if self.config.variant == "lsa_s":
             tree = (trees or {}).get(example.parse_ref)
             reason, detail = "no parse", ""
             if tree is not None:
                 try:
-                    alignment = align_tokens_to_words(example.tokens, tree.forms)
+                    words = align_tokens_to_words(example.tokens, tree.forms)
                 except DataError as err:
                     reason, detail = "tokens that do not align with the parse", f" ({err})"
                 else:
-                    distance = partial(syntactic_distance, tree, alignment, np.arange(n))
-                    reason = None
-            if reason is not None:
+                    table = syntactic_distance(tree, words, n)
+            if table is None:
                 self.syntax_fallbacks += 1
                 if reason not in self._warned:
                     self._warned.add(reason)
@@ -348,14 +349,11 @@ class Model:
                         "%s for example %r%s; falling back to positional distance",
                         reason, example.text[:40], detail,
                     )
-        rows = [
-            position_weight(
-                np.concatenate([[float(n)], distance(range(a.start, a.end))]),
-                self.config.alpha, n,
-            )
-            for a in example.aspects
-        ]
-        return np.stack(rows + [np.ones(n + 1)])
+        if table is None:
+            table = relative_token_distance(n)
+        distances = aspect_distances(table, [(a.start, a.end) for a in example.aspects])
+        marked = np.concatenate([np.full((len(distances), 1), float(n)), distances], axis=1)
+        return np.vstack([position_weight(marked, self.config.alpha, n), np.ones(n + 1)])
 
     def forward_example(self, example: Example, trees=None) -> ExampleInputs:
         """The host-side inputs of one example's forward: token ids, and

@@ -9,7 +9,9 @@ import pytest
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
+import measure  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 import lsa.autodiff  # noqa: E402
 import lsa.encoder  # noqa: E402
@@ -84,3 +86,29 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     assert taped[lsa.encoder] > 0 and blocks.tape_nodes == 2 * taped[lsa.encoder]
     head_sa = tracer.stats["window.head_sa"]
     assert taped[lsa.window] > 0 and head_sa.tape_nodes == 2 * taped[lsa.window]
+    # lsa_s reads one distance table per example it does not fall back on
+    syntactic = tracer.stats["distance.syntactic_distance"].calls
+    if variant == "lsa_s":
+        examples = tracer.stats["window.forward_example"].calls
+        assert syntactic > 0 and syntactic + result.model.syntax_fallbacks == examples
+    else:
+        assert syntactic == 0
+
+
+@pytest.mark.parametrize("name, epoch_losses, valid", [
+    ("train_lsa_t_dense", [1.3648569732430482, 0.6415491466785899],
+     {"accuracy": 1.0, "macro_f1": 1.0, "n_examples": 27}),
+    ("train_lsa_p_sparse", [1.6078010189780598, 1.1936820151112666],
+     {"accuracy": 0.4, "macro_f1": 0.1904761904761905, "n_examples": 10}),
+], ids=["train_lsa_t_dense", "train_lsa_p_sparse"])
+def test_benchmark_training_outputs_are_pinned(name, epoch_losses, valid, tmp_path):
+    """The benchmark's training outputs at seed 1, to the last bit: a change
+    that moves the arithmetic of the default path fails here.  The values
+    are bound to the numpy and BLAS build that recorded them (numpy 2.4 with
+    OpenBLAS, the same at 1 and 2 threads); another build may round
+    differently."""
+    w = workloads.WORKLOADS[name]
+    workloads.write_inputs(w, 1, tmp_path)
+    result = training.train(measure.train_config(w, 1, tmp_path, w.epochs))
+    assert result.epoch_losses == epoch_losses
+    assert measure.metric_summary(result.final_metrics) == valid

@@ -191,7 +191,9 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error")
 
 
-@pytest.mark.parametrize("case", ["config", "spec", "manifest", "checkpoint"])
+@pytest.mark.parametrize(
+    "case", ["config", "spec", "manifest", "checkpoint", "parses", "parse-path"]
+)
 def test_missing_file_is_data_error(case, corpus, tmp_path, capsys):
     missing = tmp_path / "nope"
     out = tmp_path / "out"
@@ -200,6 +202,9 @@ def test_missing_file_is_data_error(case, corpus, tmp_path, capsys):
         "spec": ["synth", "--spec", missing, "--seed", "1", "--out", out],
         "manifest": ["replay", missing, "--out", out],
         "checkpoint": ["eval", "--checkpoint", missing, "--dataset", corpus["test"]],
+        "parses": ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin",
+                   "--dataset", FIXTURES / "mini.json", "--parses", missing, "--out", out],
+        "parse-path": train_args(corpus, out, extra=["--parse-path", missing]),
     }[case]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("data error")

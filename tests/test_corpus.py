@@ -87,6 +87,22 @@ def test_schema_violation_reports_field(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("aspects", [5, None])
+def test_aspects_not_a_list_is_data_error(aspects, tmp_path):
+    obj = {"version": 1, "examples": [{"text": "a", "tokens": ["a"], "aspects": aspects}]}
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=r"ds\.json: examples\[0\]\.aspects: must be a list"):
+        load_dataset(path)
+
+
+def test_non_utf8_dataset_is_data_error(tmp_path):
+    path = tmp_path / "ds.json"
+    path.write_bytes(b'{"version": 1, "examples": [{"text": "caf\xe9"}]}')
+    with pytest.raises(DataError, match=r"ds\.json: not UTF-8 text \(byte 41\)"):
+        load_dataset(path)
+
+
 def test_span_mismatch_names_offending_aspect(tmp_path):
     obj = {
         "version": 1,

@@ -1,7 +1,6 @@
 """Positional and tree distances, CoNLL-U ingestion, token alignment."""
 
-from collections import deque
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,25 +9,30 @@ from lsa.corpus import DataError
 from lsa.distance import (
     DependencyTree,
     align_tokens_to_words,
+    aspect_distances,
     load_parses,
     relative_token_distance,
     syntactic_distance,
-    tree_shortest_distance,
 )
 
-from util import FIXTURES
+from util import FIXTURES, bfs_distance, random_tree
 
 
 # ---------------------------------------------------------------------------
 # positional distance
 
 
+def token_distance(n, start, end):
+    """The positional distances of all n tokens to the aspect [start, end)."""
+    return aspect_distances(relative_token_distance(n), [(start, end)])[0]
+
+
 def test_relative_distance_two_token_aspect():
-    assert relative_token_distance(1, [4, 5]) == pytest.approx(3.5)
+    assert token_distance(6, 4, 6)[1] == 3.5
 
 
 def test_relative_distance_inside_single_token_aspect():
-    assert relative_token_distance(7, [7]) == 0.0
+    assert token_distance(8, 7, 8)[7] == 0.0
 
 
 def test_relative_distance_matches_recomputation():
@@ -36,27 +40,35 @@ def test_relative_distance_matches_recomputation():
 
     rnd = random.Random(0)
     for _ in range(200):
-        p = rnd.randrange(0, 50)
-        aspect = [rnd.randrange(0, 50) for _ in range(rnd.randrange(1, 6))]
-        expected = sum(abs(p - q) for q in aspect) / len(aspect)
-        assert relative_token_distance(p, aspect) == pytest.approx(expected)
-
-
-def test_relative_distance_empty_aspect():
-    with pytest.raises(ValueError):
-        relative_token_distance(0, [])
+        n = rnd.randrange(1, 50)
+        a = rnd.randrange(n)
+        b = rnd.randrange(a + 1, min(a + 6, n) + 1)
+        got = token_distance(n, a, b)
+        for p in range(n):
+            assert got[p] == pytest.approx(sum(abs(p - q) for q in range(a, b)) / (b - a))
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 40),
-    st.lists(st.integers(0, 40), min_size=1, max_size=5),
-    st.integers(-100, 100),
-)
-def test_relative_distance_shift_invariant(p, aspect, c):
-    base = relative_token_distance(p, aspect)
-    shifted = relative_token_distance(p + c, [q + c for q in aspect])
-    assert shifted == pytest.approx(base)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 5), st.integers(0, 40))
+def test_relative_distance_shift_invariant(p, start, length, c):
+    n = 90
+    base = token_distance(n, start, start + length)[p]
+    assert token_distance(n, start + c, start + c + length)[p + c] == base
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_aspect_distances_are_the_mean_over_the_span(data):
+    n = data.draw(st.integers(1, 12))
+    table = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2**20), min_size=n, max_size=n), min_size=n, max_size=n,
+    )), dtype=np.int64)
+    spans = data.draw(st.lists(
+        st.integers(0, n - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, n))),
+        min_size=1, max_size=5,
+    ))
+    got = aspect_distances(table, spans)
+    assert np.array_equal(got, np.stack([table[s:e].sum(0) / (e - s) for s, e in spans]))
 
 
 # ---------------------------------------------------------------------------
@@ -68,49 +80,23 @@ def chain_tree():
     return DependencyTree(("he", "likes", "food"), (2, 0, 2))
 
 
-def random_tree(rnd, n):
-    heads = [0]
-    for i in range(1, n):
-        heads.append(rnd.randrange(0, i) + 1)  # parent among earlier words
-    return DependencyTree(tuple(f"w{i}" for i in range(n)), tuple(heads))
-
-
-def bfs_distance(tree, a, b):
-    adj = {i: set() for i in range(tree.word_count)}
-    for i, h in enumerate(tree.heads):
-        if h != 0:
-            adj[i].add(h - 1)
-            adj[h - 1].add(i)
-    seen = {a: 0}
-    queue = deque([a])
-    while queue:
-        node = queue.popleft()
-        if node == b:
-            return seen[node]
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen[nxt] = seen[node] + 1
-                queue.append(nxt)
-    raise AssertionError("disconnected")
-
-
 def test_tree_distance_to_self_is_zero():
-    assert tree_shortest_distance(chain_tree(), 1, 1) == 0
+    assert chain_tree().distances[1, 1] == 0
 
 
 def test_tree_distance_chain_example():
-    assert tree_shortest_distance(chain_tree(), 0, 2) == 2
+    assert chain_tree().distances[0, 2] == 2
 
 
 def test_tree_distance_matches_bfs_oracle():
     import random
 
     rnd = random.Random(42)
-    for _ in range(300):
+    for _ in range(100):
         tree = random_tree(rnd, rnd.randrange(2, 31))
-        a = rnd.randrange(tree.word_count)
-        b = rnd.randrange(tree.word_count)
-        assert tree_shortest_distance(tree, a, b) == bfs_distance(tree, a, b)
+        n = tree.word_count
+        expected = [[bfs_distance(tree, a, b) for b in range(n)] for a in range(n)]
+        assert np.array_equal(tree.distances, expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -118,48 +104,31 @@ def test_tree_distance_matches_bfs_oracle():
 def test_tree_distance_is_a_metric(seed, n):
     import random
 
-    rnd = random.Random(seed)
-    tree = random_tree(rnd, n)
-    a, b, c = (rnd.randrange(n) for _ in range(3))
-    dab = tree_shortest_distance(tree, a, b)
-    assert dab == tree_shortest_distance(tree, b, a)
-    assert (dab == 0) == (a == b)
-    assert dab <= tree_shortest_distance(tree, a, c) + tree_shortest_distance(tree, c, b)
-
-
-def test_tree_distance_out_of_range():
-    with pytest.raises(IndexError):
-        tree_shortest_distance(chain_tree(), 0, 9)
+    d = random_tree(random.Random(seed), n).distances
+    assert np.array_equal(d, d.T)
+    assert np.array_equal(d == 0, np.eye(n, dtype=bool))
+    assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :])  # d(a,b) <= d(a,c) + d(c,b)
 
 
 # ---------------------------------------------------------------------------
 # syntactic (aligned) distance
 
 
-def identity_alignment(n):
-    from lsa.distance import TokenAlignment
-
-    return TokenAlignment(tuple(range(n)))
-
-
 def test_syntactic_distance_same_word_is_zero():
-    tree = chain_tree()
-    assert syntactic_distance(tree, identity_alignment(3), 1, [1]) == 0.0
+    table = syntactic_distance(chain_tree(), np.arange(3), 3)
+    assert aspect_distances(table, [(1, 2)])[0, 1] == 0.0
 
 
 def test_syntactic_distance_chain_example_two_token_aspect():
-    tree = chain_tree()
+    table = syntactic_distance(chain_tree(), np.arange(3), 3)
     # aspect {likes, food}, token "he"
-    assert syntactic_distance(tree, identity_alignment(3), 0, [1, 2]) == pytest.approx(1.5)
+    assert aspect_distances(table, [(1, 3)])[0, 0] == 1.5
 
 
-def test_syntactic_distance_uncovered_token_error():
-    tree = chain_tree()
-    from lsa.distance import TokenAlignment
-
-    alignment = TokenAlignment((0, 1))
-    with pytest.raises(DataError, match="token 2"):
-        syntactic_distance(tree, alignment, 2, [0])
+def test_syntactic_distance_reads_the_first_n_tokens():
+    words = np.array([0, 0, 1, 2])  # "he" split in two tokens
+    table = syntactic_distance(chain_tree(), words, 3)
+    assert table.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
 
 
 def test_syntactic_distance_matches_bfs_oracle_with_subwords():
@@ -174,14 +143,11 @@ def test_syntactic_distance_matches_bfs_oracle_with_subwords():
         for w in range(n):
             for _ in range(rnd.randrange(1, 3)):
                 mapping.append(w)
-        from lsa.distance import TokenAlignment
-
-        alignment = TokenAlignment(tuple(mapping))
+        table = syntactic_distance(tree, np.array(mapping), len(mapping))
         token = rnd.randrange(len(mapping))
-        aspect = [rnd.randrange(len(mapping))]
-        got = syntactic_distance(tree, alignment, token, aspect)
-        want = bfs_distance(tree, mapping[token], mapping[aspect[0]])
-        assert got == pytest.approx(want)
+        aspect = rnd.randrange(len(mapping))
+        got = aspect_distances(table, [(aspect, aspect + 1)])[0, token]
+        assert got == bfs_distance(tree, mapping[token], mapping[aspect])
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +155,13 @@ def test_syntactic_distance_matches_bfs_oracle_with_subwords():
 
 
 def test_align_identity():
-    alignment = align_tokens_to_words(["a", "b"], ["a", "b"])
-    assert alignment.token_to_word == (0, 1)
+    words = align_tokens_to_words(["a", "b"], ["a", "b"])
+    assert words.dtype == np.int64 and words.tolist() == [0, 1]
 
 
 def test_align_subword_tokens_inherit_word():
-    alignment = align_tokens_to_words(["don", "'", "t", "go"], ["don't", "go"])
-    assert alignment.token_to_word == (0, 0, 0, 1)
+    words = align_tokens_to_words(["don", "'", "t", "go"], ["don't", "go"])
+    assert words.tolist() == [0, 0, 0, 1]
 
 
 def test_align_mismatch_raises():
@@ -252,4 +218,21 @@ def test_load_parses_requires_sent_id(tmp_path):
     path = tmp_path / "p.conllu"
     path.write_text("1\ta\t_\t_\t_\t_\t0\n")
     with pytest.raises(DataError, match="sent_id"):
+        load_parses(path)
+
+
+def test_load_parses_rejects_a_duplicate_sent_id(tmp_path):
+    path = tmp_path / "p.conllu"
+    path.write_text(
+        "# sent_id = x\n1\ta\t_\t_\t_\t_\t0\n\n"
+        "# sent_id = x\n1\tb\t_\t_\t_\t_\t0\n"
+    )
+    with pytest.raises(DataError, match=r"p\.conllu:6: duplicate sent_id 'x'"):
+        load_parses(path)
+
+
+def test_load_parses_rejects_non_utf8(tmp_path):
+    path = tmp_path / "p.conllu"
+    path.write_bytes(b"# sent_id = x\n1\tcaf\xe9\t_\t_\t_\t_\t0\n")
+    with pytest.raises(DataError, match=r"p\.conllu: not UTF-8 text"):
         load_parses(path)

@@ -54,14 +54,15 @@ def corpus(tmp_path_factory):
 
 def test_total_loss_zero_for_perfect_prediction():
     probs = ad.tensor(np.array([[1.0, 0.0, 0.0]]))
-    loss = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 0.0)
-    assert loss.item() == 0.0
+    ce, reg = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 0.0)
+    assert ce.item() == 0.0 and reg == 0.0
 
 
 def test_total_loss_eta_regularizer_value():
     probs = ad.tensor(np.array([[1.0, 0.0, 0.0]]))
-    loss = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 1e-5)
-    assert loss.item() == pytest.approx(2e-5, rel=1e-12)
+    ce, reg = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 1e-5)
+    assert ce.item() == 0.0
+    assert reg == pytest.approx(2e-5, rel=1e-12)
 
 
 def test_total_loss_matches_scalar_recomputation():
@@ -69,29 +70,31 @@ def test_total_loss_matches_scalar_recomputation():
     model = tiny_model()
     params = model.main_parameters()
     lam, lam_eta = 1e-4, 1e-5
+    expected_reg = lam * sum(float((t.values ** 2).sum()) for t in params.values())
+    expected_reg += lam_eta * (0.9**2 + 1.1**2)
     for _ in range(10):
         raw = rng.random((3, 3)) + 1e-3
         probs_np = raw / raw.sum(axis=1, keepdims=True)
         golds = [int(g) for g in rng.integers(0, 3, size=3)]
-        loss = total_loss(ad.tensor(probs_np), golds, params, (0.9, 1.1), lam, lam_eta)
+        ce, reg = total_loss(ad.tensor(probs_np), golds, params, (0.9, 1.1), lam, lam_eta)
         expected = sum(-math.log(probs_np[i][golds[i]]) for i in range(3))
-        expected += lam * sum(float((t.values ** 2).sum()) for t in params.values())
-        expected += lam_eta * (0.9**2 + 1.1**2)
-        assert loss.item() == pytest.approx(expected, rel=1e-12)
+        assert ce.item() == pytest.approx(expected, rel=1e-12)
+        assert reg == pytest.approx(expected_reg, rel=1e-12)
 
 
 def test_total_loss_backward_excludes_regularizer():
-    """The reg terms are value-only; their gradient path is optimizer decay."""
+    """The reg terms are value-only: a float, recorded on no tape; their
+    gradient path is optimizer decay."""
     model = tiny_model()
     w = model.head.w_dec
-    probs_np = np.array([[0.2, 0.3, 0.5]])
+    probs = ad.tensor(np.array([[0.2, 0.3, 0.5]]))
     tape = ad.Tape()
     with tape:
-        loss = total_loss(
-            ad.tensor(probs_np), [1], model.main_parameters(), (1.0, 1.0), 1.0, 1.0
-        )
-    tape.backward(loss)
+        ce, reg = total_loss(probs, [1], model.main_parameters(), (1.0, 1.0), 1.0, 1.0)
+    assert isinstance(reg, float) and len(tape) == 1
+    tape.backward(ce)
     assert w.grad is None  # w never entered the traced computation
+    assert probs.grad.tolist() == [[0.0, -1 / 0.3, 0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lsa.autodiff as ad
 from lsa.corpus import AspectAnnotation, Example, Polarity, load_dataset
-from lsa.distance import DependencyTree, load_parses, tree_shortest_distance
+from lsa.distance import DependencyTree, load_parses
 from lsa.encoder import ConfigError
 from lsa.window import (
     VARIANTS,
@@ -22,7 +22,7 @@ from lsa.window import (
     project_window,
 )
 
-from util import FIXTURES, sum_all, tiny_model
+from util import FIXTURES, bfs_distance, sum_all, tiny_model
 
 ad.set_debug_checks(True)
 
@@ -112,7 +112,7 @@ def test_position_weights_equal_the_scalar_reference(data):
         for row, (a, b) in zip(got, spans):
             if variant == "lsa_s":
                 dist = [
-                    sum(tree_shortest_distance(tree, token_word[i], token_word[t])
+                    sum(bfs_distance(tree, token_word[i], token_word[t])
                         for t in range(a, b)) / (b - a)
                     for i in range(n)
                 ]

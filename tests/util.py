@@ -1,15 +1,17 @@
 """Shared helpers for the test suite: the gradient oracle and a scalar
-sum to drive it, attention's weights and a numpy reference for it, tiny
-model/corpus builders."""
+sum to drive it, attention's weights and a numpy reference for it, a
+breadth-first reference for tree distance, tiny model/corpus builders."""
 
 from __future__ import annotations
 
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 import lsa.autodiff as ad
 from lsa.corpus import SynthSpec, generate_synthetic_corpus, save_dataset
+from lsa.distance import DependencyTree
 from lsa.encoder import Vocabulary
 from lsa.window import Model, ModelConfig
 
@@ -146,3 +148,32 @@ def write_synth_corpus(tmpdir, *, seed=7, train=60, test=30, rho=1.0,
         save_dataset(ds, path)
         paths[split] = str(path)
     return spec, datasets, paths
+
+
+def random_tree(rnd, n) -> DependencyTree:
+    """An n-word tree in which every word hangs from an earlier one."""
+    heads = [0]
+    for i in range(1, n):
+        heads.append(rnd.randrange(0, i) + 1)
+    return DependencyTree(tuple(f"w{i}" for i in range(n)), tuple(heads))
+
+
+def bfs_distance(tree: DependencyTree, a: int, b: int) -> int:
+    """Edges on the path between words ``a`` and ``b``, by breadth-first
+    search over the tree's undirected edges."""
+    adj = {i: set() for i in range(tree.word_count)}
+    for i, h in enumerate(tree.heads):
+        if h != 0:
+            adj[i].add(h - 1)
+            adj[h - 1].add(i)
+    seen = {a: 0}
+    queue = deque([a])
+    while queue:
+        node = queue.popleft()
+        if node == b:
+            return seen[node]
+        for nxt in adj[node]:
+            if nxt not in seen:
+                seen[nxt] = seen[node] + 1
+                queue.append(nxt)
+    raise AssertionError("disconnected")
