@@ -28,6 +28,7 @@ from .corpus import (
     dataset_to_json,
     generate_synthetic_corpus,
     load_dataset,
+    read_text,
 )
 from .distance import load_parses
 from .encoder import ConfigError
@@ -234,9 +235,7 @@ def run_command(name: str, args: dict, out_dir: Path) -> None:
 
 def run_export_trajectory(run_dir, out_file) -> None:
     src = Path(run_dir) / "eta_trajectory.csv"
-    if not src.exists():
-        raise DataError(f"no eta_trajectory.csv under {run_dir}")
-    header = src.read_text(encoding="utf-8").splitlines()[0]
+    header = read_text(src).partition("\n")[0]
     if header != "step,eta_l,eta_r":
         raise DataError(f"{src}: unexpected trajectory header {header!r}")
     shutil.copyfile(src, out_file)

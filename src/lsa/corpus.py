@@ -215,7 +215,7 @@ def load_semeval_xml(path) -> Dataset:
     """SemEval-2014-style <sentences><sentence><aspectTerms> files."""
     path = Path(path)
     try:
-        root = ET.parse(path).getroot()
+        root = ET.fromstring(read_existing(path))
     except ET.ParseError as e:
         raise DataError(f"{path}: invalid XML: {e}")
     examples = []
@@ -269,11 +269,12 @@ def load_semeval_xml(path) -> Dataset:
 
 
 def read_existing(path) -> bytes:
-    """The bytes of the file at ``path``; DataError if there is none."""
+    """The bytes of the file at ``path``; DataError, naming the path, if
+    it cannot be read (none there, a directory, no permission)."""
     try:
         return Path(path).read_bytes()
-    except FileNotFoundError:
-        raise DataError(f"file not found: {path}")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}")
 
 
 def read_text(path) -> str:
@@ -287,8 +288,6 @@ def read_text(path) -> str:
 
 def load_dataset(path, format: str | None = None) -> Dataset:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
     if format is None:
         format = "semeval-xml" if path.suffix.lower() == ".xml" else "absa-json"
     if format == "absa-json":

@@ -245,7 +245,6 @@ def evaluate(
 @dataclass
 class TrainResult:
     model: Model
-    vocab: Vocabulary
     trajectory: list[tuple[int, float, float]]
     metrics_rows: list[tuple[int, str, float, float]]  # epoch, split, acc, macro_f1
     epoch_losses: list[float]
@@ -362,7 +361,6 @@ def train(config: TrainConfig) -> TrainResult:
 
     return TrainResult(
         model=model,
-        vocab=vocab,
         trajectory=trajectory,
         metrics_rows=metrics_rows,
         epoch_losses=epoch_losses,

@@ -13,9 +13,12 @@ block does.
 
 The window sets the k nearest left features, the target feature and the
 k nearest right ones side by side; missing neighbors are padded with
-copies of the target feature, never zeros.  Two learnable scalars
-re-weight the side slots and are optimized by gradient descent from an
-initial value of 1.
+copies of the target feature, never zeros.  ``ModelConfig.slot_offsets``
+describes it as one array of slot offsets from the target, -k..k, or one
+side of it under ``la_only``/``ra_only``.  Two scalars re-weight the side
+slots, the left ones at negative offsets and the right ones at positive
+offsets: learned from an initial value of 1, frozen constants, or the
+constant 1 (``Model.side_weights``).
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
 of each example (token ids, SPC inputs, parse alignment, position weights)
@@ -24,11 +27,12 @@ aspect's distances from one integer table of token or tree distances.  Then one 
 call covers every sequence of the batch, on its real tokens only: the
 hidden states are packed, one row per token, and ``valid`` records where
 each sequence's tokens sit.  One ``head.sa`` call on those packed rows
-gives every feature row: in ``lsa_t``/``lsa_s`` one row per aspect plus
-one pooled row per example, in ``lsa_p`` one per SPC input.
-``build_window`` turns the rows into a (pairs, slots) index array that
-never leaves an example, and the DWA scaling, the projection, the
-classifier and the loss each run once over all pairs.
+gives every feature row, one per row of position weights: in
+``lsa_t``/``lsa_s`` one row per aspect plus one pooled row per example,
+in ``lsa_p`` one unit row per SPC input.  ``build_window`` turns the rows
+into a (pairs, slots) index array that never leaves an example, and the
+DWA scaling, the projection, the classifier and the loss each run once
+over all pairs.
 """
 
 from __future__ import annotations
@@ -76,7 +80,9 @@ class ExampleInputs:
 
     aspects: int
     sequences: list[np.ndarray]  # token ids: the context, or one SPC input per aspect (lsa_p)
-    weights: np.ndarray | None  # (aspects + 1, n + 1) position weights; None for lsa_p
+    # (rows, n) position weights per sequence, one feature row each: the
+    # context's aspects + 1 rows, or an SPC input's one row of ones (lsa_p)
+    weights: list[np.ndarray]
 
 
 @dataclass
@@ -116,23 +122,18 @@ class OutputHead:
 
 
 def aspect_feature_local(
-    hidden: Tensor, valid: np.ndarray, weights: list[np.ndarray] | None,
-    sa: BlockParams, heads: int,
+    hidden: Tensor, valid: np.ndarray, weights: list[np.ndarray], sa: BlockParams, heads: int,
 ) -> Tensor:
     """The first row of ``head.sa`` for every feature row of a batch: (rows, d).
 
     ``hidden`` (N, d) packs the batch's encoded sequences and ``valid``
-    (S, L) marks their real positions.  With ``weights`` None each sequence
-    gives one row.  Otherwise ``weights[s]`` (rows_s, n_s) gives sequence
-    ``s`` rows_s rows, each the feature of the sequence under one row of
-    position weights: ``head.sa`` sees the hidden states scaled by those
-    weights.  The scaled copies are never formed; ``head.sa`` projects each
-    sequence's keys and values once and scales them per row.  The weights
-    are functions of integer positions only and carry no gradient.
+    (S, L) marks their real positions.  ``weights[s]`` (rows_s, n_s) gives
+    sequence ``s`` rows_s rows, each the feature of the sequence under one
+    row of position weights: ``head.sa`` sees the hidden states scaled by
+    those weights.  The scaled copies are never formed; ``head.sa`` projects
+    each sequence's keys and values once and scales them per row.  The
+    weights are functions of integer positions only and carry no gradient.
     """
-    if weights is None:
-        return self_attention_block(hidden, sa, heads, valid, np.arange(len(valid)),
-                                    valid.astype(np.float64))
     lengths = valid.sum(axis=1)
     if len(weights) != len(lengths) or any(
         w.ndim != 2 or w.shape[1] != n for w, n in zip(weights, lengths)
@@ -147,16 +148,13 @@ def aspect_feature_local(
     return self_attention_block(hidden, sa, heads, valid, source, scale)
 
 
-def build_window(
-    starts, counts, k: int, sides: str = "both", backbone_only: bool = False
-) -> np.ndarray:
+def build_window(starts, counts, offsets: np.ndarray, backbone_only: bool = False) -> np.ndarray:
     """The feature rows of every (example, aspect) pair's window, as a
     (pairs, slots) index array, pairs in order.
 
     Example ``e`` owns the ``counts[e]`` rows from ``starts[e]``, one per
-    aspect.  A window holds the k left neighbours (farthest first), the
-    target and the k right neighbours (nearest first); ``sides`` "left" or
-    "right" keeps only that side and the target.  A neighbour missing in
+    aspect.  Slot ``j`` of a window holds the row ``offsets[j]`` aspects
+    from the target (``ModelConfig.slot_offsets``).  A neighbour missing in
     the example is padded with the target's own row, so no index leaves
     its example.  With ``backbone_only`` every slot holds the target.
     """
@@ -164,34 +162,23 @@ def build_window(
     first = np.repeat(np.asarray(starts, dtype=np.int64), counts)
     last = first + np.repeat(counts, counts) - 1
     target = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    left = 0 if sides == "right" else k
-    right = 0 if sides == "left" else k
-    index = target[:, None] + np.arange(-left, right + 1)
+    index = target[:, None] + offsets
     missing = (index < first[:, None]) | (index > last[:, None]) | backbone_only
     return np.where(missing, target[:, None], index)
 
 
 def apply_dwa(
-    features: Tensor,
-    window: np.ndarray,
-    dwa: DwaParams | None,
-    frozen_eta: tuple[float, float] | None = None,
-    sides: str = "both",
+    features: Tensor, window: np.ndarray, offsets: np.ndarray, eta: tuple[Tensor, Tensor] | None,
 ) -> Tensor:
     """The window's feature rows side by side, (pairs, slots * d): the rows
-    of ``features`` (R, d) that ``window`` (pairs, slots) indexes, the side
-    slots scaled by the aggregation weights.  ``dwa=None`` means the
-    weights are the constant 1 with no gradient.  ``sides`` names the
-    window's side slots, as in ``build_window``."""
+    of ``features`` (R, d) that ``window`` (pairs, slots) indexes, a slot at
+    a negative offset scaled by ``eta[0]`` and one at a positive offset by
+    ``eta[1]``.  ``eta=None`` means the constant 1."""
     h = ad.gather_rows(features, window)
-    slots = window.shape[1]
-    n_left = {"both": (slots - 1) // 2, "left": slots - 1, "right": 0}[sides]
-    n_right = slots - 1 - n_left
-    if frozen_eta is not None:
-        side = [frozen_eta[0]] * n_left + [1.0] + [frozen_eta[1]] * n_right
-        h = ad.mul(h, Tensor(np.array(side)[:, None]))
-    elif dwa is not None:
-        parts = [dwa.eta_l] * n_left + [Tensor(np.ones(1))] + [dwa.eta_r] * n_right
+    slots = len(offsets)
+    if eta is not None:
+        one = Tensor(np.ones(1))
+        parts = [eta[0] if o < 0 else eta[1] if o > 0 else one for o in offsets]
         h = ad.mul(h, ad.reshape(ad.concat(parts), (slots, 1)))
     return ad.reshape(h, (h.shape[0], slots * h.shape[-1]))
 
@@ -254,18 +241,9 @@ class ModelConfig:
                 raise ConfigError("frozen_eta takes two values, eta_l,eta_r")
 
     @property
-    def window_slots(self) -> int:
-        if self.la_only or self.ra_only:
-            return self.k + 1
-        return 2 * self.k + 1
-
-    @property
-    def sides(self) -> str:
-        if self.la_only:
-            return "left"
-        if self.ra_only:
-            return "right"
-        return "both"
+    def slot_offsets(self) -> np.ndarray:
+        """Each window slot's offset from the target aspect, left to right."""
+        return np.arange(-(0 if self.ra_only else self.k), (0 if self.la_only else self.k) + 1)
 
 
 class Model:
@@ -280,7 +258,7 @@ class Model:
             len(vocab), d, config.layers, config.heads, config.max_len, ffn, rng
         )
         dec_in = d if config.variant == "lsa_p" else 2 * d
-        self.head = OutputHead.init(d, ffn, config.window_slots, dec_in, rng)
+        self.head = OutputHead.init(d, ffn, len(config.slot_offsets), dec_in, rng)
         self.dwa = DwaParams()
         self.syntax_fallbacks = 0
         self._warned: set[str] = set()  # the fallback reasons already logged
@@ -297,16 +275,25 @@ class Model:
         return {k: v for k, v in self.named_parameters().items() if not k.startswith("dwa.")}
 
     def eta_parameters(self) -> dict[str, Tensor]:
-        """The side weights the window uses (one in a one-sided window)."""
+        """The learned side weights some window slot uses."""
         if self.config.no_dwa:
             return {}
-        unused = {"left": "dwa.eta_r", "right": "dwa.eta_l"}.get(self.config.sides)
-        return {name: t for name, t in self.dwa.named() if name != unused}
+        offsets = self.config.slot_offsets
+        used = ((offsets < 0).any(), (offsets > 0).any())
+        return {name: t for (name, t), u in zip(self.dwa.named(), used) if u}
+
+    def side_weights(self) -> tuple[Tensor, Tensor] | None:
+        """The (left, right) side weights: learned, the frozen constants,
+        or None for the constant 1."""
+        if not self.config.no_dwa:
+            return self.dwa.eta_l, self.dwa.eta_r
+        if self.config.frozen_eta is not None:
+            return tuple(Tensor(np.array([eta])) for eta in self.config.frozen_eta)
+        return None
 
     def eta_values(self) -> tuple[float, float]:
-        if self.config.frozen_eta is not None:
-            return self.config.frozen_eta
-        return float(self.dwa.eta_l.values[0]), float(self.dwa.eta_r.values[0])
+        eta = self.side_weights()
+        return (1.0, 1.0) if eta is None else (float(eta[0].values[0]), float(eta[1].values[0]))
 
     # -- per-example forward ----------------------------------------------
 
@@ -356,18 +343,18 @@ class Model:
         return np.vstack([position_weight(marked, self.config.alpha, n), np.ones(n + 1)])
 
     def forward_example(self, example: Example, trees=None) -> ExampleInputs:
-        """The host-side inputs of one example's forward: token ids, and
-        position weights (``lsa_t``/``lsa_s``) or one SPC input per aspect
-        (``lsa_p``)."""
+        """The host-side inputs of one example's forward: token ids and
+        position weights, of the context (``lsa_t``/``lsa_s``) or of one SPC
+        input per aspect (``lsa_p``)."""
         tokens = self._context_tokens(example)
         aspects = len(example.aspects)
         if self.config.variant == "lsa_p":
             spc = [build_spc_input(tokens, list(a.term), self.vocab, self.config.max_len)
                    for a in example.aspects]
-            return ExampleInputs(aspects, spc, None)
+            return ExampleInputs(aspects, spc, [np.ones((1, len(ids))) for ids in spc])
         ids = np.concatenate([[self.vocab.cls_id], self.vocab.encode(tokens)])
         weights = self._position_weights(example, tokens, trees)
-        return ExampleInputs(aspects, [ids.astype(np.int64)], weights)
+        return ExampleInputs(aspects, [ids.astype(np.int64)], [weights])
 
     def global_context(self, inputs: list[ExampleInputs]) -> tuple[Tensor, np.ndarray]:
         """One encoder call over every sequence of a batch: the hidden
@@ -388,16 +375,17 @@ class Model:
         if not inputs:
             raise ValueError("no (example, aspect) pair to forward")
         hidden, valid = self.global_context(inputs)
+        weights = [w for x in inputs for w in x.weights]
+        features = aspect_feature_local(hidden, valid, weights, self.head.sa, cfg.heads)
         counts = np.array([x.aspects for x in inputs])
-        if cfg.variant == "lsa_p":
-            features = aspect_feature_local(hidden, valid, None, self.head.sa, cfg.heads)
-            starts, pooled = np.cumsum(counts) - counts, None
-        else:
-            weights = [x.weights for x in inputs]
-            features = aspect_feature_local(hidden, valid, weights, self.head.sa, cfg.heads)
-            starts = np.cumsum(counts + 1) - counts - 1  # each example's pooled row follows its aspects
+        rows = np.array([sum(len(w) for w in x.weights) for x in inputs])
+        starts = np.cumsum(rows) - rows
+        pooled = None
+        if cfg.variant != "lsa_p":
+            # each example's pooled row follows its aspects; gathered before
+            # apply_dwa's rows, as features' gradient sums in tape order
             pooled = ad.gather_rows(features, np.repeat(starts + counts, counts))
-        window = build_window(starts, counts, cfg.k, cfg.sides, cfg.backbone_only)
-        h_aw = apply_dwa(features, window, None if cfg.no_dwa else self.dwa, cfg.frozen_eta,
-                         cfg.sides)
+        offsets = cfg.slot_offsets
+        window = build_window(starts, counts, offsets, cfg.backbone_only)
+        h_aw = apply_dwa(features, window, offsets, self.side_weights())
         return classify(project_window(h_aw, self.head), pooled, self.head)

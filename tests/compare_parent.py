@@ -1,0 +1,151 @@
+"""Check that the working tree computes exactly what a git revision does.
+
+    python tests/compare_parent.py REV [--seeds 1,2,3,4,5]
+
+Run it from anywhere inside the checkout.  REV (a commit, a branch, HEAD)
+is extracted with ``git archive`` into a temporary directory.  For each
+side, REV and the working tree, one child process computes every array
+of the ``oracle.py`` cases, forwarded 1, 3 and all examples at a time,
+from that side's ``src`` and ``tests/oracle.py``; the arrays are compared
+with ``np.array_equal``.  Then each side's ``bench/run.py --workload W
+--seed S --seconds 1 --trace 0`` runs for every workload that
+``BENCHMARK.json`` declares and every seed, and the ``outputs`` objects
+of its details line are compared.  Every difference is printed, and the
+exit code is 1 if there is one, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import logging
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+BATCHES = (1, 3, None)  # examples per forward; None: all at once
+BENCH_SECONDS = 1
+
+
+def child_env() -> dict:
+    """The environment of a child process: no PYTHONPATH that could import
+    the other side's package, and one BLAS thread, as in the benchmark."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return env
+
+
+def oracle_arrays(root: Path, out: Path) -> None:
+    """Write every oracle array of the checkout at ``root`` to ``out``
+    (.npz), keyed case/batch/name.  Runs in a child process."""
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    from oracle import CASES, compute
+
+    logging.disable(logging.WARNING)  # the fixture's lsa_s fallbacks, once per case
+
+    arrays = {}
+    for case, overrides in CASES.items():
+        for batch in BATCHES:
+            prefix = f"{case}/{batch or 'all'}"
+            probs, grads = compute(overrides, batch)
+            arrays[f"{prefix}/probs"] = probs
+            arrays.update({f"{prefix}/grad/{name}": g for name, g in grads.items()})
+    np.savez(out, **arrays)
+
+
+def side_oracle(root: Path, out: Path) -> dict[str, np.ndarray]:
+    subprocess.run(
+        [sys.executable, __file__, "--oracle-arrays", str(root), str(out)],
+        check=True, env=child_env(), timeout=600,
+    )
+    with np.load(out) as data:
+        return dict(data)
+
+
+def bench_outputs(root: Path, workload: str, seed: int):
+    """The ``outputs`` object of one untraced benchmark run of the
+    checkout at ``root``, or the reason there is none."""
+    cmd = [
+        sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", str(BENCH_SECONDS), "--trace", "0",
+    ]
+    done = subprocess.run(cmd, cwd=root, env=child_env(), stdout=subprocess.PIPE, text=True,
+                          timeout=600)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        return f"bench/run.py exited with {done.returncode}"
+    return json.loads(lines[-2])["outputs"]
+
+
+def compare_oracle(parent: dict, tree: dict) -> list[str]:
+    diffs = [f"oracle {k}: only in REV" for k in sorted(set(parent) - set(tree))]
+    diffs += [f"oracle {k}: only in the working tree" for k in sorted(set(tree) - set(parent))]
+    for key in sorted(set(parent) & set(tree)):
+        a, b = parent[key], tree[key]
+        if a.shape != b.shape:
+            diffs.append(f"oracle {key}: shape {a.shape} != {b.shape}")
+        elif not np.array_equal(a, b):
+            diffs.append(f"oracle {key}: max |diff| {np.max(np.abs(a - b)):.3g}")
+    return diffs
+
+
+def compare_outputs(where: str, parent, tree) -> list[str]:
+    if not isinstance(parent, dict) or not isinstance(tree, dict):
+        return [] if parent == tree else [f"{where}: REV {parent!r}, working tree {tree!r}"]
+    return [
+        f"{where}.{key}: REV {parent.get(key)!r}, working tree {tree.get(key)!r}"
+        for key in sorted(set(parent) | set(tree))
+        if parent.get(key) != tree.get(key)
+    ]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("rev", nargs="?")
+    p.add_argument("--seeds", default="1,2,3,4,5", help="benchmark seeds, comma-separated")
+    p.add_argument("--oracle-arrays", nargs=2, type=Path, metavar=("ROOT", "OUT"),
+                   help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.oracle_arrays:
+        oracle_arrays(*args.oracle_arrays)
+        return 0
+    if args.rev is None:
+        p.error("REV is required")
+    seeds = [int(s) for s in args.seeds.split(",")]
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+    with tempfile.TemporaryDirectory(prefix="compare_parent-") as tmp:
+        tmp = Path(tmp)
+        parent_root = tmp / "rev"
+        archive = subprocess.run(["git", "archive", "--format=tar", args.rev], cwd=ROOT,
+                                 stdout=subprocess.PIPE, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_root, filter="data")
+
+        parent = side_oracle(parent_root, tmp / "rev.npz")
+        diffs = compare_oracle(parent, side_oracle(ROOT, tmp / "tree.npz"))
+        print(f"{len(parent)} oracle arrays: {len(diffs)} differences", flush=True)
+        for workload in workloads:
+            for seed in seeds:
+                found = compare_outputs(
+                    f"{workload} seed {seed} outputs",
+                    bench_outputs(parent_root, workload, seed),
+                    bench_outputs(ROOT, workload, seed),
+                )
+                print(f"{workload} seed {seed}: {len(found)} differences", flush=True)
+                diffs += found
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} differences between {args.rev} and the working tree")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -95,20 +95,31 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
         assert syntactic == 0
 
 
-@pytest.mark.parametrize("name, epoch_losses, valid", [
+@pytest.mark.parametrize("name, epoch_losses, valid, test", [
     ("train_lsa_t_dense", [1.3648569732430482, 0.6415491466785899],
-     {"accuracy": 1.0, "macro_f1": 1.0, "n_examples": 27}),
+     {"accuracy": 1.0, "macro_f1": 1.0, "n_examples": 27}, None),
     ("train_lsa_p_sparse", [1.6078010189780598, 1.1936820151112666],
-     {"accuracy": 0.4, "macro_f1": 0.1904761904761905, "n_examples": 10}),
-], ids=["train_lsa_t_dense", "train_lsa_p_sparse"])
-def test_benchmark_training_outputs_are_pinned(name, epoch_losses, valid, tmp_path):
+     {"accuracy": 0.4, "macro_f1": 0.1904761904761905, "n_examples": 10}, None),
+    ("eval_lsa_s_parsed", [1.6374096495081878],
+     {"accuracy": 0.28125, "macro_f1": 0.14634146341463414, "n_examples": 32},
+     {"accuracy": 0.37478991596638656, "macro_f1": 0.1817440912795436, "n_examples": 595}),
+], ids=["train_lsa_t_dense", "train_lsa_p_sparse", "eval_lsa_s_parsed"])
+def test_benchmark_training_outputs_are_pinned(name, epoch_losses, valid, test, tmp_path):
     """The benchmark's training outputs at seed 1, to the last bit: a change
-    that moves the arithmetic of the default path fails here.  The values
-    are bound to the numpy and BLAS build that recorded them (numpy 2.4 with
+    that moves the arithmetic of the default path fails here.  The
+    forward-only workload trains its checkpoint for ``CHECKPOINT_EPOCHS``
+    and evaluates it on the test split with the parses.  The values are
+    bound to the numpy and BLAS build that recorded them (numpy 2.4 with
     OpenBLAS, the same at 1 and 2 threads); another build may round
     differently."""
     w = workloads.WORKLOADS[name]
     workloads.write_inputs(w, 1, tmp_path)
-    result = training.train(measure.train_config(w, 1, tmp_path, w.epochs))
+    epochs = w.epochs if w.trains else workloads.CHECKPOINT_EPOCHS
+    result = training.train(measure.train_config(w, 1, tmp_path, epochs))
     assert result.epoch_losses == epoch_losses
     assert measure.metric_summary(result.final_metrics) == valid
+    if not w.trains:
+        metrics = training.evaluate(result.model, load_dataset(tmp_path / "test.json"),
+                                    load_parses(tmp_path / "parses.conllu"))
+        assert measure.metric_summary(metrics) == test
+    assert result.model.syntax_fallbacks == 0

@@ -191,11 +191,22 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error")
 
 
+FILE_ARGS = ["config", "spec", "manifest", "checkpoint", "parses", "parse-path",
+             "dataset.json", "dataset.xml", "trajectory"]
+
+
 @pytest.mark.parametrize(
-    "case", ["config", "spec", "manifest", "checkpoint", "parses", "parse-path"]
+    "case, directory",
+    [(case, directory) for directory in (False, True) for case in FILE_ARGS],
+    ids=[case + ("-directory" if directory else "")
+         for directory in (False, True) for case in FILE_ARGS],
 )
-def test_missing_file_is_data_error(case, corpus, tmp_path, capsys):
-    missing = tmp_path / "nope"
+def test_missing_file_is_data_error(case, directory, corpus, tmp_path, capsys):
+    """A file argument that names nothing, or a directory, is a data error."""
+    name = "eta_trajectory.csv" if case == "trajectory" else f"nope{Path(case).suffix}"
+    missing = tmp_path / name
+    if directory:
+        missing.mkdir()
     out = tmp_path / "out"
     argv = {
         "config": ["train", "--config", missing, "--out", out],
@@ -205,6 +216,11 @@ def test_missing_file_is_data_error(case, corpus, tmp_path, capsys):
         "parses": ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin",
                    "--dataset", FIXTURES / "mini.json", "--parses", missing, "--out", out],
         "parse-path": train_args(corpus, out, extra=["--parse-path", missing]),
+        "dataset.json": ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin",
+                         "--dataset", missing],
+        "dataset.xml": ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin",
+                        "--dataset", missing],
+        "trajectory": ["export-trajectory", "--run", tmp_path, "--out", out],
     }[case]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("data error")

@@ -21,7 +21,7 @@ from lsa.corpus import (
     generate_synthetic_corpus,
     load_dataset,
 )
-from lsa.window import build_window
+from lsa.window import ModelConfig, build_window
 
 from util import FIXTURES
 
@@ -164,7 +164,8 @@ def aspect_window(ex, target, k=1):
     """The aggregation window of aspect ``target``, over features that
     record each aspect's start token."""
     feats = np.array([float(a.start) for a in ex.aspects])
-    window = feats[build_window([0], [len(ex.aspects)], k)[target]].tolist()
+    offsets = ModelConfig(k=k).slot_offsets
+    window = feats[build_window([0], [len(ex.aspects)], offsets)[target]].tolist()
     return window[:k], window[k], window[k + 1:]
 
 

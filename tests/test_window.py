@@ -32,7 +32,16 @@ def features(*rows):
     return ad.tensor(np.array(rows, dtype=float))
 
 
-MIDDLE_OF_THREE = build_window([0], [3], k=1)[1:2]  # the window of aspect 1 of 3
+OFFSETS = ModelConfig(k=1).slot_offsets  # -1, 0, 1
+MIDDLE_OF_THREE = build_window([0], [3], OFFSETS)[1:2]  # the window of aspect 1 of 3
+
+
+def side_weights(eta_l=1.0, eta_r=1.0):
+    """Learnable (left, right) side weights at the given values."""
+    dwa = DwaParams()
+    dwa.eta_l.values[0] = eta_l
+    dwa.eta_r.values[0] = eta_r
+    return dwa.eta_l, dwa.eta_r
 
 
 def coherent_example(n_aspects, polarity="positive", implicit=None):
@@ -171,11 +180,11 @@ def test_position_weights_carry_no_gradient():
 
 
 def test_single_aspect_window_triples_target():
-    assert build_window([0], [1], k=1).tolist() == [[0, 0, 0]]
+    assert build_window([0], [1], OFFSETS).tolist() == [[0, 0, 0]]
 
 
 def test_leftmost_of_two_pads_left_slot():
-    window = build_window([0], [2], k=1)
+    window = build_window([0], [2], OFFSETS)
     assert window[0].tolist() == [0, 0, 1]
 
 
@@ -185,10 +194,10 @@ def test_middle_of_three_no_padding():
 
 def test_window_consumes_neighbors_once_no_symmetrization():
     feats = features([1.0], [2.0], [3.0])
-    h = apply_dwa(feats, MIDDLE_OF_THREE, None)
+    h = apply_dwa(feats, MIDDLE_OF_THREE, OFFSETS, None)
     assert h.values.tolist() == [[1.0, 2.0, 3.0]]
     swapped = features([3.0], [2.0], [1.0])
-    h2 = apply_dwa(swapped, MIDDLE_OF_THREE, None)
+    h2 = apply_dwa(swapped, MIDDLE_OF_THREE, OFFSETS, None)
     assert h2.values.tolist() == [[3.0, 2.0, 1.0]]
 
 
@@ -196,17 +205,20 @@ def test_window_consumes_neighbors_once_no_symmetrization():
 @given(
     st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), min_size=1, max_size=5),
     st.integers(1, 3),
-    st.sampled_from(["both", "left", "right"]),
-    st.booleans(),
+    st.sampled_from([{}, {"la_only": True}, {"ra_only": True}, {"backbone_only": True}]),
 )
-def test_window_index_properties(examples, k, sides, backbone_only):
+def test_window_index_properties(examples, k, ablation):
     """``examples`` holds each example's aspect count and the rows between
-    it and the next example (the pooled row of lsa_t is one such row)."""
+    it and the next example (the pooled row of lsa_t is one such row).
+    The window comes from the config's slot offsets."""
     counts = [c for c, _ in examples]
     starts = np.cumsum([0] + [c + gap for c, gap in examples])[:-1]
-    window = build_window(starts, counts, k, sides, backbone_only)
-    left = 0 if sides == "right" else k
-    right = 0 if sides == "left" else k
+    config = ModelConfig(k=k, **ablation)
+    config.validate()
+    backbone_only = config.backbone_only
+    window = build_window(starts, counts, config.slot_offsets, backbone_only)
+    left = 0 if config.ra_only else k
+    right = 0 if config.la_only else k
     assert window.shape == (sum(counts), left + 1 + right)
     pair = 0
     for start, count in zip(starts, counts):
@@ -232,16 +244,14 @@ def test_window_index_properties(examples, k, sides, backbone_only):
 
 def test_dwa_at_one_equals_plain_concat_bitwise():
     feats = features([1.3, -2.0], [0.5, 4.0], [9.0, 1.0])
-    plain = apply_dwa(feats, MIDDLE_OF_THREE, None)
-    dwa = apply_dwa(feats, MIDDLE_OF_THREE, DwaParams())
+    plain = apply_dwa(feats, MIDDLE_OF_THREE, OFFSETS, None)
+    dwa = apply_dwa(feats, MIDDLE_OF_THREE, OFFSETS, side_weights())
     assert np.array_equal(plain.values, dwa.values)
 
 
 def test_dwa_zero_left_gives_zero_third():
     feats = features([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
-    dwa = DwaParams()
-    dwa.eta_l.values[0] = 0.0
-    out = apply_dwa(feats, MIDDLE_OF_THREE, dwa)
+    out = apply_dwa(feats, MIDDLE_OF_THREE, OFFSETS, side_weights(eta_l=0.0))
     assert out.values[0, :2].tolist() == [0.0, 0.0]
     assert out.values[0, 2:].tolist() == [3.0, 4.0, 5.0, 6.0]
 
@@ -257,12 +267,10 @@ def test_dwa_gradient_scales_linearly_in_eta():
 
     def grad_at(eta_value):
         left = ad.parameter(np.zeros((1, d)))
-        dwa = DwaParams()
-        dwa.eta_l.values[0] = eta_value
         tape = ad.Tape()
         with tape:
             feats = ad.concat([left, target, right], axis=0)
-            h = apply_dwa(feats, MIDDLE_OF_THREE, dwa)
+            h = apply_dwa(feats, MIDDLE_OF_THREE, OFFSETS, side_weights(eta_l=eta_value))
             probs = ad.softmax(ad.matmul(h, w_out))
             loss = ad.cross_entropy(probs, 0)
         tape.backward(loss)
@@ -274,17 +282,19 @@ def test_dwa_gradient_scales_linearly_in_eta():
 
 
 def test_frozen_eta_uses_constants():
+    model = tiny_model(no_dwa=True, frozen_eta=(0.5, 0.25))
     feats = features([2.0], [3.0], [4.0])
-    out = apply_dwa(feats, MIDDLE_OF_THREE, None, frozen_eta=(0.5, 0.25))
+    out = apply_dwa(feats, MIDDLE_OF_THREE, OFFSETS, model.side_weights())
     assert out.values.tolist() == [[1.0, 3.0, 1.0]]
+    assert model.eta_values() == (0.5, 0.25)
 
 
 def test_simplified_windows_keep_one_side():
     feats = features([1.0], [2.0], [3.0])
-    left = build_window([0], [3], k=1, sides="left")[1:2]
-    right = build_window([0], [3], k=1, sides="right")[1:2]
-    assert apply_dwa(feats, left, None, sides="left").values.tolist() == [[1.0, 2.0]]
-    assert apply_dwa(feats, right, None, sides="right").values.tolist() == [[2.0, 3.0]]
+    for flag, expected in (("la_only", [[1.0, 2.0]]), ("ra_only", [[2.0, 3.0]])):
+        offsets = ModelConfig(**{flag: True}).slot_offsets
+        window = build_window([0], [3], offsets)[1:2]
+        assert apply_dwa(feats, window, offsets, None).values.tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +537,7 @@ def test_lsa_s_keeps_syntax_past_the_context_limit():
     ex = Example(" ".join(tokens), tokens,
                  [AspectAnnotation(2, 3, ("w2",), Polarity.POSITIVE)], parse_ref="p1")
     tree = DependencyTree(tuple(tokens), (0,) + (1,) * 39)  # every word under the first
-    weights = model.forward_example(ex, {"p1": tree}).weights
+    weights = model.forward_example(ex, {"p1": tree}).weights[0]
     assert model.syntax_fallbacks == 0
     n = model.config.max_len - 1
     distances = np.concatenate([[n], tree.distances[:n, 2]])
