@@ -30,7 +30,6 @@ __all__ = [
     "concat",
     "gather_rows",
     "reshape",
-    "softmax",
     "attention",
     "residual_ffn",
     "cross_entropy",
@@ -175,11 +174,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """Merge every axis but the last: (..., k) -> (N, k)."""
-    return a.reshape(-1, a.shape[-1])
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may broadcast against ``a`` (bias rows)."""
     try:
@@ -210,11 +204,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """(..., n, k) @ (k, m), plus a (m,) ``bias`` row if given: leading
-    axes of ``a`` are a batch.  The bias is part of the one node, so an
-    affine map stores one output array, not two."""
-    if a.values.ndim < 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul needs (..., n, k) and (k, m), got {a.shape} and {b.shape}")
+    """(n, k) @ (k, m), plus a (m,) ``bias`` row if given.  The bias is
+    part of the one node, so an affine map stores one output array, not
+    two."""
+    if a.values.ndim != 2 or b.values.ndim != 2:
+        raise ShapeError(f"matmul needs (n, k) and (k, m), got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     if bias is not None and bias.shape != (b.shape[1],):
@@ -226,8 +220,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     av, bv = a.values, b.values
 
     def backward(g):
-        grads = (g @ bv.T, _flat(av).T @ _flat(g))
-        return grads if bias is None else (*grads, _flat(g).sum(axis=0))
+        grads = (g @ bv.T, av.T @ g)
+        return grads if bias is None else (*grads, g.sum(axis=0))
 
     return _record(out, (a, b) if bias is None else (a, b, bias), backward)
 
@@ -291,21 +285,6 @@ def reshape(t: Tensor, shape) -> Tensor:
     return _record(out, (t,), backward)
 
 
-def softmax(t: Tensor) -> Tensor:
-    """Max-stabilized softmax along the last axis."""
-    v = t.values
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_values = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(out_values)
-
-    def backward(g):
-        dot = np.sum(g * out_values, axis=-1, keepdims=True)
-        return ((g - dot) * out_values,)
-
-    return _record(out, (t,), backward)
-
-
 def _heads(a: np.ndarray, index, shape, heads: int) -> np.ndarray:
     """Rows (m, d) set at ``index`` of a zero (*shape, d) array, split by
     head: (S, heads, n, d / heads)."""
@@ -338,7 +317,7 @@ class _Layout:
     def __init__(self, xv: np.ndarray, heads: int, valid, source, scale):
         if xv.ndim != 2 or xv.shape[1] % heads != 0:
             raise ShapeError(f"attention: {heads} heads do not split packed rows {xv.shape}")
-        valid = np.ones((1, len(xv)), dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+        valid = np.asarray(valid, dtype=bool)
         if valid.ndim != 2 or valid.sum() != len(xv) or not valid[:, 0].all():
             raise ShapeError(
                 f"attention: {len(xv)} packed rows for a layout {valid.shape} of "
@@ -396,7 +375,7 @@ class _Layout:
 def attention(
     x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
-    heads: int, valid=None, source=None, scale=None,
+    heads: int, valid, source=None, scale=None,
 ) -> Tensor:
     """The residual stream ``x + MHA(x)`` of multi-head scaled dot-product
     self-attention with its input and output projections, as one node
@@ -404,8 +383,8 @@ def attention(
 
     ``x`` (N, d) packs the real rows of S sequences, in order, and
     ``valid`` (S, L) marks their positions, the first of each sequence
-    real (one sequence of N rows when None).  Each row attends to the rows
-    of its own sequence.  The projections run on the packed rows; only the
+    real; a single sequence is S = 1.  Each row attends to the rows of its
+    own sequence.  The projections run on the packed rows; only the
     scores, the softmax and the mixing of values see the (S, heads, L, ·)
     layout, zero at the padding.  Every row is a query: the output is (N, d).
 
@@ -542,30 +521,31 @@ def residual_ffn(
     return _record(out, inputs, backward)
 
 
-def cross_entropy(probs: Tensor, gold) -> Tensor:
-    """Summed negative log-likelihood of the gold classes, shape [1].
-
-    ``probs`` is (..., C); ``gold`` holds one class index per row of it (an
-    int for a single row).  Probabilities are clamped at 1e-12, and a row
-    whose gold probability is clamped passes no gradient.
-    """
-    c = probs.shape[-1]
-    p = probs.values.reshape(-1, c)
+def cross_entropy(logits: Tensor, gold) -> Tensor:
+    """Summed negative log-likelihood of the gold classes under the
+    max-stabilized softmax of each row of ``logits`` (rows, C), shape [1],
+    as one node.  ``gold`` holds one class index per row.  Probabilities
+    are clamped at 1e-12, and a row whose gold probability is clamped
+    passes no gradient.  The backward is that of the loss on the
+    probabilities, then that of the softmax."""
+    v = logits.values
     gold = np.asarray(gold, dtype=np.int64).reshape(-1)
-    if gold.size != p.shape[0]:
-        raise ShapeError(f"{gold.size} gold classes for {p.shape[0]} probability rows")
-    bad = (gold < 0) | (gold >= c)
+    if v.ndim != 2 or gold.size != v.shape[0]:
+        raise ShapeError(f"{gold.size} gold classes for logits {logits.shape}, not one per row")
+    bad = (gold < 0) | (gold >= v.shape[1])
     if bad.any():
-        raise ShapeError(f"gold class {gold[bad][0]} out of range [0, {c})")
+        raise ShapeError(f"gold class {gold[bad][0]} out of range [0, {v.shape[1]})")
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     rows = np.arange(gold.size)
     picked = p[rows, gold]
     clamped = np.maximum(picked, LOG_CLAMP)
     out = Tensor(np.array([-np.log(clamped).sum()]))
-    shape = probs.shape
 
     def backward(g):
-        full = np.zeros_like(p)
-        full[rows, gold] = np.where(picked >= LOG_CLAMP, -g[0] / clamped, 0.0)
-        return (full.reshape(shape),)
+        g_p = np.zeros_like(p)
+        g_p[rows, gold] = np.where(picked >= LOG_CLAMP, -g[0] / clamped, 0.0)
+        dot = np.sum(g_p * p, axis=-1, keepdims=True)
+        return ((g_p - dot) * p,)
 
-    return _record(out, (probs,), backward)
+    return _record(out, (logits,), backward)

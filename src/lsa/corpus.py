@@ -163,15 +163,17 @@ def _example_from_json(obj, where: str) -> Example:
             isinstance(a["term"], list) and all(isinstance(t, str) for t in a["term"]),
             f"{aw}.term: must be a list of strings",
         )
+        _require(isinstance(a.get("implicit", False), bool), f"{aw}.implicit: must be true or false")
         aspects.append(
             AspectAnnotation(
                 start=span[0],
                 end=span[1],
                 term=tuple(a["term"]),
                 polarity=Polarity.parse(a["polarity"], aw),
-                implicit=bool(a.get("implicit", False)),
+                implicit=a.get("implicit", False),
             )
         )
+    _require(isinstance(obj.get("parse_ref", ""), str), f"{where}.parse_ref: must be a string")
     return Example(
         text=obj["text"],
         tokens=list(obj["tokens"]),

@@ -165,10 +165,6 @@ class EncoderParams:
         )
 
     @property
-    def d_model(self) -> int:
-        return self.embedding.shape[1]
-
-    @property
     def max_len(self) -> int:
         return self.positional.shape[0]
 
@@ -183,39 +179,35 @@ def self_attention_block(
     x: Tensor,
     p: BlockParams,
     heads: int,
-    valid: np.ndarray | None = None,
+    valid: np.ndarray,
     source: np.ndarray | None = None,
     scale: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head attention + residual + feed-forward, post-norm.  ``x``
     (N, d) packs the real rows of the sequences whose positions ``valid``
-    (S, L) marks (one sequence when None), and each row attends only to
-    the rows of its own sequence.  Every op but the attention scores runs
-    on the N rows; the output is (N, d).
+    (S, L) marks, and each row attends only to the rows of its own
+    sequence.  Every op but the attention scores runs on the N rows; the
+    output is (N, d).
 
     With a sorted ``source`` (rows,) and a ``scale`` (rows, L), row r of
     the output (rows, d) is the first row of the block's output on
     sequence ``source[r]`` with its rows scaled by ``scale[r]``.  That
     input is never formed: ``ad.attention`` projects keys and values once
-    per sequence and adds the scaled first rows as the residual.  ``valid``
-    is needed then."""
+    per sequence and adds the scaled first rows as the residual."""
     h = ad.attention(x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, heads, valid, source, scale)
     return ad.residual_ffn(h, p.ln1_g, p.ln1_b, p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b)
 
 
-def encode(ids, params: EncoderParams, valid: np.ndarray | None = None) -> Tensor:
+def encode(ids, params: EncoderParams, valid: np.ndarray) -> Tensor:
     """Hidden states (N, d) of the N real positions of token id sequences
     (S, L), packed in order.  ``valid`` (S, L) marks each sequence's real
-    positions (all when None), which must include its first; nothing is
-    computed for the others.  One sequence (n,) gives (n, d)."""
+    positions, which must include its first; nothing is computed for the
+    others."""
     ids = np.asarray(ids, dtype=np.int64)
-    n = ids.shape[-1] if ids.ndim else 0
-    if n == 0:
-        raise ConfigError("cannot encode an empty sequence")
-    if n > params.max_len:
-        raise ConfigError(f"sequence length {n} exceeds maximum {params.max_len}")
-    ids = ids.reshape(-1, n)
-    valid = np.ones(ids.shape, dtype=bool) if valid is None else valid
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ConfigError(f"cannot encode token ids of shape {ids.shape}; need (S, L > 0)")
+    if ids.shape[1] > params.max_len:
+        raise ConfigError(f"sequence length {ids.shape[1]} exceeds maximum {params.max_len}")
     x = ad.add(
         ad.gather_rows(params.embedding, ids[valid]),
         ad.gather_rows(params.positional, np.nonzero(valid)[1]),

@@ -60,9 +60,16 @@ def load_manifest(path) -> dict:
         manifest = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid manifest JSON: {e.msg}")
-    for key in ("command", "args", "dataset_hashes"):
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
+    for key, kind, name in (("command", str, "a string"), ("args", dict, "an object"),
+                            ("dataset_hashes", dict, "an object")):
         if key not in manifest:
             raise DataError(f"{path}: manifest missing {key!r}")
+        if not isinstance(manifest[key], kind):
+            raise DataError(f"{path}: manifest {key!r} must be {name}")
+    if not all(isinstance(v, str) for v in manifest["dataset_hashes"].values()):
+        raise DataError(f"{path}: manifest 'dataset_hashes' must map paths to hash strings")
     return manifest
 
 

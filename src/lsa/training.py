@@ -155,15 +155,15 @@ def compute_metrics(golds, preds) -> Metrics:
 
 
 def total_loss(
-    probs: Tensor,
+    logits: Tensor,
     golds,
     main_params: dict[str, Tensor],
     eta_values: tuple[float, float],
     lambda_reg: float,
     lambda_eta: float,
 ) -> tuple[Tensor, float]:
-    """The cross-entropy summed over the batch's probability rows (pairs, C)
-    and gold classes (pairs,), as a tensor, and both L2 terms, as a float.
+    """The cross-entropy summed over the batch's logit rows (pairs, C) and
+    gold classes (pairs,), as a tensor, and both L2 terms, as a float.
 
     The regularizers are reported only (recomputed from current parameter
     values every step); their gradient path is the optimizer's decoupled
@@ -175,7 +175,7 @@ def total_loss(
         float(np.vdot(t.values, t.values)) for t in main_params.values()
     )
     reg += lambda_eta * (eta_values[0] ** 2 + eta_values[1] ** 2)
-    return ad.cross_entropy(probs, golds), reg
+    return ad.cross_entropy(logits, golds), reg
 
 
 def pair_batches(examples, pairs: int):
@@ -312,9 +312,9 @@ def train(config: TrainConfig) -> TrainResult:
             golds = np.array([a.polarity.index for ex in group for a in ex.aspects])
             tape = ad.Tape()
             with tape:
-                probs = model.forward(group, trees)
+                logits = model.forward(group, trees)
                 ce, reg = total_loss(
-                    probs,
+                    logits,
                     golds,
                     model.main_parameters(),
                     model.eta_values(),
@@ -332,7 +332,7 @@ def train(config: TrainConfig) -> TrainResult:
             loss_sum += loss
             pair_count += len(golds)
             epoch_golds.extend(golds.tolist())
-            epoch_preds.extend(np.argmax(probs.values, axis=1).tolist())
+            epoch_preds.extend(np.argmax(logits.values, axis=1).tolist())
 
         epoch_losses.append(loss_sum / max(1, pair_count))
         train_metrics = compute_metrics(epoch_golds, epoch_preds)

@@ -194,10 +194,11 @@ def project_window(h_window: Tensor, head: OutputHead) -> Tensor:
 
 
 def classify(h_o: Tensor, pooled_global: Tensor | None, head: OutputHead) -> Tensor:
-    """Probability rows (pairs, C).  The pair-encoded variant drops the
-    global feature and classifies from the window projection alone."""
+    """Logit rows (pairs, C); ``ad.cross_entropy`` applies the softmax.
+    The pair-encoded variant drops the global feature and classifies from
+    the window projection alone."""
     z = h_o if pooled_global is None else ad.concat([h_o, pooled_global], axis=1)
-    return ad.softmax(ad.matmul(z, head.w_dec, head.b_dec))
+    return ad.matmul(z, head.w_dec, head.b_dec)
 
 
 @dataclass
@@ -368,8 +369,9 @@ class Model:
         return encode(ids, self.encoder, valid), valid
 
     def forward(self, examples: list[Example], trees=None) -> Tensor:
-        """Probability rows (pairs, C) of every (example, aspect) pair of
-        ``examples``, in order, from one tensor forward over the batch."""
+        """Logit rows (pairs, C) of every (example, aspect) pair of
+        ``examples``, in order, from one tensor forward over the batch.
+        A pair's prediction is the argmax of its row."""
         cfg = self.config
         inputs = [self.forward_example(ex, trees) for ex in examples if ex.aspects]
         if not inputs:

@@ -10,13 +10,20 @@ from that side's ``src`` and ``tests/oracle.py``; the arrays are compared
 with ``np.array_equal``.  Then each side's ``bench/run.py --workload W
 --seed S --seconds 1 --trace 0`` runs for every workload that
 ``BENCHMARK.json`` declares and every seed, and the ``outputs`` objects
-of its details line are compared.  Every difference is printed, and the
-exit code is 1 if there is one, else 0.
+of its details line are compared.  Last, one child process per side runs
+``lsa train`` and then ``lsa eval --parses`` for every variant, k = 1 and
+2, and no ablation flag or each one, on the same inputs, written once by
+the working tree's ``bench/workloads.py``.  The ``metrics.csv``,
+``eta_trajectory.csv``, ``checkpoint.bin`` and ``eval.csv`` of each run
+are compared byte for byte.  Every difference is printed, and the exit
+code is 1 if there is one, else 0.  The CLI runs and their inputs live in
+the temporary directory; no child writes byte code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import logging
@@ -32,13 +39,20 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 BATCHES = (1, 3, None)  # examples per forward; None: all at once
 BENCH_SECONDS = 1
+CLI_INPUTS = ("eval_lsa_s_parsed", 1)  # the workload and the seed that write them
+CLI_TRAIN = ["--d-model", "16", "--layers", "1", "--heads", "2", "--epochs", "2", "--seed", "3"]
+CLI_FLAGS = ([], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--backbone-only"],
+             ["--no-dwa", "--frozen-eta", "0.3,0.7"])
+CLI_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin", "eval/eval.csv")
 
 
 def child_env() -> dict:
     """The environment of a child process: no PYTHONPATH that could import
-    the other side's package, and one BLAS thread, as in the benchmark."""
+    the other side's package, one BLAS thread, as in the benchmark, and
+    no ``__pycache__`` written beside the sources."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
 
 
@@ -84,6 +98,70 @@ def bench_outputs(root: Path, workload: str, seed: int):
     return json.loads(lines[-2])["outputs"]
 
 
+def write_cli_inputs(out: Path) -> None:
+    """Write the inputs of every CLI run to ``out`` with the working
+    tree's ``bench/workloads.py``.  Runs in a child process."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from workloads import WORKLOADS, write_inputs
+
+    name, seed = CLI_INPUTS
+    write_inputs(WORKLOADS[name], seed, out)
+
+
+def cli_cases():
+    """(name, ``lsa train`` flags) of every CLI run."""
+    for variant in ("lsa_t", "lsa_s", "lsa_p"):
+        for k in ("1", "2"):
+            for flags in CLI_FLAGS:
+                name = "_".join([variant, "k" + k, *(f.strip("-") for f in flags)])
+                yield name, ["--variant", variant, "--k", k, *flags]
+
+
+def cli_runs(root: Path, inputs: Path, out: Path) -> None:
+    """``lsa train`` and then ``lsa eval --parses`` of every CLI run with
+    the package of the checkout at ``root``, each into ``out/<name>``, and
+    every exit code into ``out/exits.json``.  Runs in a child process."""
+    sys.path[:0] = [str(root / "src")]
+    from lsa.cli import main
+
+    logging.disable(logging.WARNING)
+    parses = inputs / "parses.conllu"
+    exits = {}
+    for name, flags in cli_cases():
+        run = out / name
+        train = ["train", "--train-path", inputs / "train.json", "--valid-path",
+                 inputs / "valid.json", "--parse-path", parses, *CLI_TRAIN, *flags,
+                 "--out", run]
+        evaluate = ["eval", "--checkpoint", run / "checkpoint.bin", "--dataset",
+                    inputs / "test.json", "--parses", parses, "--out", run / "eval"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            exits[name] = [main([str(a) for a in argv]) for argv in (train, evaluate)]
+    (out / "exits.json").write_text(json.dumps(exits))
+
+
+def side_cli(root: Path, inputs: Path, out: Path) -> None:
+    subprocess.run(
+        [sys.executable, __file__, "--cli-runs", str(root), str(inputs), str(out)],
+        check=True, env=child_env(), timeout=1800,
+    )
+
+
+def compare_cli(parent: Path, tree: Path) -> list[str]:
+    """Every difference between the CLI runs written under ``parent`` and
+    those under ``tree``: exit codes, and the bytes of each artifact."""
+    diffs = compare_outputs("CLI exit codes", json.loads((parent / "exits.json").read_text()),
+                            json.loads((tree / "exits.json").read_text()))
+    for name, _ in cli_cases():
+        for artifact in CLI_ARTIFACTS:
+            a, b = parent / name / artifact, tree / name / artifact
+            if not (a.is_file() and b.is_file()):
+                diffs.append(f"CLI {name} {artifact}: written by REV {a.is_file()}, "
+                             f"by the working tree {b.is_file()}")
+            elif a.read_bytes() != b.read_bytes():
+                diffs.append(f"CLI {name} {artifact}: the bytes differ")
+    return diffs
+
+
 def compare_oracle(parent: dict, tree: dict) -> list[str]:
     diffs = [f"oracle {k}: only in REV" for k in sorted(set(parent) - set(tree))]
     diffs += [f"oracle {k}: only in the working tree" for k in sorted(set(tree) - set(parent))]
@@ -112,9 +190,18 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", default="1,2,3,4,5", help="benchmark seeds, comma-separated")
     p.add_argument("--oracle-arrays", nargs=2, type=Path, metavar=("ROOT", "OUT"),
                    help=argparse.SUPPRESS)
+    p.add_argument("--cli-inputs", type=Path, metavar="OUT", help=argparse.SUPPRESS)
+    p.add_argument("--cli-runs", nargs=3, type=Path, metavar=("ROOT", "INPUTS", "OUT"),
+                   help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.oracle_arrays:
         oracle_arrays(*args.oracle_arrays)
+        return 0
+    if args.cli_inputs:
+        write_cli_inputs(args.cli_inputs)
+        return 0
+    if args.cli_runs:
+        cli_runs(*args.cli_runs)
         return 0
     if args.rev is None:
         p.error("REV is required")
@@ -141,6 +228,17 @@ def main(argv=None) -> int:
                 )
                 print(f"{workload} seed {seed}: {len(found)} differences", flush=True)
                 diffs += found
+
+        inputs = tmp / "cli-inputs"
+        inputs.mkdir()
+        subprocess.run([sys.executable, __file__, "--cli-inputs", str(inputs)],
+                       check=True, env=child_env(), timeout=600)
+        side_cli(parent_root, inputs, tmp / "cli-rev")
+        side_cli(ROOT, inputs, tmp / "cli-tree")
+        found = compare_cli(tmp / "cli-rev", tmp / "cli-tree")
+        print(f"{len(list(cli_cases()))} CLI train + eval runs: {len(found)} differences",
+              flush=True)
+        diffs += found
     for line in diffs:
         print(line)
     print(f"{len(diffs)} differences between {args.rev} and the working tree")

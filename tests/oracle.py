@@ -19,6 +19,8 @@ from lsa.distance import load_parses
 from lsa.encoder import Vocabulary
 from lsa.window import Model, ModelConfig
 
+from util import softmax
+
 FIXTURES = Path(__file__).parent / "fixtures"
 ORACLE = FIXTURES / "oracle.npz"
 
@@ -49,10 +51,10 @@ def oracle_model(overrides: dict) -> Model:
 
 
 def compute(overrides: dict, batch: int | None = None) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Probability rows of every (example, aspect) pair of mini.json, and
-    the gradient of their summed cross-entropy for every parameter that
-    receives one.  The examples are forwarded ``batch`` at a time, all at
-    once when None."""
+    """Probability rows of every (example, aspect) pair of mini.json (the
+    softmax of the model's logits), and the gradient of their summed
+    cross-entropy for every parameter that receives one.  The examples
+    are forwarded ``batch`` at a time, all at once when None."""
     model = oracle_model(overrides)
     examples = [ex for ex in load_dataset(FIXTURES / "mini.json").examples if ex.aspects]
     trees = load_parses(FIXTURES / "mini.conllu")
@@ -62,11 +64,11 @@ def compute(overrides: dict, batch: int | None = None) -> tuple[np.ndarray, dict
         group = examples[i:i + size]
         tape = ad.Tape()
         with tape:
-            probs = model.forward(group, trees)
+            logits = model.forward(group, trees)
             golds = [a.polarity.index for ex in group for a in ex.aspects]
-            total = ad.cross_entropy(probs, golds)
+            total = ad.cross_entropy(logits, golds)
         tape.backward(total)  # gradients add up over the groups
-        rows.append(probs.values)
+        rows.append(softmax(logits.values))
     grads = {
         name: t.grad.copy()
         for name, t in model.named_parameters().items()

@@ -15,6 +15,7 @@ from util import (
     grad_check,
     mixing_weights,
     reference_attention,
+    reference_cross_entropy,
     rel_err,
     sum_all,
 )
@@ -53,6 +54,22 @@ def test_matmul_gradients_match_finite_differences():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 2))))
+    with pytest.raises(ShapeError, match=r"\(2, 3, 4\).*\(4, 2\)"):
+        ad.matmul(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((4, 2))))
+
+
+def test_matmul_bias_gradients_and_values():
+    rng = np.random.default_rng(24)
+    a = ad.parameter(randn(rng, 3, 4))
+    b = ad.parameter(randn(rng, 4, 2))
+    bias = ad.parameter(randn(rng, 2))
+    out = ad.matmul(a, b, bias)
+    assert np.array_equal(out.values, ad.add(ad.matmul(a, b), bias).values)
+    r = ad.tensor(randn(rng, 3, 2))
+    build = lambda: sum_all(ad.mul(ad.matmul(a, b, bias), r))
+    assert grad_check(build, {"a": a, "b": b, "bias": bias}) <= 1e-6
+    with pytest.raises(ShapeError):
+        ad.matmul(a, b, ad.tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,37 +106,50 @@ def test_concat_errors():
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# the softmax inside cross_entropy
+
+
+def loss_and_gradient(logits, gold):
+    """``ad.cross_entropy``'s value and its gradient w.r.t. ``logits``."""
+    x = ad.parameter(logits)
+    tape = ad.Tape()
+    with tape:
+        loss = ad.cross_entropy(x, gold)
+    tape.backward(loss)
+    return loss.item(), x.grad
 
 
 def test_softmax_uniform():
-    out = ad.softmax(ad.tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(out.values, [1 / 3] * 3, atol=1e-15)
+    # the gradient of one row is its probabilities minus the one-hot gold
+    _, grad = loss_and_gradient(np.zeros((1, 3)), 2)
+    assert np.allclose(grad, [[1 / 3, 1 / 3, -2 / 3]], atol=1e-15)
 
 
 def test_softmax_stabilized_no_overflow():
-    out = ad.softmax(ad.tensor([1e9, 0.0, 0.0]))
-    assert np.all(np.isfinite(out.values))
-    assert out.values[0] == pytest.approx(1.0)
+    loss, grad = loss_and_gradient(np.array([[1e9, 0.0, 0.0]]), 0)
+    assert loss == 0.0
+    assert np.all(np.isfinite(grad))
+    assert grad[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_softmax_jacobian_matches_finite_differences():
+    """Row i of the Jacobian of -log softmax(v), as the gradient for gold
+    class i, against central differences of the same function."""
     rng = np.random.default_rng(2)
-    v = ad.parameter(randn(rng, 5))
+    v = ad.parameter(randn(rng, 1, 5))
     eps = 1e-6
     for i in range(5):
         v.grad = None
         tape = ad.Tape()
         with tape:
-            out = ad.softmax(v)
-            picked = sum_all(ad.mul(out, ad.tensor(np.eye(5)[i])))
-        tape.backward(picked)
+            loss = ad.cross_entropy(v, i)
+        tape.backward(loss)
         analytic = v.grad.copy()
 
         def f():
-            shifted = v.values - v.values.max()
+            shifted = v.values[0] - v.values[0].max()
             e = np.exp(shifted)
-            return float((e / e.sum())[i])
+            return float(-np.log((e / e.sum())[i]))
 
         fd = finite_difference_gradient(f, v, eps)
         assert rel_err(analytic, fd) <= 1e-6
@@ -128,71 +158,107 @@ def test_softmax_jacobian_matches_finite_differences():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.floats(-30, 30))
 def test_softmax_sums_to_one_and_shift_invariant(vals, shift):
-    a = ad.softmax(ad.tensor(vals))
-    assert abs(a.values.sum() - 1.0) <= 1e-12
-    b = ad.softmax(ad.tensor(np.array(vals) + shift))
-    assert np.max(np.abs(a.values - b.values)) <= 1e-12
+    """For the most likely gold class the gradient is p minus the one-hot
+    gold, which sums to 0 as p sums to 1; a shift of every logit moves
+    neither the loss nor p."""
+    logits = np.array([vals])
+    gold = int(np.argmax(logits))
+    loss_a, a = loss_and_gradient(logits, gold)
+    assert abs(a.sum()) <= 1e-12
+    loss_b, b = loss_and_gradient(logits + shift, gold)
+    assert abs(loss_a - loss_b) <= 1e-12
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # cross entropy
 
 
+def log_softmax_at(v, gold) -> float:
+    """log softmax(v)[gold], from the definition."""
+    return v[gold] - math.log(sum(math.exp(x) for x in v))
+
+
 def test_cross_entropy_perfect_prediction():
-    assert ad.cross_entropy(ad.tensor([1.0, 0.0, 0.0]), 0).item() == 0.0
+    assert ad.cross_entropy(ad.tensor([[1e3, 0.0, 0.0]]), 0).item() == 0.0
 
 
 def test_cross_entropy_uniform():
-    out = ad.cross_entropy(ad.tensor([1 / 3, 1 / 3, 1 / 3]), 2)
+    out = ad.cross_entropy(ad.tensor([[5.0, 5.0, 5.0]]), 2)
     assert out.item() == pytest.approx(math.log(3.0), rel=1e-12)
 
 
 def test_cross_entropy_matches_direct_recomputation():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        v = rng.random(4) + 1e-3
-        probs = v / v.sum()
+        v = rng.normal(size=4) * 3
         gold = int(rng.integers(0, 4))
-        out = ad.cross_entropy(ad.tensor(probs), gold)
-        assert out.item() == pytest.approx(-math.log(probs[gold]), rel=1e-12)
+        out = ad.cross_entropy(ad.tensor(v[None]), gold)
+        assert out.item() == pytest.approx(-log_softmax_at(v, gold), rel=1e-12)
 
 
 def test_cross_entropy_clamps_at_zero_probability():
-    out = ad.cross_entropy(ad.tensor([0.0, 1.0]), 0)
+    out = ad.cross_entropy(ad.tensor([[0.0, 50.0]]), 0)  # p = e^-50 < 1e-12
     assert out.item() == pytest.approx(-math.log(1e-12))
 
 
 def test_cross_entropy_gold_out_of_range():
     with pytest.raises(ShapeError):
-        ad.cross_entropy(ad.tensor([0.5, 0.5]), 2)
+        ad.cross_entropy(ad.tensor([[0.5, 0.5]]), 2)
     with pytest.raises(ShapeError):
         ad.cross_entropy(ad.tensor(np.full((2, 2), 0.5)), [0])
+    with pytest.raises(ShapeError):
+        ad.cross_entropy(ad.tensor([0.5, 0.5]), 0)  # logits are rows
 
 
 def test_cross_entropy_over_gold_array_gradients():
     rng = np.random.default_rng(22)
-    raw = rng.random((4, 3)) + 0.1
-    probs = ad.parameter(raw / raw.sum(axis=1, keepdims=True))
+    logits = ad.parameter(randn(rng, 4, 3))
     gold = np.array([0, 2, 1, 2])
-    out = ad.cross_entropy(probs, gold)
+    out = ad.cross_entropy(logits, gold)
     assert out.shape == (1,)
-    expected = -sum(math.log(probs.values[i, g]) for i, g in enumerate(gold))
+    expected = -sum(log_softmax_at(logits.values[i], g) for i, g in enumerate(gold))
     assert out.item() == pytest.approx(expected, rel=1e-12)
-    assert grad_check(lambda: ad.cross_entropy(probs, gold), {"probs": probs}) <= 1e-6
+    assert grad_check(lambda: ad.cross_entropy(logits, gold), {"logits": logits}) <= 1e-6
 
 
 def test_cross_entropy_clamped_row_passes_no_gradient():
-    live = ad.parameter(np.array([[0.2, 0.5, 0.3]]))
-    clamped = ad.parameter(np.array([[0.0, 0.6, 0.4]]))
+    live = ad.parameter(np.array([[0.2, 1.1, 0.5]]))
+    clamped = ad.parameter(np.array([[0.0, 60.0, 0.0]]))  # p = e^-60 for class 0
 
     def build():
         return ad.cross_entropy(ad.concat([live, clamped], axis=0), [1, 0])
 
-    assert build().item() == pytest.approx(-math.log(0.5) - math.log(ad.LOG_CLAMP))
+    expected = -log_softmax_at(live.values[0], 1) - math.log(ad.LOG_CLAMP)
+    assert build().item() == pytest.approx(expected)
     assert grad_check(build, {"live": live}) <= 1e-6
     # steps that stay under the clamp: the clamped row is constant
     assert grad_check(build, {"clamped": clamped}, eps=1e-14) == 0.0
     assert np.array_equal(clamped.grad, np.zeros((1, 3)))
+
+
+def test_cross_entropy_is_the_softmax_and_loss_written_out():
+    """One node gives, bit for bit, the loss and the logit gradient of
+    softmax, clamp and -log with their two backwards in numpy, on rows
+    that include a clamped one; on the other rows the gradient matches
+    finite differences."""
+    rng = np.random.default_rng(28)
+    values = randn(rng, 6, 3) * 4
+    values[3] = [0.0, 70.0, -5.0]  # gold class 0 gets e^-70: clamped
+    gold = np.array([0, 2, 1, 0, 1, 2])
+    logits = ad.parameter(values)
+    tape = ad.Tape()
+    with tape:
+        loss = ad.cross_entropy(logits, gold)
+    assert len(tape) == 1
+    tape.backward(loss)
+    expected_loss, expected_grad = reference_cross_entropy(values, gold)
+    assert np.array_equal(loss.values, [expected_loss])
+    assert np.array_equal(logits.grad, expected_grad)
+    assert np.array_equal(logits.grad[3], np.zeros(3))
+    live = np.delete(np.arange(6), 3)
+    fd = finite_difference_gradient(lambda: ad.cross_entropy(logits, gold).item(), logits)
+    assert rel_err(logits.grad[live], fd[live]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -335,44 +401,6 @@ def test_sum_all_gradient_is_ones():
 
 
 # ---------------------------------------------------------------------------
-# leading batch axes
-
-
-def test_matmul_leading_axis_gradients():
-    rng = np.random.default_rng(12)
-    a = ad.parameter(randn(rng, 2, 3, 4))
-    b = ad.parameter(randn(rng, 4, 2))
-    r = ad.tensor(randn(rng, 2, 3, 2))
-    build = lambda: sum_all(ad.mul(ad.matmul(a, b), r))
-    assert grad_check(build, {"a": a, "b": b}) <= 1e-6
-
-
-def test_matmul_bias_gradients_and_values():
-    rng = np.random.default_rng(24)
-    a = ad.parameter(randn(rng, 2, 3, 4))
-    b = ad.parameter(randn(rng, 4, 2))
-    bias = ad.parameter(randn(rng, 2))
-    out = ad.matmul(a, b, bias)
-    assert np.array_equal(out.values, ad.add(ad.matmul(a, b), bias).values)
-    r = ad.tensor(randn(rng, 2, 3, 2))
-    build = lambda: sum_all(ad.mul(ad.matmul(a, b, bias), r))
-    assert grad_check(build, {"a": a, "b": b, "bias": bias}) <= 1e-6
-    with pytest.raises(ShapeError):
-        ad.matmul(a, b, ad.tensor(np.zeros(3)))
-
-
-def test_matmul_leading_axis_equals_per_slice():
-    rng = np.random.default_rng(13)
-    a = ad.tensor(randn(rng, 3, 2, 4))
-    b = ad.tensor(randn(rng, 4, 5))
-    out = ad.matmul(a, b)
-    for i in range(3):
-        assert np.array_equal(out.values[i], ad.matmul(ad.tensor(a.values[i]), b).values)
-    with pytest.raises(ShapeError):
-        ad.matmul(b, a)
-
-
-# ---------------------------------------------------------------------------
 # attention
 
 
@@ -479,7 +507,7 @@ def test_attention_shape_errors():
     params = attention_params(rng, 8).values()
     x = ad.tensor(randn(rng, 4, 8))
     with pytest.raises(ShapeError):
-        ad.attention(x, *params, 3)
+        ad.attention(x, *params, 3, np.ones((1, 4), dtype=bool))
     with pytest.raises(ShapeError):
         ad.attention(x, *params, 2, np.ones((1, 5), dtype=bool))  # 5 positions, 4 rows
     with pytest.raises(ShapeError):
@@ -664,16 +692,17 @@ def test_operations_do_not_mutate_inputs(seed):
     ad.add(a, b)
     ad.mul(a, b)
     ad.matmul(a, b)
-    ad.softmax(a)
     ad.concat([a, b], axis=0)
     bias = ad.tensor(randn(rng, 3))
     snap_bias = bias.values.copy()
     tape = ad.Tape()
     with tape:  # the backward pass must not write into its inputs either
         params = (b, bias, b, bias, b, bias, b, bias)
-        loss = ad.add(sum_all(ad.attention(a, *params, 3)), sum_all(
-            ad.attention(a, *params, 3, np.ones((1, 3), dtype=bool), [0, 0], randn(rng, 2, 3))))
+        one = np.ones((1, 3), dtype=bool)
+        loss = ad.add(sum_all(ad.attention(a, *params, 3, one)), sum_all(
+            ad.attention(a, *params, 3, one, [0, 0], randn(rng, 2, 3))))
         loss = ad.add(loss, sum_all(ad.residual_ffn(a, bias, bias, b, bias, b, bias, bias, bias)))
+        loss = ad.add(loss, ad.cross_entropy(a, [0, 2, 1]))
     tape.backward(loss)
     assert np.array_equal(a.values, snap_a)
     assert np.array_equal(b.values, snap_b)

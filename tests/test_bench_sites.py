@@ -40,7 +40,9 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     the wall time of the calls made with no span open, and each encoder
     block runs inside its own span, so its time is not booked on
     ``encoder.encode``.  Each block call under a tape, in the encoder or
-    as ``head.sa``, records two nodes."""
+    as ``head.sa``, records two nodes.  ``window.classify`` records only
+    the classifier's matmul (after a concat of the global feature): the
+    softmax is part of the loss node."""
     config = training.TrainConfig(
         variant=variant, d_model=16, layers=2, heads=2, ffn_mult=2, max_len=32,
         epochs=1, batch=8, seed=1,
@@ -52,8 +54,19 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     trees = load_parses(FIXTURES / "mini.conllu")
     tracer = spans.Tracer()
     taped = {lsa.encoder: 0, lsa.window: 0}  # block calls made under a tape, by caller
+    classify_ops = set()  # the ops of the nodes classify records
     with tracer.installed():
         originals = {owner: owner.self_attention_block for owner in taped}
+        classify = lsa.window.classify
+
+        def traced_classify(*args):
+            tape = lsa.autodiff._ACTIVE_TAPE
+            before = len(tape) if tape is not None else 0
+            out = classify(*args)
+            if tape is not None:
+                classify_ops.update(node.backward_fn.__qualname__.split(".")[0]
+                                    for node in tape._nodes[before:])
+            return out
 
         def counted(owner):
             def call(*args, **kwargs):
@@ -65,11 +78,13 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
         try:
             for owner in taped:
                 owner.self_attention_block = counted(owner)
+            lsa.window.classify = traced_classify
             result = training.train(config)
             metrics = training.evaluate(result.model, dataset, trees)
         finally:
             for owner, block in originals.items():
                 owner.self_attention_block = block
+            lsa.window.classify = classify
     pairs = dataset.aspect_count()
     # one epoch of training, validation after it and at the end, then evaluate()
     assert tracer.pairs_forwarded == pairs + 2 * pairs + metrics.n_examples
@@ -86,6 +101,7 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     assert taped[lsa.encoder] > 0 and blocks.tape_nodes == 2 * taped[lsa.encoder]
     head_sa = tracer.stats["window.head_sa"]
     assert taped[lsa.window] > 0 and head_sa.tape_nodes == 2 * taped[lsa.window]
+    assert classify_ops == ({"matmul"} if variant == "lsa_p" else {"concat", "matmul"})
     # lsa_s reads one distance table per example it does not fall back on
     syntactic = tracer.stats["distance.syntactic_distance"].calls
     if variant == "lsa_s":

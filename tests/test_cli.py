@@ -263,6 +263,25 @@ def test_eval_without_pairs_names_what_is_missing(slice_, message, tmp_path, cap
     assert capsys.readouterr().err == f"data error: {message}\n"
 
 
+@pytest.mark.parametrize("field", [
+    {"implicit": "false"}, {"parse_ref": ["x"]},
+], ids=["implicit_string", "parse_ref_list"])
+def test_field_of_the_wrong_type_is_data_error(field, tmp_path, capsys):
+    """Before they were checked, "false" loaded as an implicit aspect and
+    a list as parse_ref ended an lsa_s train with a TypeError (exit 1)."""
+    example = {"text": "a b", "tokens": ["a", "b"], "aspects": [dict(ASPECT)]}
+    if "implicit" in field:
+        example["aspects"][0].update(field)
+    else:
+        example.update(field)
+    data = tmp_path / "train.json"
+    data.write_text(json.dumps({"version": 1, "examples": [example] * 5}))
+    argv = ["train", "--train-path", data, "--variant", "lsa_s",
+            "--parse-path", FIXTURES / "mini.conllu", "--epochs", "1", "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {data}: examples[0]")
+
+
 def test_eval_bad_checkpoint_is_data_error(corpus, tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"junk")
@@ -409,6 +428,25 @@ def test_sweep_manifest_hashes_parse_file(command, extra, corpus, tmp_path):
     assert run(sweep_args(command, corpus, out, ["--parse-path", parses, *extra])) == 0
     hashed = json.loads((out / "manifest.json").read_text())["dataset_hashes"]
     assert set(hashed) == {corpus["train"], corpus["test"], str(parses)}
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("command args dataset_hashes", "manifest must be a JSON object"),
+    ({"command": "train", "args": {}, "dataset_hashes": ["x"]},
+     "manifest 'dataset_hashes' must be an object"),
+    ({"command": ["train"], "args": {}, "dataset_hashes": {}}, "manifest 'command' must be a string"),
+    ({"command": "train", "args": [], "dataset_hashes": {}}, "manifest 'args' must be an object"),
+    ({"command": "train", "args": {}, "dataset_hashes": {"a.json": 3}},
+     "manifest 'dataset_hashes' must map paths to hash strings"),
+], ids=["string", "hashes_list", "command_list", "args_list", "hash_number"])
+def test_malformed_manifest_is_data_error(manifest, message, tmp_path, capsys):
+    """A string of the key names once passed the key checks, which then
+    matched substrings, and ended in a TypeError; a list of hashes ended
+    in an AttributeError (both exit 1)."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run(["replay", path, "--out", tmp_path / "r"]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
 
 
 def test_manifest_is_hash_stable(corpus, tmp_path):

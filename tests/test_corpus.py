@@ -96,6 +96,23 @@ def test_aspects_not_a_list_is_data_error(aspects, tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("aspect, example, field", [
+    ({"implicit": "false"}, {}, r"examples\[0\]\.aspects\[0\]\.implicit: must be true or false"),
+    ({"implicit": 1}, {}, r"examples\[0\]\.aspects\[0\]\.implicit: must be true or false"),
+    ({}, {"parse_ref": ["x"]}, r"examples\[0\]\.parse_ref: must be a string"),
+    ({}, {"parse_ref": None}, r"examples\[0\]\.parse_ref: must be a string"),
+], ids=["implicit_string", "implicit_number", "parse_ref_list", "parse_ref_null"])
+def test_field_of_the_wrong_type_is_data_error(aspect, example, field, tmp_path):
+    """``implicit`` is a JSON boolean, not its text (``bool("false")`` is
+    true); ``parse_ref`` is a string or absent."""
+    a = {"span": [0, 1], "term": ["a"], "polarity": "positive", **aspect}
+    obj = {"version": 1, "examples": [{"text": "a", "tokens": ["a"], "aspects": [a], **example}]}
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=rf"ds\.json: {field}"):
+        load_dataset(path)
+
+
 def test_non_utf8_dataset_is_data_error(tmp_path):
     path = tmp_path / "ds.json"
     path.write_bytes(b'{"version": 1, "examples": [{"text": "caf\xe9"}]}')

@@ -111,23 +111,30 @@ def make_encoder(d=16, layers=1, heads=2, max_len=12, vocab_size=10, seed=0):
     return EncoderParams.init(vocab_size, d, layers, heads, max_len, 2 * d, rng)
 
 
+def encode_one(ids, params):
+    """The hidden states of one sequence, as a batch of one."""
+    return encode([ids], params, np.ones((1, len(ids)), dtype=bool))
+
+
 def test_encode_output_shape():
     params = make_encoder()
-    out = encode([1, 2, 3, 4], params)
+    out = encode_one([1, 2, 3, 4], params)
     assert out.shape == (4, 16)
 
 
 def test_encode_deterministic():
     params = make_encoder()
-    a = encode([1, 2, 3], params)
-    b = encode([1, 2, 3], params)
+    a = encode_one([1, 2, 3], params)
+    b = encode_one([1, 2, 3], params)
     assert np.array_equal(a.values, b.values)
 
 
 def test_encode_rejects_overlength():
     params = make_encoder(max_len=4)
     with pytest.raises(ConfigError):
-        encode([1] * 5, params)
+        encode_one([1] * 5, params)
+    with pytest.raises(ConfigError):  # ids are (S, L)
+        encode(np.array([1, 2]), params, np.ones((1, 2), dtype=bool))
 
 
 def test_heads_must_divide_width():
@@ -141,7 +148,7 @@ def test_encode_embedding_gradient_matches_fd():
     readout = ad.tensor(np.random.default_rng(1).normal(size=(8, 1)))
 
     def build():
-        h = encode(ids, params)
+        h = encode_one(ids, params)
         return sum_all(ad.matmul(h, readout))
 
     worst = grad_check(
@@ -174,7 +181,8 @@ def test_attention_rows_sum_to_one():
 def test_single_position_attention_is_identity_mixing():
     params = make_encoder()
     x = ad.tensor(np.random.default_rng(3).normal(size=(1, 16)))
-    assert block_weights(x, params).tolist() == [[[1.0]] * params.heads]
+    valid = np.ones((1, 1), dtype=bool)
+    assert block_weights(x, params, valid=valid).tolist() == [[[1.0]] * params.heads]
 
 
 def test_block_commutes_with_position_permutation():
@@ -183,8 +191,9 @@ def test_block_commutes_with_position_permutation():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 16))
     perm = rng.permutation(6)
-    out = self_attention_block(ad.tensor(x), params.blocks[0], params.heads)
-    out_perm = self_attention_block(ad.tensor(x[perm]), params.blocks[0], params.heads)
+    valid = np.ones((1, 6), dtype=bool)
+    out = self_attention_block(ad.tensor(x), params.blocks[0], params.heads, valid)
+    out_perm = self_attention_block(ad.tensor(x[perm]), params.blocks[0], params.heads, valid)
     assert np.max(np.abs(out.values[perm] - out_perm.values)) <= 1e-12
 
 
@@ -305,7 +314,7 @@ def test_padding_mask_shields_prefix_outputs():
     assert packed.shape == (10, 16)
     ends = np.cumsum([len(seq) for seq in sequences])
     for seq, rows in zip(sequences, np.split(packed.values, ends[:-1])):
-        plain = encode(seq, params)
+        plain = encode_one(seq, params)
         assert np.max(np.abs(plain.values - rows)) <= 1e-12
 
 
@@ -358,8 +367,8 @@ def test_all_parameters_receive_gradient_on_synthetic_batch():
     model = tiny_model(vocab_tokens=tokens)
     tape = ad.Tape()
     with tape:
-        probs = model.forward(examples[:4])
-        total = ad.cross_entropy(probs, [a.polarity.index for ex in examples[:4] for a in ex.aspects])
+        logits = model.forward(examples[:4])
+        total = ad.cross_entropy(logits, [a.polarity.index for ex in examples[:4] for a in ex.aspects])
     tape.backward(total)
     for name, param in model.named_parameters().items():
         assert param.grad is not None, f"{name} got no gradient"

@@ -21,7 +21,7 @@ from lsa.training import (
     train,
 )
 
-from util import FIXTURES, tiny_model, write_synth_corpus
+from util import FIXTURES, reference_cross_entropy, softmax, tiny_model, write_synth_corpus
 
 
 def small_config(paths, **overrides):
@@ -53,14 +53,14 @@ def corpus(tmp_path_factory):
 
 
 def test_total_loss_zero_for_perfect_prediction():
-    probs = ad.tensor(np.array([[1.0, 0.0, 0.0]]))
-    ce, reg = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 0.0)
+    logits = ad.tensor(np.array([[1e3, 0.0, 0.0]]))  # the softmax is [1, 0, 0]
+    ce, reg = total_loss(logits, [0], {}, (1.0, 1.0), 0.0, 0.0)
     assert ce.item() == 0.0 and reg == 0.0
 
 
 def test_total_loss_eta_regularizer_value():
-    probs = ad.tensor(np.array([[1.0, 0.0, 0.0]]))
-    ce, reg = total_loss(probs, [0], {}, (1.0, 1.0), 0.0, 1e-5)
+    logits = ad.tensor(np.array([[1e3, 0.0, 0.0]]))
+    ce, reg = total_loss(logits, [0], {}, (1.0, 1.0), 0.0, 1e-5)
     assert ce.item() == 0.0
     assert reg == pytest.approx(2e-5, rel=1e-12)
 
@@ -73,11 +73,11 @@ def test_total_loss_matches_scalar_recomputation():
     expected_reg = lam * sum(float((t.values ** 2).sum()) for t in params.values())
     expected_reg += lam_eta * (0.9**2 + 1.1**2)
     for _ in range(10):
-        raw = rng.random((3, 3)) + 1e-3
-        probs_np = raw / raw.sum(axis=1, keepdims=True)
+        logits = rng.normal(size=(3, 3)) * 3
         golds = [int(g) for g in rng.integers(0, 3, size=3)]
-        ce, reg = total_loss(ad.tensor(probs_np), golds, params, (0.9, 1.1), lam, lam_eta)
-        expected = sum(-math.log(probs_np[i][golds[i]]) for i in range(3))
+        ce, reg = total_loss(ad.tensor(logits), golds, params, (0.9, 1.1), lam, lam_eta)
+        expected = sum(math.log(sum(math.exp(x) for x in row)) - row[g]
+                       for row, g in zip(logits, golds))
         assert ce.item() == pytest.approx(expected, rel=1e-12)
         assert reg == pytest.approx(expected_reg, rel=1e-12)
 
@@ -87,14 +87,14 @@ def test_total_loss_backward_excludes_regularizer():
     gradient path is optimizer decay."""
     model = tiny_model()
     w = model.head.w_dec
-    probs = ad.tensor(np.array([[0.2, 0.3, 0.5]]))
+    logits = ad.tensor(np.log([[0.2, 0.3, 0.5]]))
     tape = ad.Tape()
     with tape:
-        ce, reg = total_loss(probs, [1], model.main_parameters(), (1.0, 1.0), 1.0, 1.0)
+        ce, reg = total_loss(logits, [1], model.main_parameters(), (1.0, 1.0), 1.0, 1.0)
     assert isinstance(reg, float) and len(tape) == 1
     tape.backward(ce)
     assert w.grad is None  # w never entered the traced computation
-    assert probs.grad.tolist() == [[0.0, -1 / 0.3, 0.0]]
+    assert np.array_equal(logits.grad, reference_cross_entropy(logits.values, [1])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,7 @@ def test_committed_checkpoint_still_loads():
     dataset = load_dataset(FIXTURES / "mini.json")
     rows = (FIXTURES / "mini_checkpoint_probs.csv").read_text().splitlines()[1:]
     assert len(rows) == dataset.aspect_count()
-    probs = model.forward(dataset.examples).values
+    probs = softmax(model.forward(dataset.examples).values)
     pairs = [(i, j) for i, ex in enumerate(dataset.examples) for j in range(len(ex.aspects))]
     for row in rows:
         i, j, *expected = row.split(",")

@@ -22,7 +22,7 @@ from lsa.window import (
     project_window,
 )
 
-from util import FIXTURES, bfs_distance, sum_all, tiny_model
+from util import FIXTURES, bfs_distance, softmax, sum_all, tiny_model
 
 ad.set_debug_checks(True)
 
@@ -167,8 +167,8 @@ def test_position_weights_carry_no_gradient():
     ex = coherent_example(2)
     tape = ad.Tape()
     with tape:
-        probs = model.forward([ex])
-        loss = ad.cross_entropy(probs, [0, 0])
+        logits = model.forward([ex])
+        loss = ad.cross_entropy(logits, [0, 0])
     tape.backward(loss)
     # perturbing any parameter leaves distances/weights untouched; verified
     # by the full-path finite-difference agreement in the acceptance suite.
@@ -271,8 +271,7 @@ def test_dwa_gradient_scales_linearly_in_eta():
         with tape:
             feats = ad.concat([left, target, right], axis=0)
             h = apply_dwa(feats, MIDDLE_OF_THREE, OFFSETS, side_weights(eta_l=eta_value))
-            probs = ad.softmax(ad.matmul(h, w_out))
-            loss = ad.cross_entropy(probs, 0)
+            loss = ad.cross_entropy(ad.matmul(h, w_out), 0)
         tape.backward(loss)
         return left.grad.copy()
 
@@ -337,20 +336,23 @@ def test_project_window_shape_error():
 
 
 def test_classify_output_on_simplex():
+    """The logit rows of a forward give probability rows on the simplex."""
     model = tiny_model()
     ex = coherent_example(2)
-    probs = model.forward([ex])
-    assert probs.shape == (2, 3)
-    for p in probs.values:
+    logits = model.forward([ex])
+    assert logits.shape == (2, 3)
+    for p in softmax(logits.values):
         assert abs(p.sum() - 1.0) <= 1e-12
 
 
 def test_argmax_invariant_under_logit_shift():
-    rng = np.random.default_rng(4)
-    logits = rng.normal(size=(1, 3))
-    a = ad.softmax(ad.tensor(logits))
-    b = ad.softmax(ad.tensor(logits + 7.5))
-    assert np.argmax(a.values) == np.argmax(b.values)
+    """A prediction, the argmax of a logit row, is that of its
+    probabilities, also after a shift of the logits."""
+    model = tiny_model()
+    logits = model.forward([coherent_example(3), coherent_example(2)]).values
+    preds = np.argmax(logits, axis=1)
+    assert np.array_equal(preds, np.argmax(softmax(logits), axis=1))
+    assert np.array_equal(preds, np.argmax(softmax(logits + 7.5), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,7 @@ def test_mono_aspect_output_equals_reference_path():
 
     model = tiny_model()
     ex = coherent_example(1)
-    probs = model.forward([ex])
+    logits = model.forward([ex])
 
     # reference path: one unbatched head.sa call for the aspect feature and
     # one for the pooled feature, then the tripled window built directly.
@@ -382,7 +384,7 @@ def test_mono_aspect_output_equals_reference_path():
     h_o = project_window(h_aw, model.head)
     pooled = feature(np.ones(n + 1))
     ref = classify(h_o, pooled, model.head)
-    np.testing.assert_allclose(probs.values, ref.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits.values, ref.values, rtol=0, atol=1e-12)
 
 
 def test_stacked_features_equal_one_head_sa_call_per_column():
@@ -416,30 +418,30 @@ def test_one_head_sa_call_per_batch(monkeypatch):
 
     monkeypatch.setattr(lsa.window, "self_attention_block", counted)
     model = tiny_model()
-    probs = model.forward([coherent_example(3), coherent_example(2)])
-    assert probs.shape == (5, 3)
+    logits = model.forward([coherent_example(3), coherent_example(2)])
+    assert logits.shape == (5, 3)
     assert len(calls) == 1 and calls[0][0] == 7  # 3 + 2 aspects, one pooled row each
 
 
 def test_backbone_only_is_mono_aspect_path_for_every_example():
     model = tiny_model(backbone_only=True)
     ex = coherent_example(3)
-    probs = model.forward([ex])
+    logits = model.forward([ex])
 
     # one batch of three mono-aspect examples: the window, projection and
     # classifier see three pairs as above, but head.sa sees 6 rows of 3
     # sequences instead of 4 rows of one, so the comparison allows rounding
     monos = [Example(ex.text, ex.tokens, [ex.aspects[j]]) for j in range(3)]
     ref = model.forward(monos)
-    np.testing.assert_allclose(probs.values, ref.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(logits.values, ref.values, rtol=0, atol=1e-12)
 
 
 def test_variant_lsa_p_drops_global_feature():
     model = tiny_model(variant="lsa_p")
     assert model.head.w_dec.shape[0] == model.config.d_model
     ex = coherent_example(2)
-    probs = model.forward([ex])
-    assert all(abs(p.sum() - 1.0) <= 1e-12 for p in probs.values)
+    probs = softmax(model.forward([ex]).values)
+    assert all(abs(p.sum() - 1.0) <= 1e-12 for p in probs)
 
 
 def test_lsa_p_feature_differs_when_aspect_differs():
@@ -457,8 +459,8 @@ def test_lsa_p_feature_differs_when_aspect_differs():
             AspectAnnotation(3, 4, ("battery",), Polarity.POSITIVE),
         ],
     )
-    probs = model.forward([ex])
-    assert not np.allclose(probs.values[0], probs.values[1])
+    logits = model.forward([ex])
+    assert not np.allclose(logits.values[0], logits.values[1])
 
 
 def test_lsa_s_uses_tree_and_falls_back_without_parse():
@@ -522,10 +524,10 @@ def test_lsa_s_falls_back_when_the_parse_does_not_align(caplog):
                  parse_ref="p1")
     tree = DependencyTree(("the", "food", "do", "n't", "taste", "good"), (2, 5, 5, 5, 0, 5))
     with caplog.at_level("WARNING", logger="lsa.window"):
-        probs = model.forward([ex], {"p1": tree})
+        logits = model.forward([ex], {"p1": tree})
     assert model.syntax_fallbacks == 1
     assert repr(text[:40]) in caplog.text
-    assert np.array_equal(probs.values, model.forward([ex], None).values)  # positional
+    assert np.array_equal(logits.values, model.forward([ex], None).values)  # positional
 
 
 def test_lsa_s_keeps_syntax_past_the_context_limit():
@@ -592,7 +594,7 @@ def mini_model(variant):
 
 
 def forward_in_groups(variant, groups):
-    """Each pair's probabilities, in example order, and the gradient of the
+    """Each pair's logits, in example order, and the gradient of the
     summed cross-entropy, forwarding the examples of each group together."""
     model, examples = mini_model(variant)
     trees = load_parses(FIXTURES / "mini.conllu")
@@ -601,12 +603,12 @@ def forward_in_groups(variant, groups):
         batch = [examples[i] for i in group]
         tape = ad.Tape()
         with tape:
-            probs = model.forward(batch, trees)
+            logits = model.forward(batch, trees)
             golds = [a.polarity.index for ex in batch for a in ex.aspects]
-            loss = ad.cross_entropy(probs, golds)
+            loss = ad.cross_entropy(logits, golds)
         tape.backward(loss)
         ends = np.cumsum([len(ex.aspects) for ex in batch])
-        for i, part in zip(group, np.split(probs.values, ends[:-1])):
+        for i, part in zip(group, np.split(logits.values, ends[:-1])):
             rows[i] = part
     grads = {name: t.grad for name, t in model.named_parameters().items()}
     return np.concatenate([rows[i] for i in sorted(rows)]), grads
@@ -624,8 +626,8 @@ def test_batching_changes_no_probability_and_no_gradient(variant):
     }
     reference, ref_grads = forward_in_groups(variant, groupings.pop("one per batch"))
     for name, groups in groupings.items():
-        probs, grads = forward_in_groups(variant, groups)
-        np.testing.assert_allclose(probs, reference, rtol=0, atol=1e-12, err_msg=name)
+        logits, grads = forward_in_groups(variant, groups)
+        np.testing.assert_allclose(logits, reference, rtol=0, atol=1e-12, err_msg=name)
         for param, g in grads.items():
             if ref_grads[param] is None:
                 assert g is None, (name, param)
@@ -664,12 +666,12 @@ def test_padding_gets_no_gradient_and_changes_nothing(variant):
     golds = [a.polarity.index for ex in batch for a in ex.aspects]
     tape = ad.Tape()
     with tape:
-        probs = model.forward(batch)
-        loss = ad.cross_entropy(probs, golds)
+        logits = model.forward(batch)
+        loss = ad.cross_entropy(logits, golds)
     tape.backward(loss)
     assert np.array_equal(model.encoder.embedding.grad[pad], np.zeros(model.config.d_model))
     assert np.array_equal(model.encoder.positional.grad[longest:], np.zeros_like(
         model.encoder.positional.values[longest:]))
     # the padding's embedding never reaches an output
     model.encoder.embedding.values[pad] += 100.0
-    assert np.array_equal(model.forward(batch).values, probs.values)
+    assert np.array_equal(model.forward(batch).values, logits.values)

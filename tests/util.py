@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: the gradient oracle and a scalar
-sum to drive it, attention's weights and a numpy reference for it, a
-breadth-first reference for tree distance, tiny model/corpus builders."""
+sum to drive it, the softmax of logit rows, attention's weights and a
+numpy reference for it, a breadth-first reference for tree distance, tiny
+model/corpus builders."""
 
 from __future__ import annotations
 
@@ -28,7 +29,30 @@ def sum_all(t: ad.Tensor) -> ad.Tensor:
     return ad._record(ad.Tensor(np.array([t.values.sum()])), (t,), backward)
 
 
-def mixing_weights(x, wq, bq, wk, heads, valid=None, source=None, scale=None) -> np.ndarray:
+def softmax(logits) -> np.ndarray:
+    """The max-stabilized softmax of each row of ``logits``, with the
+    arithmetic of ``ad.cross_entropy``'s forward: the probabilities that
+    ``Model.forward``'s logit rows give."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_cross_entropy(logits: np.ndarray, gold) -> tuple[float, np.ndarray]:
+    """The summed cross-entropy of logit rows (rows, C) and its gradient
+    for a unit output gradient, written out as the softmax, the clamp at
+    ``ad.LOG_CLAMP`` and -log, then the backward of the loss on the
+    probabilities and that of the softmax."""
+    p = softmax(logits)
+    rows = np.arange(len(p))
+    picked = p[rows, gold]
+    clamped = np.maximum(picked, ad.LOG_CLAMP)
+    g_p = np.zeros_like(p)
+    g_p[rows, gold] = np.where(picked >= ad.LOG_CLAMP, -1.0 / clamped, 0.0)
+    dot = np.sum(g_p * p, axis=-1, keepdims=True)
+    return -np.log(clamped).sum(), (g_p - dot) * p
+
+
+def mixing_weights(x, wq, bq, wk, heads, valid, source=None, scale=None) -> np.ndarray:
     """The weights (queries, heads, L) with which ``ad.attention`` mixes
     the value rows of ``x`` (that is, times ``scale`` under ``source``),
     read from its output.
@@ -40,7 +64,6 @@ def mixing_weights(x, wq, bq, wk, heads, valid=None, source=None, scale=None) ->
     wider heads keep the scores' 1/√dh.  The values copy the one-hot into
     each head's readout columns, where the input, and so the residual, is
     zero, and the output projection is the identity."""
-    valid = np.ones((1, len(x.values)), dtype=bool) if valid is None else valid
     (n, d), width = x.shape, valid.shape[1]
     dh = d // heads
     wide = dh + 2 * width
