@@ -42,6 +42,9 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """The model a checkpoint file holds.  Its config is read by
+    ``ModelConfig.from_dict``, so a value of the wrong JSON type is not
+    coerced; that, and any other fault of the file, is a DataError."""
     blob = read_existing(path)
     if blob[: len(MAGIC)] != MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
@@ -59,7 +62,7 @@ def load_checkpoint(path) -> Model:
 
     try:
         model = Model(
-            ModelConfig(**manifest["config"]),
+            ModelConfig.from_dict(manifest["config"]),
             Vocabulary(list(manifest["vocab"])),
             np.random.Generator(np.random.PCG64(0)),
         )

@@ -17,7 +17,7 @@ import argparse
 import os
 import shutil
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -37,7 +37,6 @@ from .training import (
     NumericError,
     TrainConfig,
     evaluate,
-    field_parser,
     seed_sweep,
     static_eta_sweep,
     train,
@@ -72,16 +71,14 @@ def _add_config_flags(parser) -> None:
             parser.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
         else:
             metavar = "L,R" if f.name == "frozen_eta" else None
-            parser.add_argument(
-                flag, type=field_parser(f), default=argparse.SUPPRESS, metavar=metavar
-            )
+            parser.add_argument(flag, default=argparse.SUPPRESS, metavar=metavar)
 
 
 def _config_from_args(args) -> TrainConfig:
     """Config file values, overridden by any explicitly passed flags."""
     config = TrainConfig.from_file(args.config) if args.config else TrainConfig()
     given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
-    return replace(config, **given)
+    return TrainConfig.from_dict({**asdict(config), **given})
 
 
 def _command_args(args) -> dict:
@@ -246,7 +243,10 @@ def run_replay(manifest_path, out_dir: Path) -> None:
     manifest = load_manifest(manifest_path)
     verify_manifest_hashes(manifest)
     print(f"replaying {manifest['command']} from {manifest_path}")
-    run_command(manifest["command"], manifest["args"], out_dir)
+    try:
+        run_command(manifest["command"], manifest["args"], out_dir)
+    except (ConfigError, UsageError) as e:  # every value came from the manifest
+        raise DataError(f"{manifest_path}: {e}")
 
 
 # ---------------------------------------------------------------------------

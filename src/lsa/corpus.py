@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import groupby
 from pathlib import Path
@@ -156,7 +156,7 @@ def _example_from_json(obj, where: str) -> Example:
         _require(
             isinstance(span, list)
             and len(span) == 2
-            and all(isinstance(x, int) for x in span),
+            and all(type(x) is int for x in span),
             f"{aw}.span: must be [start, end]",
         )
         _require(
@@ -342,6 +342,43 @@ def read_key_values(path, error: type[Exception]) -> dict[str, str]:
     return pairs
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def field_value(kind: str, raw):
+    """The value that ``raw``, from a flag, a ``key=value`` file or a JSON
+    document, gives a config or spec field annotated ``kind``.
+
+    A string is the field's text form, as ``int``, ``float`` or ``str``
+    reads it: a bool is true/yes/1/false/no/0 in any case, a tuple is
+    comma-separated floats, and "" is None for an optional field.  Any
+    other value must have the field's JSON type: an int that is not a bool
+    for ``int``, an int or a float for ``float`` (read as a float), a bool
+    for ``bool``, a list (or, as ``asdict`` gives, a tuple) of numbers for
+    a tuple (read as floats), and null for an optional field.  Anything
+    else is a ValueError.
+    """
+    base = kind.removesuffix(" | None")
+    if base != kind and raw in ("", None):
+        return None
+    if isinstance(raw, str):
+        if base.startswith("tuple"):
+            return tuple(float(x) for x in raw.split(","))
+        if base == "bool":
+            if raw.lower() not in _BOOLS:
+                raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {raw!r}")
+            return _BOOLS[raw.lower()]
+        return {"int": int, "float": float, "str": str}[base](raw)
+    if (base == "int" and type(raw) is int) or (base == "bool" and type(raw) is bool):
+        return raw
+    if base == "float" and type(raw) in (int, float):
+        return float(raw)
+    if (base.startswith("tuple") and type(raw) in (list, tuple)
+            and all(type(x) in (int, float) for x in raw)):
+        return tuple(float(x) for x in raw)
+    raise ValueError(f"expected {kind}, got {raw!r}")
+
+
 # ---------------------------------------------------------------------------
 # Clusters
 
@@ -440,11 +477,11 @@ class SynthSpec:
     def from_file(cls, path) -> "SynthSpec":
         spec = cls()
         splits = {}
-        scalars = {"vocab_size": int, "rho": float, "implicit_fraction": float}
+        kinds = {f.name: f.type for f in fields(cls) if not f.type.startswith("dict")}
         for key, value in read_key_values(path, DataError).items():
             try:
-                if key in scalars:
-                    setattr(spec, key, scalars[key](value))
+                if key in kinds:
+                    setattr(spec, key, field_value(kinds[key], value))
                 elif key == "aspects":
                     pairs = (part.split(":") for part in value.split(","))
                     spec.aspects_dist = {int(c): float(w) for c, w in pairs}

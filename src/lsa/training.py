@@ -4,7 +4,7 @@ metrics, and the two sweeps (static side-weight grid, multi-seed)."""
 from __future__ import annotations
 
 import logging
-from dataclasses import Field, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -21,30 +21,6 @@ logger = logging.getLogger(__name__)
 
 class NumericError(Exception):
     """Non-finite loss or other numeric failure during training."""
-
-
-_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def field_parser(f: Field):
-    """The function that reads a value of config field ``f`` from its text
-    in a config file or on the command line; it raises ValueError on a
-    malformed value."""
-    kind = f.type  # a string: annotations are postponed
-
-    def parse(text: str):
-        if text == "" and kind.endswith("| None"):
-            return None
-        if kind.startswith("tuple"):
-            return tuple(float(x) for x in text.split(","))
-        if kind == "bool":
-            if text.lower() not in _BOOLS:
-                raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}")
-            return _BOOLS[text.lower()]
-        return {"int": int, "float": float}.get(kind.split(" ")[0], str)(text)
-
-    parse.__name__ = f.name  # argparse names it in "invalid <name> value"
-    return parse
 
 
 BATCH_PAIRS = 16  # the default training batch, and evaluate()'s forward group
@@ -88,22 +64,14 @@ class TrainConfig(ModelConfig):
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
-
-    @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        known = {f.name: f for f in fields(cls)}
-        typed = {}
-        for key, value in read_key_values(path, ConfigError).items():
-            try:
-                typed[key] = field_parser(known[key])(value) if key in known else value
-            except ValueError as e:
-                raise ConfigError(f"{path}: bad value for {key}: {e}")
-        return cls.from_dict(typed)
+        """The config of a file of ``key=value`` lines, read as text by
+        ``from_dict``; a ConfigError names the file."""
+        values = read_key_values(path, ConfigError)
+        try:
+            return cls.from_dict(values)
+        except ConfigError as e:
+            raise ConfigError(f"{path}: {e}")
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,13 @@ over all pairs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import NUM_CLASSES, DataError, Example
+from .corpus import NUM_CLASSES, DataError, Example, field_value
 from .distance import (
     align_tokens_to_words,
     aspect_distances,
@@ -217,9 +217,24 @@ class ModelConfig:
     backbone_only: bool = False
     frozen_eta: tuple[float, float] | None = None
 
-    def __post_init__(self):
-        if self.frozen_eta is not None:
-            self.frozen_eta = tuple(float(x) for x in self.frozen_eta)
+    @classmethod
+    def from_dict(cls, d: dict):
+        """The config with the fields that ``d`` sets and the defaults of
+        the others.  Every value is read by ``corpus.field_value``: a
+        string is the field's text form, and any other value must have the
+        field's JSON type.  An unknown key or a bad value is a
+        ``ConfigError`` that names it."""
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(kinds)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        values = {}
+        for key, raw in d.items():
+            try:
+                values[key] = field_value(kinds[key], raw)
+            except ValueError as e:
+                raise ConfigError(f"bad value for {key}: {e}")
+        return cls(**values)
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:

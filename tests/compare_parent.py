@@ -11,11 +11,13 @@ with ``np.array_equal``.  Then each side's ``bench/run.py --workload W
 --seed S --seconds 1 --trace 0`` runs for every workload that
 ``BENCHMARK.json`` declares and every seed, and the ``outputs`` objects
 of its details line are compared.  Last, one child process per side runs
-``lsa train`` and then ``lsa eval --parses`` for every variant, k = 1 and
-2, and no ablation flag or each one, on the same inputs, written once by
-the working tree's ``bench/workloads.py``.  The ``metrics.csv``,
-``eta_trajectory.csv``, ``checkpoint.bin`` and ``eval.csv`` of each run
-are compared byte for byte.  Every difference is printed, and the exit
+the CLI on the same inputs, written once by the working tree's
+``bench/workloads.py``: ``lsa train`` and then ``lsa eval --parses`` for
+every variant, k = 1 and 2, and no ablation flag or each one; ``lsa train
+--config`` on a config file; ``lsa synth`` on a spec that sets every key;
+``lsa sweep-eta`` and ``lsa sweep-seeds``; and then ``lsa replay`` of
+every manifest those runs wrote.  The exit code and the artifacts of each
+run are compared byte for byte.  Every difference is printed, and the exit
 code is 1 if there is one, else 0.  The CLI runs and their inputs live in
 the temporary directory; no child writes byte code.
 """
@@ -43,7 +45,28 @@ CLI_INPUTS = ("eval_lsa_s_parsed", 1)  # the workload and the seed that write th
 CLI_TRAIN = ["--d-model", "16", "--layers", "1", "--heads", "2", "--epochs", "2", "--seed", "3"]
 CLI_FLAGS = ([], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--backbone-only"],
              ["--no-dwa", "--frozen-eta", "0.3,0.7"])
-CLI_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin", "eval/eval.csv")
+TRAIN_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin")
+# the config file and the synth spec, beside the inputs; {inputs} is their directory
+CLI_CONFIG = """variant=lsa_s
+no_dwa=yes
+frozen_eta=0.25,0.75
+valid_path=
+train_path={inputs}/train.json
+parse_path={inputs}/parses.conllu
+d_model=16
+layers=1
+heads=2
+epochs=2
+seed=3
+"""
+CLI_SPEC = """vocab_size=12
+rho=0.8
+implicit_fraction=0.2
+aspects=1:0.2,2:0.5,3:0.3
+train=30
+valid=10
+test=10
+"""
 
 
 def child_env() -> dict:
@@ -106,36 +129,49 @@ def write_cli_inputs(out: Path) -> None:
 
     name, seed = CLI_INPUTS
     write_inputs(WORKLOADS[name], seed, out)
+    (out / "train.cfg").write_text(CLI_CONFIG.format(inputs=out))
+    (out / "synth.spec").write_text(CLI_SPEC)
 
 
-def cli_cases():
-    """(name, ``lsa train`` flags) of every CLI run."""
+def cli_cases(inputs: Path, out: Path) -> list:
+    """(name, argv, artifacts) of every CLI run, in the order they run.
+    Each writes its artifacts under ``out/<name>``; the replay of the
+    manifest of run ``name`` is run ``replay/<name>``."""
+    parses = inputs / "parses.conllu"
+    data = ["--train-path", inputs / "train.json", "--valid-path", inputs / "valid.json",
+            "--parse-path", parses, *CLI_TRAIN]
+    cases = []
     for variant in ("lsa_t", "lsa_s", "lsa_p"):
         for k in ("1", "2"):
             for flags in CLI_FLAGS:
                 name = "_".join([variant, "k" + k, *(f.strip("-") for f in flags)])
-                yield name, ["--variant", variant, "--k", k, *flags]
+                train = ["train", *data, "--variant", variant, "--k", k, *flags]
+                evaluate = ["eval", "--checkpoint", out / name / "checkpoint.bin",
+                            "--dataset", inputs / "test.json", "--parses", parses]
+                cases += [(name, train, TRAIN_ARTIFACTS), (f"{name}/eval", evaluate, ("eval.csv",))]
+    cases += [
+        ("config_file", ["train", "--config", inputs / "train.cfg"], TRAIN_ARTIFACTS),
+        ("synth", ["synth", "--spec", inputs / "synth.spec", "--seed", "4"],
+         ("train.json", "valid.json", "test.json")),
+        ("sweep_eta", ["sweep-eta", *data, "--grid", "0:1:0.5"], ("sweep_eta.csv",)),
+        ("sweep_seeds", ["sweep-seeds", *data, "--seeds", "1,2"], ("sweep_seeds.csv",)),
+    ]
+    cases += [(f"replay/{name}", ["replay", out / name / "manifest.json"], artifacts)
+              for name, _, artifacts in cases]
+    return [(name, [*argv, "--out", out / name], artifacts) for name, argv, artifacts in cases]
 
 
 def cli_runs(root: Path, inputs: Path, out: Path) -> None:
-    """``lsa train`` and then ``lsa eval --parses`` of every CLI run with
-    the package of the checkout at ``root``, each into ``out/<name>``, and
+    """Every CLI run with the package of the checkout at ``root``, and
     every exit code into ``out/exits.json``.  Runs in a child process."""
     sys.path[:0] = [str(root / "src")]
     from lsa.cli import main
 
     logging.disable(logging.WARNING)
-    parses = inputs / "parses.conllu"
     exits = {}
-    for name, flags in cli_cases():
-        run = out / name
-        train = ["train", "--train-path", inputs / "train.json", "--valid-path",
-                 inputs / "valid.json", "--parse-path", parses, *CLI_TRAIN, *flags,
-                 "--out", run]
-        evaluate = ["eval", "--checkpoint", run / "checkpoint.bin", "--dataset",
-                    inputs / "test.json", "--parses", parses, "--out", run / "eval"]
+    for name, argv, _ in cli_cases(inputs, out):
         with contextlib.redirect_stdout(io.StringIO()):
-            exits[name] = [main([str(a) for a in argv]) for argv in (train, evaluate)]
+            exits[name] = main([str(a) for a in argv])
     (out / "exits.json").write_text(json.dumps(exits))
 
 
@@ -146,13 +182,13 @@ def side_cli(root: Path, inputs: Path, out: Path) -> None:
     )
 
 
-def compare_cli(parent: Path, tree: Path) -> list[str]:
+def compare_cli(inputs: Path, parent: Path, tree: Path) -> list[str]:
     """Every difference between the CLI runs written under ``parent`` and
     those under ``tree``: exit codes, and the bytes of each artifact."""
     diffs = compare_outputs("CLI exit codes", json.loads((parent / "exits.json").read_text()),
                             json.loads((tree / "exits.json").read_text()))
-    for name, _ in cli_cases():
-        for artifact in CLI_ARTIFACTS:
+    for name, _, artifacts in cli_cases(inputs, parent):
+        for artifact in artifacts:
             a, b = parent / name / artifact, tree / name / artifact
             if not (a.is_file() and b.is_file()):
                 diffs.append(f"CLI {name} {artifact}: written by REV {a.is_file()}, "
@@ -235,9 +271,8 @@ def main(argv=None) -> int:
                        check=True, env=child_env(), timeout=600)
         side_cli(parent_root, inputs, tmp / "cli-rev")
         side_cli(ROOT, inputs, tmp / "cli-tree")
-        found = compare_cli(tmp / "cli-rev", tmp / "cli-tree")
-        print(f"{len(list(cli_cases()))} CLI train + eval runs: {len(found)} differences",
-              flush=True)
+        found = compare_cli(inputs, tmp / "cli-rev", tmp / "cli-tree")
+        print(f"{len(cli_cases(inputs, tmp))} CLI runs: {len(found)} differences", flush=True)
         diffs += found
     for line in diffs:
         print(line)

@@ -264,16 +264,17 @@ def test_eval_without_pairs_names_what_is_missing(slice_, message, tmp_path, cap
 
 
 @pytest.mark.parametrize("field", [
-    {"implicit": "false"}, {"parse_ref": ["x"]},
-], ids=["implicit_string", "parse_ref_list"])
+    {"implicit": "false"}, {"parse_ref": ["x"]}, {"span": [False, True]},
+], ids=["implicit_string", "parse_ref_list", "span_bools"])
 def test_field_of_the_wrong_type_is_data_error(field, tmp_path, capsys):
-    """Before they were checked, "false" loaded as an implicit aspect and
-    a list as parse_ref ended an lsa_s train with a TypeError (exit 1)."""
+    """Before they were checked, "false" loaded as an implicit aspect,
+    a list as parse_ref ended an lsa_s train with a TypeError (exit 1),
+    and a span of booleans trained as the span [0, 1)."""
     example = {"text": "a b", "tokens": ["a", "b"], "aspects": [dict(ASPECT)]}
-    if "implicit" in field:
-        example["aspects"][0].update(field)
-    else:
+    if "parse_ref" in field:
         example.update(field)
+    else:
+        example["aspects"][0].update(field)
     data = tmp_path / "train.json"
     data.write_text(json.dumps({"version": 1, "examples": [example] * 5}))
     argv = ["train", "--train-path", data, "--variant", "lsa_s",
@@ -447,6 +448,50 @@ def test_malformed_manifest_is_data_error(manifest, message, tmp_path, capsys):
     path.write_text(json.dumps(manifest))
     assert run(["replay", path, "--out", tmp_path / "r"]) == 2
     assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def train_run(corpus, tmp_path_factory):
+    """The directory of one ``lsa train`` run."""
+    out = tmp_path_factory.mktemp("trainrun")
+    assert run(train_args(corpus, out)) == 0
+    return out
+
+
+def edited_manifest(run_dir, path, args):
+    """A copy, at ``path``, of the manifest of ``run_dir`` with ``args``
+    set in its args."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["args"].update(args)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("args", [{"no_dwa": "false"}, {"epochs": "1"}],
+                         ids=["no_dwa_text", "epochs_text"])
+def test_replay_reads_a_string_as_the_fields_text(args, train_run, tmp_path):
+    """A string value means what its text says: "false" once replayed as
+    the no-DWA ablation and "1" ended in a TypeError."""
+    manifest = edited_manifest(train_run, tmp_path / "manifest.json", args)
+    out = tmp_path / "replayed"
+    assert run(["replay", manifest, "--out", out]) == 0
+    for name in ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin"):
+        assert (out / name).read_bytes() == (train_run / name).read_bytes()
+
+
+@pytest.mark.parametrize("args, message", [
+    ({"k": True}, "bad value for k: expected int, got True"),
+    ({"d_model": 16.0}, "bad value for d_model: expected int, got 16.0"),
+    ({"no_dwa": True, "frozen_eta": [0.3]}, "frozen_eta takes two values, eta_l,eta_r"),
+], ids=["k_bool", "d_model_float", "frozen_eta_one_value"])
+def test_replayed_config_that_is_not_valid_is_data_error(args, message, train_run, tmp_path,
+                                                         capsys):
+    """Every value comes from the manifest, so it is the manifest's fault.
+    ``true`` once ran as k = 1, 16.0 ended in a TypeError and one frozen
+    value was a usage error (exit 1)."""
+    manifest = edited_manifest(train_run, tmp_path / "manifest.json", args)
+    assert run(["replay", manifest, "--out", tmp_path / "r"]) == 2
+    assert capsys.readouterr().err == f"data error: {manifest}: {message}\n"
 
 
 def test_manifest_is_hash_stable(corpus, tmp_path):

@@ -101,10 +101,12 @@ def test_aspects_not_a_list_is_data_error(aspects, tmp_path):
     ({"implicit": 1}, {}, r"examples\[0\]\.aspects\[0\]\.implicit: must be true or false"),
     ({}, {"parse_ref": ["x"]}, r"examples\[0\]\.parse_ref: must be a string"),
     ({}, {"parse_ref": None}, r"examples\[0\]\.parse_ref: must be a string"),
-], ids=["implicit_string", "implicit_number", "parse_ref_list", "parse_ref_null"])
+    ({"span": [False, True]}, {}, r"examples\[0\]\.aspects\[0\]\.span: must be \[start, end\]"),
+], ids=["implicit_string", "implicit_number", "parse_ref_list", "parse_ref_null", "span_bools"])
 def test_field_of_the_wrong_type_is_data_error(aspect, example, field, tmp_path):
     """``implicit`` is a JSON boolean, not its text (``bool("false")`` is
-    true); ``parse_ref`` is a string or absent."""
+    true); ``parse_ref`` is a string or absent; a span holds integers, and
+    a JSON boolean is not one (``[false, true]`` once loaded as [0, 1))."""
     a = {"span": [0, 1], "term": ["a"], "polarity": "positive", **aspect}
     obj = {"version": 1, "examples": [{"text": "a", "tokens": ["a"], "aspects": [a], **example}]}
     path = tmp_path / "ds.json"

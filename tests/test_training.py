@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -345,14 +345,17 @@ def rewrite_manifest(blob: bytes, edit) -> bytes:
 
 @pytest.mark.parametrize(
     "case",
-    ["short-header", "no-config", "no-vocab", "no-params", "unknown-config-key"],
+    ["short-header", "no-config", "no-vocab", "no-params", "unknown-config-key", "k-bool"],
 )
 def test_malformed_checkpoint_is_data_error(case, tmp_path):
+    """``"k": true`` once loaded as a model with k = 1."""
     blob = (FIXTURES / "mini_checkpoint.bin").read_bytes()
     if case == "short-header":
         blob = blob[:10]
     elif case == "unknown-config-key":
         blob = rewrite_manifest(blob, lambda m: m["config"].update(width=3))
+    elif case == "k-bool":
+        blob = rewrite_manifest(blob, lambda m: m["config"].update(k=True))
     else:
         blob = rewrite_manifest(blob, lambda m: m.pop(case.removeprefix("no-")))
     path = tmp_path / "bad.bin"
@@ -361,8 +364,40 @@ def test_malformed_checkpoint_is_data_error(case, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_config_string_reads_as_text(tmp_path):
+    """``"no_dwa": "false"`` once loaded as the no-DWA model."""
+    blob = (FIXTURES / "mini_checkpoint.bin").read_bytes()
+    path = tmp_path / "model.bin"
+    path.write_bytes(rewrite_manifest(blob, lambda m: m["config"].update(no_dwa="false",
+                                                                         frozen_eta=None)))
+    assert load_checkpoint(path).config.no_dwa is False
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
+
+
+@pytest.mark.parametrize("key, text, json_value, value, bad", [
+    ("epochs", "2", 2, 2, True),
+    ("d_model", "32", 32, 32, 16.0),
+    ("alpha", "4", 4, 4.0, True),
+    ("no_dwa", "false", False, False, "maybe"),
+    ("variant", "lsa_s", "lsa_s", "lsa_s", 5),
+    ("valid_path", "", None, None, 5),
+    ("frozen_eta", "0.25,0.75", [0.25, 0.75], (0.25, 0.75), [True, 1]),
+], ids=["int", "int_float", "float", "bool", "str", "optional_str", "optional_tuple"])
+def test_from_dict_reads_every_field_kind(key, text, json_value, value, bad):
+    """A string is the field's text form, any other value must have the
+    field's JSON type, and the text form and the ``asdict`` JSON form give
+    equal configs.  A string once reached the config unread ("false" was
+    true), and a bool or a float became an int field."""
+    for raw in (text, json_value):
+        got = getattr(TrainConfig.from_dict({key: raw}), key)
+        assert got == value and type(got) is type(value)
+    by_text = TrainConfig.from_dict({key: text})
+    assert TrainConfig.from_dict(json.loads(json.dumps(asdict(by_text)))) == by_text
+    with pytest.raises(ConfigError, match=f"^bad value for {key}: "):
+        TrainConfig.from_dict({key: bad})
 
 
 def test_config_file_round_trip(tmp_path, corpus):
