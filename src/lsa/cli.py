@@ -26,6 +26,7 @@ from .corpus import (
     SynthSpec,
     cluster_histogram,
     dataset_to_json,
+    field_value,
     generate_synthetic_corpus,
     load_dataset,
     read_text,
@@ -220,13 +221,49 @@ COMMANDS = {
     "sweep-eta": (run_sweep_eta, "sweep-eta"),
     "sweep-seeds": (run_sweep_seeds, "sweep-seeds"),
 }
+# name -> the ``corpus.field_value`` kind of each arg of the command;
+# "config" is a TrainConfig's fields, read by ``TrainConfig.from_dict``,
+# and so are all of train's args
+ARG_KINDS = {
+    "analyze-clusters": {"dataset": "str", "format": "str | None"},
+    "synth": {"spec": "str", "seed": "int"},
+    "train": None,
+    "eval": {"checkpoint": "str", "dataset": "str", "format": "str | None",
+             "slice": "str | None", "parses": "str | None"},
+    "sweep-eta": {"config": "config", "grid": "str"},
+    "sweep-seeds": {"config": "config", "seeds": "str"},
+}
+
+
+def read_args(name: str, args: dict) -> dict:
+    """The values of a command's args, each read as its kind in
+    ``ARG_KINDS``.  A missing or unknown arg, or a value of the wrong type,
+    is a ConfigError."""
+    kinds = ARG_KINDS[name]
+    if kinds is None:
+        return args
+    if set(args) != set(kinds):
+        raise ConfigError(f"{name} args must be {sorted(kinds)}, got {sorted(args)}")
+    values = {}
+    for key, kind in kinds.items():
+        try:
+            if kind != "config":
+                values[key] = field_value(kind, args[key])
+            elif isinstance(args[key], dict):
+                values[key] = args[key]
+            else:
+                raise ValueError(f"expected an object, got {args[key]!r}")
+        except ValueError as e:
+            raise ConfigError(f"bad value for {key}: {e}")
+    return values
 
 
 def run_command(name: str, args: dict, out_dir: Path) -> None:
-    """Run a command and write its manifest next to its artifacts."""
+    """Run a command on the values of ``args`` and write its manifest,
+    which records ``args`` as given, next to its artifacts."""
     if name not in COMMANDS:
         raise DataError(f"manifest command {name!r} cannot be replayed")
-    inputs = COMMANDS[name][0](args, out_dir)
+    inputs = COMMANDS[name][0](read_args(name, args), out_dir)
     write_manifest(build_manifest(name, args, inputs), out_dir)
 
 

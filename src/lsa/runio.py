@@ -35,6 +35,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def config_hash(args: dict) -> str:
+    return hashlib.sha256(canonical_json(args).encode()).hexdigest()
+
+
 def build_manifest(command: str, args: dict, inputs: list) -> dict:
     """A command's manifest: its args and the hash of every file in
     ``inputs`` (the files it read; None entries are skipped)."""
@@ -43,7 +47,7 @@ def build_manifest(command: str, args: dict, inputs: list) -> dict:
         "command": command,
         "args": args,
         "dataset_hashes": hashes,
-        "config_hash": hashlib.sha256(canonical_json(args).encode()).hexdigest(),
+        "config_hash": config_hash(args),
         "code_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
@@ -70,6 +74,8 @@ def load_manifest(path) -> dict:
             raise DataError(f"{path}: manifest {key!r} must be {name}")
     if not all(isinstance(v, str) for v in manifest["dataset_hashes"].values()):
         raise DataError(f"{path}: manifest 'dataset_hashes' must map paths to hash strings")
+    if manifest.get("config_hash") != config_hash(manifest["args"]):
+        raise DataError(f"{path}: manifest 'config_hash' is missing or does not match its args")
     return manifest
 
 

@@ -15,10 +15,10 @@ The window sets the k nearest left features, the target feature and the
 k nearest right ones side by side; missing neighbors are padded with
 copies of the target feature, never zeros.  ``ModelConfig.slot_offsets``
 describes it as one array of slot offsets from the target, -k..k, or one
-side of it under ``la_only``/``ra_only``.  Two scalars re-weight the side
-slots, the left ones at negative offsets and the right ones at positive
-offsets: learned from an initial value of 1, frozen constants, or the
-constant 1 (``Model.side_weights``).
+side of it under ``la_only``/``ra_only``; k = 0 is the plain backbone, one
+slot and no side weight.  Two scalars re-weight the side slots, the left
+ones at negative offsets and the right ones at positive offsets: learned
+from 1, frozen constants, or the constant 1 (``Model.side_weights``).
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
 of each example (token ids, SPC inputs, parse alignment, position weights)
@@ -148,22 +148,21 @@ def aspect_feature_local(
     return self_attention_block(hidden, sa, heads, valid, source, scale)
 
 
-def build_window(starts, counts, offsets: np.ndarray, backbone_only: bool = False) -> np.ndarray:
+def build_window(starts, counts, offsets: np.ndarray) -> np.ndarray:
     """The feature rows of every (example, aspect) pair's window, as a
     (pairs, slots) index array, pairs in order.
 
     Example ``e`` owns the ``counts[e]`` rows from ``starts[e]``, one per
     aspect.  Slot ``j`` of a window holds the row ``offsets[j]`` aspects
     from the target (``ModelConfig.slot_offsets``).  A neighbour missing in
-    the example is padded with the target's own row, so no index leaves
-    its example.  With ``backbone_only`` every slot holds the target.
+    the example is padded with the target's own row, so no index leaves it.
     """
     counts = np.asarray(counts, dtype=np.int64)
     first = np.repeat(np.asarray(starts, dtype=np.int64), counts)
     last = first + np.repeat(counts, counts) - 1
     target = first + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     index = target[:, None] + offsets
-    missing = (index < first[:, None]) | (index > last[:, None]) | backbone_only
+    missing = (index < first[:, None]) | (index > last[:, None])
     return np.where(missing, target[:, None], index)
 
 
@@ -214,17 +213,16 @@ class ModelConfig:
     no_dwa: bool = False
     la_only: bool = False
     ra_only: bool = False
-    backbone_only: bool = False
     frozen_eta: tuple[float, float] | None = None
 
     @classmethod
     def from_dict(cls, d: dict):
         """The config with the fields that ``d`` sets and the defaults of
-        the others.  Every value is read by ``corpus.field_value``: a
-        string is the field's text form, and any other value must have the
-        field's JSON type.  An unknown key or a bad value is a
-        ``ConfigError`` that names it."""
-        kinds = {f.name: f.type for f in fields(cls)}
+        the others.  Every value is read by ``corpus.field_value``: a string
+        is the field's text form, and any other value must have the field's
+        JSON type.  An unknown key or a bad value is a ``ConfigError`` that
+        names it.  A legacy ``backbone_only`` key is dropped if it is false."""
+        kinds = {f.name: f.type for f in fields(cls)} | {"backbone_only": "bool"}
         unknown = set(d) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -234,25 +232,26 @@ class ModelConfig:
                 values[key] = field_value(kinds[key], raw)
             except ValueError as e:
                 raise ConfigError(f"bad value for {key}: {e}")
+        if values.pop("backbone_only", False):
+            raise ConfigError("backbone_only is gone: the backbone is k = 0")
         return cls(**values)
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if min(self.k, self.max_len, self.d_model, self.layers, self.heads) < 1:
-            raise ConfigError("k, max_len, d_model, layers, heads must be positive")
+        if min(self.max_len, self.d_model, self.layers, self.heads) < 1 or self.k < 0:
+            raise ConfigError("max_len, d_model, layers, heads must be positive, k non-negative")
         if self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by {self.heads} heads"
             )
-        exclusive = [self.la_only, self.ra_only, self.backbone_only]
-        if sum(exclusive) > 1:
-            raise ConfigError("la_only, ra_only, backbone_only are mutually exclusive")
+        if self.la_only + self.ra_only > min(self.k, 1):  # at k = 0 each is the backbone
+            raise ConfigError("la_only and ra_only are mutually exclusive and need k >= 1")
         if self.frozen_eta is not None:
-            if not self.no_dwa:
-                raise ConfigError("frozen_eta requires no_dwa")
+            if not self.no_dwa or self.k == 0:  # at k = 0 there is no side slot to weight
+                raise ConfigError("frozen_eta requires no_dwa and k >= 1")
             if len(self.frozen_eta) != 2:
                 raise ConfigError("frozen_eta takes two values, eta_l,eta_r")
 
@@ -300,12 +299,12 @@ class Model:
 
     def side_weights(self) -> tuple[Tensor, Tensor] | None:
         """The (left, right) side weights: learned, the frozen constants,
-        or None for the constant 1."""
-        if not self.config.no_dwa:
-            return self.dwa.eta_l, self.dwa.eta_r
-        if self.config.frozen_eta is not None:
+        or None for the constant 1 or a window with no side slot (k = 0)."""
+        if not self.config.slot_offsets.any():
+            return None
+        if self.config.frozen_eta is not None:  # validate: only under no_dwa
             return tuple(Tensor(np.array([eta])) for eta in self.config.frozen_eta)
-        return None
+        return None if self.config.no_dwa else (self.dwa.eta_l, self.dwa.eta_r)
 
     def eta_values(self) -> tuple[float, float]:
         eta = self.side_weights()
@@ -403,6 +402,6 @@ class Model:
             # apply_dwa's rows, as features' gradient sums in tape order
             pooled = ad.gather_rows(features, np.repeat(starts + counts, counts))
         offsets = cfg.slot_offsets
-        window = build_window(starts, counts, offsets, cfg.backbone_only)
+        window = build_window(starts, counts, offsets)
         h_aw = apply_dwa(features, window, offsets, self.side_weights())
         return classify(project_window(h_aw, self.head), pooled, self.head)

@@ -13,13 +13,21 @@ with ``np.array_equal``.  Then each side's ``bench/run.py --workload W
 of its details line are compared.  Last, one child process per side runs
 the CLI on the same inputs, written once by the working tree's
 ``bench/workloads.py``: ``lsa train`` and then ``lsa eval --parses`` for
-every variant, k = 1 and 2, and no ablation flag or each one; ``lsa train
---config`` on a config file; ``lsa synth`` on a spec that sets every key;
-``lsa sweep-eta`` and ``lsa sweep-seeds``; and then ``lsa replay`` of
-every manifest those runs wrote.  The exit code and the artifacts of each
-run are compared byte for byte.  Every difference is printed, and the exit
-code is 1 if there is one, else 0.  The CLI runs and their inputs live in
-the temporary directory; no child writes byte code.
+every variant, k = 0 (the backbone) with no ablation flag, and k = 1 and 2
+with no ablation flag or each one; ``lsa train --config`` on a config
+file; ``lsa synth`` on a spec that sets every key; ``lsa sweep-eta`` and
+``lsa sweep-seeds``; and then ``lsa replay`` of every manifest those runs
+wrote.  The exit code and the artifacts of each run are compared byte for
+byte, REV's checkpoints without the ``"backbone_only":false,`` that a
+config held before k = 0 replaced that ablation.
+
+Every difference is printed, and the exit code is 1 if there is one, else
+0.  Two kinds are printed apart and not counted: the oracle cases that
+only one side has, and the CLI runs whose ``lsa train`` REV rejects as a
+usage error (exit 1) while the working tree runs it (a config value new
+in the working tree), with the eval and replay runs that follow from it.
+The CLI runs and their inputs live in the temporary directory; no child
+writes byte code.
 """
 
 from __future__ import annotations
@@ -30,10 +38,12 @@ import io
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +53,13 @@ BATCHES = (1, 3, None)  # examples per forward; None: all at once
 BENCH_SECONDS = 1
 CLI_INPUTS = ("eval_lsa_s_parsed", 1)  # the workload and the seed that write them
 CLI_TRAIN = ["--d-model", "16", "--layers", "1", "--heads", "2", "--epochs", "2", "--seed", "3"]
-CLI_FLAGS = ([], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--backbone-only"],
-             ["--no-dwa", "--frozen-eta", "0.3,0.7"])
+# (k, ablation flags) of the train runs of each variant
+CLI_WINDOWS = [("0", [])] + [
+    (k, flags) for k in ("1", "2") for flags in (
+        [], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--no-dwa", "--frozen-eta", "0.3,0.7"])
+]
+CHECKPOINT_HEADER = struct.Struct("<8sIQ")  # magic, version, manifest length
+LEGACY_KEY = b'"backbone_only":false,'
 TRAIN_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin")
 # the config file and the synth spec, beside the inputs; {inputs} is their directory
 CLI_CONFIG = """variant=lsa_s
@@ -142,13 +157,12 @@ def cli_cases(inputs: Path, out: Path) -> list:
             "--parse-path", parses, *CLI_TRAIN]
     cases = []
     for variant in ("lsa_t", "lsa_s", "lsa_p"):
-        for k in ("1", "2"):
-            for flags in CLI_FLAGS:
-                name = "_".join([variant, "k" + k, *(f.strip("-") for f in flags)])
-                train = ["train", *data, "--variant", variant, "--k", k, *flags]
-                evaluate = ["eval", "--checkpoint", out / name / "checkpoint.bin",
-                            "--dataset", inputs / "test.json", "--parses", parses]
-                cases += [(name, train, TRAIN_ARTIFACTS), (f"{name}/eval", evaluate, ("eval.csv",))]
+        for k, flags in CLI_WINDOWS:
+            name = "_".join([variant, "k" + k, *(f.strip("-") for f in flags)])
+            train = ["train", *data, "--variant", variant, "--k", k, *flags]
+            evaluate = ["eval", "--checkpoint", out / name / "checkpoint.bin",
+                        "--dataset", inputs / "test.json", "--parses", parses]
+            cases += [(name, train, TRAIN_ARTIFACTS), (f"{name}/eval", evaluate, ("eval.csv",))]
     cases += [
         ("config_file", ["train", "--config", inputs / "train.cfg"], TRAIN_ARTIFACTS),
         ("synth", ["synth", "--spec", inputs / "synth.spec", "--seed", "4"],
@@ -182,20 +196,50 @@ def side_cli(root: Path, inputs: Path, out: Path) -> None:
     )
 
 
-def compare_cli(inputs: Path, parent: Path, tree: Path) -> list[str]:
-    """Every difference between the CLI runs written under ``parent`` and
-    those under ``tree``: exit codes, and the bytes of each artifact."""
-    diffs = compare_outputs("CLI exit codes", json.loads((parent / "exits.json").read_text()),
-                            json.loads((tree / "exits.json").read_text()))
+def without_legacy_key(blob: bytes) -> bytes:
+    """A checkpoint's bytes with ``LEGACY_KEY`` taken out of its config."""
+    magic, version, length = CHECKPOINT_HEADER.unpack_from(blob)
+    start, end = CHECKPOINT_HEADER.size, CHECKPOINT_HEADER.size + length
+    manifest = blob[start:end].replace(LEGACY_KEY, b"", 1)
+    return CHECKPOINT_HEADER.pack(magic, version, len(manifest)) + manifest + blob[end:]
+
+
+def base_run(name: str) -> str:
+    """The train (or other) run that CLI run ``name`` follows from."""
+    return name.removeprefix("replay/").removesuffix("/eval")
+
+
+def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list[str]]:
+    """The differences between the CLI runs written under ``parent`` and
+    those under ``tree``: exit codes, and the bytes of each artifact.  The
+    first list holds those of the runs both sides can make; the second
+    names the runs that follow from a run REV rejects as a usage error
+    and the working tree makes."""
+    exits = [json.loads((side / "exits.json").read_text()) for side in (parent, tree)]
+    new = {name for name in exits[0] if (exits[0][name], exits[1][name]) == (1, 0)}
+    diffs = defaultdict(list)
+    for name in exits[0]:
+        if exits[0][name] != exits[1][name]:
+            diffs[name].append(
+                f"CLI {name} exit code: REV {exits[0][name]}, working tree {exits[1][name]}")
     for name, _, artifacts in cli_cases(inputs, parent):
         for artifact in artifacts:
             a, b = parent / name / artifact, tree / name / artifact
             if not (a.is_file() and b.is_file()):
-                diffs.append(f"CLI {name} {artifact}: written by REV {a.is_file()}, "
-                             f"by the working tree {b.is_file()}")
-            elif a.read_bytes() != b.read_bytes():
-                diffs.append(f"CLI {name} {artifact}: the bytes differ")
-    return diffs
+                diffs[name].append(f"CLI {name} {artifact}: written by REV {a.is_file()}, "
+                                   f"by the working tree {b.is_file()}")
+                continue
+            old = a.read_bytes()
+            if artifact == "checkpoint.bin":
+                old = without_legacy_key(old)
+            if old != b.read_bytes():
+                diffs[name].append(f"CLI {name} {artifact}: the bytes differ")
+    found = [line for name, lines in diffs.items() if base_run(name) not in new for line in lines]
+    return found, sorted(name for name in diffs if base_run(name) in new)
+
+
+def oracle_case(key: str) -> str:
+    return key.partition("/")[0]
 
 
 def compare_oracle(parent: dict, tree: dict) -> list[str]:
@@ -253,8 +297,17 @@ def main(argv=None) -> int:
             tar.extractall(parent_root, filter="data")
 
         parent = side_oracle(parent_root, tmp / "rev.npz")
-        diffs = compare_oracle(parent, side_oracle(ROOT, tmp / "tree.npz"))
-        print(f"{len(parent)} oracle arrays: {len(diffs)} differences", flush=True)
+        tree = side_oracle(ROOT, tmp / "tree.npz")
+        shared = {oracle_case(k) for k in parent} & {oracle_case(k) for k in tree}
+        for side, arrays in (("REV", parent), ("the working tree", tree)):
+            only = sorted({oracle_case(k) for k in arrays} - shared)
+            if only:
+                print(f"expected: oracle cases only {side} has: {', '.join(only)}", flush=True)
+        parent, tree = ({k: v for k, v in arrays.items() if oracle_case(k) in shared}
+                        for arrays in (parent, tree))
+        diffs = compare_oracle(parent, tree)
+        print(f"{len(parent)} oracle arrays of the cases both sides have: "
+              f"{len(diffs)} differences", flush=True)
         for workload in workloads:
             for seed in seeds:
                 found = compare_outputs(
@@ -271,8 +324,12 @@ def main(argv=None) -> int:
                        check=True, env=child_env(), timeout=600)
         side_cli(parent_root, inputs, tmp / "cli-rev")
         side_cli(ROOT, inputs, tmp / "cli-tree")
-        found = compare_cli(inputs, tmp / "cli-rev", tmp / "cli-tree")
-        print(f"{len(cli_cases(inputs, tmp))} CLI runs: {len(found)} differences", flush=True)
+        found, new = compare_cli(inputs, tmp / "cli-rev", tmp / "cli-tree")
+        print(f"{len(cli_cases(inputs, tmp)) - len(new)} CLI runs both sides can make: "
+              f"{len(found)} differences", flush=True)
+        if new:
+            print(f"expected: {len(new)} CLI runs follow from a run that REV rejects as a "
+                  f"usage error and the working tree makes: {', '.join(new)}", flush=True)
         diffs += found
     for line in diffs:
         print(line)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from lsa.cli import main
+from lsa.runio import config_hash
 
 from util import FIXTURES, write_synth_corpus
 
@@ -134,6 +135,20 @@ def test_train_flag_routing_no_dwa(corpus, tmp_path):
     assert manifest["args"]["no_dwa"] is True
 
 
+def test_backbone_k0_trains_evaluates_and_replays(corpus, tmp_path):
+    """k = 0 is the backbone: one slot and no side weight to learn."""
+    out = tmp_path / "k0"
+    assert run(train_args(corpus, out, extra=["--k", "0"])) == 0
+    rows = (out / "eta_trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) > 1 and all(r.split(",")[1:] == ["1.0", "1.0"] for r in rows)
+    assert run(["eval", "--checkpoint", out / "checkpoint.bin", "--dataset", corpus["test"],
+                "--out", tmp_path / "eval"]) == 0
+    replayed = tmp_path / "replayed"
+    assert run(["replay", out / "manifest.json", "--out", replayed]) == 0
+    for name in ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin"):
+        assert (out / name).read_bytes() == (replayed / name).read_bytes()
+
+
 @pytest.mark.parametrize("flag, unused", [("--la-only", 2), ("--ra-only", 1)])
 def test_one_sided_window_trains_and_leaves_the_other_eta_at_one(flag, unused, corpus, tmp_path):
     out = tmp_path / "onesided"
@@ -164,13 +179,23 @@ def test_eval_command_and_slices(corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["frozen-eta-one-value", "config-int", "seeds", "slice", "config-bool"],
+    ["frozen-eta-one-value", "config-int", "seeds", "slice", "config-bool", "backbone-only",
+     "k0-one-sided", "k0-eta-sweep"],
 )
 def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
+    """``--backbone-only`` is gone (k = 0 is the backbone); at k = 0 a
+    one-sided window would be a second spelling of it, and an eta sweep
+    would train one model once per grid point."""
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "out"
     if case == "frozen-eta-one-value":
         argv = train_args(corpus, out, extra=["--no-dwa", "--frozen-eta", "0.5"])
+    elif case == "backbone-only":
+        argv = train_args(corpus, out, extra=["--backbone-only"])
+    elif case == "k0-one-sided":
+        argv = train_args(corpus, out, extra=["--k", "0", "--la-only"])
+    elif case == "k0-eta-sweep":
+        argv = sweep_args("sweep-eta", corpus, out, ["--k", "0", "--grid", "0:1:0.5"])
     elif case == "config-int":
         cfg.write_text(f"train_path={corpus['train']}\nepochs=abc\n")
         argv = ["train", "--config", cfg, "--out", out]
@@ -439,7 +464,9 @@ def test_sweep_manifest_hashes_parse_file(command, extra, corpus, tmp_path):
     ({"command": "train", "args": [], "dataset_hashes": {}}, "manifest 'args' must be an object"),
     ({"command": "train", "args": {}, "dataset_hashes": {"a.json": 3}},
      "manifest 'dataset_hashes' must map paths to hash strings"),
-], ids=["string", "hashes_list", "command_list", "args_list", "hash_number"])
+    ({"command": "train", "args": {}, "dataset_hashes": {}},
+     "manifest 'config_hash' is missing or does not match its args"),
+], ids=["string", "hashes_list", "command_list", "args_list", "hash_number", "no_config_hash"])
 def test_malformed_manifest_is_data_error(manifest, message, tmp_path, capsys):
     """A string of the key names once passed the key checks, which then
     matched substrings, and ended in a TypeError; a list of hashes ended
@@ -458,20 +485,83 @@ def train_run(corpus, tmp_path_factory):
     return out
 
 
-def edited_manifest(run_dir, path, args):
+def edited_manifest(run_dir, path, args, drop=(), rehash=True):
     """A copy, at ``path``, of the manifest of ``run_dir`` with ``args``
-    set in its args."""
+    set in its args and the keys ``drop`` removed from them, and (if
+    ``rehash``) the ``config_hash`` of the edited args."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
     manifest["args"].update(args)
+    for key in drop:
+        del manifest["args"][key]
+    if rehash:
+        manifest["config_hash"] = config_hash(manifest["args"])
     path.write_text(json.dumps(manifest))
     return path
 
 
-@pytest.mark.parametrize("args", [{"no_dwa": "false"}, {"epochs": "1"}],
-                         ids=["no_dwa_text", "epochs_text"])
+def test_replay_checks_the_config_hash(train_run, tmp_path, capsys):
+    """A manifest whose args were edited after the run once replayed
+    silently as a different run: ``"no_dwa": "false"`` with the old hash
+    ran as the no-DWA ablation."""
+    path = edited_manifest(train_run, tmp_path / "manifest.json", {"no_dwa": "false"},
+                           rehash=False)
+    assert run(["replay", path, "--out", tmp_path / "r"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: manifest 'config_hash' is missing or does not match its args\n")
+
+
+@pytest.fixture(scope="module")
+def other_runs(corpus, tmp_path_factory):
+    """The run directories of one ``lsa synth``, ``lsa eval`` and ``lsa
+    sweep-eta`` run."""
+    tmp = tmp_path_factory.mktemp("otherruns")
+    spec = synth_spec_file(tmp)
+    assert run(["synth", "--spec", spec, "--seed", "5", "--out", tmp / "synth"]) == 0
+    assert run(train_args(corpus, tmp / "train")) == 0
+    assert run(["eval", "--checkpoint", tmp / "train" / "checkpoint.bin",
+                "--dataset", corpus["test"], "--out", tmp / "eval"]) == 0
+    assert run(sweep_args("sweep-eta", corpus, tmp / "sweep-eta", ["--grid", "0:1:1"])) == 0
+    return tmp
+
+
+def test_replay_reads_a_text_seed(other_runs, tmp_path):
+    """``"seed": "5"`` is the text form of 5; such a string once ended in a
+    TypeError."""
+    manifest = edited_manifest(other_runs / "synth", tmp_path / "manifest.json", {"seed": "5"})
+    assert run(["replay", manifest, "--out", tmp_path / "r"]) == 0
+    for name in ("train.json", "test.json"):
+        assert (tmp_path / "r" / name).read_bytes() == (other_runs / "synth" / name).read_bytes()
+
+
+@pytest.mark.parametrize("run_name, args, drop, message", [
+    ("synth", {"seed": 1.5}, (), "bad value for seed: expected int, got 1.5"),
+    ("synth", {"seed": "x"}, (), "bad value for seed: invalid literal for int() with base 10: 'x'"),
+    ("sweep-eta", {}, ("config",), "sweep-eta args must be ['config', 'grid'], got ['grid']"),
+    ("sweep-eta", {"config": [1]}, (), "bad value for config: expected an object, got [1]"),
+    ("eval", {}, ("slice",),
+     "eval args must be ['checkpoint', 'dataset', 'format', 'parses', 'slice'], "
+     "got ['checkpoint', 'dataset', 'format', 'parses']"),
+    ("eval", {"slice": 3}, (), "bad value for slice: expected str | None, got 3"),
+    ("eval", {"width": 3}, (),
+     "eval args must be ['checkpoint', 'dataset', 'format', 'parses', 'slice'], "
+     "got ['checkpoint', 'dataset', 'format', 'parses', 'slice', 'width']"),
+], ids=["seed_float", "seed_text", "sweep_no_config", "sweep_config_list", "eval_no_slice",
+        "eval_slice_int", "eval_unknown"])
+def test_replayed_args_of_the_wrong_kind_are_data_errors(run_name, args, drop, message,
+                                                         other_runs, tmp_path, capsys):
+    """A sweep-eta manifest without ``config`` and an eval manifest without
+    ``slice`` once ended in a KeyError (exit 1)."""
+    manifest = edited_manifest(other_runs / run_name, tmp_path / "manifest.json", args, drop)
+    assert run(["replay", manifest, "--out", tmp_path / "r"]) == 2
+    assert capsys.readouterr().err == f"data error: {manifest}: {message}\n"
+
+
+@pytest.mark.parametrize("args", [{"no_dwa": "false"}, {"epochs": "1"}, {"backbone_only": False}],
+                         ids=["no_dwa_text", "epochs_text", "legacy_backbone_only"])
 def test_replay_reads_a_string_as_the_fields_text(args, train_run, tmp_path):
     """A string value means what its text says: "false" once replayed as
-    the no-DWA ablation and "1" ended in a TypeError."""
+    the no-DWA ablation and "1" ended in a TypeError.  A manifest written
+    before k = 0 replaced ``backbone_only`` holds ``"backbone_only": false``."""
     manifest = edited_manifest(train_run, tmp_path / "manifest.json", args)
     out = tmp_path / "replayed"
     assert run(["replay", manifest, "--out", out]) == 0
@@ -483,7 +573,8 @@ def test_replay_reads_a_string_as_the_fields_text(args, train_run, tmp_path):
     ({"k": True}, "bad value for k: expected int, got True"),
     ({"d_model": 16.0}, "bad value for d_model: expected int, got 16.0"),
     ({"no_dwa": True, "frozen_eta": [0.3]}, "frozen_eta takes two values, eta_l,eta_r"),
-], ids=["k_bool", "d_model_float", "frozen_eta_one_value"])
+    ({"backbone_only": True}, "backbone_only is gone: the backbone is k = 0"),
+], ids=["k_bool", "d_model_float", "frozen_eta_one_value", "backbone_only"])
 def test_replayed_config_that_is_not_valid_is_data_error(args, message, train_run, tmp_path,
                                                          capsys):
     """Every value comes from the manifest, so it is the manifest's fault.

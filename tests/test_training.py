@@ -11,6 +11,7 @@ import lsa.autodiff as ad
 from lsa.checkpoint import HEADER, MAGIC, checkpoint_bytes, load_checkpoint, save_checkpoint
 from lsa.corpus import DataError, cluster_histogram, load_dataset
 from lsa.encoder import ConfigError
+from lsa.window import ModelConfig
 from lsa.training import (
     TrainConfig,
     compute_metrics,
@@ -318,10 +319,16 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
 def test_committed_checkpoint_still_loads():
     """mini_checkpoint.bin was written by format version 1 (lsa_t, d=16,
     one layer, vocab of mini.json, frozen_eta (0.3, 0.7)); the CSV holds
-    the probabilities it gave on mini.json when it was written."""
+    the probabilities it gave on mini.json when it was written.  Its
+    config still carries the ``backbone_only`` key that k = 0 replaced,
+    which alone is not written back."""
     path = FIXTURES / "mini_checkpoint.bin"
     model = load_checkpoint(path)
-    assert checkpoint_bytes(model) == path.read_bytes()
+    old, new = path.read_bytes(), checkpoint_bytes(model)
+    legacy = b'"backbone_only":false,'
+    assert old.count(legacy) == 1 and len(legacy) == 22
+    assert HEADER.unpack_from(new)[2] == HEADER.unpack_from(old)[2] - 22
+    assert new[:12] == old[:12] and new[HEADER.size:] == old[HEADER.size:].replace(legacy, b"")
     assert model.config.frozen_eta == (0.3, 0.7)
     dataset = load_dataset(FIXTURES / "mini.json")
     rows = (FIXTURES / "mini_checkpoint_probs.csv").read_text().splitlines()[1:]
@@ -345,10 +352,12 @@ def rewrite_manifest(blob: bytes, edit) -> bytes:
 
 @pytest.mark.parametrize(
     "case",
-    ["short-header", "no-config", "no-vocab", "no-params", "unknown-config-key", "k-bool"],
+    ["short-header", "no-config", "no-vocab", "no-params", "unknown-config-key", "k-bool",
+     "backbone-only"],
 )
 def test_malformed_checkpoint_is_data_error(case, tmp_path):
-    """``"k": true`` once loaded as a model with k = 1."""
+    """``"k": true`` once loaded as a model with k = 1.  A true
+    ``backbone_only`` names an ablation that k = 0 replaced."""
     blob = (FIXTURES / "mini_checkpoint.bin").read_bytes()
     if case == "short-header":
         blob = blob[:10]
@@ -356,6 +365,8 @@ def test_malformed_checkpoint_is_data_error(case, tmp_path):
         blob = rewrite_manifest(blob, lambda m: m["config"].update(width=3))
     elif case == "k-bool":
         blob = rewrite_manifest(blob, lambda m: m["config"].update(k=True))
+    elif case == "backbone-only":
+        blob = rewrite_manifest(blob, lambda m: m["config"].update(backbone_only=True))
     else:
         blob = rewrite_manifest(blob, lambda m: m.pop(case.removeprefix("no-")))
     path = tmp_path / "bad.bin"
@@ -398,6 +409,22 @@ def test_from_dict_reads_every_field_kind(key, text, json_value, value, bad):
     assert TrainConfig.from_dict(json.loads(json.dumps(asdict(by_text)))) == by_text
     with pytest.raises(ConfigError, match=f"^bad value for {key}: "):
         TrainConfig.from_dict({key: bad})
+
+
+@pytest.mark.parametrize("raw", [False, "false", "no", "0"])
+def test_from_dict_drops_a_false_legacy_backbone_only(raw):
+    assert TrainConfig.from_dict({"backbone_only": raw, "k": 2}) == TrainConfig(k=2)
+    assert "backbone_only" not in asdict(TrainConfig())
+
+
+@pytest.mark.parametrize("raw, message", [
+    (True, "backbone_only is gone: the backbone is k = 0"),
+    ("yes", "backbone_only is gone: the backbone is k = 0"),
+    ("maybe", "bad value for backbone_only: "),
+])
+def test_from_dict_rejects_a_true_legacy_backbone_only(raw, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        ModelConfig.from_dict({"backbone_only": raw})
 
 
 def test_config_file_round_trip(tmp_path, corpus):

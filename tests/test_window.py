@@ -204,19 +204,19 @@ def test_window_consumes_neighbors_once_no_symmetrization():
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), min_size=1, max_size=5),
-    st.integers(1, 3),
-    st.sampled_from([{}, {"la_only": True}, {"ra_only": True}, {"backbone_only": True}]),
+    st.integers(0, 3),
+    st.sampled_from([{}, {"la_only": True}, {"ra_only": True}]),
 )
 def test_window_index_properties(examples, k, ablation):
     """``examples`` holds each example's aspect count and the rows between
     it and the next example (the pooled row of lsa_t is one such row).
-    The window comes from the config's slot offsets."""
+    The window comes from the config's slot offsets; k = 0 (the backbone)
+    has no one-sided form."""
     counts = [c for c, _ in examples]
     starts = np.cumsum([0] + [c + gap for c, gap in examples])[:-1]
-    config = ModelConfig(k=k, **ablation)
+    config = ModelConfig(k=k, **(ablation if k else {}))
     config.validate()
-    backbone_only = config.backbone_only
-    window = build_window(starts, counts, config.slot_offsets, backbone_only)
+    window = build_window(starts, counts, config.slot_offsets)
     left = 0 if config.ra_only else k
     right = 0 if config.la_only else k
     assert window.shape == (sum(counts), left + 1 + right)
@@ -227,9 +227,6 @@ def test_window_index_properties(examples, k, ablation):
             row = window[pair].tolist()
             pair += 1
             assert row[left] == target
-            if backbone_only:
-                assert row == [target] * len(row)
-                continue
             # the k nearest on each side, farthest left first, nearest right first
             want_left = [target - d if j - d >= 0 else target for d in range(left, 0, -1)]
             want_right = [target + d if j + d < count else target for d in range(1, right + 1)]
@@ -294,6 +291,38 @@ def test_simplified_windows_keep_one_side():
         offsets = ModelConfig(**{flag: True}).slot_offsets
         window = build_window([0], [3], offsets)[1:2]
         assert apply_dwa(feats, window, offsets, None).values.tolist() == expected
+
+
+@pytest.mark.parametrize("flags", [{}, {"no_dwa": True}])
+def test_k0_is_one_slot_without_side_weight(flags):
+    """k = 0 is the backbone: every window is the target alone, the
+    projection is (d, d), and ``apply_dwa`` records only its gather and
+    its reshape."""
+    model = tiny_model(k=0, **flags)
+    d = model.config.d_model
+    assert model.config.slot_offsets.tolist() == [0]
+    assert model.head.w_out.shape == (d, d)
+    assert model.side_weights() is None and model.eta_parameters() == {}
+    assert model.eta_values() == (1.0, 1.0)
+    feats = features([1.0], [2.0], [3.0])
+    tape = ad.Tape()
+    with tape:
+        out = apply_dwa(feats, build_window([0], [3], [0]), [0], model.side_weights())
+    assert out.values.tolist() == [[1.0], [2.0], [3.0]]
+    assert len(tape._nodes) == 2
+
+
+def test_side_weight_and_its_projection_block_are_one_gauge():
+    """Scaling eta_l by c and the projection's left block by 1/c gives the
+    same function: eta alone does not measure how much a side matters."""
+    model = tiny_model(k=1)
+    model.dwa.eta_l.values[0] = 0.8
+    examples = [coherent_example(3), coherent_example(2, "negative"), coherent_example(1)]
+    before = softmax(model.forward(examples).values)
+    c, d = 3.7, model.config.d_model
+    model.dwa.eta_l.values[0] *= c
+    model.head.w_out.values[:d] /= c
+    np.testing.assert_allclose(softmax(model.forward(examples).values), before, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +453,8 @@ def test_one_head_sa_call_per_batch(monkeypatch):
 
 
 def test_backbone_only_is_mono_aspect_path_for_every_example():
-    model = tiny_model(backbone_only=True)
+    """The backbone (k = 0) sees each aspect alone."""
+    model = tiny_model(k=0)
     ex = coherent_example(3)
     logits = model.forward([ex])
 
@@ -445,9 +475,9 @@ def test_variant_lsa_p_drops_global_feature():
 
 
 def test_lsa_p_feature_differs_when_aspect_differs():
-    # backbone_only: each aspect's window holds only its own feature
+    # k = 0: each aspect's window holds only its own feature
     model = tiny_model(
-        variant="lsa_p", backbone_only=True,
+        variant="lsa_p", k=0,
         vocab_tokens=["w0", "w1", "screen", "battery"],
     )
     tokens = ["w0", "screen", "w1", "battery"]
@@ -554,6 +584,7 @@ def test_lsa_s_keeps_syntax_past_the_context_limit():
         ({"la_only": True}, ["dwa.eta_l"]),
         ({"ra_only": True}, ["dwa.eta_r"]),
         ({"no_dwa": True}, []),
+        ({"k": 0}, []),
     ],
 )
 def test_eta_parameters_are_the_sides_the_window_uses(flags, expected):
@@ -563,6 +594,13 @@ def test_eta_parameters_are_the_sides_the_window_uses(flags, expected):
 def test_model_config_rejects_contradictory_ablations():
     with pytest.raises(ConfigError):
         ModelConfig(la_only=True, ra_only=True).validate()
+    for side in ("la_only", "ra_only"):  # at k = 0 a second spelling of the backbone
+        with pytest.raises(ConfigError, match="need k >= 1"):
+            ModelConfig(k=0, **{side: True}).validate()
+    with pytest.raises(ConfigError, match="requires no_dwa and k >= 1"):  # no side to weight
+        ModelConfig(k=0, no_dwa=True, frozen_eta=(0.3, 0.7)).validate()
+    with pytest.raises(ConfigError):
+        ModelConfig(k=-1).validate()
     with pytest.raises(ConfigError):
         ModelConfig(d_model=10, heads=3).validate()
     with pytest.raises(ConfigError):
