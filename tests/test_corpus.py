@@ -1,6 +1,7 @@
 """Data model, loaders, the window over adjacent aspects, cluster statistics,
 synthetic corpora."""
 
+import copy
 import json
 
 import numpy as np
@@ -19,11 +20,12 @@ from lsa.corpus import (
     cluster_sizes,
     dataset_to_json,
     generate_synthetic_corpus,
+    load_absa_json,
     load_dataset,
 )
 from lsa.window import ModelConfig, build_window
 
-from util import FIXTURES
+from util import FIXTURES, outcome, reference_example_from_json
 
 
 def make_example(polarities, tokens_per_aspect=2):
@@ -113,6 +115,62 @@ def test_field_of_the_wrong_type_is_data_error(aspect, example, field, tmp_path)
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError, match=rf"ds\.json: {field}"):
         load_dataset(path)
+
+
+MINI_EXAMPLES = json.loads((FIXTURES / "mini.json").read_text())["examples"]
+JSON_VALUES = (None, True, False, 0, 2, -1, 1.5, "", "a", "positive", [], [0, 1], ["a"], [True], {},
+               {"a": 1})
+
+
+@st.composite
+def mutated_examples(draw):
+    """``mini.json``'s examples with one mutated: at the example or one
+    of its aspects, a key dropped, a field or an item of a list field set
+    to any JSON value, a span of length 1 or 3, a bool inside a span, the
+    object itself replaced, or a null ``parse_ref``."""
+    examples = copy.deepcopy(MINI_EXAMPLES)
+    i = draw(st.integers(0, len(examples) - 1))
+    holder, index = examples, i
+    if examples[i]["aspects"] and draw(st.booleans()):
+        holder, index = examples[i]["aspects"], draw(st.integers(0, len(examples[i]["aspects"]) - 1))
+    target = holder[index]
+    key = draw(st.sampled_from(sorted(target)))
+    value = draw(st.sampled_from(JSON_VALUES))
+    kind = draw(st.sampled_from(["drop", "value", "item", "span", "span_bool", "object", "parse_ref"]))
+    if kind == "drop":
+        del target[key]
+    elif kind == "value":
+        target[key] = value
+    elif kind == "item" and isinstance(target[key], list) and target[key]:
+        target[key][draw(st.integers(0, len(target[key]) - 1))] = value
+    elif kind == "span" and "span" in target:
+        start, end = target["span"]
+        target["span"] = [start] if draw(st.booleans()) else [start, end, end + 1]
+    elif kind == "span_bool" and "span" in target:
+        target["span"][draw(st.integers(0, 1))] = draw(st.booleans())
+    elif kind == "object":
+        holder[index] = value
+    elif kind == "parse_ref":
+        examples[i]["parse_ref"] = None
+    return examples
+
+
+@settings(max_examples=400, deadline=None)
+@given(examples=mutated_examples())
+def test_load_absa_json_matches_the_reference(tmp_path_factory, examples):
+    """The same dataset, or the same DataError text, as the checks that
+    format every location and message up front."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps({"version": 1, "examples": examples}))
+
+    def reference():
+        try:
+            return Dataset([reference_example_from_json(obj, f"examples[{i}]")
+                            for i, obj in enumerate(examples)])
+        except DataError as e:
+            raise DataError(f"{path}: {e}")
+
+    assert outcome(load_absa_json, path) == outcome(reference)
 
 
 def test_non_utf8_dataset_is_data_error(tmp_path):

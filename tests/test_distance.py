@@ -15,7 +15,7 @@ from lsa.distance import (
     syntactic_distance,
 )
 
-from util import FIXTURES, bfs_distance, random_tree
+from util import FIXTURES, bfs_distance, outcome, random_tree, reference_validate
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,33 @@ def test_align_subword_tokens_inherit_word():
 def test_align_mismatch_raises():
     with pytest.raises(DataError, match="align"):
         align_tokens_to_words(["a", "b"], ["a", "c"])
+
+
+@st.composite
+def head_tuples(draw):
+    """The heads (0 to n + 1) of n words: drawn at random, or those of a
+    tree (words join in a random order, each under one that joined
+    earlier) with up to three redrawn.  Heads out of range, self-loops,
+    cycles and several roots all occur."""
+    n = draw(st.integers(1, 12))
+    any_head = st.integers(0, n + 1)
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(any_head, min_size=n, max_size=n)))
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for k in range(1, n):
+        heads[order[k]] = order[draw(st.integers(0, k - 1))] + 1
+    for _ in range(draw(st.integers(0, 3))):
+        heads[draw(st.integers(0, n - 1))] = draw(any_head)
+    return tuple(heads)
+
+
+@settings(max_examples=400, deadline=None)
+@given(head_tuples())
+def test_validate_matches_the_reference(heads):
+    """The same verdict, and the same message, as the climb from every word."""
+    tree = DependencyTree(tuple(f"w{i}" for i in range(len(heads))), heads)
+    assert outcome(tree.validate) == outcome(reference_validate, tree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: the gradient oracle and a scalar
 sum to drive it, the softmax of logit rows, attention's weights and a
-numpy reference for it, a breadth-first reference for tree distance, tiny
+numpy reference for it, a breadth-first reference for tree distance, the
+loaders' checks as first written (references for faster rewrites), tiny
 model/corpus builders."""
 
 from __future__ import annotations
@@ -11,8 +12,16 @@ from pathlib import Path
 import numpy as np
 
 import lsa.autodiff as ad
-from lsa.corpus import SynthSpec, generate_synthetic_corpus, save_dataset
-from lsa.distance import DependencyTree
+from lsa.corpus import (
+    AspectAnnotation,
+    DataError,
+    Example,
+    Polarity,
+    SynthSpec,
+    generate_synthetic_corpus,
+    save_dataset,
+)
+from lsa.distance import ROOT, DependencyTree
 from lsa.encoder import Vocabulary
 from lsa.window import Model, ModelConfig
 
@@ -200,3 +209,91 @@ def bfs_distance(tree: DependencyTree, a: int, b: int) -> int:
                 seen[nxt] = seen[node] + 1
                 queue.append(nxt)
     raise AssertionError("disconnected")
+
+
+def outcome(f, *args):
+    """("ok", what ``f(*args)`` returns), or the name and text of what it raises."""
+    try:
+        return "ok", f(*args)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def reference_validate(tree: DependencyTree) -> None:
+    """``DependencyTree.validate`` as first written: a climb to the root
+    from every word, O(words x depth)."""
+    n = tree.word_count
+    if n == 0:
+        raise DataError("empty dependency tree")
+    if len(tree.forms) != n:
+        raise DataError("tree forms/heads length mismatch")
+    for i, h in enumerate(tree.heads):
+        if not (0 <= h <= n):
+            raise DataError(f"word {i + 1}: head {h} out of range")
+        if h == i + 1:
+            raise DataError(f"word {i + 1}: self-loop head")
+    for start in range(n):
+        seen = set()
+        node = start
+        while tree.heads[node] != ROOT:
+            if node in seen:
+                raise DataError(f"cyclic heads involving word {start + 1}")
+            seen.add(node)
+            node = tree.heads[node] - 1
+    roots = [i for i, h in enumerate(tree.heads) if h == ROOT]
+    if len(roots) != 1:
+        raise DataError(f"expected exactly one root, found {len(roots)}")
+
+
+def _require(cond: bool, msg: str):
+    if not cond:
+        raise DataError(msg)
+
+
+def reference_example_from_json(obj, where: str) -> Example:
+    """``corpus._example_from_json`` as first written: every check's
+    location and message formatted whether or not it fails."""
+    _require(isinstance(obj, dict), f"{where}: example must be an object")
+    for key in ("text", "tokens", "aspects"):
+        _require(key in obj, f"{where}: missing field {key!r}")
+    _require(isinstance(obj["text"], str), f"{where}.text: must be a string")
+    _require(
+        isinstance(obj["tokens"], list)
+        and all(isinstance(t, str) for t in obj["tokens"]),
+        f"{where}.tokens: must be a list of strings",
+    )
+    _require(isinstance(obj["aspects"], list), f"{where}.aspects: must be a list")
+    aspects = []
+    for k, a in enumerate(obj["aspects"]):
+        aw = f"{where}.aspects[{k}]"
+        _require(isinstance(a, dict), f"{aw}: must be an object")
+        for key in ("span", "term", "polarity"):
+            _require(key in a, f"{aw}: missing field {key!r}")
+        span = a["span"]
+        _require(
+            isinstance(span, list)
+            and len(span) == 2
+            and all(type(x) is int for x in span),
+            f"{aw}.span: must be [start, end]",
+        )
+        _require(
+            isinstance(a["term"], list) and all(isinstance(t, str) for t in a["term"]),
+            f"{aw}.term: must be a list of strings",
+        )
+        _require(isinstance(a.get("implicit", False), bool), f"{aw}.implicit: must be true or false")
+        aspects.append(
+            AspectAnnotation(
+                start=span[0],
+                end=span[1],
+                term=tuple(a["term"]),
+                polarity=Polarity.parse(a["polarity"], aw),
+                implicit=a.get("implicit", False),
+            )
+        )
+    _require(isinstance(obj.get("parse_ref", ""), str), f"{where}.parse_ref: must be a string")
+    return Example(
+        text=obj["text"],
+        tokens=list(obj["tokens"]),
+        aspects=aspects,
+        parse_ref=obj.get("parse_ref"),
+    )
