@@ -147,10 +147,23 @@ class Tape:
             for t, g in zip(node.inputs, grads):
                 if g is None:
                     continue
-                if t.grad is None:
-                    t.grad = np.array(g, dtype=np.float64)
-                else:
+                if t.grad is not None:
                     t.grad += g
+                elif _unshared(g, out_grad, grads):
+                    t.grad = g
+                else:
+                    t.grad = np.array(g, dtype=np.float64)
+
+
+def _unshared(g, out_grad, grads) -> bool:
+    """Whether ``g``, which a node's backward returned, may become a
+    tensor's ``grad`` as it is, to be added into in place: a float64 array
+    that owns its memory, neither the node's own ``out_grad`` nor
+    returned twice by it."""
+    return (
+        type(g) is np.ndarray and g.dtype == np.float64 and g.base is None
+        and g is not out_grad and sum(x is g for x in grads) == 1
+    )
 
 
 def _record(output: Tensor, inputs, backward_fn) -> Tensor:
@@ -264,11 +277,31 @@ def gather_rows(t: Tensor, indices) -> Tensor:
     shape = t.shape
 
     def backward(g):
-        full = np.zeros(shape)
-        np.add.at(full, idx, g)
-        return (full,)
+        return (_add_rows(np.zeros(shape), idx, g),)
 
     return _record(out, (t,), backward)
+
+
+def _add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.add.at(out, idx, g)``, returned: add the rows of ``g`` into the
+    rows of ``out`` that ``idx`` (any shape) names, in the same order, so
+    to the same bits.  The indices are stable-sorted; then the k-th
+    occurrence of every row is added at once, one fancy-indexed ``+=``
+    per multiplicity k."""
+    idx = idx.reshape(-1)
+    order = np.argsort(idx, kind="stable")
+    ranked = idx[order]
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    positions = np.arange(idx.size)
+    rank = positions - np.maximum.accumulate(np.where(first, positions, 0))  # earlier occurrences
+    order = order[np.argsort(rank)]  # the rows of one rank are distinct: any order
+    rows, g = idx[order], g.reshape(idx.size, *out.shape[1:])[order]
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)):
+        out[rows[lo:hi]] += g[lo:hi]
+        lo = hi
+    return out
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -361,15 +394,14 @@ class _Layout:
         """Add the gradients of the query rows, ``g_xq``, then of the residual
         rows, ``g``, into that of ``x``; another order changes the last bits.
         With a ``source``, each sequence's first row gets each one's sum over
-        its queries, the residual's formed row by row in zeros (np.add.at)."""
+        its queries, the residual's formed row by row in zeros (``_add_rows``)."""
         if self.key_scale is None:
             g_x += g_xq
             g_x += g
         else:
             g_x[self.first] += np.add.reduceat(self.query_scale * g_xq, self.starts, axis=0)
             residual = np.zeros((len(self.first), g.shape[1]))
-            np.add.at(residual, self.group, self.query_scale * g)
-            g_x[self.first] += residual
+            g_x[self.first] += _add_rows(residual, self.group, self.query_scale * g)
 
 
 def attention(

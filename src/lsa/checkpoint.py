@@ -1,11 +1,13 @@
 """Binary checkpoint container: magic, version, a JSON manifest mapping
 parameter names to shapes (plus vocabulary and model config), then raw
 little-endian float64 payloads in manifest order.  Round-trips are
-byte-exact."""
+byte-exact.  A load draws no random init: the model is built on empty
+arrays, which the payload then fills."""
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -37,6 +39,18 @@ def checkpoint_bytes(model: Model) -> bytes:
     return HEADER.pack(MAGIC, VERSION, len(manifest_bytes)) + manifest_bytes + payload
 
 
+class _NoDraw:
+    """A stand-in for the generator ``Model`` initializes from: every draw
+    is an uninitialized array of the asked size.  ``load_checkpoint``
+    checks that the payload sets every parameter."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.empty(size)
+
+    uniform = normal
+
+
 def save_checkpoint(model: Model, path) -> None:
     Path(path).write_bytes(checkpoint_bytes(model))
 
@@ -64,7 +78,7 @@ def load_checkpoint(path) -> Model:
         model = Model(
             ModelConfig.from_dict(manifest["config"]),
             Vocabulary(list(manifest["vocab"])),
-            np.random.Generator(np.random.PCG64(0)),
+            _NoDraw(),
         )
         listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
     except (KeyError, TypeError, ValueError, ConfigError) as e:
@@ -76,8 +90,7 @@ def load_checkpoint(path) -> Model:
         t = params[name]
         if shape != t.shape:
             raise DataError(f"{path}: shape {shape} for {name} does not match {t.shape}")
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+        end = offset + 8 * math.prod(shape)
         if end > len(blob):
             raise DataError(f"{path}: truncated checkpoint payload")
         t.values[...] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)

@@ -135,51 +135,49 @@ def _require(cond: bool, msg: str):
         raise DataError(msg)
 
 
-def _example_from_json(obj, where: str) -> Example:
-    _require(isinstance(obj, dict), f"{where}: example must be an object")
+def _example_from_json(obj, i: int) -> Example:
+    """Example ``i`` of an absa-json file.  The checks are plain conditions:
+    the location (``examples[i]``, ``.aspects[k]``) and the message are
+    formatted only when one fails."""
+
+    def error(field: str, msg: str, k: int | None = None) -> DataError:
+        aspect = "" if k is None else f".aspects[{k}]"
+        return DataError(f"examples[{i}]{aspect}{field}: {msg}")
+
+    if not isinstance(obj, dict):
+        raise error("", "example must be an object")
     for key in ("text", "tokens", "aspects"):
-        _require(key in obj, f"{where}: missing field {key!r}")
-    _require(isinstance(obj["text"], str), f"{where}.text: must be a string")
-    _require(
-        isinstance(obj["tokens"], list)
-        and all(isinstance(t, str) for t in obj["tokens"]),
-        f"{where}.tokens: must be a list of strings",
-    )
-    _require(isinstance(obj["aspects"], list), f"{where}.aspects: must be a list")
+        if key not in obj:
+            raise error("", f"missing field {key!r}")
+    if not isinstance(obj["text"], str):
+        raise error(".text", "must be a string")
+    tokens = obj["tokens"]
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise error(".tokens", "must be a list of strings")
+    if not isinstance(obj["aspects"], list):
+        raise error(".aspects", "must be a list")
     aspects = []
     for k, a in enumerate(obj["aspects"]):
-        aw = f"{where}.aspects[{k}]"
-        _require(isinstance(a, dict), f"{aw}: must be an object")
+        if not isinstance(a, dict):
+            raise error("", "must be an object", k)
         for key in ("span", "term", "polarity"):
-            _require(key in a, f"{aw}: missing field {key!r}")
-        span = a["span"]
-        _require(
-            isinstance(span, list)
-            and len(span) == 2
-            and all(type(x) is int for x in span),
-            f"{aw}.span: must be [start, end]",
-        )
-        _require(
-            isinstance(a["term"], list) and all(isinstance(t, str) for t in a["term"]),
-            f"{aw}.term: must be a list of strings",
-        )
-        _require(isinstance(a.get("implicit", False), bool), f"{aw}.implicit: must be true or false")
-        aspects.append(
-            AspectAnnotation(
-                start=span[0],
-                end=span[1],
-                term=tuple(a["term"]),
-                polarity=Polarity.parse(a["polarity"], aw),
-                implicit=a.get("implicit", False),
-            )
-        )
-    _require(isinstance(obj.get("parse_ref", ""), str), f"{where}.parse_ref: must be a string")
-    return Example(
-        text=obj["text"],
-        tokens=list(obj["tokens"]),
-        aspects=aspects,
-        parse_ref=obj.get("parse_ref"),
-    )
+            if key not in a:
+                raise error("", f"missing field {key!r}", k)
+        span, term, implicit = a["span"], a["term"], a.get("implicit", False)
+        if not (isinstance(span, list) and len(span) == 2 and all(type(x) is int for x in span)):
+            raise error(".span", "must be [start, end]", k)
+        if not (isinstance(term, list) and all(isinstance(t, str) for t in term)):
+            raise error(".term", "must be a list of strings", k)
+        if not isinstance(implicit, bool):
+            raise error(".implicit", "must be true or false", k)
+        try:
+            polarity = Polarity(a["polarity"])
+        except ValueError:
+            raise DataError(f"unknown polarity {a['polarity']!r} at examples[{i}].aspects[{k}]")
+        aspects.append(AspectAnnotation(span[0], span[1], tuple(term), polarity, implicit))
+    if not isinstance(obj.get("parse_ref", ""), str):
+        raise error(".parse_ref", "must be a string")
+    return Example(obj["text"], list(tokens), aspects, obj.get("parse_ref"))
 
 
 def load_absa_json(path) -> Dataset:
@@ -194,7 +192,7 @@ def load_absa_json(path) -> Dataset:
     examples = []
     for i, obj in enumerate(data["examples"]):
         try:
-            examples.append(_example_from_json(obj, f"examples[{i}]"))
+            examples.append(_example_from_json(obj, i))
         except DataError as e:
             raise DataError(f"{path}: {e}")
     return Dataset(examples)

@@ -31,27 +31,37 @@ class DependencyTree:
         return len(self.heads)
 
     def validate(self) -> None:
-        n = self.word_count
+        """DataError unless the heads form one tree: each in range and not
+        the word itself, no cycle, exactly one root.  Linear in words."""
+        heads, n = self.heads, self.word_count
         if n == 0:
             raise DataError("empty dependency tree")
         if len(self.forms) != n:
             raise DataError("tree forms/heads length mismatch")
-        for i, h in enumerate(self.heads):
+        for i, h in enumerate(heads):
             if not (0 <= h <= n):
                 raise DataError(f"word {i + 1}: head {h} out of range")
             if h == i + 1:
                 raise DataError(f"word {i + 1}: self-loop head")
+        # Climb from each word in turn to a word known to reach the root,
+        # marking the walk; a word met twice on one walk is a cycle.  No
+        # word is climbed through twice, so this is linear in words.
+        unknown, on_walk, reaches_root = 0, 1, 2
+        state = [reaches_root if h == ROOT else unknown for h in heads]
         for start in range(n):
-            seen = set()
             node = start
-            while self.heads[node] != ROOT:
-                if node in seen:
-                    raise DataError(f"cyclic heads involving word {start + 1}")
-                seen.add(node)
-                node = self.heads[node] - 1
-        roots = [i for i, h in enumerate(self.heads) if h == ROOT]
-        if len(roots) != 1:
-            raise DataError(f"expected exactly one root, found {len(roots)}")
+            while state[node] == unknown:
+                state[node] = on_walk
+                node = heads[node] - 1
+            if state[node] == on_walk:
+                raise DataError(f"cyclic heads involving word {start + 1}")
+            node = start
+            while state[node] == on_walk:
+                state[node] = reaches_root
+                node = heads[node] - 1
+        roots = heads.count(ROOT)
+        if roots != 1:
+            raise DataError(f"expected exactly one root, found {roots}")
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -118,7 +128,8 @@ def aspect_distances(table: np.ndarray, spans) -> np.ndarray:
 
 
 def load_parses(path) -> dict[str, DependencyTree]:
-    """Read a CoNLL-U subset: ID/FORM/HEAD columns, '# sent_id =' comments."""
+    """Read a CoNLL-U subset: ID/FORM/HEAD columns, '# sent_id =' comments.
+    Each tree is validated in time linear in its words."""
     trees: dict[str, DependencyTree] = {}
     sent_id = None
     forms: list[str] = []

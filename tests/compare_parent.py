@@ -16,10 +16,14 @@ the CLI on the same inputs, written once by the working tree's
 every variant, k = 0 (the backbone) with no ablation flag, and k = 1 and 2
 with no ablation flag or each one; ``lsa train --config`` on a config
 file; ``lsa synth`` on a spec that sets every key; ``lsa sweep-eta`` and
-``lsa sweep-seeds``; and then ``lsa replay`` of every manifest those runs
-wrote.  The exit code and the artifacts of each run are compared byte for
-byte, REV's checkpoints without the ``"backbone_only":false,`` that a
-config held before k = 0 replaced that ablation.
+``lsa sweep-seeds``; then ``lsa replay`` of every manifest those runs
+wrote; last, ``lsa eval`` on each malformed input that the loaders must
+refuse (parses with a cycle, two roots or a head out of range; a test
+split with an aspect fault; a truncated checkpoint).  The exit code, the
+standard error (the temporary directory's path replaced by a
+placeholder) and the artifacts of each run are compared byte for byte,
+REV's checkpoints without the ``"backbone_only":false,`` that a config
+held before k = 0 replaced that ablation.
 
 Every difference is printed, and the exit code is 1 if there is one, else
 0.  Two kinds are printed apart and not counted: the oracle cases that
@@ -58,6 +62,16 @@ CLI_WINDOWS = [("0", [])] + [
     (k, flags) for k in ("1", "2") for flags in (
         [], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--no-dwa", "--frozen-eta", "0.3,0.7"])
 ]
+# the malformed inputs of the refusal runs: a fault in one sentence's heads,
+# or in the first aspect of one test example
+PARSE_FAULTS = ("cyclic", "two_roots", "head_out_of_range")
+ASPECT_FAULTS = {
+    "missing_term": lambda a: a.pop("term"),
+    "span_not_integer": lambda a: a.update(span=[a["span"][0], a["span"][1] + 0.5]),
+    "unknown_polarity": lambda a: a.update(polarity="mixed"),
+    "implicit_not_bool": lambda a: a.update(implicit="true"),
+}
+FAULTY = 4  # the index of the sentence and of the example that hold the fault
 CHECKPOINT_HEADER = struct.Struct("<8sIQ")  # magic, version, manifest length
 LEGACY_KEY = b'"backbone_only":false,'
 TRAIN_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin")
@@ -146,6 +160,33 @@ def write_cli_inputs(out: Path) -> None:
     write_inputs(WORKLOADS[name], seed, out)
     (out / "train.cfg").write_text(CLI_CONFIG.format(inputs=out))
     (out / "synth.spec").write_text(CLI_SPEC)
+    write_malformed_inputs(out)
+
+
+def write_malformed_inputs(out: Path) -> None:
+    """Beside the inputs, the malformed files of the refusal runs: for each
+    of ``PARSE_FAULTS`` the parses with sentence ``FAULTY`` broken, for
+    each of ``ASPECT_FAULTS`` the test split with example ``FAULTY``'s
+    first aspect broken, and ``mini_checkpoint.bin`` cut 8 bytes short."""
+    sentences = (out / "parses.conllu").read_text().split("\n\n")
+    words = [line.split("\t") for line in sentences[FAULTY].splitlines() if line[0] != "#"]
+    for fault in PARSE_FAULTS:
+        broken = [list(cols) for cols in words]
+        if fault == "cyclic":
+            broken[0][6], broken[1][6] = "2", "1"
+        elif fault == "two_roots":
+            next(cols for cols in broken if cols[6] != "0")[6] = "0"
+        else:
+            broken[0][6] = str(len(broken) + 1)
+        comments = [line for line in sentences[FAULTY].splitlines() if line[0] == "#"]
+        sentence = "\n".join(comments + ["\t".join(cols) for cols in broken])
+        text = "\n\n".join(sentences[:FAULTY] + [sentence] + sentences[FAULTY + 1:])
+        (out / f"{fault}.conllu").write_text(text)
+    for fault, edit in ASPECT_FAULTS.items():
+        data = json.loads((out / "test.json").read_text())
+        edit(data["examples"][FAULTY]["aspects"][0])
+        (out / f"{fault}.json").write_text(json.dumps(data))
+    (out / "truncated.bin").write_bytes((ROOT / "tests/fixtures/mini_checkpoint.bin").read_bytes()[:-8])
 
 
 def cli_cases(inputs: Path, out: Path) -> list:
@@ -172,20 +213,35 @@ def cli_cases(inputs: Path, out: Path) -> list:
     ]
     cases += [(f"replay/{name}", ["replay", out / name / "manifest.json"], artifacts)
               for name, _, artifacts in cases]
+    refused = {fault: ("lsa_s_k1/checkpoint.bin", "test.json", f"{fault}.conllu")
+               for fault in PARSE_FAULTS}
+    refused.update({fault: ("lsa_s_k1/checkpoint.bin", f"{fault}.json", "parses.conllu")
+                    for fault in ASPECT_FAULTS})
+    refused["truncated_checkpoint"] = (inputs / "truncated.bin", "test.json", "parses.conllu")
+    cases += [(f"refuse/{fault}", ["eval", "--checkpoint", out / checkpoint,
+                                   "--dataset", inputs / dataset, "--parses", inputs / parses], ())
+              for fault, (checkpoint, dataset, parses) in refused.items()]
     return [(name, [*argv, "--out", out / name], artifacts) for name, argv, artifacts in cases]
 
 
 def cli_runs(root: Path, inputs: Path, out: Path) -> None:
-    """Every CLI run with the package of the checkout at ``root``, and
-    every exit code into ``out/exits.json``.  Runs in a child process."""
+    """Every CLI run with the package of the checkout at ``root``: its
+    standard error into ``out/<name>/stderr.txt``, with ``out`` and the
+    temporary directory that holds it and ``inputs`` written as ``<out>``
+    and ``<tmp>``, and every exit code into ``out/exits.json``.  Runs in
+    a child process."""
     sys.path[:0] = [str(root / "src")]
     from lsa.cli import main
 
     logging.disable(logging.WARNING)
     exits = {}
     for name, argv, _ in cli_cases(inputs, out):
-        with contextlib.redirect_stdout(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             exits[name] = main([str(a) for a in argv])
+        (out / name).mkdir(parents=True, exist_ok=True)
+        text = err.getvalue().replace(str(out), "<out>").replace(str(inputs.parent), "<tmp>")
+        (out / name / "stderr.txt").write_text(text)
     (out / "exits.json").write_text(json.dumps(exits))
 
 
@@ -211,7 +267,8 @@ def base_run(name: str) -> str:
 
 def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list[str]]:
     """The differences between the CLI runs written under ``parent`` and
-    those under ``tree``: exit codes, and the bytes of each artifact.  The
+    those under ``tree``: exit codes, standard error, and the bytes of
+    each artifact.  The
     first list holds those of the runs both sides can make; the second
     names the runs that follow from a run REV rejects as a usage error
     and the working tree makes."""
@@ -223,6 +280,9 @@ def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list
             diffs[name].append(
                 f"CLI {name} exit code: REV {exits[0][name]}, working tree {exits[1][name]}")
     for name, _, artifacts in cli_cases(inputs, parent):
+        err = [(side / name / "stderr.txt").read_text() for side in (parent, tree)]
+        if err[0] != err[1]:
+            diffs[name].append(f"CLI {name} stderr: REV {err[0]!r}, working tree {err[1]!r}")
         for artifact in artifacts:
             a, b = parent / name / artifact, tree / name / artifact
             if not (a.is_file() and b.is_file()):
@@ -327,6 +387,10 @@ def main(argv=None) -> int:
         found, new = compare_cli(inputs, tmp / "cli-rev", tmp / "cli-tree")
         print(f"{len(cli_cases(inputs, tmp)) - len(new)} CLI runs both sides can make: "
               f"{len(found)} differences", flush=True)
+        exits = [json.loads((tmp / side / "exits.json").read_text()) for side in ("cli-rev", "cli-tree")]
+        refused = [f"{name.removeprefix('refuse/')} {exits[0][name]}/{exits[1][name]}"
+                   for name in exits[1] if name.startswith("refuse/")]
+        print(f"refusal runs, exit code REV/working tree: {', '.join(refused)}", flush=True)
         if new:
             print(f"expected: {len(new)} CLI runs follow from a run that REV rejects as a "
                   f"usage error and the working tree makes: {', '.join(new)}", flush=True)

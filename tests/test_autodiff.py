@@ -354,6 +354,62 @@ def test_gather_rows_accumulates_duplicate_indices():
         ad.gather_rows(table, [5])
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_add_rows_is_add_at_bit_for_bit(data):
+    """For an index array of any shape into a few rows, so with heavy
+    repetition, the bits of ``np.add.at`` into zeros, signed zeros and
+    summands of very different size included."""
+    rows = data.draw(st.integers(1, 6))
+    index_shape = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    trailing = data.draw(st.sampled_from([(1,), (3,), (2, 3)]))
+    idx = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=math.prod(index_shape),
+                                      max_size=math.prod(index_shape))), dtype=np.int64)
+    idx = idx.reshape(index_shape)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=index_shape + trailing) * 10.0 ** rng.integers(-8, 9, index_shape + trailing)
+    g[rng.random(g.shape) < 0.1] = -0.0
+    expected = np.zeros((rows, *trailing))
+    np.add.at(expected, idx, g)
+    assert ad._add_rows(np.zeros((rows, *trailing)), idx, g).tobytes() == expected.tobytes()
+
+
+def test_backward_grads_share_no_memory():
+    """A first gradient is kept without a copy only when nothing else may
+    hold it: after a backward through ``add(x, x)``, a bias ``add``,
+    ``concat``, ``reshape``, two ``gather_rows`` of one table and a node
+    whose backward returns one fresh array for both its inputs, no two
+    tensors' grads share memory."""
+    rng = np.random.default_rng(3)
+    x, a, b = (ad.parameter(randn(rng, 2, 3)) for _ in range(3))
+    bias, table = ad.parameter(randn(rng, 3)), ad.parameter(randn(rng, 4, 3))
+
+    def twice(p, q):  # p + q
+        return ad._record(Tensor(p.values + q.values), (p, q), lambda g: (g.copy(),) * 2)
+
+    tape = ad.Tape()
+    with tape:
+        doubled = ad.add(x, x)
+        shifted = ad.add(doubled, bias)  # its backward returns its own out_grad for doubled
+        gathered = ad.gather_rows(table, [0, 1, 1])
+        summed = twice(a, b)
+        rows = ad.concat([shifted, gathered, summed])
+        flat = ad.reshape(rows, (3, 7))
+        picked = ad.gather_rows(table, [[3, 0]])
+        wide = ad.concat([flat, ad.reshape(picked, (3, 2))], axis=1)
+        loss = sum_all(wide)
+    tape.backward(loss)
+    tensors = [x, a, b, bias, table, doubled, shifted, gathered, summed, rows, flat, picked, wide,
+               loss]
+    grads = [t.grad for t in tensors]
+    assert all(g is not None for g in grads)
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:]), tensors[i]
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0)) and np.array_equal(bias.grad, [2.0] * 3)
+    assert np.array_equal(a.grad, np.ones((2, 3))) and np.array_equal(b.grad, np.ones((2, 3)))
+    assert np.array_equal(table.grad, np.repeat([[2.0], [2.0], [0.0], [1.0]], 3, axis=1))
+
+
 def test_gather_rows_integer_takes_one_entry_of_a_stack():
     stack = ad.parameter(np.arange(12.0).reshape(3, 1, 4))
     tape = ad.Tape()

@@ -316,6 +316,31 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("variant", ["lsa_t", "lsa_s", "lsa_p"])
+def test_load_checkpoint_draws_nothing(variant, k, tmp_path, monkeypatch):
+    """A load builds the model without a random init: with NumPy's
+    generators made to raise, every parameter, each set to random values
+    before saving, loads to the saved model's bits."""
+    model = tiny_model(variant=variant, k=k)
+    rng = np.random.default_rng(k)
+    for t in model.named_parameters().values():
+        t.values[...] = rng.normal(size=t.shape)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew from a NumPy generator")
+
+    for name in ("PCG64", "Generator", "default_rng"):
+        monkeypatch.setattr(np.random, name, refuse)
+    loaded = load_checkpoint(path).named_parameters()
+    saved = model.named_parameters()
+    assert list(loaded) == list(saved)
+    for name, t in saved.items():
+        assert loaded[name].values.tobytes() == t.values.tobytes(), name
+
+
 def test_committed_checkpoint_still_loads():
     """mini_checkpoint.bin was written by format version 1 (lsa_t, d=16,
     one layer, vocab of mini.json, frozen_eta (0.3, 0.7)); the CSV holds
