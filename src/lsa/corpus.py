@@ -171,9 +171,9 @@ def _example_from_json(obj, i: int) -> Example:
         if not isinstance(implicit, bool):
             raise error(".implicit", "must be true or false", k)
         try:
-            polarity = Polarity(a["polarity"])
-        except ValueError:
-            raise DataError(f"unknown polarity {a['polarity']!r} at examples[{i}].aspects[{k}]")
+            polarity = Polarity.parse(a["polarity"])
+        except DataError as e:
+            raise DataError(f"{e} at examples[{i}].aspects[{k}]")
         aspects.append(AspectAnnotation(span[0], span[1], tuple(term), polarity, implicit))
     if not isinstance(obj.get("parse_ref", ""), str):
         raise error(".parse_ref", "must be a string")

@@ -43,9 +43,9 @@ class DependencyTree:
                 raise DataError(f"word {i + 1}: head {h} out of range")
             if h == i + 1:
                 raise DataError(f"word {i + 1}: self-loop head")
-        # Climb from each word in turn to a word known to reach the root,
-        # marking the walk; a word met twice on one walk is a cycle.  No
-        # word is climbed through twice, so this is linear in words.
+        # Climb from each word to a word known to reach the root, marking
+        # the walk; a word met again on one walk closes a cycle.  A marked
+        # word is never climbed through again.
         unknown, on_walk, reaches_root = 0, 1, 2
         state = [reaches_root if h == ROOT else unknown for h in heads]
         for start in range(n):
