@@ -169,24 +169,25 @@ def write_malformed_inputs(out: Path) -> None:
     each of ``ASPECT_FAULTS`` the test split with example ``FAULTY``'s
     first aspect broken, and ``mini_checkpoint.bin`` cut 8 bytes short."""
     sentences = (out / "parses.conllu").read_text().split("\n\n")
-    words = [line.split("\t") for line in sentences[FAULTY].splitlines() if line[0] != "#"]
+    lines = sentences[FAULTY].splitlines()
+    comments = [line for line in lines if line.startswith("#")]
     for fault in PARSE_FAULTS:
-        broken = [list(cols) for cols in words]
+        words = [line.split("\t") for line in lines if not line.startswith("#")]
         if fault == "cyclic":
-            broken[0][6], broken[1][6] = "2", "1"
+            words[0][6], words[1][6] = "2", "1"
         elif fault == "two_roots":
-            next(cols for cols in broken if cols[6] != "0")[6] = "0"
+            next(cols for cols in words if cols[6] != "0")[6] = "0"
         else:
-            broken[0][6] = str(len(broken) + 1)
-        comments = [line for line in sentences[FAULTY].splitlines() if line[0] == "#"]
-        sentence = "\n".join(comments + ["\t".join(cols) for cols in broken])
+            words[0][6] = str(len(words) + 1)
+        sentence = "\n".join(comments + ["\t".join(cols) for cols in words])
         text = "\n\n".join(sentences[:FAULTY] + [sentence] + sentences[FAULTY + 1:])
         (out / f"{fault}.conllu").write_text(text)
     for fault, edit in ASPECT_FAULTS.items():
         data = json.loads((out / "test.json").read_text())
         edit(data["examples"][FAULTY]["aspects"][0])
         (out / f"{fault}.json").write_text(json.dumps(data))
-    (out / "truncated.bin").write_bytes((ROOT / "tests/fixtures/mini_checkpoint.bin").read_bytes()[:-8])
+    blob = (ROOT / "tests" / "fixtures" / "mini_checkpoint.bin").read_bytes()
+    (out / "truncated.bin").write_bytes(blob[:-8])
 
 
 def cli_cases(inputs: Path, out: Path) -> list:
@@ -213,12 +214,11 @@ def cli_cases(inputs: Path, out: Path) -> list:
     ]
     cases += [(f"replay/{name}", ["replay", out / name / "manifest.json"], artifacts)
               for name, _, artifacts in cases]
-    refused = {fault: ("lsa_s_k1/checkpoint.bin", "test.json", f"{fault}.conllu")
-               for fault in PARSE_FAULTS}
-    refused.update({fault: ("lsa_s_k1/checkpoint.bin", f"{fault}.json", "parses.conllu")
-                    for fault in ASPECT_FAULTS})
+    trained = out / "lsa_s_k1" / "checkpoint.bin"
+    refused = {fault: (trained, "test.json", f"{fault}.conllu") for fault in PARSE_FAULTS}
+    refused.update({fault: (trained, f"{fault}.json", "parses.conllu") for fault in ASPECT_FAULTS})
     refused["truncated_checkpoint"] = (inputs / "truncated.bin", "test.json", "parses.conllu")
-    cases += [(f"refuse/{fault}", ["eval", "--checkpoint", out / checkpoint,
+    cases += [(f"refuse/{fault}", ["eval", "--checkpoint", checkpoint,
                                    "--dataset", inputs / dataset, "--parses", inputs / parses], ())
               for fault, (checkpoint, dataset, parses) in refused.items()]
     return [(name, [*argv, "--out", out / name], artifacts) for name, argv, artifacts in cases]
@@ -268,10 +268,9 @@ def base_run(name: str) -> str:
 def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list[str]]:
     """The differences between the CLI runs written under ``parent`` and
     those under ``tree``: exit codes, standard error, and the bytes of
-    each artifact.  The
-    first list holds those of the runs both sides can make; the second
-    names the runs that follow from a run REV rejects as a usage error
-    and the working tree makes."""
+    each artifact.  The first list holds those of the runs both sides can
+    make; the second names the runs that follow from a run REV rejects as
+    a usage error and the working tree makes."""
     exits = [json.loads((side / "exits.json").read_text()) for side in (parent, tree)]
     new = {name for name in exits[0] if (exits[0][name], exits[1][name]) == (1, 0)}
     diffs = defaultdict(list)
@@ -387,9 +386,10 @@ def main(argv=None) -> int:
         found, new = compare_cli(inputs, tmp / "cli-rev", tmp / "cli-tree")
         print(f"{len(cli_cases(inputs, tmp)) - len(new)} CLI runs both sides can make: "
               f"{len(found)} differences", flush=True)
-        exits = [json.loads((tmp / side / "exits.json").read_text()) for side in ("cli-rev", "cli-tree")]
-        refused = [f"{name.removeprefix('refuse/')} {exits[0][name]}/{exits[1][name]}"
-                   for name in exits[1] if name.startswith("refuse/")]
+        rev, here = (json.loads((tmp / side / "exits.json").read_text())
+                     for side in ("cli-rev", "cli-tree"))
+        refused = [f"{name.removeprefix('refuse/')} {rev[name]}/{here[name]}"
+                   for name in here if name.startswith("refuse/")]
         print(f"refusal runs, exit code REV/working tree: {', '.join(refused)}", flush=True)
         if new:
             print(f"expected: {len(new)} CLI runs follow from a run that REV rejects as a "
