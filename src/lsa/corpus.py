@@ -26,6 +26,14 @@ class DataError(Exception):
     """Schema violations, span mismatches, malformed inputs."""
 
 
+class AspectFault(DataError):
+    """A fault of one aspect, found by its ``Example``; ``aspect`` is that aspect."""
+
+    def __init__(self, aspect: "AspectAnnotation", message: str):
+        super().__init__(message)
+        self.aspect = aspect
+
+
 class Polarity(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
@@ -83,7 +91,8 @@ class Example:
         prev_end = 0
         for a in self.aspects:
             if a.end > len(self.tokens):
-                raise DataError(
+                raise AspectFault(
+                    a,
                     f"aspect span [{a.start}, {a.end}) out of bounds for "
                     f"{len(self.tokens)} tokens in {self.text[:40]!r}"
                 )
@@ -94,7 +103,8 @@ class Example:
                 )
             prev_end = a.end
             if tuple(self.tokens[a.start : a.end]) != a.term:
-                raise DataError(
+                raise AspectFault(
+                    a,
                     f"aspect term {list(a.term)} does not match tokens at "
                     f"[{a.start}, {a.end}) in {self.text[:40]!r}"
                 )
@@ -138,7 +148,8 @@ def _require(cond: bool, msg: str):
 def _example_from_json(obj, i: int) -> Example:
     """Example ``i`` of an absa-json file.  The checks are plain conditions:
     the location (``examples[i]``, ``.aspects[k]``) and the message are
-    formatted only when one fails."""
+    formatted only when one fails.  A fault that ``AspectAnnotation`` or
+    ``Example`` finds gets the same location."""
 
     def error(field: str, msg: str, k: int | None = None) -> DataError:
         aspect = "" if k is None else f".aspects[{k}]"
@@ -174,10 +185,18 @@ def _example_from_json(obj, i: int) -> Example:
             polarity = Polarity.parse(a["polarity"])
         except DataError as e:
             raise DataError(f"{e} at examples[{i}].aspects[{k}]")
-        aspects.append(AspectAnnotation(span[0], span[1], tuple(term), polarity, implicit))
+        try:
+            aspects.append(AspectAnnotation(span[0], span[1], tuple(term), polarity, implicit))
+        except DataError as e:
+            raise error("", str(e), k)
     if not isinstance(obj.get("parse_ref", ""), str):
         raise error(".parse_ref", "must be a string")
-    return Example(obj["text"], list(tokens), aspects, obj.get("parse_ref"))
+    try:
+        return Example(obj["text"], list(tokens), aspects, obj.get("parse_ref"))
+    except AspectFault as e:
+        raise error("", str(e), next(k for k, a in enumerate(aspects) if a is e.aspect))
+    except DataError as e:
+        raise error("", str(e))
 
 
 def load_absa_json(path) -> Dataset:
@@ -187,7 +206,8 @@ def load_absa_json(path) -> Dataset:
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
     _require(isinstance(data, dict), f"{path}: top level must be an object")
-    _require(data.get("version") == 1, f"{path}: unsupported or missing version")
+    version = data.get("version")
+    _require(type(version) is int and version == 1, f"{path}: unsupported or missing version")
     _require(isinstance(data.get("examples"), list), f"{path}: missing examples list")
     examples = []
     for i, obj in enumerate(data["examples"]):

@@ -1,16 +1,19 @@
-"""Token-aspect distances, CoNLL-U ingestion and token/word alignment.
+"""Tree distances, CoNLL-U ingestion and token/word alignment.
 All functions are pure; parsing itself is out of scope.
 
-An example's distances are one (n, n) integer table over its first n
-tokens: token distance |i - j| (LCF), or the dependency-tree distance
-between the tokens' words (LCFS-BERT).  ``aspect_distances`` turns the
-table into one row per aspect, the mean over the aspect's tokens.
+LSA-S weights a token by the dependency-tree distance between its word and
+the aspect's words (LCFS-BERT), where LSA-T takes the token distance
+|i - j| (LCF).  ``syntactic_distance`` gives the tree distances of a whole
+batch at once: it joins the batch's parses into one forest, climbs it once
+for every word's ancestor path and depth, and reads each aspect token's
+row of distances from the ancestor set of its word.  Only the rows of
+aspect tokens are computed, as exact integers; ``window.position_weights``
+averages them per aspect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,40 +66,19 @@ class DependencyTree:
         if roots != 1:
             raise DataError(f"expected exactly one root, found {roots}")
 
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """(W, W) edges on the tree path between every two words, computed
-        once per tree: depth(i) + depth(j) - 2 depth(lowest common ancestor)."""
-        n = self.word_count
-        parent = np.array(self.heads) - 1
-        parent[parent < 0] = np.flatnonzero(parent < 0)  # the root is its own parent
-        ancestors = np.eye(n)  # [i, j]: 1 where j is i or above i
-        rows, node = np.arange(n), np.arange(n)
-        while True:  # every word climbs one level per step
-            above = parent[node]
-            if np.array_equal(above, node):
-                break
-            ancestors[rows, above] = 1.0
-            node = above
-        depth = ancestors.sum(axis=1) - 1
-        common_depth = ancestors @ ancestors.T - 1  # exact: small integers
-        return (depth[:, None] + depth[None, :] - 2 * common_depth).astype(np.int64)
-
-
-def relative_token_distance(n: int) -> np.ndarray:
-    """(n, n) token distances |i - j| between the first n tokens."""
-    positions = np.arange(n)
-    return np.abs(positions[:, None] - positions)
-
 
 def align_tokens_to_words(tokens, words) -> np.ndarray:
     """The word index of every token, int64: a greedy monotone alignment
     in which each word is covered by the run of tokens whose concatenated
-    text equals it (subword tokens inherit the word)."""
+    text equals it (subword tokens inherit the word).  Tokens that are the
+    words, each non-empty, align one to one without the walk."""
+    tokens = [t.lower() for t in tokens]
+    words = [w.lower() for w in words]
+    if tokens == words and all(tokens):
+        return np.arange(len(tokens), dtype=np.int64)
     mapping = []
     ti = 0
-    tokens = [t.lower() for t in tokens]
-    for wi, word in enumerate(w.lower() for w in words):
+    for wi, word in enumerate(words):
         assembled = ""
         while assembled != word:
             if ti >= len(tokens) or len(assembled) > len(word):
@@ -112,19 +94,39 @@ def align_tokens_to_words(tokens, words) -> np.ndarray:
     return np.array(mapping, dtype=np.int64)
 
 
-def syntactic_distance(tree: DependencyTree, words: np.ndarray, n: int) -> np.ndarray:
-    """(n, n) tree distances between the words of the first n tokens, given
-    ``words``, the word index of every token (n <= len(words))."""
-    return tree.distances[words[:n, None], words[:n]]
+def syntactic_distance(trees, words, sentence, token) -> np.ndarray:
+    """Tree distances from some tokens of parsed sentences to every token of
+    their sentence, from one climb of the forest that joins the trees.
 
-
-def aspect_distances(table: np.ndarray, spans) -> np.ndarray:
-    """(A, n): for each token span [start, end), the mean of the (n, n)
-    integer ``table``'s rows over it, an exact integer sum divided once."""
-    starts, ends = np.asarray(spans, dtype=np.int64).T
-    prefix = np.zeros((len(table) + 1, table.shape[1]), dtype=np.int64)
-    np.cumsum(table, axis=0, out=prefix[1:])
-    return (prefix[ends] - prefix[starts]) / (ends - starts)[:, None]
+    ``words[k]`` holds the word index in ``trees[k]`` of each token of
+    sentence k.  Row r of the result (T, width), width the most tokens of a
+    sentence, holds the edges on the tree path between the word of token
+    ``token[r]`` of sentence ``sentence[r]`` and the word of each token of
+    that sentence, and 0 past them: depth(a) + depth(j) - 2 depth(lowest
+    common ancestor), exact integers.
+    """
+    sizes = [tree.word_count for tree in trees]
+    offsets = np.cumsum([0] + sizes)[:-1]
+    total = sum(sizes)  # forest word ``total`` is a sentinel above every root
+    heads = np.concatenate([tree.heads for tree in trees])
+    parent = np.append(np.where(heads == ROOT, total, heads - 1 + np.repeat(offsets, sizes)), total)
+    # path[i]: word i, its parent and so on to its root, then the sentinel
+    levels = [np.arange(total + 1)]
+    while levels[-1].min() < total:
+        levels.append(parent[levels[-1]])
+    path = np.stack(levels, axis=1)
+    depth = (path < total).sum(axis=1) - 1
+    lengths = np.array([len(w) for w in words])
+    width = lengths.max()
+    forest = np.full((len(words), width), total)  # the forest word of each token
+    forest[np.arange(width) < lengths[:, None]] = np.concatenate(words) + np.repeat(offsets, lengths)
+    rows = np.arange(len(sentence))[:, None]
+    other, word = forest[sentence], forest[sentence, token]
+    shared = np.zeros((len(word), total + 1), dtype=bool)  # the word and its ancestors
+    shared[rows, path[word]] = True
+    shared[:, total] = False
+    common = shared[rows[:, :, None], path[other]].sum(axis=2)  # depth(lca) + 1
+    return np.where(other < total, depth[word, None] + depth[other] - 2 * (common - 1), 0)
 
 
 def load_parses(path) -> dict[str, DependencyTree]:

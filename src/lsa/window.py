@@ -21,18 +21,20 @@ ones at negative offsets and the right ones at positive offsets: learned
 from 1, frozen constants, or the constant 1 (``Model.side_weights``).
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
-of each example (token ids, SPC inputs, parse alignment, position weights)
-is done once per example by ``Model.forward_example``, which reads every
-aspect's distances from one integer table of token or tree distances.  Then one encoder
-call covers every sequence of the batch, on its real tokens only: the
-hidden states are packed, one row per token, and ``valid`` records where
-each sequence's tokens sit.  One ``head.sa`` call on those packed rows
-gives every feature row, one per row of position weights: in
-``lsa_t``/``lsa_s`` one row per aspect plus one pooled row per example,
-in ``lsa_p`` one unit row per SPC input.  ``build_window`` turns the rows
-into a (pairs, slots) index array that never leaves an example, and the
-DWA scaling, the projection, the classifier and the loss each run once
-over all pairs.
+of each example (token ids, SPC inputs, the parse and its alignment) is
+done once per example by ``Model.forward_example``.  Then one encoder call
+covers every sequence of the batch, on its real tokens only: the hidden
+states are packed, one row per token, and ``valid`` records where each
+sequence's tokens sit.  The position weights of the whole batch come from
+one vectorized pass (``position_weights``) over the rows of the aspect
+tokens only: token distances |i - j|, or tree distances from one climb of
+the forest of the batch's parses, summed per aspect and divided once.
+One ``head.sa`` call on the packed rows gives every feature row, one per
+row of position weights: in ``lsa_t``/``lsa_s`` one row per aspect plus
+one pooled row per example, in ``lsa_p`` one unit row per SPC input.
+``build_window`` turns the rows into a (pairs, slots) index array that
+never leaves an example, and the DWA scaling, the projection, the
+classifier and the loss each run once over all pairs.
 """
 
 from __future__ import annotations
@@ -45,12 +47,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import NUM_CLASSES, DataError, Example, field_value
-from .distance import (
-    align_tokens_to_words,
-    aspect_distances,
-    relative_token_distance,
-    syntactic_distance,
-)
+from .distance import DependencyTree, align_tokens_to_words, syntactic_distance
 from .encoder import (
     BlockParams,
     ConfigError,
@@ -67,9 +64,10 @@ VARIANTS = ("lsa_p", "lsa_t", "lsa_s")
 FIXED_ALPHA = 3.0
 
 
-def position_weight(d_i, alpha: float, n: int) -> np.ndarray:
+def position_weight(d_i, alpha: float, n) -> np.ndarray:
     """Weight in [0, 1], elementwise over an array of distances: 1 inside
-    the distance threshold, then a linear decay with slope 1/n, floored at 0."""
+    the distance threshold, then a linear decay with slope 1/n, floored at 0.
+    ``n`` may be an array that broadcasts against the distances."""
     d_i = np.asarray(d_i, dtype=np.float64)
     return np.where(d_i <= alpha, 1.0, np.maximum(0.0, 1.0 - (d_i - alpha) / n))
 
@@ -80,9 +78,10 @@ class ExampleInputs:
 
     aspects: int
     sequences: list[np.ndarray]  # token ids: the context, or one SPC input per aspect (lsa_p)
-    # (rows, n) position weights per sequence, one feature row each: the
-    # context's aspects + 1 rows, or an SPC input's one row of ones (lsa_p)
-    weights: list[np.ndarray]
+    # the aspects' token spans [start, end) in the context; None under lsa_p
+    spans: list[tuple[int, int]] | None = None
+    # lsa_s: the parse and the word of each context token; None for token distance
+    parse: tuple[DependencyTree, np.ndarray] | None = None
 
 
 @dataclass
@@ -121,30 +120,72 @@ class OutputHead:
         yield "head.b_dec", self.b_dec
 
 
+def position_weights(
+    inputs: list[ExampleInputs], valid: np.ndarray, alpha: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(source, scale): the sequence and the (rows, L) position weights of
+    every feature row of a batch, zero past the sequence's real positions.
+
+    ``valid`` (S, L) marks the real positions of the inputs' sequences.  A
+    context of n tokens gives one row per aspect, then an all-ones row for
+    the pooled global feature; an SPC input gives one all-ones row.  An
+    aspect's row is ``position_weight`` of the leading marker's distance n
+    and of each token's mean distance to the aspect's tokens: the tree
+    distance between their words under the example's parse, else the token
+    distance |i - j|.  Only the aspect tokens' rows are computed, as exact
+    integers, and each aspect's sum is divided once.
+    """
+    lengths = valid.sum(axis=1)
+    if [len(ids) for x in inputs for ids in x.sequences] != lengths.tolist():
+        raise ConfigError(
+            f"inputs of sequence lengths {[[len(ids) for ids in x.sequences] for x in inputs]} "
+            f"for valid positions of lengths {lengths.tolist()}"
+        )
+    if inputs[0].spans is None:  # lsa_p: one unit row per SPC input
+        source = np.arange(len(valid))
+        return source, valid[source]
+    counts = np.array([len(x.spans) for x in inputs])
+    source = np.repeat(np.arange(len(inputs)), counts + 1)
+    example = np.repeat(np.arange(len(inputs)), counts)  # the example of each aspect
+    starts, ends = np.array([span for x in inputs for span in x.spans]).T
+    sizes = ends - starts
+    first = np.cumsum(sizes) - sizes  # each aspect's first row of aspect tokens
+    token = np.arange(sizes.sum()) + np.repeat(starts - first, sizes)
+    width = valid.shape[1] - 1
+    # each aspect token's row of distances to the context's tokens
+    table = np.abs(token[:, None] - np.arange(width))
+    parses = [x.parse for x in inputs if x.parse is not None]
+    if parses:
+        parsed = np.array([x.parse is not None for x in inputs])
+        on_tree = np.repeat(parsed[example], sizes)  # the aspect tokens of parsed examples
+        sentence = np.repeat((np.cumsum(parsed) - 1)[example], sizes)[on_tree]
+        trees, words = zip(*parses)
+        tree = syntactic_distance(trees, words, sentence, token[on_tree])
+        table[on_tree, :tree.shape[1]] = tree
+    n = lengths[example] - 1
+    distances = np.empty((len(example), width + 1))
+    distances[:, 0] = n  # the leading marker
+    distances[:, 1:] = np.add.reduceat(table, first, axis=0) / sizes[:, None]
+    weights = np.ones((len(source), width + 1))
+    weights[np.arange(len(example)) + example] = position_weight(distances, alpha, n[:, None])
+    return source, np.where(valid[source], weights, 0.0)
+
+
 def aspect_feature_local(
-    hidden: Tensor, valid: np.ndarray, weights: list[np.ndarray], sa: BlockParams, heads: int,
+    hidden: Tensor, valid: np.ndarray, inputs: list[ExampleInputs], alpha: float,
+    sa: BlockParams, heads: int,
 ) -> Tensor:
     """The first row of ``head.sa`` for every feature row of a batch: (rows, d).
 
     ``hidden`` (N, d) packs the batch's encoded sequences and ``valid``
-    (S, L) marks their real positions.  ``weights[s]`` (rows_s, n_s) gives
-    sequence ``s`` rows_s rows, each the feature of the sequence under one
-    row of position weights: ``head.sa`` sees the hidden states scaled by
-    those weights.  The scaled copies are never formed; ``head.sa`` projects
-    each sequence's keys and values once and scales them per row.  The
-    weights are functions of integer positions only and carry no gradient.
+    (S, L) marks their real positions.  Each feature row is the feature of
+    one sequence under one row of ``position_weights``: ``head.sa`` sees
+    the hidden states scaled by those weights.  The scaled copies are never
+    formed; ``head.sa`` projects each sequence's keys and values once and
+    scales them per row.  The weights are functions of integer positions
+    only and carry no gradient.
     """
-    lengths = valid.sum(axis=1)
-    if len(weights) != len(lengths) or any(
-        w.ndim != 2 or w.shape[1] != n for w, n in zip(weights, lengths)
-    ):
-        raise ConfigError(
-            f"position weights of shapes {[w.shape for w in weights]} for "
-            f"sequences of lengths {lengths.tolist()}"
-        )
-    source = np.repeat(np.arange(len(weights)), [len(w) for w in weights])
-    scale = np.zeros((len(source), valid.shape[1]))
-    scale[valid[source]] = np.concatenate([w.ravel() for w in weights])
+    source, scale = position_weights(inputs, valid, alpha)
     return self_attention_block(hidden, sa, heads, valid, source, scale)
 
 
@@ -322,54 +363,42 @@ class Model:
             )
         return tokens
 
-    def _position_weights(self, example: Example, tokens, trees) -> np.ndarray:
-        """(A + 1, n + 1): a row of position weights per aspect, from the
-        variant's (n, n) distance table averaged over the aspect's tokens,
-        then an all-ones row for the pooled global feature.  The leading
-        marker receives the maximal distance n.  ``lsa_s`` aligns all of
-        the example's tokens, also those past the context, to the parse's
-        forms.  It falls back to positional distance, and counts it in
+    def _parse(self, example: Example, n: int, trees) -> tuple[DependencyTree, np.ndarray] | None:
+        """``lsa_s``: the example's parse and the word of each of its first n
+        tokens.  All of the example's tokens, also those past the context,
+        are aligned to the parse's forms.  None, counted in
         ``syntax_fallbacks``, when the example has no parse or its tokens do
-        not align."""
-        n = len(tokens)
-        table = None
-        if self.config.variant == "lsa_s":
-            tree = (trees or {}).get(example.parse_ref)
-            reason, detail = "no parse", ""
-            if tree is not None:
-                try:
-                    words = align_tokens_to_words(example.tokens, tree.forms)
-                except DataError as err:
-                    reason, detail = "tokens that do not align with the parse", f" ({err})"
-                else:
-                    table = syntactic_distance(tree, words, n)
-            if table is None:
-                self.syntax_fallbacks += 1
-                if reason not in self._warned:
-                    self._warned.add(reason)
-                    logger.warning(
-                        "%s for example %r%s; falling back to positional distance",
-                        reason, example.text[:40], detail,
-                    )
-        if table is None:
-            table = relative_token_distance(n)
-        distances = aspect_distances(table, [(a.start, a.end) for a in example.aspects])
-        marked = np.concatenate([np.full((len(distances), 1), float(n)), distances], axis=1)
-        return np.vstack([position_weight(marked, self.config.alpha, n), np.ones(n + 1)])
+        not align: its weights then come from token distance."""
+        tree = (trees or {}).get(example.parse_ref)
+        reason, detail = "no parse", ""
+        if tree is not None:
+            try:
+                return tree, align_tokens_to_words(example.tokens, tree.forms)[:n]
+            except DataError as err:
+                reason, detail = "tokens that do not align with the parse", f" ({err})"
+        self.syntax_fallbacks += 1
+        if reason not in self._warned:
+            self._warned.add(reason)
+            logger.warning(
+                "%s for example %r%s; falling back to positional distance",
+                reason, example.text[:40], detail,
+            )
+        return None
 
     def forward_example(self, example: Example, trees=None) -> ExampleInputs:
-        """The host-side inputs of one example's forward: token ids and
-        position weights, of the context (``lsa_t``/``lsa_s``) or of one SPC
-        input per aspect (``lsa_p``)."""
+        """The host-side inputs of one example's forward: token ids of the
+        context (``lsa_t``/``lsa_s``) with its aspect spans and parse, or of
+        one SPC input per aspect (``lsa_p``)."""
         tokens = self._context_tokens(example)
         aspects = len(example.aspects)
         if self.config.variant == "lsa_p":
             spc = [build_spc_input(tokens, list(a.term), self.vocab, self.config.max_len)
                    for a in example.aspects]
-            return ExampleInputs(aspects, spc, [np.ones((1, len(ids))) for ids in spc])
+            return ExampleInputs(aspects, spc)
         ids = np.concatenate([[self.vocab.cls_id], self.vocab.encode(tokens)])
-        weights = self._position_weights(example, tokens, trees)
-        return ExampleInputs(aspects, [ids.astype(np.int64)], [weights])
+        spans = [(a.start, a.end) for a in example.aspects]
+        parse = self._parse(example, len(tokens), trees) if self.config.variant == "lsa_s" else None
+        return ExampleInputs(aspects, [ids.astype(np.int64)], spans, parse)
 
     def global_context(self, inputs: list[ExampleInputs]) -> tuple[Tensor, np.ndarray]:
         """One encoder call over every sequence of a batch: the hidden
@@ -391,10 +420,9 @@ class Model:
         if not inputs:
             raise ValueError("no (example, aspect) pair to forward")
         hidden, valid = self.global_context(inputs)
-        weights = [w for x in inputs for w in x.weights]
-        features = aspect_feature_local(hidden, valid, weights, self.head.sa, cfg.heads)
+        features = aspect_feature_local(hidden, valid, inputs, cfg.alpha, self.head.sa, cfg.heads)
         counts = np.array([x.aspects for x in inputs])
-        rows = np.array([sum(len(w) for w in x.weights) for x in inputs])
+        rows = counts if cfg.variant == "lsa_p" else counts + 1  # + the pooled row
         starts = np.cumsum(rows) - rows
         pooled = None
         if cfg.variant != "lsa_p":

@@ -17,10 +17,14 @@ every variant, k = 0 (the backbone) with no ablation flag, and k = 1 and 2
 with no ablation flag or each one; ``lsa train --config`` on a config
 file; ``lsa synth`` on a spec that sets every key; ``lsa sweep-eta`` and
 ``lsa sweep-seeds``; then ``lsa replay`` of every manifest those runs
-wrote; last, ``lsa eval`` on each malformed input that the loaders must
-refuse (parses with a cycle, two roots or a head out of range; a test
-split with an aspect fault; a truncated checkpoint).  The exit code, the
-standard error (the temporary directory's path replaced by a
+wrote; then ``lsa eval`` of the ``lsa_s`` model on parses that lack some
+test sentences and hold one whose forms do not align, so that parsed
+examples and examples that fall back to token distance share a forward
+(its standard error keeps the fallback warnings, which every other run
+silences); last, ``lsa eval`` on each malformed input that the loaders
+must refuse (parses with a cycle, two roots or a head out of range; a
+test split with an aspect fault; a truncated checkpoint).  The exit code,
+the standard error (the temporary directory's path replaced by a
 placeholder) and the artifacts of each run are compared byte for byte,
 REV's checkpoints without the ``"backbone_only":false,`` that a config
 held before k = 0 replaced that ablation.
@@ -72,6 +76,9 @@ ASPECT_FAULTS = {
     "implicit_not_bool": lambda a: a.update(implicit="true"),
 }
 FAULTY = 4  # the index of the sentence and of the example that hold the fault
+UNPARSED = (1, 2, 9)  # the test sentences that the mixed parses lack
+UNALIGNED = 6  # the test sentence whose first form the mixed parses change
+MIXED_RUN = "lsa_s_k1/eval_mixed_parses"  # the one CLI run whose warnings are kept
 CHECKPOINT_HEADER = struct.Struct("<8sIQ")  # magic, version, manifest length
 LEGACY_KEY = b'"backbone_only":false,'
 TRAIN_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin")
@@ -161,6 +168,28 @@ def write_cli_inputs(out: Path) -> None:
     (out / "train.cfg").write_text(CLI_CONFIG.format(inputs=out))
     (out / "synth.spec").write_text(CLI_SPEC)
     write_malformed_inputs(out)
+    write_mixed_parses(out)
+
+
+def write_mixed_parses(out: Path) -> None:
+    """Beside the inputs, ``mixed.conllu``: the parses without test
+    sentences ``UNPARSED`` and with an ``x`` added to the first form of
+    test sentence ``UNALIGNED``, so that its tokens do not align."""
+    sentences = (out / "parses.conllu").read_text().split("\n\n")
+    mixed = []
+    for sentence in sentences:
+        lines = sentence.splitlines()
+        sent_id = next((line.split("=", 1)[1].strip() for line in lines
+                        if line.startswith("# sent_id")), None)
+        if sent_id in {f"test-{i}" for i in UNPARSED}:
+            continue
+        if sent_id == f"test-{UNALIGNED}":
+            first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+            cols = lines[first].split("\t")
+            cols[1] += "x"
+            lines[first] = "\t".join(cols)
+        mixed.append("\n".join(lines))
+    (out / "mixed.conllu").write_text("\n\n".join(mixed))
 
 
 def write_malformed_inputs(out: Path) -> None:
@@ -215,6 +244,8 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases += [(f"replay/{name}", ["replay", out / name / "manifest.json"], artifacts)
               for name, _, artifacts in cases]
     trained = out / "lsa_s_k1" / "checkpoint.bin"
+    cases.append((MIXED_RUN, ["eval", "--checkpoint", trained, "--dataset", inputs / "test.json",
+                              "--parses", inputs / "mixed.conllu"], ("eval.csv",)))
     refused = {fault: (trained, "test.json", f"{fault}.conllu") for fault in PARSE_FAULTS}
     refused.update({fault: (trained, f"{fault}.json", "parses.conllu") for fault in ASPECT_FAULTS})
     refused["truncated_checkpoint"] = (inputs / "truncated.bin", "test.json", "parses.conllu")
@@ -233,9 +264,9 @@ def cli_runs(root: Path, inputs: Path, out: Path) -> None:
     sys.path[:0] = [str(root / "src")]
     from lsa.cli import main
 
-    logging.disable(logging.WARNING)
     exits = {}
     for name, argv, _ in cli_cases(inputs, out):
+        logging.disable(logging.NOTSET if name == MIXED_RUN else logging.WARNING)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             exits[name] = main([str(a) for a in argv])

@@ -55,9 +55,15 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     tracer = spans.Tracer()
     taped = {lsa.encoder: 0, lsa.window: 0}  # block calls made under a tape, by caller
     classify_ops = set()  # the ops of the nodes classify records
+    parsed = []  # per forward, the examples read with their parse
     with tracer.installed():
         originals = {owner: owner.self_attention_block for owner in taped}
         classify = lsa.window.classify
+        feature_local = lsa.window.aspect_feature_local
+
+        def traced_feature_local(hidden, valid, inputs, *args):
+            parsed.append(sum(x.parse is not None for x in inputs))
+            return feature_local(hidden, valid, inputs, *args)
 
         def traced_classify(*args):
             tape = lsa.autodiff._ACTIVE_TAPE
@@ -79,12 +85,14 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
             for owner in taped:
                 owner.self_attention_block = counted(owner)
             lsa.window.classify = traced_classify
+            lsa.window.aspect_feature_local = traced_feature_local
             result = training.train(config)
             metrics = training.evaluate(result.model, dataset, trees)
         finally:
             for owner, block in originals.items():
                 owner.self_attention_block = block
             lsa.window.classify = classify
+            lsa.window.aspect_feature_local = feature_local
     pairs = dataset.aspect_count()
     # one epoch of training, validation after it and at the end, then evaluate()
     assert tracer.pairs_forwarded == pairs + 2 * pairs + metrics.n_examples
@@ -102,11 +110,14 @@ def test_traced_train_and_evaluate_keep_the_trace_invariants(variant):
     head_sa = tracer.stats["window.head_sa"]
     assert taped[lsa.window] > 0 and head_sa.tape_nodes == 2 * taped[lsa.window]
     assert classify_ops == ({"matmul"} if variant == "lsa_p" else {"concat", "matmul"})
-    # lsa_s reads one distance table per example it does not fall back on
+    # lsa_s reads the tree distances of a forward in one call, if one of
+    # its examples has a parse; every other example falls back
     syntactic = tracer.stats["distance.syntactic_distance"].calls
+    assert len(parsed) == tracer.stats["window.aspect_feature_local"].calls
     if variant == "lsa_s":
         examples = tracer.stats["window.forward_example"].calls
-        assert syntactic > 0 and syntactic + result.model.syntax_fallbacks == examples
+        assert 0 < syntactic == sum(p > 0 for p in parsed) < len(parsed)
+        assert sum(parsed) + result.model.syntax_fallbacks == examples
     else:
         assert syntactic == 0
 

@@ -3,6 +3,7 @@ synthetic corpora."""
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,46 @@ def test_field_of_the_wrong_type_is_data_error(aspect, example, field, tmp_path)
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError, match=rf"ds\.json: {field}"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_version_must_be_the_integer_one(version, tmp_path):
+    """JSON ``true`` and ``1.0`` compare equal to 1 in Python; neither is
+    the version."""
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({"version": version, "examples": []}))
+    with pytest.raises(DataError, match=r"ds\.json: unsupported or missing version"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("tokens, aspects, message", [
+    (["a", "b"], [([0, 1], ["a"]), ([-1, 2], ["a", "b", "c"])],
+     r"examples\[0\]\.aspects\[1\]: bad aspect span \[-1, 2\)"),
+    (["a", "b"], [([0, 2], ["a"])],
+     r"examples\[0\]\.aspects\[0\]: aspect term length 1 does not match span \[0, 2\)"),
+    (["a", "b"], [([1, 2], ["b"]), ([0, 3], ["a", "b", "c"])],
+     r"examples\[0\]\.aspects\[1\]: aspect span \[0, 3\) out of bounds for 2 tokens in 'a b'"),
+    (["a", "b"], [([1, 2], ["b"]), ([0, 2], ["a", "b"])],
+     r"examples\[0\]: nested/overlapping aspect spans at token 1 in 'a b'"),
+    (["a", "b"], [([0, 1], ["a"]), ([1, 2], ["c"])],
+     r"examples\[0\]\.aspects\[1\]: aspect term \['c'\] does not match tokens at \[1, 2\) in 'a b'"),
+    ([], [], r"examples\[0\]: example has no tokens"),
+], ids=["bad_span", "term_length", "out_of_bounds", "overlap", "term_mismatch", "no_tokens"])
+def test_aspect_and_example_faults_name_their_location(tokens, aspects, message, tmp_path):
+    """A fault that ``AspectAnnotation`` or ``Example`` finds is located as
+    the type checks' faults are: at the example, and at the aspect (its
+    index in the file, also when the aspects are sorted) where one is at
+    fault.  Each fault is loaded as the file's only example and as the
+    second one, after a valid example."""
+    good = {"text": "a", "tokens": ["a"], "aspects": []}
+    bad = {"text": " ".join(tokens), "tokens": tokens, "aspects": [
+        {"span": span, "term": term, "polarity": "positive"} for span, term in aspects]}
+    for examples, index in (([bad], 0), ([good, bad], 1)):
+        path = tmp_path / "ds.json"
+        path.write_text(json.dumps({"version": 1, "examples": examples}))
+        located = message.replace(r"examples\[0\]", rf"examples\[{index}\]")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: {located}$"):
+            load_dataset(path)
 
 
 MINI_EXAMPLES = json.loads((FIXTURES / "mini.json").read_text())["examples"]

@@ -1,5 +1,7 @@
 """Positional and tree distances, CoNLL-U ingestion, token alignment."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,32 @@ from lsa.corpus import DataError
 from lsa.distance import (
     DependencyTree,
     align_tokens_to_words,
-    aspect_distances,
     load_parses,
-    relative_token_distance,
     syntactic_distance,
 )
+from lsa.window import ExampleInputs, position_weight, position_weights
 
-from util import FIXTURES, bfs_distance, outcome, random_tree, reference_validate
+from util import (
+    FIXTURES,
+    bfs_distance,
+    outcome,
+    random_tree,
+    reference_align,
+    reference_validate,
+)
+
+
+def aspect_weights(n, spans, parse=None):
+    """The weight rows, at alpha 0, of the n tokens of one context for
+    each aspect span, from the batch pass of ``position_weights``.  At
+    alpha 0 a weight is 1 - d/n, so equal weights mean equal distances."""
+    x = ExampleInputs(len(spans), [np.zeros(n + 1, dtype=np.int64)], spans, parse)
+    _, scale = position_weights([x], np.ones((1, n + 1), dtype=bool), 0.0)
+    return scale[:-1, 1:]  # no pooled row, no marker
+
+
+def mean_weight(distances, n):
+    return position_weight(sum(distances) / len(distances), 0.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -23,21 +44,20 @@ from util import FIXTURES, bfs_distance, outcome, random_tree, reference_validat
 
 
 def token_distance(n, start, end):
-    """The positional distances of all n tokens to the aspect [start, end)."""
-    return aspect_distances(relative_token_distance(n), [(start, end)])[0]
+    """The weights of all n tokens for the aspect [start, end), by their
+    positional distances."""
+    return aspect_weights(n, [(start, end)])[0]
 
 
 def test_relative_distance_two_token_aspect():
-    assert token_distance(6, 4, 6)[1] == 3.5
+    assert token_distance(6, 4, 6)[1] == position_weight(3.5, 0.0, 6)
 
 
 def test_relative_distance_inside_single_token_aspect():
-    assert token_distance(8, 7, 8)[7] == 0.0
+    assert token_distance(8, 7, 8)[7] == 1.0  # distance 0: at alpha 0 the only weight 1
 
 
 def test_relative_distance_matches_recomputation():
-    import random
-
     rnd = random.Random(0)
     for _ in range(200):
         n = rnd.randrange(1, 50)
@@ -45,7 +65,7 @@ def test_relative_distance_matches_recomputation():
         b = rnd.randrange(a + 1, min(a + 6, n) + 1)
         got = token_distance(n, a, b)
         for p in range(n):
-            assert got[p] == pytest.approx(sum(abs(p - q) for q in range(a, b)) / (b - a))
+            assert got[p] == mean_weight([abs(p - q) for q in range(a, b)], n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,20 +79,30 @@ def test_relative_distance_shift_invariant(p, start, length, c):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_aspect_distances_are_the_mean_over_the_span(data):
+    """Each aspect's weights are those of the mean of the tree distance
+    rows of its tokens, one integer sum divided once."""
     n = data.draw(st.integers(1, 12))
-    table = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, 2**20), min_size=n, max_size=n), min_size=n, max_size=n,
-    )), dtype=np.int64)
+    tree = random_tree(random.Random(data.draw(st.integers(0, 2**32 - 1))), n)
     spans = data.draw(st.lists(
         st.integers(0, n - 1).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, n))),
         min_size=1, max_size=5,
     ))
-    got = aspect_distances(table, spans)
-    assert np.array_equal(got, np.stack([table[s:e].sum(0) / (e - s) for s, e in spans]))
+    table = tree_table(tree)
+    got = aspect_weights(n, spans, (tree, np.arange(n)))
+    want = [position_weight(table[s:e].sum(0) / (e - s), 0.0, n) for s, e in spans]
+    assert np.array_equal(got, np.stack(want))
 
 
 # ---------------------------------------------------------------------------
 # tree distance
+
+
+def tree_table(tree, words=None):
+    """The (n, n) tree distances between all tokens of one sentence,
+    ``words`` the word of each token (default: one token per word)."""
+    words = np.arange(tree.word_count) if words is None else words
+    return syntactic_distance([tree], [words], np.zeros(len(words), dtype=np.int64),
+                              np.arange(len(words)))
 
 
 def chain_tree():
@@ -81,30 +111,34 @@ def chain_tree():
 
 
 def test_tree_distance_to_self_is_zero():
-    assert chain_tree().distances[1, 1] == 0
+    assert tree_table(chain_tree())[1, 1] == 0
 
 
 def test_tree_distance_chain_example():
-    assert chain_tree().distances[0, 2] == 2
+    assert tree_table(chain_tree())[0, 2] == 2
 
 
 def test_tree_distance_matches_bfs_oracle():
-    import random
-
+    """1-4 random trees joined in one forest: each token's row holds the
+    breadth-first distances within its own sentence, then 0."""
     rnd = random.Random(42)
     for _ in range(100):
-        tree = random_tree(rnd, rnd.randrange(2, 31))
-        n = tree.word_count
-        expected = [[bfs_distance(tree, a, b) for b in range(n)] for a in range(n)]
-        assert np.array_equal(tree.distances, expected)
+        trees = [random_tree(rnd, rnd.randrange(1, 31)) for _ in range(rnd.randrange(1, 5))]
+        words = [np.arange(t.word_count) for t in trees]
+        rows = [(k, w) for k, t in enumerate(trees) for w in range(t.word_count)]
+        rnd.shuffle(rows)
+        got = syntactic_distance(trees, words, *np.array(rows).T)
+        width = max(t.word_count for t in trees)
+        assert got.shape == (len(rows), width) and got.dtype == np.int64
+        for (k, a), row in zip(rows, got):
+            n = trees[k].word_count
+            assert row.tolist() == [bfs_distance(trees[k], a, b) for b in range(n)] + [0] * (width - n)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(3, 20))
 def test_tree_distance_is_a_metric(seed, n):
-    import random
-
-    d = random_tree(random.Random(seed), n).distances
+    d = tree_table(random_tree(random.Random(seed), n))
     assert np.array_equal(d, d.T)
     assert np.array_equal(d == 0, np.eye(n, dtype=bool))
     assert np.all(d[:, None, :] <= d[:, :, None] + d[None, :, :])  # d(a,b) <= d(a,c) + d(c,b)
@@ -115,39 +149,36 @@ def test_tree_distance_is_a_metric(seed, n):
 
 
 def test_syntactic_distance_same_word_is_zero():
-    table = syntactic_distance(chain_tree(), np.arange(3), 3)
-    assert aspect_distances(table, [(1, 2)])[0, 1] == 0.0
+    assert aspect_weights(3, [(1, 2)], (chain_tree(), np.arange(3)))[0, 1] == 1.0
 
 
 def test_syntactic_distance_chain_example_two_token_aspect():
-    table = syntactic_distance(chain_tree(), np.arange(3), 3)
-    # aspect {likes, food}, token "he"
-    assert aspect_distances(table, [(1, 3)])[0, 0] == 1.5
+    # aspect {likes, food}, token "he": 1 and 2 edges away
+    got = aspect_weights(3, [(1, 3)], (chain_tree(), np.arange(3)))[0, 0]
+    assert got == position_weight(1.5, 0.0, 3)
 
 
 def test_syntactic_distance_reads_the_first_n_tokens():
     words = np.array([0, 0, 1, 2])  # "he" split in two tokens
-    table = syntactic_distance(chain_tree(), words, 3)
-    assert table.tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
+    assert tree_table(chain_tree(), words[:3]).tolist() == [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
 
 
 def test_syntactic_distance_matches_bfs_oracle_with_subwords():
-    import random
-
+    """Sentences of random trees whose words split into 1-2 tokens each,
+    1-3 sentences per call, one row per token read."""
     rnd = random.Random(7)
     for _ in range(100):
-        n = rnd.randrange(2, 12)
-        tree = random_tree(rnd, n)
-        # each word split into 1-2 tokens, all mapping back to the word
-        mapping = []
-        for w in range(n):
-            for _ in range(rnd.randrange(1, 3)):
-                mapping.append(w)
-        table = syntactic_distance(tree, np.array(mapping), len(mapping))
-        token = rnd.randrange(len(mapping))
-        aspect = rnd.randrange(len(mapping))
-        got = aspect_distances(table, [(aspect, aspect + 1)])[0, token]
-        assert got == bfs_distance(tree, mapping[token], mapping[aspect])
+        trees, mappings = [], []
+        for _ in range(rnd.randrange(1, 4)):
+            trees.append(random_tree(rnd, rnd.randrange(2, 12)))
+            # each word split in 1-2 tokens, all mapping back to the word
+            mappings.append([w for w in range(trees[-1].word_count)
+                             for _ in range(rnd.randrange(1, 3))])
+        k = rnd.randrange(len(trees))
+        token, aspect = (rnd.randrange(len(mappings[k])) for _ in range(2))
+        got = syntactic_distance(trees, [np.array(m) for m in mappings], np.array([k]),
+                                 np.array([aspect]))[0, token]
+        assert got == bfs_distance(trees[k], mappings[k][token], mappings[k][aspect])
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +198,40 @@ def test_align_subword_tokens_inherit_word():
 def test_align_mismatch_raises():
     with pytest.raises(DataError, match="align"):
         align_tokens_to_words(["a", "b"], ["a", "c"])
+
+
+@st.composite
+def token_word_pairs(draw):
+    """Tokens and words over a small alphabet: words equal to the tokens
+    up to case (where the one-to-one short-cut applies), their runs joined
+    into words, or either list changed by one string, empty strings and
+    empty lists included."""
+    text = st.text(alphabet="aAb'", max_size=3)
+    tokens = draw(st.lists(text, max_size=6))
+    words = [t.upper() if draw(st.booleans()) else t for t in tokens]
+    if tokens and draw(st.booleans()):  # join runs of tokens
+        cuts = sorted(draw(st.sets(st.integers(1, len(tokens)))) | {len(tokens)})
+        words = ["".join(tokens[a:b]) for a, b in zip([0, *cuts], cuts)]
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([tokens, words]))
+        if target and draw(st.booleans()):
+            target[draw(st.integers(0, len(target) - 1))] = draw(text)
+        else:
+            target.insert(draw(st.integers(0, len(target))), draw(text))
+    return tokens, words
+
+
+@settings(max_examples=400, deadline=None)
+@given(token_word_pairs())
+def test_align_matches_the_greedy_reference(pair):
+    """The short-cut for tokens that are the words gives what the greedy
+    walk gives, the same array or the same error."""
+    got, want = outcome(align_tokens_to_words, *pair), outcome(reference_align, *pair)
+    if got[0] == want[0] == "ok":
+        assert got[1].dtype == want[1].dtype == np.int64
+        assert got[1].tolist() == want[1].tolist()
+    else:
+        assert got == want
 
 
 @st.composite

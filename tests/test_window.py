@@ -13,16 +13,25 @@ from lsa.encoder import ConfigError
 from lsa.window import (
     VARIANTS,
     DwaParams,
+    ExampleInputs,
     ModelConfig,
     apply_dwa,
     aspect_feature_local,
     build_window,
     classify,
     position_weight,
+    position_weights,
     project_window,
 )
 
-from util import FIXTURES, bfs_distance, softmax, sum_all, tiny_model
+from util import (
+    FIXTURES,
+    reference_position_weights,
+    softmax,
+    sum_all,
+    tiny_model,
+    valid_of,
+)
 
 ad.set_debug_checks(True)
 
@@ -87,49 +96,82 @@ def test_position_weight_bounded(d, n):
     assert 0.0 <= w <= 1.0
 
 
-def reference_weight(d, alpha, n):
-    return 1.0 if d <= alpha else max(0.0, 1.0 - (d - alpha) / n)
+@st.composite
+def context_examples(draw, index):
+    """An example of 1-40 tokens whose 1-4 aspects lie in the first 31
+    (the context of ``tiny_model``), its tree, the word of each token, and
+    what the model is given: the tree, no tree, or a tree whose forms do not
+    align.  Words are runs of tokens (subword tokens), some in upper case;
+    the tree hangs each word below one that joined earlier."""
+    n = draw(st.integers(1, 40))
+    tokens = [f"t{i}" for i in range(n)]
+    points = sorted(draw(st.sets(st.integers(0, min(n, 31)), min_size=2, max_size=8)))
+    spans = list(zip(points[0::2], points[1::2]))
+    aspects = [AspectAnnotation(a, b, tuple(tokens[a:b]), Polarity.POSITIVE) for a, b in spans]
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)))) - {n})
+    bounds = [0, *cuts, n]
+    forms = ["".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
+    forms = [f.upper() if draw(st.booleans()) else f for f in forms]
+    order = draw(st.permutations(range(len(forms))))
+    heads = [0] * len(forms)
+    for rank, word in enumerate(order[1:], 1):
+        heads[word] = order[draw(st.integers(0, rank - 1))] + 1
+    token_word = [w for w, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
+    kind = draw(st.sampled_from(["parsed", "no parse", "not aligned"]))
+    if kind == "not aligned":
+        forms[draw(st.integers(0, len(forms) - 1))] += "x"
+    tree = DependencyTree(tuple(forms), tuple(heads))
+    example = Example(" ".join(tokens), tokens, aspects, parse_ref=f"p{index}")
+    return example, tree, token_word, kind
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_position_weights_equal_the_scalar_reference(data):
-    """Each column equals the per-token scalar formula on the positional
-    or the tree distance, bitwise."""
-    n = data.draw(st.integers(1, 16))
-    tokens = [f"t{i}" for i in range(n)]
-    points = sorted(data.draw(st.sets(st.integers(0, n), min_size=2, max_size=8)))
-    spans = list(zip(points[0::2], points[1::2]))
-    aspects = [AspectAnnotation(a, b, tuple(tokens[a:b]), Polarity.POSITIVE) for a, b in spans]
-    # words are runs of tokens; the tree hangs each word below an earlier one
-    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, n - 1)))) - {n})
-    bounds = [0, *cuts, n]
-    words = ["".join(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
-    order = data.draw(st.permutations(range(len(words))))
-    heads = [0] * len(words)
-    for rank, word in enumerate(order[1:], 1):
-        heads[word] = order[data.draw(st.integers(0, rank - 1))] + 1
-    tree = DependencyTree(tuple(words), tuple(heads))
-    token_word = [w for w, (a, b) in enumerate(zip(bounds, bounds[1:])) for _ in range(a, b)]
+    """A batch of 1-6 examples that mixes parsed examples, examples with
+    no parse, examples whose tokens do not align, subword tokens and
+    sentences longer than the context: every row of the batch pass equals
+    the per-token scalar formula on the positional or the breadth-first
+    tree distance, bitwise, and is zero past its sequence.  Under lsa_p
+    each SPC input gets one unit row, and an aspect too long for the SPC
+    input is refused."""
+    batch = [data.draw(context_examples(i)) for i in range(data.draw(st.integers(1, 6)))]
+    examples = [example for example, *_ in batch]
+    trees = {ex.parse_ref: tree for ex, tree, _, kind in batch if kind != "no parse"}
     alpha = data.draw(st.sampled_from([0.0, 1.0, 3.0, 4.5]))
-
-    example = Example(" ".join(tokens), tokens, aspects, parse_ref="p")
     for variant in ("lsa_t", "lsa_s"):
         model = tiny_model(variant=variant, alpha=alpha)
-        got = model._position_weights(example, tokens, {"p": tree})
-        assert model.syntax_fallbacks == 0
-        for row, (a, b) in zip(got, spans):
-            if variant == "lsa_s":
-                dist = [
-                    sum(bfs_distance(tree, token_word[i], token_word[t])
-                        for t in range(a, b)) / (b - a)
-                    for i in range(n)
-                ]
-            else:
-                dist = [sum(abs(i - t) for t in range(a, b)) / (b - a) for i in range(n)]
-            expected = [reference_weight(d, alpha, n) for d in [float(n)] + dist]
-            assert np.array_equal(row, expected)
-        assert np.array_equal(got[-1], np.ones(n + 1))
+        inputs = [model.forward_example(ex, trees) for ex in examples]
+        valid = valid_of(inputs)
+        source, scale = position_weights(inputs, valid, alpha)
+        expected = []
+        for e, (example, tree, token_word, kind) in enumerate(batch):
+            n = min(len(example.tokens), model.config.max_len - 1)
+            parse = (tree, token_word) if variant == "lsa_s" and kind == "parsed" else None
+            rows = np.zeros((len(example.aspects) + 1, valid.shape[1]))
+            rows[:, :n + 1] = reference_position_weights(example, n, alpha, parse)
+            expected.append(rows)
+            assert (inputs[e].parse is not None) == (parse is not None)
+        expected = np.concatenate(expected)
+        np.testing.assert_array_equal(scale, expected)
+        assert scale.tobytes() == expected.tobytes()
+        assert source.tolist() == [e for e, ex in enumerate(examples) for _ in range(len(ex.aspects) + 1)]
+        unparsed = sum(kind != "parsed" for *_, kind in batch)
+        assert model.syntax_fallbacks == (unparsed if variant == "lsa_s" else 0)
+    model = tiny_model(variant="lsa_p", alpha=alpha)  # one unit row per SPC input
+    longest = model.config.max_len - 3  # [CLS] context [SEP] aspect [SEP]; the aspect is never cut
+    fits = [ex for ex in examples if all(a.end - a.start <= longest for a in ex.aspects)]
+    for ex in examples:
+        if ex not in fits:
+            with pytest.raises(ConfigError, match="cannot fit"):
+                model.forward_example(ex, trees)
+    if not fits:
+        return
+    inputs = [model.forward_example(ex, trees) for ex in fits]
+    valid = valid_of(inputs)
+    source, scale = position_weights(inputs, valid, alpha)
+    assert source.tolist() == list(range(len(valid)))
+    assert np.array_equal(scale, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +199,9 @@ def test_aspect_feature_length_mismatch():
     model = tiny_model()
     hc = ad.tensor(np.zeros((4, 16)))
     valid = np.ones((1, 4), dtype=bool)
-    with pytest.raises(ConfigError):
-        aspect_feature_local(hc, valid, [np.ones((2, 3, 1))], model.head.sa, 2)
+    short = ExampleInputs(2, [np.zeros(3, dtype=np.int64)], [(0, 1), (1, 2)])
+    with pytest.raises(ConfigError, match="sequence lengths"):
+        aspect_feature_local(hc, valid, [short], 3.0, model.head.sa, 2)
 
 
 def test_position_weights_carry_no_gradient():
@@ -421,11 +464,13 @@ def test_stacked_features_equal_one_head_sa_call_per_column():
 
     model = tiny_model()
     ex = coherent_example(3)
-    hidden, valid = model.global_context([model.forward_example(ex)])
-    weights = model._position_weights(ex, ex.tokens, None)
+    inputs = [model.forward_example(ex)]
+    hidden, valid = model.global_context(inputs)
+    alpha = model.config.alpha
+    _, weights = position_weights(inputs, valid, alpha)
     assert weights.shape == (4, len(ex.tokens) + 1)
     assert np.array_equal(weights[-1], np.ones(len(ex.tokens) + 1))
-    stacked = aspect_feature_local(hidden, valid, [weights], model.head.sa, model.config.heads)
+    stacked = aspect_feature_local(hidden, valid, inputs, alpha, model.head.sa, model.config.heads)
     assert stacked.shape == (4, model.config.d_model)
     for a in range(4):
         single = self_attention_block(
@@ -569,10 +614,11 @@ def test_lsa_s_keeps_syntax_past_the_context_limit():
     ex = Example(" ".join(tokens), tokens,
                  [AspectAnnotation(2, 3, ("w2",), Polarity.POSITIVE)], parse_ref="p1")
     tree = DependencyTree(tuple(tokens), (0,) + (1,) * 39)  # every word under the first
-    weights = model.forward_example(ex, {"p1": tree}).weights[0]
+    inputs = [model.forward_example(ex, {"p1": tree})]
+    _, weights = position_weights(inputs, valid_of(inputs), model.config.alpha)
     assert model.syntax_fallbacks == 0
     n = model.config.max_len - 1
-    distances = np.concatenate([[n], tree.distances[:n, 2]])
+    distances = [n, 1, 2, 0] + [2] * (n - 3)  # word 2 hangs from word 0, as all others do
     expected = np.stack([position_weight(distances, model.config.alpha, n), np.ones(n + 1)])
     np.testing.assert_array_equal(weights, expected)
 
@@ -610,8 +656,9 @@ def test_model_config_rejects_contradictory_ablations():
 def test_position_weight_never_increases_row_norm():
     model = tiny_model()
     ex = coherent_example(2)
-    hc, _ = model.global_context([model.forward_example(ex)])
-    w = model._position_weights(ex, ex.tokens, None)
+    inputs = [model.forward_example(ex)]
+    hc, valid = model.global_context(inputs)
+    _, w = position_weights(inputs, valid, model.config.alpha)
     weighted = hc.values * w[..., None]
     norms_before = np.linalg.norm(hc.values, axis=-1)
     norms_after = np.linalg.norm(weighted, axis=-1)

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: the gradient oracle and a scalar
 sum to drive it, the softmax of logit rows, attention's weights and a
 numpy reference for it, a breadth-first reference for tree distance, the
-loaders' checks as first written (references for faster rewrites), tiny
-model/corpus builders."""
+loaders' checks and the token alignment as first written (references for
+faster rewrites), a scalar reference for the position weights of one
+example, tiny model/corpus builders."""
 
 from __future__ import annotations
 
@@ -190,8 +191,8 @@ def random_tree(rnd, n) -> DependencyTree:
     return DependencyTree(tuple(f"w{i}" for i in range(n)), tuple(heads))
 
 
-def bfs_distance(tree: DependencyTree, a: int, b: int) -> int:
-    """Edges on the path between words ``a`` and ``b``, by breadth-first
+def bfs_distances(tree: DependencyTree, a: int) -> list[int]:
+    """Edges on the path between word ``a`` and every word, by breadth-first
     search over the tree's undirected edges."""
     adj = {i: set() for i in range(tree.word_count)}
     for i, h in enumerate(tree.heads):
@@ -202,13 +203,72 @@ def bfs_distance(tree: DependencyTree, a: int, b: int) -> int:
     queue = deque([a])
     while queue:
         node = queue.popleft()
-        if node == b:
-            return seen[node]
         for nxt in adj[node]:
             if nxt not in seen:
                 seen[nxt] = seen[node] + 1
                 queue.append(nxt)
-    raise AssertionError("disconnected")
+    assert len(seen) == tree.word_count, "disconnected"
+    return [seen[b] for b in range(tree.word_count)]
+
+
+def bfs_distance(tree: DependencyTree, a: int, b: int) -> int:
+    """Edges on the path between words ``a`` and ``b``."""
+    return bfs_distances(tree, a)[b]
+
+
+def reference_weight(d, alpha, n):
+    """``window.position_weight`` of one distance, in Python floats."""
+    return 1.0 if d <= alpha else max(0.0, 1.0 - (d - alpha) / n)
+
+
+def reference_position_weights(example: Example, n: int, alpha: float, parse=None) -> np.ndarray:
+    """The (A + 1, n + 1) position weights of one example's context of n
+    tokens, one token and one aspect token at a time in Python numbers:
+    per aspect, the leading marker at distance n and each token at its
+    mean distance to the aspect's tokens, then a row of ones.  The
+    distance is the breadth-first one between the tokens' words under
+    ``parse``, a (tree, word of each token) pair, else |i - t|."""
+    if parse is None:
+        distance = lambda i, t: abs(i - t)  # noqa: E731
+    else:
+        tree, words = parse
+        rows = {w: bfs_distances(tree, w) for w in set(words[:n])}
+        distance = lambda i, t: rows[words[t]][words[i]]  # noqa: E731
+    weights = []
+    for a in example.aspects:
+        mean = [sum(distance(i, t) for t in range(a.start, a.end)) / (a.end - a.start)
+                for i in range(n)]
+        weights.append([reference_weight(d, alpha, n) for d in [float(n)] + mean])
+    return np.array(weights + [[1.0] * (n + 1)])
+
+
+def valid_of(inputs) -> np.ndarray:
+    """The (S, L) mask of the real positions of the sequences of
+    ``Model.forward_example`` results, as ``Model.global_context`` sets it."""
+    lengths = np.array([len(ids) for x in inputs for ids in x.sequences])
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def reference_align(tokens, words) -> np.ndarray:
+    """``distance.align_tokens_to_words`` as first written: the greedy walk
+    for every input."""
+    mapping = []
+    ti = 0
+    tokens = [t.lower() for t in tokens]
+    for wi, word in enumerate(w.lower() for w in words):
+        assembled = ""
+        while assembled != word:
+            if ti >= len(tokens) or len(assembled) > len(word):
+                raise DataError(
+                    f"cannot align token {ti} ({tokens[ti] if ti < len(tokens) else '<end>'!r}) "
+                    f"to word {wi} ({word!r})"
+                )
+            assembled += tokens[ti]
+            mapping.append(wi)
+            ti += 1
+    if ti != len(tokens):
+        raise DataError(f"trailing tokens from index {ti} align to no word")
+    return np.array(mapping, dtype=np.int64)
 
 
 def outcome(f, *args):
@@ -252,7 +312,9 @@ def _require(cond: bool, msg: str):
 
 def reference_example_from_json(obj, where: str) -> Example:
     """``corpus._example_from_json`` as first written: every check's
-    location and message formatted whether or not it fails."""
+    location and message formatted whether or not it fails.  The checks
+    of ``AspectAnnotation`` and ``Example`` are stated again, with the
+    location of the aspect or example at fault."""
     _require(isinstance(obj, dict), f"{where}: example must be an object")
     for key in ("text", "tokens", "aspects"):
         _require(key in obj, f"{where}: missing field {key!r}")
@@ -281,16 +343,25 @@ def reference_example_from_json(obj, where: str) -> Example:
             f"{aw}.term: must be a list of strings",
         )
         _require(isinstance(a.get("implicit", False), bool), f"{aw}.implicit: must be true or false")
-        aspects.append(
-            AspectAnnotation(
-                start=span[0],
-                end=span[1],
-                term=tuple(a["term"]),
-                polarity=Polarity.parse(a["polarity"], aw),
-                implicit=a.get("implicit", False),
-            )
-        )
+        polarity = Polarity.parse(a["polarity"], aw)
+        start, end, term = span[0], span[1], a["term"]
+        _require(0 <= start < end, f"{aw}: bad aspect span [{start}, {end})")
+        _require(len(term) == end - start,
+                 f"{aw}: aspect term length {len(term)} does not match span [{start}, {end})")
+        aspects.append(AspectAnnotation(start, end, tuple(term), polarity, a.get("implicit", False)))
     _require(isinstance(obj.get("parse_ref", ""), str), f"{where}.parse_ref: must be a string")
+    text, tokens = obj["text"], obj["tokens"]
+    _require(len(tokens) >= 1, f"{where}: example has no tokens")
+    prev_end = 0
+    for k in sorted(range(len(aspects)), key=lambda k: (aspects[k].start, aspects[k].end)):
+        a, aw = aspects[k], f"{where}.aspects[{k}]"
+        _require(a.end <= len(tokens), f"{aw}: aspect span [{a.start}, {a.end}) out of bounds "
+                                       f"for {len(tokens)} tokens in {text[:40]!r}")
+        _require(a.start >= prev_end,
+                 f"{where}: nested/overlapping aspect spans at token {a.start} in {text[:40]!r}")
+        prev_end = a.end
+        _require(tuple(tokens[a.start:a.end]) == a.term, f"{aw}: aspect term {list(a.term)} does "
+                 f"not match tokens at [{a.start}, {a.end}) in {text[:40]!r}")
     return Example(
         text=obj["text"],
         tokens=list(obj["tokens"]),
