@@ -1,10 +1,9 @@
 """Command-line surface: dataset analysis, synthetic generation, training,
 evaluation, sweeps, trajectory export, and replay.
 
-Each command in ``COMMANDS`` takes the args dict its run manifest records,
-writes its artifacts under an output directory and returns the files it
-read.  ``main`` builds that dict from the flags, ``replay`` reads it back
-from a manifest, and ``run_command`` writes the manifest for both.
+``COMMANDS`` is the one table of the commands that write a run manifest.
+From it the parser is built, ``main`` builds the args dict from the flags,
+and ``run_command`` reads that dict, or one from a manifest, and runs it.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Stdout stays human-readable; machine-readable artifacts go to files under
@@ -19,6 +18,7 @@ import shutil
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
@@ -44,13 +44,9 @@ from .training import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _output_root() -> Path:
@@ -63,34 +59,17 @@ def _out_dir(args, default_name: str) -> Path:
     return out
 
 
-def _add_config_flags(parser) -> None:
-    """One flag per TrainConfig field; a flag that is not given leaves no
-    attribute, so the config file's value stands."""
-    for f in fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            parser.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
-        else:
-            metavar = "L,R" if f.name == "frozen_eta" else None
-            parser.add_argument(flag, default=argparse.SUPPRESS, metavar=metavar)
-
-
-def _config_from_args(args) -> TrainConfig:
-    """Config file values, overridden by any explicitly passed flags."""
-    config = TrainConfig.from_file(args.config) if args.config else TrainConfig()
-    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
-    return TrainConfig.from_dict({**asdict(config), **given})
-
-
 def _command_args(args) -> dict:
-    """The args dict the manifest of ``args.command`` records."""
-    if args.command in ("train", "sweep-eta", "sweep-seeds"):
-        config = asdict(_config_from_args(args))
-        if args.command == "train":
-            return config
-        key = "grid" if args.command == "sweep-eta" else "seeds"
-        return {"config": config, key: getattr(args, key)}
-    return {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    """The args dict the manifest of ``args.command`` records.  Its config
+    is the config file's values, overridden by any explicitly passed flags."""
+    params = COMMANDS[args.command].args
+    values = {a.name: getattr(args, a.name) for a in params}
+    if CONFIG in params:
+        path = values[CONFIG.name]
+        config = asdict(TrainConfig.from_file(path) if path else TrainConfig())
+        given = {k: v for k, v in vars(args).items() if k in config}
+        values[CONFIG.name] = asdict(TrainConfig.from_dict({**config, **given}))
+    return values[CONFIG.name] if params == (CONFIG,) else values
 
 
 def _config_inputs(config: TrainConfig) -> list:
@@ -101,9 +80,9 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError:
-        raise UsageError(f"grid must be start:stop:step, got {spec!r}")
+        raise ConfigError(f"grid must be start:stop:step, got {spec!r}")
     if step <= 0 or stop < start:
-        raise UsageError("grid must have positive step and stop >= start")
+        raise ConfigError("grid must have positive step and stop >= start")
     count = int(round((stop - start) / step)) + 1
     return [start + i * step for i in range(count)]
 
@@ -112,7 +91,7 @@ def _parse_seeds(spec: str) -> list[int]:
     try:
         return [int(s) for s in spec.split(",") if s.strip() != ""]
     except ValueError:
-        raise UsageError(f"seeds must be comma-separated integers, got {spec!r}")
+        raise ConfigError(f"seeds must be comma-separated integers, got {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,49 +191,67 @@ def run_sweep_seeds(args: dict, out_dir: Path) -> list:
     return _config_inputs(config)
 
 
-# name -> (command, default output directory under the output root)
+class Arg:
+    """An argument of a command: its flag as ``add_argument`` takes it
+    ("name" is positional, "--name" an option; "name" is its key in the
+    args dict), its value's ``corpus.field_value`` kind, and ``add_argument``'s
+    other keywords.  CONFIG is ``--config`` plus a flag per TrainConfig
+    field; its value is the config's dict, and train's whole args dict."""
+
+    def __init__(self, flag: str, kind: str, **options):
+        self.flag, self.kind, self.options = flag, kind, options
+        self.name = flag.lstrip("-")
+
+
+class Command(NamedTuple):
+    run: Callable[[dict, Path], list]
+    out: str  # the default output directory under the output root
+    help: str
+    args: tuple[Arg, ...]  # in flag order
+
+
+CONFIG = Arg("--config", "config")
+FORMAT = Arg("--format", "str | None", choices=["absa-json", "semeval-xml"])
 COMMANDS = {
-    "analyze-clusters": (run_analyze_clusters, "clusters"),
-    "synth": (run_synth, "synth"),
-    "train": (run_train, "train"),
-    "eval": (run_eval, "eval"),
-    "sweep-eta": (run_sweep_eta, "sweep-eta"),
-    "sweep-seeds": (run_sweep_seeds, "sweep-seeds"),
-}
-# name -> the ``corpus.field_value`` kind of each arg of the command;
-# "config" is a TrainConfig's fields, read by ``TrainConfig.from_dict``,
-# and so are all of train's args
-ARG_KINDS = {
-    "analyze-clusters": {"dataset": "str", "format": "str | None"},
-    "synth": {"spec": "str", "seed": "int"},
-    "train": None,
-    "eval": {"checkpoint": "str", "dataset": "str", "format": "str | None",
-             "slice": "str | None", "parses": "str | None"},
-    "sweep-eta": {"config": "config", "grid": "str"},
-    "sweep-seeds": {"config": "config", "seeds": "str"},
+    "analyze-clusters": Command(run_analyze_clusters, "clusters", "sentiment cluster histogram",
+                                (Arg("dataset", "str"), FORMAT)),
+    "synth": Command(run_synth, "synth", "generate a synthetic corpus", (
+        Arg("--spec", "str", required=True),
+        Arg("--seed", "int", type=int, required=True))),
+    "train": Command(run_train, "train", "train a model", (CONFIG,)),
+    "sweep-eta": Command(run_sweep_eta, "sweep-eta", "train once per static eta_l = 1 - eta_r",
+                         (CONFIG, Arg("--grid", "str", default="0:1:0.1"))),
+    "sweep-seeds": Command(run_sweep_seeds, "sweep-seeds", "train once per seed",
+                           (CONFIG, Arg("--seeds", "str", default="0,1,2,3,4"))),
+    "eval": Command(run_eval, "eval", "evaluate a checkpoint", (
+        Arg("--checkpoint", "str", required=True),
+        Arg("--dataset", "str", required=True),
+        FORMAT,
+        Arg("--slice", "str | None",
+            help="implicit | explicit | mono | cluster1..cluster4 | cluster5+"),
+        Arg("--parses", "str | None"))),
 }
 
 
 def read_args(name: str, args: dict) -> dict:
     """The values of a command's args, each read as its kind in
-    ``ARG_KINDS``.  A missing or unknown arg, or a value of the wrong type,
+    ``COMMANDS``.  A missing or unknown arg, or a value of the wrong type,
     is a ConfigError."""
-    kinds = ARG_KINDS[name]
-    if kinds is None:
+    params = COMMANDS[name].args
+    if params == (CONFIG,):  # a config's fields, read by TrainConfig.from_dict
         return args
-    if set(args) != set(kinds):
-        raise ConfigError(f"{name} args must be {sorted(kinds)}, got {sorted(args)}")
+    names = [a.name for a in params]
+    if set(args) != set(names):
+        raise ConfigError(f"{name} args must be {sorted(names)}, got {sorted(args)}")
     values = {}
-    for key, kind in kinds.items():
+    for a in params:
+        raw = args[a.name]
         try:
-            if kind != "config":
-                values[key] = field_value(kind, args[key])
-            elif isinstance(args[key], dict):
-                values[key] = args[key]
-            else:
-                raise ValueError(f"expected an object, got {args[key]!r}")
+            if a is CONFIG and not isinstance(raw, dict):
+                raise ValueError(f"expected an object, got {raw!r}")
+            values[a.name] = raw if a is CONFIG else field_value(a.kind, raw)
         except ValueError as e:
-            raise ConfigError(f"bad value for {key}: {e}")
+            raise ConfigError(f"bad value for {a.name}: {e}")
     return values
 
 
@@ -263,7 +260,7 @@ def run_command(name: str, args: dict, out_dir: Path) -> None:
     which records ``args`` as given, next to its artifacts."""
     if name not in COMMANDS:
         raise DataError(f"manifest command {name!r} cannot be replayed")
-    inputs = COMMANDS[name][0](read_args(name, args), out_dir)
+    inputs = COMMANDS[name].run(read_args(name, args), out_dir)
     write_manifest(build_manifest(name, args, inputs), out_dir)
 
 
@@ -282,7 +279,7 @@ def run_replay(manifest_path, out_dir: Path) -> None:
     print(f"replaying {manifest['command']} from {manifest_path}")
     try:
         run_command(manifest["command"], manifest["args"], out_dir)
-    except (ConfigError, UsageError) as e:  # every value came from the manifest
+    except ConfigError as e:  # every value came from the manifest
         raise DataError(f"{manifest_path}: {e}")
 
 
@@ -293,34 +290,20 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="lsa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze-clusters", help="sentiment cluster histogram")
-    p.add_argument("dataset")
-    p.add_argument("--format", choices=["absa-json", "semeval-xml"], default=None)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    for name in ("train", "sweep-eta", "sweep-seeds"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for a in command.args:
+            p.add_argument(a.flag, **a.options)
+            # a field flag that is not given leaves no attribute, so the
+            # config file's value stands
+            for f in fields(TrainConfig) if a is CONFIG else ():
+                flag = "--" + f.name.replace("_", "-")
+                if f.type == "bool":
+                    p.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
+                else:
+                    metavar = "L,R" if f.name == "frozen_eta" else None
+                    p.add_argument(flag, default=argparse.SUPPRESS, metavar=metavar)
         p.add_argument("--out", default=None)
-        _add_config_flags(p)
-        if name == "sweep-eta":
-            p.add_argument("--grid", default="0:1:0.1")
-        if name == "sweep-seeds":
-            p.add_argument("--seeds", default="0,1,2,3,4")
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--format", choices=["absa-json", "semeval-xml"], default=None)
-    p.add_argument("--slice", default=None,
-                   help="implicit | explicit | mono | cluster1..cluster4 | cluster5+")
-    p.add_argument("--parses", default=None)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("export-trajectory")
     p.add_argument("--run", required=True)
@@ -342,9 +325,9 @@ def main(argv=None) -> int:
             run_replay(args.manifest, _out_dir(args, "replay"))
         else:
             run_command(
-                args.command, _command_args(args), _out_dir(args, COMMANDS[args.command][1])
+                args.command, _command_args(args), _out_dir(args, COMMANDS[args.command].out)
             )
-    except (UsageError, ConfigError) as e:
+    except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except DataError as e:

@@ -19,7 +19,7 @@ encoded alone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -130,11 +130,8 @@ class BlockParams:
         )
 
     def named(self, prefix: str):
-        for name in (
-            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-            "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b",
-        ):
-            yield f"{prefix}.{name}", getattr(self, name)
+        for f in fields(self):
+            yield f"{prefix}.{f.name}", getattr(self, f.name)
 
 
 @dataclass

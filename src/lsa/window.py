@@ -295,6 +295,8 @@ class ModelConfig:
                 raise ConfigError("frozen_eta requires no_dwa and k >= 1")
             if len(self.frozen_eta) != 2:
                 raise ConfigError("frozen_eta takes two values, eta_l,eta_r")
+        if self.no_dwa and self.k == 0:  # at k = 0 it is the backbone again
+            raise ConfigError("no_dwa needs k >= 1")
 
     @property
     def slot_offsets(self) -> np.ndarray:

@@ -23,8 +23,14 @@ examples and examples that fall back to token distance share a forward
 (its standard error keeps the fallback warnings, which every other run
 silences); last, ``lsa eval`` on each malformed input that the loaders
 must refuse (parses with a cycle, two roots or a head out of range; a
-test split with an aspect fault; a truncated checkpoint).  The exit code,
-the standard error (the temporary directory's path replaced by a
+test split with an aspect fault; a truncated checkpoint); then the rest
+of the CLI surface that the command table drives: ``lsa analyze-clusters``
+on the ``mini.json`` and ``mini_semeval.xml`` fixtures, ``lsa eval`` once
+per slice in ``SLICES`` on a corpus that has each and once with
+``--format absa-json`` (these runs are replayed too), ``lsa eval`` with an
+unknown slice, ``lsa export-trajectory``, and each argv of
+``usage_errors``, which argparse or a config check must refuse.  The exit
+code, the standard error (the temporary directory's path replaced by a
 placeholder) and the artifacts of each run are compared byte for byte,
 REV's checkpoints without the ``"backbone_only":false,`` that a config
 held before k = 0 replaced that ablation.
@@ -46,6 +52,7 @@ import io
 import json
 import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -95,6 +102,15 @@ heads=2
 epochs=2
 seed=3
 """
+# a test split with implicit, mono, size-1 and size-5+ cluster aspects
+SLICES_SPEC = """vocab_size=12
+rho=1.0
+implicit_fraction=0.1
+aspects=1:0.3,2:0.4,6:0.3
+test=40
+"""
+SLICES = ("implicit", "explicit", "mono", "cluster1", "cluster5+")
+EXPORTED = "eta_trajectory.csv"  # the file that the export-trajectory run writes
 CLI_SPEC = """vocab_size=12
 rho=0.8
 implicit_fraction=0.2
@@ -161,12 +177,18 @@ def write_cli_inputs(out: Path) -> None:
     """Write the inputs of every CLI run to ``out`` with the working
     tree's ``bench/workloads.py``.  Runs in a child process."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    from lsa.corpus import SynthSpec, generate_synthetic_corpus, save_dataset
     from workloads import WORKLOADS, write_inputs
 
     name, seed = CLI_INPUTS
     write_inputs(WORKLOADS[name], seed, out)
     (out / "train.cfg").write_text(CLI_CONFIG.format(inputs=out))
     (out / "synth.spec").write_text(CLI_SPEC)
+    (out / "slices.spec").write_text(SLICES_SPEC)
+    spec = SynthSpec.from_file(out / "slices.spec")
+    save_dataset(generate_synthetic_corpus(spec, seed)["test"], out / "slices.json")
+    for fixture in ("mini.json", "mini_semeval.xml"):
+        shutil.copyfile(ROOT / "tests" / "fixtures" / fixture, out / fixture)
     write_malformed_inputs(out)
     write_mixed_parses(out)
 
@@ -240,7 +262,16 @@ def cli_cases(inputs: Path, out: Path) -> list:
          ("train.json", "valid.json", "test.json")),
         ("sweep_eta", ["sweep-eta", *data, "--grid", "0:1:0.5"], ("sweep_eta.csv",)),
         ("sweep_seeds", ["sweep-seeds", *data, "--seeds", "1,2"], ("sweep_seeds.csv",)),
+        ("clusters_json", ["analyze-clusters", inputs / "mini.json"], ("clusters.csv",)),
+        ("clusters_xml", ["analyze-clusters", inputs / "mini_semeval.xml",
+                          "--format", "semeval-xml"], ("clusters.csv",)),
     ]
+    plain = out / "lsa_t_k1"  # a model that reads no parses
+    plain_eval = ["eval", "--checkpoint", plain / "checkpoint.bin"]
+    cases += [(f"eval_slice/{s}", [*plain_eval, "--dataset", inputs / "slices.json", "--slice", s],
+               ("eval.csv",)) for s in SLICES]
+    cases.append(("eval_format", [*plain_eval, "--dataset", inputs / "test.json",
+                                  "--format", "absa-json"], ("eval.csv",)))
     cases += [(f"replay/{name}", ["replay", out / name / "manifest.json"], artifacts)
               for name, _, artifacts in cases]
     trained = out / "lsa_s_k1" / "checkpoint.bin"
@@ -252,7 +283,36 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases += [(f"refuse/{fault}", ["eval", "--checkpoint", checkpoint,
                                    "--dataset", inputs / dataset, "--parses", inputs / parses], ())
               for fault, (checkpoint, dataset, parses) in refused.items()]
-    return [(name, [*argv, "--out", out / name], artifacts) for name, argv, artifacts in cases]
+    cases.append(("eval_slice/unknown",
+                  [*plain_eval, "--dataset", inputs / "slices.json", "--slice", "cluster"], ()))
+    cases.append(("export_trajectory", ["export-trajectory", "--run", plain], (EXPORTED,)))
+    cases += [(f"usage/{name}", argv, ()) for name, argv in usage_errors(inputs, data).items()]
+    return [(name, [*argv, "--out", out / name / EXPORTED if argv[0] == "export-trajectory"
+                    else out / name], artifacts) for name, argv, artifacts in cases]
+
+
+def usage_errors(inputs: Path, data: list) -> dict:
+    """name -> the argv of each usage-error run: a flag, a flag's value or a
+    config value that is refused, or a required argument left out."""
+    checkpoint = ["--checkpoint", inputs / "nothing.bin"]  # never read
+    test = ["--dataset", inputs / "test.json"]
+    return {
+        "unknown_command": ["frobnicate"],
+        "unknown_flag": ["analyze-clusters", inputs / "mini.json", "--bogus"],
+        "no_dataset": ["analyze-clusters"],
+        "no_checkpoint": ["eval", *test],
+        "no_flags": ["eval"],
+        "bad_format": ["eval", *checkpoint, *test, "--format", "csv"],
+        "no_spec": ["synth", "--seed", "1"],
+        "seed_not_int": ["synth", "--spec", inputs / "synth.spec", "--seed", "x"],
+        "ambiguous_flag": ["train", *data, "--e", "1"],
+        "epochs_not_int": ["train", *data, "--epochs", "abc"],
+        "no_train_path": ["train", "--epochs", "1"],
+        "grid_backwards": ["sweep-eta", *data, "--grid", "1:0:1"],
+        "seeds_not_int": ["sweep-seeds", *data, "--seeds", "1,x"],
+        "no_run": ["export-trajectory"],
+        "no_manifest": ["replay"],
+    }
 
 
 def cli_runs(root: Path, inputs: Path, out: Path) -> None:
@@ -267,10 +327,10 @@ def cli_runs(root: Path, inputs: Path, out: Path) -> None:
     exits = {}
     for name, argv, _ in cli_cases(inputs, out):
         logging.disable(logging.NOTSET if name == MIXED_RUN else logging.WARNING)
+        (out / name).mkdir(parents=True, exist_ok=True)  # export-trajectory writes a file there
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             exits[name] = main([str(a) for a in argv])
-        (out / name).mkdir(parents=True, exist_ok=True)
         text = err.getvalue().replace(str(out), "<out>").replace(str(inputs.parent), "<tmp>")
         (out / name / "stderr.txt").write_text(text)
     (out / "exits.json").write_text(json.dumps(exits))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lsa.cli import main
+from lsa.cli import COMMANDS, main
 from lsa.runio import config_hash
 
 from util import FIXTURES, write_synth_corpus
@@ -72,6 +72,25 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 def test_unknown_command_is_usage_error():
     assert run(["frobnicate"]) == 1
+
+
+# what each manifest-writing command says when run with no argument but --out
+MISSING_REQUIRED = {
+    "analyze-clusters": "the following arguments are required: dataset",
+    "synth": "the following arguments are required: --spec, --seed",
+    "train": "train_path is required",
+    "sweep-eta": "train_path is required",
+    "sweep-seeds": "train_path is required",
+    "eval": "the following arguments are required: --checkpoint, --dataset",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_required_argument_is_usage_error(command, tmp_path, capsys):
+    """argparse names the missing flags in the order they were declared,
+    so the command table keeps the flag order."""
+    assert run([command, "--out", tmp_path]) == 1
+    assert capsys.readouterr().err == f"usage error: {MISSING_REQUIRED[command]}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +199,12 @@ def test_eval_command_and_slices(corpus, tmp_path, capsys):
 @pytest.mark.parametrize(
     "case",
     ["frozen-eta-one-value", "config-int", "seeds", "slice", "config-bool", "backbone-only",
-     "k0-one-sided", "k0-eta-sweep"],
+     "k0-one-sided", "k0-no-dwa", "k0-eta-sweep"],
 )
 def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
     """``--backbone-only`` is gone (k = 0 is the backbone); at k = 0 a
-    one-sided window would be a second spelling of it, and an eta sweep
-    would train one model once per grid point."""
+    one-sided window or no DWA would be a second spelling of it, and an
+    eta sweep would train one model once per grid point."""
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "out"
     if case == "frozen-eta-one-value":
@@ -194,6 +213,8 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
         argv = train_args(corpus, out, extra=["--backbone-only"])
     elif case == "k0-one-sided":
         argv = train_args(corpus, out, extra=["--k", "0", "--la-only"])
+    elif case == "k0-no-dwa":
+        argv = train_args(corpus, out, extra=["--k", "0", "--no-dwa"])
     elif case == "k0-eta-sweep":
         argv = sweep_args("sweep-eta", corpus, out, ["--k", "0", "--grid", "0:1:0.5"])
     elif case == "config-int":
@@ -399,10 +420,7 @@ def replay_case(command, paths, tmp_path):
     raise AssertionError(command)
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["analyze-clusters", "synth", "train", "eval", "sweep-eta", "sweep-seeds"],
-)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_replay_reproduces_outputs_byte_identical(command, corpus, tmp_path):
     argv, outputs = replay_case(command, corpus, tmp_path)
     original = tmp_path / "orig"
@@ -574,7 +592,8 @@ def test_replay_reads_a_string_as_the_fields_text(args, train_run, tmp_path):
     ({"d_model": 16.0}, "bad value for d_model: expected int, got 16.0"),
     ({"no_dwa": True, "frozen_eta": [0.3]}, "frozen_eta takes two values, eta_l,eta_r"),
     ({"backbone_only": True}, "backbone_only is gone: the backbone is k = 0"),
-], ids=["k_bool", "d_model_float", "frozen_eta_one_value", "backbone_only"])
+    ({"k": 0, "no_dwa": True}, "no_dwa needs k >= 1"),
+], ids=["k_bool", "d_model_float", "frozen_eta_one_value", "backbone_only", "k0_no_dwa"])
 def test_replayed_config_that_is_not_valid_is_data_error(args, message, train_run, tmp_path,
                                                          capsys):
     """Every value comes from the manifest, so it is the manifest's fault.

@@ -200,6 +200,19 @@ def test_align_mismatch_raises():
         align_tokens_to_words(["a", "b"], ["a", "c"])
 
 
+@pytest.mark.parametrize("tokens, words, message", [
+    (["w9", "w13", "w14"], ["w9x", "w13"], "cannot align tokens 0-1 ('w9w13') to word 0 ('w9x')"),
+    (["a", "b"], ["a", "bc"], "cannot align tokens 1-1 ('b') to word 1 ('bc')"),
+    (["a"], ["a", "b"], "no token is left for word 1 ('b')"),
+], ids=["overshoot", "run_out_in_a_word", "run_out_before_a_word"])
+def test_align_mismatch_names_the_tokens_at_fault(tokens, words, message):
+    """The error once named the next, unconsumed token: token 2 ('w14')
+    for the overshoot."""
+    with pytest.raises(DataError) as e:
+        align_tokens_to_words(tokens, words)
+    assert str(e.value) == message
+
+
 @st.composite
 def token_word_pairs(draw):
     """Tokens and words over a small alphabet: words equal to the tokens

@@ -336,12 +336,11 @@ def test_simplified_windows_keep_one_side():
         assert apply_dwa(feats, window, offsets, None).values.tolist() == expected
 
 
-@pytest.mark.parametrize("flags", [{}, {"no_dwa": True}])
-def test_k0_is_one_slot_without_side_weight(flags):
+def test_k0_is_one_slot_without_side_weight():
     """k = 0 is the backbone: every window is the target alone, the
     projection is (d, d), and ``apply_dwa`` records only its gather and
     its reshape."""
-    model = tiny_model(k=0, **flags)
+    model = tiny_model(k=0)
     d = model.config.d_model
     assert model.config.slot_offsets.tolist() == [0]
     assert model.head.w_out.shape == (d, d)
@@ -643,6 +642,8 @@ def test_model_config_rejects_contradictory_ablations():
     for side in ("la_only", "ra_only"):  # at k = 0 a second spelling of the backbone
         with pytest.raises(ConfigError, match="need k >= 1"):
             ModelConfig(k=0, **{side: True}).validate()
+    with pytest.raises(ConfigError, match="no_dwa needs k >= 1"):  # so is no_dwa
+        ModelConfig(k=0, no_dwa=True).validate()
     with pytest.raises(ConfigError, match="requires no_dwa and k >= 1"):  # no side to weight
         ModelConfig(k=0, no_dwa=True, frozen_eta=(0.3, 0.7)).validate()
     with pytest.raises(ConfigError):

@@ -256,13 +256,13 @@ def reference_align(tokens, words) -> np.ndarray:
     ti = 0
     tokens = [t.lower() for t in tokens]
     for wi, word in enumerate(w.lower() for w in words):
-        assembled = ""
+        start, assembled = ti, ""
         while assembled != word:
             if ti >= len(tokens) or len(assembled) > len(word):
-                raise DataError(
-                    f"cannot align token {ti} ({tokens[ti] if ti < len(tokens) else '<end>'!r}) "
-                    f"to word {wi} ({word!r})"
-                )
+                if ti == start:
+                    raise DataError(f"no token is left for word {wi} ({word!r})")
+                raise DataError(f"cannot align tokens {start}-{ti - 1} ({assembled!r}) "
+                                f"to word {wi} ({word!r})")
             assembled += tokens[ti]
             mapping.append(wi)
             ti += 1
