@@ -405,7 +405,7 @@ class _Layout:
 
 
 def attention(
-    x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+    x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor,
     wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
     heads: int, valid, source=None, scale=None,
 ) -> Tensor:
@@ -426,8 +426,8 @@ def attention(
     forming that input; its residual row is that first row, scaled.  Keys
     and values are linear in the input, so they are projected once per
     sequence and scaled per query; the value bias passes through the
-    weights, which sum to 1.  The key bias adds q·bk to every score of a
-    query, a shift that softmax ignores, so it is left out.
+    weights, which sum to 1.  There is no key bias: a key bias bk adds
+    q·bk to every score of a query, a shift that softmax ignores.
     """
     xv = x.values
     at = _Layout(xv, heads, valid, source, scale)
@@ -469,12 +469,12 @@ def attention(
         return (
             g_x,
             at.xq.T @ g_q, g_q.sum(axis=0),
-            xv.T @ g_k, np.zeros_like(bk.values),
+            xv.T @ g_k,
             xv.T @ g_v, g_merged.sum(axis=0),
             merged.T @ g, g.sum(axis=0),
         )
 
-    return _record(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), backward)
+    return _record(out, (x, wq, bq, wk, wv, bv, wo, bo), backward)
 
 
 def _normalize(z: np.ndarray, out: np.ndarray) -> np.ndarray:

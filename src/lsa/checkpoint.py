@@ -2,7 +2,9 @@
 parameter names to shapes (plus vocabulary and model config), then raw
 little-endian float64 payloads in manifest order.  Round-trips are
 byte-exact.  A load draws no random init: the model is built on empty
-arrays, which the payload then fills."""
+arrays, which the payload then fills.  Version 2 lists exactly the
+model's parameters; a version 1 file is read by skipping the entries the
+model lacks, which no forward read."""
 
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .runio import canonical_json
 from .window import Model, ModelConfig
 
 MAGIC = b"LSACHKPT"
-VERSION = 1
+VERSION = 2
 HEADER = struct.Struct("<8sIQ")  # magic, version, manifest length
 
 
@@ -51,6 +53,18 @@ class _NoDraw:
     uniform = normal
 
 
+def _v1_shapes(params: dict) -> dict[str, tuple]:
+    """The parameters a version 1 file of the model lists, with their
+    shapes: a key bias after each key weight, and both side weights last."""
+    shapes = {}
+    for name, t in params.items():
+        if not name.startswith("dwa."):
+            shapes[name] = t.shape
+        if name.endswith(".wk"):
+            shapes[name[:-2] + "bk"] = t.shape[1:]
+    return shapes | {"dwa.eta_l": (1,), "dwa.eta_r": (1,)}
+
+
 def save_checkpoint(model: Model, path) -> None:
     Path(path).write_bytes(checkpoint_bytes(model))
 
@@ -66,7 +80,7 @@ def load_checkpoint(path) -> Model:
         raise DataError(f"{path}: truncated checkpoint header")
     _, version, manifest_len = HEADER.unpack_from(blob)
     offset = HEADER.size
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     try:
         manifest = json.loads(blob[offset : offset + manifest_len].decode("utf-8"))
@@ -84,16 +98,17 @@ def load_checkpoint(path) -> Model:
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise DataError(f"{path}: malformed checkpoint manifest: {e!r}")
     params = model.named_parameters()
-    if [name for name, _ in listed] != list(params):
+    shapes = {n: t.shape for n, t in params.items()} if version == VERSION else _v1_shapes(params)
+    if [name for name, _ in listed] != list(shapes):
         raise DataError(f"{path}: checkpoint parameters do not match the model")
     for name, shape in listed:
-        t = params[name]
-        if shape != t.shape:
-            raise DataError(f"{path}: shape {shape} for {name} does not match {t.shape}")
+        if shape != shapes[name]:
+            raise DataError(f"{path}: shape {shape} for {name} does not match {shapes[name]}")
         end = offset + 8 * math.prod(shape)
         if end > len(blob):
             raise DataError(f"{path}: truncated checkpoint payload")
-        t.values[...] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
+        if name in params:  # else a v1 entry that no forward read
+            params[name].values[...] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
         offset = end
     if offset != len(blob):
         raise DataError(f"{path}: trailing bytes after checkpoint payload")

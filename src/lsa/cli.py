@@ -4,10 +4,9 @@ evaluation, sweeps, trajectory export, and replay.
 ``COMMANDS`` is the one table of the commands that write a run manifest.
 From it the parser is built, ``main`` builds the args dict from the flags,
 and ``run_command`` reads that dict, or one from a manifest, and runs it.
-
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Stdout stays human-readable; machine-readable artifacts go to files under
---out (default: $LSA_OUTPUT_ROOT, falling back to the working directory).
+``DESCRIPTION`` is what ``lsa --help`` tells a user: the exit codes and
+where the files go.  Stdout stays human-readable; machine-readable
+artifacts go to files.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .distance import load_parses
 from .encoder import ConfigError
 from .runio import build_manifest, load_manifest, verify_manifest_hashes, write_csv, write_manifest
 from .training import (
+    SLICES,
     NumericError,
     TrainConfig,
     evaluate,
@@ -44,17 +44,23 @@ from .training import (
 )
 
 
+DESCRIPTION = """\
+Aspect sentiment classification by local sentiment aggregation.  Each
+command but export-trajectory writes its files and a manifest.json, which
+replay re-runs, under --out: by default a directory per command (such as
+train/ or eval/) in $LSA_OUTPUT_ROOT, else in the working directory.
+
+exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
+"""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
 
-def _output_root() -> Path:
-    return Path(os.environ.get("LSA_OUTPUT_ROOT", "."))
-
-
 def _out_dir(args, default_name: str) -> Path:
-    out = Path(args.out) if args.out else _output_root() / default_name
+    out = Path(args.out or Path(os.environ.get("LSA_OUTPUT_ROOT", ".")) / default_name)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -227,8 +233,7 @@ COMMANDS = {
         Arg("--checkpoint", "str", required=True),
         Arg("--dataset", "str", required=True),
         FORMAT,
-        Arg("--slice", "str | None",
-            help="implicit | explicit | mono | cluster1..cluster4 | cluster5+"),
+        Arg("--slice", "str | None", help=" | ".join(SLICES)),
         Arg("--parses", "str | None"))),
 }
 
@@ -287,7 +292,8 @@ def run_replay(manifest_path, out_dir: Path) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="lsa", description=__doc__)
+    parser = _Parser(prog="lsa", description=DESCRIPTION,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, command in COMMANDS.items():
@@ -305,7 +311,7 @@ def _build_parser() -> _Parser:
                     p.add_argument(flag, default=argparse.SUPPRESS, metavar=metavar)
         p.add_argument("--out", default=None)
 
-    p = sub.add_parser("export-trajectory")
+    p = sub.add_parser("export-trajectory", help="copy a run's eta_trajectory.csv to --out")
     p.add_argument("--run", required=True)
     p.add_argument("--out", required=True)
 

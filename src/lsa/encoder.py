@@ -95,8 +95,7 @@ class BlockParams:
 
     wq: Tensor
     bq: Tensor
-    wk: Tensor
-    bk: Tensor
+    wk: Tensor  # no key bias: see ad.attention
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -120,7 +119,7 @@ class BlockParams:
 
         return cls(
             wq=proj(d, d), bq=zeros(d),
-            wk=proj(d, d), bk=zeros(d),
+            wk=proj(d, d),
             wv=proj(d, d), bv=zeros(d),
             wo=proj(d, d), bo=zeros(d),
             w1=proj(d, ffn), b1=zeros(ffn),
@@ -191,7 +190,7 @@ def self_attention_block(
     sequence ``source[r]`` with its rows scaled by ``scale[r]``.  That
     input is never formed: ``ad.attention`` projects keys and values once
     per sequence and adds the scaled first rows as the residual."""
-    h = ad.attention(x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, heads, valid, source, scale)
+    h = ad.attention(x, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, heads, valid, source, scale)
     return ad.residual_ffn(h, p.ln1_g, p.ln1_b, p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b)
 
 

@@ -164,32 +164,27 @@ def pair_batches(examples, pairs: int):
 # Evaluation slices
 
 
-def _pair_in_slice(example, aspect_idx, slice_: str | None) -> bool:
-    if slice_ is None:
-        return True
-    if slice_ == "implicit":
-        return example.aspects[aspect_idx].implicit
-    if slice_ == "explicit":
-        return not example.aspects[aspect_idx].implicit
-    if slice_ == "mono":
-        return len(example.aspects) == 1
-    if slice_.startswith("cluster"):
-        label = slice_[len("cluster") :]
-        if label == "5+":
-            return cluster_sizes(example)[aspect_idx] >= 5
-        if label.isdecimal():
-            return cluster_sizes(example)[aspect_idx] == int(label)
-    raise ConfigError(f"unknown slice {slice_!r}")
+# name -> whether aspect j of an example is in the slice
+SLICES = {
+    "implicit": lambda example, j: example.aspects[j].implicit,
+    "explicit": lambda example, j: not example.aspects[j].implicit,
+    "mono": lambda example, j: len(example.aspects) == 1,
+    **{f"cluster{n}": lambda example, j, n=n: cluster_sizes(example)[j] == n for n in range(1, 5)},
+    "cluster5+": lambda example, j: cluster_sizes(example)[j] >= 5,
+}
 
 
 def evaluate(
     model: Model, dataset: Dataset, trees=None, slice_: str | None = None
 ) -> Metrics:
-    """Metrics over (example, aspect) pairs, optionally filtered to a slice.
-    The examples with a pair in the slice are forwarded in groups of
-    ``BATCH_PAIRS`` pairs."""
+    """Metrics over (example, aspect) pairs, optionally filtered to one of
+    ``SLICES``.  The examples with a pair in the slice are forwarded in
+    groups of ``BATCH_PAIRS`` pairs."""
+    if slice_ is not None and slice_ not in SLICES:
+        raise ConfigError(f"unknown slice {slice_!r}")
+    in_slice = SLICES.get(slice_, lambda example, j: True)
     wanted = [
-        [_pair_in_slice(example, j, slice_) for j in range(len(example.aspects))]
+        [in_slice(example, j) for j in range(len(example.aspects))]
         for example in dataset.examples
     ]
     examples = [ex for ex, keep in zip(dataset.examples, wanted) if any(keep)]
@@ -228,15 +223,6 @@ def _load_splits(config: TrainConfig):
     return train, valid, test, trees
 
 
-def _snapshot(model: Model) -> dict[str, np.ndarray]:
-    return {name: t.values.copy() for name, t in model.named_parameters().items()}
-
-
-def _restore(model: Model, snapshot: dict[str, np.ndarray]) -> None:
-    for name, t in model.named_parameters().items():
-        t.values[...] = snapshot[name]
-
-
 def train(config: TrainConfig) -> TrainResult:
     """Deterministic training under (config, seed); the best checkpoint by
     validation accuracy is retained (ties resolved to the lower epoch)."""
@@ -259,11 +245,10 @@ def train(config: TrainConfig) -> TrainResult:
     vocab = Vocabulary.build(ex.tokens for ex in train_set.examples)
     model = Model(config.model_config(), vocab, rng)
 
-    groups = [ParamGroup(model.main_parameters(), config.encoder_lr, config.lambda_reg)]
-    eta_params = model.eta_parameters()
-    if eta_params:
-        groups.append(ParamGroup(eta_params, config.eta_lr, config.lambda_eta))
-    optimizer = AdamW(groups)
+    optimizer = AdamW([  # the eta group is empty when no side weight is learned
+        ParamGroup(model.main_parameters(), config.encoder_lr, config.lambda_reg),
+        ParamGroup(model.eta_parameters(), config.eta_lr, config.lambda_eta),
+    ])
 
     trajectory = [(0, *model.eta_values())]
     metrics_rows: list[tuple[int, str, float, float]] = []
@@ -312,12 +297,14 @@ def train(config: TrainConfig) -> TrainResult:
             valid_metrics.accuracy,
         )
         if best is None or valid_metrics.accuracy > best[0]:
-            best = (valid_metrics.accuracy, epoch, _snapshot(model))
+            snapshot = {name: t.values.copy() for name, t in model.named_parameters().items()}
+            best = (valid_metrics.accuracy, epoch, snapshot)
 
     best_epoch = 0
     if best is not None:
         best_epoch = best[1]
-        _restore(model, best[2])
+        for name, t in model.named_parameters().items():
+            t.values[...] = best[2][name]
 
     final = None
     if config.epochs > 0:

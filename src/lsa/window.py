@@ -18,7 +18,8 @@ describes it as one array of slot offsets from the target, -k..k, or one
 side of it under ``la_only``/``ra_only``; k = 0 is the plain backbone, one
 slot and no side weight.  Two scalars re-weight the side slots, the left
 ones at negative offsets and the right ones at positive offsets: learned
-from 1, frozen constants, or the constant 1 (``Model.side_weights``).
+from 1, frozen constants, or the constant 1 (``Model.side_weights``).  A
+model holds a learned side weight only for a side that has a slot.
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
 of each example (token ids, SPC inputs, the parse and its alignment) is
@@ -40,7 +41,7 @@ classifier and the loss each run once over all pairs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,16 +83,6 @@ class ExampleInputs:
     spans: list[tuple[int, int]] | None = None
     # lsa_s: the parse and the word of each context token; None for token distance
     parse: tuple[DependencyTree, np.ndarray] | None = None
-
-
-@dataclass
-class DwaParams:
-    eta_l: Tensor = field(default_factory=lambda: ad.parameter(np.array([1.0])))
-    eta_r: Tensor = field(default_factory=lambda: ad.parameter(np.array([1.0])))
-
-    def named(self):
-        yield "dwa.eta_l", self.eta_l
-        yield "dwa.eta_r", self.eta_r
 
 
 @dataclass
@@ -316,38 +307,37 @@ class Model:
             len(vocab), d, config.layers, config.heads, config.max_len, ffn, rng
         )
         dec_in = d if config.variant == "lsa_p" else 2 * d
-        self.head = OutputHead.init(d, ffn, len(config.slot_offsets), dec_in, rng)
-        self.dwa = DwaParams()
+        offsets = config.slot_offsets
+        self.head = OutputHead.init(d, ffn, len(offsets), dec_in, rng)
+        # the learned side weights, from 1: one per side that has a slot
+        sides = {"dwa.eta_l": offsets.min() < 0, "dwa.eta_r": offsets.max() > 0}
+        self.eta = {} if config.no_dwa else {
+            name: ad.parameter(np.ones(1)) for name, has_slot in sides.items() if has_slot}
         self.syntax_fallbacks = 0
         self._warned: set[str] = set()  # the fallback reasons already logged
 
     # -- parameters -------------------------------------------------------
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params = dict(self.encoder.named())
-        params.update(self.head.named())
-        params.update(self.dwa.named())
-        return params
+        return self.main_parameters() | self.eta
 
     def main_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.named_parameters().items() if not k.startswith("dwa.")}
+        return dict(self.encoder.named()) | dict(self.head.named())
 
     def eta_parameters(self) -> dict[str, Tensor]:
         """The learned side weights some window slot uses."""
-        if self.config.no_dwa:
-            return {}
-        offsets = self.config.slot_offsets
-        used = ((offsets < 0).any(), (offsets > 0).any())
-        return {name: t for (name, t), u in zip(self.dwa.named(), used) if u}
+        return dict(self.eta)
 
     def side_weights(self) -> tuple[Tensor, Tensor] | None:
         """The (left, right) side weights: learned, the frozen constants,
-        or None for the constant 1 or a window with no side slot (k = 0)."""
-        if not self.config.slot_offsets.any():
-            return None
-        if self.config.frozen_eta is not None:  # validate: only under no_dwa
+        or None for the constant 1 or a window with no side slot (k = 0).
+        A side with no slot reads as the constant 1."""
+        if self.config.frozen_eta is not None:  # validate: only under no_dwa, k >= 1
             return tuple(Tensor(np.array([eta])) for eta in self.config.frozen_eta)
-        return None if self.config.no_dwa else (self.dwa.eta_l, self.dwa.eta_r)
+        if not self.eta:
+            return None
+        one = Tensor(np.ones(1))
+        return self.eta.get("dwa.eta_l", one), self.eta.get("dwa.eta_r", one)
 
     def eta_values(self) -> tuple[float, float]:
         eta = self.side_weights()

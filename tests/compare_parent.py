@@ -7,10 +7,14 @@ is extracted with ``git archive`` into a temporary directory.  For each
 side, REV and the working tree, one child process computes every array
 of the ``oracle.py`` cases, forwarded 1, 3 and all examples at a time,
 from that side's ``src`` and ``tests/oracle.py``; the arrays are compared
-with ``np.array_equal``.  Then each side's ``bench/run.py --workload W
+with ``np.array_equal``; the key bias gradients ``*/grad/*.bk`` that
+only REV has (the model has no key bias since checkpoint version 2) are
+expected if each is exactly 0.  Then each side's ``bench/run.py --workload W
 --seed S --seconds 1 --trace 0`` runs for every workload that
 ``BENCHMARK.json`` declares and every seed, and the ``outputs`` objects
-of its details line are compared.  Last, one child process per side runs
+of its details line are compared; a ``parameters`` count lower by
+d·(layers + 1), the default model's key biases, is expected.  Last, one
+child process per side runs
 the CLI on the same inputs, written once by the working tree's
 ``bench/workloads.py``: ``lsa train`` and then ``lsa eval --parses`` for
 every variant, k = 0 (the backbone) with no ablation flag, and k = 1 and 2
@@ -27,13 +31,15 @@ test split with an aspect fault; a truncated checkpoint); then the rest
 of the CLI surface that the command table drives: ``lsa analyze-clusters``
 on the ``mini.json`` and ``mini_semeval.xml`` fixtures, ``lsa eval`` once
 per slice in ``SLICES`` on a corpus that has each and once with
-``--format absa-json`` (these runs are replayed too), ``lsa eval`` with an
-unknown slice, ``lsa export-trajectory``, and each argv of
+``--format absa-json`` (these runs are replayed too), ``lsa eval`` with
+each of ``UNKNOWN_SLICES``, ``lsa export-trajectory``, and each argv of
 ``usage_errors``, which argparse or a config check must refuse.  The exit
 code, the standard error (the temporary directory's path replaced by a
 placeholder) and the artifacts of each run are compared byte for byte,
-REV's checkpoints without the ``"backbone_only":false,`` that a config
-held before k = 0 replaced that ablation.
+REV's checkpoints as the working tree's ``load_checkpoint`` reads them
+and ``checkpoint_bytes`` writes them back: a version 1 file without its
+key biases, its unused side weights and the ``backbone_only`` key that a
+config held before k = 0 replaced that ablation.
 
 Every difference is printed, and the exit code is 1 if there is one, else
 0.  Two kinds are printed apart and not counted: the oracle cases that
@@ -53,7 +59,6 @@ import json
 import logging
 import os
 import shutil
-import struct
 import subprocess
 import sys
 import tarfile
@@ -86,8 +91,6 @@ FAULTY = 4  # the index of the sentence and of the example that hold the fault
 UNPARSED = (1, 2, 9)  # the test sentences that the mixed parses lack
 UNALIGNED = 6  # the test sentence whose first form the mixed parses change
 MIXED_RUN = "lsa_s_k1/eval_mixed_parses"  # the one CLI run whose warnings are kept
-CHECKPOINT_HEADER = struct.Struct("<8sIQ")  # magic, version, manifest length
-LEGACY_KEY = b'"backbone_only":false,'
 TRAIN_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin")
 # the config file and the synth spec, beside the inputs; {inputs} is their directory
 CLI_CONFIG = """variant=lsa_s
@@ -110,6 +113,8 @@ aspects=1:0.3,2:0.4,6:0.3
 test=40
 """
 SLICES = ("implicit", "explicit", "mono", "cluster1", "cluster5+")
+# "cluster0" and "cluster07" once selected no pairs, and "cluster٣" ran as cluster3
+UNKNOWN_SLICES = ("cluster", "cluster0", "cluster07", "cluster٣")
 EXPORTED = "eta_trajectory.csv"  # the file that the export-trajectory run writes
 CLI_SPEC = """vocab_size=12
 rho=0.8
@@ -283,8 +288,9 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases += [(f"refuse/{fault}", ["eval", "--checkpoint", checkpoint,
                                    "--dataset", inputs / dataset, "--parses", inputs / parses], ())
               for fault, (checkpoint, dataset, parses) in refused.items()]
-    cases.append(("eval_slice/unknown",
-                  [*plain_eval, "--dataset", inputs / "slices.json", "--slice", "cluster"], ()))
+    cases += [(f"eval_slice/unknown_{i}",
+               [*plain_eval, "--dataset", inputs / "slices.json", "--slice", s], ())
+              for i, s in enumerate(UNKNOWN_SLICES)]
     cases.append(("export_trajectory", ["export-trajectory", "--run", plain], (EXPORTED,)))
     cases += [(f"usage/{name}", argv, ()) for name, argv in usage_errors(inputs, data).items()]
     return [(name, [*argv, "--out", out / name / EXPORTED if argv[0] == "export-trajectory"
@@ -343,14 +349,6 @@ def side_cli(root: Path, inputs: Path, out: Path) -> None:
     )
 
 
-def without_legacy_key(blob: bytes) -> bytes:
-    """A checkpoint's bytes with ``LEGACY_KEY`` taken out of its config."""
-    magic, version, length = CHECKPOINT_HEADER.unpack_from(blob)
-    start, end = CHECKPOINT_HEADER.size, CHECKPOINT_HEADER.size + length
-    manifest = blob[start:end].replace(LEGACY_KEY, b"", 1)
-    return CHECKPOINT_HEADER.pack(magic, version, len(manifest)) + manifest + blob[end:]
-
-
 def base_run(name: str) -> str:
     """The train (or other) run that CLI run ``name`` follows from."""
     return name.removeprefix("replay/").removesuffix("/eval")
@@ -362,6 +360,9 @@ def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list
     each artifact.  The first list holds those of the runs both sides can
     make; the second names the runs that follow from a run REV rejects as
     a usage error and the working tree makes."""
+    from lsa.checkpoint import checkpoint_bytes, load_checkpoint
+    from lsa.corpus import DataError
+
     exits = [json.loads((side / "exits.json").read_text()) for side in (parent, tree)]
     new = {name for name in exits[0] if (exits[0][name], exits[1][name]) == (1, 0)}
     diffs = defaultdict(list)
@@ -381,7 +382,11 @@ def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list
                 continue
             old = a.read_bytes()
             if artifact == "checkpoint.bin":
-                old = without_legacy_key(old)
+                try:
+                    old = checkpoint_bytes(load_checkpoint(a))
+                except DataError as e:
+                    diffs[name].append(f"CLI {name} {artifact}: REV's does not load: {e}")
+                    continue
             if old != b.read_bytes():
                 diffs[name].append(f"CLI {name} {artifact}: the bytes differ")
     found = [line for name, lines in diffs.items() if base_run(name) not in new for line in lines]
@@ -435,6 +440,11 @@ def main(argv=None) -> int:
         return 0
     if args.rev is None:
         p.error("REV is required")
+    sys.path[:0] = [str(ROOT / "src")]  # the working tree's package, in this process only
+    from lsa.window import ModelConfig
+
+    default = ModelConfig()
+    key_biases = default.d_model * (default.layers + 1)  # d in each encoder block and head.sa
     seeds = [int(s) for s in args.seeds.split(",")]
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
@@ -455,16 +465,25 @@ def main(argv=None) -> int:
                 print(f"expected: oracle cases only {side} has: {', '.join(only)}", flush=True)
         parent, tree = ({k: v for k, v in arrays.items() if oracle_case(k) in shared}
                         for arrays in (parent, tree))
+        zero_bk = {k for k in set(parent) - set(tree)
+                   if "/grad/" in k and k.endswith(".bk") and not parent[k].any()}
+        if zero_bk:
+            print(f"expected: {len(zero_bk)} key bias gradients only REV has, each exactly 0",
+                  flush=True)
+        parent = {k: v for k, v in parent.items() if k not in zero_bk}
         diffs = compare_oracle(parent, tree)
         print(f"{len(parent)} oracle arrays of the cases both sides have: "
               f"{len(diffs)} differences", flush=True)
         for workload in workloads:
             for seed in seeds:
-                found = compare_outputs(
-                    f"{workload} seed {seed} outputs",
-                    bench_outputs(parent_root, workload, seed),
-                    bench_outputs(ROOT, workload, seed),
-                )
+                rev, here = (bench_outputs(root, workload, seed) for root in (parent_root, ROOT))
+                if (isinstance(rev, dict) and isinstance(here, dict)
+                        and rev.get("parameters", 0) - here.get("parameters", 0) == key_biases):
+                    print(f"expected: {workload} seed {seed} outputs.parameters: REV "
+                          f"{rev['parameters']}, working tree {here['parameters']}, "
+                          f"{key_biases} key biases fewer", flush=True)
+                    here = {**here, "parameters": rev["parameters"]}
+                found = compare_outputs(f"{workload} seed {seed} outputs", rev, here)
                 print(f"{workload} seed {seed}: {len(found)} differences", flush=True)
                 diffs += found
 

@@ -47,9 +47,10 @@ def oracle_model(overrides: dict) -> Model:
     dataset = load_dataset(FIXTURES / "mini.json")
     vocab = Vocabulary.build(ex.tokens for ex in dataset.examples)
     model = Model(config, vocab, np.random.Generator(np.random.PCG64(11)))
-    # side weights away from 1, so a swapped or dropped side shows
-    model.dwa.eta_l.values[0] = 0.8
-    model.dwa.eta_r.values[0] = 1.3
+    # the side weights it learns away from 1, so a swapped or dropped side shows
+    for name, eta in (("dwa.eta_l", 0.8), ("dwa.eta_r", 1.3)):
+        if name in model.eta:
+            model.eta[name].values[0] = eta
     return model
 
 

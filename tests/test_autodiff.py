@@ -460,7 +460,7 @@ def test_sum_all_gradient_is_ones():
 # attention
 
 
-ATTENTION_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+ATTENTION_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
 
 
 def attention_params(rng, d):
@@ -753,7 +753,7 @@ def test_operations_do_not_mutate_inputs(seed):
     snap_bias = bias.values.copy()
     tape = ad.Tape()
     with tape:  # the backward pass must not write into its inputs either
-        params = (b, bias, b, bias, b, bias, b, bias)
+        params = (b, bias, b, b, bias, b, bias)
         one = np.ones((1, 3), dtype=bool)
         loss = ad.add(sum_all(ad.attention(a, *params, 3, one)), sum_all(
             ad.attention(a, *params, 3, one, [0, 0], randn(rng, 2, 3))))

@@ -198,13 +198,16 @@ def test_eval_command_and_slices(corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "case",
-    ["frozen-eta-one-value", "config-int", "seeds", "slice", "config-bool", "backbone-only",
-     "k0-one-sided", "k0-no-dwa", "k0-eta-sweep"],
+    ["frozen-eta-one-value", "config-int", "seeds", "slice", "slice-cluster0", "slice-cluster07",
+     "slice-cluster٣", "config-bool", "backbone-only", "k0-one-sided", "k0-no-dwa",
+     "k0-eta-sweep"],
 )
 def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
     """``--backbone-only`` is gone (k = 0 is the backbone); at k = 0 a
     one-sided window or no DWA would be a second spelling of it, and an
-    eta sweep would train one model once per grid point."""
+    eta sweep would train one model once per grid point.  A slice is a
+    name in ``SLICES``: ``cluster0`` and ``cluster07`` once selected no
+    pairs (exit 2), and ``cluster٣`` (an Arabic-Indic 3) ran as cluster3."""
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "out"
     if case == "frozen-eta-one-value":
@@ -222,12 +225,12 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
         argv = ["train", "--config", cfg, "--out", out]
     elif case == "seeds":
         argv = sweep_args("sweep-seeds", corpus, out, ["--seeds", "1,x"])
-    elif case == "slice":
+    elif case.startswith("slice"):
         argv = [
             "eval",
             "--checkpoint", FIXTURES / "mini_checkpoint.bin",
             "--dataset", FIXTURES / "mini.json",
-            "--slice", "clusterx",
+            "--slice", case.partition("-")[2] or "clusterx",
             "--out", out,
         ]
     else:
@@ -235,6 +238,19 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
         argv = ["train", "--config", cfg, "--out", out]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith("usage error")
+
+
+def test_help_is_for_users(capsys):
+    """``lsa --help`` tells the commands, the exit codes and where the
+    files go, in plain text: no reStructuredText markup."""
+    with pytest.raises(SystemExit) as done:
+        run(["--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    assert "``" not in text
+    for part in (*COMMANDS, "export-trajectory", "replay", "--out", "$LSA_OUTPUT_ROOT",
+                 "0 success, 1 usage error, 2 data error, 3 numeric failure"):
+        assert part in text, part
 
 
 FILE_ARGS = ["config", "spec", "manifest", "checkpoint", "parses", "parse-path",

@@ -289,7 +289,7 @@ def test_block_matches_numpy_reference(form):
         layout = dict(source=source, scale=rng.uniform(0.0, 1.0, size=(5, 5)))
         sequences = [w[:len(sequences[i]), None] * sequences[i]
                      for i, w in zip(source, layout["scale"])]
-    attn = {name: getattr(blk, name) for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+    attn = {name: getattr(blk, name) for name in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
     mha = np.concatenate([reference_attention(seq, attn, 2, first) for seq in sequences])
     residual = np.stack([seq[0] for seq in sequences]) if first else x
     out = self_attention_block(ad.tensor(x), blk, 2, valid, **layout)
@@ -372,9 +372,4 @@ def test_all_parameters_receive_gradient_on_synthetic_batch():
     tape.backward(total)
     for name, param in model.named_parameters().items():
         assert param.grad is not None, f"{name} got no gradient"
-        if name.endswith(".bk"):
-            # a key bias shifts a query's scores by a constant, which
-            # softmax ignores: its true gradient is 0
-            assert np.max(np.abs(param.grad)) <= 1e-12, name
-        else:
-            assert np.any(param.grad != 0), f"{name} gradient is all zero"
+        assert np.any(param.grad != 0), f"{name} gradient is all zero"

@@ -24,12 +24,24 @@ def oracle():
 
 
 def expected_grads(oracle, case):
+    """The oracle's gradients of ``case`` but those of the key biases
+    ``*.bk``, which the model no longer has."""
     prefix = f"{case}/grad/"
-    return {k[len(prefix):]: v for k, v in oracle.items() if k.startswith(prefix)}
+    return {k[len(prefix):]: v for k, v in oracle.items()
+            if k.startswith(prefix) and not k.endswith(".bk")}
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_matches_oracle(case, oracle):
+    """The oracle's key bias gradients are 0, as softmax ignores the shift
+    q·bk, up to the rounding of the per-head path that wrote them (at most
+    2.5e-16); the model has no key bias."""
+    key_biases = [k for k in oracle if k.startswith(f"{case}/grad/") and k.endswith(".bk")]
+    assert len(key_biases) == 2  # encoder.block0 and head.sa
+    for key in key_biases:
+        assert np.max(np.abs(oracle[key])) <= 1e-15, key
+    assert not [name for name in oracle_model(CASES[case]).named_parameters()
+                if name.endswith(".bk")]
     expected = expected_grads(oracle, case)
     for batch in (1, None):
         probs, grads = compute(CASES[case], batch)

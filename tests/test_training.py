@@ -11,6 +11,7 @@ import lsa.autodiff as ad
 from lsa.checkpoint import HEADER, MAGIC, checkpoint_bytes, load_checkpoint, save_checkpoint
 from lsa.corpus import DataError, cluster_histogram, load_dataset
 from lsa.encoder import ConfigError
+from lsa.runio import canonical_json
 from lsa.window import ModelConfig
 from lsa.training import (
     TrainConfig,
@@ -341,19 +342,49 @@ def test_load_checkpoint_draws_nothing(variant, k, tmp_path, monkeypatch):
         assert loaded[name].values.tobytes() == t.values.tobytes(), name
 
 
+def checkpoint_parts(blob: bytes) -> tuple[int, dict, dict[str, bytes]]:
+    """A checkpoint's version, its manifest and the payload bytes of each
+    parameter it lists."""
+    _, version, length = HEADER.unpack_from(blob)
+    manifest = json.loads(blob[HEADER.size:HEADER.size + length])
+    offset, payloads = HEADER.size + length, {}
+    for entry in manifest["params"]:
+        end = offset + 8 * math.prod(entry["shape"])
+        payloads[entry["name"]] = blob[offset:end]
+        offset = end
+    assert offset == len(blob)
+    return version, manifest, payloads
+
+
+def checkpoint_of(version: int, manifest: dict, payloads: dict[str, bytes]) -> bytes:
+    """The checkpoint of ``checkpoint_parts``' three parts."""
+    body = canonical_json(manifest).encode()
+    return (HEADER.pack(MAGIC, version, len(body)) + body
+            + b"".join(payloads[entry["name"]] for entry in manifest["params"]))
+
+
+# the entries of mini_checkpoint.bin that its model lacks: the key biases,
+# and the side weights that frozen_eta leaves unused
+MINI_LEGACY = ["encoder.block0.bk", "head.sa.bk", "dwa.eta_l", "dwa.eta_r"]
+
+
 def test_committed_checkpoint_still_loads():
     """mini_checkpoint.bin was written by format version 1 (lsa_t, d=16,
     one layer, vocab of mini.json, frozen_eta (0.3, 0.7)); the CSV holds
-    the probabilities it gave on mini.json when it was written.  Its
-    config still carries the ``backbone_only`` key that k = 0 replaced,
-    which alone is not written back."""
+    the probabilities it gave on mini.json when it was written.  Written
+    back, it is version 2: the same manifest and payload without the
+    entries ``MINI_LEGACY`` and the config's ``backbone_only`` key, which
+    k = 0 replaced."""
     path = FIXTURES / "mini_checkpoint.bin"
     model = load_checkpoint(path)
-    old, new = path.read_bytes(), checkpoint_bytes(model)
-    legacy = b'"backbone_only":false,'
-    assert old.count(legacy) == 1 and len(legacy) == 22
-    assert HEADER.unpack_from(new)[2] == HEADER.unpack_from(old)[2] - 22
-    assert new[:12] == old[:12] and new[HEADER.size:] == old[HEADER.size:].replace(legacy, b"")
+    old = path.read_bytes()
+    version, manifest, payloads = checkpoint_parts(old)
+    assert version == 1 and checkpoint_of(version, manifest, payloads) == old
+    assert [n for n in payloads if n.endswith(".bk") or n.startswith("dwa.")] == MINI_LEGACY
+    manifest["version"] = 2
+    manifest["params"] = [e for e in manifest["params"] if e["name"] not in MINI_LEGACY]
+    assert manifest["config"].pop("backbone_only") is False
+    assert checkpoint_bytes(model) == checkpoint_of(2, manifest, payloads)
     assert model.config.frozen_eta == (0.3, 0.7)
     dataset = load_dataset(FIXTURES / "mini.json")
     rows = (FIXTURES / "mini_checkpoint_probs.csv").read_text().splitlines()[1:]
@@ -364,6 +395,61 @@ def test_committed_checkpoint_still_loads():
         i, j, *expected = row.split(",")
         got = probs[pairs.index((int(i), int(j)))]
         np.testing.assert_allclose(got, [float(x) for x in expected], rtol=0, atol=1e-12)
+
+
+def test_v1_entries_the_model_lacks_are_not_read(tmp_path):
+    """mini_checkpoint.bin with random values in its ``MINI_LEGACY``
+    entries gives bitwise the same logits."""
+    version, manifest, payloads = checkpoint_parts((FIXTURES / "mini_checkpoint.bin").read_bytes())
+    rng = np.random.default_rng(4)
+    for name in MINI_LEGACY:
+        payloads[name] = rng.normal(size=len(payloads[name]) // 8).astype("<f8").tobytes()
+    path = tmp_path / "random_legacy.bin"
+    path.write_bytes(checkpoint_of(version, manifest, payloads))
+    examples = load_dataset(FIXTURES / "mini.json").examples
+    logits = load_checkpoint(FIXTURES / "mini_checkpoint.bin").forward(examples).values
+    assert load_checkpoint(path).forward(examples).values.tobytes() == logits.tobytes()
+
+
+@pytest.mark.parametrize("flags", [{}, {"la_only": True}, {"ra_only": True}, {"no_dwa": True},
+                                   {"k": 0}], ids=["dwa", "la_only", "ra_only", "no_dwa", "k0"])
+def test_v1_file_loads_to_the_model_it_held(flags, tmp_path):
+    """A version 1 file lists a key bias after each ``*.wk`` and both side
+    weights last; it loads to the model's bits, whatever the values of the
+    entries the model lacks."""
+    model = tiny_model(**flags)
+    rng = np.random.default_rng(6)
+    for t in model.named_parameters().values():
+        t.values[...] = rng.normal(size=t.shape)
+    _, manifest, payloads = checkpoint_parts(checkpoint_bytes(model))
+    entries = []
+    for entry in manifest["params"]:
+        entries.append(entry)
+        if entry["name"].endswith(".wk"):
+            entries.append({"name": entry["name"][:-2] + "bk", "shape": entry["shape"][1:]})
+    entries = [e for e in entries if not e["name"].startswith("dwa.")]
+    entries += [{"name": "dwa.eta_l", "shape": [1]}, {"name": "dwa.eta_r", "shape": [1]}]
+    for entry in entries:
+        if entry["name"] not in payloads:
+            payloads[entry["name"]] = rng.normal(size=entry["shape"]).astype("<f8").tobytes()
+    path = tmp_path / "v1.bin"
+    path.write_bytes(checkpoint_of(1, {**manifest, "version": 1, "params": entries}, payloads))
+    loaded = load_checkpoint(path).named_parameters()
+    assert list(loaded) == list(model.named_parameters())
+    for name, t in model.named_parameters().items():
+        assert loaded[name].values.tobytes() == t.values.tobytes(), name
+
+
+def test_v2_file_with_a_key_bias_is_data_error(tmp_path):
+    version, manifest, payloads = checkpoint_parts(
+        checkpoint_bytes(load_checkpoint(FIXTURES / "mini_checkpoint.bin")))
+    wk = next(i for i, e in enumerate(manifest["params"]) if e["name"] == "encoder.block0.wk")
+    manifest["params"].insert(wk + 1, {"name": "encoder.block0.bk", "shape": [16]})
+    payloads["encoder.block0.bk"] = bytes(8 * 16)
+    path = tmp_path / "bk.bin"
+    path.write_bytes(checkpoint_of(version, manifest, payloads))
+    with pytest.raises(DataError, match="parameters do not match the model"):
+        load_checkpoint(path)
 
 
 def rewrite_manifest(blob: bytes, edit) -> bytes:

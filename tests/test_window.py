@@ -12,7 +12,6 @@ from lsa.distance import DependencyTree, load_parses
 from lsa.encoder import ConfigError
 from lsa.window import (
     VARIANTS,
-    DwaParams,
     ExampleInputs,
     ModelConfig,
     apply_dwa,
@@ -47,10 +46,7 @@ MIDDLE_OF_THREE = build_window([0], [3], OFFSETS)[1:2]  # the window of aspect 1
 
 def side_weights(eta_l=1.0, eta_r=1.0):
     """Learnable (left, right) side weights at the given values."""
-    dwa = DwaParams()
-    dwa.eta_l.values[0] = eta_l
-    dwa.eta_r.values[0] = eta_r
-    return dwa.eta_l, dwa.eta_r
+    return ad.parameter(np.array([eta_l])), ad.parameter(np.array([eta_r]))
 
 
 def coherent_example(n_aspects, polarity="positive", implicit=None):
@@ -358,11 +354,11 @@ def test_side_weight_and_its_projection_block_are_one_gauge():
     """Scaling eta_l by c and the projection's left block by 1/c gives the
     same function: eta alone does not measure how much a side matters."""
     model = tiny_model(k=1)
-    model.dwa.eta_l.values[0] = 0.8
+    model.eta["dwa.eta_l"].values[0] = 0.8
     examples = [coherent_example(3), coherent_example(2, "negative"), coherent_example(1)]
     before = softmax(model.forward(examples).values)
     c, d = 3.7, model.config.d_model
-    model.dwa.eta_l.values[0] *= c
+    model.eta["dwa.eta_l"].values[0] *= c
     model.head.w_out.values[:d] /= c
     np.testing.assert_allclose(softmax(model.forward(examples).values), before, rtol=0, atol=1e-12)
 
@@ -450,7 +446,7 @@ def test_mono_aspect_output_equals_reference_path():
         return self_attention_block(hidden, sa, heads, valid, source=[0], scale=weights[None])
 
     feat = feature(position_weight(np.array(dists), model.config.alpha, n))
-    eta_l, eta_r = model.dwa.eta_l, model.dwa.eta_r
+    eta_l, eta_r = model.eta["dwa.eta_l"], model.eta["dwa.eta_r"]
     h_aw = ad.concat([ad.mul(feat, eta_l), feat, ad.mul(feat, eta_r)], axis=1)
     h_o = project_window(h_aw, model.head)
     pooled = feature(np.ones(n + 1))
@@ -630,10 +626,20 @@ def test_lsa_s_keeps_syntax_past_the_context_limit():
         ({"ra_only": True}, ["dwa.eta_r"]),
         ({"no_dwa": True}, []),
         ({"k": 0}, []),
+        ({"no_dwa": True, "frozen_eta": (0.3, 0.7)}, []),
     ],
 )
 def test_eta_parameters_are_the_sides_the_window_uses(flags, expected):
-    assert sorted(tiny_model(**flags).eta_parameters()) == expected
+    """The model holds exactly the side weights it learns, and a side
+    with no slot reads as 1."""
+    model = tiny_model(**flags)
+    assert sorted(model.eta_parameters()) == expected
+    assert sorted(n for n in model.named_parameters() if n.startswith("dwa.")) == expected
+    assert not set(model.main_parameters()) & set(expected)
+    for t in model.eta.values():
+        t.values[0] = 0.5
+    sides = tuple(0.5 if f"dwa.eta_{side}" in expected else 1.0 for side in "lr")
+    assert model.eta_values() == (model.config.frozen_eta or sides)
 
 
 def test_model_config_rejects_contradictory_ablations():
@@ -674,8 +680,8 @@ def mini_model(variant):
     dataset = load_dataset(FIXTURES / "mini.json")
     tokens = sorted({t for ex in dataset.examples for t in ex.tokens})
     model = tiny_model(seed=5, variant=variant, vocab_tokens=tokens)
-    model.dwa.eta_l.values[0] = 0.8  # side weights away from 1
-    model.dwa.eta_r.values[0] = 1.3
+    model.eta["dwa.eta_l"].values[0] = 0.8  # side weights away from 1
+    model.eta["dwa.eta_r"].values[0] = 1.3
     return model, [ex for ex in dataset.examples if ex.aspects]
 
 

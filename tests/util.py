@@ -90,7 +90,7 @@ def mixing_weights(x, wq, bq, wk, heads, valid, source=None, scale=None) -> np.n
     wvw[onehot[:, None], readout.T] = 1.0
     bqw, zero = np.zeros(heads * wide), ad.tensor(np.zeros(heads * wide))
     bqw[cols] = (wide / dh) ** 0.5 * bq.values
-    out = ad.attention(ad.tensor(xw), ad.tensor(wqw), ad.tensor(bqw), ad.tensor(wkw), zero,
+    out = ad.attention(ad.tensor(xw), ad.tensor(wqw), ad.tensor(bqw), ad.tensor(wkw),
                        ad.tensor(wvw), zero, ad.tensor(np.eye(heads * wide)), zero,
                        heads, valid, source, scale)
     return out.values[:, readout]
@@ -103,7 +103,7 @@ def reference_attention(x, params, heads, first_only=False):
     v = {name: t.values for name, t in params.items()}
     dh = x.shape[1] // heads
     q = x[:1 if first_only else len(x)] @ v["wq"] + v["bq"]
-    k = x @ v["wk"] + v["bk"]
+    k = x @ v["wk"]
     val = x @ v["wv"] + v["bv"]
     outs = []
     for h in range(heads):
