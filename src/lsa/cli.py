@@ -6,7 +6,9 @@ From it the parser is built, ``main`` builds the args dict from the flags,
 and ``run_command`` reads that dict, or one from a manifest, and runs it.
 ``DESCRIPTION`` is what ``lsa --help`` tells a user: the exit codes and
 where the files go.  Stdout stays human-readable; machine-readable
-artifacts go to files.
+artifacts go to files.  ``lsa eval`` forwards its dataset once and writes
+the metrics of all pairs and of each slice in ``training.SLICES`` that
+has pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .training import (
     SLICES,
     NumericError,
     TrainConfig,
-    evaluate,
+    evaluate_slices,
     seed_sweep,
     static_eta_sweep,
     train,
@@ -49,6 +51,8 @@ Aspect sentiment classification by local sentiment aggregation.  Each
 command but export-trajectory writes its files and a manifest.json, which
 replay re-runs, under --out: by default a directory per command (such as
 train/ or eval/) in $LSA_OUTPUT_ROOT, else in the working directory.
+eval's eval.csv holds a row for all pairs, then one for each slice that
+has pairs, from one pass over the dataset.
 
 exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure
 """
@@ -109,11 +113,11 @@ def run_analyze_clusters(args: dict, out_dir: Path) -> list:
     hist = cluster_histogram(dataset)
     print(f"{args['dataset']}: {len(dataset.examples)} examples, "
           f"{dataset.aspect_count()} aspects")
-    for label, n in hist.labelled():
+    for label, n in hist.items():
         print(f"  cluster size {label:>2}: {n} aspects")
-    print(f"  total: {hist.total}")
+    print(f"  total: {sum(hist.values())}")
     csv_path = out_dir / "clusters.csv"
-    csv_path.write_text(hist.as_csv(), encoding="utf-8")
+    write_csv(csv_path, ["size", "count"], hist.items())
     print(f"wrote {csv_path}")
     return [args["dataset"]]
 
@@ -132,16 +136,8 @@ def run_synth(args: dict, out_dir: Path) -> list:
 def run_train(args: dict, out_dir: Path) -> list:
     config = TrainConfig.from_dict(args)
     result = train(config)
-    write_csv(
-        out_dir / "metrics.csv",
-        ["epoch", "split", "acc", "macro_f1"],
-        result.metrics_rows,
-    )
-    write_csv(
-        out_dir / "eta_trajectory.csv",
-        ["step", "eta_l", "eta_r"],
-        result.trajectory,
-    )
+    write_csv(out_dir / "metrics.csv", ["epoch", "split", "acc", "macro_f1"], result.metrics_rows)
+    write_csv(out_dir / "eta_trajectory.csv", ["step", "eta_l", "eta_r"], result.trajectory)
     save_checkpoint(result.model, out_dir / "checkpoint.bin")
     print(f"trained {config.variant} for {config.epochs} epochs "
           f"(best epoch {result.best_epoch})")
@@ -157,29 +153,23 @@ def run_eval(args: dict, out_dir: Path) -> list:
     model = load_checkpoint(args["checkpoint"])
     dataset = load_dataset(args["dataset"], args["format"])
     trees = load_parses(args["parses"]) if args["parses"] else None
-    metrics = evaluate(model, dataset, trees, args["slice"])
-    label = args["slice"] or "all"
-    print(f"{args['dataset']} [{label}]: acc {metrics.accuracy:.4f}, "
-          f"macro-F1 {metrics.macro_f1:.4f} over {metrics.n_examples} pairs")
-    for pol, cs in zip(("positive", "negative", "neutral"), metrics.per_class):
-        print(f"  {pol:>8}: precision {cs.precision:.4f}, recall {cs.recall:.4f}, "
-              f"F1 {cs.f1:.4f}")
-    write_csv(
-        out_dir / "eval.csv",
-        ["slice", "acc", "macro_f1", "n"],
-        [(label, metrics.accuracy, metrics.macro_f1, metrics.n_examples)],
-    )
+    rows = evaluate_slices(model, dataset, trees)
+    for label, m in rows.items():
+        print(f"{args['dataset']} [{label}]: acc {m.accuracy:.4f}, "
+              f"macro-F1 {m.macro_f1:.4f} over {m.n_examples} pairs")
+        if label == "all":  # a slice gets one line
+            for pol, cs in zip(("positive", "negative", "neutral"), m.per_class):
+                print(f"  {pol:>8}: precision {cs.precision:.4f}, recall {cs.recall:.4f}, "
+                      f"F1 {cs.f1:.4f}")
+    write_csv(out_dir / "eval.csv", ["slice", "acc", "macro_f1", "n"],
+              [(label, m.accuracy, m.macro_f1, m.n_examples) for label, m in rows.items()])
     return [args["checkpoint"], args["dataset"], args["parses"]]
 
 
 def run_sweep_eta(args: dict, out_dir: Path) -> list:
     config = TrainConfig.from_dict(args["config"])
     rows = static_eta_sweep(config, _parse_grid(args["grid"]))
-    write_csv(
-        out_dir / "sweep_eta.csv",
-        ["eta_l", "eta_r", "acc", "macro_f1"],
-        rows,
-    )
+    write_csv(out_dir / "sweep_eta.csv", ["eta_l", "eta_r", "acc", "macro_f1"], rows)
     for eta_l, eta_r, acc, f1 in rows:
         print(f"eta_l {eta_l:.2f} eta_r {eta_r:.2f}: acc {acc:.4f}, macro-F1 {f1:.4f}")
     return _config_inputs(config)
@@ -229,11 +219,11 @@ COMMANDS = {
                          (CONFIG, Arg("--grid", "str", default="0:1:0.1"))),
     "sweep-seeds": Command(run_sweep_seeds, "sweep-seeds", "train once per seed",
                            (CONFIG, Arg("--seeds", "str", default="0,1,2,3,4"))),
-    "eval": Command(run_eval, "eval", "evaluate a checkpoint", (
+    "eval": Command(run_eval, "eval", "evaluate a checkpoint on all pairs and on each slice "
+                    f"({', '.join(SLICES)}) that has pairs, into eval.csv", (
         Arg("--checkpoint", "str", required=True),
         Arg("--dataset", "str", required=True),
         FORMAT,
-        Arg("--slice", "str | None", help=" | ".join(SLICES)),
         Arg("--parses", "str | None"))),
 }
 
@@ -297,7 +287,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, description=command.help)
         for a in command.args:
             p.add_argument(a.flag, **a.options)
             # a field flag that is not given leaves no attribute, so the

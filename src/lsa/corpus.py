@@ -9,6 +9,7 @@ dropped at load (the classifier is strictly 3-class).
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -19,7 +20,7 @@ import numpy as np
 
 from .encoder import tokenize, tokenize_with_offsets
 
-CLUSTER_BUCKETS = (1, 2, 3, 4, 5)  # 5 == "5 or more"
+CLUSTER_LABELS = ("1", "2", "3", "4", "5+")  # the buckets of a cluster size
 
 
 class DataError(Exception):
@@ -116,24 +117,6 @@ class Dataset:
 
     def aspect_count(self) -> int:
         return sum(len(ex.aspects) for ex in self.examples)
-
-
-@dataclass
-class ClusterHistogram:
-    counts: dict[int, int] = field(
-        default_factory=lambda: {b: 0 for b in CLUSTER_BUCKETS}
-    )
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def labelled(self) -> list[tuple[str, int]]:
-        """(size label, aspect count) per bucket; the last label is "5+"."""
-        return [("5+" if b == 5 else str(b), self.counts[b]) for b in CLUSTER_BUCKETS]
-
-    def as_csv(self) -> str:
-        return "size,count\n" + "".join(f"{label},{n}\n" for label, n in self.labelled())
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +343,13 @@ def read_key_values(path, error: type[Exception]) -> dict[str, str]:
     return pairs
 
 
+def _finite(raw) -> float:
+    """``float(raw)``, or a ValueError if that is nan or infinite."""
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -374,26 +364,26 @@ def field_value(kind: str, raw):
     for ``int``, an int or a float for ``float`` (read as a float), a bool
     for ``bool``, a list (or, as ``asdict`` gives, a tuple) of numbers for
     a tuple (read as floats), and null for an optional field.  Anything
-    else is a ValueError.
+    else, nan and infinities included, is a ValueError.
     """
     base = kind.removesuffix(" | None")
     if base != kind and raw in ("", None):
         return None
     if isinstance(raw, str):
         if base.startswith("tuple"):
-            return tuple(float(x) for x in raw.split(","))
+            return tuple(_finite(x) for x in raw.split(","))
         if base == "bool":
             if raw.lower() not in _BOOLS:
                 raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {raw!r}")
             return _BOOLS[raw.lower()]
-        return {"int": int, "float": float, "str": str}[base](raw)
+        return {"int": int, "float": _finite, "str": str}[base](raw)
     if (base == "int" and type(raw) is int) or (base == "bool" and type(raw) is bool):
         return raw
     if base == "float" and type(raw) in (int, float):
-        return float(raw)
+        return _finite(raw)
     if (base.startswith("tuple") and type(raw) in (list, tuple)
             and all(type(x) in (int, float) for x in raw)):
-        return tuple(float(x) for x in raw)
+        return tuple(_finite(x) for x in raw)
     raise ValueError(f"expected {kind}, got {raw!r}")
 
 
@@ -411,13 +401,19 @@ def cluster_sizes(example: Example) -> list[int]:
     return sizes
 
 
-def cluster_histogram(dataset: Dataset) -> ClusterHistogram:
-    """Bucket every aspect by the size of its maximal same-polarity run."""
-    hist = ClusterHistogram()
+def cluster_label(size: int) -> str:
+    """The bucket of ``CLUSTER_LABELS`` that a cluster size falls in."""
+    return CLUSTER_LABELS[min(size, len(CLUSTER_LABELS)) - 1]
+
+
+def cluster_histogram(dataset: Dataset) -> dict[str, int]:
+    """The number of aspects in each bucket of ``CLUSTER_LABELS``, by the
+    size of the maximal same-polarity run each belongs to."""
+    counts = dict.fromkeys(CLUSTER_LABELS, 0)
     for ex in dataset.examples:
         for size in cluster_sizes(ex):
-            hist.counts[min(size, 5)] += 1
-    return hist
+            counts[cluster_label(size)] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +498,7 @@ class SynthSpec:
                     setattr(spec, key, field_value(kinds[key], value))
                 elif key == "aspects":
                     pairs = (part.split(":") for part in value.split(","))
-                    spec.aspects_dist = {int(c): float(w) for c, w in pairs}
+                    spec.aspects_dist = {int(c): _finite(w) for c, w in pairs}
                 elif key in ("train", "test", "valid"):
                     splits[key] = int(value)
                 else:

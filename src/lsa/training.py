@@ -1,16 +1,20 @@
 """Training config, loss, the training loop with a two-group optimizer,
-metrics, and the two sweeps (static side-weight grid, multi-seed)."""
+metrics, and the two sweeps (static side-weight grid, multi-seed).
+Evaluation predicts each (example, aspect) pair once; a slice of ``SLICES``
+is a filter over those predictions, by the attributes of each pair."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import NUM_CLASSES, DataError, Dataset, cluster_sizes, load_dataset, read_key_values
+from .corpus import (CLUSTER_LABELS, NUM_CLASSES, DataError, Dataset, cluster_label,
+                     cluster_sizes, load_dataset, read_key_values)
 from .distance import load_parses
 from .encoder import ConfigError, Vocabulary
 from .optim import AdamW, ParamGroup
@@ -47,13 +51,10 @@ class TrainConfig(ModelConfig):
     def validate(self) -> None:
         if not self.train_path:
             raise ConfigError("train_path is required")
-        for name in ("batch", "epochs"):
-            if getattr(self, name) < 0 or (name == "batch" and self.batch < 1):
-                raise ConfigError(f"{name} must be positive")
-        for name in ("encoder_lr", "eta_lr"):
+        for name in ("batch", "encoder_lr", "eta_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("lambda_reg", "lambda_eta"):
+        for name in ("epochs", "lambda_reg", "lambda_eta"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not (0.0 < self.holdout_fraction < 1.0):
@@ -95,8 +96,7 @@ class Metrics:
 
 def compute_metrics(golds, preds) -> Metrics:
     """Accuracy and macro-F1 over class indices; absent classes score 0."""
-    golds = list(golds)
-    preds = list(preds)
+    golds, preds = list(golds), list(preds)
     if not golds or len(golds) != len(preds):
         raise ValueError("golds and preds must be equal-length and non-empty")
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
@@ -107,11 +107,7 @@ def compute_metrics(golds, preds) -> Metrics:
         tp = confusion[c][c]
         precision = tp / confusion[:, c].sum() if confusion[:, c].sum() else 0.0
         recall = tp / confusion[c].sum() if confusion[c].sum() else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class.append(ClassScores(float(precision), float(recall), float(f1)))
     accuracy = float(np.trace(confusion) / len(golds))
     macro_f1 = float(sum(cs.f1 for cs in per_class) / NUM_CLASSES)
@@ -161,44 +157,56 @@ def pair_batches(examples, pairs: int):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation slices
+# Evaluation
 
 
-# name -> whether aspect j of an example is in the slice
+class PairAttributes(NamedTuple):
+    """What the slices read of an (example, aspect) pair."""
+    implicit: bool
+    aspects: int  # in its example
+    cluster: str  # the ``cluster_label`` of its same-polarity run
+
+
+# name -> whether a pair, by its attributes, is in the slice; in eval.csv's order
 SLICES = {
-    "implicit": lambda example, j: example.aspects[j].implicit,
-    "explicit": lambda example, j: not example.aspects[j].implicit,
-    "mono": lambda example, j: len(example.aspects) == 1,
-    **{f"cluster{n}": lambda example, j, n=n: cluster_sizes(example)[j] == n for n in range(1, 5)},
-    "cluster5+": lambda example, j: cluster_sizes(example)[j] >= 5,
+    "implicit": lambda pair: pair.implicit,
+    "explicit": lambda pair: not pair.implicit,
+    "mono": lambda pair: pair.aspects == 1,
+    **{f"cluster{label}": lambda pair, label=label: pair.cluster == label
+       for label in CLUSTER_LABELS},
 }
 
 
-def evaluate(
-    model: Model, dataset: Dataset, trees=None, slice_: str | None = None
-) -> Metrics:
-    """Metrics over (example, aspect) pairs, optionally filtered to one of
-    ``SLICES``.  The examples with a pair in the slice are forwarded in
-    groups of ``BATCH_PAIRS`` pairs."""
-    if slice_ is not None and slice_ not in SLICES:
-        raise ConfigError(f"unknown slice {slice_!r}")
-    in_slice = SLICES.get(slice_, lambda example, j: True)
-    wanted = [
-        [in_slice(example, j) for j in range(len(example.aspects))]
-        for example in dataset.examples
-    ]
-    examples = [ex for ex, keep in zip(dataset.examples, wanted) if any(keep)]
-    keep = np.array([k for mask in wanted if any(mask) for k in mask], dtype=bool)
-    if not keep.any():
-        if slice_ is None:
-            raise DataError("the dataset has no (example, aspect) pair")
-        raise DataError(f"slice {slice_!r} selects no pairs")
-    preds = np.concatenate([
-        np.argmax(model.forward(group, trees).values, axis=1)
-        for group in pair_batches(examples, BATCH_PAIRS)
-    ])
-    golds = [a.polarity.index for ex in examples for a in ex.aspects]
-    return compute_metrics(np.array(golds)[keep].tolist(), preds[keep].tolist())
+def predict(model: Model, dataset: Dataset, trees=None) -> tuple[np.ndarray, np.ndarray]:
+    """The gold and the predicted class of every (example, aspect) pair, in
+    dataset order.  The examples with a pair are forwarded in groups of
+    ``BATCH_PAIRS`` pairs."""
+    examples = [ex for ex in dataset.examples if ex.aspects]
+    if not examples:
+        raise DataError("the dataset has no (example, aspect) pair")
+    preds = [np.argmax(model.forward(group, trees).values, axis=1)
+             for group in pair_batches(examples, BATCH_PAIRS)]
+    golds = np.array([a.polarity.index for ex in examples for a in ex.aspects])
+    return golds, np.concatenate(preds)
+
+
+def evaluate(model: Model, dataset: Dataset, trees=None) -> Metrics:
+    """Metrics over every (example, aspect) pair."""
+    golds, preds = predict(model, dataset, trees)
+    return compute_metrics(golds.tolist(), preds.tolist())
+
+
+def evaluate_slices(model: Model, dataset: Dataset, trees=None) -> dict[str, Metrics]:
+    """Metrics over every pair ("all"), then over each of ``SLICES`` that
+    selects a pair, in table order, from one prediction per pair."""
+    golds, preds = predict(model, dataset, trees)
+    pairs = [PairAttributes(a.implicit, len(ex.aspects), cluster_label(size))
+             for ex in dataset.examples for a, size in zip(ex.aspects, cluster_sizes(ex))]
+    selected = {"all": np.ones(len(golds), dtype=bool)} | {
+        name: np.array([in_slice(pair) for pair in pairs], dtype=bool)
+        for name, in_slice in SLICES.items()}
+    return {name: compute_metrics(golds[keep].tolist(), preds[keep].tolist())
+            for name, keep in selected.items() if keep.any()}
 
 
 # ---------------------------------------------------------------------------

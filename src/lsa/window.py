@@ -271,8 +271,9 @@ class ModelConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if min(self.max_len, self.d_model, self.layers, self.heads) < 1 or self.k < 0:
-            raise ConfigError("max_len, d_model, layers, heads must be positive, k non-negative")
+        if min(self.max_len, self.d_model, self.layers, self.heads, self.ffn_mult) < 1 or self.k < 0:
+            raise ConfigError(
+                "max_len, d_model, layers, heads, ffn_mult must be positive, k non-negative")
         if self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
         if self.d_model % self.heads != 0:

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from lsa.cli import COMMANDS, main
+from lsa.corpus import load_dataset
 from lsa.runio import config_hash
+from lsa.training import SLICES
+from lsa.window import Model
 
 from util import FIXTURES, write_synth_corpus
 
@@ -116,6 +119,17 @@ def test_synth_deterministic_and_seed_sensitive(tmp_path):
     assert (a / "train.json").read_bytes() != (c / "train.json").read_bytes()
 
 
+@pytest.mark.parametrize("aspects", ["2:nan", "2:inf,3:1"], ids=["nan", "inf"])
+def test_synth_non_finite_weight_is_data_error(aspects, tmp_path, capsys):
+    """Such a weight once ended in numpy's "Probabilities contain NaN"
+    ValueError traceback (exit 1)."""
+    spec = tmp_path / "spec.txt"
+    spec.write_text(f"train=5\naspects={aspects}\n")
+    assert run(["synth", "--spec", spec, "--seed", "1", "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (f"data error: {spec}: bad value for aspects: "
+                                       f"expected a finite number, got '{aspects[2:5]}'\n")
+
+
 def test_synth_rho_one_coherence(tmp_path):
     from lsa.corpus import load_dataset
 
@@ -178,38 +192,65 @@ def test_one_sided_window_trains_and_leaves_the_other_eta_at_one(flag, unused, c
     assert rows[-1][3 - unused] != "1.0"
 
 
-def test_eval_command_and_slices(corpus, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    assert run(train_args(corpus, run_dir)) == 0
+def test_eval_command_and_slices(corpus, train_run, tmp_path, capsys):
+    """One ``lsa eval`` writes the "all" row, then a row for each slice
+    that has pairs, in ``SLICES`` order; stdout gives "all" per class and
+    each slice in one line."""
     out = tmp_path / "eval"
-    assert run([
-        "eval",
-        "--checkpoint", run_dir / "checkpoint.bin",
-        "--dataset", corpus["test"],
-        "--slice", "implicit",
-        "--out", out,
-    ]) == 0
-    printed = capsys.readouterr().out
-    assert "implicit" in printed
-    body = (out / "eval.csv").read_text().splitlines()
-    assert body[0] == "slice,acc,macro_f1,n"
-    assert body[1].startswith("implicit,")
+    assert run(["eval", "--checkpoint", train_run / "checkpoint.bin", "--dataset", corpus["test"],
+                "--out", out]) == 0
+    rows = [line.split(",") for line in (out / "eval.csv").read_text().splitlines()]
+    assert rows[0] == ["slice", "acc", "macro_f1", "n"]
+    labels = [row[0] for row in rows[1:]]
+    assert labels[0] == "all" and "implicit" in labels and "mono" not in labels
+    assert labels[1:] == [name for name in SLICES if name in labels]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if not line.startswith("  ")] == [
+        f"{corpus['test']} [{label}]: acc {float(acc):.4f}, macro-F1 {float(f1):.4f} over {n} pairs"
+        for label, acc, f1, n in rows[1:]]
+    assert len(printed) == len(labels) + 3  # "all" adds a line per class
+
+
+def test_eval_forwards_each_pair_once(corpus, train_run, tmp_path, monkeypatch):
+    """Every slice row comes from one forward of the split."""
+    forwarded = []
+    forward = Model.forward
+
+    def counting_forward(self, examples, trees=None):
+        forwarded.extend(id(ex) for ex in examples)
+        return forward(self, examples, trees)
+
+    monkeypatch.setattr(Model, "forward", counting_forward)
+    assert run(["eval", "--checkpoint", train_run / "checkpoint.bin", "--dataset", corpus["test"],
+                "--out", tmp_path / "eval"]) == 0
+    rows = (tmp_path / "eval" / "eval.csv").read_text().splitlines()
+    assert len(rows) > 3  # all and at least two slices
+    test_set = load_dataset(corpus["test"])
+    assert len(forwarded) == len(set(forwarded)) == sum(1 for ex in test_set.examples
+                                                        if ex.aspects)
+
+
+NON_FINITE = {"alpha-nan": "--alpha", "eta-lr-nan": "--eta-lr", "encoder-lr-inf": "--encoder-lr",
+              "lambda-reg-nan": "--lambda-reg"}
 
 
 @pytest.mark.parametrize(
     "case",
-    ["frozen-eta-one-value", "config-int", "seeds", "slice", "slice-cluster0", "slice-cluster07",
-     "slice-cluster٣", "config-bool", "backbone-only", "k0-one-sided", "k0-no-dwa",
-     "k0-eta-sweep"],
+    ["frozen-eta-one-value", "config-int", "seeds", "slice", "config-bool", "backbone-only",
+     "k0-one-sided", "k0-no-dwa", "k0-eta-sweep", "ffn-mult-0", "ffn-mult-negative",
+     "epochs-negative", *NON_FINITE, "frozen-eta-nan"],
 )
 def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
     """``--backbone-only`` is gone (k = 0 is the backbone); at k = 0 a
     one-sided window or no DWA would be a second spelling of it, and an
-    eta sweep would train one model once per grid point.  A slice is a
-    name in ``SLICES``: ``cluster0`` and ``cluster07`` once selected no
-    pairs (exit 2), and ``cluster٣`` (an Arabic-Indic 3) ran as cluster3."""
+    eta sweep would train one model once per grid point.  ``--slice`` is
+    gone: ``lsa eval`` writes every slice.  ``--ffn-mult 0`` once ended in
+    a ZeroDivisionError and ``-1`` in numpy's ValueError (exit 1 with a
+    traceback), and a nan or infinite rate trained to a numeric failure
+    (exit 3)."""
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "out"
+    message = "usage error"
     if case == "frozen-eta-one-value":
         argv = train_args(corpus, out, extra=["--no-dwa", "--frozen-eta", "0.5"])
     elif case == "backbone-only":
@@ -225,19 +266,29 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
         argv = ["train", "--config", cfg, "--out", out]
     elif case == "seeds":
         argv = sweep_args("sweep-seeds", corpus, out, ["--seeds", "1,x"])
-    elif case.startswith("slice"):
-        argv = [
-            "eval",
-            "--checkpoint", FIXTURES / "mini_checkpoint.bin",
-            "--dataset", FIXTURES / "mini.json",
-            "--slice", case.partition("-")[2] or "clusterx",
-            "--out", out,
-        ]
+    elif case == "slice":
+        argv = ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin",
+                "--dataset", FIXTURES / "mini.json", "--slice", "implicit", "--out", out]
+        message = "usage error: unrecognized arguments: --slice implicit"
+    elif case.startswith("ffn-mult"):
+        argv = train_args(corpus, out, extra=["--ffn-mult", "0" if case == "ffn-mult-0" else "-1"])
+        message = "usage error: max_len, d_model, layers, heads, ffn_mult must be positive"
+    elif case == "epochs-negative":
+        argv = train_args(corpus, out, extra=["--epochs", "-1"])
+        message = "usage error: epochs must be non-negative"
+    elif case in NON_FINITE:
+        value = case.rpartition("-")[2]
+        argv = train_args(corpus, out, extra=[NON_FINITE[case], value])
+        message = (f"usage error: bad value for {NON_FINITE[case][2:].replace('-', '_')}: "
+                   f"expected a finite number, got '{value}'")
+    elif case == "frozen-eta-nan":
+        argv = train_args(corpus, out, extra=["--no-dwa", "--frozen-eta", "0.5,nan"])
+        message = "usage error: bad value for frozen_eta: expected a finite number, got 'nan'"
     else:
         cfg.write_text(f"train_path={corpus['train']}\nno_dwa=ture\n")
         argv = ["train", "--config", cfg, "--out", out]
     assert run(argv) == 1
-    assert capsys.readouterr().err.startswith("usage error")
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_help_is_for_users(capsys):
@@ -312,17 +363,12 @@ def test_split_without_pairs_is_data_error(train, test, split, tmp_path, capsys)
     assert capsys.readouterr().err == f"data error: the {split} split has no (example, aspect) pair\n"
 
 
-@pytest.mark.parametrize("slice_, message", [
-    (None, "the dataset has no (example, aspect) pair"),
-    ("implicit", "slice 'implicit' selects no pairs"),
-], ids=["no_slice", "slice"])
-def test_eval_without_pairs_names_what_is_missing(slice_, message, tmp_path, capsys):
-    """The slice is named only when one was asked for."""
-    data = write_examples(tmp_path / "one.json", [[]] if slice_ is None else [[ASPECT]])
+def test_eval_without_pairs_names_what_is_missing(tmp_path, capsys):
+    data = write_examples(tmp_path / "one.json", [[]])
     argv = ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin", "--dataset", data,
             "--out", tmp_path / "out"]
-    assert run(argv + (["--slice", slice_] if slice_ else [])) == 2
-    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "data error: the dataset has no (example, aspect) pair\n"
 
 
 @pytest.mark.parametrize("field", [
@@ -425,7 +471,6 @@ def replay_case(command, paths, tmp_path):
             "eval",
             "--checkpoint", tmp_path / "run" / "checkpoint.bin",
             "--dataset", paths["test"],
-            "--slice", "implicit",
             "--out", out,
         ]
         return argv, ["eval.csv"]
@@ -572,19 +617,20 @@ def test_replay_reads_a_text_seed(other_runs, tmp_path):
     ("synth", {"seed": "x"}, (), "bad value for seed: invalid literal for int() with base 10: 'x'"),
     ("sweep-eta", {}, ("config",), "sweep-eta args must be ['config', 'grid'], got ['grid']"),
     ("sweep-eta", {"config": [1]}, (), "bad value for config: expected an object, got [1]"),
-    ("eval", {}, ("slice",),
-     "eval args must be ['checkpoint', 'dataset', 'format', 'parses', 'slice'], "
-     "got ['checkpoint', 'dataset', 'format', 'parses']"),
-    ("eval", {"slice": 3}, (), "bad value for slice: expected str | None, got 3"),
+    ("eval", {"slice": None}, (),
+     "eval args must be ['checkpoint', 'dataset', 'format', 'parses'], "
+     "got ['checkpoint', 'dataset', 'format', 'parses', 'slice']"),
     ("eval", {"width": 3}, (),
-     "eval args must be ['checkpoint', 'dataset', 'format', 'parses', 'slice'], "
-     "got ['checkpoint', 'dataset', 'format', 'parses', 'slice', 'width']"),
-], ids=["seed_float", "seed_text", "sweep_no_config", "sweep_config_list", "eval_no_slice",
-        "eval_slice_int", "eval_unknown"])
+     "eval args must be ['checkpoint', 'dataset', 'format', 'parses'], "
+     "got ['checkpoint', 'dataset', 'format', 'parses', 'width']"),
+], ids=["seed_float", "seed_text", "sweep_no_config", "sweep_config_list", "eval_with_slice",
+        "eval_unknown"])
 def test_replayed_args_of_the_wrong_kind_are_data_errors(run_name, args, drop, message,
                                                          other_runs, tmp_path, capsys):
-    """A sweep-eta manifest without ``config`` and an eval manifest without
-    ``slice`` once ended in a KeyError (exit 1)."""
+    """A sweep-eta manifest without ``config`` once ended in a KeyError
+    (exit 1).  An eval manifest written while ``lsa eval`` took
+    ``--slice`` holds a ``slice``; its eval.csv had one row, so it cannot
+    be replayed."""
     manifest = edited_manifest(other_runs / run_name, tmp_path / "manifest.json", args, drop)
     assert run(["replay", manifest, "--out", tmp_path / "r"]) == 2
     assert capsys.readouterr().err == f"data error: {manifest}: {message}\n"
@@ -609,7 +655,12 @@ def test_replay_reads_a_string_as_the_fields_text(args, train_run, tmp_path):
     ({"no_dwa": True, "frozen_eta": [0.3]}, "frozen_eta takes two values, eta_l,eta_r"),
     ({"backbone_only": True}, "backbone_only is gone: the backbone is k = 0"),
     ({"k": 0, "no_dwa": True}, "no_dwa needs k >= 1"),
-], ids=["k_bool", "d_model_float", "frozen_eta_one_value", "backbone_only", "k0_no_dwa"])
+    ({"ffn_mult": 0}, "max_len, d_model, layers, heads, ffn_mult must be positive, k non-negative"),
+    ({"eta_lr": "nan"}, "bad value for eta_lr: expected a finite number, got 'nan'"),
+    ({"lambda_eta": float("inf")}, "bad value for lambda_eta: expected a finite number, got inf"),
+    ({"epochs": -1}, "epochs must be non-negative"),
+], ids=["k_bool", "d_model_float", "frozen_eta_one_value", "backbone_only", "k0_no_dwa",
+        "ffn_mult_zero", "eta_lr_nan_text", "lambda_eta_inf", "epochs_negative"])
 def test_replayed_config_that_is_not_valid_is_data_error(args, message, train_run, tmp_path,
                                                          capsys):
     """Every value comes from the manifest, so it is the manifest's fault.

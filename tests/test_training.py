@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -9,14 +10,24 @@ import pytest
 
 import lsa.autodiff as ad
 from lsa.checkpoint import HEADER, MAGIC, checkpoint_bytes, load_checkpoint, save_checkpoint
-from lsa.corpus import DataError, cluster_histogram, load_dataset
-from lsa.encoder import ConfigError
+from lsa.corpus import (
+    DataError,
+    Dataset,
+    SynthSpec,
+    cluster_histogram,
+    cluster_sizes,
+    generate_synthetic_corpus,
+    load_dataset,
+)
+from lsa.encoder import ConfigError, Vocabulary
 from lsa.runio import canonical_json
-from lsa.window import ModelConfig
+from lsa.window import Model, ModelConfig
 from lsa.training import (
+    SLICES,
     TrainConfig,
     compute_metrics,
     evaluate,
+    evaluate_slices,
     seed_sweep,
     static_eta_sweep,
     total_loss,
@@ -144,37 +155,65 @@ def test_metrics_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# evaluate slices
+# evaluation: one pass, slices as filters
 
 
-def test_evaluate_implicit_slice_and_empty_error(corpus):
-    _, datasets, paths = corpus
-    cfg = small_config(paths)
-    result = train(cfg)
-    test_set = datasets["test"]
-    full = evaluate(result.model, test_set)
-    implicit = evaluate(result.model, test_set, slice_="implicit")
-    assert implicit.n_examples < full.n_examples
-    with pytest.raises(DataError, match="mono"):
-        evaluate(result.model, test_set, slice_="mono")  # no mono examples here
+@pytest.fixture(scope="module")
+def sliced():
+    """An untrained model and a test split that has a pair in every slice."""
+    spec = SynthSpec(splits={"test": 60}, rho=0.6, implicit_fraction=0.05,
+                     aspects_dist={1: 0.2, 2: 0.3, 4: 0.2, 6: 0.3})
+    dataset = generate_synthetic_corpus(spec, 2)["test"]
+    vocab = Vocabulary.build(ex.tokens for ex in dataset.examples)
+    config = ModelConfig(d_model=16, layers=1, heads=2, ffn_mult=2, max_len=96)
+    return Model(config, vocab, np.random.Generator(np.random.PCG64(0))), dataset
 
 
-def test_evaluate_unknown_slice(corpus):
-    _, datasets, paths = corpus
-    result = train(small_config(paths))
-    with pytest.raises(ConfigError):
-        evaluate(result.model, datasets["test"], slice_="bogus")
+def reference_slices(example, j) -> set[str]:
+    """The slices that aspect ``j`` of ``example`` is in, by their definitions."""
+    aspect, size = example.aspects[j], cluster_sizes(example)[j]
+    return {"implicit" if aspect.implicit else "explicit",
+            *(["mono"] if len(example.aspects) == 1 else []),
+            f"cluster{size}" if size < 5 else "cluster5+"}
 
 
-def test_evaluate_cluster_slices_match_histogram():
-    model = load_checkpoint(FIXTURES / "mini_checkpoint.bin")
-    dataset = load_dataset(FIXTURES / "mini.json")
-    for label, count in cluster_histogram(dataset).labelled():
-        if count:
-            assert evaluate(model, dataset, slice_=f"cluster{label}").n_examples == count
-        else:
-            with pytest.raises(DataError):
-                evaluate(model, dataset, slice_=f"cluster{label}")
+def test_every_slice_row_is_the_metrics_of_its_pairs(sliced):
+    """Each row is ``compute_metrics`` over the pairs its slice selects,
+    with each example forwarded on its own; "all" and ``evaluate`` are the
+    metrics of every pair."""
+    model, dataset = sliced
+    pairs = [(ex, j, int(np.argmax(model.forward([ex]).values[j])))
+             for ex in dataset.examples for j in range(len(ex.aspects))]
+    rows = evaluate_slices(model, dataset)
+    assert list(rows) == ["all", *SLICES]
+    for name, metrics in rows.items():
+        chosen = [(ex.aspects[j].polarity.index, pred) for ex, j, pred in pairs
+                  if name == "all" or name in reference_slices(ex, j)]
+        assert metrics == compute_metrics(*zip(*chosen)), name
+    assert evaluate(model, dataset) == rows["all"]
+
+
+def test_a_slice_without_pairs_has_no_row(sliced):
+    model, dataset = sliced
+    explicit_pairs = Dataset([ex for ex in dataset.examples
+                              if not any(a.implicit for a in ex.aspects)])
+    rows = evaluate_slices(model, explicit_pairs)
+    assert "implicit" not in rows and rows["explicit"] == rows["all"]
+    with pytest.raises(DataError, match="the dataset has no"):
+        evaluate_slices(model, Dataset([ex for ex in dataset.examples[:3] if not ex.aspects]))
+
+
+def test_evaluate_cluster_slices_match_histogram(sliced):
+    """The cluster rows count the pairs of ``cluster_histogram``'s buckets,
+    and a bucket without pairs (mini.json has none of 4 or 5+) has no row."""
+    mini = load_checkpoint(FIXTURES / "mini_checkpoint.bin"), load_dataset(FIXTURES / "mini.json")
+    for model, dataset in (sliced, mini):
+        rows = evaluate_slices(model, dataset)
+        for label, count in cluster_histogram(dataset).items():
+            if count:
+                assert rows[f"cluster{label}"].n_examples == count
+            else:
+                assert f"cluster{label}" not in rows
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +522,21 @@ def test_malformed_checkpoint_is_data_error(case, tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(blob)
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"ffn_mult": 0}, "ffn_mult must be positive"),
+    ({"ffn_mult": -1}, "ffn_mult must be positive"),
+    ({"alpha": float("nan")}, "bad value for alpha: expected a finite number, got nan"),
+    ({"alpha": "inf"}, "bad value for alpha: expected a finite number, got 'inf'"),
+], ids=["ffn_mult_zero", "ffn_mult_negative", "alpha_nan", "alpha_inf_text"])
+def test_checkpoint_config_out_of_range_is_data_error(config, message, tmp_path):
+    """A checkpoint's config is checked as a flag's value is."""
+    blob = (FIXTURES / "mini_checkpoint.bin").read_bytes()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(rewrite_manifest(blob, lambda m: m["config"].update(config)))
+    with pytest.raises(DataError, match=re.escape(message)):
         load_checkpoint(path)
 
 
