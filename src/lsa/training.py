@@ -1,7 +1,10 @@
 """Training config, loss, the training loop with a two-group optimizer,
 metrics, and the two sweeps (static side-weight grid, multi-seed).
-Evaluation predicts each (example, aspect) pair once; a slice of ``SLICES``
-is a filter over those predictions, by the attributes of each pair."""
+Training forwards whole examples in batches of about ``TrainConfig.batch``
+pairs, in a seeded order.  Evaluation predicts each (example, aspect) pair
+once, forward only, in groups of examples of similar length
+(``eval_groups``); a slice of ``SLICES`` is a filter over those
+predictions, by the attributes of each pair."""
 
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .corpus import (CLUSTER_LABELS, NUM_CLASSES, DataError, Dataset, cluster_la
 from .distance import load_parses
 from .encoder import ConfigError, Vocabulary
 from .optim import AdamW, ParamGroup
-from .window import Model, ModelConfig
+from .window import ExampleInputs, Model, ModelConfig
 
 logger = logging.getLogger(__name__)
 
@@ -27,7 +30,10 @@ class NumericError(Exception):
     """Non-finite loss or other numeric failure during training."""
 
 
-BATCH_PAIRS = 16  # the default training batch, and evaluate()'s forward group
+BATCH_PAIRS = 16  # the default training batch
+# the most padded tokens (sequences times the longest) of one of predict()'s
+# forwards, unless a single example has more
+EVAL_TOKENS = 512
 
 
 @dataclass
@@ -177,17 +183,41 @@ SLICES = {
 }
 
 
+def eval_groups(inputs: list[ExampleInputs]) -> list[list[int]]:
+    """The indices of ``inputs`` in the groups that ``predict`` forwards:
+    sorted by their longest sequence (a stable sort) and cut into groups of
+    at most ``EVAL_TOKENS`` padded tokens, a group's sequence count times
+    its longest sequence.  An example with more makes a group alone."""
+    longest = [max(len(ids) for ids in x.sequences) for x in inputs]
+    groups, sequences = [], 0
+    for i in sorted(range(len(inputs)), key=longest.__getitem__):
+        sequences += len(inputs[i].sequences)
+        if groups and sequences * longest[i] <= EVAL_TOKENS:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+            sequences = len(inputs[i].sequences)
+    return groups
+
+
 def predict(model: Model, dataset: Dataset, trees=None) -> tuple[np.ndarray, np.ndarray]:
     """The gold and the predicted class of every (example, aspect) pair, in
-    dataset order.  The examples with a pair are forwarded in groups of
-    ``BATCH_PAIRS`` pairs."""
+    dataset order.  The host inputs of each example with a pair are built
+    once (``Model.forward_example``), then ``Model.logits`` forwards them
+    in the length-sorted groups of ``eval_groups``.  A group's width changes
+    a logit only in its last bits (the softmax's row sums run over it)."""
     examples = [ex for ex in dataset.examples if ex.aspects]
     if not examples:
         raise DataError("the dataset has no (example, aspect) pair")
-    preds = [np.argmax(model.forward(group, trees).values, axis=1)
-             for group in pair_batches(examples, BATCH_PAIRS)]
+    inputs = [model.forward_example(ex, trees) for ex in examples]
+    counts = np.array([x.aspects for x in inputs])
+    starts = np.cumsum(counts) - counts
+    preds = np.empty(counts.sum(), dtype=np.intp)
+    for group in eval_groups(inputs):
+        pairs = np.concatenate([np.arange(starts[i], starts[i] + counts[i]) for i in group])
+        preds[pairs] = np.argmax(model.logits([inputs[i] for i in group]).values, axis=1)
     golds = np.array([a.polarity.index for ex in examples for a in ex.aspects])
-    return golds, np.concatenate(preds)
+    return golds, preds
 
 
 def evaluate(model: Model, dataset: Dataset, trees=None) -> Metrics:
@@ -233,7 +263,9 @@ def _load_splits(config: TrainConfig):
 
 def train(config: TrainConfig) -> TrainResult:
     """Deterministic training under (config, seed); the best checkpoint by
-    validation accuracy is retained (ties resolved to the lower epoch)."""
+    validation accuracy is retained (ties resolved to the lower epoch).
+    The final metrics are those of the test split under it, else the best
+    epoch's validation metrics."""
     config.validate()
     train_set, valid_set, test_set, trees = _load_splits(config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -261,7 +293,7 @@ def train(config: TrainConfig) -> TrainResult:
     trajectory = [(0, *model.eta_values())]
     metrics_rows: list[tuple[int, str, float, float]] = []
     epoch_losses: list[float] = []
-    best = None  # (acc, epoch, snapshot)
+    best = None  # (valid metrics, epoch, snapshot)
     step = 0
 
     train_examples = [ex for ex in train_set.examples if ex.aspects]
@@ -304,23 +336,18 @@ def train(config: TrainConfig) -> TrainResult:
             "epoch %d: loss %.4f, valid acc %.4f", epoch, epoch_losses[-1],
             valid_metrics.accuracy,
         )
-        if best is None or valid_metrics.accuracy > best[0]:
+        if best is None or valid_metrics.accuracy > best[0].accuracy:
             snapshot = {name: t.values.copy() for name, t in model.named_parameters().items()}
-            best = (valid_metrics.accuracy, epoch, snapshot)
+            best = (valid_metrics, epoch, snapshot)
 
-    best_epoch = 0
+    best_epoch, final = 0, None
     if best is not None:
-        best_epoch = best[1]
+        final, best_epoch, snapshot = best
         for name, t in model.named_parameters().items():
-            t.values[...] = best[2][name]
-
-    final = None
-    if config.epochs > 0:
+            t.values[...] = snapshot[name]
         if test_set is not None:
             final = evaluate(model, test_set, trees)
             metrics_rows.append((best_epoch, "test", final.accuracy, final.macro_f1))
-        else:
-            final = evaluate(model, valid_set, trees)
 
     return TrainResult(
         model=model,

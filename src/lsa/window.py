@@ -23,11 +23,12 @@ model holds a learned side weight only for a side that has a slot.
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
 of each example (token ids, SPC inputs, the parse and its alignment) is
-done once per example by ``Model.forward_example``.  Then one encoder call
-covers every sequence of the batch, on its real tokens only: the hidden
-states are packed, one row per token, and ``valid`` records where each
-sequence's tokens sit.  The position weights of the whole batch come from
-one vectorized pass (``position_weights``) over the rows of the aspect
+done once per example by ``Model.forward_example``, and ``Model.logits``
+runs the tensor forward over those inputs.  One encoder call covers every
+sequence of the batch, on its real tokens only: the hidden states are
+packed, one row per token, and ``valid`` records where each sequence's
+tokens sit.  The position weights of the whole batch come from one
+vectorized pass (``position_weights``) over the rows of the aspect
 tokens only: token distances |i - j|, or tree distances from one climb of
 the forest of the batch's parses, summed per aspect and divided once.
 One ``head.sa`` call on the packed rows gives every feature row, one per
@@ -406,12 +407,18 @@ class Model:
 
     def forward(self, examples: list[Example], trees=None) -> Tensor:
         """Logit rows (pairs, C) of every (example, aspect) pair of
-        ``examples``, in order, from one tensor forward over the batch.
-        A pair's prediction is the argmax of its row."""
-        cfg = self.config
+        ``examples``, in order: ``forward_example`` of each example with a
+        pair, then ``logits`` of their inputs.  A pair's prediction is the
+        argmax of its row."""
         inputs = [self.forward_example(ex, trees) for ex in examples if ex.aspects]
         if not inputs:
             raise ValueError("no (example, aspect) pair to forward")
+        return self.logits(inputs)
+
+    def logits(self, inputs: list[ExampleInputs]) -> Tensor:
+        """Logit rows (pairs, C) of every pair of the examples whose host
+        inputs are ``inputs``, in order, from one tensor forward over them."""
+        cfg = self.config
         hidden, valid = self.global_context(inputs)
         features = aspect_feature_local(hidden, valid, inputs, cfg.alpha, self.head.sa, cfg.heads)
         counts = np.array([x.aspects for x in inputs])

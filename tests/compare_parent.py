@@ -29,9 +29,9 @@ on the ``mini.json`` and ``mini_semeval.xml`` fixtures, ``lsa eval`` on a
 corpus that has a pair in every slice and once with ``--format
 absa-json`` (these runs are replayed too), ``lsa export-trajectory``, and
 each argv of ``usage_errors``, which argparse or a config check must
-refuse.  The exit code, the standard error (the temporary directory's
-path replaced by a placeholder) and the bytes of the artifacts of each
-run are compared.
+refuse.  The exit code, the standard output and the standard error (the
+temporary directory's path replaced by a placeholder) and the bytes of
+the artifacts of each run are compared.
 
 Every difference is printed, and the exit code is 1 if there is one, else
 0.  Two kinds are printed apart and not counted: the oracle cases that
@@ -123,6 +123,14 @@ def child_env() -> dict:
     env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
+
+
+def extract(rev: str, dest: Path) -> None:
+    """Write the files of git revision ``rev`` under ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
 
 
 def oracle_arrays(root: Path, out: Path) -> None:
@@ -310,10 +318,10 @@ def usage_errors(inputs: Path, data: list) -> dict:
 
 def cli_runs(root: Path, inputs: Path, out: Path) -> None:
     """Every CLI run with the package of the checkout at ``root``: its
-    standard error into ``out/<name>/stderr.txt``, with ``out`` and the
-    temporary directory that holds it and ``inputs`` written as ``<out>``
-    and ``<tmp>``, and every exit code into ``out/exits.json``.  Runs in
-    a child process."""
+    standard output and error into ``out/<name>/stdout.txt`` and
+    ``stderr.txt``, with ``out`` and the temporary directory that holds it
+    and ``inputs`` written as ``<out>`` and ``<tmp>``, and every exit code
+    into ``out/exits.json``.  Runs in a child process."""
     sys.path[:0] = [str(root / "src")]
     from lsa.cli import main
 
@@ -321,11 +329,13 @@ def cli_runs(root: Path, inputs: Path, out: Path) -> None:
     for name, argv, _ in cli_cases(inputs, out):
         logging.disable(logging.NOTSET if name == MIXED_RUN else logging.WARNING)
         (out / name).mkdir(parents=True, exist_ok=True)  # export-trajectory writes a file there
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        streams = {"stdout.txt": io.StringIO(), "stderr.txt": io.StringIO()}
+        with contextlib.redirect_stdout(streams["stdout.txt"]), \
+                contextlib.redirect_stderr(streams["stderr.txt"]):
             exits[name] = main([str(a) for a in argv])
-        text = err.getvalue().replace(str(out), "<out>").replace(str(inputs.parent), "<tmp>")
-        (out / name / "stderr.txt").write_text(text)
+        for stream, buffer in streams.items():
+            text = buffer.getvalue().replace(str(out), "<out>")
+            (out / name / stream).write_text(text.replace(str(inputs.parent), "<tmp>"))
     (out / "exits.json").write_text(json.dumps(exits))
 
 
@@ -343,10 +353,10 @@ def base_run(name: str) -> str:
 
 def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list[str]]:
     """The differences between the CLI runs written under ``parent`` and
-    those under ``tree``: exit codes, standard error, and the bytes of
-    each artifact.  The first list holds those of the runs both sides can
-    make; the second names the runs that follow from a run REV rejects as
-    a usage error and the working tree makes."""
+    those under ``tree``: exit codes, standard output and error, and the
+    bytes of each artifact.  The first list holds those of the runs both
+    sides can make; the second names the runs that follow from a run REV
+    rejects as a usage error and the working tree makes."""
     exits = [json.loads((side / "exits.json").read_text()) for side in (parent, tree)]
     new = {name for name in exits[0] if (exits[0][name], exits[1][name]) == (1, 0)}
     diffs = defaultdict(list)
@@ -355,9 +365,11 @@ def compare_cli(inputs: Path, parent: Path, tree: Path) -> tuple[list[str], list
             diffs[name].append(
                 f"CLI {name} exit code: REV {exits[0][name]}, working tree {exits[1][name]}")
     for name, _, artifacts in cli_cases(inputs, parent):
-        err = [(side / name / "stderr.txt").read_text() for side in (parent, tree)]
-        if err[0] != err[1]:
-            diffs[name].append(f"CLI {name} stderr: REV {err[0]!r}, working tree {err[1]!r}")
+        for stream in ("stdout", "stderr"):
+            text = [(side / name / f"{stream}.txt").read_text() for side in (parent, tree)]
+            if text[0] != text[1]:
+                diffs[name].append(
+                    f"CLI {name} {stream}: REV {text[0]!r}, working tree {text[1]!r}")
         for artifact in artifacts:
             a, b = parent / name / artifact, tree / name / artifact
             if not (a.is_file() and b.is_file()):
@@ -423,10 +435,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_parent-") as tmp:
         tmp = Path(tmp)
         parent_root = tmp / "rev"
-        archive = subprocess.run(["git", "archive", "--format=tar", args.rev], cwd=ROOT,
-                                 stdout=subprocess.PIPE, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent_root, filter="data")
+        extract(args.rev, parent_root)
 
         parent = side_oracle(parent_root, tmp / "rev.npz")
         tree = side_oracle(ROOT, tmp / "tree.npz")

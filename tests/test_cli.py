@@ -212,22 +212,29 @@ def test_eval_command_and_slices(corpus, train_run, tmp_path, capsys):
 
 
 def test_eval_forwards_each_pair_once(corpus, train_run, tmp_path, monkeypatch):
-    """Every slice row comes from one forward of the split."""
-    forwarded = []
-    forward = Model.forward
+    """Every slice row comes from one forward of the split: each example's
+    inputs are built once and forwarded once."""
+    prepared, forwarded = [], []
+    forward_example, logits = Model.forward_example, Model.logits
 
-    def counting_forward(self, examples, trees=None):
-        forwarded.extend(id(ex) for ex in examples)
-        return forward(self, examples, trees)
+    def counting_forward_example(self, example, trees=None):
+        prepared.append(id(example))
+        return forward_example(self, example, trees)
 
-    monkeypatch.setattr(Model, "forward", counting_forward)
+    def counting_logits(self, inputs):
+        forwarded.extend(id(x) for x in inputs)
+        return logits(self, inputs)
+
+    monkeypatch.setattr(Model, "forward_example", counting_forward_example)
+    monkeypatch.setattr(Model, "logits", counting_logits)
     assert run(["eval", "--checkpoint", train_run / "checkpoint.bin", "--dataset", corpus["test"],
                 "--out", tmp_path / "eval"]) == 0
     rows = (tmp_path / "eval" / "eval.csv").read_text().splitlines()
     assert len(rows) > 3  # all and at least two slices
     test_set = load_dataset(corpus["test"])
-    assert len(forwarded) == len(set(forwarded)) == sum(1 for ex in test_set.examples
-                                                        if ex.aspects)
+    examples = sum(1 for ex in test_set.examples if ex.aspects)
+    assert len(prepared) == len(set(prepared)) == examples
+    assert len(forwarded) == len(set(forwarded)) == examples
 
 
 NON_FINITE = {"alpha-nan": "--alpha", "eta-lr-nan": "--eta-lr", "encoder-lr-inf": "--encoder-lr",

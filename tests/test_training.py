@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 from dataclasses import asdict, replace
 
@@ -10,6 +11,7 @@ import pytest
 
 import lsa.autodiff as ad
 from lsa.checkpoint import HEADER, MAGIC, checkpoint_bytes, load_checkpoint, save_checkpoint
+import lsa.training as training
 from lsa.corpus import (
     DataError,
     Dataset,
@@ -19,22 +21,27 @@ from lsa.corpus import (
     generate_synthetic_corpus,
     load_dataset,
 )
+from lsa.distance import DependencyTree
 from lsa.encoder import ConfigError, Vocabulary
 from lsa.runio import canonical_json
-from lsa.window import Model, ModelConfig
+from lsa.window import VARIANTS, ExampleInputs, Model, ModelConfig
 from lsa.training import (
+    EVAL_TOKENS,
     SLICES,
     TrainConfig,
     compute_metrics,
+    eval_groups,
     evaluate,
     evaluate_slices,
+    predict,
     seed_sweep,
     static_eta_sweep,
     total_loss,
     train,
 )
 
-from util import FIXTURES, reference_cross_entropy, softmax, tiny_model, write_synth_corpus
+from util import (FIXTURES, random_tree, reference_cross_entropy, softmax, tiny_model,
+                  write_synth_corpus)
 
 
 def small_config(paths, **overrides):
@@ -217,6 +224,95 @@ def test_evaluate_cluster_slices_match_histogram(sliced):
 
 
 # ---------------------------------------------------------------------------
+# evaluation: length-sorted forward groups
+
+
+@pytest.fixture(scope="module")
+def ragged():
+    """A split whose example lengths come in no order, with a parse for
+    every example but each fifth, whose ``lsa_s`` weights fall back to
+    token distance."""
+    spec = SynthSpec(splits={"test": 60}, rho=0.6, implicit_fraction=0.05,
+                     aspects_dist={1: 0.3, 2: 0.3, 4: 0.2, 6: 0.2})
+    dataset = generate_synthetic_corpus(spec, 3)["test"]
+    rnd, trees = random.Random(0), {}
+    for i, ex in enumerate(dataset.examples):
+        if i % 5:
+            ex.parse_ref = f"s{i}"
+            trees[ex.parse_ref] = DependencyTree(tuple(ex.tokens),
+                                                 random_tree(rnd, len(ex.tokens)).heads)
+    return dataset, trees
+
+
+def longest(inputs: ExampleInputs) -> int:
+    return max(len(ids) for ids in inputs.sequences)
+
+
+@pytest.mark.parametrize("budget", [EVAL_TOKENS, 48])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_forwards_length_sorted_groups_under_the_token_budget(
+        variant, budget, ragged, monkeypatch):
+    """``predict`` builds each example's inputs once, in dataset order, and
+    forwards every example once, in groups sorted by length that hold at
+    most ``EVAL_TOKENS`` padded tokens unless they hold one example; its
+    predictions are those of each example forwarded alone, in dataset
+    order, and it counts the syntax fallbacks that they count."""
+    dataset, trees = ragged
+    examples = [ex for ex in dataset.examples if ex.aspects]
+    vocab = Vocabulary.build(ex.tokens for ex in examples)
+    config = ModelConfig(variant=variant, d_model=16, layers=1, heads=2, ffn_mult=2, max_len=96)
+    model = Model(config, vocab, np.random.Generator(np.random.PCG64(0)))
+    alone = np.concatenate([np.argmax(model.forward([ex], trees).values, axis=1)
+                            for ex in examples])
+    fallbacks = model.syntax_fallbacks
+    assert fallbacks == (len(examples) - len(trees) if variant == "lsa_s" else 0)
+
+    prepared, groups = [], []
+    forward_example, logits = Model.forward_example, Model.logits
+
+    def recording_forward_example(self, example, trees=None):
+        prepared.append(id(example))
+        return forward_example(self, example, trees)
+
+    def recording_logits(self, inputs):
+        groups.append(inputs)
+        return logits(self, inputs)
+
+    monkeypatch.setattr(Model, "forward_example", recording_forward_example)
+    monkeypatch.setattr(Model, "logits", recording_logits)
+    monkeypatch.setattr(training, "EVAL_TOKENS", budget)
+    golds, preds = predict(model, dataset, trees)
+
+    assert preds.tolist() == alone.tolist()
+    assert golds.tolist() == [a.polarity.index for ex in examples for a in ex.aspects]
+    assert prepared == [id(ex) for ex in examples]
+    assert model.syntax_fallbacks == 2 * fallbacks
+    forwarded = [x for group in groups for x in group]
+    assert len(forwarded) == len({id(x) for x in forwarded}) == len(examples)
+    lengths = [longest(x) for x in forwarded]
+    assert lengths == sorted(lengths) != [longest(model.forward_example(ex, trees))
+                                          for ex in examples]
+    assert len(groups) > 1 and max(map(len, groups)) > 1
+    for group in groups:
+        padded = sum(len(x.sequences) for x in group) * max(map(longest, group))
+        assert len(group) == 1 or padded <= budget
+    assert (budget == 48) == any(len(group) == 1 and len(group[0].sequences) * longest(group[0])
+                                 > budget for group in groups)
+
+
+def test_eval_groups_cut_the_stable_length_order_greedily(monkeypatch):
+    """Sorted by length, ties in input order, then each example joins the
+    open group if the group's padded tokens stay within the budget."""
+    def inputs(*lengths):
+        return ExampleInputs(len(lengths), [np.zeros(n, dtype=np.int64) for n in lengths])
+
+    monkeypatch.setattr(training, "EVAL_TOKENS", 60)
+    assert eval_groups([inputs(30), inputs(10), inputs(20), inputs(10)]) == [[1, 3, 2], [0]]
+    assert eval_groups([inputs(61), inputs(5, 5)]) == [[1], [0]]
+    assert eval_groups([inputs(20, 10), inputs(20), inputs(9)]) == [[2, 0], [1]]
+
+
+# ---------------------------------------------------------------------------
 # training loop
 
 
@@ -271,6 +367,29 @@ def test_no_dwa_keeps_eta_constant(corpus):
     _, _, paths = corpus
     result = train(small_config(paths, epochs=1, no_dwa=True))
     assert {(l, r) for _, l, r in result.trajectory} == {(1.0, 1.0)}
+
+
+def test_final_metrics_without_a_test_split_are_the_best_epochs(corpus, monkeypatch):
+    """With no test split, ``train`` evaluates the validation split once
+    per epoch and no more: the final metrics are the best epoch's, which
+    are those of the restored model."""
+    _, _, paths = corpus
+    calls = []
+    predict_ = training.predict
+
+    def counting_predict(*args):
+        calls.append(1)
+        return predict_(*args)
+
+    monkeypatch.setattr(training, "predict", counting_predict)
+    result = train(small_config(paths, epochs=3, valid_path=paths["test"], test_path=None))
+    assert len(calls) == 3
+    monkeypatch.undo()
+    valid = [row for row in result.metrics_rows if row[1] == "valid"]
+    final = result.final_metrics
+    assert valid[result.best_epoch - 1] == (result.best_epoch, "valid", final.accuracy,
+                                            final.macro_f1)
+    assert final == evaluate(result.model, load_dataset(paths["test"]))
 
 
 def test_validation_holdout_when_no_valid_path(corpus):
