@@ -1,16 +1,18 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 One tape is recorded per training step and consumed by a single backward
-pass.  Operations never mutate their inputs; gradients accumulate
-additively when a tensor is used more than once.  A post-norm transformer
-block, ``LN(x + Sublayer(x))`` twice, is two nodes with hand-written
-backwards: ``attention`` gives the residual stream ``x + MHA(x)``, and
-``residual_ffn`` the layer norm, feed-forward sublayer, residual and
-layer norm after it.
+pass, which releases each node, with the arrays it saved, as soon as its
+backward has run: a consumed tape is empty.  Operations never mutate their
+inputs; gradients accumulate additively when a tensor is used more than
+once.  A post-norm transformer block, ``LN(x + Sublayer(x))`` twice, is
+two nodes with hand-written backwards: ``attention`` gives the residual
+stream ``x + MHA(x)``, and ``residual_ffn`` the layer norm, feed-forward
+sublayer, residual and layer norm after it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,27 +134,40 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, root: Tensor) -> None:
-        """Populate grads of everything reachable from the scalar ``root``."""
+        """Populate grads of everything reachable from the scalar ``root``.
+
+        Each node is popped off the tape once its backward has run, so its
+        saved arrays, and the output tensor with its gradient unless the
+        caller holds it, are freed during the pass, not when the tape is;
+        the consumed tape is empty.  Leaves (parameters) and the tensors the
+        caller holds keep their gradients."""
         if self._consumed:
             raise TapeError("tape already consumed by a backward pass; re-record first")
         if root.values.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
         self._consumed = True
         root.grad = np.ones_like(root.values)
-        for node in reversed(self._nodes):
-            out_grad = node.output.grad
-            if out_grad is None:
-                continue
-            grads = node.backward_fn(out_grad)
-            for t, g in zip(node.inputs, grads):
-                if g is None:
-                    continue
-                if t.grad is not None:
-                    t.grad += g
-                elif _unshared(g, out_grad, grads):
-                    t.grad = g
-                else:
-                    t.grad = np.array(g, dtype=np.float64)
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
+            if node.output.grad is not None:
+                _backward_node(node)
+
+
+def _backward_node(node: _Node) -> None:
+    """Add the gradients of one node's inputs, from that of its output.  A
+    function of its own, so that nothing of the node outlives the call."""
+    out_grad = node.output.grad
+    grads = node.backward_fn(out_grad)
+    for t, g in zip(node.inputs, grads):
+        if g is None:
+            continue
+        if t.grad is not None:
+            t.grad += g
+        elif _unshared(g, out_grad, grads):
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=np.float64)
 
 
 def _unshared(g, out_grad, grads) -> bool:
@@ -277,31 +292,20 @@ def gather_rows(t: Tensor, indices) -> Tensor:
     shape = t.shape
 
     def backward(g):
-        return (_add_rows(np.zeros(shape), idx, g),)
+        return (_add_rows(shape, idx, g),)
 
     return _record(out, (t,), backward)
 
 
-def _add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``np.add.at(out, idx, g)``, returned: add the rows of ``g`` into the
-    rows of ``out`` that ``idx`` (any shape) names, in the same order, so
-    to the same bits.  The indices are stable-sorted; then the k-th
-    occurrence of every row is added at once, one fancy-indexed ``+=``
-    per multiplicity k."""
-    idx = idx.reshape(-1)
-    order = np.argsort(idx, kind="stable")
-    ranked = idx[order]
-    first = np.ones(idx.size, dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    positions = np.arange(idx.size)
-    rank = positions - np.maximum.accumulate(np.where(first, positions, 0))  # earlier occurrences
-    order = order[np.argsort(rank)]  # the rows of one rank are distinct: any order
-    rows, g = idx[order], g.reshape(idx.size, *out.shape[1:])[order]
-    lo = 0
-    for hi in np.cumsum(np.bincount(rank)):
-        out[rows[lo:hi]] += g[lo:hi]
-        lo = hi
-    return out
+def _add_rows(shape, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.add.at(np.zeros(shape), idx, g)``, to the same bits: the rows of
+    ``g`` summed into the rows of a zero table that ``idx`` (any shape)
+    names.  One ``np.bincount`` over the flat cells adds each weight in
+    index order from 0.0, as ``np.add.at`` does."""
+    cells = math.prod(shape[1:])
+    flat = idx.reshape(-1, 1) * cells + np.arange(cells)
+    return np.bincount(flat.reshape(-1), weights=g.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -394,14 +398,14 @@ class _Layout:
         """Add the gradients of the query rows, ``g_xq``, then of the residual
         rows, ``g``, into that of ``x``; another order changes the last bits.
         With a ``source``, each sequence's first row gets each one's sum over
-        its queries, the residual's formed row by row in zeros (``_add_rows``)."""
+        its queries, the residual's summed row by row from zero (``_add_rows``)."""
         if self.key_scale is None:
             g_x += g_xq
             g_x += g
         else:
             g_x[self.first] += np.add.reduceat(self.query_scale * g_xq, self.starts, axis=0)
-            residual = np.zeros((len(self.first), g.shape[1]))
-            g_x[self.first] += _add_rows(residual, self.group, self.query_scale * g)
+            shape = (len(self.first), g.shape[1])
+            g_x[self.first] += _add_rows(shape, self.group, self.query_scale * g)
 
 
 def attention(

@@ -3,7 +3,10 @@
 The aggregation weights (eta) live in their own group with their own
 learning rate and decay coefficient, separate from the encoder/head group.
 With a zero gradient the Adam term vanishes and only the decoupled decay
-acts, so a parameter decays geometrically as (1 - lr * decay)^t.
+acts, so a parameter decays geometrically as (1 - lr * decay)^t.  Besides
+the two moments of each parameter, the optimizer holds one scratch buffer,
+sized for its largest parameter, in which every parameter's update is
+formed in turn.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class AdamW:
     step_count: int = 0
     _m: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _v: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
-    _scratch: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _scratch: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
     def zero_grad(self) -> None:
         for group in self.groups:
@@ -43,12 +46,16 @@ class AdamW:
                 p.grad = None
 
     def step(self) -> None:
-        """Update every parameter in place, through one scratch array per
-        parameter: no step but the first allocates."""
+        """Update every parameter in place, through the one scratch buffer:
+        no step but the first allocates."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         root_bc2 = np.sqrt(1.0 - self.beta2**t)
+        largest = max((p.values.size for group in self.groups for p in group.params.values()),
+                      default=0)
+        if self._scratch.size < largest:
+            self._scratch = np.empty(largest)
         for group in self.groups:
             decay = 1.0 - group.lr * group.weight_decay
             step_size = group.lr / bc1
@@ -61,8 +68,8 @@ class AdamW:
                 if m is None:
                     m = self._m[key] = np.zeros_like(p.values)
                     self._v[key] = np.zeros_like(p.values)
-                    self._scratch[key] = np.empty_like(p.values)
-                v, buf = self._v[key], self._scratch[key]
+                v = self._v[key]
+                buf = self._scratch[:p.values.size].reshape(p.values.shape)
                 m *= self.beta1
                 m += np.multiply(g, 1.0 - self.beta1, out=buf)
                 v *= self.beta2

@@ -1,6 +1,7 @@
 """Training config, loss, the training loop with a two-group optimizer,
 metrics, and the two sweeps (static side-weight grid, multi-seed).
-Training forwards whole examples in batches of about ``TrainConfig.batch``
+Training builds each train and valid example's host inputs once per run,
+then forwards whole examples in batches of about ``TrainConfig.batch``
 pairs, in a seeded order.  Evaluation predicts each (example, aspect) pair
 once, forward only, in groups of examples of similar length
 (``eval_groups``); a slice of ``SLICES`` is a filter over those
@@ -148,13 +149,14 @@ def total_loss(
     return ad.cross_entropy(logits, golds), reg
 
 
-def pair_batches(examples, pairs: int):
-    """Consecutive groups of whole examples, each closed as soon as it
-    holds at least ``pairs`` (example, aspect) pairs."""
+def pair_batches(counts, pairs: int):
+    """Consecutive groups of the indices of ``counts``, the (example,
+    aspect) pairs of each example, each group closed as soon as it holds
+    at least ``pairs`` pairs."""
     group, n_pairs = [], 0
-    for example in examples:
-        group.append(example)
-        n_pairs += len(example.aspects)
+    for i, count in enumerate(counts):
+        group.append(i)
+        n_pairs += count
         if n_pairs >= pairs:
             yield group
             group, n_pairs = [], 0
@@ -202,22 +204,28 @@ def eval_groups(inputs: list[ExampleInputs]) -> list[list[int]]:
 
 def predict(model: Model, dataset: Dataset, trees=None) -> tuple[np.ndarray, np.ndarray]:
     """The gold and the predicted class of every (example, aspect) pair, in
-    dataset order.  The host inputs of each example with a pair are built
-    once (``Model.forward_example``), then ``Model.logits`` forwards them
-    in the length-sorted groups of ``eval_groups``.  A group's width changes
-    a logit only in its last bits (the softmax's row sums run over it)."""
+    dataset order: the host inputs of each example with a pair are built
+    once (``Model.forward_example``), in that order, then ``predict_inputs``
+    forwards them."""
     examples = [ex for ex in dataset.examples if ex.aspects]
     if not examples:
         raise DataError("the dataset has no (example, aspect) pair")
-    inputs = [model.forward_example(ex, trees) for ex in examples]
+    golds = np.array([a.polarity.index for ex in examples for a in ex.aspects])
+    return golds, predict_inputs(model, [model.forward_example(ex, trees) for ex in examples])
+
+
+def predict_inputs(model: Model, inputs: list[ExampleInputs]) -> np.ndarray:
+    """The predicted class of every pair of the examples whose host inputs
+    are ``inputs``, in order.  ``Model.logits`` forwards them in the
+    length-sorted groups of ``eval_groups``; a group's width changes a logit
+    only in its last bits (the softmax's row sums run over it)."""
     counts = np.array([x.aspects for x in inputs])
     starts = np.cumsum(counts) - counts
     preds = np.empty(counts.sum(), dtype=np.intp)
     for group in eval_groups(inputs):
         pairs = np.concatenate([np.arange(starts[i], starts[i] + counts[i]) for i in group])
         preds[pairs] = np.argmax(model.logits([inputs[i] for i in group]).values, axis=1)
-    golds = np.array([a.polarity.index for ex in examples for a in ex.aspects])
-    return golds, preds
+    return preds
 
 
 def evaluate(model: Model, dataset: Dataset, trees=None) -> Metrics:
@@ -265,7 +273,10 @@ def train(config: TrainConfig) -> TrainResult:
     """Deterministic training under (config, seed); the best checkpoint by
     validation accuracy is retained (ties resolved to the lower epoch).
     The final metrics are those of the test split under it, else the best
-    epoch's validation metrics."""
+    epoch's validation metrics.  The host inputs of the train and valid
+    examples are built once, before the first step (none for no epoch), so
+    an input fault fails the run before it trains, and each example
+    without a usable parse is counted once."""
     config.validate()
     train_set, valid_set, test_set, trees = _load_splits(config)
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -285,8 +296,9 @@ def train(config: TrainConfig) -> TrainResult:
     vocab = Vocabulary.build(ex.tokens for ex in train_set.examples)
     model = Model(config.model_config(), vocab, rng)
 
+    main_params = model.main_parameters()
     optimizer = AdamW([  # the eta group is empty when no side weight is learned
-        ParamGroup(model.main_parameters(), config.encoder_lr, config.lambda_reg),
+        ParamGroup(main_params, config.encoder_lr, config.lambda_reg),
         ParamGroup(model.eta_parameters(), config.eta_lr, config.lambda_eta),
     ])
 
@@ -297,19 +309,28 @@ def train(config: TrainConfig) -> TrainResult:
     step = 0
 
     train_examples = [ex for ex in train_set.examples if ex.aspects]
+    valid_examples = [ex for ex in valid_set.examples if ex.aspects]
+    valid_golds = [a.polarity.index for ex in valid_examples for a in ex.aspects]
+    # each example's host inputs, built once per run, in dataset order
+    train_inputs = valid_inputs = []
+    if config.epochs:
+        train_inputs = [model.forward_example(ex, trees) for ex in train_examples]
+        valid_inputs = [model.forward_example(ex, trees) for ex in valid_examples]
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(len(train_examples))
         epoch_golds, epoch_preds = [], []
         loss_sum, pair_count = 0.0, 0
-        for group in pair_batches([train_examples[i] for i in perm], config.batch):
-            golds = np.array([a.polarity.index for ex in group for a in ex.aspects])
+        for batch in pair_batches([len(train_examples[i].aspects) for i in perm], config.batch):
+            group = perm[batch]
+            golds = np.array([a.polarity.index for i in group for a in train_examples[i].aspects])
+            optimizer.zero_grad()
             tape = ad.Tape()
             with tape:
-                logits = model.forward(group, trees)
+                logits = model.logits([train_inputs[i] for i in group])
                 ce, reg = total_loss(
                     logits,
                     golds,
-                    model.main_parameters(),
+                    main_params,
                     model.eta_values(),
                     config.lambda_reg,
                     config.lambda_eta,
@@ -317,7 +338,6 @@ def train(config: TrainConfig) -> TrainResult:
             loss = float(ce.values[0]) + reg
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step + 1}")
-            optimizer.zero_grad()
             tape.backward(ce)
             optimizer.step()
             step += 1
@@ -329,7 +349,7 @@ def train(config: TrainConfig) -> TrainResult:
 
         epoch_losses.append(loss_sum / max(1, pair_count))
         train_metrics = compute_metrics(epoch_golds, epoch_preds)
-        valid_metrics = evaluate(model, valid_set, trees)
+        valid_metrics = compute_metrics(valid_golds, predict_inputs(model, valid_inputs).tolist())
         for split, m in (("train", train_metrics), ("valid", valid_metrics)):
             metrics_rows.append((epoch, split, m.accuracy, m.macro_f1))
         logger.info(

@@ -10,8 +10,12 @@ own process; REV runs first in the even pairs and second in the odd ones.
 Then, for every end-to-end metric that ``BENCHMARK.json`` declares, it
 prints both sides' median and quartiles, the change of the median in %,
 and the pairs in which the working tree did better (a tie counts for
-neither side).  The exit code is 1 if a run was not ``correct``, else 0,
-whatever the numbers say.
+neither side).  Two verdicts follow on each metric: whether a gain may be
+claimed (the working tree won at least 9 pairs in 10, and its median is
+better than REV's by more than REV's interquartile range), and whether
+the change stays within the metric's ``bound`` (the working tree's median
+worse than REV's by no more than that fraction of it).  The exit code is
+1 if a run was not ``correct``, else 0, whatever the numbers say.
 
 With ``--record``, and only if every run was correct, it appends a record
 of the summary to ``BENCH_<W>.json`` at the root of the checkout: both
@@ -35,6 +39,8 @@ import numpy as np
 from compare_parent import ROOT, child_env, extract
 
 SIDES = ("rev", "tree")
+CLAIM_WINS = (9, 10)  # a claimed gain wins at least 9 pairs in 10
+SIGN = {"higher": 1, "lower": -1}  # of a gain, by the metric's ``better``
 
 
 def bench_result(root: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -62,7 +68,7 @@ def summarize(rev: list[float], tree: list[float], better: str) -> dict:
     which its value is higher (``better`` "higher") or lower ("lower")."""
     if len(rev) != len(tree) or not rev:
         raise ValueError("the two sides need the same number of runs, at least one")
-    sign = {"higher": 1, "lower": -1}[better]
+    sign = SIGN[better]
     rev_q, tree_q = quartiles(rev), quartiles(tree)
     return {
         "rev": rev_q,
@@ -73,12 +79,31 @@ def summarize(rev: list[float], tree: list[float], better: str) -> dict:
     }
 
 
+def claim_holds(s: dict, better: str) -> bool:
+    """Whether the summary ``s`` shows a gain: the working tree won at least
+    ``CLAIM_WINS`` of the pairs, and its median is better than REV's by more
+    than REV's interquartile range."""
+    sign = SIGN[better]
+    gap = sign * (s["tree"]["median"] - s["rev"]["median"])
+    won, of = CLAIM_WINS
+    return s["wins"] * of >= won * s["pairs"] and gap > s["rev"]["q3"] - s["rev"]["q1"]
+
+
+def within_bound(s: dict, better: str, bound: float) -> bool:
+    """Whether the working tree's median in ``s`` is worse than REV's by no
+    more than ``bound``, a fraction of REV's median."""
+    sign = SIGN[better]
+    return sign * s["change_pct"] >= -100 * bound
+
+
 def summary_line(name: str, unit: str, s: dict) -> str:
     def side(q):
         return f"{q['median']:.6g} [{q['q1']:.6g}, {q['q3']:.6g}]"
 
     return (f"{name:17} {unit:5} REV {side(s['rev'])}  working tree {side(s['tree'])}  "
-            f"{s['change_pct']:+.1f}%  won {s['wins']}/{s['pairs']}")
+            f"{s['change_pct']:+.1f}%  won {s['wins']}/{s['pairs']}  "
+            f"{'claim holds' if s['claim'] else 'no claim'}, "
+            f"{'within' if s['within_bound'] else 'BEYOND'} bound {100 * s['bound']:g}%")
 
 
 def main(argv=None) -> int:
@@ -123,8 +148,11 @@ def main(argv=None) -> int:
     summaries = {}
     if runs["rev"]:
         for name, metric in declared.items():
-            summaries[name] = summarize([r[name] for r in runs["rev"]],
-                                        [r[name] for r in runs["tree"]], metric["better"])
+            s = summarize([r[name] for r in runs["rev"]], [r[name] for r in runs["tree"]],
+                          metric["better"])
+            s.update(claim=claim_holds(s, metric["better"]), bound=metric["bound"],
+                     within_bound=within_bound(s, metric["better"], metric["bound"]))
+            summaries[name] = s
             print(summary_line(name, metric["unit"], summaries[name]))
     if args.record and correct:
         record = {

@@ -3,7 +3,7 @@ timed or run."""
 
 import pytest
 
-from ab_parent import quartiles, summarize
+from ab_parent import claim_holds, quartiles, summarize, within_bound
 
 
 def test_quartiles_interpolate_between_runs():
@@ -32,3 +32,25 @@ def test_summary_needs_paired_runs():
         summarize([], [], "lower")
     with pytest.raises(KeyError):
         summarize([1.0], [2.0], "faster")
+
+
+def test_a_claim_needs_nine_wins_in_ten_and_a_gap_beyond_revs_spread():
+    rev = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # IQR 4.5, median 104.5
+    assert claim_holds(summarize(rev, [x - 6 for x in rev], "lower"), "lower")
+    assert not claim_holds(summarize(rev, [x - 6 for x in rev], "higher"), "higher")
+    assert not claim_holds(summarize(rev, [x - 4 for x in rev], "lower"), "lower")  # gap 4
+    nine = [x - 6 for x in rev[:9]] + [rev[9] + 1]  # 9 of 10 won
+    assert claim_holds(summarize(rev, nine, "lower"), "lower")
+    eight = [x - 6 for x in rev[:8]] + [rev[8] + 1, rev[9]]  # 8 won, 1 tie
+    assert not claim_holds(summarize(rev, eight, "lower"), "lower")
+    assert claim_holds(summarize(rev[:2], [x + 2 for x in rev[:2]], "higher"), "higher")
+
+
+@pytest.mark.parametrize("tree, better, inside", [
+    (76.0, "higher", True), (74.0, "higher", False), (500.0, "higher", True),
+    (124.0, "lower", True), (126.0, "lower", False), (1.0, "lower", True),
+])
+def test_a_change_within_the_bound(tree, better, inside):
+    """With a bound of 0.25, the working tree's median may be worse than
+    REV's by 25% of it and no more; any gain is within the bound."""
+    assert within_bound(summarize([100.0] * 3, [tree] * 3, better), better, 0.25) is inside

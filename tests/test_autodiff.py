@@ -1,6 +1,7 @@
 """Contracts and gradient checks for every tensor operation."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from util import (
     reference_attention,
     reference_cross_entropy,
     rel_err,
+    softmax,
     sum_all,
 )
 
@@ -302,6 +304,31 @@ def test_backward_rejects_consumed_tape():
         tape.backward(y)
 
 
+def test_backward_releases_the_tape_as_it_goes():
+    """A backward pops each node once it has run: an array that only the
+    tape held is freed with it, and the consumed tape is empty and cannot
+    run again.  The leaves and an intermediate the caller holds keep their
+    gradients."""
+    x = ad.parameter([1.0, -2.0])
+    w = ad.parameter([[0.5, 1.0, 0.0], [2.0, -1.0, 3.0]])
+    tape = ad.Tape()
+    with tape:
+        h = ad.mul(x, x)  # only mul's backward and the next node hold h
+        saved = weakref.ref(h.values)
+        logits = ad.matmul(ad.reshape(h, (1, 2)), w)
+        loss = ad.cross_entropy(logits, [1])
+        del h
+    assert saved() is not None and len(tape) == 4
+    tape.backward(loss)
+    assert saved() is None and len(tape) == 0
+    with pytest.raises(TapeError):
+        tape.backward(loss)
+    g = softmax(logits.values)[0] - [0.0, 1.0, 0.0]
+    np.testing.assert_allclose(logits.grad, g[None], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(w.grad, np.outer([1.0, 4.0], g), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(x.grad, 2 * x.values * (w.values @ g), rtol=1e-12, atol=1e-15)
+
+
 def test_backward_full_affine_chain_matches_fd():
     rng = np.random.default_rng(5)
     w = ad.parameter(randn(rng, 4, 3))
@@ -354,13 +381,20 @@ def test_gather_rows_accumulates_duplicate_indices():
         ad.gather_rows(table, [5])
 
 
+def add_at(shape, idx, g) -> np.ndarray:
+    out = np.zeros(shape)
+    np.add.at(out, idx, g)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_add_rows_is_add_at_bit_for_bit(data):
-    """For an index array of any shape into a few rows, so with heavy
-    repetition, the bits of ``np.add.at`` into zeros, signed zeros and
-    summands of very different size included."""
-    rows = data.draw(st.integers(1, 6))
+    """For an index array of any shape, empty included, into a few rows or
+    many, so with heavy repetition or little, tables of 2 and 3 axes: the
+    bits of ``np.add.at`` into zeros, signed zeros and summands of very
+    different size included."""
+    rows = data.draw(st.sampled_from([1, 2, 6, 40]))
     index_shape = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
     trailing = data.draw(st.sampled_from([(1,), (3,), (2, 3)]))
     idx = np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=math.prod(index_shape),
@@ -369,9 +403,22 @@ def test_add_rows_is_add_at_bit_for_bit(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g = rng.normal(size=index_shape + trailing) * 10.0 ** rng.integers(-8, 9, index_shape + trailing)
     g[rng.random(g.shape) < 0.1] = -0.0
-    expected = np.zeros((rows, *trailing))
-    np.add.at(expected, idx, g)
-    assert ad._add_rows(np.zeros((rows, *trailing)), idx, g).tobytes() == expected.tobytes()
+    shape = (rows, *trailing)
+    assert ad._add_rows(shape, idx, g).tobytes() == add_at(shape, idx, g).tobytes()
+
+
+@pytest.mark.parametrize("shape, idx", [
+    ((3, 4), np.zeros(0, dtype=np.int64)),  # an empty index: all zeros
+    ((3, 2, 2), np.array([[2, 0], [2, 2]])),  # a 3-axis table, a 2-axis index
+    ((4, 5), np.array([1, 1, 3, 1])),
+], ids=["empty", "3-axis", "repeated"])
+def test_add_rows_keeps_add_at_signed_zeros(shape, idx):
+    """Summands of -0.0 only: ``np.add.at`` starts from +0.0, so every cell
+    reads +0.0, and so must ``_add_rows``."""
+    g = np.full(idx.shape + shape[1:], -0.0)
+    out = ad._add_rows(shape, idx, g)
+    assert out.shape == shape and out.tobytes() == add_at(shape, idx, g).tobytes()
+    assert not np.signbit(out).any()
 
 
 def test_backward_grads_share_no_memory():

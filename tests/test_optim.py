@@ -115,3 +115,52 @@ def test_step_matches_the_adamw_formula_over_many_steps():
         for name, p in params.items():
             np.testing.assert_allclose(p.values, ref[name], rtol=1e-12, atol=0, err_msg=name)
             assert np.array_equal(p.grad, grads[name])  # the step leaves the gradient as it was
+
+
+def per_parameter_step(p, g, state, t, lr, decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One AdamW update of ``p`` through a scratch array of its own, in the
+    order of operations of ``AdamW.step``."""
+    if not state:
+        state.update(m=np.zeros_like(p), v=np.zeros_like(p), buf=np.empty_like(p))
+    m, v, buf = state["m"], state["v"], state["buf"]
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=buf)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=buf)
+    v += np.multiply(buf, g, out=buf)
+    np.sqrt(v, out=buf)
+    buf /= np.sqrt(1.0 - beta2**t)
+    buf += eps
+    np.divide(m, buf, out=buf)
+    buf *= lr / (1.0 - beta1**t)
+    if decay:
+        p *= 1.0 - lr * decay
+    p -= buf
+
+
+@pytest.mark.parametrize("shapes", [
+    {"table": (50, 8), "w": (3, 4), "eta": (1,)},  # the largest first
+    {"eta": (1,), "w": (3, 4), "b": (5,), "table": (50, 8)},  # the largest last
+], ids=["largest-first", "largest-last"])
+def test_one_scratch_buffer_updates_like_one_per_parameter(shapes):
+    """Parameters of mixed sizes share one scratch buffer, sized for the
+    largest, and each is updated to the bits of a per-parameter scratch
+    array, whatever the order of sizes."""
+    rng = np.random.default_rng(11)
+    params = {name: make_param(rng.normal(size=shape)) for name, shape in shapes.items()}
+    names = list(params)
+    groups = {"main": (names[:-1], 1e-2, 0.05), "last": (names[-1:], 0.1, 0.0)}
+    opt = AdamW([ParamGroup({n: params[n] for n in group}, lr, decay)
+                 for group, lr, decay in groups.values()])
+    ref = {name: p.values.copy() for name, p in params.items()}
+    state = {name: {} for name in params}
+    for t in range(1, 21):
+        for name, p in params.items():
+            p.grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3)
+        opt.step()
+        for group, lr, decay in groups.values():
+            for name in group:
+                per_parameter_step(ref[name], params[name].grad, state[name], t, lr, decay)
+        for name, p in params.items():
+            assert p.values.tobytes() == ref[name].tobytes(), (t, name)
+    assert opt._scratch.size == max(p.values.size for p in params.values())

@@ -21,7 +21,7 @@ from lsa.corpus import (
     generate_synthetic_corpus,
     load_dataset,
 )
-from lsa.distance import DependencyTree
+from lsa.distance import DependencyTree, load_parses
 from lsa.encoder import ConfigError, Vocabulary
 from lsa.runio import canonical_json
 from lsa.window import VARIANTS, ExampleInputs, Model, ModelConfig
@@ -375,13 +375,13 @@ def test_final_metrics_without_a_test_split_are_the_best_epochs(corpus, monkeypa
     are those of the restored model."""
     _, _, paths = corpus
     calls = []
-    predict_ = training.predict
+    predict_inputs = training.predict_inputs
 
-    def counting_predict(*args):
+    def counting_predict_inputs(*args):
         calls.append(1)
-        return predict_(*args)
+        return predict_inputs(*args)
 
-    monkeypatch.setattr(training, "predict", counting_predict)
+    monkeypatch.setattr(training, "predict_inputs", counting_predict_inputs)
     result = train(small_config(paths, epochs=3, valid_path=paths["test"], test_path=None))
     assert len(calls) == 3
     monkeypatch.undo()
@@ -390,6 +390,56 @@ def test_final_metrics_without_a_test_split_are_the_best_epochs(corpus, monkeypa
     assert valid[result.best_epoch - 1] == (result.best_epoch, "valid", final.accuracy,
                                             final.macro_f1)
     assert final == evaluate(result.model, load_dataset(paths["test"]))
+
+
+def mini_config(**overrides) -> TrainConfig:
+    """``lsa_s`` on ``mini.json`` as both train and valid split, with the
+    parses of ``mini.conllu``, which lack some of its examples."""
+    return TrainConfig(**{
+        "variant": "lsa_s", "d_model": 16, "layers": 1, "heads": 2, "ffn_mult": 2,
+        "max_len": 32, "batch": 8, "seed": 1, "epochs": 1,
+        "train_path": str(FIXTURES / "mini.json"), "valid_path": str(FIXTURES / "mini.json"),
+        "parse_path": str(FIXTURES / "mini.conllu"), **overrides})
+
+
+def test_train_builds_each_example_once_per_run(monkeypatch, caplog):
+    """``train`` builds the host inputs of each train and valid example once
+    per run, in dataset order, and none without an epoch; so it counts each
+    example without a usable parse once, whatever the epochs, and the first
+    fallback warning names the first of them."""
+    examples = [ex for ex in load_dataset(FIXTURES / "mini.json").examples if ex.aspects]
+    built = []
+    forward_example = Model.forward_example
+
+    def recording_forward_example(self, example, trees=None):
+        built.append(example.text)
+        return forward_example(self, example, trees)
+
+    monkeypatch.setattr(Model, "forward_example", recording_forward_example)
+    assert train(mini_config(epochs=0)).model.syntax_fallbacks == 0 and built == []
+    fallbacks = []
+    for epochs in (1, 3):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="lsa.window"):
+            fallbacks.append(train(mini_config(epochs=epochs)).model.syntax_fallbacks)
+        assert built == 2 * [ex.text for ex in examples]  # train, then valid
+        built.clear()
+    model = tiny_model(variant="lsa_s")
+    parses = load_parses(FIXTURES / "mini.conllu")
+    unparsed = [ex for ex in examples if model.forward_example(ex, parses).parse is None]
+    assert 0 < len(unparsed) < len(examples)
+    assert fallbacks == [2 * len(unparsed)] * 2
+    assert repr(unparsed[0].text[:40]) in caplog.records[0].getMessage()
+
+
+def test_an_aspect_past_max_len_fails_before_the_first_step(monkeypatch):
+    """Every example's inputs are built before step 1, so an aspect past the
+    context limit, in either split, fails before any backward."""
+    backwards = []
+    monkeypatch.setattr(ad.Tape, "backward", lambda tape, root: backwards.append(root))
+    with pytest.raises(DataError, match="context limit"):
+        train(mini_config(max_len=6))
+    assert backwards == []
 
 
 def test_validation_holdout_when_no_valid_path(corpus):
