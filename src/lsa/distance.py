@@ -9,6 +9,10 @@ for every word's ancestor path and depth, and reads each aspect token's
 row of distances from the ancestor set of its word.  Only the rows of
 aspect tokens are computed, as exact integers; ``window.position_weights``
 averages them per aspect.
+
+``load_parses`` validates every tree of a CoNLL-U file in one pass over
+the forest, ``forest_fault``, once its lines are read;
+``DependencyTree.validate`` is the same pass over one tree.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import numpy as np
 from .corpus import DataError, read_text
 
 ROOT = 0  # head value marking the root word
+# the value of each ID or HEAD cell that is plain decimal digits below 1024,
+# as int() reads it: a lookup costs a third of an int() call
+_NUMBERS = {str(i): i for i in range(1024)}
 
 
 @dataclass(frozen=True)
@@ -35,36 +42,59 @@ class DependencyTree:
 
     def validate(self) -> None:
         """DataError unless the heads form one tree: each in range and not
-        the word itself, no cycle, exactly one root.  Linear in words."""
-        heads, n = self.heads, self.word_count
-        if n == 0:
+        the word itself, no cycle, exactly one root.  ``forest_fault`` of
+        this one tree."""
+        if self.word_count == 0:
             raise DataError("empty dependency tree")
-        if len(self.forms) != n:
+        if len(self.forms) != self.word_count:
             raise DataError("tree forms/heads length mismatch")
-        for i, h in enumerate(heads):
-            if not (0 <= h <= n):
-                raise DataError(f"word {i + 1}: head {h} out of range")
-            if h == i + 1:
-                raise DataError(f"word {i + 1}: self-loop head")
-        # Climb from each word to a word known to reach the root, marking
-        # the walk; a word met again on one walk closes a cycle.  A marked
-        # word is never climbed through again.
-        unknown, on_walk, reaches_root = 0, 1, 2
-        state = [reaches_root if h == ROOT else unknown for h in heads]
-        for start in range(n):
-            node = start
-            while state[node] == unknown:
-                state[node] = on_walk
-                node = heads[node] - 1
-            if state[node] == on_walk:
-                raise DataError(f"cyclic heads involving word {start + 1}")
-            node = start
-            while state[node] == on_walk:
-                state[node] = reaches_root
-                node = heads[node] - 1
-        roots = heads.count(ROOT)
-        if roots != 1:
-            raise DataError(f"expected exactly one root, found {roots}")
+        fault = forest_fault(self.heads, [self.word_count])
+        if fault is not None:
+            raise DataError(fault[1])
+
+
+def forest_fault(heads, sizes) -> tuple[int, str] | None:
+    """The first tree, in order, whose heads do not form one tree, and why,
+    or None.  ``heads`` holds the heads of the trees one after another,
+    ``sizes`` the words of each, none 0.
+
+    One pass over the whole forest: a head out of range or naming its own
+    word is flagged, each tree's roots are counted, and a word that never
+    reaches a root (it is on a cycle or climbs into one) is found by
+    pointer doubling.  The reason is that of the tree's first fault: the
+    first flagged head, else the lowest word that reaches no root, else
+    the root count."""
+    try:
+        parent = np.fromiter(heads, np.int64, len(heads))
+    except OverflowError:  # such a head is out of range; the message reads it from ``heads``
+        parent = np.array([h if 0 <= h < 1 << 62 else -1 for h in heads], dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    total, starts = len(parent), np.cumsum(sizes) - sizes
+    tree = np.repeat(np.arange(len(sizes)), sizes)  # the tree of each word
+    first = starts[tree]  # the forest index of its tree's first word
+    flagged = (parent < 0) | (parent > sizes[tree]) | (parent == np.arange(1, total + 1) - first)
+    root = parent == ROOT
+    # word ``total`` is a sentinel above every root; a flagged word points
+    # there too, as its tree already has a fault
+    parent = np.append(np.where(root | flagged, total, parent - 1 + first), total)
+    for _ in range((int(sizes.max()) - 1).bit_length()):  # 2^k >= the most words
+        parent = parent[parent]
+    rootless = parent[:total] != total
+    faulty = np.bincount(tree[root], minlength=len(sizes)) != 1
+    faulty[tree[flagged | rootless]] = True
+    if not faulty.any():
+        return None
+    k = int(faulty.argmax())
+    words = slice(starts[k], starts[k] + sizes[k])
+    if flagged[words].any():
+        i = int(flagged[words].argmax())
+        h = heads[starts[k] + i]
+        if not 0 <= h <= sizes[k]:
+            return k, f"word {i + 1}: head {h} out of range"
+        return k, f"word {i + 1}: self-loop head"
+    if rootless[words].any():
+        return k, f"cyclic heads involving word {int(rootless[words].argmax()) + 1}"
+    return k, f"expected exactly one root, found {int(root[words].sum())}"
 
 
 def align_tokens_to_words(tokens, words) -> np.ndarray:
@@ -131,53 +161,72 @@ def syntactic_distance(trees, words, sentence, token) -> np.ndarray:
 
 def load_parses(path) -> dict[str, DependencyTree]:
     """Read a CoNLL-U subset: ID/FORM/HEAD columns, '# sent_id =' comments.
-    Each tree is validated in time linear in its words."""
+    The trees are validated in one ``forest_fault`` pass once every line
+    is read.  A fault is raised in file order: before a line or a sentence
+    is refused, the sentences completed before it are validated."""
     trees: dict[str, DependencyTree] = {}
+    names: list[str] = []  # the sent_id of each completed sentence
+    sizes: list[int] = []  # and its words
+    heads: list[int] = []  # every word's head, in file order
+    forms: list[str] = []  # the forms of the sentence being read
     sent_id = None
-    forms: list[str] = []
-    heads: list[int] = []
+
+    def check():
+        """Raise the first fault of the trees of the completed sentences."""
+        fault = forest_fault(heads[:sum(sizes)], sizes) if sizes else None
+        if fault is not None:
+            raise DataError(f"{path}: sentence {names[fault[0]]!r}: {fault[1]}")
+
+    def refuse(message):
+        check()
+        raise DataError(message)
 
     def flush(lineno):
-        nonlocal sent_id, forms, heads
+        nonlocal sent_id
         if not forms:
             sent_id = None
             return
         if sent_id is None:
-            raise DataError(f"{path}:{lineno}: sentence without a sent_id comment")
-        tree = DependencyTree(tuple(forms), tuple(heads))
-        try:
-            tree.validate()
-        except DataError as e:
-            raise DataError(f"{path}: sentence {sent_id!r}: {e}")
+            refuse(f"{path}:{lineno}: sentence without a sent_id comment")
+        names.append(sent_id)
+        sizes.append(len(forms))
         if sent_id in trees:
-            raise DataError(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
-        trees[sent_id] = tree
-        sent_id, forms, heads = None, [], []
+            refuse(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
+        trees[sent_id] = DependencyTree(tuple(forms), tuple(heads[len(heads) - len(forms):]))
+        sent_id = None
+        forms.clear()
 
+    add_form, add_head, number = forms.append, heads.append, _NUMBERS.get
     lineno = 0
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line:
             flush(lineno)
             continue
-        if line.startswith("#"):
-            if line[1:].split("=", 1)[0].strip() == "sent_id":
-                sent_id = line.split("=", 1)[1].strip()
+        if line[0] == "#":
+            key, eq, value = line[1:].partition("=")
+            if key.strip() == "sent_id":
+                if not eq:
+                    refuse(f"{path}:{lineno}: sent_id comment without '='")
+                sent_id = value.strip()
             continue
-        cols = line.split("\t")
+        cols = line.split("\t", 7)  # ID, FORM and HEAD are cols[0], [1] and [6]
         if len(cols) < 7:
-            raise DataError(f"{path}:{lineno}: expected >= 7 tab-separated columns")
+            refuse(f"{path}:{lineno}: expected >= 7 tab-separated columns")
         word_id = cols[0]
-        if "-" in word_id or "." in word_id:
-            continue  # multiword-token ranges and empty nodes carry no head
-        try:
-            idx = int(word_id)
-            head = int(cols[6])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer ID or HEAD")
+        idx, head = number(word_id), number(cols[6])
+        if idx is None or head is None:
+            if "-" in word_id or "." in word_id:
+                continue  # multiword-token ranges and empty nodes carry no head
+            try:
+                idx = int(word_id)
+                head = int(cols[6])
+            except ValueError:
+                refuse(f"{path}:{lineno}: non-integer ID or HEAD")
         if idx != len(forms) + 1:
-            raise DataError(f"{path}:{lineno}: word IDs must be 1..n in order")
-        forms.append(cols[1])
-        heads.append(head)
+            refuse(f"{path}:{lineno}: word IDs must be 1..n in order")
+        add_form(cols[1])
+        add_head(head)
     flush(lineno + 1)
+    check()
     return trees

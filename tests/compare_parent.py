@@ -22,16 +22,17 @@ test sentences and hold one whose forms do not align, so that parsed
 examples and examples that fall back to token distance share a forward
 (its standard error keeps the fallback warnings, which every other run
 silences); last, ``lsa eval`` on each malformed input that the loaders
-must refuse (parses with a cycle, two roots or a head out of range; a
-test split with an aspect fault; a truncated checkpoint); then the rest
-of the CLI surface that the command table drives: ``lsa analyze-clusters``
-on the ``mini.json`` and ``mini_semeval.xml`` fixtures, ``lsa eval`` on a
-corpus that has a pair in every slice and once with ``--format
-absa-json`` (these runs are replayed too), ``lsa export-trajectory``, and
-each argv of ``usage_errors``, which argparse or a config check must
-refuse.  The exit code, the standard output and the standard error (the
-temporary directory's path replaced by a placeholder) and the bytes of
-the artifacts of each run are compared.
+must refuse (parses with a cycle, two roots, a head out of range or a
+``# sent_id`` comment without ``=``; a test split with an aspect fault; a
+truncated checkpoint); then the rest of the CLI surface that the command
+table drives: ``lsa analyze-clusters`` on the ``mini.json`` and
+``mini_semeval.xml`` fixtures, ``lsa eval`` on a corpus that has a pair
+in every slice and once with ``--format absa-json`` (these runs are
+replayed too), ``lsa export-trajectory``, ``lsa --help`` and ``lsa eval
+--help``, and each argv of ``usage_errors``, which argparse or a config
+check must refuse.  The exit code, the standard output and the standard
+error (the temporary directory's path replaced by a placeholder) and the
+bytes of the artifacts of each run are compared.
 
 Every difference is printed, and the exit code is 1 if there is one, else
 0.  Two kinds are printed apart and not counted: the oracle cases that
@@ -70,9 +71,9 @@ CLI_WINDOWS = [("0", [])] + [
     (k, flags) for k in ("1", "2") for flags in (
         [], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--no-dwa", "--frozen-eta", "0.3,0.7"])
 ]
-# the malformed inputs of the refusal runs: a fault in one sentence's heads,
-# or in the first aspect of one test example
-PARSE_FAULTS = ("cyclic", "two_roots", "head_out_of_range")
+# the malformed inputs of the refusal runs: a fault in one sentence's heads
+# or sent_id comment, or in the first aspect of one test example
+PARSE_FAULTS = ("cyclic", "two_roots", "head_out_of_range", "sent_id_without_value")
 ASPECT_FAULTS = {
     "missing_term": lambda a: a.pop("term"),
     "span_not_integer": lambda a: a.update(span=[a["span"][0], a["span"][1] + 0.5]),
@@ -223,15 +224,17 @@ def write_malformed_inputs(out: Path) -> None:
     first aspect broken, and ``mini_checkpoint.bin`` cut 8 bytes short."""
     sentences = (out / "parses.conllu").read_text().split("\n\n")
     lines = sentences[FAULTY].splitlines()
-    comments = [line for line in lines if line.startswith("#")]
     for fault in PARSE_FAULTS:
+        comments = [line for line in lines if line.startswith("#")]
         words = [line.split("\t") for line in lines if not line.startswith("#")]
         if fault == "cyclic":
             words[0][6], words[1][6] = "2", "1"
         elif fault == "two_roots":
             next(cols for cols in words if cols[6] != "0")[6] = "0"
-        else:
+        elif fault == "head_out_of_range":
             words[0][6] = str(len(words) + 1)
+        else:
+            comments = ["# sent_id" if c.startswith("# sent_id") else c for c in comments]
         sentence = "\n".join(comments + ["\t".join(cols) for cols in words])
         text = "\n\n".join(sentences[:FAULTY] + [sentence] + sentences[FAULTY + 1:])
         (out / f"{fault}.conllu").write_text(text)
@@ -286,6 +289,7 @@ def cli_cases(inputs: Path, out: Path) -> list:
                                    "--dataset", inputs / dataset, "--parses", inputs / parses], ())
               for fault, (checkpoint, dataset, parses) in refused.items()]
     cases.append(("export_trajectory", ["export-trajectory", "--run", plain], (EXPORTED,)))
+    cases += [("help", ["--help"], ()), ("help/eval", ["eval", "--help"], ())]
     cases += [(f"usage/{name}", argv, ()) for name, argv in usage_errors(inputs, data).items()]
     return [(name, [*argv, "--out", out / name / EXPORTED if argv[0] == "export-trajectory"
                     else out / name], artifacts) for name, argv, artifacts in cases]
@@ -321,7 +325,10 @@ def cli_runs(root: Path, inputs: Path, out: Path) -> None:
     standard output and error into ``out/<name>/stdout.txt`` and
     ``stderr.txt``, with ``out`` and the temporary directory that holds it
     and ``inputs`` written as ``<out>`` and ``<tmp>``, and every exit code
-    into ``out/exits.json``.  Runs in a child process."""
+    into ``out/exits.json``.  A run that exits (``--help``) gives its exit
+    status; one that raises past ``main`` gives 1, and the type and text of
+    the exception as its standard error, as the ``lsa`` script would end
+    in that traceback.  Runs in a child process."""
     sys.path[:0] = [str(root / "src")]
     from lsa.cli import main
 
@@ -332,7 +339,13 @@ def cli_runs(root: Path, inputs: Path, out: Path) -> None:
         streams = {"stdout.txt": io.StringIO(), "stderr.txt": io.StringIO()}
         with contextlib.redirect_stdout(streams["stdout.txt"]), \
                 contextlib.redirect_stderr(streams["stderr.txt"]):
-            exits[name] = main([str(a) for a in argv])
+            try:
+                exits[name] = main([str(a) for a in argv])
+            except SystemExit as e:
+                exits[name] = e.code
+            except Exception as e:
+                print(f"{type(e).__name__}: {e}", file=sys.stderr)
+                exits[name] = 1
         for stream, buffer in streams.items():
             text = buffer.getvalue().replace(str(out), "<out>")
             (out / name / stream).write_text(text.replace(str(inputs.parent), "<tmp>"))

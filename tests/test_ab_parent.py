@@ -3,7 +3,7 @@ timed or run."""
 
 import pytest
 
-from ab_parent import claim_holds, quartiles, summarize, within_bound
+from ab_parent import claim_holds, layer_medians, quartiles, summarize, within_bound
 
 
 def test_quartiles_interpolate_between_runs():
@@ -54,3 +54,16 @@ def test_a_change_within_the_bound(tree, better, inside):
     """With a bound of 0.25, the working tree's median may be worse than
     REV's by 25% of it and no more; any gain is within the bound."""
     assert within_bound(summarize([100.0] * 3, [tree] * 3, better), better, 0.25) is inside
+
+
+def test_layer_medians_of_traced_runs():
+    """Each side's median of each named per-layer metric, and the change
+    in % of REV's; a metric that reads 0 at REV has no change."""
+    rev = [{"a.self_ms": ms, "b.calls": 0.0, "c": 1.0} for ms in (4.0, 2.0, 3.0)]
+    tree = [{"a.self_ms": 1.0, "b.calls": 5.0}, {"a.self_ms": 2.0, "b.calls": 7.0}]
+    m = layer_medians(rev, tree, ["a.self_ms", "b.calls"])
+    assert list(m) == ["a.self_ms", "b.calls"]  # only the names asked for
+    assert m["a.self_ms"] == {"rev": 3.0, "tree": 1.5, "change_pct": -50.0}
+    assert m["b.calls"] == {"rev": 0.0, "tree": 6.0, "change_pct": None}
+    with pytest.raises(ValueError):
+        layer_medians([], tree, ["a.self_ms"])

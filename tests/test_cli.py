@@ -378,6 +378,20 @@ def test_eval_without_pairs_names_what_is_missing(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: the dataset has no (example, aspect) pair\n"
 
 
+def test_eval_refuses_a_sent_id_comment_without_a_value(tmp_path, capsys):
+    """Such a comment once ended ``lsa eval`` in an IndexError traceback."""
+    parses = tmp_path / "p.conllu"
+    lines = (FIXTURES / "mini.conllu").read_text().splitlines()
+    line = lines.index("# sent_id = s3")
+    lines[line] = "# sent_id"
+    parses.write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin",
+            "--dataset", FIXTURES / "mini.json", "--parses", parses, "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {parses}:{line + 1}: sent_id comment without '='\n")
+
+
 @pytest.mark.parametrize("field", [
     {"implicit": "false"}, {"parse_ref": ["x"]}, {"span": [False, True]},
 ], ids=["implicit_string", "parse_ref_list", "span_bools"])

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lsa.corpus import DataError
@@ -22,6 +22,7 @@ from util import (
     outcome,
     random_tree,
     reference_align,
+    reference_load_parses,
     reference_validate,
 )
 
@@ -248,20 +249,20 @@ def test_align_matches_the_greedy_reference(pair):
 
 
 @st.composite
-def head_tuples(draw):
+def head_tuples(draw, faulty=True):
     """The heads (0 to n + 1) of n words: drawn at random, or those of a
     tree (words join in a random order, each under one that joined
     earlier) with up to three redrawn.  Heads out of range, self-loops,
-    cycles and several roots all occur."""
+    cycles and several roots all occur.  Not ``faulty``: a tree's."""
     n = draw(st.integers(1, 12))
     any_head = st.integers(0, n + 1)
-    if draw(st.booleans()):
+    if faulty and draw(st.booleans()):
         return tuple(draw(st.lists(any_head, min_size=n, max_size=n)))
     order = draw(st.permutations(range(n)))
     heads = [0] * n
     for k in range(1, n):
         heads[order[k]] = order[draw(st.integers(0, k - 1))] + 1
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3 if faulty else 0))):
         heads[draw(st.integers(0, n - 1))] = draw(any_head)
     return tuple(heads)
 
@@ -272,6 +273,15 @@ def test_validate_matches_the_reference(heads):
     """The same verdict, and the same message, as the climb from every word."""
     tree = DependencyTree(tuple(f"w{i}" for i in range(len(heads))), heads)
     assert outcome(tree.validate) == outcome(reference_validate, tree)
+
+
+@pytest.mark.parametrize("heads", [(0, 2**70), (-(2**70), 0), (0, -2**63), (2, 0, 2**63 - 1)])
+def test_a_head_at_or_past_the_int64_limits_is_out_of_range(heads):
+    """Validation runs on int64 heads; a head that int64 cannot hold is
+    named as it was written."""
+    tree = DependencyTree(tuple(f"w{i}" for i in range(len(heads))), heads)
+    assert outcome(tree.validate) == outcome(reference_validate, tree)
+    assert "out of range" in outcome(tree.validate)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +344,117 @@ def test_load_parses_rejects_a_duplicate_sent_id(tmp_path):
     )
     with pytest.raises(DataError, match=r"p\.conllu:6: duplicate sent_id 'x'"):
         load_parses(path)
+
+
+def test_a_tree_fault_before_a_line_fault_is_raised_first(tmp_path):
+    """Trees are validated after the lines are read, yet a cycle in the
+    first sentence is still raised before a line fault in the second."""
+    path = tmp_path / "p.conllu"
+    path.write_text("# sent_id = x\n1\ta\t_\t_\t_\t_\t2\n2\tb\t_\t_\t_\t_\t1\n\n"
+                    "# sent_id = y\n1\tb\t_\t_\t_\t0\n")
+    with pytest.raises(DataError, match=r"p\.conllu: sentence 'x': cyclic heads involving word 1$"):
+        load_parses(path)
+
+
+# The line faults a sentence of ``conllu_texts`` may hold, besides those of
+# its heads; an ID or HEAD cell that is not plain digits may still be an
+# integer to ``int``
+LINE_FAULTS = ("short_line", "odd_id", "odd_head", "id_out_of_order", "id_repeated")
+
+
+@st.composite
+def conllu_sentences(draw, k):
+    """The lines of sentence ``k``: words with the heads of ``head_tuples``,
+    each line with 7 or 10 columns and maybe surrounding whitespace;
+    multiword-token and empty-node lines (a few of them short); a sent_id
+    comment, first, after some words, twice, or missing, naming the
+    sentence by ``k`` or by one of two names that others may take too;
+    other comments; and maybe one of ``LINE_FAULTS``.  One sentence in
+    three has the heads of any ``head_tuples``, the rest a tree's, so
+    that a fault is often preceded by sound sentences."""
+    heads = draw(head_tuples(faulty=draw(st.integers(0, 2)) == 0))
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    cols = st.sampled_from(["", "\t_\t_\t_"])
+    lines = [f"{draw(pad)}{i}\tw{i}\t_\t_\t_\t_\t{h}{draw(cols)}{draw(pad)}"
+             for i, h in enumerate(heads, 1)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(lines)))
+        extra = draw(st.sampled_from([f"{at + 1}-{at + 2}", f"{at}.1"]))
+        tail = draw(st.sampled_from(["\t_" * 6] * 5 + ["\t_" * 9] * 5 + ["\t_"]))
+        lines.insert(at, f"{extra}\tmw{tail}")
+    fault = draw(st.sampled_from((None,) * 30 + LINE_FAULTS))
+    if fault is not None:
+        at = draw(st.sampled_from([i for i, line in enumerate(lines) if "mw" not in line]))
+        cells = lines[at].strip().split("\t")
+        if fault == "short_line":
+            cells = cells[:draw(st.integers(1, 6))]
+        elif fault == "odd_id":
+            cells[0] = draw(st.sampled_from(["x", "1x", "", "0" + cells[0], cells[0] + " "]))
+        elif fault == "odd_head":
+            cells[6] = draw(st.sampled_from(["_", "h", "1.5", "-1", "+1", " 1"]))
+        elif fault == "id_out_of_order":
+            cells[0] = str(draw(st.integers(0, len(heads) + 2)))
+        else:
+            lines.insert(at, lines[at])
+        lines[at] = "\t".join(cells)
+    sent_id = st.builds(str.format, st.sampled_from(["# sent_id = {}", "#sent_id={}",
+                                                     "  # sent_id =  {} "]),
+                        st.sampled_from([f"s{k}"] * 3 + ["a", "b"]))
+    place = draw(st.sampled_from(["first"] * 12 + ["after_words", "twice", "missing"]))
+    if place in ("first", "twice"):
+        lines.insert(0, draw(sent_id))
+    if place in ("after_words", "twice"):
+        lines.insert(draw(st.integers(0, len(lines))), draw(sent_id))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
+            ["# text = w1 w2", "# sent_idx = q", "#", "# newdoc"])))
+    return lines
+
+
+@st.composite
+def conllu_texts(draw):
+    """A CoNLL-U text of 1 to 6 sentences of ``conllu_sentences``, parted by
+    runs of 0 to 3 blank or blank-looking lines (with none between them,
+    two sentences run together), maybe with a leading run, with or
+    without a final newline."""
+    blank = st.sampled_from(["", "", " ", "\t "])
+    parts = []
+    for k in range(draw(st.integers(1, 6))):
+        run = draw(st.sampled_from([1] * 14 + [0, 2, 3] if parts else [0, 0, 1]))
+        parts += [draw(blank) for _ in range(run)] + draw(conllu_sentences(k))
+    return "\n".join(parts) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=conllu_texts())
+def test_load_parses_matches_the_reference(text, tmp_path):
+    """The same trees in the same order, or the same error, as the loader
+    that validated each tree with ``reference_validate`` as its sentence
+    ended: faults in several sentences are raised in file order."""
+    path = tmp_path / "p.conllu"
+    path.write_text(text, encoding="utf-8")
+    got, want = outcome(load_parses, path), outcome(reference_load_parses, path)
+    if got[0] == want[0] == "ok":
+        assert list(got[1].items()) == list(want[1].items())
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("fault", [None, "head_out_of_range", "cycle"])
+def test_a_sentence_of_1500_words_loads_as_the_reference_loads(fault, tmp_path):
+    """IDs and heads past 1023, read by ``int`` and not looked up."""
+    heads = [0] + list(range(1, 1500))  # a chain under word 1
+    if fault == "head_out_of_range":
+        heads[1400] = 1501
+    elif fault == "cycle":
+        heads[1100] = 1300
+    path = tmp_path / "p.conllu"
+    path.write_text("# sent_id = long\n" + "".join(
+        f"{i}\tw{i}\t_\t_\t_\t_\t{h}\t_\t_\t_\n" for i, h in enumerate(heads, 1)))
+    got, want = outcome(load_parses, path), outcome(reference_load_parses, path)
+    assert got == want
+    assert (got[0] == "ok") == (fault is None)
 
 
 def test_load_parses_rejects_non_utf8(tmp_path):

@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: the gradient oracle and a scalar
 sum to drive it, the softmax of logit rows, attention's weights and a
 numpy reference for it, a breadth-first reference for tree distance, the
-loaders' checks and the token alignment as first written (references for
-faster rewrites), a scalar reference for the position weights of one
-example, tiny model/corpus builders."""
+CoNLL-U loader, the loaders' checks and the token alignment as first
+written (references for faster rewrites), a scalar reference for the
+position weights of one example, tiny model/corpus builders."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from lsa.corpus import (
     Polarity,
     SynthSpec,
     generate_synthetic_corpus,
+    read_text,
     save_dataset,
 )
 from lsa.distance import ROOT, DependencyTree
@@ -303,6 +304,61 @@ def reference_validate(tree: DependencyTree) -> None:
     roots = [i for i, h in enumerate(tree.heads) if h == ROOT]
     if len(roots) != 1:
         raise DataError(f"expected exactly one root, found {len(roots)}")
+
+
+def reference_load_parses(path) -> dict[str, DependencyTree]:
+    """``distance.load_parses`` as it was before its trees were validated
+    as one forest: each tree validated by ``reference_validate`` when its
+    sentence ends."""
+    trees: dict[str, DependencyTree] = {}
+    sent_id = None
+    forms: list[str] = []
+    heads: list[int] = []
+
+    def flush(lineno):
+        nonlocal sent_id, forms, heads
+        if not forms:
+            sent_id = None
+            return
+        if sent_id is None:
+            raise DataError(f"{path}:{lineno}: sentence without a sent_id comment")
+        tree = DependencyTree(tuple(forms), tuple(heads))
+        try:
+            reference_validate(tree)
+        except DataError as e:
+            raise DataError(f"{path}: sentence {sent_id!r}: {e}")
+        if sent_id in trees:
+            raise DataError(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
+        trees[sent_id] = tree
+        sent_id, forms, heads = None, [], []
+
+    lineno = 0
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            flush(lineno)
+            continue
+        if line.startswith("#"):
+            if line[1:].split("=", 1)[0].strip() == "sent_id":
+                sent_id = line.split("=", 1)[1].strip()
+            continue
+        cols = line.split("\t")
+        if len(cols) < 7:
+            raise DataError(f"{path}:{lineno}: expected >= 7 tab-separated columns")
+        word_id = cols[0]
+        if "-" in word_id or "." in word_id:
+            continue  # multiword-token ranges and empty nodes carry no head
+        try:
+            idx = int(word_id)
+            head = int(cols[6])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer ID or HEAD")
+        if idx != len(forms) + 1:
+            raise DataError(f"{path}:{lineno}: word IDs must be 1..n in order")
+        forms.append(cols[1])
+        heads.append(head)
+    flush(lineno + 1)
+    return trees
 
 
 def _require(cond: bool, msg: str):
