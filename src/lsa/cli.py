@@ -64,8 +64,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_dir(args, default_name: str) -> Path:
+    """The output directory, made if missing; a usage error if it cannot be."""
     out = Path(args.out or Path(os.environ.get("LSA_OUTPUT_ROOT", ".")) / default_name)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make the output directory {out}: {e.strerror or e}")
     return out
 
 
@@ -264,7 +268,10 @@ def run_export_trajectory(run_dir, out_file) -> None:
     header = read_text(src).partition("\n")[0]
     if header != "step,eta_l,eta_r":
         raise DataError(f"{src}: unexpected trajectory header {header!r}")
-    shutil.copyfile(src, out_file)
+    try:
+        shutil.copyfile(src, out_file)
+    except OSError as e:  # the source was read above: --out is at fault
+        raise ConfigError(f"cannot write {out_file}: {e.strerror or e}")
     print(f"exported {src} -> {out_file}")
 
 

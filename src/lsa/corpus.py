@@ -1,9 +1,12 @@
-"""ABSA data model, dataset ingestion, cluster statistics, synthetic corpora.
+"""ABSA data model, dataset ingestion, the pair table, synthetic corpora.
 
 The canonical on-disk form is "absa-json": one UTF-8 JSON file per split,
 ``{"version": 1, "examples": [...]}``.  A SemEval-style XML adapter converts
 to the same in-memory form; aspects with the 4th "conflict" label are
 dropped at load (the classifier is strictly 3-class).
+
+``pair_table`` gives the (example, aspect) pairs of examples as numpy columns,
+which training, evaluation, the slices and the cluster histogram read.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -388,32 +391,39 @@ def field_value(kind: str, raw):
 
 
 # ---------------------------------------------------------------------------
-# Clusters
+# The pair table
 
 
-def cluster_sizes(example: Example) -> list[int]:
-    """For each aspect, in order, the size of the maximal same-polarity run
-    of adjacent aspects it belongs to."""
-    sizes: list[int] = []
-    for _, run in groupby(example.aspects, key=lambda a: a.polarity):
-        n = len(list(run))
-        sizes.extend([n] * n)
-    return sizes
+class Pairs(NamedTuple):
+    """The (example, aspect) pairs of a list of examples, in dataset order,
+    one numpy column per attribute."""
+    gold: np.ndarray  # the class index
+    implicit: np.ndarray  # bool
+    aspects: np.ndarray  # the number of aspects in its example
+    cluster: np.ndarray  # the index in ``CLUSTER_LABELS`` of its same-polarity run's size
 
 
-def cluster_label(size: int) -> str:
-    """The bucket of ``CLUSTER_LABELS`` that a cluster size falls in."""
-    return CLUSTER_LABELS[min(size, len(CLUSTER_LABELS)) - 1]
+def pair_table(examples) -> Pairs:
+    """The ``Pairs`` of ``examples``.  A run of adjacent aspects of one
+    polarity starts where the gold class changes or an example starts; an
+    example without aspects has no pair and starts no run."""
+    counts = np.array([len(ex.aspects) for ex in examples], dtype=np.intp)
+    aspects = [a for ex in examples for a in ex.aspects]
+    gold = np.array([a.polarity.index for a in aspects], dtype=np.intp)
+    starts = np.ones(len(gold), dtype=bool)
+    starts[1:] = gold[1:] != gold[:-1]
+    starts[(np.cumsum(counts) - counts)[counts > 0]] = True
+    runs = np.diff(np.append(np.flatnonzero(starts), len(gold)))
+    cluster = np.minimum(np.repeat(runs, runs), len(CLUSTER_LABELS)) - 1
+    return Pairs(gold, np.array([a.implicit for a in aspects], dtype=bool),
+                 np.repeat(counts, counts), cluster)
 
 
 def cluster_histogram(dataset: Dataset) -> dict[str, int]:
     """The number of aspects in each bucket of ``CLUSTER_LABELS``, by the
     size of the maximal same-polarity run each belongs to."""
-    counts = dict.fromkeys(CLUSTER_LABELS, 0)
-    for ex in dataset.examples:
-        for size in cluster_sizes(ex):
-            counts[cluster_label(size)] += 1
-    return counts
+    counts = np.bincount(pair_table(dataset.examples).cluster, minlength=len(CLUSTER_LABELS))
+    return dict(zip(CLUSTER_LABELS, counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

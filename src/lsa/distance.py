@@ -160,7 +160,8 @@ def syntactic_distance(trees, words, sentence, token) -> np.ndarray:
 
 
 def load_parses(path) -> dict[str, DependencyTree]:
-    """Read a CoNLL-U subset: ID/FORM/HEAD columns, '# sent_id =' comments.
+    """Read a CoNLL-U subset: ID/FORM/HEAD columns, '# sent_id =' comments,
+    each before its sentence's first word; ID and HEAD are ASCII digits.
     The trees are validated in one ``forest_fault`` pass once every line
     is read.  A fault is raised in file order: before a line or a sentence
     is refused, the sentences completed before it are validated."""
@@ -208,6 +209,8 @@ def load_parses(path) -> dict[str, DependencyTree]:
             if key.strip() == "sent_id":
                 if not eq:
                     refuse(f"{path}:{lineno}: sent_id comment without '='")
+                if forms:
+                    refuse(f"{path}:{lineno}: sent_id comment inside a sentence")
                 sent_id = value.strip()
             continue
         cols = line.split("\t", 7)  # ID, FORM and HEAD are cols[0], [1] and [6]
@@ -218,11 +221,9 @@ def load_parses(path) -> dict[str, DependencyTree]:
         if idx is None or head is None:
             if "-" in word_id or "." in word_id:
                 continue  # multiword-token ranges and empty nodes carry no head
-            try:
-                idx = int(word_id)
-                head = int(cols[6])
-            except ValueError:
+            if not all(cell.isascii() and cell.isdigit() for cell in (word_id, cols[6])):
                 refuse(f"{path}:{lineno}: non-integer ID or HEAD")
+            idx, head = int(word_id), int(cols[6])
         if idx != len(forms) + 1:
             refuse(f"{path}:{lineno}: word IDs must be 1..n in order")
         add_form(cols[1])

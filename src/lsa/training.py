@@ -1,24 +1,24 @@
 """Training config, loss, the training loop with a two-group optimizer,
 metrics, and the two sweeps (static side-weight grid, multi-seed).
-Training builds each train and valid example's host inputs once per run,
-then forwards whole examples in batches of about ``TrainConfig.batch``
-pairs, in a seeded order.  Evaluation predicts each (example, aspect) pair
-once, forward only, in groups of examples of similar length
-(``eval_groups``); a slice of ``SLICES`` is a filter over those
-predictions, by the attributes of each pair."""
+Training builds each train and valid example's host inputs and the pair
+table (``corpus.pair_table``) of each split once per run, then forwards
+whole examples in batches of about ``TrainConfig.batch`` pairs, in a
+seeded order, against the golds of the table.  Evaluation predicts each
+(example, aspect) pair once, forward only, in groups of examples of
+similar length (``eval_groups``); a slice of ``SLICES`` is a predicate
+over the columns of the pair table, and selects its pairs' predictions."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import (CLUSTER_LABELS, NUM_CLASSES, DataError, Dataset, cluster_label,
-                     cluster_sizes, load_dataset, read_key_values)
+from .corpus import (CLUSTER_LABELS, NUM_CLASSES, DataError, Dataset, load_dataset, pair_table,
+                     read_key_values)
 from .distance import load_parses
 from .encoder import ConfigError, Vocabulary
 from .optim import AdamW, ParamGroup
@@ -102,18 +102,21 @@ class Metrics:
 
 
 def compute_metrics(golds, preds) -> Metrics:
-    """Accuracy and macro-F1 over class indices; absent classes score 0."""
-    golds, preds = list(golds), list(preds)
-    if not golds or len(golds) != len(preds):
+    """Accuracy and macro-F1 over class indices in [0, 3); absent classes score 0."""
+    golds, preds = np.asarray(golds), np.asarray(preds)
+    if not golds.size or golds.ndim != 1 or golds.shape != preds.shape:
         raise ValueError("golds and preds must be equal-length and non-empty")
-    confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for g, p in zip(golds, preds):
-        confusion[g][p] += 1
+    if not all(x.dtype.kind in "iu" and x.min() >= 0 and x.max() < NUM_CLASSES
+               for x in (golds, preds)):
+        raise ValueError(f"classes must be integers in [0, {NUM_CLASSES})")
+    confusion = np.bincount(golds * NUM_CLASSES + preds, minlength=NUM_CLASSES**2)
+    confusion = confusion.reshape(NUM_CLASSES, NUM_CLASSES)  # int64 counts
+    predicted, actual = confusion.sum(axis=0), confusion.sum(axis=1)
     per_class = []
     for c in range(NUM_CLASSES):
-        tp = confusion[c][c]
-        precision = tp / confusion[:, c].sum() if confusion[:, c].sum() else 0.0
-        recall = tp / confusion[c].sum() if confusion[c].sum() else 0.0
+        tp = confusion[c, c]
+        precision = tp / predicted[c] if predicted[c] else 0.0
+        recall = tp / actual[c] if actual[c] else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class.append(ClassScores(float(precision), float(recall), float(f1)))
     accuracy = float(np.trace(confusion) / len(golds))
@@ -168,20 +171,14 @@ def pair_batches(counts, pairs: int):
 # Evaluation
 
 
-class PairAttributes(NamedTuple):
-    """What the slices read of an (example, aspect) pair."""
-    implicit: bool
-    aspects: int  # in its example
-    cluster: str  # the ``cluster_label`` of its same-polarity run
-
-
-# name -> whether a pair, by its attributes, is in the slice; in eval.csv's order
+# name -> which pairs of a ``corpus.Pairs`` table are in the slice, as a bool
+# column; in eval.csv's order
 SLICES = {
-    "implicit": lambda pair: pair.implicit,
-    "explicit": lambda pair: not pair.implicit,
-    "mono": lambda pair: pair.aspects == 1,
-    **{f"cluster{label}": lambda pair, label=label: pair.cluster == label
-       for label in CLUSTER_LABELS},
+    "implicit": lambda pairs: pairs.implicit,
+    "explicit": lambda pairs: ~pairs.implicit,
+    "mono": lambda pairs: pairs.aspects == 1,
+    **{f"cluster{label}": lambda pairs, bucket=bucket: pairs.cluster == bucket
+       for bucket, label in enumerate(CLUSTER_LABELS)},
 }
 
 
@@ -202,19 +199,7 @@ def eval_groups(inputs: list[ExampleInputs]) -> list[list[int]]:
     return groups
 
 
-def predict(model: Model, dataset: Dataset, trees=None) -> tuple[np.ndarray, np.ndarray]:
-    """The gold and the predicted class of every (example, aspect) pair, in
-    dataset order: the host inputs of each example with a pair are built
-    once (``Model.forward_example``), in that order, then ``predict_inputs``
-    forwards them."""
-    examples = [ex for ex in dataset.examples if ex.aspects]
-    if not examples:
-        raise DataError("the dataset has no (example, aspect) pair")
-    golds = np.array([a.polarity.index for ex in examples for a in ex.aspects])
-    return golds, predict_inputs(model, [model.forward_example(ex, trees) for ex in examples])
-
-
-def predict_inputs(model: Model, inputs: list[ExampleInputs]) -> np.ndarray:
+def predict(model: Model, inputs: list[ExampleInputs]) -> np.ndarray:
     """The predicted class of every pair of the examples whose host inputs
     are ``inputs``, in order.  ``Model.logits`` forwards them in the
     length-sorted groups of ``eval_groups``; a group's width changes a logit
@@ -230,20 +215,24 @@ def predict_inputs(model: Model, inputs: list[ExampleInputs]) -> np.ndarray:
 
 def evaluate(model: Model, dataset: Dataset, trees=None) -> Metrics:
     """Metrics over every (example, aspect) pair."""
-    golds, preds = predict(model, dataset, trees)
-    return compute_metrics(golds.tolist(), preds.tolist())
+    return evaluate_slices(model, dataset, trees, slices={})["all"]
 
 
-def evaluate_slices(model: Model, dataset: Dataset, trees=None) -> dict[str, Metrics]:
-    """Metrics over every pair ("all"), then over each of ``SLICES`` that
-    selects a pair, in table order, from one prediction per pair."""
-    golds, preds = predict(model, dataset, trees)
-    pairs = [PairAttributes(a.implicit, len(ex.aspects), cluster_label(size))
-             for ex in dataset.examples for a, size in zip(ex.aspects, cluster_sizes(ex))]
-    selected = {"all": np.ones(len(golds), dtype=bool)} | {
-        name: np.array([in_slice(pair) for pair in pairs], dtype=bool)
-        for name, in_slice in SLICES.items()}
-    return {name: compute_metrics(golds[keep].tolist(), preds[keep].tolist())
+def evaluate_slices(model: Model, dataset: Dataset, trees=None,
+                    slices=SLICES) -> dict[str, Metrics]:
+    """Metrics over every pair ("all"), then over each of ``slices`` that
+    selects a pair, in table order, from one prediction per pair: the host
+    inputs of each example with a pair are built once
+    (``Model.forward_example``), in dataset order, then ``predict``
+    forwards them."""
+    examples = [ex for ex in dataset.examples if ex.aspects]
+    if not examples:
+        raise DataError("the dataset has no (example, aspect) pair")
+    pairs = pair_table(examples)
+    preds = predict(model, [model.forward_example(ex, trees) for ex in examples])
+    selected = {"all": np.ones(len(preds), dtype=bool)} | {
+        name: in_slice(pairs) for name, in_slice in slices.items()}
+    return {name: compute_metrics(pairs.gold[keep], preds[keep])
             for name, keep in selected.items() if keep.any()}
 
 
@@ -261,14 +250,6 @@ class TrainResult:
     final_metrics: Metrics | None
 
 
-def _load_splits(config: TrainConfig):
-    train = load_dataset(config.train_path)
-    valid = load_dataset(config.valid_path) if config.valid_path else None
-    test = load_dataset(config.test_path) if config.test_path else None
-    trees = load_parses(config.parse_path) if config.parse_path else None
-    return train, valid, test, trees
-
-
 def train(config: TrainConfig) -> TrainResult:
     """Deterministic training under (config, seed); the best checkpoint by
     validation accuracy is retained (ties resolved to the lower epoch).
@@ -278,7 +259,10 @@ def train(config: TrainConfig) -> TrainResult:
     an input fault fails the run before it trains, and each example
     without a usable parse is counted once."""
     config.validate()
-    train_set, valid_set, test_set, trees = _load_splits(config)
+    train_set = load_dataset(config.train_path)
+    valid_set = load_dataset(config.valid_path) if config.valid_path else None
+    test_set = load_dataset(config.test_path) if config.test_path else None
+    trees = load_parses(config.parse_path) if config.parse_path else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     if valid_set is None:
@@ -286,9 +270,7 @@ def train(config: TrainConfig) -> TrainResult:
         n_hold = max(1, int(round(config.holdout_fraction * len(order))))
         hold = set(order[:n_hold].tolist())
         valid_set = Dataset([train_set.examples[i] for i in sorted(hold)])
-        train_set = Dataset(
-            [ex for i, ex in enumerate(train_set.examples) if i not in hold]
-        )
+        train_set = Dataset([ex for i, ex in enumerate(train_set.examples) if i not in hold])
     for split, data in (("train", train_set), ("valid", valid_set), ("test", test_set)):
         if data is not None and not any(ex.aspects for ex in data.examples):
             raise DataError(f"the {split} split has no (example, aspect) pair")
@@ -310,31 +292,29 @@ def train(config: TrainConfig) -> TrainResult:
 
     train_examples = [ex for ex in train_set.examples if ex.aspects]
     valid_examples = [ex for ex in valid_set.examples if ex.aspects]
-    valid_golds = [a.polarity.index for ex in valid_examples for a in ex.aspects]
-    # each example's host inputs, built once per run, in dataset order
+    # each example's host inputs and each split's golds, built once per run,
+    # in dataset order
     train_inputs = valid_inputs = []
     if config.epochs:
         train_inputs = [model.forward_example(ex, trees) for ex in train_examples]
         valid_inputs = [model.forward_example(ex, trees) for ex in valid_examples]
+        counts = np.array([x.aspects for x in train_inputs])
+        example_golds = np.split(pair_table(train_examples).gold, np.cumsum(counts)[:-1])
+        valid_golds = pair_table(valid_examples).gold
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(len(train_examples))
-        epoch_golds, epoch_preds = [], []
+        epoch_golds = np.concatenate([example_golds[i] for i in perm])  # in step order
+        epoch_preds = np.empty_like(epoch_golds)
         loss_sum, pair_count = 0.0, 0
-        for batch in pair_batches([len(train_examples[i].aspects) for i in perm], config.batch):
+        for batch in pair_batches(counts[perm], config.batch):
             group = perm[batch]
-            golds = np.array([a.polarity.index for i in group for a in train_examples[i].aspects])
+            golds = epoch_golds[pair_count:pair_count + counts[group].sum()]
             optimizer.zero_grad()
             tape = ad.Tape()
             with tape:
                 logits = model.logits([train_inputs[i] for i in group])
-                ce, reg = total_loss(
-                    logits,
-                    golds,
-                    main_params,
-                    model.eta_values(),
-                    config.lambda_reg,
-                    config.lambda_eta,
-                )
+                ce, reg = total_loss(logits, golds, main_params, model.eta_values(),
+                                     config.lambda_reg, config.lambda_eta)
             loss = float(ce.values[0]) + reg
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at step {step + 1}")
@@ -343,13 +323,12 @@ def train(config: TrainConfig) -> TrainResult:
             step += 1
             trajectory.append((step, *model.eta_values()))
             loss_sum += loss
+            epoch_preds[pair_count:pair_count + len(golds)] = np.argmax(logits.values, axis=1)
             pair_count += len(golds)
-            epoch_golds.extend(golds.tolist())
-            epoch_preds.extend(np.argmax(logits.values, axis=1).tolist())
 
         epoch_losses.append(loss_sum / max(1, pair_count))
         train_metrics = compute_metrics(epoch_golds, epoch_preds)
-        valid_metrics = compute_metrics(valid_golds, predict_inputs(model, valid_inputs).tolist())
+        valid_metrics = compute_metrics(valid_golds, predict(model, valid_inputs))
         for split, m in (("train", train_metrics), ("valid", valid_metrics)):
             metrics_rows.append((epoch, split, m.accuracy, m.macro_f1))
         logger.info(
@@ -369,14 +348,7 @@ def train(config: TrainConfig) -> TrainResult:
             final = evaluate(model, test_set, trees)
             metrics_rows.append((best_epoch, "test", final.accuracy, final.macro_f1))
 
-    return TrainResult(
-        model=model,
-        trajectory=trajectory,
-        metrics_rows=metrics_rows,
-        epoch_losses=epoch_losses,
-        best_epoch=best_epoch,
-        final_metrics=final,
-    )
+    return TrainResult(model, trajectory, metrics_rows, epoch_losses, best_epoch, final)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ test sentences and hold one whose forms do not align, so that parsed
 examples and examples that fall back to token distance share a forward
 (its standard error keeps the fallback warnings, which every other run
 silences); last, ``lsa eval`` on each malformed input that the loaders
-must refuse (parses with a cycle, two roots, a head out of range or a
-``# sent_id`` comment without ``=``; a test split with an aspect fault; a
-truncated checkpoint); then the rest of the CLI surface that the command
+must refuse (parses with a cycle, two roots, a head out of range, a
+``# sent_id`` comment without ``=``, an ID cell ``+2`` or a ``# sent_id``
+comment after a sentence's first word; a test split with an aspect fault;
+a truncated checkpoint), and ``lsa analyze-clusters`` with ``--out`` naming
+a file; then the rest of the CLI surface that the command
 table drives: ``lsa analyze-clusters`` on the ``mini.json`` and
 ``mini_semeval.xml`` fixtures, ``lsa eval`` on a corpus that has a pair
 in every slice and once with ``--format absa-json`` (these runs are
@@ -71,9 +73,10 @@ CLI_WINDOWS = [("0", [])] + [
     (k, flags) for k in ("1", "2") for flags in (
         [], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--no-dwa", "--frozen-eta", "0.3,0.7"])
 ]
-# the malformed inputs of the refusal runs: a fault in one sentence's heads
-# or sent_id comment, or in the first aspect of one test example
-PARSE_FAULTS = ("cyclic", "two_roots", "head_out_of_range", "sent_id_without_value")
+# the malformed inputs of the refusal runs: a fault in one sentence's heads,
+# ID cells or sent_id comments, or in the first aspect of one test example
+PARSE_FAULTS = ("cyclic", "two_roots", "head_out_of_range", "sent_id_without_value",
+                "plus_id", "sent_id_inside")
 ASPECT_FAULTS = {
     "missing_term": lambda a: a.pop("term"),
     "span_not_integer": lambda a: a.update(span=[a["span"][0], a["span"][1] + 0.5]),
@@ -227,15 +230,21 @@ def write_malformed_inputs(out: Path) -> None:
     for fault in PARSE_FAULTS:
         comments = [line for line in lines if line.startswith("#")]
         words = [line.split("\t") for line in lines if not line.startswith("#")]
+        inside = []  # the comments after the first word
         if fault == "cyclic":
             words[0][6], words[1][6] = "2", "1"
         elif fault == "two_roots":
             next(cols for cols in words if cols[6] != "0")[6] = "0"
         elif fault == "head_out_of_range":
             words[0][6] = str(len(words) + 1)
+        elif fault == "plus_id":
+            words[1][0] = "+2"
+        elif fault == "sent_id_inside":
+            inside = ["# sent_id = renamed"]
         else:
             comments = ["# sent_id" if c.startswith("# sent_id") else c for c in comments]
-        sentence = "\n".join(comments + ["\t".join(cols) for cols in words])
+        rows = ["\t".join(cols) for cols in words]
+        sentence = "\n".join(comments + rows[:1] + inside + rows[1:])
         text = "\n\n".join(sentences[:FAULTY] + [sentence] + sentences[FAULTY + 1:])
         (out / f"{fault}.conllu").write_text(text)
     for fault, edit in ASPECT_FAULTS.items():
@@ -288,11 +297,17 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases += [(f"refuse/{fault}", ["eval", "--checkpoint", checkpoint,
                                    "--dataset", inputs / dataset, "--parses", inputs / parses], ())
               for fault, (checkpoint, dataset, parses) in refused.items()]
+    cases.append(("refuse/out_is_a_file", ["analyze-clusters", inputs / "mini.json",
+                                            "--out", inputs / "mini.json"], ()))
     cases.append(("export_trajectory", ["export-trajectory", "--run", plain], (EXPORTED,)))
     cases += [("help", ["--help"], ()), ("help/eval", ["eval", "--help"], ())]
     cases += [(f"usage/{name}", argv, ()) for name, argv in usage_errors(inputs, data).items()]
-    return [(name, [*argv, "--out", out / name / EXPORTED if argv[0] == "export-trajectory"
-                    else out / name], artifacts) for name, argv, artifacts in cases]
+    def out_flag(name, argv):
+        if "--out" in argv:
+            return []
+        return ["--out", out / name / EXPORTED if argv[0] == "export-trajectory" else out / name]
+
+    return [(name, [*argv, *out_flag(name, argv)], artifacts) for name, argv, artifacts in cases]
 
 
 def usage_errors(inputs: Path, data: list) -> dict:

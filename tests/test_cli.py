@@ -474,6 +474,37 @@ def test_export_trajectory(corpus, tmp_path):
     assert out_file.read_bytes() == (run_dir / "eta_trajectory.csv").read_bytes()
 
 
+@pytest.mark.parametrize("where", ["file", "under_a_file"])
+@pytest.mark.parametrize("command", [*COMMANDS, "replay"])
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(command, where, tmp_path, capsys):
+    """--out naming a file, or a path below one, ends every command that
+    writes a directory before it reads its inputs: a usage error that
+    names the path and the reason."""
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" if where == "file" else tmp_path / "file" / "out"
+    missing = tmp_path / "missing"  # never read
+    argv = {"analyze-clusters": [missing], "synth": ["--spec", missing, "--seed", "1"],
+            "eval": ["--checkpoint", missing, "--dataset", missing],
+            "replay": [missing]}.get(command, ["--train-path", missing])
+    assert run([command, *argv, "--out", out]) == 1
+    reason = "File exists" if where == "file" else "Not a directory"
+    assert capsys.readouterr().err == (
+        f"usage error: cannot make the output directory {out}: {reason}\n")
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("where, reason", [("directory", "Is a directory"),
+                                           ("missing/traj.csv", "No such file or directory")])
+def test_export_trajectory_to_an_unwritable_out_is_a_usage_error(where, reason, corpus, tmp_path,
+                                                                 capsys):
+    run_dir = tmp_path / "run"
+    assert run(train_args(corpus, run_dir)) == 0
+    (tmp_path / "directory").mkdir()
+    capsys.readouterr()
+    assert run(["export-trajectory", "--run", run_dir, "--out", tmp_path / where]) == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {tmp_path / where}: {reason}\n"
+
+
 def replay_case(command, paths, tmp_path):
     """The argv of one run of ``command`` into tmp_path/orig, and the
     artifacts that run writes there."""

@@ -1,5 +1,5 @@
-"""Data model, loaders, the window over adjacent aspects, cluster statistics,
-synthetic corpora."""
+"""Data model, loaders, the window over adjacent aspects, the pair table and
+cluster statistics, synthetic corpora."""
 
 import copy
 import json
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsa.corpus import (
+    CLUSTER_LABELS,
     AspectAnnotation,
     DataError,
     Dataset,
@@ -18,28 +19,16 @@ from lsa.corpus import (
     Polarity,
     SynthSpec,
     cluster_histogram,
-    cluster_sizes,
     dataset_to_json,
     generate_synthetic_corpus,
     load_absa_json,
     load_dataset,
+    pair_table,
 )
 from lsa.window import ModelConfig, build_window
 
-from util import FIXTURES, outcome, reference_example_from_json
-
-
-def make_example(polarities, tokens_per_aspect=2):
-    tokens, aspects = [], []
-    for i, pol in enumerate(polarities):
-        tokens.append(f"w{i}")
-        start = len(tokens)
-        tokens.append(f"noun{i}")
-        aspects.append(
-            AspectAnnotation(start, start + 1, (f"noun{i}",), Polarity(pol))
-        )
-    tokens.append("end")
-    return Example(" ".join(tokens), tokens, aspects)
+from util import (FIXTURES, aspect_runs, cluster_sizes, make_example, outcome,
+                  reference_example_from_json, reference_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +320,12 @@ def test_cluster_histogram_run_of_two():
 
 
 def test_cluster_sizes_per_aspect():
+    """The reference's run sizes, and the pair table's buckets of them."""
     ex = make_example(["positive", "positive", "negative", "neutral", "neutral", "neutral"])
     assert cluster_sizes(ex) == [2, 2, 1, 3, 3, 3]
+    assert pair_table([ex]).cluster.tolist() == [1, 1, 0, 2, 2, 2]
     assert cluster_sizes(make_example([])) == []
+    assert pair_table([make_example([])]).cluster.tolist() == []
 
 
 def test_cluster_histogram_alternating():
@@ -371,6 +363,40 @@ def test_cluster_histogram_matches_oracle(polarity_lists):
     hist = cluster_histogram(ds)
     assert hist == oracle_histogram(ds)
     assert sum(hist.values()) == ds.aspect_count()
+
+
+def table_rows(examples) -> list[tuple]:
+    """The pair table of ``examples`` as rows of Python values, the cluster
+    as its label."""
+    pairs = pair_table(examples)
+    assert all(len(column) == len(pairs.gold) for column in pairs)
+    return [(gold, (implicit, aspects, CLUSTER_LABELS[cluster]))
+            for gold, implicit, aspects, cluster in zip(*(c.tolist() for c in pairs))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(aspect_runs(), max_size=8))
+def test_pair_table_matches_the_reference(runs):
+    """Every pair's gold, implicit flag, aspect count and cluster bucket are
+    those of the per-example groupby, with examples without aspects
+    anywhere, runs across example boundaries, and runs past 5."""
+    examples = [make_example(pols, implicit=flags) for pols, flags in runs]
+    assert table_rows(examples) == reference_pairs(examples)
+
+
+@pytest.mark.parametrize("fixture", ["mini.json", "mini_semeval.xml"])
+def test_pair_table_of_a_fixture_matches_the_reference(fixture):
+    examples = load_dataset(FIXTURES / fixture).examples
+    assert table_rows(examples) == reference_pairs(examples) != []
+    assert table_rows([]) == []
+
+
+def test_a_run_of_seven_is_in_the_last_bucket():
+    pairs = pair_table([make_example([]), make_example(["neutral"] * 7, implicit=[True]),
+                        make_example(["neutral"])])
+    assert pairs.cluster.tolist() == [4] * 7 + [0]
+    assert pairs.aspects.tolist() == [7] * 7 + [1]
+    assert pairs.implicit.tolist() == [True] + [False] * 7
 
 
 # ---------------------------------------------------------------------------

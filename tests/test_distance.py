@@ -346,6 +346,40 @@ def test_load_parses_rejects_a_duplicate_sent_id(tmp_path):
         load_parses(path)
 
 
+@pytest.mark.parametrize("column, cell", [  # ID cells for 2, HEAD cells for 1
+    *((0, cell) for cell in ("+2", "0_2", "\u0662", "2 ", "\uff12", "\u00b2")),
+    *((6, cell) for cell in ("+1", "0_1", "\u0661", " 1", "1 ", "\uff11", "\u00b9"))])
+def test_an_id_or_head_cell_that_is_not_ascii_digits_is_refused(column, cell, tmp_path):
+    """``int()`` reads each of these cells of word 2 as a number (with a
+    sign, an underscore, a space, or an Arabic-Indic or fullwidth digit),
+    and ``str.isdigit`` takes a superscript digit; both loaders refuse
+    them, at their line."""
+    words = [["1", "a", "_", "_", "_", "_", "0", "_", "_", "_"],
+             ["2", "b", "_", "_", "_", "_", "1", "_", "_", "_"],
+             ["3", "c", "_", "_", "_", "_", "1", "_", "_", "_"]]
+    words[1][column] = cell
+    path = tmp_path / "p.conllu"
+    path.write_text("# sent_id = x\n" + "".join("\t".join(w) + "\n" for w in words))
+    for load in (load_parses, reference_load_parses):
+        assert outcome(load, path) == ("DataError", f"{path}:3: non-integer ID or HEAD")
+
+
+def test_a_sent_id_comment_inside_a_sentence_is_refused(tmp_path):
+    """A sent_id comment after a sentence's first word would rename it; it
+    is refused at its line, after the faults of the trees before it."""
+    path = tmp_path / "p.conllu"
+    path.write_text("# sent_id = x\n1\ta\t_\t_\t_\t_\t0\n# sent_id = y\n2\tb\t_\t_\t_\t_\t1\n")
+    for load in (load_parses, reference_load_parses):
+        assert outcome(load, path) == ("DataError",
+                                       f"{path}:3: sent_id comment inside a sentence")
+    path.write_text("# sent_id = w\n1\ta\t_\t_\t_\t_\t1\n\n" + path.read_text())
+    for load in (load_parses, reference_load_parses):
+        assert outcome(load, path) == ("DataError",
+                                       f"{path}: sentence 'w': word 1: self-loop head")
+    path.write_text("# sent_id = x\n# sent_id = y\n1\ta\t_\t_\t_\t_\t0\n")
+    assert list(load_parses(path)) == list(reference_load_parses(path)) == ["y"]
+
+
 def test_a_tree_fault_before_a_line_fault_is_raised_first(tmp_path):
     """Trees are validated after the lines are read, yet a cycle in the
     first sentence is still raised before a line fault in the second."""
@@ -357,8 +391,8 @@ def test_a_tree_fault_before_a_line_fault_is_raised_first(tmp_path):
 
 
 # The line faults a sentence of ``conllu_texts`` may hold, besides those of
-# its heads; an ID or HEAD cell that is not plain digits may still be an
-# integer to ``int``
+# its heads; an odd ID or HEAD cell that ``int`` reads as a number ("01",
+# "+1", " 1") is refused unless it is ASCII digits
 LINE_FAULTS = ("short_line", "odd_id", "odd_head", "id_out_of_order", "id_repeated")
 
 
@@ -369,9 +403,10 @@ def conllu_sentences(draw, k):
     multiword-token and empty-node lines (a few of them short); a sent_id
     comment, first, after some words, twice, or missing, naming the
     sentence by ``k`` or by one of two names that others may take too;
-    other comments; and maybe one of ``LINE_FAULTS``.  One sentence in
-    three has the heads of any ``head_tuples``, the rest a tree's, so
-    that a fault is often preceded by sound sentences."""
+    other comments; and maybe one of ``LINE_FAULTS``.  A sent_id comment
+    after a word is refused.  One sentence in three has the heads of any
+    ``head_tuples``, the rest a tree's, so that a fault is often preceded
+    by sound sentences."""
     heads = draw(head_tuples(faulty=draw(st.integers(0, 2)) == 0))
     pad = st.sampled_from(["", "", " ", "\t", "  "])
     cols = st.sampled_from(["", "\t_\t_\t_"])

@@ -8,6 +8,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsa.autodiff as ad
 from lsa.checkpoint import HEADER, MAGIC, checkpoint_bytes, load_checkpoint, save_checkpoint
@@ -17,9 +19,9 @@ from lsa.corpus import (
     Dataset,
     SynthSpec,
     cluster_histogram,
-    cluster_sizes,
     generate_synthetic_corpus,
     load_dataset,
+    pair_table,
 )
 from lsa.distance import DependencyTree, load_parses
 from lsa.encoder import ConfigError, Vocabulary
@@ -40,8 +42,9 @@ from lsa.training import (
     train,
 )
 
-from util import (FIXTURES, random_tree, reference_cross_entropy, softmax, tiny_model,
-                  write_synth_corpus)
+from util import (FIXTURES, REFERENCE_SLICES, aspect_runs, cluster_sizes, make_example,
+                  random_tree, reference_compute_metrics, reference_cross_entropy, reference_pairs,
+                  softmax, tiny_model, write_synth_corpus)
 
 
 def small_config(paths, **overrides):
@@ -161,6 +164,31 @@ def test_metrics_rejects_empty():
         compute_metrics([], [])
 
 
+@pytest.mark.parametrize("golds, preds", [
+    ([0, 1], [0]), ([0], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [3, 1]), ([2], [-1]),
+    ([0.0], [0]), ([True], [0]), ([[0, 1]], [[0, 1]])])
+def test_metrics_refuse_classes_out_of_range_and_unequal_lengths(golds, preds):
+    """A class outside [0, 3) (gold -1 once counted as class 2) and lists of
+    unequal length are ValueErrors."""
+    with pytest.raises(ValueError):
+        compute_metrics(golds, preds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_metrics_equal_the_loop_version_to_the_bit(data):
+    """The same floats as the confusion matrix counted pair by pair, on
+    random golds and preds drawn from a subset of the classes (so some
+    classes are absent), as lists or as numpy arrays."""
+    classes = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    n = data.draw(st.integers(1, 60))
+    golds, preds = (data.draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+                    for _ in range(2))
+    want = reference_compute_metrics(golds, preds)
+    assert compute_metrics(golds, preds) == want
+    assert compute_metrics(np.array(golds), np.array(preds)) == want
+
+
 # ---------------------------------------------------------------------------
 # evaluation: one pass, slices as filters
 
@@ -174,6 +202,20 @@ def sliced():
     vocab = Vocabulary.build(ex.tokens for ex in dataset.examples)
     config = ModelConfig(d_model=16, layers=1, heads=2, ffn_mult=2, max_len=96)
     return Model(config, vocab, np.random.Generator(np.random.PCG64(0))), dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(aspect_runs(), max_size=8))
+def test_every_slice_selects_the_pairs_of_its_reference_predicate(runs):
+    """Each of ``SLICES`` over the pair table selects the pairs that its
+    predicate over one pair's attributes selects, in the same order."""
+    examples = [make_example(pols, implicit=flags) for pols, flags in runs]
+    pairs, reference = pair_table(examples), reference_pairs(examples)
+    assert list(SLICES) == list(REFERENCE_SLICES)
+    for name, in_slice in SLICES.items():
+        selected = in_slice(pairs)
+        assert selected.dtype == bool and selected.shape == pairs.gold.shape
+        assert selected.tolist() == [REFERENCE_SLICES[name](pair) for _, pair in reference], name
 
 
 def reference_slices(example, j) -> set[str]:
@@ -252,11 +294,12 @@ def longest(inputs: ExampleInputs) -> int:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_predict_forwards_length_sorted_groups_under_the_token_budget(
         variant, budget, ragged, monkeypatch):
-    """``predict`` builds each example's inputs once, in dataset order, and
-    forwards every example once, in groups sorted by length that hold at
-    most ``EVAL_TOKENS`` padded tokens unless they hold one example; its
-    predictions are those of each example forwarded alone, in dataset
-    order, and it counts the syntax fallbacks that they count."""
+    """``predict`` forwards every example once, in groups sorted by length
+    that hold at most ``EVAL_TOKENS`` padded tokens unless they hold one
+    example; its predictions are those of each example forwarded alone, in
+    dataset order.  ``evaluate`` builds each example's inputs once, in
+    dataset order, counts the syntax fallbacks that they count, and scores
+    those predictions."""
     dataset, trees = ragged
     examples = [ex for ex in dataset.examples if ex.aspects]
     vocab = Vocabulary.build(ex.tokens for ex in examples)
@@ -281,12 +324,15 @@ def test_predict_forwards_length_sorted_groups_under_the_token_budget(
     monkeypatch.setattr(Model, "forward_example", recording_forward_example)
     monkeypatch.setattr(Model, "logits", recording_logits)
     monkeypatch.setattr(training, "EVAL_TOKENS", budget)
-    golds, preds = predict(model, dataset, trees)
+    metrics = evaluate(model, dataset, trees)
 
-    assert preds.tolist() == alone.tolist()
-    assert golds.tolist() == [a.polarity.index for ex in examples for a in ex.aspects]
+    golds = [a.polarity.index for ex in examples for a in ex.aspects]
+    assert metrics == compute_metrics(golds, alone)
     assert prepared == [id(ex) for ex in examples]
     assert model.syntax_fallbacks == 2 * fallbacks
+    inputs = [forward_example(model, ex, trees) for ex in examples]
+    groups.clear()
+    assert predict(model, inputs).tolist() == alone.tolist()
     forwarded = [x for group in groups for x in group]
     assert len(forwarded) == len({id(x) for x in forwarded}) == len(examples)
     lengths = [longest(x) for x in forwarded]
@@ -375,13 +421,13 @@ def test_final_metrics_without_a_test_split_are_the_best_epochs(corpus, monkeypa
     are those of the restored model."""
     _, _, paths = corpus
     calls = []
-    predict_inputs = training.predict_inputs
+    predict = training.predict
 
-    def counting_predict_inputs(*args):
+    def counting_predict(*args):
         calls.append(1)
-        return predict_inputs(*args)
+        return predict(*args)
 
-    monkeypatch.setattr(training, "predict_inputs", counting_predict_inputs)
+    monkeypatch.setattr(training, "predict", counting_predict)
     result = train(small_config(paths, epochs=3, valid_path=paths["test"], test_path=None))
     assert len(calls) == 3
     monkeypatch.undo()

@@ -1,19 +1,25 @@
 """Shared helpers for the test suite: the gradient oracle and a scalar
 sum to drive it, the softmax of logit rows, attention's weights and a
 numpy reference for it, a breadth-first reference for tree distance, the
-CoNLL-U loader, the loaders' checks and the token alignment as first
-written (references for faster rewrites), a scalar reference for the
-position weights of one example, tiny model/corpus builders."""
+CoNLL-U loader, the loaders' checks, the token alignment, the per-pair
+attributes, the slices and the metrics as first written (references for
+faster rewrites), a scalar reference for the position weights of one
+example, tiny model/corpus builders."""
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from hypothesis import strategies as st
 
 import lsa.autodiff as ad
 from lsa.corpus import (
+    CLUSTER_LABELS,
+    NUM_CLASSES,
     AspectAnnotation,
     DataError,
     Example,
@@ -25,6 +31,7 @@ from lsa.corpus import (
 )
 from lsa.distance import ROOT, DependencyTree
 from lsa.encoder import Vocabulary
+from lsa.training import ClassScores, Metrics
 from lsa.window import Model, ModelConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -164,6 +171,35 @@ def tiny_model(seed=0, variant="lsa_t", vocab_tokens=None, **overrides) -> Model
     tokens = vocab_tokens or [f"w{i}" for i in range(12)]
     vocab = Vocabulary.build([tokens])
     return Model(config, vocab, np.random.Generator(np.random.PCG64(seed)))
+
+
+def make_example(polarities, implicit=()):
+    """An example with one aspect per polarity; aspect ``i`` is implicit if
+    ``implicit[i]`` is true."""
+    tokens, aspects = [], []
+    for i, pol in enumerate(polarities):
+        tokens.append(f"w{i}")
+        start = len(tokens)
+        tokens.append(f"noun{i}")
+        aspects.append(AspectAnnotation(start, start + 1, (f"noun{i}",), Polarity(pol),
+                                        i < len(implicit) and implicit[i]))
+    tokens.append("end")
+    return Example(" ".join(tokens), tokens, aspects)
+
+
+@st.composite
+def aspect_runs(draw):
+    """The polarities and implicit flags of 0 to 7 aspects, each aspect
+    after the first keeping its predecessor's polarity half the time, so
+    that runs of 6 and 7 occur."""
+    polarities, implicit = [], []
+    for i in range(draw(st.integers(0, 7))):
+        if i == 0 or not draw(st.booleans()):
+            polarities.append(draw(st.sampled_from(["positive", "negative", "neutral"])))
+        else:
+            polarities.append(polarities[-1])
+        implicit.append(draw(st.booleans()))
+    return polarities, implicit
 
 
 def write_synth_corpus(tmpdir, *, seed=7, train=60, test=30, rho=1.0,
@@ -309,7 +345,9 @@ def reference_validate(tree: DependencyTree) -> None:
 def reference_load_parses(path) -> dict[str, DependencyTree]:
     """``distance.load_parses`` as it was before its trees were validated
     as one forest: each tree validated by ``reference_validate`` when its
-    sentence ends."""
+    sentence ends.  It takes the same cells and comments: an ID or HEAD
+    cell of ASCII digits, and a sent_id comment before a sentence's first
+    word."""
     trees: dict[str, DependencyTree] = {}
     sent_id = None
     forms: list[str] = []
@@ -340,6 +378,8 @@ def reference_load_parses(path) -> dict[str, DependencyTree]:
             continue
         if line.startswith("#"):
             if line[1:].split("=", 1)[0].strip() == "sent_id":
+                if forms:
+                    raise DataError(f"{path}:{lineno}: sent_id comment inside a sentence")
                 sent_id = line.split("=", 1)[1].strip()
             continue
         cols = line.split("\t")
@@ -348,11 +388,9 @@ def reference_load_parses(path) -> dict[str, DependencyTree]:
         word_id = cols[0]
         if "-" in word_id or "." in word_id:
             continue  # multiword-token ranges and empty nodes carry no head
-        try:
-            idx = int(word_id)
-            head = int(cols[6])
-        except ValueError:
+        if not all(cell.isascii() and cell.isdigit() for cell in (word_id, cols[6])):
             raise DataError(f"{path}:{lineno}: non-integer ID or HEAD")
+        idx, head = int(word_id), int(cols[6])
         if idx != len(forms) + 1:
             raise DataError(f"{path}:{lineno}: word IDs must be 1..n in order")
         forms.append(cols[1])
@@ -424,3 +462,68 @@ def reference_example_from_json(obj, where: str) -> Example:
         aspects=aspects,
         parse_ref=obj.get("parse_ref"),
     )
+
+
+# ---------------------------------------------------------------------------
+# The pairs, slices and metrics as first written: a pair's attributes from a
+# per-example groupby, a slice as a predicate over one pair, and a confusion
+# matrix counted in a Python loop
+
+
+class PairAttributes(NamedTuple):
+    """What the slices read of an (example, aspect) pair."""
+    implicit: bool
+    aspects: int  # in its example
+    cluster: str  # the ``cluster_label`` of its same-polarity run
+
+
+def cluster_sizes(example: Example) -> list[int]:
+    """For each aspect, in order, the size of the maximal same-polarity run
+    of adjacent aspects it belongs to."""
+    sizes: list[int] = []
+    for _, run in groupby(example.aspects, key=lambda a: a.polarity):
+        n = len(list(run))
+        sizes.extend([n] * n)
+    return sizes
+
+
+def cluster_label(size: int) -> str:
+    """The bucket of ``CLUSTER_LABELS`` that a cluster size falls in."""
+    return CLUSTER_LABELS[min(size, len(CLUSTER_LABELS)) - 1]
+
+
+def reference_pairs(examples) -> list[tuple[int, PairAttributes]]:
+    """The gold class and the attributes of every (example, aspect) pair of
+    ``examples``, in order."""
+    return [(a.polarity.index, PairAttributes(a.implicit, len(ex.aspects), cluster_label(size)))
+            for ex in examples for a, size in zip(ex.aspects, cluster_sizes(ex))]
+
+
+# name -> whether a pair, by its attributes, is in the slice; in eval.csv's order
+REFERENCE_SLICES = {
+    "implicit": lambda pair: pair.implicit,
+    "explicit": lambda pair: not pair.implicit,
+    "mono": lambda pair: pair.aspects == 1,
+    **{f"cluster{label}": lambda pair, label=label: pair.cluster == label
+       for label in CLUSTER_LABELS},
+}
+
+
+def reference_compute_metrics(golds, preds) -> Metrics:
+    """Accuracy and macro-F1 over class indices; absent classes score 0."""
+    golds, preds = list(golds), list(preds)
+    if not golds or len(golds) != len(preds):
+        raise ValueError("golds and preds must be equal-length and non-empty")
+    confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
+    for g, p in zip(golds, preds):
+        confusion[g][p] += 1
+    per_class = []
+    for c in range(NUM_CLASSES):
+        tp = confusion[c][c]
+        precision = tp / confusion[:, c].sum() if confusion[:, c].sum() else 0.0
+        recall = tp / confusion[c].sum() if confusion[c].sum() else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class.append(ClassScores(float(precision), float(recall), float(f1)))
+    accuracy = float(np.trace(confusion) / len(golds))
+    macro_f1 = float(sum(cs.f1 for cs in per_class) / NUM_CLASSES)
+    return Metrics(accuracy, macro_f1, per_class, len(golds))
