@@ -12,13 +12,12 @@ import json
 import math
 import struct
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import DataError, read_existing
 from .encoder import ConfigError, Vocabulary
-from .runio import canonical_json
+from .runio import canonical_json, write_file
 from .window import Model, ModelConfig
 
 MAGIC = b"LSACHKPT"
@@ -66,7 +65,7 @@ def _v1_shapes(params: dict) -> dict[str, tuple]:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    Path(path).write_bytes(checkpoint_bytes(model))
+    write_file(path, checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> Model:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -34,7 +33,8 @@ from .corpus import (
 )
 from .distance import load_parses
 from .encoder import ConfigError
-from .runio import build_manifest, load_manifest, verify_manifest_hashes, write_csv, write_manifest
+from .runio import (OutputError, build_manifest, load_manifest, verify_manifest_hashes,
+                    write_csv, write_file, write_manifest)
 from .training import (
     SLICES,
     NumericError,
@@ -131,7 +131,7 @@ def run_synth(args: dict, out_dir: Path) -> list:
     datasets = generate_synthetic_corpus(spec, args["seed"])
     for split, dataset in sorted(datasets.items()):
         path = out_dir / f"{split}.json"
-        path.write_text(dataset_to_json(dataset), encoding="utf-8")
+        write_file(path, dataset_to_json(dataset))
         print(f"wrote {path} ({len(dataset.examples)} examples, "
               f"{dataset.aspect_count()} aspects)")
     return [args["spec"]]
@@ -265,13 +265,11 @@ def run_command(name: str, args: dict, out_dir: Path) -> None:
 
 def run_export_trajectory(run_dir, out_file) -> None:
     src = Path(run_dir) / "eta_trajectory.csv"
-    header = read_text(src).partition("\n")[0]
+    text = read_text(src)
+    header = text.partition("\n")[0]
     if header != "step,eta_l,eta_r":
         raise DataError(f"{src}: unexpected trajectory header {header!r}")
-    try:
-        shutil.copyfile(src, out_file)
-    except OSError as e:  # the source was read above: --out is at fault
-        raise ConfigError(f"cannot write {out_file}: {e.strerror or e}")
+    write_file(out_file, text)
     print(f"exported {src} -> {out_file}")
 
 
@@ -281,7 +279,9 @@ def run_replay(manifest_path, out_dir: Path) -> None:
     print(f"replaying {manifest['command']} from {manifest_path}")
     try:
         run_command(manifest["command"], manifest["args"], out_dir)
-    except ConfigError as e:  # every value came from the manifest
+    except OutputError:  # --out is at fault
+        raise
+    except ConfigError as e:  # every other value came from the manifest
         raise DataError(f"{manifest_path}: {e}")
 
 

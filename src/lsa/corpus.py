@@ -16,6 +16,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,18 +54,27 @@ class Polarity(Enum):
 
     @classmethod
     def parse(cls, s: str, where: str = "") -> "Polarity":
+        """The member that ``s`` is or has as its value, as ``cls(s)`` finds
+        it; anything else, an unhashable value too, is a DataError."""
         try:
-            return cls(s)
-        except ValueError:
+            return _POLARITIES[s]
+        except (KeyError, TypeError):  # TypeError: ``s`` is unhashable
             raise DataError(f"unknown polarity {s!r}{' at ' + where if where else ''}")
 
 
 _POLARITY_ORDER = (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL)
+_POLARITIES = {**{p: p for p in Polarity}, **{p.value: p for p in Polarity}}
 NUM_CLASSES = 3
+_SPAN = attrgetter("start", "end")  # an aspect's sort key
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AspectAnnotation:
+    """One annotated aspect of an ``Example``.  It is not frozen: a frozen
+    dataclass's ``__init__`` sets each field through ``object.__setattr__``,
+    three quarters of the cost of building one at load.  Nothing hashes an
+    annotation or sets a field of one after it is built."""
+
     start: int  # token span [start, end)
     end: int
     term: tuple[str, ...]
@@ -81,7 +91,7 @@ class AspectAnnotation:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
     text: str
     tokens: list[str]
@@ -91,7 +101,7 @@ class Example:
     def __post_init__(self):
         if len(self.tokens) < 1:
             raise DataError("example has no tokens")
-        self.aspects = sorted(self.aspects, key=lambda a: (a.start, a.end))
+        self.aspects = sorted(self.aspects, key=_SPAN)
         prev_end = 0
         for a in self.aspects:
             if a.end > len(self.tokens):
@@ -131,11 +141,15 @@ def _require(cond: bool, msg: str):
         raise DataError(msg)
 
 
+_is_str = str.__instancecheck__
+
+
 def _example_from_json(obj, i: int) -> Example:
-    """Example ``i`` of an absa-json file.  The checks are plain conditions:
-    the location (``examples[i]``, ``.aspects[k]``) and the message are
-    formatted only when one fails.  A fault that ``AspectAnnotation`` or
-    ``Example`` finds gets the same location."""
+    """Example ``i`` of an absa-json file.  The checks are plain conditions
+    on whole lists (``map`` over the tokens and terms) and on the two ints
+    of a span: the location (``examples[i]``, ``.aspects[k]``) and the
+    message are formatted only when one fails.  A fault that
+    ``AspectAnnotation`` or ``Example`` finds gets the same location."""
 
     def error(field: str, msg: str, k: int | None = None) -> DataError:
         aspect = "" if k is None else f".aspects[{k}]"
@@ -146,24 +160,25 @@ def _example_from_json(obj, i: int) -> Example:
     for key in ("text", "tokens", "aspects"):
         if key not in obj:
             raise error("", f"missing field {key!r}")
-    if not isinstance(obj["text"], str):
+    text, tokens, raw = obj["text"], obj["tokens"], obj["aspects"]
+    if not isinstance(text, str):
         raise error(".text", "must be a string")
-    tokens = obj["tokens"]
-    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+    if not (isinstance(tokens, list) and all(map(_is_str, tokens))):
         raise error(".tokens", "must be a list of strings")
-    if not isinstance(obj["aspects"], list):
+    if not isinstance(raw, list):
         raise error(".aspects", "must be a list")
     aspects = []
-    for k, a in enumerate(obj["aspects"]):
+    for k, a in enumerate(raw):
         if not isinstance(a, dict):
             raise error("", "must be an object", k)
         for key in ("span", "term", "polarity"):
             if key not in a:
                 raise error("", f"missing field {key!r}", k)
         span, term, implicit = a["span"], a["term"], a.get("implicit", False)
-        if not (isinstance(span, list) and len(span) == 2 and all(type(x) is int for x in span)):
+        if not (isinstance(span, list) and len(span) == 2
+                and type(span[0]) is int and type(span[1]) is int):
             raise error(".span", "must be [start, end]", k)
-        if not (isinstance(term, list) and all(isinstance(t, str) for t in term)):
+        if not (isinstance(term, list) and all(map(_is_str, term))):
             raise error(".term", "must be a list of strings", k)
         if not isinstance(implicit, bool):
             raise error(".implicit", "must be true or false", k)
@@ -178,7 +193,7 @@ def _example_from_json(obj, i: int) -> Example:
     if not isinstance(obj.get("parse_ref", ""), str):
         raise error(".parse_ref", "must be a string")
     try:
-        return Example(obj["text"], list(tokens), aspects, obj.get("parse_ref"))
+        return Example(text, tokens, aspects, obj.get("parse_ref"))
     except AspectFault as e:
         raise error("", str(e), next(k for k, a in enumerate(aspects) if a is e.aspect))
     except DataError as e:

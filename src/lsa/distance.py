@@ -29,7 +29,7 @@ ROOT = 0  # head value marking the root word
 _NUMBERS = {str(i): i for i in range(1024)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyTree:
     """Heads indexed by word (0-based); head value 0 means ROOT, else 1-based."""
 
@@ -168,13 +168,14 @@ def load_parses(path) -> dict[str, DependencyTree]:
     trees: dict[str, DependencyTree] = {}
     names: list[str] = []  # the sent_id of each completed sentence
     sizes: list[int] = []  # and its words
-    heads: list[int] = []  # every word's head, in file order
+    heads: list[int] = []  # the heads of their words, in file order
     forms: list[str] = []  # the forms of the sentence being read
+    words: list[int] = []  # and their heads
     sent_id = None
 
     def check():
         """Raise the first fault of the trees of the completed sentences."""
-        fault = forest_fault(heads[:sum(sizes)], sizes) if sizes else None
+        fault = forest_fault(heads, sizes) if sizes else None
         if fault is not None:
             raise DataError(f"{path}: sentence {names[fault[0]]!r}: {fault[1]}")
 
@@ -189,15 +190,18 @@ def load_parses(path) -> dict[str, DependencyTree]:
             return
         if sent_id is None:
             refuse(f"{path}:{lineno}: sentence without a sent_id comment")
+        tree = DependencyTree(tuple(forms), tuple(words))
         names.append(sent_id)
         sizes.append(len(forms))
+        heads.extend(tree.heads)
         if sent_id in trees:
             refuse(f"{path}:{lineno}: duplicate sent_id {sent_id!r}")
-        trees[sent_id] = DependencyTree(tuple(forms), tuple(heads[len(heads) - len(forms):]))
+        trees[sent_id] = tree
         sent_id = None
         forms.clear()
+        words.clear()
 
-    add_form, add_head, number = forms.append, heads.append, _NUMBERS.get
+    add_form, add_head, number = forms.append, words.append, _NUMBERS.get
     lineno = 0
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.strip()

@@ -19,7 +19,9 @@ encoded alone.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -56,21 +58,33 @@ class Vocabulary:
     token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if list(self.id_to_token[:4]) != list(RESERVED):
+        tokens = self.id_to_token
+        if list(tokens[:4]) != list(RESERVED):
             raise ConfigError("vocabulary must start with the reserved markers")
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        if not all(map(str.__instancecheck__, tokens)):
+            i = next(i for i, t in enumerate(tokens) if not isinstance(t, str))
+            raise ConfigError(f"vocabulary token {i} is not a string: {tokens[i]!r}")
+        self.token_to_id = dict(zip(tokens, range(len(tokens))))
+        if len(self.token_to_id) != len(tokens):
+            i = next(i for i, t in enumerate(tokens) if tokens.index(t) != i)
+            raise ConfigError(f"vocabulary token {i} repeats token {tokens.index(tokens[i])}: "
+                              f"{tokens[i]!r}")
 
     def __len__(self):
         return len(self.id_to_token)
 
     @classmethod
     def build(cls, token_lists) -> "Vocabulary":
-        counts: dict[str, int] = {}
-        for tokens in token_lists:
-            for t in tokens:
-                counts[t] = counts.get(t, 0) + 1
-        ordered = sorted(counts, key=lambda t: (-counts[t], t))
-        return cls(list(RESERVED) + ordered)
+        """The reserved markers, then every other token of ``token_lists``
+        by falling count, ties in token order: a sort by token, then a
+        stable sort by count.  A token that is a reserved marker gets the
+        marker's id."""
+        counts = Counter(chain.from_iterable(token_lists))
+        for marker in RESERVED:
+            counts.pop(marker, None)
+        ordered = sorted(counts)
+        ordered.sort(key=counts.__getitem__, reverse=True)
+        return cls([*RESERVED, *ordered])
 
     def encode(self, tokens) -> np.ndarray:
         unk = self.token_to_id[UNK]

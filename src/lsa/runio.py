@@ -1,5 +1,6 @@
 """Run artifacts: deterministic CSV writers, content hashing, and the run
-manifest every command leaves behind so it can be replayed."""
+manifest every command leaves behind so it can be replayed.  Every
+artifact is written by ``write_file``."""
 
 from __future__ import annotations
 
@@ -10,6 +11,22 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import DataError, read_existing, read_text
+from .encoder import ConfigError
+
+
+class OutputError(ConfigError):
+    """An artifact that cannot be written where ``--out`` puts it.  A usage
+    error under ``lsa replay`` too: the manifest is not at fault."""
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write ``data``, a str as UTF-8, to the file at ``path``; an
+    OutputError naming the path if it cannot be (a directory there, a
+    missing parent, no permission)."""
+    try:
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}")
 
 
 def fmt(value) -> str:
@@ -24,7 +41,7 @@ def fmt(value) -> str:
 def write_csv(path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def file_sha256(path) -> str:
@@ -55,7 +72,7 @@ def build_manifest(command: str, args: dict, inputs: list) -> dict:
 
 def write_manifest(manifest: dict, out_dir) -> Path:
     path = Path(out_dir) / "manifest.json"
-    path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
+    write_file(path, canonical_json(manifest) + "\n")
     return path
 
 

@@ -11,7 +11,7 @@ from lsa.runio import config_hash
 from lsa.training import SLICES
 from lsa.window import Model
 
-from util import FIXTURES, write_synth_corpus
+from util import FIXTURES, with_edited_vocabulary, write_synth_corpus
 
 
 def run(argv):
@@ -418,6 +418,25 @@ def test_eval_bad_checkpoint_is_data_error(corpus, tmp_path):
     assert run(["eval", "--checkpoint", bad, "--dataset", corpus["test"]]) == 2
 
 
+@pytest.mark.parametrize("entry, message", [
+    (",", "vocabulary token 5 repeats token 4: ','"),
+    (7, "vocabulary token 5 is not a string: 7"),
+], ids=["repeated", "number"])
+def test_a_checkpoint_vocabulary_with_a_bad_token_is_data_error(entry, message, tmp_path, capsys):
+    """``mini_checkpoint.bin`` with its vocabulary entry 5 ("the") set to a
+    copy of entry 4 (",") or to a number.  The copy once loaded with ","
+    reading row 5 and "the" unknown."""
+    path = tmp_path / "edited.bin"
+    blob = (FIXTURES / "mini_checkpoint.bin").read_bytes()
+    path.write_bytes(with_edited_vocabulary(blob, lambda vocab: vocab.__setitem__(5, entry)))
+    argv = ["eval", "--checkpoint", path, "--dataset", FIXTURES / "mini.json",
+            "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: malformed checkpoint manifest: ConfigError(")
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -503,6 +522,30 @@ def test_export_trajectory_to_an_unwritable_out_is_a_usage_error(where, reason, 
     capsys.readouterr()
     assert run(["export-trajectory", "--run", run_dir, "--out", tmp_path / where]) == 1
     assert capsys.readouterr().err == f"usage error: cannot write {tmp_path / where}: {reason}\n"
+
+
+@pytest.mark.parametrize("command, artifact", [("analyze-clusters", "clusters.csv"),
+                                               ("train", "checkpoint.bin"),
+                                               ("analyze-clusters", "manifest.json")])
+def test_a_directory_at_an_artifact_path_is_a_usage_error(command, artifact, corpus, tmp_path,
+                                                          capsys):
+    """A directory where a command writes an artifact under --out ends the
+    run as a usage error that names the path, as an --out that cannot be
+    made does, and not in an ``IsADirectoryError`` traceback.  Under replay
+    it is the same usage error, not a fault of the manifest."""
+    argv, _ = replay_case(command, corpus, tmp_path)  # writes to tmp_path/orig
+    blocked = tmp_path / "orig" / artifact
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {blocked}: Is a directory\n"
+    blocked.rmdir()
+    assert run(argv) == 0
+    blocked = tmp_path / "replayed" / artifact
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    assert run(["replay", tmp_path / "orig" / "manifest.json", "--out", tmp_path / "replayed"]) == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {blocked}: Is a directory\n"
 
 
 def replay_case(command, paths, tmp_path):

@@ -152,55 +152,94 @@ JSON_VALUES = (None, True, False, 0, 2, -1, 1.5, "", "a", "positive", [], [0, 1]
                {"a": 1})
 
 
-@st.composite
-def mutated_examples(draw):
-    """``mini.json``'s examples with one mutated: at the example or one
-    of its aspects, a key dropped, a field or an item of a list field set
-    to any JSON value, a span of length 1 or 3, a bool inside a span, the
-    object itself replaced, or a null ``parse_ref``."""
-    examples = copy.deepcopy(MINI_EXAMPLES)
+def mutate(draw, examples) -> None:
+    """Mutate one place of ``examples``: at an example or one of its
+    aspects, a key dropped, a field or an item of a list field set to any
+    JSON value, a span of length 1 or 3, a bool inside a span, the object
+    itself replaced, or a null ``parse_ref``.  Nothing happens where an
+    earlier mutation left no such place."""
     i = draw(st.integers(0, len(examples) - 1))
+    if not isinstance(examples[i], dict):
+        return
     holder, index = examples, i
-    if examples[i]["aspects"] and draw(st.booleans()):
-        holder, index = examples[i]["aspects"], draw(st.integers(0, len(examples[i]["aspects"]) - 1))
+    aspects = examples[i].get("aspects")
+    if isinstance(aspects, list) and aspects and draw(st.booleans()):
+        holder, index = aspects, draw(st.integers(0, len(aspects) - 1))
     target = holder[index]
+    if not (isinstance(target, dict) and target):
+        return
     key = draw(st.sampled_from(sorted(target)))
-    value = draw(st.sampled_from(JSON_VALUES))
+    value = copy.deepcopy(draw(st.sampled_from(JSON_VALUES)))  # a later mutation may edit it
     kind = draw(st.sampled_from(["drop", "value", "item", "span", "span_bool", "object", "parse_ref"]))
+    span = target.get("span")
+    whole_span = isinstance(span, list) and len(span) == 2
     if kind == "drop":
         del target[key]
     elif kind == "value":
         target[key] = value
     elif kind == "item" and isinstance(target[key], list) and target[key]:
         target[key][draw(st.integers(0, len(target[key]) - 1))] = value
-    elif kind == "span" and "span" in target:
-        start, end = target["span"]
-        target["span"] = [start] if draw(st.booleans()) else [start, end, end + 1]
-    elif kind == "span_bool" and "span" in target:
-        target["span"][draw(st.integers(0, 1))] = draw(st.booleans())
+    elif kind == "span" and whole_span:
+        target["span"] = span[:1] if draw(st.booleans()) else [*span, 0]
+    elif kind == "span_bool" and whole_span:
+        span[draw(st.integers(0, 1))] = draw(st.booleans())
     elif kind == "object":
         holder[index] = value
     elif kind == "parse_ref":
         examples[i]["parse_ref"] = None
+
+
+@st.composite
+def mutated_examples(draw):
+    """``mini.json``'s examples mutated in 1 to 3 places, in one example or
+    in several."""
+    examples = copy.deepcopy(MINI_EXAMPLES)
+    for _ in range(draw(st.integers(1, 3))):
+        mutate(draw, examples)
     return examples
+
+
+def reference_dataset(examples) -> Dataset:
+    return Dataset([reference_example_from_json(obj, f"examples[{i}]")
+                    for i, obj in enumerate(examples)])
 
 
 @settings(max_examples=400, deadline=None)
 @given(examples=mutated_examples())
 def test_load_absa_json_matches_the_reference(tmp_path_factory, examples):
     """The same dataset, or the same DataError text, as the checks that
-    format every location and message up front."""
+    format every location and message up front.  With faults in several
+    examples, the one reported is in the first example that fails alone."""
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps({"version": 1, "examples": examples}))
 
     def reference():
         try:
-            return Dataset([reference_example_from_json(obj, f"examples[{i}]")
-                            for i, obj in enumerate(examples)])
+            return reference_dataset(examples)
         except DataError as e:
             raise DataError(f"{path}: {e}")
 
-    assert outcome(load_absa_json, path) == outcome(reference)
+    loaded = outcome(load_absa_json, path)
+    assert loaded == outcome(reference)
+    failing = [i for i, obj in enumerate(examples) if outcome(reference_dataset, [obj])[0] != "ok"]
+    if loaded[0] == "ok":
+        assert failing == []
+    else:
+        assert re.search(r"examples\[(\d+)\]", loaded[1])[1] == str(failing[0])
+
+
+@pytest.mark.parametrize("value", [*Polarity, *(p.value for p in Polarity), "Positive", "POSITIVE",
+                                   None, 1, ["positive"], {"positive": 1}])
+def test_polarity_parse_is_the_enum_call(value):
+    """The member ``Polarity(value)`` gives, or for any other value, an
+    unhashable one too, the same text."""
+    try:
+        expected = Polarity(value)
+    except ValueError:
+        with pytest.raises(DataError, match=f"^{re.escape(f'unknown polarity {value!r} at x')}$"):
+            Polarity.parse(value, "x")
+    else:
+        assert Polarity.parse(value, "x") is expected
 
 
 def test_non_utf8_dataset_is_data_error(tmp_path):

@@ -1,5 +1,7 @@
 """Tokenizer, vocabulary, SPC input construction, encoder forward/backward."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from lsa.corpus import load_dataset
 from lsa.encoder import (
     CLS,
     PAD,
+    RESERVED,
     SEP,
     UNK,
     ConfigError,
@@ -22,7 +25,8 @@ from lsa.encoder import (
     tokenize_with_offsets,
 )
 
-from util import FIXTURES, grad_check, mixing_weights, reference_attention, sum_all
+from util import (FIXTURES, grad_check, mixing_weights, reference_attention,
+                  reference_vocabulary_order, sum_all)
 
 ad.set_debug_checks(True)
 
@@ -68,6 +72,38 @@ def test_vocabulary_build_deterministic_tiebreak():
     vocab = Vocabulary.build([["b", "a"]])
     # equal counts break alphabetically
     assert vocab.id_to_token[4:6] == ["a", "b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "B", "ab", "a b", "", "é", "e\u0301", "[pad]"]),
+                         max_size=12), max_size=8))
+def test_vocabulary_order_matches_the_counting_loop(token_lists):
+    """A sort by token and then a stable sort by falling count give the
+    order of one sort by (falling count, token).  Nine types over a few
+    dozen tokens make ties in count the rule."""
+    vocab = Vocabulary.build(tokens for tokens in token_lists)
+    assert vocab.id_to_token == reference_vocabulary_order(token_lists)
+
+
+def test_a_reserved_marker_in_the_data_gets_the_markers_id():
+    """A token that is a marker is not listed again: the marker keeps its
+    row, and ``sep_id`` does not move to a row of the data."""
+    vocab = Vocabulary.build([["a", SEP, "b", "a", PAD]])
+    assert vocab.id_to_token == [*RESERVED, "a", "b"]
+    assert vocab.encode([SEP, PAD, "a"]).tolist() == [vocab.sep_id, vocab.pad_id, 4] == [3, 0, 4]
+
+
+@pytest.mark.parametrize("tokens, message", [
+    ([*RESERVED, "a", "b", "a"], "vocabulary token 6 repeats token 4: 'a'"),
+    ([*RESERVED, CLS], "vocabulary token 4 repeats token 2: '[CLS]'"),
+    ([*RESERVED, "a", 7], "vocabulary token 5 is not a string: 7"),
+    ([*RESERVED, ["a"], "a"], "vocabulary token 4 is not a string: ['a']"),
+], ids=["repeated", "repeated_marker", "number", "list"])
+def test_vocabulary_refuses_a_repeated_or_non_string_token(tokens, message):
+    """A repeated token would map to its last row only, so the rows before
+    it would be read by no token."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Vocabulary(tokens)
 
 
 # ---------------------------------------------------------------------------

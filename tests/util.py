@@ -2,12 +2,14 @@
 sum to drive it, the softmax of logit rows, attention's weights and a
 numpy reference for it, a breadth-first reference for tree distance, the
 CoNLL-U loader, the loaders' checks, the token alignment, the per-pair
-attributes, the slices and the metrics as first written (references for
-faster rewrites), a scalar reference for the position weights of one
-example, tiny model/corpus builders."""
+attributes, the slices, the metrics and the vocabulary's order as first
+written (references for faster rewrites), a scalar reference for the
+position weights of one example, tiny model/corpus builders, and a
+checkpoint with an edited vocabulary."""
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from itertools import groupby
 from pathlib import Path
@@ -29,8 +31,10 @@ from lsa.corpus import (
     read_text,
     save_dataset,
 )
+from lsa.checkpoint import HEADER
 from lsa.distance import ROOT, DependencyTree
-from lsa.encoder import Vocabulary
+from lsa.encoder import RESERVED, Vocabulary
+from lsa.runio import canonical_json
 from lsa.training import ClassScores, Metrics
 from lsa.window import Model, ModelConfig
 
@@ -527,3 +531,23 @@ def reference_compute_metrics(golds, preds) -> Metrics:
     accuracy = float(np.trace(confusion) / len(golds))
     macro_f1 = float(sum(cs.f1 for cs in per_class) / NUM_CLASSES)
     return Metrics(accuracy, macro_f1, per_class, len(golds))
+
+
+def reference_vocabulary_order(token_lists) -> list[str]:
+    """``Vocabulary.build``'s ``id_to_token`` as first written: a counting
+    loop, then one sort by (falling count, token)."""
+    counts: dict[str, int] = {}
+    for tokens in token_lists:
+        for t in tokens:
+            counts[t] = counts.get(t, 0) + 1
+    return list(RESERVED) + sorted(counts, key=lambda t: (-counts[t], t))
+
+
+def with_edited_vocabulary(blob: bytes, edit) -> bytes:
+    """The checkpoint file ``blob`` with ``edit`` applied to its manifest's
+    vocabulary list, and the manifest's length in the header updated."""
+    magic, version, length = HEADER.unpack_from(blob)
+    manifest = json.loads(blob[HEADER.size:HEADER.size + length])
+    edit(manifest["vocab"])
+    text = canonical_json(manifest).encode("utf-8")
+    return HEADER.pack(magic, version, len(text)) + text + blob[HEADER.size + length:]
