@@ -1,9 +1,11 @@
 """Command-line surface: dataset analysis, synthetic generation, training,
 evaluation, sweeps, trajectory export, and replay.
 
-``COMMANDS`` is the one table of the commands that write a run manifest.
-From it the parser is built, ``main`` builds the args dict from the flags,
-and ``run_command`` reads that dict, or one from a manifest, and runs it.
+``COMMANDS`` is the one table of the commands that write a run manifest,
+and of the files each writes.  From it the parser is built, ``main``
+builds the args dict from the flags, and ``run_command`` reads that dict,
+or one from a manifest, checks that those files can be written, and runs
+the command.
 ``DESCRIPTION`` is what ``lsa --help`` tells a user: the exit codes and
 where the files go.  Stdout stays human-readable; machine-readable
 artifacts go to files.  ``lsa eval`` forwards its dataset once and writes
@@ -33,8 +35,8 @@ from .corpus import (
 )
 from .distance import load_parses
 from .encoder import ConfigError
-from .runio import (OutputError, build_manifest, load_manifest, verify_manifest_hashes,
-                    write_csv, write_file, write_manifest)
+from .runio import (OutputError, build_manifest, check_writable, load_manifest,
+                    verify_manifest_hashes, write_csv, write_file, write_manifest)
 from .training import (
     SLICES,
     NumericError,
@@ -128,9 +130,11 @@ def run_analyze_clusters(args: dict, out_dir: Path) -> list:
 
 def run_synth(args: dict, out_dir: Path) -> list:
     spec = SynthSpec.from_file(args["spec"])
+    paths = {split: out_dir / f"{split}.json" for split in sorted(spec.splits)}
+    check_writable(paths.values())
     datasets = generate_synthetic_corpus(spec, args["seed"])
     for split, dataset in sorted(datasets.items()):
-        path = out_dir / f"{split}.json"
+        path = paths[split]
         write_file(path, dataset_to_json(dataset))
         print(f"wrote {path} ({len(dataset.examples)} examples, "
               f"{dataset.aspect_count()} aspects)")
@@ -157,7 +161,7 @@ def run_eval(args: dict, out_dir: Path) -> list:
     model = load_checkpoint(args["checkpoint"])
     dataset = load_dataset(args["dataset"], args["format"])
     trees = load_parses(args["parses"]) if args["parses"] else None
-    rows = evaluate_slices(model, dataset, trees)
+    rows = evaluate_slices(model, dataset, trees, path=args["dataset"])
     for label, m in rows.items():
         print(f"{args['dataset']} [{label}]: acc {m.accuracy:.4f}, "
               f"macro-F1 {m.macro_f1:.4f} over {m.n_examples} pairs")
@@ -208,27 +212,30 @@ class Command(NamedTuple):
     out: str  # the default output directory under the output root
     help: str
     args: tuple[Arg, ...]  # in flag order
+    writes: tuple[str, ...]  # the files it writes in the output directory, but the manifest
 
 
 CONFIG = Arg("--config", "config")
 FORMAT = Arg("--format", "str | None", choices=["absa-json", "semeval-xml"])
 COMMANDS = {
     "analyze-clusters": Command(run_analyze_clusters, "clusters", "sentiment cluster histogram",
-                                (Arg("dataset", "str"), FORMAT)),
+                                (Arg("dataset", "str"), FORMAT), ("clusters.csv",)),
     "synth": Command(run_synth, "synth", "generate a synthetic corpus", (
         Arg("--spec", "str", required=True),
-        Arg("--seed", "int", type=int, required=True))),
-    "train": Command(run_train, "train", "train a model", (CONFIG,)),
+        Arg("--seed", "int", type=int, required=True)), ()),  # the spec's splits: see run_synth
+    "train": Command(run_train, "train", "train a model", (CONFIG,),
+                     ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin")),
     "sweep-eta": Command(run_sweep_eta, "sweep-eta", "train once per static eta_l = 1 - eta_r",
-                         (CONFIG, Arg("--grid", "str", default="0:1:0.1"))),
+                         (CONFIG, Arg("--grid", "str", default="0:1:0.1")), ("sweep_eta.csv",)),
     "sweep-seeds": Command(run_sweep_seeds, "sweep-seeds", "train once per seed",
-                           (CONFIG, Arg("--seeds", "str", default="0,1,2,3,4"))),
+                           (CONFIG, Arg("--seeds", "str", default="0,1,2,3,4")),
+                           ("sweep_seeds.csv",)),
     "eval": Command(run_eval, "eval", "evaluate a checkpoint on all pairs and on each slice "
                     f"({', '.join(SLICES)}) that has pairs, into eval.csv", (
         Arg("--checkpoint", "str", required=True),
         Arg("--dataset", "str", required=True),
         FORMAT,
-        Arg("--parses", "str | None"))),
+        Arg("--parses", "str | None")), ("eval.csv",)),
 }
 
 
@@ -256,10 +263,15 @@ def read_args(name: str, args: dict) -> dict:
 
 def run_command(name: str, args: dict, out_dir: Path) -> None:
     """Run a command on the values of ``args`` and write its manifest,
-    which records ``args`` as given, next to its artifacts."""
+    which records ``args`` as given, next to its artifacts.  Before the
+    command reads an input, the files it writes are checked: one that
+    cannot be written is an OutputError."""
     if name not in COMMANDS:
         raise DataError(f"manifest command {name!r} cannot be replayed")
-    inputs = COMMANDS[name].run(read_args(name, args), out_dir)
+    command = COMMANDS[name]
+    values = read_args(name, args)
+    check_writable(out_dir / file for file in (*command.writes, "manifest.json"))
+    inputs = command.run(values, out_dir)
     write_manifest(build_manifest(name, args, inputs), out_dir)
 
 

@@ -11,8 +11,7 @@ aspect tokens are computed, as exact integers; ``window.position_weights``
 averages them per aspect.
 
 ``load_parses`` validates every tree of a CoNLL-U file in one pass over
-the forest, ``forest_fault``, once its lines are read;
-``DependencyTree.validate`` is the same pass over one tree.
+the forest, ``forest_fault``, once its lines are read.
 """
 
 from __future__ import annotations
@@ -39,18 +38,6 @@ class DependencyTree:
     @property
     def word_count(self) -> int:
         return len(self.heads)
-
-    def validate(self) -> None:
-        """DataError unless the heads form one tree: each in range and not
-        the word itself, no cycle, exactly one root.  ``forest_fault`` of
-        this one tree."""
-        if self.word_count == 0:
-            raise DataError("empty dependency tree")
-        if len(self.forms) != self.word_count:
-            raise DataError("tree forms/heads length mismatch")
-        fault = forest_fault(self.heads, [self.word_count])
-        if fault is not None:
-            raise DataError(fault[1])
 
 
 def forest_fault(heads, sizes) -> tuple[int, str] | None:

@@ -91,10 +91,6 @@ class Vocabulary:
         return np.array([self.token_to_id.get(t, unk) for t in tokens], dtype=np.int64)
 
     @property
-    def pad_id(self):
-        return self.token_to_id[PAD]
-
-    @property
     def cls_id(self):
         return self.token_to_id[CLS]
 
@@ -209,17 +205,19 @@ def self_attention_block(
 
 
 def encode(ids, params: EncoderParams, valid: np.ndarray) -> Tensor:
-    """Hidden states (N, d) of the N real positions of token id sequences
-    (S, L), packed in order.  ``valid`` (S, L) marks each sequence's real
+    """Hidden states (N, d) of the N token ids ``ids``, which pack
+    sequences one after another.  ``valid`` (S, L) marks each sequence's
     positions, which must include its first; nothing is computed for the
     others."""
+    if valid.ndim != 2 or valid.shape[1] == 0:
+        raise ConfigError(f"cannot encode a layout of shape {valid.shape}; need (S, L > 0)")
+    if valid.shape[1] > params.max_len:
+        raise ConfigError(f"sequence length {valid.shape[1]} exceeds maximum {params.max_len}")
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 2 or ids.shape[1] == 0:
-        raise ConfigError(f"cannot encode token ids of shape {ids.shape}; need (S, L > 0)")
-    if ids.shape[1] > params.max_len:
-        raise ConfigError(f"sequence length {ids.shape[1]} exceeds maximum {params.max_len}")
+    if ids.shape != (valid.sum(),):
+        raise ConfigError(f"token ids of shape {ids.shape} for {valid.sum()} valid positions")
     x = ad.add(
-        ad.gather_rows(params.embedding, ids[valid]),
+        ad.gather_rows(params.embedding, ids),
         ad.gather_rows(params.positional, np.nonzero(valid)[1]),
     )
     for blk in params.blocks:

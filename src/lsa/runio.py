@@ -4,8 +4,10 @@ artifact is written by ``write_file``."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +29,17 @@ def write_file(path, data: str | bytes) -> None:
         Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     except OSError as e:
         raise OutputError(f"cannot write {path}: {e.strerror or e}")
+
+
+def check_writable(paths) -> None:
+    """The OutputError of the first of ``paths`` that ``write_file`` could
+    not write, as it would name it: a directory there, or no permission to
+    write the file or, for a new file, its directory."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise OutputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise OutputError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
 
 
 def fmt(value) -> str:

@@ -213,23 +213,37 @@ def predict(model: Model, inputs: list[ExampleInputs]) -> np.ndarray:
     return preds
 
 
-def evaluate(model: Model, dataset: Dataset, trees=None) -> Metrics:
+def host_inputs(model: Model, examples, trees, path, index=None) -> list[ExampleInputs]:
+    """``Model.forward_example`` of each of ``examples`` that has a pair, in
+    order.  ``examples[i]`` is example ``index[i]`` (by default i) of the
+    file at ``path``, and a DataError of its inputs names both."""
+    inputs = []
+    for i, ex in enumerate(examples):
+        if ex.aspects:
+            try:
+                inputs.append(model.forward_example(ex, trees))
+            except DataError as e:
+                raise DataError(f"{path}: examples[{i if index is None else index[i]}]: {e}")
+    return inputs
+
+
+def evaluate(model: Model, dataset: Dataset, trees=None, path="dataset") -> Metrics:
     """Metrics over every (example, aspect) pair."""
-    return evaluate_slices(model, dataset, trees, slices={})["all"]
+    return evaluate_slices(model, dataset, trees, slices={}, path=path)["all"]
 
 
-def evaluate_slices(model: Model, dataset: Dataset, trees=None,
-                    slices=SLICES) -> dict[str, Metrics]:
+def evaluate_slices(model: Model, dataset: Dataset, trees=None, slices=SLICES,
+                    path="dataset") -> dict[str, Metrics]:
     """Metrics over every pair ("all"), then over each of ``slices`` that
     selects a pair, in table order, from one prediction per pair: the host
-    inputs of each example with a pair are built once
-    (``Model.forward_example``), in dataset order, then ``predict``
+    inputs of each example with a pair are built once (``host_inputs``;
+    ``path`` names the dataset), in dataset order, then ``predict``
     forwards them."""
     examples = [ex for ex in dataset.examples if ex.aspects]
     if not examples:
         raise DataError("the dataset has no (example, aspect) pair")
     pairs = pair_table(examples)
-    preds = predict(model, [model.forward_example(ex, trees) for ex in examples])
+    preds = predict(model, host_inputs(model, dataset.examples, trees, path))
     selected = {"all": np.ones(len(preds), dtype=bool)} | {
         name: in_slice(pairs) for name, in_slice in slices.items()}
     return {name: compute_metrics(pairs.gold[keep], preds[keep])
@@ -265,24 +279,22 @@ def train(config: TrainConfig) -> TrainResult:
     trees = load_parses(config.parse_path) if config.parse_path else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
+    # the index in its file of each train and valid example; None: its own
+    train_index = valid_index = None
     if valid_set is None:
         order = rng.permutation(len(train_set.examples))
         n_hold = max(1, int(round(config.holdout_fraction * len(order))))
         hold = set(order[:n_hold].tolist())
-        valid_set = Dataset([train_set.examples[i] for i in sorted(hold)])
-        train_set = Dataset([ex for i, ex in enumerate(train_set.examples) if i not in hold])
+        valid_index = sorted(hold)
+        train_index = [i for i in range(len(train_set.examples)) if i not in hold]
+        valid_set = Dataset([train_set.examples[i] for i in valid_index])
+        train_set = Dataset([train_set.examples[i] for i in train_index])
     for split, data in (("train", train_set), ("valid", valid_set), ("test", test_set)):
         if data is not None and not any(ex.aspects for ex in data.examples):
             raise DataError(f"the {split} split has no (example, aspect) pair")
 
     vocab = Vocabulary.build(ex.tokens for ex in train_set.examples)
     model = Model(config.model_config(), vocab, rng)
-
-    main_params = model.main_parameters()
-    optimizer = AdamW([  # the eta group is empty when no side weight is learned
-        ParamGroup(main_params, config.encoder_lr, config.lambda_reg),
-        ParamGroup(model.eta_parameters(), config.eta_lr, config.lambda_eta),
-    ])
 
     trajectory = [(0, *model.eta_values())]
     metrics_rows: list[tuple[int, str, float, float]] = []
@@ -292,12 +304,18 @@ def train(config: TrainConfig) -> TrainResult:
 
     train_examples = [ex for ex in train_set.examples if ex.aspects]
     valid_examples = [ex for ex in valid_set.examples if ex.aspects]
-    # each example's host inputs and each split's golds, built once per run,
-    # in dataset order
-    train_inputs = valid_inputs = []
+    # the optimizer, each example's host inputs and each split's golds,
+    # built once per run, in dataset order
     if config.epochs:
-        train_inputs = [model.forward_example(ex, trees) for ex in train_examples]
-        valid_inputs = [model.forward_example(ex, trees) for ex in valid_examples]
+        main_params = model.main_parameters()
+        optimizer = AdamW([  # the eta group is empty when no side weight is learned
+            ParamGroup(main_params, config.encoder_lr, config.lambda_reg),
+            ParamGroup(model.eta_parameters(), config.eta_lr, config.lambda_eta),
+        ])
+        train_inputs = host_inputs(model, train_set.examples, trees, config.train_path,
+                                   train_index)
+        valid_inputs = host_inputs(model, valid_set.examples, trees,
+                                   config.valid_path or config.train_path, valid_index)
         counts = np.array([x.aspects for x in train_inputs])
         example_golds = np.split(pair_table(train_examples).gold, np.cumsum(counts)[:-1])
         valid_golds = pair_table(valid_examples).gold
@@ -345,7 +363,7 @@ def train(config: TrainConfig) -> TrainResult:
         for name, t in model.named_parameters().items():
             t.values[...] = snapshot[name]
         if test_set is not None:
-            final = evaluate(model, test_set, trees)
+            final = evaluate(model, test_set, trees, config.test_path)
             metrics_rows.append((best_epoch, "test", final.accuracy, final.macro_f1))
 
     return TrainResult(model, trajectory, metrics_rows, epoch_losses, best_epoch, final)

@@ -348,13 +348,14 @@ class Model:
     # -- per-example forward ----------------------------------------------
 
     def _context_tokens(self, example: Example) -> list[str]:
-        limit = self.config.max_len - 1  # room for the leading marker
+        """The example's first ``max_len - 1`` tokens, room for the leading
+        marker; a DataError names the first aspect that extends past them."""
+        limit = self.config.max_len - 1
         tokens = example.tokens[:limit]
-        if example.aspects and example.aspects[-1].end > len(tokens):
-            raise DataError(
-                f"aspect extends past the {limit}-token context limit in "
-                f"{example.text[:40]!r}"
-            )
+        if example.aspects and example.aspects[-1].end > len(tokens):  # sorted by span
+            a = next(a for a in example.aspects if a.end > len(tokens))
+            raise DataError(f"aspect [{a.start}, {a.end}) extends past the {limit}-token "
+                            "context limit")
         return tokens
 
     def _parse(self, example: Example, n: int, trees) -> tuple[DependencyTree, np.ndarray] | None:
@@ -382,12 +383,16 @@ class Model:
     def forward_example(self, example: Example, trees=None) -> ExampleInputs:
         """The host-side inputs of one example's forward: token ids of the
         context (``lsa_t``/``lsa_s``) with its aspect spans and parse, or of
-        one SPC input per aspect (``lsa_p``)."""
+        one SPC input per aspect (``lsa_p``).  An aspect that does not fit
+        the context or its SPC input is a DataError."""
         tokens = self._context_tokens(example)
         aspects = len(example.aspects)
         if self.config.variant == "lsa_p":
-            spc = [build_spc_input(tokens, list(a.term), self.vocab, self.config.max_len)
-                   for a in example.aspects]
+            try:
+                spc = [build_spc_input(tokens, list(a.term), self.vocab, self.config.max_len)
+                       for a in example.aspects]
+            except ConfigError as e:  # the aspect is too long for max_len
+                raise DataError(str(e))
             return ExampleInputs(aspects, spc)
         ids = np.concatenate([[self.vocab.cls_id], self.vocab.encode(tokens)])
         spans = [(a.start, a.end) for a in example.aspects]
@@ -401,9 +406,7 @@ class Model:
         sequences = [ids for x in inputs for ids in x.sequences]
         lengths = np.array([len(ids) for ids in sequences])
         valid = np.arange(lengths.max()) < lengths[:, None]
-        ids = np.full(valid.shape, self.vocab.pad_id, dtype=np.int64)
-        ids[valid] = np.concatenate(sequences)
-        return encode(ids, self.encoder, valid), valid
+        return encode(np.concatenate(sequences), self.encoder, valid), valid
 
     def forward(self, examples: list[Example], trees=None) -> Tensor:
         """Logit rows (pairs, C) of every (example, aspect) pair of

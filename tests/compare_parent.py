@@ -24,10 +24,12 @@ examples and examples that fall back to token distance share a forward
 silences); last, ``lsa eval`` on each malformed input that the loaders
 must refuse (parses with a cycle, two roots, a head out of range, a
 ``# sent_id`` comment without ``=``, an ID cell ``+2`` or a ``# sent_id``
-comment after a sentence's first word; a test split with an aspect fault;
-a truncated checkpoint; a checkpoint whose vocabulary repeats a token),
-and ``lsa analyze-clusters`` with ``--out`` naming a file and with a
-directory where it writes ``clusters.csv``; then the rest of the CLI
+comment after a sentence's first word; a test split with an aspect fault,
+or with an aspect past the model's context; a truncated checkpoint; a
+checkpoint whose vocabulary repeats a token), ``lsa analyze-clusters``
+with ``--out`` naming a file and with a directory where it writes
+``clusters.csv``, and ``lsa train`` with a directory where it writes
+``checkpoint.bin``; then the rest of the CLI
 surface that the command
 table drives: ``lsa analyze-clusters`` on the ``mini.json`` and
 ``mini_semeval.xml`` fixtures, ``lsa eval`` on a corpus that has a pair
@@ -44,7 +46,8 @@ only one side has; the CLI runs whose ``lsa train`` REV rejects as a
 usage error (exit 1) while the working tree runs it (a config value new
 in the working tree), with the eval and replay runs that follow from it;
 and the differences of the refusal runs in ``DECLARED``, inputs that the
-working tree refuses where an older REV ran on or ended in a traceback.
+working tree refuses where an older REV ran on, ended in a traceback,
+refused later or refused in other words.
 The CLI runs and their inputs live in the temporary directory; no child
 writes byte code.
 """
@@ -89,12 +92,18 @@ ASPECT_FAULTS = {
 }
 FAULTY = 4  # the index of the sentence and of the example that hold the fault
 OCCUPIED = "occupied"  # the --out, beside the inputs, that holds a directory clusters.csv
-# the refusal runs whose exit code and output differ from a REV without
-# the refusal, and what such a REV does
+# the refusal runs whose exit code, output or artifacts differ from a REV
+# without the refusal, or with an older form of it, and what such a REV does
 DECLARED = {
     "refuse/repeated_vocab_token": "evaluates, the first row of the repeated token unread",
-    "refuse/artifact_is_a_directory": "ends in an IsADirectoryError traceback",
+    "refuse/artifact_is_a_directory": "prints the histogram before the refusal, or ends in an "
+                                      "IsADirectoryError traceback",
+    "refuse/past_context": "names neither the file nor the example",
+    "refuse/checkpoint_is_a_directory": "trains, writes two artifacts and then refuses",
 }
+# the runs that find a directory at one of their artifacts in their --out
+BLOCKED = {"refuse/checkpoint_is_a_directory": "checkpoint.bin"}
+PAST_CONTEXT = 80  # the filler tokens added to the past-context example, past max_len
 UNPARSED = (1, 2, 9)  # the test sentences that the mixed parses lack
 UNALIGNED = 6  # the test sentence whose first form the mixed parses change
 MIXED_RUN = "lsa_s_k1/eval_mixed_parses"  # the one CLI run whose warnings are kept
@@ -235,9 +244,10 @@ def write_malformed_inputs(out: Path) -> None:
     """Beside the inputs, the malformed files of the refusal runs: for each
     of ``PARSE_FAULTS`` the parses with sentence ``FAULTY`` broken, for
     each of ``ASPECT_FAULTS`` the test split with example ``FAULTY``'s
-    first aspect broken, ``mini_checkpoint.bin`` cut 8 bytes short and
-    with its vocabulary entry 5 set to entry 4, and the directory
-    ``OCCUPIED/clusters.csv``."""
+    first aspect broken, the test split with ``PAST_CONTEXT`` tokens and an
+    aspect on the last added to example ``FAULTY``, ``mini_checkpoint.bin``
+    cut 8 bytes short and with its vocabulary entry 5 set to entry 4, and
+    the directory ``OCCUPIED/clusters.csv``."""
     from util import with_edited_vocabulary
 
     sentences = (out / "parses.conllu").read_text().split("\n\n")
@@ -266,6 +276,14 @@ def write_malformed_inputs(out: Path) -> None:
         data = json.loads((out / "test.json").read_text())
         edit(data["examples"][FAULTY]["aspects"][0])
         (out / f"{fault}.json").write_text(json.dumps(data))
+    data = json.loads((out / "test.json").read_text())
+    example = data["examples"][FAULTY]
+    example["tokens"] += ["w0"] * PAST_CONTEXT
+    example["text"] += " w0" * PAST_CONTEXT
+    end = len(example["tokens"])
+    example["aspects"].append({"span": [end - 1, end], "term": ["w0"], "polarity": "positive",
+                               "implicit": False})
+    (out / "past_context.json").write_text(json.dumps(data))
     blob = (ROOT / "tests" / "fixtures" / "mini_checkpoint.bin").read_bytes()
     (out / "truncated.bin").write_bytes(blob[:-8])
     repeated = with_edited_vocabulary(blob, lambda vocab: vocab.__setitem__(5, vocab[4]))
@@ -311,6 +329,7 @@ def cli_cases(inputs: Path, out: Path) -> list:
                               "--parses", inputs / "mixed.conllu"], ("eval.csv",)))
     refused = {fault: (trained, "test.json", f"{fault}.conllu") for fault in PARSE_FAULTS}
     refused.update({fault: (trained, f"{fault}.json", "parses.conllu") for fault in ASPECT_FAULTS})
+    refused["past_context"] = (trained, "past_context.json", "parses.conllu")
     refused["truncated_checkpoint"] = (inputs / "truncated.bin", "test.json", "parses.conllu")
     # mini.json: the test split's sentences are longer than the fixture model's context
     refused["repeated_vocab_token"] = (inputs / "repeated_token.bin", "mini.json", "parses.conllu")
@@ -321,6 +340,7 @@ def cli_cases(inputs: Path, out: Path) -> list:
                                             "--out", inputs / "mini.json"], ()))
     cases.append(("refuse/artifact_is_a_directory", ["analyze-clusters", inputs / "mini.json",
                                                       "--out", inputs / OCCUPIED], ()))
+    cases.append(("refuse/checkpoint_is_a_directory", ["train", *data], TRAIN_ARTIFACTS[:2]))
     cases.append(("export_trajectory", ["export-trajectory", "--run", plain], (EXPORTED,)))
     cases += [("help", ["--help"], ()), ("help/eval", ["eval", "--help"], ())]
     cases += [(f"usage/{name}", argv, ()) for name, argv in usage_errors(inputs, data).items()]
@@ -373,6 +393,8 @@ def cli_runs(root: Path, inputs: Path, out: Path) -> None:
     for name, argv, _ in cli_cases(inputs, out):
         logging.disable(logging.NOTSET if name == MIXED_RUN else logging.WARNING)
         (out / name).mkdir(parents=True, exist_ok=True)  # export-trajectory writes a file there
+        if name in BLOCKED:
+            (out / name / BLOCKED[name]).mkdir()
         streams = {"stdout.txt": io.StringIO(), "stderr.txt": io.StringIO()}
         with contextlib.redirect_stdout(streams["stdout.txt"]), \
                 contextlib.redirect_stderr(streams["stderr.txt"]):
@@ -520,7 +542,7 @@ def main(argv=None) -> int:
         print(f"{len(cli_cases(inputs, tmp)) - len(new) - len(DECLARED)} CLI runs both sides "
               f"can make, declared refusals aside: {len(found)} differences", flush=True)
         for name, before in DECLARED.items():
-            print(f"declared: {name}; a REV without the refusal {before}", flush=True)
+            print(f"declared: {name}; a REV without this refusal {before}", flush=True)
         for line in declared:
             print(f"declared: {line}", flush=True)
         rev, here = (json.loads((tmp / side / "exits.json").read_text())

@@ -1,12 +1,15 @@
 """Command surface: artifacts, exit codes, determinism, replay."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lsa.cli import COMMANDS, main
-from lsa.corpus import load_dataset
+from lsa.corpus import SynthSpec, load_dataset
 from lsa.runio import config_hash
 from lsa.training import SLICES
 from lsa.window import Model
@@ -774,3 +777,157 @@ def test_manifest_is_hash_stable(corpus, tmp_path):
     raw = (out / "manifest.json").read_text()
     manifest = load_manifest(out / "manifest.json")
     assert canonical_json(manifest) + "\n" == raw
+
+
+# ---------------------------------------------------------------------------
+# where a context-limit fault is, and artifacts checked before any input
+
+
+def write_long_examples(path, lengths, spans):
+    """A dataset of one example of ``lengths[i]`` tokens per entry, with one
+    aspect at span ``spans[i]``."""
+    examples = []
+    for n, (start, end) in zip(lengths, spans):
+        tokens = [f"t{i}" for i in range(n)]
+        aspect = {"span": [start, end], "term": tokens[start:end], "polarity": "positive",
+                  "implicit": False}
+        examples.append({"text": " ".join(tokens), "tokens": tokens, "aspects": [aspect]})
+    path.write_text(json.dumps({"version": 1, "examples": examples}))
+    return path
+
+
+def test_eval_names_an_aspect_past_the_context_limit(tmp_path, capsys):
+    """``mini_checkpoint.bin`` keeps 31 context tokens; the fault once read
+    ``aspect extends past the 31-token context limit in 't0 t1 ...'``."""
+    data = write_long_examples(tmp_path / "long.json", [4, 40], [(1, 2), (35, 36)])
+    argv = ["eval", "--checkpoint", FIXTURES / "mini_checkpoint.bin", "--dataset", data,
+            "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (f"data error: {data}: examples[1]: aspect [35, 36) "
+                                       "extends past the 31-token context limit\n")
+
+
+def test_an_aspect_too_long_for_its_spc_input_is_a_data_error(tmp_path, capsys):
+    """Under lsa_p at max_len 9 an aspect of 7 tokens is inside the
+    8-token context, but [CLS] context [SEP] aspect [SEP] has no room for
+    it.  That once exited 1, as a usage error."""
+    data = write_long_examples(tmp_path / "spc.json", [3, 9], [(1, 2), (1, 8)])
+    argv = ["train", "--train-path", data, "--valid-path", data, "--variant", "lsa_p",
+            "--max-len", "9", "--epochs", "1", "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {data}: examples[1]: aspect of 7 tokens cannot fit max length 9\n")
+
+
+def declared_writes(command, spec):
+    """The files a run of ``command`` writes beside its manifest: those
+    ``COMMANDS`` declares, and for synth one per split of ``spec``."""
+    if command == "synth":
+        return [f"{split}.json" for split in SynthSpec.from_file(spec).splits]
+    return list(COMMANDS[command].writes)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_declares_the_files_it_writes(command, corpus, tmp_path):
+    argv, artifacts = replay_case(command, corpus, tmp_path)
+    assert run(argv) == 0
+    written = sorted(p.name for p in (tmp_path / "orig").iterdir())
+    expected = declared_writes(command, synth_spec_file(tmp_path))
+    assert written == sorted([*expected, "manifest.json"])
+    assert sorted(artifacts) == sorted(expected)
+
+
+@pytest.mark.parametrize("command, artifact", [
+    *((command, artifact) for command, c in COMMANDS.items() for artifact in c.writes),
+    ("synth", "train.json"), ("synth", "test.json"),
+    *((command, "manifest.json") for command in COMMANDS),
+])
+def test_a_directory_at_a_declared_artifact_is_refused_before_any_input(command, artifact,
+                                                                         tmp_path, capsys):
+    """A directory where a command would write ends it as a usage error
+    before it reads an input (the inputs here do not exist, and a read
+    would be a data error) and before it writes anything; synth reads
+    its spec first, to know its splits."""
+    out = tmp_path / "out"
+    blocked = out / artifact
+    blocked.mkdir(parents=True)
+    missing = tmp_path / "missing"
+    argv = {"analyze-clusters": [missing], "synth": ["--spec", synth_spec_file(tmp_path),
+                                                     "--seed", "1"],
+            "eval": ["--checkpoint", missing, "--dataset", missing]
+            }.get(command, ["--train-path", missing])
+    assert run([command, *argv, "--out", out]) == 1
+    assert capsys.readouterr().err == f"usage error: cannot write {blocked}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == [artifact]
+
+
+def test_a_non_finite_loss_exits_3(tmp_path):
+    """An encoder rate of 1e100 overflows the attention scores at step 2.
+    The run has a process of its own: numpy's overflow warnings come
+    before the failure, and in this process warnings are errors."""
+    argv = [sys.executable, "-m", "lsa.cli", "train", "--train-path", FIXTURES / "mini.json",
+            "--encoder-lr", "1e100", "--d-model", "8", "--layers", "1", "--heads", "2",
+            "--epochs", "3", "--out", tmp_path / "out"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([str(a) for a in argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.splitlines()[-1] == "numeric failure: non-finite loss at step 2"
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("train", ["--batch", "0"], "batch must be positive"),
+    ("train", ["--encoder-lr", "0"], "encoder_lr must be positive"),
+    ("train", ["--eta-lr", "-0.5"], "eta_lr must be positive"),
+    ("train", ["--holdout-fraction", "0"], "holdout_fraction must be in (0, 1)"),
+    ("train", ["--holdout-fraction", "1"], "holdout_fraction must be in (0, 1)"),
+    ("train", ["--alpha", "-1"], "alpha must be non-negative"),
+    ("sweep-eta", ["--epochs", "0"], "eta sweep needs at least one epoch"),
+    ("sweep-seeds", ["--epochs", "0"], "seed sweep needs at least one epoch"),
+    ("sweep-eta", ["--grid", "0:1"], "grid must be start:stop:step, got '0:1'"),
+    ("sweep-eta", ["--grid", "a:b:c"], "grid must be start:stop:step, got 'a:b:c'"),
+    ("sweep-eta", ["--grid", "0:1:0"], "grid must have positive step and stop >= start"),
+    ("sweep-eta", ["--grid", "0:1:-0.5"], "grid must have positive step and stop >= start"),
+], ids=["batch", "encoder_lr", "eta_lr", "holdout_0", "holdout_1", "alpha", "eta_sweep_epochs",
+        "seed_sweep_epochs", "grid_two_parts", "grid_not_numbers", "grid_step_0",
+        "grid_step_negative"])
+def test_a_refused_value_is_a_usage_error_before_any_input(command, extra, message, tmp_path,
+                                                           capsys):
+    """The train path does not exist: a read would be a data error."""
+    argv = [command, "--train-path", tmp_path / "missing", *extra, "--out", tmp_path / "out"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_export_trajectory_refuses_a_csv_with_another_header(tmp_path, capsys):
+    (tmp_path / "eta_trajectory.csv").write_text("step,eta\n0,1.0\n")
+    assert run(["export-trajectory", "--run", tmp_path, "--out", tmp_path / "copy.csv"]) == 2
+    assert capsys.readouterr().err == (f"data error: {tmp_path / 'eta_trajectory.csv'}: "
+                                       "unexpected trajectory header 'step,eta'\n")
+    assert not (tmp_path / "copy.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"command": "train",', "{path}: invalid manifest JSON: Expecting property name enclosed "
+                             "in double quotes"),
+    (json.dumps({"args": {}, "dataset_hashes": {}}), "{path}: manifest missing 'command'"),
+    (json.dumps({"command": "train", "dataset_hashes": {}}), "{path}: manifest missing 'args'"),
+    (json.dumps({"command": "frobnicate", "args": {}, "dataset_hashes": {},
+                 "config_hash": config_hash({})}),
+     "manifest command 'frobnicate' cannot be replayed"),
+], ids=["invalid_json", "no_command", "no_args", "unknown_command"])
+def test_replay_refuses_a_manifest_it_cannot_run(text, message, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert run(["replay", path, "--out", tmp_path / "r"]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {message.format(path=path)}")
+
+
+def test_an_artifact_without_write_permission_is_refused(tmp_path, capsys, monkeypatch):
+    """What ``os.access`` denies is refused as ``write_file`` would refuse
+    it; the tests may run as a user that every permission lets write."""
+    monkeypatch.setattr("lsa.runio.os.access", lambda path, mode: False)
+    out = tmp_path / "out"
+    assert run(["analyze-clusters", tmp_path / "missing", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: cannot write {out / 'clusters.csv'}: Permission denied\n")

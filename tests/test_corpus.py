@@ -293,6 +293,48 @@ def test_semeval_xml_adapter_drops_conflict_and_aligns_spans():
     assert [a.term for a in two.aspects] == [("battery",), ("price",)]
 
 
+EXAMPLE = {"text": "a b", "tokens": ["a", "b"],
+           "aspects": [{"span": [0, 1], "term": ["a"], "polarity": "positive"}]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"version": 1, "examples": [}', "invalid JSON at line 1: Expecting value"),
+    (json.dumps({"version": 1, "examples": [
+        {**EXAMPLE, "aspects": [{**EXAMPLE["aspects"][0], "term": "a"}]}]}),
+     "examples[0].aspects[0].term: must be a list of strings"),
+    (json.dumps({"version": 1, "examples": [
+        {**EXAMPLE, "aspects": [{**EXAMPLE["aspects"][0], "term": ["a", 1]}]}]}),
+     "examples[0].aspects[0].term: must be a list of strings"),
+], ids=["invalid_json", "term_a_string", "term_with_a_number"])
+def test_load_absa_json_refuses_a_malformed_file(text, message, tmp_path):
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}"):
+        load_absa_json(path)
+
+
+SEMEVAL = """<sentences><sentence id="7"><text>The screen is great.</text>
+<aspectTerms><aspectTerm term="{term}" polarity="positive" from="{start}" to="{end}"/>
+</aspectTerms></sentence></sentences>"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (SEMEVAL.replace("</sentences>", ""), "invalid XML: no element found: line 3, column 25"),
+    (SEMEVAL.format(term="screen", start="4x", end="10"), "sentence 7: bad from/to offsets"),
+    (SEMEVAL.format(term="screen", start="4", end="10").replace(' to="10"', ""),
+     "sentence 7: bad from/to offsets"),
+    (SEMEVAL.format(term="screen", start="40", end="46"),
+     "sentence 7: aspect 'screen' span matches no tokens"),
+    (SEMEVAL.format(term="screen", start="0", end="10"),
+     "sentence 7: aspect 'screen' does not match tokens ['the', 'screen']"),
+], ids=["invalid_xml", "from_not_integer", "no_to", "span_past_the_text", "term_not_tokens"])
+def test_load_semeval_xml_refuses_a_malformed_file(text, message, tmp_path):
+    path = tmp_path / "data.xml"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_dataset(path)
+
+
 def test_canonical_serialization_is_fixed_point(tmp_path):
     ds = load_dataset(FIXTURES / "mini.json")
     text1 = dataset_to_json(ds)
@@ -530,6 +572,32 @@ def test_synth_spec_rejects_non_finite_numbers(line, message, tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text(line + "\n")
     with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        SynthSpec.from_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vocab_size=2", "synth spec: vocab_size must be >= 3"),
+    ("train=0", "synth spec: split sizes must be positive"),
+    ("rho=1.5", "synth spec: rho must be in [0, 1]"),
+    ("implicit_fraction=1", "synth spec: implicit_fraction must be in [0, 1)"),
+    ("rho=0\nimplicit_fraction=0.1", "synth spec: implicit aspects with rho=0 would be "
+                                      "unlearnable"),
+    ("aspects=0:1", "synth spec: bad aspects-per-example distribution"),
+    ("aspects=2:-1", "synth spec: bad aspects-per-example distribution"),
+    ("aspects=2:0,3:0", "synth spec: aspect distribution weights sum to zero"),
+    ("implicit_fraction=0.1\naspects=3:1", "synth spec: implicit aspects require two-aspect "
+                                            "examples"),
+    ("implicit_fraction=0.6\naspects=2:0.2,3:0.8", "synth spec: implicit_fraction 0.6 "
+                                                    "unreachable with this aspect distribution"),
+    ("colour=red", "{path}: unknown synth spec key 'colour'"),
+    ("rho=0.5\nrho", "{path}:2: expected key=value"),
+], ids=["vocab_size", "split_size", "rho", "implicit_fraction", "implicit_rho_0", "count_0",
+        "weight_negative", "weights_zero", "no_two_aspect", "unreachable", "unknown_key",
+        "no_equals"])
+def test_synth_spec_refuses_each_bad_spec(text, message, tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text(text + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(message.format(path=path))}$"):
         SynthSpec.from_file(path)
 
 

@@ -90,7 +90,8 @@ def test_a_reserved_marker_in_the_data_gets_the_markers_id():
     row, and ``sep_id`` does not move to a row of the data."""
     vocab = Vocabulary.build([["a", SEP, "b", "a", PAD]])
     assert vocab.id_to_token == [*RESERVED, "a", "b"]
-    assert vocab.encode([SEP, PAD, "a"]).tolist() == [vocab.sep_id, vocab.pad_id, 4] == [3, 0, 4]
+    ids = vocab.encode([SEP, PAD, "a"]).tolist()
+    assert ids == [vocab.sep_id, vocab.token_to_id[PAD], 4] == [3, 0, 4]
 
 
 @pytest.mark.parametrize("tokens, message", [
@@ -149,7 +150,7 @@ def make_encoder(d=16, layers=1, heads=2, max_len=12, vocab_size=10, seed=0):
 
 def encode_one(ids, params):
     """The hidden states of one sequence, as a batch of one."""
-    return encode([ids], params, np.ones((1, len(ids)), dtype=bool))
+    return encode(ids, params, np.ones((1, len(ids)), dtype=bool))
 
 
 def test_encode_output_shape():
@@ -167,10 +168,21 @@ def test_encode_deterministic():
 
 def test_encode_rejects_overlength():
     params = make_encoder(max_len=4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="sequence length 5 exceeds maximum 4"):
         encode_one([1] * 5, params)
-    with pytest.raises(ConfigError):  # ids are (S, L)
-        encode(np.array([1, 2]), params, np.ones((1, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("ids, valid, message", [
+    ([[1, 2]], [[True, True]], r"token ids of shape \(1, 2\) for 2 valid positions"),
+    ([1, 2, 3], [[True, True]], r"token ids of shape \(3,\) for 2 valid positions"),
+    ([1], [[True, True], [True, False]], r"token ids of shape \(1,\) for 3 valid positions"),
+    ([], np.ones((1, 0), dtype=bool), r"cannot encode a layout of shape \(1, 0\)"),
+    ([], np.ones(2, dtype=bool), r"cannot encode a layout of shape \(2,\)"),
+], ids=["not-packed", "too-many-ids", "too-few-ids", "empty-layout", "flat-layout"])
+def test_encode_refuses_ids_that_do_not_fill_the_layout(ids, valid, message):
+    """The ids are packed: one per valid position, (N,) for N = valid.sum()."""
+    with pytest.raises(ConfigError, match=message):
+        encode(np.array(ids, dtype=np.int64), make_encoder(), np.array(valid))
 
 
 def test_heads_must_divide_width():
@@ -333,12 +345,9 @@ def test_block_matches_numpy_reference(form):
 
 
 def ragged_batch(sequences):
-    """Token ids (S, L) padded with id 0, [PAD], and the mask of real ones."""
+    """The packed token ids (N,) of sequences and the (S, L) mask of their positions."""
     lengths = np.array([len(seq) for seq in sequences])
-    valid = np.arange(lengths.max()) < lengths[:, None]
-    ids = np.zeros(valid.shape, dtype=np.int64)
-    ids[valid] = np.concatenate(sequences)
-    return ids, valid
+    return np.concatenate(sequences), np.arange(lengths.max()) < lengths[:, None]
 
 
 def test_padding_mask_shields_prefix_outputs():
@@ -384,7 +393,7 @@ def test_padded_batch_encode_gradients_match_fd():
     readout = ad.tensor(np.random.default_rng(2).normal(size=(4, 8)))
 
     def build():
-        return sum_all(ad.mul(encode(ids, params, valid), readout))
+        return sum_all(ad.mul(encode(ids[valid], params, valid), readout))
 
     worst = grad_check(
         build, {"emb": params.embedding, "pos": params.positional}, eps=1e-6

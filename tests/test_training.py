@@ -22,6 +22,7 @@ from lsa.corpus import (
     generate_synthetic_corpus,
     load_dataset,
     pair_table,
+    save_dataset,
 )
 from lsa.distance import DependencyTree, load_parses
 from lsa.encoder import ConfigError, Vocabulary
@@ -478,14 +479,46 @@ def test_train_builds_each_example_once_per_run(monkeypatch, caplog):
     assert repr(unparsed[0].text[:40]) in caplog.records[0].getMessage()
 
 
-def test_an_aspect_past_max_len_fails_before_the_first_step(monkeypatch):
+def fits_mini(tmp_path):
+    """``mini.json`` without example 8, the one with an aspect past 8 tokens."""
+    examples = load_dataset(FIXTURES / "mini.json").examples
+    save_dataset(Dataset(examples[:8] + examples[9:]), tmp_path / "fits.json")
+    return str(tmp_path / "fits.json")
+
+
+def test_an_aspect_past_max_len_fails_before_the_first_step(monkeypatch, tmp_path):
     """Every example's inputs are built before step 1, so an aspect past the
-    context limit, in either split, fails before any backward."""
+    context limit, in either split, fails before any backward.  The fault
+    names the file, the example's index in it and the aspect's span; a
+    held-out example is named in the train file."""
     backwards = []
     monkeypatch.setattr(ad.Tape, "backward", lambda tape, root: backwards.append(root))
-    with pytest.raises(DataError, match="context limit"):
+    mini = re.escape(str(FIXTURES / "mini.json"))
+    with pytest.raises(DataError, match=mini + r": examples\[0\]: aspect \[6, 7\) extends "
+                                        r"past the 5-token context limit$"):
         train(mini_config(max_len=6))
+    past = mini + r": examples\[8\]: aspect \[10, 11\) extends past the 8-token context limit$"
+    for split, config in {
+        "train": mini_config(max_len=9),
+        "valid": mini_config(max_len=9, train_path=fits_mini(tmp_path)),
+        "held out": mini_config(max_len=9, valid_path=None, seed=1),
+        "left in train": mini_config(max_len=9, valid_path=None, seed=2),
+    }.items():
+        with pytest.raises(DataError, match=past):
+            train(config)
+    held = [np.random.Generator(np.random.PCG64(seed)).permutation(12)[0] for seed in (1, 2)]
+    assert held[0] == 8 != held[1]  # the one example that seed 1 holds out, and seed 2 does not
     assert backwards == []
+
+
+def test_an_aspect_past_max_len_in_the_test_split_is_named(tmp_path):
+    """The test split is built after training, and its fault names it too."""
+    fits = fits_mini(tmp_path)
+    config = mini_config(max_len=9, train_path=fits, valid_path=fits,
+                         test_path=str(FIXTURES / "mini.json"))
+    with pytest.raises(DataError, match=re.escape(f"{FIXTURES / 'mini.json'}: examples[8]: "
+                                                  "aspect [10, 11) extends past")):
+        train(config)
 
 
 def test_validation_holdout_when_no_valid_path(corpus):
@@ -615,6 +648,53 @@ def checkpoint_of(version: int, manifest: dict, payloads: dict[str, bytes]) -> b
     body = canonical_json(manifest).encode()
     return (HEADER.pack(MAGIC, version, len(body)) + body
             + b"".join(payloads[entry["name"]] for entry in manifest["params"]))
+
+
+def with_manifest_bytes(blob: bytes, body: bytes) -> bytes:
+    """The checkpoint ``blob`` with ``body`` in place of its manifest."""
+    magic, version, length = HEADER.unpack_from(blob)
+    return HEADER.pack(magic, version, len(body)) + body + blob[HEADER.size + length:]
+
+
+def with_manifest(blob: bytes, edit) -> bytes:
+    """The checkpoint ``blob`` with ``edit`` applied to its manifest."""
+    version, manifest, payloads = checkpoint_parts(blob)
+    edit(manifest)
+    return checkpoint_of(version, manifest, payloads)
+
+
+def reshaped_first_entry(manifest):
+    manifest["params"][0]["shape"] = [3, 16]
+
+
+def swapped_markers(manifest):
+    manifest["vocab"][:2] = manifest["vocab"][1::-1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda blob: HEADER.pack(MAGIC, 7, HEADER.unpack_from(blob)[2]) + blob[HEADER.size:],
+     "unsupported checkpoint version 7"),
+    (lambda blob: with_manifest_bytes(blob, b'{"version": 1,'),
+     "corrupt checkpoint manifest: Expecting property name enclosed in double quotes"),
+    (lambda blob: with_manifest_bytes(blob, b'{"vocab": "\xff"}'),
+     "corrupt checkpoint manifest: 'utf-8' codec can't decode byte 0xff in position 11"),
+    (lambda blob: with_manifest(blob, reshaped_first_entry),
+     "shape (3, 16) for encoder.embedding does not match (51, 16)"),
+    (lambda blob: blob[:-8], "truncated checkpoint payload"),
+    (lambda blob: blob + bytes(8), "trailing bytes after checkpoint payload"),
+    (lambda blob: with_manifest(blob, swapped_markers),
+     "malformed checkpoint manifest: ConfigError('vocabulary must start with the reserved "
+     "markers')"),
+], ids=["version", "manifest_not_json", "manifest_not_utf8", "shape", "truncated_payload",
+        "trailing_bytes", "markers_not_first"])
+def test_load_checkpoint_refuses_a_malformed_file(edit, message, tmp_path):
+    """Each fault of ``mini_checkpoint.bin`` edited in one place is a
+    DataError that names the file."""
+    path = tmp_path / "edited.bin"
+    path.write_bytes(edit((FIXTURES / "mini_checkpoint.bin").read_bytes()))
+    with pytest.raises(DataError) as raised:
+        load_checkpoint(path)
+    assert str(raised.value).startswith(f"{path}: {message}")
 
 
 # the entries of mini_checkpoint.bin that its model lacks: the key biases,

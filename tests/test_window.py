@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsa.autodiff as ad
-from lsa.corpus import AspectAnnotation, Example, Polarity, load_dataset
+from lsa.corpus import AspectAnnotation, DataError, Example, Polarity, load_dataset
 from lsa.distance import DependencyTree, load_parses
-from lsa.encoder import ConfigError
+from lsa.encoder import PAD, ConfigError
 from lsa.window import (
     VARIANTS,
     ExampleInputs,
@@ -159,7 +159,7 @@ def test_position_weights_equal_the_scalar_reference(data):
     fits = [ex for ex in examples if all(a.end - a.start <= longest for a in ex.aspects)]
     for ex in examples:
         if ex not in fits:
-            with pytest.raises(ConfigError, match="cannot fit"):
+            with pytest.raises(DataError, match="cannot fit"):
                 model.forward_example(ex, trees)
     if not fits:
         return
@@ -751,7 +751,7 @@ def test_head_sa_forms_no_scaled_copy_of_the_batch(variant):
 def test_padding_gets_no_gradient_and_changes_nothing(variant):
     model = tiny_model(variant=variant, vocab_tokens=["w0", "w1", "w2", "w3", "screen"])
     batch = [coherent_example(1), coherent_example(4), coherent_example(2)]
-    pad = model.vocab.pad_id
+    pad = model.vocab.token_to_id[PAD]
     inputs = [model.forward_example(ex) for ex in batch]
     longest = max(len(ids) for x in inputs for ids in x.sequences)
     assert min(len(ids) for x in inputs for ids in x.sequences) < longest

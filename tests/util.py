@@ -321,8 +321,8 @@ def outcome(f, *args):
 
 
 def reference_validate(tree: DependencyTree) -> None:
-    """``DependencyTree.validate`` as first written: a climb to the root
-    from every word, O(words x depth)."""
+    """The tree validator as first written: a climb to the root from
+    every word, O(words x depth)."""
     n = tree.word_count
     if n == 0:
         raise DataError("empty dependency tree")
