@@ -16,6 +16,7 @@ has pairs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -99,7 +100,7 @@ def _parse_grid(spec: str) -> list[float]:
         raise ConfigError(f"grid must be start:stop:step, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError("grid must have positive step and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    count = math.floor((stop - start) / step + 1e-9) + 1  # no point past stop
     return [start + i * step for i in range(count)]
 
 
@@ -266,8 +267,6 @@ def run_command(name: str, args: dict, out_dir: Path) -> None:
     which records ``args`` as given, next to its artifacts.  Before the
     command reads an input, the files it writes are checked: one that
     cannot be written is an OutputError."""
-    if name not in COMMANDS:
-        raise DataError(f"manifest command {name!r} cannot be replayed")
     command = COMMANDS[name]
     values = read_args(name, args)
     check_writable(out_dir / file for file in (*command.writes, "manifest.json"))
@@ -287,6 +286,9 @@ def run_export_trajectory(run_dir, out_file) -> None:
 
 def run_replay(manifest_path, out_dir: Path) -> None:
     manifest = load_manifest(manifest_path)
+    if manifest["command"] not in COMMANDS:
+        raise DataError(f"{manifest_path}: manifest command {manifest['command']!r} "
+                        "cannot be replayed")
     verify_manifest_hashes(manifest)
     print(f"replaying {manifest['command']} from {manifest_path}")
     try:

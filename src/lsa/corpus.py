@@ -532,7 +532,10 @@ class SynthSpec:
                 raise DataError(f"{path}: bad value for {key}: {e}")
         if splits:
             spec.splits = splits
-        spec.validate()
+        try:
+            spec.validate()
+        except DataError as e:
+            raise DataError(f"{path}: {str(e).removeprefix('synth spec: ')}")
         return spec
 
 

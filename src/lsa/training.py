@@ -1,10 +1,10 @@
 """Training config, loss, the training loop with a two-group optimizer,
 metrics, and the two sweeps (static side-weight grid, multi-seed).
-Training builds each train and valid example's host inputs and the pair
-table (``corpus.pair_table``) of each split once per run, then forwards
-whole examples in batches of about ``TrainConfig.batch`` pairs, in a
-seeded order, against the golds of the table.  Evaluation predicts each
-(example, aspect) pair once, forward only, in groups of examples of
+Training builds each train, valid and test example's host inputs and the
+pair table (``corpus.pair_table``) of each split once per run, then
+forwards whole examples in batches of about ``TrainConfig.batch`` pairs,
+in a seeded order, against the golds of the table.  Evaluation predicts
+each (example, aspect) pair once, forward only, in groups of examples of
 similar length (``eval_groups``); a slice of ``SLICES`` is a predicate
 over the columns of the pair table, and selects its pairs' predictions."""
 
@@ -213,20 +213,6 @@ def predict(model: Model, inputs: list[ExampleInputs]) -> np.ndarray:
     return preds
 
 
-def host_inputs(model: Model, examples, trees, path, index=None) -> list[ExampleInputs]:
-    """``Model.forward_example`` of each of ``examples`` that has a pair, in
-    order.  ``examples[i]`` is example ``index[i]`` (by default i) of the
-    file at ``path``, and a DataError of its inputs names both."""
-    inputs = []
-    for i, ex in enumerate(examples):
-        if ex.aspects:
-            try:
-                inputs.append(model.forward_example(ex, trees))
-            except DataError as e:
-                raise DataError(f"{path}: examples[{i if index is None else index[i]}]: {e}")
-    return inputs
-
-
 def evaluate(model: Model, dataset: Dataset, trees=None, path="dataset") -> Metrics:
     """Metrics over every (example, aspect) pair."""
     return evaluate_slices(model, dataset, trees, slices={}, path=path)["all"]
@@ -236,14 +222,13 @@ def evaluate_slices(model: Model, dataset: Dataset, trees=None, slices=SLICES,
                     path="dataset") -> dict[str, Metrics]:
     """Metrics over every pair ("all"), then over each of ``slices`` that
     selects a pair, in table order, from one prediction per pair: the host
-    inputs of each example with a pair are built once (``host_inputs``;
-    ``path`` names the dataset), in dataset order, then ``predict``
-    forwards them."""
-    examples = [ex for ex in dataset.examples if ex.aspects]
-    if not examples:
+    inputs of each example with a pair are built once
+    (``Model.host_inputs``; ``path`` names the dataset), in dataset order,
+    then ``predict`` forwards them."""
+    pairs = pair_table(dataset.examples)
+    if not len(pairs.gold):
         raise DataError("the dataset has no (example, aspect) pair")
-    pairs = pair_table(examples)
-    preds = predict(model, host_inputs(model, dataset.examples, trees, path))
+    preds = predict(model, model.host_inputs(dataset.examples, trees, path))
     selected = {"all": np.ones(len(preds), dtype=bool)} | {
         name: in_slice(pairs) for name, in_slice in slices.items()}
     return {name: compute_metrics(pairs.gold[keep], preds[keep])
@@ -268,10 +253,10 @@ def train(config: TrainConfig) -> TrainResult:
     """Deterministic training under (config, seed); the best checkpoint by
     validation accuracy is retained (ties resolved to the lower epoch).
     The final metrics are those of the test split under it, else the best
-    epoch's validation metrics.  The host inputs of the train and valid
-    examples are built once, before the first step (none for no epoch), so
-    an input fault fails the run before it trains, and each example
-    without a usable parse is counted once."""
+    epoch's validation metrics.  The host inputs of every split are built
+    once, before the first step (none for no epoch), so an input fault in
+    any split fails the run before it trains, and each example without a
+    usable parse is counted once."""
     config.validate()
     train_set = load_dataset(config.train_path)
     valid_set = load_dataset(config.valid_path) if config.valid_path else None
@@ -302,8 +287,6 @@ def train(config: TrainConfig) -> TrainResult:
     best = None  # (valid metrics, epoch, snapshot)
     step = 0
 
-    train_examples = [ex for ex in train_set.examples if ex.aspects]
-    valid_examples = [ex for ex in valid_set.examples if ex.aspects]
     # the optimizer, each example's host inputs and each split's golds,
     # built once per run, in dataset order
     if config.epochs:
@@ -312,15 +295,17 @@ def train(config: TrainConfig) -> TrainResult:
             ParamGroup(main_params, config.encoder_lr, config.lambda_reg),
             ParamGroup(model.eta_parameters(), config.eta_lr, config.lambda_eta),
         ])
-        train_inputs = host_inputs(model, train_set.examples, trees, config.train_path,
-                                   train_index)
-        valid_inputs = host_inputs(model, valid_set.examples, trees,
-                                   config.valid_path or config.train_path, valid_index)
+        train_inputs = model.host_inputs(train_set.examples, trees, config.train_path,
+                                         train_index)
+        valid_inputs = model.host_inputs(valid_set.examples, trees,
+                                         config.valid_path or config.train_path, valid_index)
+        if test_set is not None:
+            test_inputs = model.host_inputs(test_set.examples, trees, config.test_path)
         counts = np.array([x.aspects for x in train_inputs])
-        example_golds = np.split(pair_table(train_examples).gold, np.cumsum(counts)[:-1])
-        valid_golds = pair_table(valid_examples).gold
+        example_golds = np.split(pair_table(train_set.examples).gold, np.cumsum(counts)[:-1])
+        valid_golds = pair_table(valid_set.examples).gold
     for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(len(train_examples))
+        perm = rng.permutation(len(train_inputs))
         epoch_golds = np.concatenate([example_golds[i] for i in perm])  # in step order
         epoch_preds = np.empty_like(epoch_golds)
         loss_sum, pair_count = 0.0, 0
@@ -363,7 +348,7 @@ def train(config: TrainConfig) -> TrainResult:
         for name, t in model.named_parameters().items():
             t.values[...] = snapshot[name]
         if test_set is not None:
-            final = evaluate(model, test_set, trees, config.test_path)
+            final = compute_metrics(pair_table(test_set.examples).gold, predict(model, test_inputs))
             metrics_rows.append((best_epoch, "test", final.accuracy, final.macro_f1))
 
     return TrainResult(model, trajectory, metrics_rows, epoch_losses, best_epoch, final)

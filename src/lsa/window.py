@@ -23,7 +23,7 @@ model holds a learned side weight only for a side that has a slot.
 
 ``Model.forward`` runs a whole batch as one tensor forward.  The host work
 of each example (token ids, SPC inputs, the parse and its alignment) is
-done once per example by ``Model.forward_example``, and ``Model.logits``
+done once per example by ``Model.host_inputs``, and ``Model.logits``
 runs the tensor forward over those inputs.  One encoder call covers every
 sequence of the batch, on its real tokens only: the hidden states are
 packed, one row per token, and ``valid`` records where each sequence's
@@ -408,12 +408,24 @@ class Model:
         valid = np.arange(lengths.max()) < lengths[:, None]
         return encode(np.concatenate(sequences), self.encoder, valid), valid
 
+    def host_inputs(self, examples, trees=None, path="dataset", index=None) -> list[ExampleInputs]:
+        """``forward_example`` of each of ``examples`` that has a pair, in
+        order.  ``examples[i]`` is example ``index[i]`` (by default i) of the
+        file at ``path``, and a DataError of its inputs names both."""
+        inputs = []
+        for i, ex in enumerate(examples):
+            if ex.aspects:
+                try:
+                    inputs.append(self.forward_example(ex, trees))
+                except DataError as e:
+                    raise DataError(f"{path}: examples[{i if index is None else index[i]}]: {e}")
+        return inputs
+
     def forward(self, examples: list[Example], trees=None) -> Tensor:
         """Logit rows (pairs, C) of every (example, aspect) pair of
-        ``examples``, in order: ``forward_example`` of each example with a
-        pair, then ``logits`` of their inputs.  A pair's prediction is the
-        argmax of its row."""
-        inputs = [self.forward_example(ex, trees) for ex in examples if ex.aspects]
+        ``examples``, in order: ``logits`` of their ``host_inputs``.  A
+        pair's prediction is the argmax of its row."""
+        inputs = self.host_inputs(examples, trees)
         if not inputs:
             raise ValueError("no (example, aspect) pair to forward")
         return self.logits(inputs)

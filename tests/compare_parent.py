@@ -16,38 +16,42 @@ the CLI on the same inputs, written once by the working tree's
 every variant, k = 0 (the backbone) with no ablation flag, and k = 1 and 2
 with no ablation flag or each one; ``lsa train --config`` on a config
 file; ``lsa synth`` on a spec that sets every key; ``lsa sweep-eta`` and
-``lsa sweep-seeds``; then ``lsa replay`` of every manifest those runs
-wrote; then ``lsa eval`` of the ``lsa_s`` model on parses that lack some
-test sentences and hold one whose forms do not align, so that parsed
-examples and examples that fall back to token distance share a forward
-(its standard error keeps the fallback warnings, which every other run
-silences); last, ``lsa eval`` on each malformed input that the loaders
+``lsa sweep-seeds``; ``lsa analyze-clusters`` on the ``mini.json`` and
+``mini_semeval.xml`` fixtures; ``lsa eval`` on a corpus that has a pair in
+every slice and once with ``--format absa-json``; ``lsa train`` with a
+test split; then ``lsa replay`` of every manifest those runs wrote; then
+``lsa sweep-eta`` on a grid whose step does not divide its span; then
+``lsa eval`` of the ``lsa_s`` model on parses that lack some test
+sentences and hold one whose forms do not align, so that parsed examples
+and examples that fall back to token distance share a forward (its
+standard error keeps the fallback warnings, which every other run
+silences); then ``lsa eval`` on each malformed input that the loaders
 must refuse (parses with a cycle, two roots, a head out of range, a
 ``# sent_id`` comment without ``=``, an ID cell ``+2`` or a ``# sent_id``
 comment after a sentence's first word; a test split with an aspect fault,
 or with an aspect past the model's context; a truncated checkpoint; a
-checkpoint whose vocabulary repeats a token), ``lsa analyze-clusters``
+checkpoint whose vocabulary repeats a token); ``lsa analyze-clusters``
 with ``--out`` naming a file and with a directory where it writes
-``clusters.csv``, and ``lsa train`` with a directory where it writes
-``checkpoint.bin``; then the rest of the CLI
-surface that the command
-table drives: ``lsa analyze-clusters`` on the ``mini.json`` and
-``mini_semeval.xml`` fixtures, ``lsa eval`` on a corpus that has a pair
-in every slice and once with ``--format absa-json`` (these runs are
-replayed too), ``lsa export-trajectory``, ``lsa --help`` and ``lsa eval
---help``, and each argv of ``usage_errors``, which argparse or a config
-check must refuse.  The exit code, the standard output and the standard
-error (the temporary directory's path replaced by a placeholder) and the
-bytes of the artifacts of each run are compared.
+``clusters.csv``; ``lsa train`` with a directory where it writes
+``checkpoint.bin``, and with a test split that holds an aspect past the
+context; ``lsa synth`` on a spec with ``rho=1.5``; ``lsa replay`` of a
+manifest whose command is ``frobnicate``; last, ``lsa export-trajectory``,
+``lsa --help`` and ``lsa eval --help``, and each argv of
+``usage_errors``, which argparse or a config check must refuse.
+The exit code, the standard output and the standard
+error (the temporary directory's path replaced by a placeholder), the
+names of the files each run leaves in its directory and the bytes of its
+artifacts are compared.
 
 Every difference is printed, and the exit code is 1 if there is one, else
 0.  Three kinds are printed apart and not counted: the oracle cases that
 only one side has; the CLI runs whose ``lsa train`` REV rejects as a
 usage error (exit 1) while the working tree runs it (a config value new
 in the working tree), with the eval and replay runs that follow from it;
-and the differences of the refusal runs in ``DECLARED``, inputs that the
-working tree refuses where an older REV ran on, ended in a traceback,
-refused later or refused in other words.
+and the differences of the runs in ``DECLARED``: inputs that the working
+tree refuses where an older REV ran on, ended in a traceback, refused
+later or refused in other words, and a grid that an older REV swept past
+its stop.
 The CLI runs and their inputs live in the temporary directory; no child
 writes byte code.
 """
@@ -92,14 +96,17 @@ ASPECT_FAULTS = {
 }
 FAULTY = 4  # the index of the sentence and of the example that hold the fault
 OCCUPIED = "occupied"  # the --out, beside the inputs, that holds a directory clusters.csv
-# the refusal runs whose exit code, output or artifacts differ from a REV
-# without the refusal, or with an older form of it, and what such a REV does
+# the runs whose exit code, output or artifacts differ from a REV without
+# their refusal or fix, or with an older form of it, and what such a REV does
 DECLARED = {
     "refuse/repeated_vocab_token": "evaluates, the first row of the repeated token unread",
     "refuse/artifact_is_a_directory": "prints the histogram before the refusal, or ends in an "
                                       "IsADirectoryError traceback",
     "refuse/past_context": "names neither the file nor the example",
     "refuse/checkpoint_is_a_directory": "trains, writes two artifacts and then refuses",
+    "refuse/synth_bad_rho": "names the spec 'synth spec', not its file",
+    "refuse/replay_unknown_command": "prints its 'replaying' line, then names no manifest",
+    "sweep_eta_uneven_grid": "trains a fourth point, eta_l 1.05 past the grid's stop",
 }
 # the runs that find a directory at one of their artifacts in their --out
 BLOCKED = {"refuse/checkpoint_is_a_directory": "checkpoint.bin"}
@@ -108,6 +115,7 @@ UNPARSED = (1, 2, 9)  # the test sentences that the mixed parses lack
 UNALIGNED = 6  # the test sentence whose first form the mixed parses change
 MIXED_RUN = "lsa_s_k1/eval_mixed_parses"  # the one CLI run whose warnings are kept
 TRAIN_ARTIFACTS = ("metrics.csv", "eta_trajectory.csv", "checkpoint.bin")
+RUN_STREAMS = ("stdout.txt", "stderr.txt")  # what cli_runs writes in each run's directory
 # the config file and the synth spec, beside the inputs; {inputs} is their directory
 CLI_CONFIG = """variant=lsa_s
 no_dwa=yes
@@ -247,7 +255,9 @@ def write_malformed_inputs(out: Path) -> None:
     first aspect broken, the test split with ``PAST_CONTEXT`` tokens and an
     aspect on the last added to example ``FAULTY``, ``mini_checkpoint.bin``
     cut 8 bytes short and with its vocabulary entry 5 set to entry 4, and
-    the directory ``OCCUPIED/clusters.csv``."""
+    the directory ``OCCUPIED/clusters.csv``, a synth spec with rho 1.5 and
+    a manifest of the command ``frobnicate``."""
+    from lsa.runio import build_manifest
     from util import with_edited_vocabulary
 
     sentences = (out / "parses.conllu").read_text().split("\n\n")
@@ -289,6 +299,8 @@ def write_malformed_inputs(out: Path) -> None:
     repeated = with_edited_vocabulary(blob, lambda vocab: vocab.__setitem__(5, vocab[4]))
     (out / "repeated_token.bin").write_bytes(repeated)
     (out / OCCUPIED / "clusters.csv").mkdir(parents=True)
+    (out / "bad_rho.spec").write_text("rho=1.5\n")
+    (out / "frobnicate.json").write_text(json.dumps(build_manifest("frobnicate", {}, [])))
 
 
 def cli_cases(inputs: Path, out: Path) -> list:
@@ -322,8 +334,12 @@ def cli_cases(inputs: Path, out: Path) -> list:
                   ("eval.csv",)))
     cases.append(("eval_format", [*plain_eval, "--dataset", inputs / "test.json",
                                   "--format", "absa-json"], ("eval.csv",)))
+    cases.append(("train_test_split", ["train", *data, "--test-path", inputs / "test.json"],
+                  TRAIN_ARTIFACTS))
     cases += [(f"replay/{name}", ["replay", out / name / "manifest.json"], artifacts)
               for name, _, artifacts in cases]
+    cases.append(("sweep_eta_uneven_grid", ["sweep-eta", *data, "--grid", "0:1:0.35"],
+                  ("sweep_eta.csv",)))
     trained = out / "lsa_s_k1" / "checkpoint.bin"
     cases.append((MIXED_RUN, ["eval", "--checkpoint", trained, "--dataset", inputs / "test.json",
                               "--parses", inputs / "mixed.conllu"], ("eval.csv",)))
@@ -340,7 +356,12 @@ def cli_cases(inputs: Path, out: Path) -> list:
                                             "--out", inputs / "mini.json"], ()))
     cases.append(("refuse/artifact_is_a_directory", ["analyze-clusters", inputs / "mini.json",
                                                       "--out", inputs / OCCUPIED], ()))
-    cases.append(("refuse/checkpoint_is_a_directory", ["train", *data], TRAIN_ARTIFACTS[:2]))
+    cases.append(("refuse/checkpoint_is_a_directory", ["train", *data], ()))
+    cases.append(("refuse/test_split_past_context",
+                  ["train", *data, "--test-path", inputs / "past_context.json"], ()))
+    cases.append(("refuse/synth_bad_rho",
+                  ["synth", "--spec", inputs / "bad_rho.spec", "--seed", "4"], ()))
+    cases.append(("refuse/replay_unknown_command", ["replay", inputs / "frobnicate.json"], ()))
     cases.append(("export_trajectory", ["export-trajectory", "--run", plain], (EXPORTED,)))
     cases += [("help", ["--help"], ()), ("help/eval", ["eval", "--help"], ())]
     cases += [(f"usage/{name}", argv, ()) for name, argv in usage_errors(inputs, data).items()]
@@ -426,8 +447,9 @@ def base_run(name: str) -> str:
 def compare_cli(inputs: Path, parent: Path,
                 tree: Path) -> tuple[list[str], list[str], list[str]]:
     """The differences between the CLI runs written under ``parent`` and
-    those under ``tree``: exit codes, standard output and error, and the
-    bytes of each artifact.  The first list holds those of the runs both
+    those under ``tree``: exit codes, standard output and error, the names
+    of the files each run leaves in its directory, and the bytes of each
+    artifact.  The first list holds those of the runs both
     sides can make, but the ``DECLARED`` ones; the second names the runs
     that follow from a run REV rejects as a usage error and the working
     tree makes; the third holds the differences of the ``DECLARED`` runs."""
@@ -444,6 +466,10 @@ def compare_cli(inputs: Path, parent: Path,
             if text[0] != text[1]:
                 diffs[name].append(
                     f"CLI {name} {stream}: REV {text[0]!r}, working tree {text[1]!r}")
+        files = [sorted(f.name for f in (side / name).iterdir()
+                        if f.is_file() and f.name not in RUN_STREAMS) for side in (parent, tree)]
+        if files[0] != files[1]:
+            diffs[name].append(f"CLI {name} files: REV {files[0]}, working tree {files[1]}")
         for artifact in artifacts:
             a, b = parent / name / artifact, tree / name / artifact
             if not (a.is_file() and b.is_file()):
@@ -542,7 +568,7 @@ def main(argv=None) -> int:
         print(f"{len(cli_cases(inputs, tmp)) - len(new) - len(DECLARED)} CLI runs both sides "
               f"can make, declared refusals aside: {len(found)} differences", flush=True)
         for name, before in DECLARED.items():
-            print(f"declared: {name}; a REV without this refusal {before}", flush=True)
+            print(f"declared: {name}; a REV without this change {before}", flush=True)
         for line in declared:
             print(f"declared: {line}", flush=True)
         rev, here = (json.loads((tmp / side / "exits.json").read_text())

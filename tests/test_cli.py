@@ -468,10 +468,17 @@ def test_sweep_eta_grid_rows(corpus, tmp_path):
         assert eta_r == pytest.approx(1.0 - eta_l)
 
 
-def test_sweep_eta_eleven_point_grid_parses():
+@pytest.mark.parametrize("spec, count", [
+    ("0:1:0.1", 11), ("0:0.3:0.1", 4), ("0:1:0.5", 3), ("0:1:0.35", 3), ("0:1:0.15", 7)])
+def test_sweep_eta_grid_stops_at_its_stop(spec, count):
+    """A grid holds every point from start to stop, and none past it but
+    by rounding: 0:1:0.35 once swept eta_l = 1.05."""
     from lsa.cli import _parse_grid
 
-    assert len(_parse_grid("0:1:0.1")) == 11
+    start, stop, step = map(float, spec.split(":"))
+    grid = _parse_grid(spec)
+    assert len(grid) == count
+    assert grid[0] == start and max(grid) <= stop + 1e-9 * step < grid[-1] + step
 
 
 def test_sweep_seeds_rows_and_summary(corpus, tmp_path):
@@ -914,7 +921,7 @@ def test_export_trajectory_refuses_a_csv_with_another_header(tmp_path, capsys):
     (json.dumps({"command": "train", "dataset_hashes": {}}), "{path}: manifest missing 'args'"),
     (json.dumps({"command": "frobnicate", "args": {}, "dataset_hashes": {},
                  "config_hash": config_hash({})}),
-     "manifest command 'frobnicate' cannot be replayed"),
+     "{path}: manifest command 'frobnicate' cannot be replayed"),
 ], ids=["invalid_json", "no_command", "no_args", "unknown_command"])
 def test_replay_refuses_a_manifest_it_cannot_run(text, message, tmp_path, capsys):
     path = tmp_path / "manifest.json"

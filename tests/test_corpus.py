@@ -576,18 +576,18 @@ def test_synth_spec_rejects_non_finite_numbers(line, message, tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("vocab_size=2", "synth spec: vocab_size must be >= 3"),
-    ("train=0", "synth spec: split sizes must be positive"),
-    ("rho=1.5", "synth spec: rho must be in [0, 1]"),
-    ("implicit_fraction=1", "synth spec: implicit_fraction must be in [0, 1)"),
-    ("rho=0\nimplicit_fraction=0.1", "synth spec: implicit aspects with rho=0 would be "
+    ("vocab_size=2", "{path}: vocab_size must be >= 3"),
+    ("train=0", "{path}: split sizes must be positive"),
+    ("rho=1.5", "{path}: rho must be in [0, 1]"),
+    ("implicit_fraction=1", "{path}: implicit_fraction must be in [0, 1)"),
+    ("rho=0\nimplicit_fraction=0.1", "{path}: implicit aspects with rho=0 would be "
                                       "unlearnable"),
-    ("aspects=0:1", "synth spec: bad aspects-per-example distribution"),
-    ("aspects=2:-1", "synth spec: bad aspects-per-example distribution"),
-    ("aspects=2:0,3:0", "synth spec: aspect distribution weights sum to zero"),
-    ("implicit_fraction=0.1\naspects=3:1", "synth spec: implicit aspects require two-aspect "
+    ("aspects=0:1", "{path}: bad aspects-per-example distribution"),
+    ("aspects=2:-1", "{path}: bad aspects-per-example distribution"),
+    ("aspects=2:0,3:0", "{path}: aspect distribution weights sum to zero"),
+    ("implicit_fraction=0.1\naspects=3:1", "{path}: implicit aspects require two-aspect "
                                             "examples"),
-    ("implicit_fraction=0.6\naspects=2:0.2,3:0.8", "synth spec: implicit_fraction 0.6 "
+    ("implicit_fraction=0.6\naspects=2:0.2,3:0.8", "{path}: implicit_fraction 0.6 "
                                                     "unreachable with this aspect distribution"),
     ("colour=red", "{path}: unknown synth spec key 'colour'"),
     ("rho=0.5\nrho", "{path}:2: expected key=value"),
@@ -595,10 +595,16 @@ def test_synth_spec_rejects_non_finite_numbers(line, message, tmp_path):
         "weight_negative", "weights_zero", "no_two_aspect", "unreachable", "unknown_key",
         "no_equals"])
 def test_synth_spec_refuses_each_bad_spec(text, message, tmp_path):
+    """Each fault of a spec file names the file."""
     path = tmp_path / "spec.txt"
     path.write_text(text + "\n")
     with pytest.raises(DataError, match=f"^{re.escape(message.format(path=path))}$"):
         SynthSpec.from_file(path)
+
+
+def test_a_spec_in_memory_is_named_the_synth_spec():
+    with pytest.raises(DataError, match=r"^synth spec: rho must be in \[0, 1\]$"):
+        generate_synthetic_corpus(SynthSpec(rho=1.5), 0)
 
 
 def test_synth_emits_loadable_schema(tmp_path):

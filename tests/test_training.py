@@ -26,6 +26,7 @@ from lsa.corpus import (
 )
 from lsa.distance import DependencyTree, load_parses
 from lsa.encoder import ConfigError, Vocabulary
+from lsa.optim import AdamW
 from lsa.runio import canonical_json
 from lsa.window import VARIANTS, ExampleInputs, Model, ModelConfig
 from lsa.training import (
@@ -449,20 +450,32 @@ def mini_config(**overrides) -> TrainConfig:
         "parse_path": str(FIXTURES / "mini.conllu"), **overrides})
 
 
-def test_train_builds_each_example_once_per_run(monkeypatch, caplog):
-    """``train`` builds the host inputs of each train and valid example once
-    per run, in dataset order, and none without an epoch; so it counts each
-    example without a usable parse once, whatever the epochs, and the first
-    fallback warning names the first of them."""
+def test_train_builds_each_example_once_per_run(monkeypatch, caplog, tmp_path):
+    """``train`` builds the host inputs of each train, valid and test example
+    once per run, in dataset order, before its first step, and none without
+    an epoch; so it counts each example without a usable parse once,
+    whatever the epochs, and the first fallback warning names the first of
+    them."""
     examples = [ex for ex in load_dataset(FIXTURES / "mini.json").examples if ex.aspects]
-    built = []
-    forward_example = Model.forward_example
+    built, steps = [], []  # the text of each example built; the examples built at each step
+    forward_example, step = Model.forward_example, AdamW.step
 
     def recording_forward_example(self, example, trees=None):
         built.append(example.text)
         return forward_example(self, example, trees)
 
+    def recording_step(self):
+        steps.append(len(built))
+        step(self)
+
     monkeypatch.setattr(Model, "forward_example", recording_forward_example)
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    test = examples[:3]
+    save_dataset(Dataset(test), tmp_path / "test.json")
+    train(mini_config(test_path=str(tmp_path / "test.json")))
+    assert built == 2 * [ex.text for ex in examples] + [ex.text for ex in test]
+    assert steps and set(steps) == {len(built)}  # all built before the first step
+    built.clear()
     assert train(mini_config(epochs=0)).model.syntax_fallbacks == 0 and built == []
     fallbacks = []
     for epochs in (1, 3):
@@ -511,14 +524,18 @@ def test_an_aspect_past_max_len_fails_before_the_first_step(monkeypatch, tmp_pat
     assert backwards == []
 
 
-def test_an_aspect_past_max_len_in_the_test_split_is_named(tmp_path):
-    """The test split is built after training, and its fault names it too."""
+def test_an_aspect_past_max_len_in_the_test_split_is_named(monkeypatch, tmp_path):
+    """The test split is built with the train and valid splits, before the
+    first step, and its fault names it."""
+    steps = []
+    monkeypatch.setattr(AdamW, "step", lambda optimizer: steps.append(optimizer))
     fits = fits_mini(tmp_path)
     config = mini_config(max_len=9, train_path=fits, valid_path=fits,
                          test_path=str(FIXTURES / "mini.json"))
     with pytest.raises(DataError, match=re.escape(f"{FIXTURES / 'mini.json'}: examples[8]: "
                                                   "aspect [10, 11) extends past")):
         train(config)
+    assert steps == []
 
 
 def test_validation_holdout_when_no_valid_path(corpus):

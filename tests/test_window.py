@@ -25,6 +25,7 @@ from lsa.window import (
 
 from util import (
     FIXTURES,
+    make_example,
     reference_position_weights,
     softmax,
     sum_all,
@@ -616,6 +617,19 @@ def test_lsa_s_keeps_syntax_past_the_context_limit():
     distances = [n, 1, 2, 0] + [2] * (n - 3)  # word 2 hangs from word 0, as all others do
     expected = np.stack([position_weight(distances, model.config.alpha, n), np.ones(n + 1)])
     np.testing.assert_array_equal(weights, expected)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_names_the_example_with_an_aspect_past_the_context(variant):
+    """``Model.forward`` builds its inputs with ``Model.host_inputs``, so a
+    fault names the example's index, in a dataset of no file."""
+    model = tiny_model(variant=variant)  # max_len 32: the context keeps 31 tokens
+    tokens = [f"w{i % 12}" for i in range(40)]
+    past = Example(" ".join(tokens), tokens,
+                   [AspectAnnotation(35, 36, ("w11",), Polarity.POSITIVE)])
+    with pytest.raises(DataError, match=r"^dataset: examples\[2\]: aspect \[35, 36\) extends "
+                                        r"past the 31-token context limit$"):
+        model.forward([make_example(["positive"]), make_example([]), past])
 
 
 @pytest.mark.parametrize(
