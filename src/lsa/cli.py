@@ -16,10 +16,10 @@ has pairs.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import asdict, fields
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -93,15 +93,18 @@ def _config_inputs(config: TrainConfig) -> list:
     return [config.train_path, config.valid_path, config.test_path, config.parse_path]
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str) -> list[Decimal]:
+    """The points start, start + step, ... up to stop, as exact decimals of
+    the spec's text: the point 0.3 is 0.3, and 1 - 0.7 is 0.3."""
     try:
-        start, stop, step = (float(p) for p in spec.split(":"))
-    except ValueError:
+        start, stop, step = (Decimal(p) for p in spec.split(":"))
+    except (ValueError, InvalidOperation):
         raise ConfigError(f"grid must be start:stop:step, got {spec!r}")
+    if not all(p.is_finite() for p in (start, stop, step)):
+        raise ConfigError(f"grid must have finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError("grid must have positive step and stop >= start")
-    count = math.floor((stop - start) / step + 1e-9) + 1  # no point past stop
-    return [start + i * step for i in range(count)]
+    return [start + i * step for i in range(int((stop - start) // step) + 1)]
 
 
 def _parse_seeds(spec: str) -> list[int]:

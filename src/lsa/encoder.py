@@ -224,25 +224,3 @@ def encode(ids, params: EncoderParams, valid: np.ndarray) -> Tensor:
         x = self_attention_block(x, blk, params.heads, valid)
     return x
 
-
-def build_spc_input(context_tokens, aspect_tokens, vocab: Vocabulary, max_len: int):
-    """[CLS] context [SEP] aspect [SEP] ids; context truncated from the
-    right if needed, the aspect never."""
-    if len(aspect_tokens) == 0:
-        raise ConfigError("SPC input needs a non-empty aspect")
-    budget = max_len - 3 - len(aspect_tokens)
-    if budget < 0:
-        raise ConfigError(
-            f"aspect of {len(aspect_tokens)} tokens cannot fit max length {max_len}"
-        )
-    ctx = list(context_tokens)[:budget]
-    ids = np.concatenate(
-        [
-            [vocab.cls_id],
-            vocab.encode(ctx),
-            [vocab.sep_id],
-            vocab.encode(aspect_tokens),
-            [vocab.sep_id],
-        ]
-    ).astype(np.int64)
-    return ids

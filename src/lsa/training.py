@@ -213,9 +213,9 @@ def predict(model: Model, inputs: list[ExampleInputs]) -> np.ndarray:
     return preds
 
 
-def evaluate(model: Model, dataset: Dataset, trees=None, path="dataset") -> Metrics:
+def evaluate(model: Model, dataset: Dataset, trees=None) -> Metrics:
     """Metrics over every (example, aspect) pair."""
-    return evaluate_slices(model, dataset, trees, slices={}, path=path)["all"]
+    return evaluate_slices(model, dataset, trees, slices={})["all"]
 
 
 def evaluate_slices(model: Model, dataset: Dataset, trees=None, slices=SLICES,
@@ -360,7 +360,9 @@ def train(config: TrainConfig) -> TrainResult:
 
 def static_eta_sweep(config: TrainConfig, grid) -> list[tuple[float, float, float, float]]:
     """Train once per static (eta_l, 1 - eta_l) grid point with the
-    learnable weighting disabled; rows are (eta_l, eta_r, acc, macro_f1)."""
+    learnable weighting disabled; rows are (eta_l, eta_r, acc, macro_f1),
+    the side weights as the trained model reads them: a side with no slot
+    reads 1.  A ``Decimal`` grid point gives an exact 1 - eta_l."""
     grid = list(grid)
     if not grid:
         raise ConfigError("empty eta grid")
@@ -368,9 +370,9 @@ def static_eta_sweep(config: TrainConfig, grid) -> list[tuple[float, float, floa
         raise ConfigError("eta sweep needs at least one epoch")
     rows = []
     for eta_l in grid:
-        eta_l = float(eta_l)
-        m = train(replace(config, no_dwa=True, frozen_eta=(eta_l, 1.0 - eta_l))).final_metrics
-        rows.append((eta_l, 1.0 - eta_l, m.accuracy, m.macro_f1))
+        result = train(replace(config, no_dwa=True, frozen_eta=(float(eta_l), float(1 - eta_l))))
+        rows.append((*result.model.eta_values(), result.final_metrics.accuracy,
+                     result.final_metrics.macro_f1))
     return rows
 
 

@@ -19,24 +19,27 @@ side of it under ``la_only``/``ra_only``; k = 0 is the plain backbone, one
 slot and no side weight.  Two scalars re-weight the side slots, the left
 ones at negative offsets and the right ones at positive offsets: learned
 from 1, frozen constants, or the constant 1 (``Model.side_weights``).  A
-model holds a learned side weight only for a side that has a slot.
+model holds a learned or frozen side weight only for a side that has a slot.
 
-``Model.forward`` runs a whole batch as one tensor forward.  The host work
-of each example (token ids, SPC inputs, the parse and its alignment) is
-done once per example by ``Model.host_inputs``, and ``Model.logits``
-runs the tensor forward over those inputs.  One encoder call covers every
-sequence of the batch, on its real tokens only: the hidden states are
-packed, one row per token, and ``valid`` records where each sequence's
-tokens sit.  The position weights of the whole batch come from one
-vectorized pass (``position_weights``) over the rows of the aspect
-tokens only: token distances |i - j|, or tree distances from one climb of
-the forest of the batch's parses, summed per aspect and divided once.
-One ``head.sa`` call on the packed rows gives every feature row, one per
-row of position weights: in ``lsa_t``/``lsa_s`` one row per aspect plus
-one pooled row per example, in ``lsa_p`` one unit row per SPC input.
-``build_window`` turns the rows into a (pairs, slots) index array that
-never leaves an example, and the DWA scaling, the projection, the
-classifier and the loss each run once over all pairs.
+``Model.forward`` runs a whole batch as one tensor forward.  The host
+work of each example is done once, by ``Model.forward_example`` through
+``Model.host_inputs``: the token ids of its context, encoded once, and
+the parse and its alignment (``lsa_s``), or under ``lsa_p`` one SPC
+input per aspect built from those ids, ``[CLS] context [SEP] term
+[SEP]``.  ``Model.logits`` runs the tensor forward over those inputs.
+One encoder call covers every sequence of the batch, on its real tokens
+only: the hidden states are packed, one row per token, and ``valid``
+records where each sequence's tokens sit.  The position weights of the
+whole batch come from one vectorized pass (``position_weights``) over
+the rows of the aspect tokens only: token distances |i - j|, or tree
+distances from one climb of the forest of the batch's parses, summed per
+aspect and divided once.  One ``head.sa`` call on the packed rows gives
+every feature row, one per row of position weights: in
+``lsa_t``/``lsa_s`` one row per aspect plus one pooled row per example,
+in ``lsa_p`` one unit row per SPC input.  ``build_window`` turns the
+rows into a (pairs, slots) index array that never leaves an example, and
+the DWA scaling, the projection, the classifier and the loss each run
+once over all pairs.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .encoder import (
     ConfigError,
     EncoderParams,
     Vocabulary,
-    build_spc_input,
     encode,
     self_attention_block,
 )
@@ -311,10 +313,10 @@ class Model:
         dec_in = d if config.variant == "lsa_p" else 2 * d
         offsets = config.slot_offsets
         self.head = OutputHead.init(d, ffn, len(offsets), dec_in, rng)
-        # the learned side weights, from 1: one per side that has a slot
+        # a side weight for each side that has a slot: learned from 1, or a frozen constant
         sides = {"dwa.eta_l": offsets.min() < 0, "dwa.eta_r": offsets.max() > 0}
-        self.eta = {} if config.no_dwa else {
-            name: ad.parameter(np.ones(1)) for name, has_slot in sides.items() if has_slot}
+        self.eta = {} if config.no_dwa else {n: ad.parameter(np.ones(1)) for n in sides if sides[n]}
+        self.frozen_eta = {n: eta for n, eta in zip(sides, config.frozen_eta or ()) if sides[n]}
         self.syntax_fallbacks = 0
         self._warned: set[str] = set()  # the fallback reasons already logged
 
@@ -334,12 +336,12 @@ class Model:
         """The (left, right) side weights: learned, the frozen constants,
         or None for the constant 1 or a window with no side slot (k = 0).
         A side with no slot reads as the constant 1."""
-        if self.config.frozen_eta is not None:  # validate: only under no_dwa, k >= 1
-            return tuple(Tensor(np.array([eta])) for eta in self.config.frozen_eta)
-        if not self.eta:
+        # validate: frozen weights only under no_dwa, so at most one dict is not empty
+        weights = self.eta | {n: Tensor(np.array([eta])) for n, eta in self.frozen_eta.items()}
+        if not weights:
             return None
         one = Tensor(np.ones(1))
-        return self.eta.get("dwa.eta_l", one), self.eta.get("dwa.eta_r", one)
+        return weights.get("dwa.eta_l", one), weights.get("dwa.eta_r", one)
 
     def eta_values(self) -> tuple[float, float]:
         eta = self.side_weights()
@@ -383,21 +385,26 @@ class Model:
     def forward_example(self, example: Example, trees=None) -> ExampleInputs:
         """The host-side inputs of one example's forward: token ids of the
         context (``lsa_t``/``lsa_s``) with its aspect spans and parse, or of
-        one SPC input per aspect (``lsa_p``).  An aspect that does not fit
-        the context or its SPC input is a DataError."""
+        one SPC input per aspect (``lsa_p``), ``[CLS] context [SEP] term
+        [SEP]`` with the context cut from the right, the term never.  The
+        context is encoded once.  An aspect that does not fit the context or
+        its SPC input is a DataError."""
         tokens = self._context_tokens(example)
+        ids = self.vocab.encode(tokens)
+        cls, sep = [self.vocab.cls_id], [self.vocab.sep_id]
         aspects = len(example.aspects)
         if self.config.variant == "lsa_p":
-            try:
-                spc = [build_spc_input(tokens, list(a.term), self.vocab, self.config.max_len)
-                       for a in example.aspects]
-            except ConfigError as e:  # the aspect is too long for max_len
-                raise DataError(str(e))
+            spc = []
+            for a in example.aspects:  # a's term is ids[a.start:a.end], as it fits the context
+                budget = self.config.max_len - 3 - len(a.term)
+                if budget < 0:
+                    raise DataError(f"aspect of {len(a.term)} tokens cannot fit max length "
+                                    f"{self.config.max_len}")
+                spc.append(np.concatenate([cls, ids[:budget], sep, ids[a.start:a.end], sep]))
             return ExampleInputs(aspects, spc)
-        ids = np.concatenate([[self.vocab.cls_id], self.vocab.encode(tokens)])
         spans = [(a.start, a.end) for a in example.aspects]
         parse = self._parse(example, len(tokens), trees) if self.config.variant == "lsa_s" else None
-        return ExampleInputs(aspects, [ids.astype(np.int64)], spans, parse)
+        return ExampleInputs(aspects, [np.concatenate([cls, ids])], spans, parse)
 
     def global_context(self, inputs: list[ExampleInputs]) -> tuple[Tensor, np.ndarray]:
         """One encoder call over every sequence of a batch: the hidden

@@ -14,13 +14,18 @@ of its details line are compared.  Last, one child process per side runs
 the CLI on the same inputs, written once by the working tree's
 ``bench/workloads.py``: ``lsa train`` and then ``lsa eval --parses`` for
 every variant, k = 0 (the backbone) with no ablation flag, and k = 1 and 2
-with no ablation flag or each one; ``lsa train --config`` on a config
+with no ablation flag or each one, and with ``--la-only`` and frozen side
+weights; ``lsa train --variant lsa_p --max-len 41`` and its ``lsa eval``,
+whose SPC inputs cut the context of 12 of the train split's pairs (3
+examples) and of 101 of the test split's (26 examples), where every
+other ``lsa_p`` run cuts none; ``lsa train --config`` on a config
 file; ``lsa synth`` on a spec that sets every key; ``lsa sweep-eta`` and
 ``lsa sweep-seeds``; ``lsa analyze-clusters`` on the ``mini.json`` and
 ``mini_semeval.xml`` fixtures; ``lsa eval`` on a corpus that has a pair in
 every slice and once with ``--format absa-json``; ``lsa train`` with a
 test split; then ``lsa replay`` of every manifest those runs wrote; then
-``lsa sweep-eta`` on a grid whose step does not divide its span; then
+``lsa sweep-eta`` on a grid whose step does not divide its span and on
+the default grid 0:1:0.1; then
 ``lsa eval`` of the ``lsa_s`` model on parses that lack some test
 sentences and hold one whose forms do not align, so that parsed examples
 and examples that fall back to token distance share a forward (its
@@ -33,9 +38,11 @@ or with an aspect past the model's context; a truncated checkpoint; a
 checkpoint whose vocabulary repeats a token); ``lsa analyze-clusters``
 with ``--out`` naming a file and with a directory where it writes
 ``clusters.csv``; ``lsa train`` with a directory where it writes
-``checkpoint.bin``, and with a test split that holds an aspect past the
-context; ``lsa synth`` on a spec with ``rho=1.5``; ``lsa replay`` of a
-manifest whose command is ``frobnicate``; last, ``lsa export-trajectory``,
+``checkpoint.bin``, with a test split that holds an aspect past the
+context, and ``--variant lsa_p --max-len 9`` on a split with a 7-token
+term, which no SPC input of that length can hold; ``lsa synth`` on a
+spec with ``rho=1.5``; ``lsa replay`` of a manifest whose command is
+``frobnicate``; last, ``lsa export-trajectory``,
 ``lsa --help`` and ``lsa eval --help``, and each argv of
 ``usage_errors``, which argparse or a config check must refuse.
 The exit code, the standard output and the standard
@@ -48,10 +55,10 @@ Every difference is printed, and the exit code is 1 if there is one, else
 only one side has; the CLI runs whose ``lsa train`` REV rejects as a
 usage error (exit 1) while the working tree runs it (a config value new
 in the working tree), with the eval and replay runs that follow from it;
-and the differences of the runs in ``DECLARED``: inputs that the working
-tree refuses where an older REV ran on, ended in a traceback, refused
-later or refused in other words, and a grid that an older REV swept past
-its stop.
+and the differences of the runs in ``DECLARED``, those that the change
+under test means to alter, measured against its parent.  A declared run
+that shows no difference is counted: a declaration holds for one change,
+and one left in place would hide a later regression of its run.
 The CLI runs and their inputs live in the temporary directory; no child
 writes byte code.
 """
@@ -79,11 +86,15 @@ BATCHES = (1, 3, None)  # examples per forward; None: all at once
 BENCH_SECONDS = 1
 CLI_INPUTS = ("eval_lsa_s_parsed", 1)  # the workload and the seed that write them
 CLI_TRAIN = ["--d-model", "16", "--layers", "1", "--heads", "2", "--epochs", "2", "--seed", "3"]
+ONE_SIDED_FROZEN = ["--la-only", "--no-dwa", "--frozen-eta", "0.3,0.7"]
 # (k, ablation flags) of the train runs of each variant
 CLI_WINDOWS = [("0", [])] + [
     (k, flags) for k in ("1", "2") for flags in (
-        [], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--no-dwa", "--frozen-eta", "0.3,0.7"])
+        [], ["--no-dwa"], ["--la-only"], ["--ra-only"], ["--no-dwa", "--frozen-eta", "0.3,0.7"],
+        ONE_SIDED_FROZEN)
 ]
+SPC_CUT = ["--variant", "lsa_p", "--max-len", "41"]  # cuts the SPC context of some examples
+SPC_TERM_CUT = ["--variant", "lsa_p", "--max-len", "9"]  # leaves no room for a 7-token term
 # the malformed inputs of the refusal runs: a fault in one sentence's heads,
 # ID cells or sent_id comments, or in the first aspect of one test example
 PARSE_FAULTS = ("cyclic", "two_roots", "head_out_of_range", "sent_id_without_value",
@@ -96,17 +107,24 @@ ASPECT_FAULTS = {
 }
 FAULTY = 4  # the index of the sentence and of the example that hold the fault
 OCCUPIED = "occupied"  # the --out, beside the inputs, that holds a directory clusters.csv
+
+
+def window_run(variant: str, k: str, flags: list) -> str:
+    """The name of the train run of ``variant`` at window size ``k`` with ``flags``."""
+    return "_".join([variant, "k" + k, *(f.strip("-") for f in flags)])
+
+
 # the runs whose exit code, output or artifacts differ from a REV without
-# their refusal or fix, or with an older form of it, and what such a REV does
+# this change, and what such a REV does
 DECLARED = {
-    "refuse/repeated_vocab_token": "evaluates, the first row of the repeated token unread",
-    "refuse/artifact_is_a_directory": "prints the histogram before the refusal, or ends in an "
-                                      "IsADirectoryError traceback",
-    "refuse/past_context": "names neither the file nor the example",
-    "refuse/checkpoint_is_a_directory": "trains, writes two artifacts and then refuses",
-    "refuse/synth_bad_rho": "names the spec 'synth spec', not its file",
-    "refuse/replay_unknown_command": "prints its 'replaying' line, then names no manifest",
-    "sweep_eta_uneven_grid": "trains a fourth point, eta_l 1.05 past the grid's stop",
+    "sweep_eta_uneven_grid": "writes eta_r 0.30000000000000004 at eta_l 0.7",
+    "sweep_eta_default_grid": "trains eta_l 0.30000000000000004, 0.6000000000000001 and "
+                              "0.7000000000000001, and writes eta_r 0.3999999999999999 at "
+                              "eta_l 0.6",
+} | {
+    f"{replay}{window_run(variant, k, ONE_SIDED_FROZEN)}":
+        "logs eta_r 0.7, which no window slot reads, in eta_trajectory.csv"
+    for replay in ("", "replay/") for variant in ("lsa_t", "lsa_s", "lsa_p") for k in ("1", "2")
 }
 # the runs that find a directory at one of their artifacts in their --out
 BLOCKED = {"refuse/checkpoint_is_a_directory": "checkpoint.bin"}
@@ -255,8 +273,9 @@ def write_malformed_inputs(out: Path) -> None:
     first aspect broken, the test split with ``PAST_CONTEXT`` tokens and an
     aspect on the last added to example ``FAULTY``, ``mini_checkpoint.bin``
     cut 8 bytes short and with its vocabulary entry 5 set to entry 4, and
-    the directory ``OCCUPIED/clusters.csv``, a synth spec with rho 1.5 and
-    a manifest of the command ``frobnicate``."""
+    the directory ``OCCUPIED/clusters.csv``, a synth spec with rho 1.5, a
+    manifest of the command ``frobnicate`` and ``spc_term.json``, a split
+    whose second example holds a 7-token term."""
     from lsa.runio import build_manifest
     from util import with_edited_vocabulary
 
@@ -300,6 +319,10 @@ def write_malformed_inputs(out: Path) -> None:
     (out / "repeated_token.bin").write_bytes(repeated)
     (out / OCCUPIED / "clusters.csv").mkdir(parents=True)
     (out / "bad_rho.spec").write_text("rho=1.5\n")
+    long_term = [{"text": " ".join(tokens), "tokens": tokens, "aspects": [
+        {"span": span, "term": tokens[span[0]:span[1]], "polarity": "positive"}]}
+        for tokens, span in ((["w0", "w1"], [0, 1]), ([f"w{i}" for i in range(8)], [1, 8]))]
+    (out / "spc_term.json").write_text(json.dumps({"version": 1, "examples": long_term}))
     (out / "frobnicate.json").write_text(json.dumps(build_manifest("frobnicate", {}, [])))
 
 
@@ -313,12 +336,15 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases = []
     for variant in ("lsa_t", "lsa_s", "lsa_p"):
         for k, flags in CLI_WINDOWS:
-            name = "_".join([variant, "k" + k, *(f.strip("-") for f in flags)])
+            name = window_run(variant, k, flags)
             train = ["train", *data, "--variant", variant, "--k", k, *flags]
             evaluate = ["eval", "--checkpoint", out / name / "checkpoint.bin",
                         "--dataset", inputs / "test.json", "--parses", parses]
             cases += [(name, train, TRAIN_ARTIFACTS), (f"{name}/eval", evaluate, ("eval.csv",))]
     cases += [
+        ("lsa_p_spc_cut", ["train", *data, *SPC_CUT], TRAIN_ARTIFACTS),
+        ("lsa_p_spc_cut/eval", ["eval", "--checkpoint", out / "lsa_p_spc_cut" / "checkpoint.bin",
+                                "--dataset", inputs / "test.json"], ("eval.csv",)),
         ("config_file", ["train", "--config", inputs / "train.cfg"], TRAIN_ARTIFACTS),
         ("synth", ["synth", "--spec", inputs / "synth.spec", "--seed", "4"],
          ("train.json", "valid.json", "test.json")),
@@ -339,6 +365,8 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases += [(f"replay/{name}", ["replay", out / name / "manifest.json"], artifacts)
               for name, _, artifacts in cases]
     cases.append(("sweep_eta_uneven_grid", ["sweep-eta", *data, "--grid", "0:1:0.35"],
+                  ("sweep_eta.csv",)))
+    cases.append(("sweep_eta_default_grid", ["sweep-eta", *data, "--grid", "0:1:0.1"],
                   ("sweep_eta.csv",)))
     trained = out / "lsa_s_k1" / "checkpoint.bin"
     cases.append((MIXED_RUN, ["eval", "--checkpoint", trained, "--dataset", inputs / "test.json",
@@ -362,6 +390,9 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases.append(("refuse/synth_bad_rho",
                   ["synth", "--spec", inputs / "bad_rho.spec", "--seed", "4"], ()))
     cases.append(("refuse/replay_unknown_command", ["replay", inputs / "frobnicate.json"], ()))
+    spc_term = inputs / "spc_term.json"
+    cases.append(("refuse/spc_term_too_long", ["train", "--train-path", spc_term, "--valid-path",
+                                               spc_term, *CLI_TRAIN, *SPC_TERM_CUT], ()))
     cases.append(("export_trajectory", ["export-trajectory", "--run", plain], (EXPORTED,)))
     cases += [("help", ["--help"], ()), ("help/eval", ["eval", "--help"], ())]
     cases += [(f"usage/{name}", argv, ()) for name, argv in usage_errors(inputs, data).items()]
@@ -480,6 +511,8 @@ def compare_cli(inputs: Path, parent: Path,
                 diffs[name].append(f"CLI {name} {artifact}: the bytes differ")
     found = [line for name, lines in diffs.items()
              if base_run(name) not in new and name not in DECLARED for line in lines]
+    found += [f"CLI {name}: declared, but REV does the same"
+              for name in DECLARED if name not in diffs]
     declared = [line for name in DECLARED for line in diffs.get(name, [])]
     return found, sorted(name for name in diffs if base_run(name) in new), declared
 

@@ -462,23 +462,28 @@ def test_sweep_eta_grid_rows(corpus, tmp_path):
     assert run(sweep_args("sweep-eta", corpus, out, ["--grid", "0:1:0.5"])) == 0
     rows = (out / "sweep_eta.csv").read_text().splitlines()
     assert rows[0] == "eta_l,eta_r,acc,macro_f1"
-    assert len(rows) == 4  # header + {0, 0.5, 1}
-    for line in rows[1:]:
-        eta_l, eta_r = (float(x) for x in line.split(",")[:2])
-        assert eta_r == pytest.approx(1.0 - eta_l)
+    assert [line.split(",")[:2] for line in rows[1:]] == [
+        ["0.0", "1.0"], ["0.5", "0.5"], ["1.0", "0.0"]]
 
 
 @pytest.mark.parametrize("spec, count", [
     ("0:1:0.1", 11), ("0:0.3:0.1", 4), ("0:1:0.5", 3), ("0:1:0.35", 3), ("0:1:0.15", 7)])
 def test_sweep_eta_grid_stops_at_its_stop(spec, count):
-    """A grid holds every point from start to stop, and none past it but
-    by rounding: 0:1:0.35 once swept eta_l = 1.05."""
+    """A grid holds every point from start to stop and none past it:
+    0:1:0.35 once swept eta_l = 1.05.  Each point eta_l and its 1 - eta_l
+    are the floats of their decimals, as ``static_eta_sweep`` trains them:
+    0:1:0.1 once swept eta_l 0.30000000000000004 and eta_r
+    0.3999999999999999."""
     from lsa.cli import _parse_grid
 
     start, stop, step = map(float, spec.split(":"))
     grid = _parse_grid(spec)
+    eta_l = [float(point) for point in grid]
     assert len(grid) == count
-    assert grid[0] == start and max(grid) <= stop + 1e-9 * step < grid[-1] + step
+    assert eta_l[0] == start and max(eta_l) <= stop < eta_l[-1] + step
+    points = [round(start + i * step, 10) for i in range(count)]
+    assert eta_l == points
+    assert [float(1 - point) for point in grid] == [round(1 - p, 10) for p in points]
 
 
 def test_sweep_seeds_rows_and_summary(corpus, tmp_path):
@@ -895,9 +900,13 @@ def test_a_non_finite_loss_exits_3(tmp_path):
     ("sweep-eta", ["--grid", "a:b:c"], "grid must be start:stop:step, got 'a:b:c'"),
     ("sweep-eta", ["--grid", "0:1:0"], "grid must have positive step and stop >= start"),
     ("sweep-eta", ["--grid", "0:1:-0.5"], "grid must have positive step and stop >= start"),
+    ("sweep-eta", ["--grid", "0:1:nan"],
+     "grid must have finite start, stop and step, got '0:1:nan'"),
+    ("sweep-eta", ["--grid", "0:inf:0.1"],
+     "grid must have finite start, stop and step, got '0:inf:0.1'"),
 ], ids=["batch", "encoder_lr", "eta_lr", "holdout_0", "holdout_1", "alpha", "eta_sweep_epochs",
         "seed_sweep_epochs", "grid_two_parts", "grid_not_numbers", "grid_step_0",
-        "grid_step_negative"])
+        "grid_step_negative", "grid_step_nan", "grid_stop_inf"])
 def test_a_refused_value_is_a_usage_error_before_any_input(command, extra, message, tmp_path,
                                                            capsys):
     """The train path does not exist: a read would be a data error."""

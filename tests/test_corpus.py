@@ -120,6 +120,8 @@ def test_version_must_be_the_integer_one(version, tmp_path):
 @pytest.mark.parametrize("tokens, aspects, message", [
     (["a", "b"], [([0, 1], ["a"]), ([-1, 2], ["a", "b", "c"])],
      r"examples\[0\]\.aspects\[1\]: bad aspect span \[-1, 2\)"),
+    (["a", "b"], [([0, 1], ["a"]), ([1, 1], [])],
+     r"examples\[0\]\.aspects\[1\]: bad aspect span \[1, 1\)"),
     (["a", "b"], [([0, 2], ["a"])],
      r"examples\[0\]\.aspects\[0\]: aspect term length 1 does not match span \[0, 2\)"),
     (["a", "b"], [([1, 2], ["b"]), ([0, 3], ["a", "b", "c"])],
@@ -129,7 +131,8 @@ def test_version_must_be_the_integer_one(version, tmp_path):
     (["a", "b"], [([0, 1], ["a"]), ([1, 2], ["c"])],
      r"examples\[0\]\.aspects\[1\]: aspect term \['c'\] does not match tokens at \[1, 2\) in 'a b'"),
     ([], [], r"examples\[0\]: example has no tokens"),
-], ids=["bad_span", "term_length", "out_of_bounds", "overlap", "term_mismatch", "no_tokens"])
+], ids=["bad_span", "empty_span", "term_length", "out_of_bounds", "overlap", "term_mismatch",
+        "no_tokens"])
 def test_aspect_and_example_faults_name_their_location(tokens, aspects, message, tmp_path):
     """A fault that ``AspectAnnotation`` or ``Example`` finds is located as
     the type checks' faults are: at the example, and at the aspect (its

@@ -1,4 +1,5 @@
-"""Tokenizer, vocabulary, SPC input construction, encoder forward/backward."""
+"""Tokenizer, vocabulary, encoder forward/backward.  The SPC inputs of
+``lsa_p`` are built, and tested, in ``Model.forward_example``."""
 
 import re
 
@@ -18,7 +19,6 @@ from lsa.encoder import (
     ConfigError,
     EncoderParams,
     Vocabulary,
-    build_spc_input,
     encode,
     self_attention_block,
     tokenize,
@@ -105,38 +105,6 @@ def test_vocabulary_refuses_a_repeated_or_non_string_token(tokens, message):
     it would be read by no token."""
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         Vocabulary(tokens)
-
-
-# ---------------------------------------------------------------------------
-# SPC input
-
-
-@pytest.fixture
-def vocab():
-    return Vocabulary.build([["a", "b", "c", "d"]])
-
-
-def test_spc_layout(vocab):
-    ids = build_spc_input(["a", "b"], ["b"], vocab, max_len=16)
-    a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
-    assert ids.tolist() == [vocab.cls_id, a, b, vocab.sep_id, b, vocab.sep_id]
-
-
-def test_spc_rejects_empty_aspect(vocab):
-    with pytest.raises(ConfigError):
-        build_spc_input(["a"], [], vocab, max_len=16)
-
-
-def test_spc_truncates_context_never_aspect(vocab):
-    ids = build_spc_input(["a"] * 50, ["b", "c"], vocab, max_len=10)
-    assert len(ids) == 10
-    b, c = vocab.token_to_id["b"], vocab.token_to_id["c"]
-    assert ids.tolist()[-3:] == [b, c, vocab.sep_id]
-
-
-def test_spc_rejects_oversized_aspect(vocab):
-    with pytest.raises(ConfigError):
-        build_spc_input(["a"], ["b"] * 20, vocab, max_len=10)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from dataclasses import asdict, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -560,6 +561,18 @@ def test_static_eta_sweep_rows_and_cross_path_equality(corpus):
     direct = train(replace(cfg, no_dwa=True, frozen_eta=(0.5, 0.5)))
     assert rows[1][2] == direct.final_metrics.accuracy
     assert rows[1][3] == direct.final_metrics.macro_f1
+
+
+def test_static_eta_sweep_rows_read_the_weights_the_window_uses(corpus):
+    """A row holds the side weights as the trained model reads them: under
+    la_only no slot reads eta_r, which is 1, not 1 - eta_l.  A decimal
+    point trains and writes 1 - eta_l exactly."""
+    _, _, paths = corpus
+    cfg = small_config(paths, epochs=1)
+    (row,) = static_eta_sweep(replace(cfg, la_only=True), [Decimal("0.7")])
+    assert row[:2] == (0.7, 1.0)
+    (row,) = static_eta_sweep(cfg, [Decimal("0.7")])
+    assert row[:2] == (0.7, 0.3)
 
 
 def test_seed_sweep_rows_and_summary(corpus):

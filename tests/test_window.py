@@ -26,7 +26,9 @@ from lsa.window import (
 from util import (
     FIXTURES,
     make_example,
+    outcome,
     reference_position_weights,
+    reference_spc_input,
     softmax,
     sum_all,
     tiny_model,
@@ -534,6 +536,81 @@ def test_lsa_p_feature_differs_when_aspect_differs():
     assert not np.allclose(logits.values[0], logits.values[1])
 
 
+def spc_model(max_len):
+    model = tiny_model(variant="lsa_p", vocab_tokens=["a", "b", "c", "d"], max_len=max_len)
+    return model, model.vocab.token_to_id, model.vocab.cls_id, model.vocab.sep_id
+
+
+def spc_example(tokens, *spans):
+    return Example(" ".join(tokens), tokens, [
+        AspectAnnotation(a, b, tuple(tokens[a:b]), Polarity.POSITIVE) for a, b in spans])
+
+
+def test_spc_layout():
+    """lsa_p's input of an aspect is [CLS] context [SEP] term [SEP]."""
+    model, ids, cls, sep = spc_model(16)
+    inputs = model.forward_example(spc_example(["a", "b"], (1, 2)))
+    assert [x.tolist() for x in inputs.sequences] == [[cls, ids["a"], ids["b"], sep, ids["b"], sep]]
+    assert inputs.sequences[0].dtype == np.int64 and inputs.spans is None
+
+
+def test_spc_truncates_context_never_aspect():
+    """The context is cut from the right to max_len - 3 - |term| tokens."""
+    model, ids, cls, sep = spc_model(10)
+    (spc,) = model.forward_example(spc_example(["b", "c"] + ["a"] * 48, (0, 2))).sequences
+    b, c, a = ids["b"], ids["c"], ids["a"]
+    assert spc.tolist() == [cls, b, c, a, a, a, sep, b, c, sep]
+
+
+def test_spc_rejects_oversized_aspect():
+    """A term that leaves the context less than no room is a DataError
+    located at its example."""
+    model, *_ = spc_model(10)
+    with pytest.raises(DataError, match=r"^dataset: examples\[1\]: aspect of 8 tokens cannot fit "
+                                        r"max length 10$"):
+        model.forward([spc_example(["a", "b"], (0, 1)), spc_example(["a"] * 8, (0, 8))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_spc_inputs_equal_the_reference(data):
+    """An lsa_p example of 1 to 2 x max_len tokens with 1-3 aspects of 1
+    to max_len tokens, max_len 4-32: ``forward_example`` gives the
+    reference's SPC input of each aspect on the context, the first
+    max_len - 1 tokens, id for id and as int64; or it refuses the example
+    as a DataError, with the text of the reference's refusal or of an
+    aspect past the context."""
+    max_len = data.draw(st.integers(4, 32))
+    model = tiny_model(variant="lsa_p", max_len=max_len)
+    n = data.draw(st.integers(1, 2 * max_len))
+    tokens = data.draw(st.lists(st.sampled_from(["w0", "w1", "w11", "unseen", "[SEP]"]),
+                                min_size=n, max_size=n))
+    spans, end = [], 0
+    for _ in range(data.draw(st.integers(1, 3))):
+        if end < n:
+            start = data.draw(st.integers(end, n - 1))
+            end = start + data.draw(st.integers(1, min(max_len, n - start)))
+            spans.append((start, end))
+    example = spc_example(tokens, *spans)
+    context = tokens[:max_len - 1]
+    expected = [outcome(reference_spc_input, context, list(a.term), model.vocab, max_len)
+                for a in example.aspects]
+    got = outcome(model.forward_example, example)
+    past = [a for a in example.aspects if a.end > len(context)]
+    refused = [text for kind, text in expected if kind != "ok"]
+    if past:
+        a = past[0]
+        assert got == ("DataError", f"aspect [{a.start}, {a.end}) extends past the "
+                                    f"{max_len - 1}-token context limit")
+    elif refused:
+        assert got == ("DataError", refused[0])
+    else:
+        assert got[0] == "ok" and got[1].aspects == len(expected)
+        for ids, (_, reference) in zip(got[1].sequences, expected, strict=True):
+            assert ids.dtype == reference.dtype == np.int64
+            assert ids.tolist() == reference.tolist()
+
+
 def test_lsa_s_uses_tree_and_falls_back_without_parse():
     from lsa.distance import DependencyTree
 
@@ -635,25 +712,27 @@ def test_forward_names_the_example_with_an_aspect_past_the_context(variant):
 @pytest.mark.parametrize(
     "flags, expected",
     [
-        ({}, ["dwa.eta_l", "dwa.eta_r"]),
-        ({"la_only": True}, ["dwa.eta_l"]),
-        ({"ra_only": True}, ["dwa.eta_r"]),
-        ({"no_dwa": True}, []),
-        ({"k": 0}, []),
-        ({"no_dwa": True, "frozen_eta": (0.3, 0.7)}, []),
+        ({}, (["dwa.eta_l", "dwa.eta_r"], (0.5, 0.5))),
+        ({"la_only": True}, (["dwa.eta_l"], (0.5, 1.0))),
+        ({"ra_only": True}, (["dwa.eta_r"], (1.0, 0.5))),
+        ({"no_dwa": True}, ([], (1.0, 1.0))),
+        ({"k": 0}, ([], (1.0, 1.0))),
+        ({"no_dwa": True, "frozen_eta": (0.3, 0.7)}, ([], (0.3, 0.7))),
+        ({"la_only": True, "no_dwa": True, "frozen_eta": (0.3, 0.7)}, ([], (0.3, 1.0))),
+        ({"ra_only": True, "no_dwa": True, "frozen_eta": (0.3, 0.7)}, ([], (1.0, 0.7))),
     ],
 )
 def test_eta_parameters_are_the_sides_the_window_uses(flags, expected):
-    """The model holds exactly the side weights it learns, and a side
-    with no slot reads as 1."""
+    """The model holds exactly the side weights it learns, each set to 0.5
+    here, and a side with no slot reads as 1, also when it is frozen."""
+    names, values = expected
     model = tiny_model(**flags)
-    assert sorted(model.eta_parameters()) == expected
-    assert sorted(n for n in model.named_parameters() if n.startswith("dwa.")) == expected
-    assert not set(model.main_parameters()) & set(expected)
+    assert sorted(model.eta_parameters()) == names
+    assert sorted(n for n in model.named_parameters() if n.startswith("dwa.")) == names
+    assert not set(model.main_parameters()) & set(names)
     for t in model.eta.values():
         t.values[0] = 0.5
-    sides = tuple(0.5 if f"dwa.eta_{side}" in expected else 1.0 for side in "lr")
-    assert model.eta_values() == (model.config.frozen_eta or sides)
+    assert model.eta_values() == values
 
 
 def test_model_config_rejects_contradictory_ablations():

@@ -33,7 +33,7 @@ from lsa.corpus import (
 )
 from lsa.checkpoint import HEADER
 from lsa.distance import ROOT, DependencyTree
-from lsa.encoder import RESERVED, Vocabulary
+from lsa.encoder import RESERVED, ConfigError, Vocabulary
 from lsa.runio import canonical_json
 from lsa.training import ClassScores, Metrics
 from lsa.window import Model, ModelConfig
@@ -168,13 +168,35 @@ def grad_check(build, params, eps=1e-6):
 
 
 def tiny_model(seed=0, variant="lsa_t", vocab_tokens=None, **overrides) -> Model:
-    config = ModelConfig(
-        variant=variant, d_model=16, layers=1, heads=2, ffn_mult=2, max_len=32,
-        **overrides,
-    )
+    config = ModelConfig(**{"variant": variant, "d_model": 16, "layers": 1, "heads": 2,
+                            "ffn_mult": 2, "max_len": 32, **overrides})
     tokens = vocab_tokens or [f"w{i}" for i in range(12)]
     vocab = Vocabulary.build([tokens])
     return Model(config, vocab, np.random.Generator(np.random.PCG64(seed)))
+
+
+def reference_spc_input(context_tokens, aspect_tokens, vocab: Vocabulary, max_len: int):
+    """The SPC input as first written, a function of its own:
+    [CLS] context [SEP] aspect [SEP] ids; context truncated from the
+    right if needed, the aspect never."""
+    if len(aspect_tokens) == 0:
+        raise ConfigError("SPC input needs a non-empty aspect")
+    budget = max_len - 3 - len(aspect_tokens)
+    if budget < 0:
+        raise ConfigError(
+            f"aspect of {len(aspect_tokens)} tokens cannot fit max length {max_len}"
+        )
+    ctx = list(context_tokens)[:budget]
+    ids = np.concatenate(
+        [
+            [vocab.cls_id],
+            vocab.encode(ctx),
+            [vocab.sep_id],
+            vocab.encode(aspect_tokens),
+            [vocab.sep_id],
+        ]
+    ).astype(np.int64)
+    return ids
 
 
 def make_example(polarities, implicit=()):
