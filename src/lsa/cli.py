@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
@@ -38,15 +40,7 @@ from .distance import load_parses
 from .encoder import ConfigError
 from .runio import (OutputError, build_manifest, check_writable, load_manifest,
                     verify_manifest_hashes, write_csv, write_file, write_manifest)
-from .training import (
-    SLICES,
-    NumericError,
-    TrainConfig,
-    evaluate_slices,
-    seed_sweep,
-    static_eta_sweep,
-    train,
-)
+from .training import SLICES, NumericError, TrainConfig, evaluate_slices, train
 
 
 DESCRIPTION = """\
@@ -93,6 +87,9 @@ def _config_inputs(config: TrainConfig) -> list:
     return [config.train_path, config.valid_path, config.test_path, config.parse_path]
 
 
+MAX_GRID_POINTS = 1001  # each point of a --grid is a full training
+
+
 def _parse_grid(spec: str) -> list[Decimal]:
     """The points start, start + step, ... up to stop, as exact decimals of
     the spec's text: the point 0.3 is 0.3, and 1 - 0.7 is 0.3."""
@@ -104,7 +101,13 @@ def _parse_grid(spec: str) -> list[Decimal]:
         raise ConfigError(f"grid must have finite start, stop and step, got {spec!r}")
     if step <= 0 or stop < start:
         raise ConfigError("grid must have positive step and stop >= start")
-    return [start + i * step for i in range(int((stop - start) // step) + 1)]
+    try:
+        count = int((stop - start) // step) + 1
+    except InvalidOperation:  # the quotient has more digits than a decimal holds
+        count = MAX_GRID_POINTS + 1
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid must have at most {MAX_GRID_POINTS} points, got {spec!r}")
+    return [start + i * step for i in range(count)]
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -180,7 +183,17 @@ def run_eval(args: dict, out_dir: Path) -> list:
 
 def run_sweep_eta(args: dict, out_dir: Path) -> list:
     config = TrainConfig.from_dict(args["config"])
-    rows = static_eta_sweep(config, _parse_grid(args["grid"]))
+    grid = _parse_grid(args["grid"])
+    if config.epochs < 1:
+        raise ConfigError("eta sweep needs at least one epoch")
+    if config.k == 0:
+        raise ConfigError("sweep-eta needs k >= 1: at k = 0 there is no side weight to sweep")
+    rows = []
+    for eta_l in grid:  # a decimal point gives an exact 1 - eta_l
+        result = train(replace(config, no_dwa=True, frozen_eta=(float(eta_l), float(1 - eta_l))))
+        m = result.final_metrics
+        # the side weights as the trained window reads them: a side with no slot reads 1
+        rows.append((*result.model.eta_values(), m.accuracy, m.macro_f1))
     write_csv(out_dir / "sweep_eta.csv", ["eta_l", "eta_r", "acc", "macro_f1"], rows)
     for eta_l, eta_r, acc, f1 in rows:
         print(f"eta_l {eta_l:.2f} eta_r {eta_r:.2f}: acc {acc:.4f}, macro-F1 {f1:.4f}")
@@ -189,13 +202,22 @@ def run_sweep_eta(args: dict, out_dir: Path) -> list:
 
 def run_sweep_seeds(args: dict, out_dir: Path) -> list:
     config = TrainConfig.from_dict(args["config"])
-    summary = seed_sweep(config, _parse_seeds(args["seeds"]))
-    rows = [(str(s), acc, f1) for s, acc, f1 in summary.rows]
-    rows.append(("median", summary.median_acc, summary.median_f1))
-    rows.append(("iqr", summary.iqr_acc, summary.iqr_f1))
-    write_csv(out_dir / "sweep_seeds.csv", ["seed", "acc", "macro_f1"], rows)
-    print(f"median acc {summary.median_acc:.4f} (IQR {summary.iqr_acc:.4f}), "
-          f"median macro-F1 {summary.median_f1:.4f} (IQR {summary.iqr_f1:.4f})")
+    seeds = _parse_seeds(args["seeds"])
+    if len(seeds) < 2:
+        raise ConfigError("seed sweep needs at least two seeds")
+    if config.epochs < 1:
+        raise ConfigError("seed sweep needs at least one epoch")
+    rows = []
+    for seed in seeds:
+        m = train(replace(config, seed=seed)).final_metrics
+        rows.append((str(seed), m.accuracy, m.macro_f1))
+    scores = np.array([row[1:] for row in rows])  # (seeds, [acc, macro_f1])
+    median = np.median(scores, axis=0).tolist()
+    iqr = (np.percentile(scores, 75, axis=0) - np.percentile(scores, 25, axis=0)).tolist()
+    write_csv(out_dir / "sweep_seeds.csv", ["seed", "acc", "macro_f1"],
+              [*rows, ("median", *median), ("iqr", *iqr)])
+    print(f"median acc {median[0]:.4f} (IQR {iqr[0]:.4f}), "
+          f"median macro-F1 {median[1]:.4f} (IQR {iqr[1]:.4f})")
     return _config_inputs(config)
 
 

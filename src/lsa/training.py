@@ -1,17 +1,17 @@
 """Training config, loss, the training loop with a two-group optimizer,
-metrics, and the two sweeps (static side-weight grid, multi-seed).
-Training builds each train, valid and test example's host inputs and the
-pair table (``corpus.pair_table``) of each split once per run, then
-forwards whole examples in batches of about ``TrainConfig.batch`` pairs,
-in a seeded order, against the golds of the table.  Evaluation predicts
-each (example, aspect) pair once, forward only, in groups of examples of
-similar length (``eval_groups``); a slice of ``SLICES`` is a predicate
-over the columns of the pair table, and selects its pairs' predictions."""
+and metrics.  Training builds each train, valid and test example's host
+inputs and the pair table (``corpus.pair_table``) of each split once per
+run, then forwards whole examples in batches of about
+``TrainConfig.batch`` pairs, in a seeded order, against the golds of the
+table.  Evaluation predicts each (example, aspect) pair once, forward
+only, in groups of examples of similar length (``eval_groups``); a slice
+of ``SLICES`` is a predicate over the columns of the pair table, and
+selects its pairs' predictions."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,12 +132,14 @@ def total_loss(
     logits: Tensor,
     golds,
     main_params: dict[str, Tensor],
-    eta_values: tuple[float, float],
+    eta_params: dict[str, Tensor],
     lambda_reg: float,
     lambda_eta: float,
 ) -> tuple[Tensor, float]:
     """The cross-entropy summed over the batch's logit rows (pairs, C) and
-    gold classes (pairs,), as a tensor, and both L2 terms, as a float.
+    gold classes (pairs,), as a tensor, and both L2 terms, as a float: of
+    the main parameters and of the learned side weights (none under
+    ``no_dwa``; one for a one-sided window).
 
     The regularizers are reported only (recomputed from current parameter
     values every step); their gradient path is the optimizer's decoupled
@@ -148,7 +150,7 @@ def total_loss(
     reg = lambda_reg * sum(
         float(np.vdot(t.values, t.values)) for t in main_params.values()
     )
-    reg += lambda_eta * (eta_values[0] ** 2 + eta_values[1] ** 2)
+    reg += lambda_eta * sum(float(t.values[0]) ** 2 for t in eta_params.values())
     return ad.cross_entropy(logits, golds), reg
 
 
@@ -290,10 +292,10 @@ def train(config: TrainConfig) -> TrainResult:
     # the optimizer, each example's host inputs and each split's golds,
     # built once per run, in dataset order
     if config.epochs:
-        main_params = model.main_parameters()
+        main_params, eta_params = model.main_parameters(), model.eta_parameters()
         optimizer = AdamW([  # the eta group is empty when no side weight is learned
             ParamGroup(main_params, config.encoder_lr, config.lambda_reg),
-            ParamGroup(model.eta_parameters(), config.eta_lr, config.lambda_eta),
+            ParamGroup(eta_params, config.eta_lr, config.lambda_eta),
         ])
         train_inputs = model.host_inputs(train_set.examples, trees, config.train_path,
                                          train_index)
@@ -316,7 +318,7 @@ def train(config: TrainConfig) -> TrainResult:
             tape = ad.Tape()
             with tape:
                 logits = model.logits([train_inputs[i] for i in group])
-                ce, reg = total_loss(logits, golds, main_params, model.eta_values(),
+                ce, reg = total_loss(logits, golds, main_params, eta_params,
                                      config.lambda_reg, config.lambda_eta)
             loss = float(ce.values[0]) + reg
             if not np.isfinite(loss):
@@ -352,59 +354,3 @@ def train(config: TrainConfig) -> TrainResult:
             metrics_rows.append((best_epoch, "test", final.accuracy, final.macro_f1))
 
     return TrainResult(model, trajectory, metrics_rows, epoch_losses, best_epoch, final)
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-
-
-def static_eta_sweep(config: TrainConfig, grid) -> list[tuple[float, float, float, float]]:
-    """Train once per static (eta_l, 1 - eta_l) grid point with the
-    learnable weighting disabled; rows are (eta_l, eta_r, acc, macro_f1),
-    the side weights as the trained model reads them: a side with no slot
-    reads 1.  A ``Decimal`` grid point gives an exact 1 - eta_l."""
-    grid = list(grid)
-    if not grid:
-        raise ConfigError("empty eta grid")
-    if config.epochs < 1:
-        raise ConfigError("eta sweep needs at least one epoch")
-    rows = []
-    for eta_l in grid:
-        result = train(replace(config, no_dwa=True, frozen_eta=(float(eta_l), float(1 - eta_l))))
-        rows.append((*result.model.eta_values(), result.final_metrics.accuracy,
-                     result.final_metrics.macro_f1))
-    return rows
-
-
-@dataclass
-class SweepSummary:
-    rows: list[tuple[int, float, float]]  # seed, acc, macro_f1
-    median_acc: float
-    iqr_acc: float
-    median_f1: float
-    iqr_f1: float
-
-
-def seed_sweep(config: TrainConfig, seeds) -> SweepSummary:
-    seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ConfigError("seed sweep needs at least two seeds")
-    if config.epochs < 1:
-        raise ConfigError("seed sweep needs at least one epoch")
-    rows = []
-    for seed in seeds:
-        m = train(replace(config, seed=int(seed))).final_metrics
-        rows.append((int(seed), m.accuracy, m.macro_f1))
-    accs = np.array([r[1] for r in rows])
-    f1s = np.array([r[2] for r in rows])
-
-    def iqr(x):
-        return float(np.percentile(x, 75) - np.percentile(x, 25))
-
-    return SweepSummary(
-        rows=rows,
-        median_acc=float(np.median(accs)),
-        iqr_acc=iqr(accs),
-        median_f1=float(np.median(f1s)),
-        iqr_f1=iqr(f1s),
-    )

@@ -42,7 +42,8 @@ with ``--out`` naming a file and with a directory where it writes
 context, and ``--variant lsa_p --max-len 9`` on a split with a 7-token
 term, which no SPC input of that length can hold; ``lsa synth`` on a
 spec with ``rho=1.5``; ``lsa replay`` of a manifest whose command is
-``frobnicate``; last, ``lsa export-trajectory``,
+``frobnicate``; ``lsa sweep-eta --grid 0:1e30:1e-30``, whose point count
+has more digits than a decimal holds; last, ``lsa export-trajectory``,
 ``lsa --help`` and ``lsa eval --help``, and each argv of
 ``usage_errors``, which argparse or a config check must refuse.
 The exit code, the standard output and the standard
@@ -117,14 +118,8 @@ def window_run(variant: str, k: str, flags: list) -> str:
 # the runs whose exit code, output or artifacts differ from a REV without
 # this change, and what such a REV does
 DECLARED = {
-    "sweep_eta_uneven_grid": "writes eta_r 0.30000000000000004 at eta_l 0.7",
-    "sweep_eta_default_grid": "trains eta_l 0.30000000000000004, 0.6000000000000001 and "
-                              "0.7000000000000001, and writes eta_r 0.3999999999999999 at "
-                              "eta_l 0.6",
-} | {
-    f"{replay}{window_run(variant, k, ONE_SIDED_FROZEN)}":
-        "logs eta_r 0.7, which no window slot reads, in eta_trajectory.csv"
-    for replay in ("", "replay/") for variant in ("lsa_t", "lsa_s", "lsa_p") for k in ("1", "2")
+    "refuse/grid_uncountable": "ends in a decimal.InvalidOperation traceback (exit 1)",
+    "usage/sweep_eta_k0": "prints usage error: frozen_eta requires no_dwa and k >= 1",
 }
 # the runs that find a directory at one of their artifacts in their --out
 BLOCKED = {"refuse/checkpoint_is_a_directory": "checkpoint.bin"}
@@ -390,6 +385,7 @@ def cli_cases(inputs: Path, out: Path) -> list:
     cases.append(("refuse/synth_bad_rho",
                   ["synth", "--spec", inputs / "bad_rho.spec", "--seed", "4"], ()))
     cases.append(("refuse/replay_unknown_command", ["replay", inputs / "frobnicate.json"], ()))
+    cases.append(("refuse/grid_uncountable", ["sweep-eta", *data, "--grid", "0:1e30:1e-30"], ()))
     spc_term = inputs / "spc_term.json"
     cases.append(("refuse/spc_term_too_long", ["train", "--train-path", spc_term, "--valid-path",
                                                spc_term, *CLI_TRAIN, *SPC_TERM_CUT], ()))
@@ -423,6 +419,7 @@ def usage_errors(inputs: Path, data: list) -> dict:
         "epochs_not_int": ["train", *data, "--epochs", "abc"],
         "no_train_path": ["train", "--epochs", "1"],
         "grid_backwards": ["sweep-eta", *data, "--grid", "1:0:1"],
+        "sweep_eta_k0": ["sweep-eta", *data, "--k", "0"],
         "seeds_not_int": ["sweep-seeds", *data, "--seeds", "1,x"],
         "no_run": ["export-trajectory"],
         "no_manifest": ["replay"],

@@ -253,7 +253,7 @@ NON_FINITE = {"alpha-nan": "--alpha", "eta-lr-nan": "--eta-lr", "encoder-lr-inf"
 def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
     """``--backbone-only`` is gone (k = 0 is the backbone); at k = 0 a
     one-sided window or no DWA would be a second spelling of it, and an
-    eta sweep would train one model once per grid point.  ``--slice`` is
+    eta sweep would have no side weight to sweep.  ``--slice`` is
     gone: ``lsa eval`` writes every slice.  ``--ffn-mult 0`` once ended in
     a ZeroDivisionError and ``-1`` in numpy's ValueError (exit 1 with a
     traceback), and a nan or infinite rate trained to a numeric failure
@@ -271,6 +271,7 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
         argv = train_args(corpus, out, extra=["--k", "0", "--no-dwa"])
     elif case == "k0-eta-sweep":
         argv = sweep_args("sweep-eta", corpus, out, ["--k", "0", "--grid", "0:1:0.5"])
+        message = "usage error: sweep-eta needs k >= 1: at k = 0 there is no side weight to sweep"
     elif case == "config-int":
         cfg.write_text(f"train_path={corpus['train']}\nepochs=abc\n")
         argv = ["train", "--config", cfg, "--out", out]
@@ -471,7 +472,7 @@ def test_sweep_eta_grid_rows(corpus, tmp_path):
 def test_sweep_eta_grid_stops_at_its_stop(spec, count):
     """A grid holds every point from start to stop and none past it:
     0:1:0.35 once swept eta_l = 1.05.  Each point eta_l and its 1 - eta_l
-    are the floats of their decimals, as ``static_eta_sweep`` trains them:
+    are the floats of their decimals, as ``lsa sweep-eta`` trains them:
     0:1:0.1 once swept eta_l 0.30000000000000004 and eta_r
     0.3999999999999999."""
     from lsa.cli import _parse_grid
@@ -484,6 +485,43 @@ def test_sweep_eta_grid_stops_at_its_stop(spec, count):
     points = [round(start + i * step, 10) for i in range(count)]
     assert eta_l == points
     assert [float(1 - point) for point in grid] == [round(1 - p, 10) for p in points]
+
+
+def test_sweep_eta_point_equals_a_train_with_frozen_side_weights(corpus, tmp_path):
+    sweep, direct = tmp_path / "sweep", tmp_path / "train"
+    assert run(sweep_args("sweep-eta", corpus, sweep, ["--grid", "0:1:0.5"])) == 0
+    rows = [line.split(",") for line in (sweep / "sweep_eta.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    for eta_l, eta_r, _, _ in rows:
+        assert float(eta_r) == pytest.approx(1.0 - float(eta_l))
+    assert run(sweep_args("train", corpus, direct, ["--no-dwa", "--frozen-eta", "0.5,0.5"])) == 0
+    metrics = (direct / "metrics.csv").read_text().splitlines()
+    test_row = next(line.split(",") for line in metrics if line.split(",")[1] == "test")
+    assert rows[1][2:] == test_row[2:]
+
+
+def test_sweep_eta_rows_read_the_weights_the_window_uses(corpus, tmp_path):
+    """A row holds the side weights as the trained model reads them: under
+    --la-only no slot reads eta_r, which is 1, not 1 - eta_l.  A grid
+    point trains and writes 1 - eta_l exactly."""
+    for extra, eta in [(["--la-only"], ["0.7", "1.0"]), ([], ["0.7", "0.3"])]:
+        out = tmp_path / "_".join(["sweep", *extra])
+        assert run(sweep_args("sweep-eta", corpus, out, ["--grid", "0.7:0.7:1", *extra])) == 0
+        (row,) = (out / "sweep_eta.csv").read_text().splitlines()[1:]
+        assert row.split(",")[:2] == eta
+
+
+def test_sweep_seeds_of_a_repeated_seed(corpus, tmp_path):
+    """A repeated seed repeats its metrics, and equal seeds have IQR 0."""
+    def rows(seeds):
+        out = tmp_path / seeds
+        assert run(sweep_args("sweep-seeds", corpus, out, ["--seeds", seeds])) == 0
+        return [line.split(",") for line in (out / "sweep_seeds.csv").read_text().splitlines()]
+
+    repeated = rows("0,1,0")
+    assert len(repeated) == 6  # the header, 3 seeds, median and iqr
+    assert repeated[1][1:] == repeated[3][1:]
+    assert rows("0,0")[-1] == ["iqr", "0.0", "0.0"]
 
 
 def test_sweep_seeds_rows_and_summary(corpus, tmp_path):
@@ -904,9 +942,16 @@ def test_a_non_finite_loss_exits_3(tmp_path):
      "grid must have finite start, stop and step, got '0:1:nan'"),
     ("sweep-eta", ["--grid", "0:inf:0.1"],
      "grid must have finite start, stop and step, got '0:inf:0.1'"),
+    ("sweep-eta", ["--grid", "0:1e30:1e-30"],
+     "grid must have at most 1001 points, got '0:1e30:1e-30'"),
+    ("sweep-eta", ["--grid", "0:1e9:1e-9"], "grid must have at most 1001 points, got '0:1e9:1e-9'"),
+    ("sweep-eta", ["--k", "0"],
+     "sweep-eta needs k >= 1: at k = 0 there is no side weight to sweep"),
+    ("sweep-seeds", ["--seeds", "0"], "seed sweep needs at least two seeds"),
 ], ids=["batch", "encoder_lr", "eta_lr", "holdout_0", "holdout_1", "alpha", "eta_sweep_epochs",
         "seed_sweep_epochs", "grid_two_parts", "grid_not_numbers", "grid_step_0",
-        "grid_step_negative", "grid_step_nan", "grid_stop_inf"])
+        "grid_step_negative", "grid_step_nan", "grid_stop_inf", "grid_uncountable",
+        "grid_too_many", "eta_sweep_k0", "seed_sweep_one_seed"])
 def test_a_refused_value_is_a_usage_error_before_any_input(command, extra, message, tmp_path,
                                                            capsys):
     """The train path does not exist: a read would be a data error."""

@@ -1,11 +1,10 @@
-"""Loss value, metrics, the training loop contracts, sweeps, checkpoints."""
+"""Loss value, metrics, the training loop contracts, checkpoints."""
 
 import json
 import math
 import random
 import re
-from dataclasses import asdict, replace
-from decimal import Decimal
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -39,8 +38,6 @@ from lsa.training import (
     evaluate,
     evaluate_slices,
     predict,
-    seed_sweep,
-    static_eta_sweep,
     total_loss,
     train,
 )
@@ -78,17 +75,26 @@ def corpus(tmp_path_factory):
 # total loss
 
 
+def side_weights(*values):
+    """Learned side weights of these values, left first."""
+    return {name: ad.parameter(np.array([v]))
+            for name, v in zip(("dwa.eta_l", "dwa.eta_r"), values)}
+
+
 def test_total_loss_zero_for_perfect_prediction():
     logits = ad.tensor(np.array([[1e3, 0.0, 0.0]]))  # the softmax is [1, 0, 0]
-    ce, reg = total_loss(logits, [0], {}, (1.0, 1.0), 0.0, 0.0)
+    ce, reg = total_loss(logits, [0], {}, side_weights(1.0, 1.0), 0.0, 0.0)
     assert ce.item() == 0.0 and reg == 0.0
 
 
 def test_total_loss_eta_regularizer_value():
+    """Only the learned side weights are regularized (both, one of a
+    one-sided window, none): a side that no weight scales adds nothing."""
     logits = ad.tensor(np.array([[1e3, 0.0, 0.0]]))
-    ce, reg = total_loss(logits, [0], {}, (1.0, 1.0), 0.0, 1e-5)
-    assert ce.item() == 0.0
-    assert reg == pytest.approx(2e-5, rel=1e-12)
+    for values, expected in [((1.0, 1.0), 2e-5), ((1.0,), 1e-5), ((), 0.0)]:
+        ce, reg = total_loss(logits, [0], {}, side_weights(*values), 0.0, 1e-5)
+        assert ce.item() == 0.0
+        assert reg == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_total_loss_matches_scalar_recomputation():
@@ -101,7 +107,8 @@ def test_total_loss_matches_scalar_recomputation():
     for _ in range(10):
         logits = rng.normal(size=(3, 3)) * 3
         golds = [int(g) for g in rng.integers(0, 3, size=3)]
-        ce, reg = total_loss(ad.tensor(logits), golds, params, (0.9, 1.1), lam, lam_eta)
+        ce, reg = total_loss(ad.tensor(logits), golds, params, side_weights(0.9, 1.1), lam,
+                             lam_eta)
         expected = sum(math.log(sum(math.exp(x) for x in row)) - row[g]
                        for row, g in zip(logits, golds))
         assert ce.item() == pytest.approx(expected, rel=1e-12)
@@ -116,11 +123,23 @@ def test_total_loss_backward_excludes_regularizer():
     logits = ad.tensor(np.log([[0.2, 0.3, 0.5]]))
     tape = ad.Tape()
     with tape:
-        ce, reg = total_loss(logits, [1], model.main_parameters(), (1.0, 1.0), 1.0, 1.0)
+        ce, reg = total_loss(logits, [1], model.main_parameters(), model.eta_parameters(), 1.0,
+                             1.0)
     assert isinstance(reg, float) and len(tape) == 1
     tape.backward(ce)
     assert w.grad is None  # w never entered the traced computation
     assert np.array_equal(logits.grad, reference_cross_entropy(logits.values, [1])[1])
+
+
+@pytest.mark.parametrize("flags", [{}, {"frozen_eta": (0.3, 0.7)}], ids=["no_dwa", "frozen_eta"])
+def test_lambda_eta_adds_no_loss_when_no_side_weight_is_learned(flags, corpus):
+    """Under no_dwa no side weight is learned, so lambda_eta moves no loss:
+    the constant 1s, or the frozen values, were once regularized as if
+    they were weights."""
+    _, _, paths = corpus
+    losses = [train(small_config(paths, no_dwa=True, lambda_eta=lam, **flags)).epoch_losses
+              for lam in (1e-5, 0.0)]
+    assert losses[0] == losses[1]
 
 
 # ---------------------------------------------------------------------------
@@ -548,47 +567,7 @@ def test_validation_holdout_when_no_valid_path(corpus):
 
 
 # ---------------------------------------------------------------------------
-# sweeps
-
-
-def test_static_eta_sweep_rows_and_cross_path_equality(corpus):
-    _, _, paths = corpus
-    cfg = small_config(paths, epochs=1)
-    rows = static_eta_sweep(cfg, [0.0, 0.5, 1.0])
-    assert len(rows) == 3
-    for eta_l, eta_r, _, _ in rows:
-        assert eta_r == pytest.approx(1.0 - eta_l)
-    direct = train(replace(cfg, no_dwa=True, frozen_eta=(0.5, 0.5)))
-    assert rows[1][2] == direct.final_metrics.accuracy
-    assert rows[1][3] == direct.final_metrics.macro_f1
-
-
-def test_static_eta_sweep_rows_read_the_weights_the_window_uses(corpus):
-    """A row holds the side weights as the trained model reads them: under
-    la_only no slot reads eta_r, which is 1, not 1 - eta_l.  A decimal
-    point trains and writes 1 - eta_l exactly."""
-    _, _, paths = corpus
-    cfg = small_config(paths, epochs=1)
-    (row,) = static_eta_sweep(replace(cfg, la_only=True), [Decimal("0.7")])
-    assert row[:2] == (0.7, 1.0)
-    (row,) = static_eta_sweep(cfg, [Decimal("0.7")])
-    assert row[:2] == (0.7, 0.3)
-
-
-def test_seed_sweep_rows_and_summary(corpus):
-    _, _, paths = corpus
-    cfg = small_config(paths, epochs=1)
-    summary = seed_sweep(cfg, [0, 1, 0])  # duplicate seed -> duplicate metrics
-    assert len(summary.rows) == 3
-    assert summary.rows[0][1:] == summary.rows[2][1:]
-    only = seed_sweep(cfg, [0, 0])
-    assert only.iqr_acc == 0.0 and only.iqr_f1 == 0.0
-
-
-def test_seed_sweep_needs_two_seeds(corpus):
-    _, _, paths = corpus
-    with pytest.raises(ConfigError):
-        seed_sweep(small_config(paths), [0])
+# seed sweep summary
 
 
 def test_iqr_definition_matches_percentiles():
