@@ -136,6 +136,7 @@ def run_analyze_clusters(args: dict, out_dir: Path) -> list:
 
 
 def run_synth(args: dict, out_dir: Path) -> list:
+    TrainConfig(seed=args["seed"])  # a seed out of a config's domain is a usage error
     spec = SynthSpec.from_file(args["spec"])
     paths = {split: out_dir / f"{split}.json" for split in sorted(spec.splits)}
     check_writable(paths.values())
@@ -188,9 +189,11 @@ def run_sweep_eta(args: dict, out_dir: Path) -> list:
         raise ConfigError("eta sweep needs at least one epoch")
     if config.k == 0:
         raise ConfigError("sweep-eta needs k >= 1: at k = 0 there is no side weight to sweep")
+    runs = [replace(config, no_dwa=True, frozen_eta=(float(eta_l), float(1 - eta_l)))
+            for eta_l in grid]  # a decimal point gives an exact 1 - eta_l
     rows = []
-    for eta_l in grid:  # a decimal point gives an exact 1 - eta_l
-        result = train(replace(config, no_dwa=True, frozen_eta=(float(eta_l), float(1 - eta_l))))
+    for run in runs:
+        result = train(run)
         m = result.final_metrics
         # the side weights as the trained window reads them: a side with no slot reads 1
         rows.append((*result.model.eta_values(), m.accuracy, m.macro_f1))
@@ -207,10 +210,11 @@ def run_sweep_seeds(args: dict, out_dir: Path) -> list:
         raise ConfigError("seed sweep needs at least two seeds")
     if config.epochs < 1:
         raise ConfigError("seed sweep needs at least one epoch")
+    runs = [replace(config, seed=seed) for seed in seeds]
     rows = []
-    for seed in seeds:
-        m = train(replace(config, seed=seed)).final_metrics
-        rows.append((str(seed), m.accuracy, m.macro_f1))
+    for run in runs:
+        m = train(run).final_metrics
+        rows.append((str(run.seed), m.accuracy, m.macro_f1))
     scores = np.array([row[1:] for row in rows])  # (seeds, [acc, macro_f1])
     median = np.median(scores, axis=0).tolist()
     iqr = (np.percentile(scores, 75, axis=0) - np.percentile(scores, 25, axis=0)).tolist()

@@ -405,6 +405,30 @@ def field_value(kind: str, raw):
     raise ValueError(f"expected {kind}, got {raw!r}")
 
 
+# the domains of the numeric fields of the configs and the synth spec, by their text
+DOMAINS = {
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    ">= 3": lambda v: v >= 3,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+}
+
+
+def in_domain(text: str, default):
+    """A dataclass field with ``default`` whose values must be in ``DOMAINS[text]``."""
+    return field(default=default, metadata={"domain": text})
+
+
+def check_domains(obj, error: type[Exception], prefix: str = "") -> None:
+    """Raise ``error`` naming the first field of ``obj`` outside its declared domain."""
+    for f in fields(obj):
+        text = f.metadata.get("domain")
+        if text and not DOMAINS[text](getattr(obj, f.name)):
+            raise error(f"{prefix}{f.name} must be {text}")
+
+
 # ---------------------------------------------------------------------------
 # The pair table
 
@@ -463,30 +487,24 @@ CUES = (
 _MIN_GAP = 4  # filler run keeping anything informative out of a foreign window
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
-    vocab_size: int = 20  # filler vocabulary size
+    """A synthetic corpus's settings, checked when built: a value outside its
+    field's domain, or a spec no corpus can realize, is a DataError."""
+
+    vocab_size: int = in_domain(">= 3", 20)  # filler vocabulary size
     splits: dict[str, int] = field(default_factory=lambda: {"train": 200, "test": 50})
-    rho: float = 1.0  # probability an aspect copies its predecessor's polarity
-    implicit_fraction: float = 0.0  # target fraction of cue-less aspects
+    rho: float = in_domain("in [0, 1]", 1.0)  # P(an aspect copies its predecessor's polarity)
+    implicit_fraction: float = in_domain("in [0, 1)", 0.0)  # target fraction of cue-less aspects
     aspects_dist: dict[int, float] = field(default_factory=lambda: {2: 0.6, 3: 0.4})
 
-    def validate(self) -> None:
-        if self.vocab_size < 3:
-            raise DataError("synth spec: vocab_size must be >= 3")
+    def __post_init__(self) -> None:
+        check_domains(self, DataError, "synth spec: ")
         if not self.splits or any(n <= 0 for n in self.splits.values()):
             raise DataError("synth spec: split sizes must be positive")
-        if not (0.0 <= self.rho <= 1.0):
-            raise DataError("synth spec: rho must be in [0, 1]")
-        if not (0.0 <= self.implicit_fraction < 1.0):
-            raise DataError("synth spec: implicit_fraction must be in [0, 1)")
         if self.implicit_fraction > 0.0 and self.rho == 0.0:
-            raise DataError(
-                "synth spec: implicit aspects with rho=0 would be unlearnable"
-            )
-        if not self.aspects_dist or any(
-            c < 1 or w < 0 for c, w in self.aspects_dist.items()
-        ):
+            raise DataError("synth spec: implicit aspects with rho=0 would be unlearnable")
+        if not self.aspects_dist or any(c < 1 or w < 0 for c, w in self.aspects_dist.items()):
             raise DataError("synth spec: bad aspects-per-example distribution")
         if sum(self.aspects_dist.values()) <= 0:
             raise DataError("synth spec: aspect distribution weights sum to zero")
@@ -501,9 +519,7 @@ class SynthSpec:
         w2 = self.aspects_dist.get(2, 0.0) / total
         mean_aspects = sum(c * w for c, w in self.aspects_dist.items()) / total
         if w2 <= 0:
-            raise DataError(
-                "synth spec: implicit aspects require two-aspect examples"
-            )
+            raise DataError("synth spec: implicit aspects require two-aspect examples")
         q = self.implicit_fraction * mean_aspects / w2
         if q > 1.0 + 1e-9:
             raise DataError(
@@ -514,16 +530,15 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path) -> "SynthSpec":
-        spec = cls()
-        splits = {}
+        values, splits = {}, {}
         kinds = {f.name: f.type for f in fields(cls) if not f.type.startswith("dict")}
         for key, value in read_key_values(path, DataError).items():
             try:
                 if key in kinds:
-                    setattr(spec, key, field_value(kinds[key], value))
+                    values[key] = field_value(kinds[key], value)
                 elif key == "aspects":
                     pairs = (part.split(":") for part in value.split(","))
-                    spec.aspects_dist = {int(c): _finite(w) for c, w in pairs}
+                    values["aspects_dist"] = {int(c): _finite(w) for c, w in pairs}
                 elif key in ("train", "test", "valid"):
                     splits[key] = int(value)
                 else:
@@ -531,12 +546,11 @@ class SynthSpec:
             except ValueError as e:
                 raise DataError(f"{path}: bad value for {key}: {e}")
         if splits:
-            spec.splits = splits
+            values["splits"] = splits
         try:
-            spec.validate()
+            return cls(**values)
         except DataError as e:
             raise DataError(f"{path}: {str(e).removeprefix('synth spec: ')}")
-        return spec
 
 
 def _synth_example(
@@ -615,7 +629,6 @@ def _synth_example(
 
 def generate_synthetic_corpus(spec: SynthSpec, seed: int) -> dict[str, Dataset]:
     """Deterministic datasets keyed by split name; byte-identical per (spec, seed)."""
-    spec.validate()
     q_impl = spec._implicit_rate()
     out = {}
     for offset, (split, count) in enumerate(sorted(spec.splits.items())):

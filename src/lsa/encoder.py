@@ -161,8 +161,6 @@ class EncoderParams:
         ffn: int,
         rng: np.random.Generator,
     ) -> "EncoderParams":
-        if d % heads != 0:
-            raise ConfigError(f"model width {d} not divisible by {heads} heads")
         return cls(
             embedding=ad.parameter(rng.uniform(-0.1, 0.1, size=(vocab_size, d))),
             positional=ad.parameter(rng.uniform(-0.1, 0.1, size=(max_len, d))),

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import (CLUSTER_LABELS, NUM_CLASSES, DataError, Dataset, load_dataset, pair_table,
-                     read_key_values)
+from .corpus import (CLUSTER_LABELS, NUM_CLASSES, DataError, Dataset, in_domain, load_dataset,
+                     pair_table, read_key_values)
 from .distance import load_parses
 from .encoder import ConfigError, Vocabulary
 from .optim import AdamW, ParamGroup
@@ -37,36 +37,23 @@ BATCH_PAIRS = 16  # the default training batch
 EVAL_TOKENS = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig(ModelConfig):
     """The model's settings (inherited from ``ModelConfig``) plus those of
-    the optimizer, the schedule and the data."""
+    the optimizer, the schedule and the data, all checked when built."""
 
-    batch: int = BATCH_PAIRS
-    encoder_lr: float = 1e-3
-    eta_lr: float = 0.01
-    lambda_reg: float = 1e-5
-    lambda_eta: float = 1e-5
-    epochs: int = 20
-    seed: int = 0
+    batch: int = in_domain("positive", BATCH_PAIRS)
+    encoder_lr: float = in_domain("positive", 1e-3)
+    eta_lr: float = in_domain("positive", 0.01)
+    lambda_reg: float = in_domain("non-negative", 1e-5)
+    lambda_eta: float = in_domain("non-negative", 1e-5)
+    epochs: int = in_domain("non-negative", 20)
+    seed: int = in_domain("non-negative", 0)
     train_path: str = ""
     valid_path: str | None = None
     test_path: str | None = None
     parse_path: str | None = None
-    holdout_fraction: float = 0.1
-
-    def validate(self) -> None:
-        if not self.train_path:
-            raise ConfigError("train_path is required")
-        for name in ("batch", "encoder_lr", "eta_lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("epochs", "lambda_reg", "lambda_eta"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if not (0.0 < self.holdout_fraction < 1.0):
-            raise ConfigError("holdout_fraction must be in (0, 1)")
-        super().validate()
+    holdout_fraction: float = in_domain("in (0, 1)", 0.1)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
@@ -259,7 +246,8 @@ def train(config: TrainConfig) -> TrainResult:
     once, before the first step (none for no epoch), so an input fault in
     any split fails the run before it trains, and each example without a
     usable parse is counted once."""
-    config.validate()
+    if not config.train_path:
+        raise ConfigError("train_path is required")
     train_set = load_dataset(config.train_path)
     valid_set = load_dataset(config.valid_path) if config.valid_path else None
     test_set = load_dataset(config.test_path) if config.test_path else None

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import NUM_CLASSES, DataError, Example, field_value
+from .corpus import NUM_CLASSES, DataError, Example, check_domains, field_value, in_domain
 from .distance import DependencyTree, align_tokens_to_words, syntactic_distance
 from .encoder import (
     BlockParams,
@@ -235,16 +235,19 @@ def classify(h_o: Tensor, pooled_global: Tensor | None, head: OutputHead) -> Ten
     return ad.matmul(z, head.w_dec, head.b_dec)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """The model's settings, checked when built: a value outside its field's
+    domain, or a combination no model can take, is a ConfigError."""
+
     variant: str = "lsa_t"
-    k: int = 1
-    alpha: float = FIXED_ALPHA
-    max_len: int = 80
-    d_model: int = 64
-    layers: int = 2
-    heads: int = 4
-    ffn_mult: int = 4
+    k: int = in_domain("non-negative", 1)
+    alpha: float = in_domain("non-negative", FIXED_ALPHA)
+    max_len: int = in_domain("positive", 80)
+    d_model: int = in_domain("positive", 64)
+    layers: int = in_domain("positive", 2)
+    heads: int = in_domain("positive", 4)
+    ffn_mult: int = in_domain("positive", 4)
     no_dwa: bool = False
     la_only: bool = False
     ra_only: bool = False
@@ -271,18 +274,12 @@ class ModelConfig:
             raise ConfigError("backbone_only is gone: the backbone is k = 0")
         return cls(**values)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_domains(self, ConfigError)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if min(self.max_len, self.d_model, self.layers, self.heads, self.ffn_mult) < 1 or self.k < 0:
-            raise ConfigError(
-                "max_len, d_model, layers, heads, ffn_mult must be positive, k non-negative")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be non-negative")
         if self.d_model % self.heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by {self.heads} heads"
-            )
+            raise ConfigError(f"d_model {self.d_model} not divisible by {self.heads} heads")
         if self.la_only + self.ra_only > min(self.k, 1):  # at k = 0 each is the backbone
             raise ConfigError("la_only and ra_only are mutually exclusive and need k >= 1")
         if self.frozen_eta is not None:
@@ -303,7 +300,6 @@ class Model:
     """Encoder + aggregation window + output head for one variant."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, rng: np.random.Generator):
-        config.validate()
         self.config = config
         self.vocab = vocab
         d, ffn = config.d_model, config.d_model * config.ffn_mult
@@ -336,7 +332,7 @@ class Model:
         """The (left, right) side weights: learned, the frozen constants,
         or None for the constant 1 or a window with no side slot (k = 0).
         A side with no slot reads as the constant 1."""
-        # validate: frozen weights only under no_dwa, so at most one dict is not empty
+        # a config has frozen weights only under no_dwa, so at most one dict is not empty
         weights = self.eta | {n: Tensor(np.array([eta])) for n, eta in self.frozen_eta.items()}
         if not weights:
             return None

@@ -45,7 +45,9 @@ spec with ``rho=1.5``; ``lsa replay`` of a manifest whose command is
 ``frobnicate``; ``lsa sweep-eta --grid 0:1e30:1e-30``, whose point count
 has more digits than a decimal holds; last, ``lsa export-trajectory``,
 ``lsa --help`` and ``lsa eval --help``, and each argv of
-``usage_errors``, which argparse or a config check must refuse.
+``usage_errors``, which argparse or a config check must refuse, among
+them ``lsa train --seed -1``, ``lsa sweep-seeds --seeds 0,-1``, ``lsa
+synth --seed -1`` and ``lsa train --ffn-mult 0``.
 The exit code, the standard output and the standard
 error (the temporary directory's path replaced by a placeholder), the
 names of the files each run leaves in its directory and the bytes of its
@@ -118,8 +120,14 @@ def window_run(variant: str, k: str, flags: list) -> str:
 # the runs whose exit code, output or artifacts differ from a REV without
 # this change, and what such a REV does
 DECLARED = {
-    "refuse/grid_uncountable": "ends in a decimal.InvalidOperation traceback (exit 1)",
-    "usage/sweep_eta_k0": "prints usage error: frozen_eta requires no_dwa and k >= 1",
+    "usage/train_seed_negative": "reads its datasets, then ends in a ValueError traceback "
+                                 "(exit 1): expected non-negative integer",
+    "usage/sweep_seeds_negative": "trains seed 0, then ends in a ValueError traceback (exit 1): "
+                                  "expected non-negative integer",
+    "usage/synth_seed_negative": "reads its spec, then ends in a ValueError traceback (exit 1): "
+                                 "expected non-negative integer",
+    "usage/ffn_mult_zero": "prints usage error: max_len, d_model, layers, heads, ffn_mult must "
+                           "be positive, k non-negative",
 }
 # the runs that find a directory at one of their artifacts in their --out
 BLOCKED = {"refuse/checkpoint_is_a_directory": "checkpoint.bin"}
@@ -421,6 +429,10 @@ def usage_errors(inputs: Path, data: list) -> dict:
         "grid_backwards": ["sweep-eta", *data, "--grid", "1:0:1"],
         "sweep_eta_k0": ["sweep-eta", *data, "--k", "0"],
         "seeds_not_int": ["sweep-seeds", *data, "--seeds", "1,x"],
+        "train_seed_negative": ["train", *data, "--seed", "-1"],
+        "sweep_seeds_negative": ["sweep-seeds", *data, "--seeds", "0,-1"],
+        "synth_seed_negative": ["synth", "--spec", inputs / "synth.spec", "--seed", "-1"],
+        "ffn_mult_zero": ["train", *data, "--ffn-mult", "0"],
         "no_run": ["export-trajectory"],
         "no_manifest": ["replay"],
     }

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,10 @@ import pytest
 from lsa.cli import COMMANDS, main
 from lsa.corpus import SynthSpec, load_dataset
 from lsa.runio import config_hash
-from lsa.training import SLICES
+from lsa.training import SLICES, TrainConfig
 from lsa.window import Model
 
-from util import FIXTURES, with_edited_vocabulary, write_synth_corpus
+from util import FIXTURES, OUT_OF_DOMAIN, with_edited_vocabulary, write_synth_corpus
 
 
 def run(argv):
@@ -283,7 +284,7 @@ def test_bad_values_are_usage_errors(case, corpus, tmp_path, capsys):
         message = "usage error: unrecognized arguments: --slice implicit"
     elif case.startswith("ffn-mult"):
         argv = train_args(corpus, out, extra=["--ffn-mult", "0" if case == "ffn-mult-0" else "-1"])
-        message = "usage error: max_len, d_model, layers, heads, ffn_mult must be positive"
+        message = "usage error: ffn_mult must be positive"
     elif case == "epochs-negative":
         argv = train_args(corpus, out, extra=["--epochs", "-1"])
         message = "usage error: epochs must be non-negative"
@@ -803,7 +804,7 @@ def test_replay_reads_a_string_as_the_fields_text(args, train_run, tmp_path):
     ({"no_dwa": True, "frozen_eta": [0.3]}, "frozen_eta takes two values, eta_l,eta_r"),
     ({"backbone_only": True}, "backbone_only is gone: the backbone is k = 0"),
     ({"k": 0, "no_dwa": True}, "no_dwa needs k >= 1"),
-    ({"ffn_mult": 0}, "max_len, d_model, layers, heads, ffn_mult must be positive, k non-negative"),
+    ({"ffn_mult": 0}, "ffn_mult must be positive"),
     ({"eta_lr": "nan"}, "bad value for eta_lr: expected a finite number, got 'nan'"),
     ({"lambda_eta": float("inf")}, "bad value for lambda_eta: expected a finite number, got inf"),
     ({"epochs": -1}, "epochs must be non-negative"),
@@ -948,16 +949,55 @@ def test_a_non_finite_loss_exits_3(tmp_path):
     ("sweep-eta", ["--k", "0"],
      "sweep-eta needs k >= 1: at k = 0 there is no side weight to sweep"),
     ("sweep-seeds", ["--seeds", "0"], "seed sweep needs at least two seeds"),
+    ("sweep-seeds", ["--seeds", "0,-1"], "seed must be non-negative"),
 ], ids=["batch", "encoder_lr", "eta_lr", "holdout_0", "holdout_1", "alpha", "eta_sweep_epochs",
         "seed_sweep_epochs", "grid_two_parts", "grid_not_numbers", "grid_step_0",
         "grid_step_negative", "grid_step_nan", "grid_stop_inf", "grid_uncountable",
-        "grid_too_many", "eta_sweep_k0", "seed_sweep_one_seed"])
+        "grid_too_many", "eta_sweep_k0", "seed_sweep_one_seed", "seed_sweep_negative_seed"])
 def test_a_refused_value_is_a_usage_error_before_any_input(command, extra, message, tmp_path,
                                                            capsys):
-    """The train path does not exist: a read would be a data error."""
+    """The train path does not exist: a read would be a data error.  A sweep
+    builds the config of each of its runs before the first; ``--seeds 0,-1``
+    once trained seed 0 and then ended in numpy's ValueError traceback."""
     argv = [command, "--train-path", tmp_path / "missing", *extra, "--out", tmp_path / "out"]
     assert run(argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+CONFIG_DOMAINS = [(f.name, f.metadata["domain"]) for f in fields(TrainConfig)
+                  if "domain" in f.metadata]
+
+
+@pytest.mark.parametrize("name, domain", CONFIG_DOMAINS, ids=[n for n, _ in CONFIG_DOMAINS])
+def test_a_config_value_out_of_its_domain_is_refused_before_any_input(name, domain, tmp_path,
+                                                                      capsys):
+    """The train path does not exist: a read would be a data error.  The
+    value is refused as the config is built, so not even ``--out`` is
+    made.  ``--seed -1`` once read the datasets before it failed."""
+    out = tmp_path / "out"
+    argv = ["train", "--train-path", tmp_path / "missing",
+            "--" + name.replace("_", "-"), OUT_OF_DOMAIN[domain], "--out", out]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {name} must be {domain}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, domain", CONFIG_DOMAINS, ids=[n for n, _ in CONFIG_DOMAINS])
+def test_a_manifest_config_value_out_of_its_domain_is_a_data_error(name, domain, train_run,
+                                                                   tmp_path, capsys):
+    """A seed of -1 once trained until numpy's ValueError traceback."""
+    manifest = edited_manifest(train_run, tmp_path / "manifest.json",
+                               {name: OUT_OF_DOMAIN[domain]})
+    assert run(["replay", manifest, "--out", tmp_path / "r"]) == 2
+    assert capsys.readouterr().err == f"data error: {manifest}: {name} must be {domain}\n"
+
+
+def test_synth_refuses_a_negative_seed_before_it_reads_its_spec(tmp_path, capsys):
+    """The spec does not exist: a read would be a data error.  A seed of -1
+    once read the spec and then ended in numpy's ValueError traceback."""
+    argv = ["synth", "--spec", tmp_path / "missing.spec", "--seed", "-1", "--out", tmp_path / "out"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "usage error: seed must be non-negative\n"
 
 
 def test_export_trajectory_refuses_a_csv_with_another_header(tmp_path, capsys):

@@ -538,15 +538,13 @@ def test_synth_implicit_aspects_have_explicit_neighbor():
 
 
 def test_synth_rejects_implicit_with_rho_zero():
-    spec = SynthSpec(rho=0.0, implicit_fraction=0.4)
     with pytest.raises(DataError, match="unlearnable"):
-        spec.validate()
+        SynthSpec(rho=0.0, implicit_fraction=0.4)
 
 
 def test_synth_rejects_unreachable_implicit_fraction():
-    spec = SynthSpec(rho=1.0, implicit_fraction=0.6, aspects_dist={2: 0.2, 3: 0.8})
     with pytest.raises(DataError, match="unreachable|two-aspect"):
-        spec.validate()
+        SynthSpec(rho=1.0, implicit_fraction=0.6, aspects_dist={2: 0.2, 3: 0.8})
 
 
 def test_synth_spec_from_file(tmp_path):

@@ -153,11 +153,6 @@ def test_encode_refuses_ids_that_do_not_fill_the_layout(ids, valid, message):
         encode(np.array(ids, dtype=np.int64), make_encoder(), np.array(valid))
 
 
-def test_heads_must_divide_width():
-    with pytest.raises(ConfigError):
-        make_encoder(d=16, heads=3)
-
-
 def test_encode_embedding_gradient_matches_fd():
     params = make_encoder(d=8, heads=2, vocab_size=6)
     ids = [1, 4, 2]

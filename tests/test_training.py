@@ -4,7 +4,7 @@ import json
 import math
 import random
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ import lsa.autodiff as ad
 from lsa.checkpoint import HEADER, MAGIC, checkpoint_bytes, load_checkpoint, save_checkpoint
 import lsa.training as training
 from lsa.corpus import (
+    DOMAINS,
     DataError,
     Dataset,
     SynthSpec,
@@ -42,9 +43,9 @@ from lsa.training import (
     train,
 )
 
-from util import (FIXTURES, REFERENCE_SLICES, aspect_runs, cluster_sizes, make_example,
-                  random_tree, reference_compute_metrics, reference_cross_entropy, reference_pairs,
-                  softmax, tiny_model, write_synth_corpus)
+from util import (FIXTURES, OUT_OF_DOMAIN, REFERENCE_SLICES, aspect_runs, cluster_sizes,
+                  make_example, random_tree, reference_compute_metrics, reference_cross_entropy,
+                  reference_pairs, softmax, tiny_model, write_synth_corpus)
 
 
 def small_config(paths, **overrides):
@@ -857,6 +858,33 @@ def test_checkpoint_config_string_reads_as_text(tmp_path):
 # config plumbing
 
 
+@pytest.mark.parametrize("cls", [ModelConfig, TrainConfig, SynthSpec])
+def test_each_numeric_field_declares_its_domain_and_the_config_is_frozen(cls):
+    assert cls.__dataclass_params__.frozen
+    for f in fields(cls):
+        domain = f.metadata.get("domain")
+        assert (domain in DOMAINS) if f.type in ("int", "float") else domain is None, f.name
+
+
+def test_each_domain_has_a_value_outside_it():
+    assert set(OUT_OF_DOMAIN) == set(DOMAINS)
+    for text, value in OUT_OF_DOMAIN.items():
+        assert not DOMAINS[text](float(value)), text
+
+
+def test_a_config_is_checked_when_built():
+    """``replace`` builds a config too, so a sweep's run cannot skip the
+    check; of several bad values the first field is named."""
+    with pytest.raises(ConfigError, match=r"^seed must be non-negative$"):
+        replace(TrainConfig(), seed=-1)
+    with pytest.raises(ConfigError, match=r"^k must be non-negative$"):
+        TrainConfig(seed=-1, k=-1)
+    with pytest.raises(ConfigError, match=r"^heads must be positive$"):  # before d_model % heads
+        ModelConfig(heads=0)
+    with pytest.raises(DataError, match=r"^synth spec: rho must be in \[0, 1\]$"):
+        replace(SynthSpec(), rho=2.0)
+
+
 @pytest.mark.parametrize("key, text, json_value, value, bad", [
     ("epochs", "2", 2, 2, True),
     ("d_model", "32", 32, 32, 16.0),
@@ -870,14 +898,16 @@ def test_from_dict_reads_every_field_kind(key, text, json_value, value, bad):
     """A string is the field's text form, any other value must have the
     field's JSON type, and the text form and the ``asdict`` JSON form give
     equal configs.  A string once reached the config unread ("false" was
-    true), and a bool or a float became an int field."""
+    true), and a bool or a float became an int field.  A frozen side
+    weight needs ``no_dwa``."""
+    others = {"no_dwa": True} if key == "frozen_eta" else {}
     for raw in (text, json_value):
-        got = getattr(TrainConfig.from_dict({key: raw}), key)
+        got = getattr(TrainConfig.from_dict({**others, key: raw}), key)
         assert got == value and type(got) is type(value)
-    by_text = TrainConfig.from_dict({key: text})
+    by_text = TrainConfig.from_dict({**others, key: text})
     assert TrainConfig.from_dict(json.loads(json.dumps(asdict(by_text)))) == by_text
     with pytest.raises(ConfigError, match=f"^bad value for {key}: "):
-        TrainConfig.from_dict({key: bad})
+        TrainConfig.from_dict({**others, key: bad})
 
 
 @pytest.mark.parametrize("raw", [False, "false", "no", "0"])
@@ -919,4 +949,4 @@ def test_config_rejects_unknown_key(tmp_path):
 def test_config_rejects_contradictory_ablations(corpus):
     _, _, paths = corpus
     with pytest.raises(ConfigError):
-        small_config(paths, la_only=True, ra_only=True).validate()
+        small_config(paths, la_only=True, ra_only=True)

@@ -257,7 +257,6 @@ def test_window_index_properties(examples, k, ablation):
     counts = [c for c, _ in examples]
     starts = np.cumsum([0] + [c + gap for c, gap in examples])[:-1]
     config = ModelConfig(k=k, **(ablation if k else {}))
-    config.validate()
     window = build_window(starts, counts, config.slot_offsets)
     left = 0 if config.ra_only else k
     right = 0 if config.la_only else k
@@ -737,20 +736,20 @@ def test_eta_parameters_are_the_sides_the_window_uses(flags, expected):
 
 def test_model_config_rejects_contradictory_ablations():
     with pytest.raises(ConfigError):
-        ModelConfig(la_only=True, ra_only=True).validate()
+        ModelConfig(la_only=True, ra_only=True)
     for side in ("la_only", "ra_only"):  # at k = 0 a second spelling of the backbone
         with pytest.raises(ConfigError, match="need k >= 1"):
-            ModelConfig(k=0, **{side: True}).validate()
+            ModelConfig(k=0, **{side: True})
     with pytest.raises(ConfigError, match="no_dwa needs k >= 1"):  # so is no_dwa
-        ModelConfig(k=0, no_dwa=True).validate()
+        ModelConfig(k=0, no_dwa=True)
     with pytest.raises(ConfigError, match="requires no_dwa and k >= 1"):  # no side to weight
-        ModelConfig(k=0, no_dwa=True, frozen_eta=(0.3, 0.7)).validate()
+        ModelConfig(k=0, no_dwa=True, frozen_eta=(0.3, 0.7))
     with pytest.raises(ConfigError):
-        ModelConfig(k=-1).validate()
+        ModelConfig(k=-1)
     with pytest.raises(ConfigError):
-        ModelConfig(d_model=10, heads=3).validate()
+        ModelConfig(d_model=10, heads=3)
     with pytest.raises(ConfigError):
-        ModelConfig(variant="nope").validate()
+        ModelConfig(variant="nope")
 
 
 def test_position_weight_never_increases_row_norm():

@@ -39,6 +39,9 @@ from lsa.training import ClassScores, Metrics
 from lsa.window import Model, ModelConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# a value out of each domain of ``corpus.DOMAINS``, as a flag or a spec line writes it
+OUT_OF_DOMAIN = {"positive": "0", "non-negative": "-1", ">= 3": "2", "in (0, 1)": "1",
+                 "in [0, 1]": "1.5", "in [0, 1)": "1"}
 
 
 def sum_all(t: ad.Tensor) -> ad.Tensor:
